@@ -11,7 +11,7 @@ use pgdesign_cophy::{greedy_select, CophyAdvisor, CophyConfig};
 use pgdesign_inum::{CostMatrix, Inum};
 use pgdesign_optimizer::candidates::{workload_candidates, CandidateConfig};
 use pgdesign_solver::MilpOptions;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn print_report() {
     let bench = setup(27, 0xE6);
@@ -45,7 +45,6 @@ fn print_report() {
                 storage_budget_bytes: budget,
                 solver: MilpOptions {
                     node_limit,
-                    time_limit: Duration::from_secs(30),
                     ..Default::default()
                 },
                 ..Default::default()
@@ -82,7 +81,6 @@ fn bench_solve(c: &mut Criterion) {
                     storage_budget_bytes: budget,
                     solver: MilpOptions {
                         node_limit: 500,
-                        time_limit: Duration::from_secs(30),
                         ..Default::default()
                     },
                     ..Default::default()

@@ -1,11 +1,11 @@
 //! Shared setup for the experiment benches (E1–E7).
 //!
-//! Each bench in `benches/` reproduces one experiment from DESIGN.md: it
-//! first *prints* the rows/series the paper's demo would display, then
-//! runs a Criterion measurement of the underlying operation. Absolute
-//! numbers depend on this simulator substrate; the shapes (who wins, by
-//! roughly what factor) are the reproduction targets recorded in
-//! EXPERIMENTS.md.
+//! Each bench in `benches/` reproduces one of the experiments the README
+//! lists under "Benches": it first *prints* the rows/series the paper's
+//! demo would display, then runs a Criterion measurement of the
+//! underlying operation. Absolute numbers depend on this simulator
+//! substrate; the shapes (who wins, by roughly what factor) are the
+//! reproduction targets, stated in each bench's own module docs.
 
 #![forbid(unsafe_code)]
 

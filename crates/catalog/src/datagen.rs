@@ -1,7 +1,7 @@
 //! Synthetic data generation and the `ANALYZE` analogue.
 //!
 //! The paper demonstrates on SDSS, a real scientific dataset we cannot
-//! ship. The substitution (see DESIGN.md) is to *generate* data with the
+//! ship. The substitution is to *generate* data with the
 //! distributional features that matter to a physical designer — skew,
 //! correlation-with-storage-order, wide domains, categorical columns — and
 //! then compute statistics from the generated rows exactly as `ANALYZE`

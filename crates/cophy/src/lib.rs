@@ -15,10 +15,13 @@
 //!   configuration per query, pay each index's storage once, respect the
 //!   storage budget, minimise total weighted workload cost
 //!   ([`formulation`]);
-//! * solve with branch-and-bound over the LP relaxation; the solver's
-//!   bound certifies an optimality gap at any time budget — the paper's
+//! * presolve by pure comparisons on those configurations (no column for
+//!   an index nothing uses or a configuration another one dominates), then
+//!   solve with branch-and-bound over the LP relaxation; the solver's
+//!   bound certifies an optimality gap at any node budget — the paper's
 //!   "trade off execution time against the quality of the suggested
-//!   solutions" ([`advisor`]).
+//!   solutions", with effort counted in nodes so the answer never depends
+//!   on the machine ([`advisor`]).
 //!
 //! A classic greedy advisor ([`greedy`]) doubles as the comparison baseline
 //! (experiments E2/E6) and as the MILP warm start. [`merging`] augments

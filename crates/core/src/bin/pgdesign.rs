@@ -498,7 +498,8 @@ fn run(args: &[String]) -> Result<(), String> {
             let (untuned, tuned) = session.cumulative_costs();
             println!(
                 "cumulative: untuned {untuned:.0}, tuned {tuned:.0} ({:.1}% saved)",
-                100.0 * (untuned - tuned).max(0.0) / untuned.max(1e-9)
+                // Signed: tuning that cost more than it saved must say so.
+                100.0 * (untuned - tuned) / untuned.max(1e-9)
             );
             println!();
             print!("{}", session.tuning_stats());

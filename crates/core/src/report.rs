@@ -246,10 +246,12 @@ pub fn render_offline(r: &OfflineReport, f: &mut fmt::Formatter<'_>) -> fmt::Res
     writeln!(f, "-- Suggested indexes ({}) --", r.indexes.indexes.len())?;
     writeln!(
         f,
-        "   (storage: {:.1} MiB, solver gap: {:.2}%, status: {:?})",
+        "   (storage: {:.1} MiB, solver gap: {:.2}%, status: {:?}, nodes: {}, pivots: {})",
         r.indexes.total_index_bytes as f64 / (1024.0 * 1024.0),
         100.0 * r.indexes.gap,
-        r.indexes.status
+        r.indexes.status,
+        r.indexes.nodes,
+        r.indexes.pivots
     )?;
     for (i, name) in r.index_display.iter().enumerate() {
         writeln!(f, "   [{}] {}", i + 1, name)?;

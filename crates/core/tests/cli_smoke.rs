@@ -173,6 +173,47 @@ fn recommend_without_stats_omits_counters() {
 }
 
 #[test]
+fn recommend_is_a_function_of_its_inputs_alone() {
+    // Scenario 2 on 40 SDSS queries: the solver is budgeted in nodes, not
+    // seconds, so two runs — and runs with 1 and 4 build threads — must
+    // render the same bytes, node and pivot counts included.
+    let run = |threads: Option<&str>| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_pgdesign"));
+        cmd.args([
+            "recommend",
+            "--catalog",
+            "sdss",
+            "--scale",
+            "0.01",
+            "--workload",
+            "builtin:40",
+            "--budget-frac",
+            "0.5",
+        ]);
+        match threads {
+            Some(n) => cmd.env("PGDESIGN_THREADS", n),
+            None => cmd.env_remove("PGDESIGN_THREADS"),
+        };
+        let out = cmd.output().expect("spawn pgdesign");
+        assert!(out.status.success(), "recommend should exit 0");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let first = run(None);
+    let status = first
+        .lines()
+        .find(|l| l.contains("solver gap"))
+        .unwrap_or_else(|| panic!("no solver line:\n{first}"));
+    assert!(status.contains("status: Optimal"), "{status}");
+    assert!(
+        status.contains("nodes: ") && status.contains("pivots: "),
+        "the solver line must carry the search effort: {status}"
+    );
+    assert_eq!(first, run(None), "two runs differ");
+    assert_eq!(first, run(Some("1")), "PGDESIGN_THREADS=1 differs");
+    assert_eq!(first, run(Some("4")), "PGDESIGN_THREADS=4 differs");
+}
+
+#[test]
 fn session_steps_through_whatif_structures() {
     let out = pgdesign(&[
         "session",
@@ -257,6 +298,43 @@ fn online_prints_trajectory_and_matrix_counters() {
             "online must print {needle:?}:\n{text}"
         );
     }
+}
+
+#[test]
+fn online_reports_a_loss_as_a_loss() {
+    // This stream ends with the tuned run dearer than the untuned one
+    // (index builds that never pay back); the summary used to clamp that
+    // to "0.0% saved".
+    let out = pgdesign(&[
+        "online",
+        "--scale",
+        "0.005",
+        "--queries",
+        "120",
+        "--epoch",
+        "10",
+    ]);
+    assert!(out.status.success(), "online should exit 0");
+    let text = String::from_utf8(out.stdout).unwrap();
+    let line = text
+        .lines()
+        .find(|l| l.starts_with("cumulative:"))
+        .unwrap_or_else(|| panic!("no cumulative line:\n{text}"));
+    // "cumulative: untuned U, tuned T (P% saved)"
+    let number = |word: usize| -> f64 {
+        let digits = |c: char| c.is_ascii_digit() || c == '.' || c == '-';
+        line.split_whitespace()
+            .nth(word)
+            .and_then(|w| w.trim_matches(|c| !digits(c)).parse().ok())
+            .unwrap_or_else(|| panic!("no number at word {word} of {line:?}"))
+    };
+    let (untuned, tuned, printed) = (number(2), number(4), number(5));
+    assert!(
+        (printed - 100.0 * (untuned - tuned) / untuned).abs() < 0.06,
+        "{line:?} does not say what its own totals say"
+    );
+    assert!(tuned > untuned, "this stream is known to lose: {line:?}");
+    assert!(printed < 0.0, "a loss must print negative: {line:?}");
 }
 
 #[test]

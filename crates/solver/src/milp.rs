@@ -1,21 +1,30 @@
 //! Best-first branch-and-bound for mixed 0/1 integer programs.
 //!
 //! This is the "mature solver" interface CoPhy's formulation targets: an
-//! *anytime* solver that can be stopped at a node or wall-clock budget and
-//! still reports a feasible incumbent together with a certified lower
-//! bound — hence an optimality gap. That gap is exactly CoPhy's "quality
-//! guarantee" and the time/quality trade-off knob the paper demonstrates.
+//! *anytime* solver that can be stopped at a node budget and still reports
+//! a feasible incumbent together with a certified lower bound — hence an
+//! optimality gap. That gap is exactly CoPhy's "quality guarantee" and the
+//! effort/quality trade-off knob the paper demonstrates.
+//!
+//! The whole tree shares **one** simplex engine (`simplex.rs`). The root
+//! relaxation is solved cold, once; every later node applies its fixings
+//! as column bounds (`lb = ub`) on that same live tableau and re-solves with the
+//! dual simplex from whatever basis the previous node — near or far in the
+//! tree — left behind, stopping as soon as the rising objective reaches
+//! the incumbent. A node therefore owns no tableau and no basis, only a
+//! link to its parent's fixings. The only budget is a node count, so a run
+//! is a pure function of the program and the options: no clock is read.
 
 use crate::lp::{LinearProgram, LpError};
-use std::collections::{BTreeMap, BinaryHeap};
-use std::time::{Duration, Instant};
+use crate::simplex::{Reoptimized, Simplex};
+use std::collections::BinaryHeap;
 
 /// Solve status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MilpStatus {
     /// Proven optimal (gap = 0 up to tolerance).
     Optimal,
-    /// Stopped at a budget with a feasible incumbent.
+    /// Stopped at the node budget with a feasible incumbent.
     Feasible,
     /// No feasible assignment exists.
     Infeasible,
@@ -23,13 +32,12 @@ pub enum MilpStatus {
     NoSolution,
 }
 
-/// Budgets and tolerances.
+/// Budget and tolerances.
 #[derive(Debug, Clone, Copy)]
 pub struct MilpOptions {
-    /// Maximum branch-and-bound nodes.
+    /// Maximum branch-and-bound nodes — the one search budget. A run cut
+    /// here reports `nodes == node_limit`.
     pub node_limit: usize,
-    /// Wall-clock budget.
-    pub time_limit: Duration,
     /// Integrality tolerance.
     pub int_tol: f64,
     /// Stop when the relative gap falls below this.
@@ -40,7 +48,6 @@ impl Default for MilpOptions {
     fn default() -> Self {
         MilpOptions {
             node_limit: 50_000,
-            time_limit: Duration::from_secs(10),
             int_tol: 1e-6,
             gap_tol: 1e-6,
         }
@@ -62,24 +69,40 @@ pub struct MilpResult {
     pub gap: f64,
     /// Nodes explored.
     pub nodes: usize,
+    /// Simplex iterations (pivots and bound flips) over the whole run,
+    /// root relaxation included.
+    pub pivots: usize,
 }
 
 /// A 0/1 mixed-integer program: an LP plus a set of binary variables.
 #[derive(Debug, Clone, Default)]
 pub struct Milp {
-    /// The LP relaxation (binary bounds included by `mark_binary`).
+    /// The LP relaxation (a binary is a variable with upper bound 1).
     pub lp: LinearProgram,
     binaries: Vec<usize>,
+    is_binary: Vec<bool>,
 }
+
+/// One branching decision; a node's fixings are the chain of these up to
+/// the root, so an open node costs a heap entry and nothing else.
+#[derive(Clone, Copy)]
+struct Branch {
+    parent: usize,
+    var: usize,
+    value: f64,
+}
+
+const ROOT: usize = usize::MAX;
 
 struct Node {
     bound: f64,
-    fixed: BTreeMap<usize, f64>,
+    /// Last link of the node's fixing chain in the branch arena.
+    branch: usize,
 }
 
 impl PartialEq for Node {
     fn eq(&self, other: &Self) -> bool {
-        self.bound == other.bound
+        self.cmp(other).is_eq()
     }
 }
 impl Eq for Node {}
@@ -90,8 +113,12 @@ impl PartialOrd for Node {
 }
 impl Ord for Node {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; we want smallest bound first.
-        other.bound.total_cmp(&self.bound)
+        // BinaryHeap is a max-heap; we want the smallest bound first and,
+        // among equal bounds, the node created last (`ROOT` never ties).
+        other
+            .bound
+            .total_cmp(&self.bound)
+            .then(self.branch.cmp(&other.branch))
     }
 }
 
@@ -103,33 +130,22 @@ impl Milp {
 
     /// Add a binary variable with the given objective cost.
     pub fn add_binary(&mut self, cost: f64) -> usize {
-        let v = self.lp.add_var(cost);
-        self.lp
-            .add_constraint(vec![(v, 1.0)], crate::lp::Relation::Le, 1.0);
+        let v = self.add_continuous(cost);
+        self.lp.set_upper(v, 1.0);
         self.binaries.push(v);
+        self.is_binary[v] = true;
         v
     }
 
     /// Add a continuous variable in `[0, ∞)`.
     pub fn add_continuous(&mut self, cost: f64) -> usize {
+        self.is_binary.push(false);
         self.lp.add_var(cost)
     }
 
     /// The binary variable ids.
     pub fn binaries(&self) -> &[usize] {
         &self.binaries
-    }
-
-    /// Evaluate the objective for a full assignment.
-    fn objective_of(&self, x: &[f64]) -> f64 {
-        // The LP stores costs internally; recompute via a zero-fix solve
-        // would be wasteful, so mirror the cost vector through solve():
-        // we instead keep it simple and ask the LP for a fixed solve.
-        let fixed: BTreeMap<usize, f64> = x.iter().copied().enumerate().collect();
-        match self.lp.solve_with_fixed(&fixed) {
-            Ok(s) => s.objective,
-            Err(_) => f64::INFINITY,
-        }
     }
 
     /// Check integer feasibility of the binary variables.
@@ -139,51 +155,68 @@ impl Milp {
             .all(|&v| (x[v] - x[v].round()).abs() <= tol)
     }
 
+    /// Offer `x` as an incumbent: its binaries are snapped to integers,
+    /// and it is taken only if the snapped point is integral, satisfies
+    /// the program's *original* rows and bounds, and beats the incumbent.
+    fn offer(&self, x: &[f64], tol: f64, incumbent: &mut Option<(Vec<f64>, f64)>) -> bool {
+        if x.len() != self.lp.num_vars() || !self.is_integral(x, tol) {
+            return false;
+        }
+        // (`lp` is public: a variable added behind `Milp`'s back has no
+        // flag and is continuous.)
+        let snapped: Vec<f64> = x
+            .iter()
+            .enumerate()
+            .map(|(v, &val)| match self.is_binary.get(v) {
+                Some(true) => val.round(),
+                _ => val,
+            })
+            .collect();
+        let Some(objective) = self.lp.objective_if_feasible(&snapped) else {
+            return false;
+        };
+        if incumbent.as_ref().is_none_or(|(_, best)| objective < *best) {
+            *incumbent = Some((snapped, objective));
+        }
+        true
+    }
+
     /// Solve with a warm-start incumbent (e.g. from a greedy heuristic).
     pub fn solve_with_warm_start(&self, opts: &MilpOptions, warm: Option<&[f64]>) -> MilpResult {
-        let start = Instant::now();
         let mut nodes = 0usize;
-
         let mut incumbent: Option<(Vec<f64>, f64)> = None;
         if let Some(w) = warm {
-            let obj = self.objective_of(w);
-            if obj.is_finite() {
-                incumbent = Some((w.to_vec(), obj));
-            }
+            self.offer(w, opts.int_tol, &mut incumbent);
         }
 
-        // Root relaxation.
-        let root = match self.lp.solve_with_fixed(&BTreeMap::new()) {
-            Ok(s) => s,
-            Err(LpError::Infeasible) => {
-                return MilpResult {
-                    status: MilpStatus::Infeasible,
-                    x: Vec::new(),
-                    objective: f64::INFINITY,
-                    bound: f64::INFINITY,
-                    gap: 0.0,
-                    nodes: 0,
-                };
-            }
-            Err(_) => {
-                return MilpResult {
-                    status: MilpStatus::NoSolution,
-                    x: Vec::new(),
-                    objective: f64::INFINITY,
-                    bound: f64::NEG_INFINITY,
-                    gap: f64::INFINITY,
-                    nodes: 0,
-                };
-            }
-        };
+        // Root relaxation: the one cold solve of the run.
+        let mut engine = Simplex::new(&self.lp);
+        if let Err(e) = engine.solve() {
+            let (status, bound, gap) = match e {
+                LpError::Infeasible => (MilpStatus::Infeasible, f64::INFINITY, 0.0),
+                _ => (MilpStatus::NoSolution, f64::NEG_INFINITY, f64::INFINITY),
+            };
+            return MilpResult {
+                status,
+                x: Vec::new(),
+                objective: f64::INFINITY,
+                bound,
+                gap,
+                nodes: 0,
+                pivots: engine.iterations(),
+            };
+        }
+        let root_bound = engine.objective();
 
+        let mut branches: Vec<Branch> = Vec::new();
         let mut heap: BinaryHeap<Node> = BinaryHeap::new();
         heap.push(Node {
-            bound: root.objective,
-            fixed: BTreeMap::new(),
+            bound: root_bound,
+            branch: ROOT,
         });
-        let mut best_bound = root.objective;
+        let mut best_bound = root_bound;
         let mut exhausted = true;
+        let mut x: Vec<f64> = Vec::with_capacity(self.lp.num_vars());
 
         while let Some(node) = heap.pop() {
             best_bound = node.bound;
@@ -196,73 +229,69 @@ impl Milp {
                     break;
                 }
             }
-            if nodes >= opts.node_limit || start.elapsed() >= opts.time_limit {
+            if nodes >= opts.node_limit {
                 exhausted = false;
                 break;
             }
             nodes += 1;
 
-            let relax = match self.lp.solve_with_fixed(&node.fixed) {
-                Ok(s) => s,
-                Err(_) => continue, // infeasible branch
-            };
-            if let Some((_, inc_obj)) = &incumbent {
-                if relax.objective >= *inc_obj - 1e-12 {
-                    continue;
-                }
+            // The node's LP: its fixings as bounds on the live tableau.
+            for &v in &self.binaries {
+                engine.set_bounds(v, 0.0, 1.0);
             }
-            if self.is_integral(&relax.x, opts.int_tol) {
-                let rounded: Vec<f64> = relax
-                    .x
-                    .iter()
-                    .enumerate()
-                    .map(|(v, &val)| {
-                        if self.binaries.contains(&v) {
-                            val.round()
-                        } else {
-                            val
-                        }
-                    })
-                    .collect();
-                if incumbent
-                    .as_ref()
-                    .is_none_or(|(_, obj)| relax.objective < *obj)
-                {
-                    incumbent = Some((rounded, relax.objective));
-                }
+            let mut link = node.branch;
+            while link != ROOT {
+                let Branch { parent, var, value } = branches[link];
+                engine.set_bounds(var, value, value);
+                link = parent;
+            }
+            let cutoff = incumbent
+                .as_ref()
+                .map_or(f64::INFINITY, |(_, obj)| *obj - 1e-12);
+            match engine.reoptimize(cutoff) {
+                Ok(Reoptimized::Optimal) => {}
+                // Infeasible, no better than the incumbent, or numerically
+                // hopeless: nothing below this node is wanted.
+                Ok(Reoptimized::Cutoff) | Err(_) => continue,
+            }
+            let relaxed = engine.objective();
+            engine.write_solution(&mut x);
+            if self.offer(&x, opts.int_tol, &mut incumbent) {
                 continue;
             }
-            // Rounding heuristic: try the nearest integer point for a quick
-            // incumbent (helps the anytime gap enormously).
-            if incumbent.is_none() {
-                let mut fixed_all = node.fixed.clone();
-                for &v in &self.binaries {
-                    fixed_all.entry(v).or_insert(relax.x[v].round());
-                }
-                if let Ok(s) = self.lp.solve_with_fixed(&fixed_all) {
-                    if self.is_integral(&s.x, opts.int_tol) {
-                        incumbent = Some((s.x, s.objective));
-                    }
-                }
-            }
-            // Branch on the most fractional binary.
+            // Branch on the most fractional binary the node leaves free.
             let frac_var = self
                 .binaries
                 .iter()
-                .filter(|v| !node.fixed.contains_key(v))
+                .filter(|&&v| !engine.is_fixed(v))
                 .max_by(|&&a, &&b| {
-                    let fa = (relax.x[a] - relax.x[a].round()).abs();
-                    let fb = (relax.x[b] - relax.x[b].round()).abs();
+                    let fa = (x[a] - x[a].round()).abs();
+                    let fb = (x[b] - x[b].round()).abs();
                     fa.total_cmp(&fb)
                 })
                 .copied();
+            // Rounding heuristic: try the nearest integer point for a quick
+            // incumbent (helps the anytime gap enormously).
+            if incumbent.is_none() {
+                for &v in &self.binaries {
+                    engine.set_bounds(v, x[v].round(), x[v].round());
+                }
+                if engine.reoptimize(f64::INFINITY).is_ok() {
+                    let mut rounded = Vec::new();
+                    engine.write_solution(&mut rounded);
+                    self.offer(&rounded, opts.int_tol, &mut incumbent);
+                }
+            }
             let Some(v) = frac_var else { continue };
-            for val in [relax.x[v].round(), 1.0 - relax.x[v].round()] {
-                let mut fixed = node.fixed.clone();
-                fixed.insert(v, val.clamp(0.0, 1.0));
+            for value in [1.0 - x[v].round(), x[v].round()] {
+                branches.push(Branch {
+                    parent: node.branch,
+                    var: v,
+                    value: value.clamp(0.0, 1.0),
+                });
                 heap.push(Node {
-                    bound: relax.objective,
-                    fixed,
+                    bound: relaxed,
+                    branch: branches.len() - 1,
                 });
             }
         }
@@ -274,6 +303,7 @@ impl Milp {
             }
         }
 
+        let pivots = engine.iterations();
         match incumbent {
             Some((x, objective)) => {
                 let gap = relative_gap(objective, best_bound);
@@ -288,6 +318,7 @@ impl Milp {
                     bound: best_bound.min(objective),
                     gap,
                     nodes,
+                    pivots,
                 }
             }
             None => MilpResult {
@@ -297,6 +328,7 @@ impl Milp {
                 bound: best_bound,
                 gap: f64::INFINITY,
                 nodes,
+                pivots,
             },
         }
     }
@@ -312,7 +344,14 @@ fn relative_gap(objective: f64, bound: f64) -> f64 {
         return f64::INFINITY;
     }
     let denom = objective.abs().max(1e-9);
-    ((objective - bound) / denom).max(0.0)
+    let gap = ((objective - bound) / denom).max(0.0);
+    // An incumbent's `cᵀx` and a node's LP objective are the same number
+    // summed in two orders; a difference of that size is no gap.
+    if gap <= 1e-12 {
+        0.0
+    } else {
+        gap
+    }
 }
 
 #[cfg(test)]
@@ -374,6 +413,48 @@ mod tests {
         assert!((r.objective + 6.0).abs() < 1e-6);
         assert_eq!(r.status, MilpStatus::Feasible);
         assert!(r.gap > 0.0, "gap must be reported: {}", r.gap);
+    }
+
+    #[test]
+    fn warm_start_must_satisfy_the_original_rows() {
+        let m = knapsack_milp(&[6.0, 10.0, 12.0], &[1.0, 2.0, 3.0], 5.0);
+        let no_search = MilpOptions {
+            node_limit: 0,
+            ..Default::default()
+        };
+        // Over capacity, fractional, out of bounds, wrong length: none of
+        // these may become the incumbent.
+        for bad in [
+            vec![1.0, 1.0, 1.0],
+            vec![1.0, 0.5, 0.0],
+            vec![2.0, 0.0, 0.0],
+            vec![1.0, 0.0],
+        ] {
+            let r = m.solve_with_warm_start(&no_search, Some(&bad));
+            assert_eq!(r.status, MilpStatus::NoSolution, "{bad:?}");
+            assert!(r.x.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_cut_search_reports_the_node_budget_it_spent() {
+        let values: Vec<f64> = (1..=12).map(|i| (i * 7 % 13) as f64 + 1.0).collect();
+        let weights: Vec<f64> = (1..=12).map(|i| (i * 5 % 11) as f64 + 1.0).collect();
+        let m = knapsack_milp(&values, &weights, 20.0);
+        let budget = MilpOptions {
+            node_limit: 3,
+            ..Default::default()
+        };
+        let cut = m.solve_with_warm_start(&budget, Some(&[0.0; 12]));
+        assert_eq!(cut.status, MilpStatus::Feasible);
+        assert_eq!(cut.nodes, 3, "a cut run spent exactly its budget");
+        let full = m.solve(&MilpOptions::default());
+        assert_eq!(full.status, MilpStatus::Optimal);
+        assert!(full.nodes > 3 && full.pivots > cut.pivots && cut.pivots > 0);
+        // No clock anywhere: the same call is the same answer.
+        let again = m.solve(&MilpOptions::default());
+        assert_eq!((again.nodes, again.pivots), (full.nodes, full.pivots));
+        assert_eq!(again.x, full.x);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Ablations of the design choices DESIGN.md calls out, expressed as
-//! executable assertions rather than prose.
+//! Ablations of the design choices the crates' module docs call out,
+//! expressed as executable assertions rather than prose.
 
 use pgdesign_catalog::design::{Index, PhysicalDesign};
 use pgdesign_catalog::samples::sdss_catalog;
