@@ -153,11 +153,11 @@ fn path_matches(path: &str, prefixes: &[String]) -> bool {
 /// invoking the what-if optimizer themselves. The whole economics of the
 /// design (PRs 2–5 pin "zero `Inum::cost` calls" in advisor steady state
 /// with runtime counters) rests on costing being a build-time event
-/// captured in the matrix; a stray `.inum()`/`Inum::cost`/`inum_longlived`
-/// call on a read path silently reintroduces per-question optimizer
-/// latency and breaks the journaled-edit accounting that durability
-/// replays. Returns `(sig index, line, message)` for every match outside
-/// test spans; path scoping is the caller's business.
+/// captured in the matrix; a stray `.inum()`/`Inum::cost` call on a read
+/// path silently reintroduces per-question optimizer latency and breaks
+/// the journaled-edit accounting that durability replays. Returns
+/// `(sig index, line, message)` for every match outside test spans; path
+/// scoping is the caller's business.
 pub(crate) fn cost_sites(facts: &Facts) -> Vec<(usize, u32, String)> {
     let mut out = Vec::new();
     let n = facts.sig.len();
@@ -174,13 +174,6 @@ pub(crate) fn cost_sites(facts: &Facts) -> Vec<(usize, u32, String)> {
                 facts.tokens[facts.sig[i]].line,
                 ".inum() grants raw optimizer access",
             ))
-        } else if t.is_ident("inum_longlived")
-            && facts.tok(i + 1).is_some_and(|u| u.is_punct("("))
-            && !facts
-                .tok(i.wrapping_sub(1))
-                .is_some_and(|u| u.is_ident("fn"))
-        {
-            Some((t.line, "inum_longlived() costs via the optimizer"))
         } else if t.is_ident("Inum")
             && facts.tok(i + 1).is_some_and(|u| u.is_punct("::"))
             && facts.tok(i + 2).is_some_and(|u| u.is_ident("cost"))
@@ -381,13 +374,6 @@ fn lock_discipline(facts: &Facts, out: &mut Vec<(u32, &'static str, String)>) {
                 && facts.tok(i + 2).is_some_and(|u| u.is_punct("("))
             {
                 Some("optimizer access while a write guard is live stalls every reader")
-            } else if t.is_ident("inum_longlived")
-                && facts.tok(i + 1).is_some_and(|u| u.is_punct("("))
-                && !facts
-                    .tok(i.wrapping_sub(1))
-                    .is_some_and(|u| u.is_ident("fn"))
-            {
-                Some("costing while a write guard is live stalls every reader")
             } else if t.is_ident("Inum")
                 && facts.tok(i + 1).is_some_and(|u| u.is_punct("::"))
                 && facts.tok(i + 2).is_some_and(|u| u.is_ident("cost"))

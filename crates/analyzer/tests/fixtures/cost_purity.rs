@@ -11,7 +11,7 @@ pub fn also_sneaky(handle: &Inum<'_>, q: &Query) -> f64 {
 }
 
 pub fn worst(session: &TuningSession<'_>) -> f64 {
-    let h = session.inum_longlived();
+    let h = session.inum().clone();
     h.total()
 }
 

@@ -24,9 +24,10 @@
 //! *partition-aware cost matrix* ([`CostMatrix`]): atomic fragments are
 //! registered as fragment candidates once, every merge/replication trial
 //! of the greedy loop is a [`JointToggle`] delta evaluation, and the
-//! horizontal pass is a [`CostMatrix::delta_split`]. The search therefore
-//! issues **zero** per-trial [`Inum::cost`] calls and never constructs a
-//! `PhysicalDesign` inside the loop (the suite asserts both).
+//! horizontal pass is a [`pgdesign_inum::MatrixCore::delta_split`]. The
+//! search therefore issues **zero** per-trial [`Inum::cost`] calls and
+//! never constructs a `PhysicalDesign` inside the loop (the suite asserts
+//! both).
 
 #![forbid(unsafe_code)]
 

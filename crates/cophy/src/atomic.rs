@@ -7,9 +7,10 @@
 //! becomes a constant in the objective.
 //!
 //! All costing here is pure matrix lookups: solo benefits use
-//! [`CostMatrix::cost_plus`] against the empty configuration, and each
-//! enumerated configuration is costed as a [`CandidateBitset`] — no
-//! per-candidate design cloning, no access-path re-enumeration.
+//! [`pgdesign_inum::MatrixCore::cost_plus`] against the empty
+//! configuration, and each enumerated configuration is costed as a
+//! [`CandidateBitset`] — no per-candidate design cloning, no access-path
+//! re-enumeration.
 
 use pgdesign_inum::{CandidateBitset, CostMatrix};
 use pgdesign_query::ast::Query;

@@ -5,8 +5,9 @@
 //!
 //! Selection runs entirely on the precomputed [`CostMatrix`]: every trial
 //! index is evaluated as a delta against the current configuration
-//! ([`CostMatrix::workload_cost_plus`]), so one greedy round is pure
-//! lookups — no design construction, no access-path re-enumeration.
+//! ([`pgdesign_inum::MatrixCore::workload_cost_plus`]), so one greedy
+//! round is pure lookups — no design construction, no access-path
+//! re-enumeration.
 
 use pgdesign_inum::CostMatrix;
 

@@ -15,6 +15,8 @@
 //! (semicolons optional). Pass `--workload builtin:N` for an N-query
 //! generated SDSS/TPC-H workload.
 
+#![forbid(unsafe_code)]
+
 use pgdesign::{Designer, InteractiveSession, OnlineSession};
 use pgdesign_catalog::samples::{sdss_catalog, tpch_catalog};
 use pgdesign_catalog::Catalog;

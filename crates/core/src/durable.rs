@@ -232,7 +232,7 @@ pub(crate) type Restored<'a> = (CostMatrix<'a>, Vec<MatrixEdit>);
 /// reason in the returned [`RecoveryStats`] either way. Only a real I/O
 /// error (unreadable device, not corrupt bytes) aborts the open.
 pub(crate) fn try_restore<'a>(
-    inum: &'a Inum<'a>,
+    inum: &Inum<'a>,
     store: &mut dyn DurableStore,
 ) -> io::Result<(Option<Restored<'a>>, RecoveryStats)> {
     let mut recovery = RecoveryStats::default();

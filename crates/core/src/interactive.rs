@@ -168,7 +168,7 @@ impl<'a> InteractiveSession<'a> {
                 (qi, (key, matrix.joint_cost(qi, &empty)))
             })
             .collect();
-        let base_generation = matrix.generation();
+        let base_generation = matrix.rotation_generation();
         let mut s = InteractiveSession {
             session,
             cfg,
@@ -335,7 +335,7 @@ impl<'a> InteractiveSession<'a> {
 
     /// Evaluate the current what-if design against the workload — pure
     /// matrix lookups (base costs were computed once at session start; the
-    /// what-if side is one [`pgdesign_inum::CostMatrix::joint_cost`]
+    /// what-if side is one [`pgdesign_inum::MatrixCore::joint_cost`]
     /// lookup per query).
     pub fn evaluate(&self) -> BenefitReport {
         let matrix = self.session.matrix();
@@ -345,7 +345,7 @@ impl<'a> InteractiveSession<'a> {
         // rotation through the session escape hatch, cached entries are
         // revalidated by cell key (a recycled slot id must not inherit the
         // retired occupant's cost) and misses cost one extra lookup.
-        let rotated = matrix.generation() != self.base_generation;
+        let rotated = matrix.rotation_generation() != self.base_generation;
         let per_query: Vec<QueryBenefit> = matrix
             .active_query_ids()
             .map(|qi| {

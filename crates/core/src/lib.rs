@@ -77,6 +77,8 @@
 //! assert_eq!(session.stats().matrix.builds, 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod designer;
 mod durable;
 pub mod health;

@@ -41,11 +41,10 @@ use std::path::Path;
 /// [`CostMatrix::retire_query`].
 pub struct TuningSession<'a> {
     designer: &'a Designer,
-    // NOTE: declared before `_inum` so the matrix (which borrows the boxed
-    // INUM) is dropped first.
+    /// The session's handle on the skeleton cache; the matrix holds a
+    /// clone of it, so both report through the same counters.
+    inum: Inum<'a>,
     matrix: CostMatrix<'a>,
-    // Keeps the INUM alive (and heap-pinned) for the session's lifetime.
-    _inum: Box<Inum<'a>>,
     /// Durable snapshot + edit-log state; `None` for in-memory sessions.
     durable: Option<DurableHandle>,
 }
@@ -55,19 +54,13 @@ impl<'a> TuningSession<'a> {
     /// workload (the one-off warm-up) and a candidate-less cost matrix
     /// over it. Everything after this is incremental.
     pub fn new(designer: &'a Designer, workload: Workload) -> Self {
-        let inum = Box::new(Inum::new(&designer.catalog, &designer.optimizer));
-        // SAFETY: the matrix's reference points into the boxed INUM, whose
-        // heap location is stable across moves of `TuningSession`. The box
-        // is stored in `_inum`, declared *after* `matrix`, so the matrix
-        // is dropped first; nothing handed out by the session borrows the
-        // INUM beyond `&self` of this session.
-        let inum_ref: &'a Inum<'a> = unsafe { &*(inum.as_ref() as *const Inum<'a>) };
-        inum_ref.prepare_workload(&workload);
-        let matrix = CostMatrix::build(inum_ref, &workload, &[]);
+        let inum = Inum::new(&designer.catalog, &designer.optimizer);
+        inum.prepare_workload(&workload);
+        let matrix = CostMatrix::build(&inum, &workload, &[]);
         TuningSession {
             designer,
+            inum,
             matrix,
-            _inum: inum,
             durable: None,
         }
     }
@@ -106,13 +99,8 @@ impl<'a> TuningSession<'a> {
         workload: Workload,
         mut store: Box<dyn DurableStore>,
     ) -> io::Result<Self> {
-        let inum = Box::new(Inum::new(&designer.catalog, &designer.optimizer));
-        // SAFETY: same invariant as `new` — the matrix's reference points
-        // into the boxed INUM, whose heap location is stable and which is
-        // dropped after the matrix.
-        let inum_ref: &'a Inum<'a> = unsafe { &*(inum.as_ref() as *const Inum<'a>) };
-
-        let (restored, recovery) = try_restore(inum_ref, &mut *store)?;
+        let inum = Inum::new(&designer.catalog, &designer.optimizer);
+        let (restored, recovery) = try_restore(&inum, &mut *store)?;
         let (matrix, pending) = match restored {
             Some((mut matrix, mut pending)) => {
                 if !workload.is_empty() {
@@ -144,15 +132,15 @@ impl<'a> TuningSession<'a> {
                 (matrix, pending)
             }
             None => {
-                inum_ref.prepare_workload(&workload);
-                (CostMatrix::build(inum_ref, &workload, &[]), Vec::new())
+                inum.prepare_workload(&workload);
+                (CostMatrix::build(&inum, &workload, &[]), Vec::new())
             }
         };
 
         let mut session = TuningSession {
             designer,
+            inum,
             matrix,
-            _inum: inum,
             durable: Some(DurableHandle::new(store, pending, recovery)),
         };
         // Fold whatever this open did (restore + replay, reconciliation,
@@ -212,22 +200,14 @@ impl<'a> TuningSession<'a> {
         self.designer
     }
 
-    /// The session's INUM handle with the session-internal (stretched)
-    /// lifetime — needed to construct components that borrow the INUM and
-    /// are used strictly within, or stored alongside, the session (the
-    /// built-in advisors, [`crate::OnlineSession`]'s tuner).
+    /// The session's INUM handle. Components that need the what-if
+    /// oracle while also borrowing [`Self::matrix_mut`] (the built-in
+    /// advisors) clone it — clones share the session's cache and counters.
     ///
-    /// Deliberately `pub(crate)`: the returned reference is only valid
-    /// while `self` is alive (the boxed INUM drops with the session), so
-    /// handing it to arbitrary safe code would be unsound. External
-    /// [`Advisor`] implementations should work through
-    /// [`Self::matrix`]/[`Self::matrix_mut`], whose INUM accessor is tied
-    /// to the matrix borrow.
-    pub(crate) fn inum_longlived(&self) -> &'a Inum<'a> {
-        // SAFETY: same invariant as `new` — the box's heap location is
-        // stable and outlives every use reachable from this crate (all
-        // callers drop the reference no later than the session).
-        unsafe { &*(self._inum.as_ref() as *const Inum<'a>) }
+    /// Deliberately `pub(crate)`: external [`Advisor`] implementations
+    /// cost through [`Self::matrix`] lookups, not the optimizer.
+    pub(crate) fn inum(&self) -> &Inum<'a> {
+        &self.inum
     }
 
     /// The session's persistent cost matrix.
@@ -242,7 +222,7 @@ impl<'a> TuningSession<'a> {
     }
 
     /// The matrix's query mirror (entries of retired slots are stale; see
-    /// [`CostMatrix::workload`]).
+    /// [`pgdesign_inum::MatrixCore::workload`]).
     pub fn workload(&self) -> &Workload {
         self.matrix.workload()
     }
@@ -261,8 +241,8 @@ impl<'a> TuningSession<'a> {
             _ => crate::health::ServiceHealth::Healthy,
         };
         TuningStats {
-            inum: self._inum.stats(),
-            matrix: self._inum.matrix_stats(),
+            inum: self.inum.stats(),
+            matrix: self.inum.matrix_stats(),
             published_generation: self.matrix.published_generation(),
             reader_lookups: self.matrix.reader_lookups(),
             recovery: self.durable.as_ref().map(|d| d.recovery),
@@ -333,7 +313,8 @@ impl<'a> TuningSession<'a> {
 /// A cheap, cloneable, thread-safe handle serving what-if evaluations from
 /// the latest snapshot a [`TuningSession`] published.
 ///
-/// Dereferences to [`MatrixSnapshot`], so the matrix's whole read API is
+/// Dereferences to the pinned [`MatrixSnapshot`] (and through it to its
+/// [`pgdesign_inum::MatrixCore`]), so the matrix's whole read API is
 /// available directly (`reader.cost(..)`, `reader.joint_cost(..)`,
 /// `reader.workload_cost(..)`). Lookups take no lock and call no
 /// optimizer; they are consistent within the pinned generation — a handle
@@ -423,7 +404,7 @@ impl Deref for SessionReader {
 ///   active queries are the workload every other consumer is costing
 ///   against;
 /// * cost configurations exclusively through matrix lookups
-///   ([`CostMatrix::cost`], [`CostMatrix::joint_cost`], the `delta_*`
+///   ([`pgdesign_inum::MatrixCore::cost`], `joint_cost`, the `delta_*`
 ///   family) — per-design [`Inum::cost`] calls forfeit the cache and
 ///   show up in `TuningStats`.
 ///
@@ -465,10 +446,10 @@ impl Advisor for IndexAdvisor {
     type Report = Recommendation;
 
     fn advise(&mut self, session: &mut TuningSession<'_>) -> Recommendation {
-        // analyzer:allow(cost-purity): built-in advisor; costing flows
-        // through the session matrix it populates, the sanctioned path.
-        let inum = session.inum_longlived();
-        CophyAdvisor::new(inum, self.config.clone()).recommend_on(session.matrix_mut())
+        // analyzer:allow(cost-purity): built-in advisor; the handle clone
+        // only fills the session matrix it then costs from.
+        let inum = session.inum().clone();
+        CophyAdvisor::new(&inum, self.config.clone()).recommend_on(session.matrix_mut())
     }
 }
 
@@ -493,8 +474,8 @@ impl Advisor for PartitionAdvisor {
     fn advise(&mut self, session: &mut TuningSession<'_>) -> PartitionRecommendation {
         // analyzer:allow(cost-purity): built-in advisor; fragment costing
         // lands in the session matrix, the sanctioned counted path.
-        let inum = session.inum_longlived();
-        AutoPartAdvisor::new(inum, self.config).recommend_on(session.matrix_mut())
+        let inum = session.inum().clone();
+        AutoPartAdvisor::new(&inum, self.config).recommend_on(session.matrix_mut())
     }
 }
 
@@ -522,9 +503,9 @@ impl Advisor for JointAdvisor {
     fn advise(&mut self, session: &mut TuningSession<'_>) -> JointReport {
         // analyzer:allow(cost-purity): built-in advisor; joint enumeration
         // reads and refills the session matrix, the sanctioned path.
-        let inum = session.inum_longlived();
+        let inum = session.inum().clone();
         let advisor = CophyAdvisor::new(
-            inum,
+            &inum,
             CophyConfig {
                 storage_budget_bytes: self.storage_budget_bytes,
                 ..Default::default()
@@ -573,11 +554,11 @@ impl Advisor for OfflineAdvisor {
     fn advise(&mut self, session: &mut TuningSession<'_>) -> OfflineReport {
         // analyzer:allow(cost-purity): built-in advisor; CoPhy's ILP is
         // built from matrix cells this session owns, the sanctioned path.
-        let inum = session.inum_longlived();
+        let inum = session.inum().clone();
         let budget = self.storage_budget_bytes;
 
         let cophy = CophyAdvisor::new(
-            inum,
+            &inum,
             CophyConfig {
                 storage_budget_bytes: budget,
                 ..Default::default()
@@ -586,7 +567,7 @@ impl Advisor for OfflineAdvisor {
         let indexes = cophy.recommend_on(session.matrix_mut());
 
         let autopart = AutoPartAdvisor::new(
-            inum,
+            &inum,
             AutoPartConfig {
                 replication_budget_bytes: budget / 10,
                 ..Default::default()
@@ -716,7 +697,10 @@ impl Advisor for InteractionAdvisor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgdesign_catalog::design::HorizontalPartitioning;
     use pgdesign_catalog::samples::sdss_catalog;
+    use pgdesign_inum::{CandidateBitset, JointConfig, JointToggle, MatrixCore};
+    use pgdesign_optimizer::candidates::{workload_candidates, CandidateConfig};
     use pgdesign_query::generators::sdss_workload;
 
     fn designer() -> Designer {
@@ -776,5 +760,344 @@ mod tests {
             cost_calls,
             "the subset sweep must run on matrix lookups, not Inum::cost"
         );
+    }
+
+    /// Inputs for the read-API table below: ids valid on the session
+    /// matrix the fixture was taken from.
+    struct ReadFixture {
+        q: usize,
+        cfg: CandidateBitset,
+        cand: usize,
+        joint: JointConfig,
+        frags: [usize; 3],
+        split: usize,
+    }
+
+    /// One row of the read-API table: a read reduced to its `Debug`
+    /// rendering (bit-faithful for `f64`), and the lookups / partition
+    /// lookups one call must count, as multiples of `(1, active queries)`.
+    type ReadRow = (
+        &'static str,
+        fn(&MatrixCore, &ReadFixture) -> String,
+        (u64, u64),
+        (u64, u64),
+    );
+
+    #[test]
+    fn every_read_agrees_across_handles_and_counts_on_one_side() {
+        fn show<T: std::fmt::Debug>(value: T) -> String {
+            format!("{value:?}")
+        }
+        const NONE: (u64, u64) = (0, 0);
+        const ONE: (u64, u64) = (1, 0);
+        const TWO: (u64, u64) = (2, 0);
+        const PER_QUERY: (u64, u64) = (0, 1);
+        const TWICE_PER_QUERY: (u64, u64) = (0, 2);
+        let table: Vec<ReadRow> = vec![
+            ("workload", |m, _f| show(m.workload()), NONE, NONE),
+            ("n_queries", |m, _f| show(m.n_queries()), NONE, NONE),
+            ("n_candidates", |m, _f| show(m.n_candidates()), NONE, NONE),
+            (
+                "candidates",
+                |m, _f| show(m.candidates().collect::<Vec<_>>()),
+                NONE,
+                NONE,
+            ),
+            ("candidate", |m, f| show(m.candidate(f.cand)), NONE, NONE),
+            (
+                "candidate_id",
+                |m, f| show(m.candidate_id(m.candidate(f.cand).unwrap())),
+                NONE,
+                NONE,
+            ),
+            (
+                "active_workload",
+                |m, _f| show(m.active_workload()),
+                NONE,
+                NONE,
+            ),
+            (
+                "active_query_ids",
+                |m, _f| show(m.active_query_ids().collect::<Vec<_>>()),
+                NONE,
+                NONE,
+            ),
+            ("query_active", |m, f| show(m.query_active(f.q)), NONE, NONE),
+            ("query_weight", |m, f| show(m.query_weight(f.q)), NONE, NONE),
+            (
+                "rotation_generation",
+                |m, _f| show(m.rotation_generation()),
+                NONE,
+                NONE,
+            ),
+            ("empty_config", |m, _f| show(m.empty_config()), NONE, NONE),
+            (
+                "config_of",
+                |m, f| show(m.config_of(f.cfg.ids())),
+                NONE,
+                NONE,
+            ),
+            ("design_of", |m, f| show(m.design_of(&f.cfg)), NONE, NONE),
+            ("cost", |m, f| show(m.cost(f.q, &f.cfg)), ONE, NONE),
+            (
+                "cost_plus",
+                |m, f| show(m.cost_plus(f.q, &f.cfg, f.cand)),
+                ONE,
+                NONE,
+            ),
+            (
+                "cost_minus",
+                |m, f| show(m.cost_minus(f.q, &f.cfg, 0)),
+                ONE,
+                NONE,
+            ),
+            (
+                "delta_add",
+                |m, f| show(m.delta_add(f.q, &f.cfg, f.cand)),
+                TWO,
+                NONE,
+            ),
+            (
+                "delta_remove",
+                |m, f| show(m.delta_remove(f.q, &f.cfg, 0)),
+                TWO,
+                NONE,
+            ),
+            (
+                "workload_cost",
+                |m, f| show(m.workload_cost(&f.cfg)),
+                PER_QUERY,
+                NONE,
+            ),
+            (
+                "workload_cost_plus",
+                |m, f| show(m.workload_cost_plus(&f.cfg, f.cand)),
+                PER_QUERY,
+                NONE,
+            ),
+            ("n_fragments", |m, _f| show(m.n_fragments()), NONE, NONE),
+            ("n_splits", |m, _f| show(m.n_splits()), NONE, NONE),
+            (
+                "fragment_columns",
+                |m, f| show(m.fragment_columns(f.frags[0])),
+                NONE,
+                NONE,
+            ),
+            (
+                "fragment_table",
+                |m, f| show(m.fragment_table(f.frags[0])),
+                NONE,
+                NONE,
+            ),
+            ("split", |m, f| show(m.split(f.split)), NONE, NONE),
+            ("empty_joint", |m, _f| show(m.empty_joint()), NONE, NONE),
+            (
+                "joint_design_of",
+                |m, f| show(m.joint_design_of(&f.joint)),
+                NONE,
+                NONE,
+            ),
+            (
+                "joint_cost (no partitions)",
+                |m, f| show(m.joint_cost(f.q, &m.empty_joint())),
+                ONE,
+                NONE,
+            ),
+            (
+                "joint_cost",
+                |m, f| show(m.joint_cost(f.q, &f.joint)),
+                ONE,
+                ONE,
+            ),
+            (
+                "joint_cost_with",
+                |m, f| show(m.joint_cost_with(f.q, &f.joint, &JointToggle::split(f.split))),
+                ONE,
+                ONE,
+            ),
+            (
+                "joint_workload_cost",
+                |m, f| show(m.joint_workload_cost(&f.joint)),
+                PER_QUERY,
+                PER_QUERY,
+            ),
+            (
+                "joint_workload_cost_with",
+                |m, f| show(m.joint_workload_cost_with(&f.joint, &JointToggle::split(f.split))),
+                PER_QUERY,
+                PER_QUERY,
+            ),
+            (
+                "delta_merge",
+                |m, f| show(m.delta_merge(&f.joint, f.frags[0], f.frags[1], f.frags[2])),
+                TWICE_PER_QUERY,
+                TWICE_PER_QUERY,
+            ),
+            (
+                "delta_split",
+                |m, f| show(m.delta_split(&f.joint, f.split)),
+                TWICE_PER_QUERY,
+                TWICE_PER_QUERY,
+            ),
+        ];
+
+        let d = designer();
+        let w = sdss_workload(&d.catalog, 6, 94);
+        let mut session = d.tuning_session(w);
+        session.advise(&mut IndexAdvisor::default());
+        let photo = d.catalog.schema.table_by_name("photoobj").unwrap().id;
+        let m = session.matrix_mut();
+        let frags = [
+            m.register_fragment(photo, &[0, 1, 2]),
+            m.register_fragment(photo, &[3, 4, 5]),
+            m.register_fragment(photo, &[0, 1, 2, 3, 4, 5]),
+        ];
+        let rest = m.register_fragment(photo, &(6..16).collect::<Vec<u16>>());
+        let split = m.register_split(HorizontalPartitioning::new(
+            photo,
+            1,
+            vec![90.0, 180.0, 270.0],
+        ));
+        session.publish();
+        let matrix = session.matrix();
+        let live: Vec<usize> = matrix.candidates().map(|(id, _)| id).collect();
+        assert!(live.len() >= 3, "the advisor registers candidates");
+        let mut joint = matrix.empty_joint();
+        joint.indexes.insert(live[0]);
+        for f in [frags[0], frags[1], rest] {
+            joint.fragments.insert(f);
+        }
+        let fx = ReadFixture {
+            q: matrix.active_query_ids().next().unwrap(),
+            cfg: matrix.config_of(live.iter().copied().take(2)),
+            cand: live[2],
+            joint,
+            frags,
+            split,
+        };
+        let n = matrix.active_query_ids().count() as u64;
+
+        let matrix_reader = matrix.reader();
+        let session_reader = session.reader();
+        // (handle, core, counts on the reader side)
+        let handles: [(&str, &MatrixCore, bool); 4] = [
+            ("&CostMatrix", matrix, false),
+            ("&MatrixSnapshot", matrix_reader.snapshot(), true),
+            ("&MatrixReader", &matrix_reader, true),
+            ("&SessionReader", &session_reader, true),
+        ];
+        // (writer lookups, writer partition, reader lookups, reader partition)
+        let counters = || {
+            let s = session.stats().matrix;
+            (
+                s.lookups,
+                s.partition_lookups,
+                matrix.reader_lookups(),
+                matrix.reader_partition_lookups(),
+            )
+        };
+        for &(name, read, lookups, partition) in &table {
+            let lookups = lookups.0 + lookups.1 * n;
+            let partition = partition.0 + partition.1 * n;
+            let expected = read(matrix, &fx);
+            for (handle, core, reader_side) in handles {
+                let before = counters();
+                assert_eq!(read(core, &fx), expected, "{name} through {handle}");
+                let after = counters();
+                let moved = (
+                    after.0 - before.0,
+                    after.1 - before.1,
+                    after.2 - before.2,
+                    after.3 - before.3,
+                );
+                let want = if reader_side {
+                    (0, 0, lookups, partition)
+                } else {
+                    (lookups, partition, 0, 0)
+                };
+                assert_eq!(moved, want, "{name} through {handle}: counters");
+            }
+        }
+    }
+
+    #[test]
+    fn stale_generation_treats_unknown_ids_as_unselected() {
+        let d = designer();
+        let w = sdss_workload(&d.catalog, 6, 95);
+        let cands = workload_candidates(&d.catalog, &w, &CandidateConfig::default()).indexes;
+        let half = cands.len() / 2;
+        assert!(half >= 1);
+        let photo = d.catalog.schema.table_by_name("photoobj").unwrap().id;
+
+        let mut session = d.tuning_session(w.clone());
+        session.matrix_mut().add_candidates(&cands[..half]);
+        session.publish();
+        let stale = session.reader();
+        session.matrix_mut().add_candidates(&cands[half..]);
+        let frag = session.matrix_mut().register_fragment(photo, &[0, 1, 2]);
+        let split = session
+            .matrix_mut()
+            .register_split(HorizontalPartitioning::new(photo, 1, vec![180.0]));
+        session.publish();
+        let fresh = session.reader();
+        assert!(stale.is_stale() && !fresh.is_stale());
+
+        // A writer that only ever saw the first half is stale the same way.
+        let inum = Inum::new(&d.catalog, &d.optimizer);
+        let old_writer = CostMatrix::build(&inum, &w, &cands[..half]);
+
+        // A configuration built against the newer generation…
+        let last = cands.len() - 1;
+        let mut cfg = fresh.empty_joint();
+        cfg.indexes.insert(0);
+        cfg.indexes.insert(last);
+        cfg.fragments.insert(frag);
+        cfg.splits.insert(split);
+        // …restricted to what the older generation knows.
+        let known = stale.config_of([0]);
+        let mut known_joint = stale.empty_joint();
+        known_joint.indexes.insert(0);
+
+        let old: [(&str, &MatrixCore); 3] = [
+            ("CostMatrix", &old_writer),
+            ("MatrixSnapshot", stale.snapshot()),
+            ("SessionReader", &stale),
+        ];
+        for (name, core) in old {
+            assert_eq!(
+                core.design_of(&cfg.indexes),
+                core.design_of(&known),
+                "{name}"
+            );
+            assert_eq!(
+                core.joint_design_of(&cfg),
+                core.joint_design_of(&known_joint)
+            );
+            for qi in core.active_query_ids() {
+                assert_eq!(
+                    core.cost(qi, &cfg.indexes),
+                    core.cost(qi, &known),
+                    "{name} Q{qi}"
+                );
+                assert_eq!(
+                    core.joint_cost(qi, &cfg),
+                    core.joint_cost(qi, &known_joint),
+                    "{name} Q{qi}: unknown fragment and split ids are unselected"
+                );
+                let toggle = JointToggle {
+                    add_fragment: Some(frag),
+                    add_split: Some(split),
+                    ..Default::default()
+                };
+                assert_eq!(
+                    core.joint_cost_with(qi, &known_joint, &toggle),
+                    core.joint_cost(qi, &known_joint),
+                    "{name} Q{qi}: unknown toggle ids are unselected"
+                );
+            }
+        }
+        assert_eq!(stale.evaluate(&[0, last]), stale.evaluate(&[0]));
+        // The newer generation does see them.
+        assert!(fresh.candidate(last).is_some() && stale.candidate(last).is_none());
     }
 }

@@ -44,7 +44,7 @@ pub use schedule::{
 };
 
 use pgdesign_catalog::design::{Index, PhysicalDesign};
-use pgdesign_inum::{CostMatrix, Inum, MatrixView};
+use pgdesign_inum::{CostMatrix, Inum, MatrixCore};
 use pgdesign_query::Workload;
 use std::collections::HashMap;
 
@@ -63,13 +63,22 @@ impl Default for InteractionConfig {
 }
 
 /// The matrix a [`ConfigCostCache`] serves lookups from: either one it
-/// built (and owns) for a standalone analysis, or a borrowed read view —
-/// a live session matrix *or* a published snapshot
+/// built (and owns) for a standalone analysis, or a borrowed core — that
+/// of a live session matrix *or* of a published snapshot
 /// ([`pgdesign_inum::MatrixSnapshot`]), which is how concurrent readers
 /// run interaction analyses without blocking the writer.
 enum MatrixHandle<'m, 'a> {
     Owned(Box<CostMatrix<'a>>),
-    Borrowed(&'m dyn MatrixView),
+    Borrowed(&'m MatrixCore),
+}
+
+impl MatrixHandle<'_, '_> {
+    fn core(&self) -> &MatrixCore {
+        match self {
+            MatrixHandle::Owned(m) => m,
+            MatrixHandle::Borrowed(m) => m,
+        }
+    }
 }
 
 /// Memoized workload costs per index-subset bitmask, served from a
@@ -95,17 +104,17 @@ pub struct ConfigCostCache<'m, 'a> {
 
 impl<'m, 'a> ConfigCostCache<'m, 'a> {
     /// New cache over a candidate set (builds and owns its matrix).
-    pub fn new(inum: &'a Inum<'a>, workload: &Workload, indexes: &[Index]) -> Self {
+    pub fn new(inum: &Inum<'a>, workload: &Workload, indexes: &[Index]) -> Self {
         let matrix = CostMatrix::build(inum, workload, indexes);
         let ids = (0..indexes.len()).collect();
         Self::with_handle(MatrixHandle::Owned(Box::new(matrix)), ids)
     }
 
-    /// New cache over `candidate_ids` of an existing read view (a live
-    /// matrix or a published snapshot) — no rebuild; every lookup is
-    /// served from the view's resident cells. The ids must be live
-    /// candidates of `matrix`.
-    pub fn on_matrix(matrix: &'m dyn MatrixView, candidate_ids: Vec<usize>) -> Self {
+    /// New cache over `candidate_ids` of an existing matrix (`&CostMatrix`,
+    /// `&MatrixSnapshot` and the reader handles all deref-coerce to
+    /// `&MatrixCore`) — no rebuild; every lookup is served from the
+    /// resident cells. The ids must be live candidates of `matrix`.
+    pub fn on_matrix(matrix: &'m MatrixCore, candidate_ids: Vec<usize>) -> Self {
         Self::with_handle(MatrixHandle::Borrowed(matrix), candidate_ids)
     }
 
@@ -114,15 +123,9 @@ impl<'m, 'a> ConfigCostCache<'m, 'a> {
             ids.len() <= 20,
             "interaction analysis supports ≤ 20 indexes"
         );
-        let (qids, weights) = {
-            let m: &dyn MatrixView = match &handle {
-                MatrixHandle::Owned(m) => &**m,
-                MatrixHandle::Borrowed(m) => *m,
-            };
-            let qids = m.active_query_ids_vec();
-            let weights = qids.iter().map(|&q| m.query_weight(q)).collect();
-            (qids, weights)
-        };
+        let m = handle.core();
+        let qids: Vec<usize> = m.active_query_ids().collect();
+        let weights = qids.iter().map(|&q| m.query_weight(q)).collect();
         ConfigCostCache {
             handle,
             ids,
@@ -132,12 +135,9 @@ impl<'m, 'a> ConfigCostCache<'m, 'a> {
         }
     }
 
-    /// The read view lookups are served from.
-    pub fn matrix(&self) -> &dyn MatrixView {
-        match &self.handle {
-            MatrixHandle::Owned(m) => &**m,
-            MatrixHandle::Borrowed(m) => *m,
-        }
+    /// The matrix lookups are served from.
+    pub fn matrix(&self) -> &MatrixCore {
+        self.handle.core()
     }
 
     /// Number of (active) queries each cost vector covers.
@@ -156,7 +156,7 @@ impl<'m, 'a> ConfigCostCache<'m, 'a> {
                 .filter(|&(bit, _)| mask & (1 << bit) != 0)
                 .map(|(_, &id)| id)
                 .collect();
-            let config = self.matrix().config_with(&selected);
+            let config = self.matrix().config_of(selected);
             let costs: Vec<f64> = self
                 .qids
                 .iter()
@@ -279,15 +279,15 @@ pub fn analyze(
 }
 
 /// Compute the degree-of-interaction matrix for live candidates of an
-/// *existing* read view — the session-scoped entry: no matrix build, every
-/// subset cost is a pure lookup against the resident cells. The view can
-/// be the live [`CostMatrix`] or a published
-/// [`pgdesign_inum::MatrixSnapshot`] (concurrent readers analyze against a
-/// pinned generation while the writer keeps mutating). `candidate_ids`
-/// must be live candidate ids of `matrix`; the returned analysis lists the
-/// indexes in the same order.
+/// *existing* matrix — the session-scoped entry: no matrix build, every
+/// subset cost is a pure lookup against the resident cells. Pass the live
+/// [`CostMatrix`] or a published [`pgdesign_inum::MatrixSnapshot`]
+/// (concurrent readers analyze against a pinned generation while the
+/// writer keeps mutating); both deref-coerce to their [`MatrixCore`].
+/// `candidate_ids` must be live candidate ids of `matrix`; the returned
+/// analysis lists the indexes in the same order.
 pub fn analyze_on(
-    matrix: &dyn MatrixView,
+    matrix: &MatrixCore,
     candidate_ids: &[usize],
     config: &InteractionConfig,
 ) -> InteractionAnalysis {

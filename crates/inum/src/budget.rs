@@ -1,10 +1,12 @@
 //! Deadline and work-budget tokens for cooperative cancellation.
 //!
 //! The tuning daemon bounds how long any one epoch may stall the writer:
-//! hot mutation paths ([`CostMatrix::add_queries_budgeted`],
-//! [`CostMatrix::add_candidates_budgeted`]) accept a [`WorkBudget`] and
-//! check it between per-query cell units, committing completed work and
-//! reporting the remainder so the caller can resume it next epoch.
+//! the matrix's mutation bodies ([`CostMatrix::add_queries_budgeted`],
+//! [`CostMatrix::add_candidates_budgeted`]) take a [`WorkBudget`] and
+//! check it between work units (one query's cells, one candidate's cells),
+//! committing completed work and reporting the remainder so the caller can
+//! resume it next epoch. The unbudgeted `add_queries` is the same body
+//! under [`WorkBudget::unlimited`].
 //!
 //! Time is read through an injectable [`Clock`] so tests drive expiry
 //! deterministically with a [`ManualClock`]; production uses the

@@ -1,7 +1,7 @@
 //! The INUM cost model: skeleton cache + per-design fast costing.
 
 use crate::key::query_key;
-use crate::matrix::MatrixStats;
+use crate::matrix::{LookupCounters, MatrixStats};
 use parking_lot::RwLock;
 use pgdesign_catalog::design::PhysicalDesign;
 use pgdesign_catalog::Catalog;
@@ -12,6 +12,7 @@ use pgdesign_optimizer::{Optimizer, Skeleton};
 use pgdesign_query::ast::Query;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Cap on enumerated interesting-order combinations per query.
 const MAX_COMBOS: usize = 64;
@@ -34,7 +35,7 @@ pub struct InumStats {
 /// overflows the mask), so a statistics refresh on one table can evict
 /// only the entries it stales.
 struct CacheEntry {
-    skeletons: std::sync::Arc<Vec<Skeleton>>,
+    skeletons: Arc<Vec<Skeleton>>,
     table_mask: u64,
 }
 
@@ -55,9 +56,22 @@ fn table_mask(query: &Query) -> u64 {
 }
 
 /// The INUM cost model over a catalog and optimizer.
+///
+/// A cheap [`Clone`] handle: clones share one skeleton cache and one
+/// counter block (a [`crate::CostMatrix`] holds a clone of the handle it
+/// was built on, so its work is reported by every other clone's
+/// [`Self::stats`] / [`Self::matrix_stats`]). [`Inum::new`] is what starts
+/// a fresh cache and fresh counters.
+#[derive(Clone)]
 pub struct Inum<'a> {
     catalog: &'a Catalog,
     optimizer: &'a Optimizer,
+    shared: Arc<Shared>,
+}
+
+/// The cache and counters every clone of one [`Inum`] handle shares.
+#[derive(Default)]
+struct Shared {
     cache: RwLock<HashMap<u64, CacheEntry>>,
     cost_calls: AtomicU64,
     cache_hits: AtomicU64,
@@ -68,29 +82,19 @@ pub struct Inum<'a> {
     matrix_cells: AtomicU64,
     matrix_cells_reused: AtomicU64,
     matrix_build_nanos: AtomicU64,
-    matrix_lookups: AtomicU64,
     matrix_partition_cells: AtomicU64,
-    matrix_partition_lookups: AtomicU64,
+    /// Writer-side lookup counters: the block the cores of this
+    /// instance's matrices count on ([`Self::lookup_counters`]).
+    matrix_lookups: Arc<LookupCounters>,
 }
 
 impl<'a> Inum<'a> {
-    /// New INUM instance with an empty cache.
+    /// New INUM instance with an empty cache and zeroed counters.
     pub fn new(catalog: &'a Catalog, optimizer: &'a Optimizer) -> Self {
         Inum {
             catalog,
             optimizer,
-            cache: RwLock::new(HashMap::new()),
-            cost_calls: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            skeletons_built: AtomicU64::new(0),
-            matrix_builds: AtomicU64::new(0),
-            matrix_cells: AtomicU64::new(0),
-            matrix_cells_reused: AtomicU64::new(0),
-            matrix_build_nanos: AtomicU64::new(0),
-            matrix_lookups: AtomicU64::new(0),
-            matrix_partition_cells: AtomicU64::new(0),
-            matrix_partition_lookups: AtomicU64::new(0),
+            shared: Arc::default(),
         }
     }
 
@@ -106,53 +110,54 @@ impl<'a> Inum<'a> {
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> InumStats {
+        let s = &self.shared;
         InumStats {
-            cost_calls: self.cost_calls.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            skeletons_built: self.skeletons_built.load(Ordering::Relaxed),
+            cost_calls: s.cost_calls.load(Ordering::Relaxed),
+            cache_hits: s.cache_hits.load(Ordering::Relaxed),
+            cache_misses: s.cache_misses.load(Ordering::Relaxed),
+            skeletons_built: s.skeletons_built.load(Ordering::Relaxed),
         }
     }
 
     /// Snapshot of the second-level (cost matrix) counters, aggregated
     /// over every [`crate::CostMatrix`] built on this instance.
     pub fn matrix_stats(&self) -> MatrixStats {
+        let s = &self.shared;
         MatrixStats {
-            builds: self.matrix_builds.load(Ordering::Relaxed),
-            cells: self.matrix_cells.load(Ordering::Relaxed),
-            cells_reused: self.matrix_cells_reused.load(Ordering::Relaxed),
-            build_nanos: self.matrix_build_nanos.load(Ordering::Relaxed),
-            lookups: self.matrix_lookups.load(Ordering::Relaxed),
-            partition_cells: self.matrix_partition_cells.load(Ordering::Relaxed),
-            partition_lookups: self.matrix_partition_lookups.load(Ordering::Relaxed),
+            builds: s.matrix_builds.load(Ordering::Relaxed),
+            cells: s.matrix_cells.load(Ordering::Relaxed),
+            cells_reused: s.matrix_cells_reused.load(Ordering::Relaxed),
+            build_nanos: s.matrix_build_nanos.load(Ordering::Relaxed),
+            lookups: s.matrix_lookups.lookups.load(Ordering::Relaxed),
+            partition_cells: s.matrix_partition_cells.load(Ordering::Relaxed),
+            partition_lookups: s.matrix_lookups.partition_lookups.load(Ordering::Relaxed),
         }
     }
 
+    /// The counter block a writer-side [`crate::MatrixCore`] counts its
+    /// lookups on, so they surface in [`Self::matrix_stats`].
+    pub(crate) fn lookup_counters(&self) -> Arc<LookupCounters> {
+        Arc::clone(&self.shared.matrix_lookups)
+    }
+
     pub(crate) fn note_matrix_build(&self, cells: u64, nanos: u64) {
-        self.matrix_builds.fetch_add(1, Ordering::Relaxed);
-        self.matrix_cells.fetch_add(cells, Ordering::Relaxed);
-        self.matrix_build_nanos.fetch_add(nanos, Ordering::Relaxed);
+        let s = &self.shared;
+        s.matrix_builds.fetch_add(1, Ordering::Relaxed);
+        s.matrix_cells.fetch_add(cells, Ordering::Relaxed);
+        s.matrix_build_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
     pub(crate) fn note_matrix_incremental(&self, computed: u64, reused: u64, nanos: u64) {
-        self.matrix_cells.fetch_add(computed, Ordering::Relaxed);
-        self.matrix_cells_reused
-            .fetch_add(reused, Ordering::Relaxed);
-        self.matrix_build_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_matrix_lookup(&self) {
-        self.matrix_lookups.fetch_add(1, Ordering::Relaxed);
+        let s = &self.shared;
+        s.matrix_cells.fetch_add(computed, Ordering::Relaxed);
+        s.matrix_cells_reused.fetch_add(reused, Ordering::Relaxed);
+        s.matrix_build_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
     pub(crate) fn note_partition_cells(&self, cells: u64) {
-        self.matrix_partition_cells
+        self.shared
+            .matrix_partition_cells
             .fetch_add(cells, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_partition_lookup(&self) {
-        self.matrix_partition_lookups
-            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Warm the cache for every query of a workload.
@@ -169,7 +174,7 @@ impl<'a> Inum<'a> {
     /// an addition, which is where the order-of-magnitude speedup over
     /// re-optimization comes from.
     pub fn cost(&self, design: &PhysicalDesign, query: &Query) -> f64 {
-        self.cost_calls.fetch_add(1, Ordering::Relaxed);
+        self.shared.cost_calls.fetch_add(1, Ordering::Relaxed);
         let skeletons = self.skeletons(query);
         let ctx = AccessContext {
             catalog: self.catalog,
@@ -277,22 +282,24 @@ impl<'a> Inum<'a> {
     /// enumeration and, via [`Optimizer::optimize_skeletons`], across the
     /// per-combination skeleton builds (which also share one cardinality
     /// estimation).
-    pub fn skeletons(&self, query: &Query) -> std::sync::Arc<Vec<Skeleton>> {
+    pub fn skeletons(&self, query: &Query) -> Arc<Vec<Skeleton>> {
         let key = query_key(query);
-        if let Some(found) = self.cache.read().get(&key) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+        let shared = &self.shared;
+        if let Some(found) = shared.cache.read().get(&key) {
+            shared.cache_hits.fetch_add(1, Ordering::Relaxed);
             return found.skeletons.clone();
         }
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
+        shared.cache_misses.fetch_add(1, Ordering::Relaxed);
         let per_slot = interesting_orders_per_slot(query);
         let combos = combinations_from_orders(&per_slot);
         let skeletons = self
             .optimizer
             .optimize_skeletons(self.catalog, query, combos);
-        self.skeletons_built
+        shared
+            .skeletons_built
             .fetch_add(skeletons.len() as u64, Ordering::Relaxed);
-        let arc = std::sync::Arc::new(skeletons);
-        self.cache.write().insert(
+        let arc = Arc::new(skeletons);
+        shared.cache.write().insert(
             key,
             CacheEntry {
                 skeletons: arc.clone(),
@@ -304,12 +311,12 @@ impl<'a> Inum<'a> {
 
     /// Number of cached queries.
     pub fn cached_queries(&self) -> usize {
-        self.cache.read().len()
+        self.shared.cache.read().len()
     }
 
     /// Drop all cached skeletons (e.g. after a full statistics refresh).
     pub fn invalidate(&self) {
-        self.cache.write().clear();
+        self.shared.cache.write().clear();
     }
 
     /// Drop only the cached skeletons of queries touching `table` — the
@@ -322,11 +329,17 @@ impl<'a> Inum<'a> {
         if table.0 >= 64 {
             // Outside the tracked id range: only the conservative entries
             // (ALL_TABLES) could involve it.
-            self.cache.write().retain(|_, e| e.table_mask != ALL_TABLES);
+            self.shared
+                .cache
+                .write()
+                .retain(|_, e| e.table_mask != ALL_TABLES);
             return;
         }
         let bit = 1u64 << table.0;
-        self.cache.write().retain(|_, e| e.table_mask & bit == 0);
+        self.shared
+            .cache
+            .write()
+            .retain(|_, e| e.table_mask & bit == 0);
     }
 }
 

@@ -71,8 +71,13 @@
 //! an `Arc`, and any number of [`MatrixReader`] handles
 //! ([`CostMatrix::reader`]) cost configurations lock-free against a pinned
 //! generation while the writer keeps mutating — the reader hot path
-//! touches no lock and no optimizer. [`MatrixView`] abstracts over the
-//! live matrix and a snapshot for analysis code that reads either.
+//! touches no lock and no optimizer. Every read method is defined once, on
+//! [`MatrixCore`], the owned payload both sides carry: [`CostMatrix`] and
+//! [`MatrixSnapshot`] dereference to it, so analysis code that takes a
+//! `&MatrixCore` reads the live matrix or a pinned snapshot alike, and a
+//! lookup is counted where it is served — on the writer's [`Inum`]
+//! ([`Inum::matrix_stats`]) or on the readers' side
+//! ([`CostMatrix::reader_lookups`]), never both.
 //!
 //! The *partition extension* mentioned by the paper lives at **both**
 //! levels. At the first level, access costing consults the design's
@@ -88,7 +93,7 @@
 //! [`JointConfig`] (indexes + fragments + splits) then needs only
 //! per-slot arithmetic — no path re-enumeration, no design construction —
 //! and [`JointToggle`]-based trial evaluation
-//! ([`CostMatrix::delta_merge`] / [`CostMatrix::delta_split`]) is what
+//! ([`MatrixCore::delta_merge`] / [`MatrixCore::delta_split`]) is what
 //! AutoPart's greedy merge search runs on.
 //!
 //! Nested-loop joins are excluded from the INUM space (their inner cost is
@@ -114,6 +119,6 @@ pub use matrix::persist::{
 };
 pub use matrix::{
     build_threads, CandidateBitset, CostMatrix, FragmentBitset, JointConfig, JointToggle,
-    MatrixBuilder, MatrixStats, SplitBitset,
+    MatrixCore, MatrixStats, SplitBitset,
 };
-pub use snapshot::{MatrixReader, MatrixSnapshot, MatrixView};
+pub use snapshot::{MatrixReader, MatrixSnapshot};

@@ -19,17 +19,17 @@
 //! ```
 //!
 //! A configuration `C` is a [`CandidateBitset`] over candidate ids;
-//! [`CostMatrix::cost`] walks precomputed vectors with zero allocation, no
+//! [`MatrixCore::cost`] walks precomputed vectors with zero allocation, no
 //! [`PhysicalDesign`] construction and no access-path re-enumeration, and
 //! agrees with [`crate::Inum::cost`] exactly (the suite's invariant tests
-//! assert this within 1e-6). [`CostMatrix::delta_add`] /
-//! [`CostMatrix::delta_remove`] evaluate the cost change of toggling one
+//! assert this within 1e-6). [`MatrixCore::delta_add`] /
+//! [`MatrixCore::delta_remove`] evaluate the cost change of toggling one
 //! candidate without materializing the toggled configuration.
 //!
 //! The matrix additionally serves **concurrent readers**: all cells and
-//! registries live in an owned [`MatrixCore`] payload with no borrow of
-//! the owning [`Inum`], so the writer-side [`CostMatrix`] (alias
-//! [`MatrixBuilder`]) can [`CostMatrix::publish`] its state as an
+//! registries — and every read method — live in an owned [`MatrixCore`]
+//! payload with no borrow of the owning [`Inum`], so the writer-side
+//! [`CostMatrix`] can [`CostMatrix::publish`] its state as an
 //! immutable [`crate::MatrixSnapshot`] behind an `Arc`. Any number of
 //! [`crate::MatrixReader`] handles then cost configurations lock-free
 //! against a consistent generation while the writer keeps mutating; query
@@ -51,7 +51,9 @@ use pgdesign_optimizer::plan::order_satisfies;
 use pgdesign_optimizer::CostParams;
 use pgdesign_query::ast::{Query, QueryColumn};
 use pgdesign_query::Workload;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -330,7 +332,7 @@ impl JointConfig {
 }
 
 /// Virtual edits applied on top of a [`JointConfig`] for one costing — the
-/// joint analogue of [`CostMatrix::cost_plus`]/[`CostMatrix::cost_minus`].
+/// joint analogue of [`MatrixCore::cost_plus`]/[`MatrixCore::cost_minus`].
 /// AutoPart's merge and split trials cost out through these without ever
 /// materializing the edited configuration (or any `PhysicalDesign`). The
 /// trial set is `(cfg ∖ removes) ∪ adds`: adding an id wins over removing
@@ -479,9 +481,25 @@ struct Split {
     frac: Vec<Vec<f64>>,
 }
 
+/// The two lookup counters of one side of the reader/writer split. A
+/// [`MatrixCore`] counts on the block it carries: the writer's core shares
+/// the block its [`Inum`] reports through [`Inum::matrix_stats`], a
+/// published core the block of its publish slot
+/// ([`CostMatrix::reader_lookups`]). Increments are `Relaxed` — they are
+/// statistics, not synchronization — so the lookup hot path stays
+/// wait-free.
+#[derive(Debug, Default)]
+pub(crate) struct LookupCounters {
+    pub(crate) lookups: AtomicU64,
+    pub(crate) partition_lookups: AtomicU64,
+}
+
 /// The precomputed per-(query, candidate) access-cost matrix, extensible
 /// with partition candidates (vertical fragments and horizontal splits)
-/// for joint index+partition costing.
+/// for joint index+partition costing — the writer half of the
+/// reader/writer split. Every read method lives on [`MatrixCore`], which
+/// this type dereferences to; mutations go through the journaling methods
+/// here (there is deliberately no `DerefMut`).
 ///
 /// The matrix is *incrementally maintainable*: it owns its queries and
 /// candidate list, so a long-lived consumer (COLT's epoch loop) holds one
@@ -496,7 +514,9 @@ struct Split {
 /// because cells are computed independently per query and written to
 /// disjoint slots.
 pub struct CostMatrix<'a> {
-    inum: &'a Inum<'a>,
+    /// A clone of the handle the matrix was built on (the slow-path
+    /// oracle, and where build work is counted).
+    inum: Inum<'a>,
     /// The owned cell payload — everything a lookup needs, with no borrow
     /// of the INUM instance, so snapshots of it can outlive `'a`.
     core: MatrixCore,
@@ -510,20 +530,30 @@ pub struct CostMatrix<'a> {
     journal: Option<Vec<MatrixEdit>>,
 }
 
-/// Writer-side name for [`CostMatrix`]: the mutable half of the
-/// reader/writer split. Advisors and COLT mutate a `MatrixBuilder` and
-/// [`CostMatrix::publish`] immutable [`crate::MatrixSnapshot`] generations
-/// for concurrent readers.
-pub type MatrixBuilder<'a> = CostMatrix<'a>;
+impl Deref for CostMatrix<'_> {
+    type Target = MatrixCore;
+    fn deref(&self) -> &MatrixCore {
+        &self.core
+    }
+}
 
-/// The owned payload of a [`CostMatrix`]: cells, candidate registry,
-/// partition registries and the query mirror — everything a configuration
-/// lookup touches, and nothing borrowed from the owning [`Inum`]. Cloning
-/// is cheap relative to a rebuild: per-query cell blocks and per-split
-/// fraction tables are behind `Arc`s and shared with previous clones
-/// (copy-on-write at the writer's mutation sites).
+/// The owned payload of a cost matrix — cells, candidate registry,
+/// partition registries and the query mirror — and **the** read API:
+/// every configuration lookup is defined here, once, and reached through
+/// `Deref` from the writer ([`CostMatrix`]), a published generation
+/// ([`crate::MatrixSnapshot`]) and the reader handles on top of it.
+/// Nothing is borrowed from the owning [`Inum`], so a core is
+/// `Send + Sync + 'static`. Cloning is cheap relative to a rebuild:
+/// per-query cell blocks and per-split fraction tables are behind `Arc`s
+/// and shared with previous clones (copy-on-write at the writer's mutation
+/// sites).
+///
+/// A published core is stale by contract, so a configuration may have been
+/// built against a newer generation than the one costing it. Candidate,
+/// fragment and split ids a core does not know are **unselected** — the
+/// rule removed candidate ids follow — never an error.
 #[derive(Clone)]
-pub(crate) struct MatrixCore {
+pub struct MatrixCore {
     /// Optimizer cost parameters (copied from the INUM's optimizer), so
     /// partition re-costing needs no `Inum` borrow.
     params: CostParams,
@@ -534,7 +564,7 @@ pub(crate) struct MatrixCore {
     /// matched by lookups).
     indexes: Vec<Option<Index>>,
     /// Live candidate id per index — the O(1) dedupe behind
-    /// [`CostMatrix::candidate_id`]/[`CostMatrix::add_candidate`] (first
+    /// [`Self::candidate_id`]/[`CostMatrix::add_candidate`] (first
     /// registration wins when `build` was handed duplicates).
     id_by_index: HashMap<Index, usize>,
     queries: Vec<Arc<QueryMatrix>>,
@@ -554,6 +584,9 @@ pub(crate) struct MatrixCore {
     /// Fragment ids per table (indexed by `TableId.0`), for the
     /// replication set-cover path and `joint_design_of`.
     frags_by_table: Vec<Vec<usize>>,
+    /// Where this core's lookups are counted: the writer's block, or —
+    /// stamped on by [`PublishSlot::publish`] — the readers'.
+    pub(crate) counters: Arc<LookupCounters>,
 }
 
 /// Compute one query's full matrix row set (skeleton requirements, base
@@ -737,70 +770,18 @@ fn cost_candidate_on_slot(
     })
 }
 
-/// Compute query matrices for a batch of queries, fanning out over
-/// `threads` scoped workers. Queries are split into contiguous chunks and
-/// results concatenated in input order, and each query's cells depend on
-/// nothing but that query — so the output is bit-identical to the serial
-/// (`threads == 1`) computation.
-fn compute_query_matrices(
-    inum: &Inum<'_>,
-    entries: &[(&Query, f64)],
-    indexes: &[Option<Index>],
-    threads: usize,
-) -> Vec<(QueryMatrix, u64)> {
-    let nt = threads.clamp(1, entries.len().max(1));
+/// Map `one` over `items` on up to `threads` scoped workers. Items are
+/// split into contiguous chunks and results concatenated in input order,
+/// so whenever `one` is a pure function of its item the output is
+/// bit-identical to the serial (`threads == 1`) map.
+fn fan_out<T: Sync, R: Send>(items: &[T], threads: usize, one: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let nt = threads.clamp(1, items.len().max(1));
     if nt <= 1 {
-        return entries
-            .iter()
-            .map(|&(q, w)| compute_query_matrix(inum, q, w, indexes))
-            .collect();
+        return items.iter().map(one).collect();
     }
-    let chunk = entries.len().div_ceil(nt);
+    let chunk = items.len().div_ceil(nt);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = entries
-            .chunks(chunk)
-            .map(|ch| {
-                scope.spawn(move || {
-                    ch.iter()
-                        .map(|&(q, w)| compute_query_matrix(inum, q, w, indexes))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("matrix build worker panicked"))
-            .collect()
-    })
-}
-
-/// [`compute_query_matrices`] under a [`WorkBudget`]: each worker pays
-/// for a query *before* computing it and stops claiming units once the
-/// budget is exhausted — completed entries come back `Some`, skipped
-/// ones `None`, aligned with the input. Completed cells are never
-/// discarded (the budget is checked **between** per-query cell units,
-/// never inside one), which is what lets a deadline-cancelled build
-/// commit its finished work and resume the remainder later.
-fn compute_query_matrices_budgeted(
-    inum: &Inum<'_>,
-    entries: &[(&Query, f64)],
-    indexes: &[Option<Index>],
-    threads: usize,
-    budget: &WorkBudget,
-) -> Vec<Option<(QueryMatrix, u64)>> {
-    let one = |&(q, w): &(&Query, f64)| -> Option<(QueryMatrix, u64)> {
-        if !budget.try_consume() {
-            return None;
-        }
-        Some(compute_query_matrix(inum, q, w, indexes))
-    };
-    let nt = threads.clamp(1, entries.len().max(1));
-    if nt <= 1 {
-        return entries.iter().map(one).collect();
-    }
-    let chunk = entries.len().div_ceil(nt);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = entries
+        let handles: Vec<_> = items
             .chunks(chunk)
             .map(|ch| {
                 let one = &one;
@@ -811,6 +792,28 @@ fn compute_query_matrices_budgeted(
             .into_iter()
             .flat_map(|h| h.join().expect("matrix build worker panicked"))
             .collect()
+    })
+}
+
+/// Compute query matrices for a batch of queries over `threads` workers
+/// ([`fan_out`]), under a [`WorkBudget`]: each worker pays for a query
+/// *before* computing it and stops claiming units once the budget is
+/// exhausted — completed entries come back `Some`, skipped ones `None`,
+/// aligned with the input. Completed cells are never discarded (the
+/// budget is checked **between** per-query cell units, never inside one),
+/// which is what lets a deadline-cancelled batch commit its finished work
+/// and resume the remainder later.
+fn compute_query_matrices(
+    inum: &Inum<'_>,
+    entries: &[(&Query, f64)],
+    indexes: &[Option<Index>],
+    threads: usize,
+    budget: &WorkBudget,
+) -> Vec<Option<(QueryMatrix, u64)>> {
+    fan_out(entries, threads, |&(q, w)| {
+        budget
+            .try_consume()
+            .then(|| compute_query_matrix(inum, q, w, indexes))
     })
 }
 
@@ -828,7 +831,7 @@ fn compute_candidate_cells(
     new: &[(usize, Index)],
     threads: usize,
 ) -> Vec<(Vec<(usize, CandCosts)>, u64)> {
-    let one = |qi: usize| -> (Vec<(usize, CandCosts)>, u64) {
+    fan_out(active, threads, |&qi| {
         let q = &core.workload.entries[qi].query;
         let qm = &core.queries[qi];
         let catalog = inum.catalog();
@@ -872,24 +875,6 @@ fn compute_candidate_cells(
             }
         }
         (out, cells)
-    };
-    let nt = threads.clamp(1, active.len().max(1));
-    if nt <= 1 {
-        return active.iter().map(|&qi| one(qi)).collect();
-    }
-    let chunk = active.len().div_ceil(nt);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = active
-            .chunks(chunk)
-            .map(|ch| {
-                let one = &one;
-                scope.spawn(move || ch.iter().map(|&qi| one(qi)).collect::<Vec<_>>())
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("candidate build worker panicked"))
-            .collect()
     })
 }
 
@@ -898,15 +883,16 @@ impl<'a> CostMatrix<'a> {
     /// skeletons, then cost the base access and each candidate index's
     /// access once per slot and distinct required order. Queries are
     /// distributed over [`build_threads`] workers; the result is
-    /// bit-identical to a serial build.
-    pub fn build(inum: &'a Inum<'a>, workload: &Workload, indexes: &[Index]) -> Self {
+    /// bit-identical to a serial build. The matrix keeps a clone of the
+    /// `inum` handle.
+    pub fn build(inum: &Inum<'a>, workload: &Workload, indexes: &[Index]) -> Self {
         Self::build_with_threads(inum, workload, indexes, build_threads())
     }
 
     /// [`Self::build`] with an explicit worker count (1 = serial). The
     /// suite pins serial-vs-parallel equality through this entry.
     pub fn build_with_threads(
-        inum: &'a Inum<'a>,
+        inum: &Inum<'a>,
         workload: &Workload,
         indexes: &[Index],
         threads: usize,
@@ -914,10 +900,12 @@ impl<'a> CostMatrix<'a> {
         let t0 = Instant::now();
         let idx: Vec<Option<Index>> = indexes.iter().cloned().map(Some).collect();
         let entries: Vec<(&Query, f64)> = workload.iter().collect();
-        let computed = compute_query_matrices(inum, &entries, &idx, threads);
+        let computed =
+            compute_query_matrices(inum, &entries, &idx, threads, &WorkBudget::unlimited());
         let mut cells = 0u64;
         let mut queries = Vec::with_capacity(computed.len());
-        for (qm, c) in computed {
+        for done in computed {
+            let (qm, c) = done.expect("an unlimited budget admits every query");
             cells += c;
             queries.push(Arc::new(qm));
         }
@@ -941,55 +929,22 @@ impl<'a> CostMatrix<'a> {
             fragments: Vec::new(),
             splits: Vec::new(),
             frags_by_table: vec![Vec::new(); n_tables],
+            counters: inum.lookup_counters(),
         };
         // Generation 0 is published at build time, so readers acquired
         // before the first explicit `publish` still see a complete matrix.
-        let slot = Arc::new(PublishSlot::new(core.clone()));
-        CostMatrix {
-            inum,
-            core,
-            slot,
-            journal: None,
-        }
+        Self::from_core(inum, core, 0)
     }
 
-    /// [`Self::build`] under a [`WorkBudget`] — the cooperatively
-    /// cancellable cold build. Workers check the budget between
-    /// per-query cell units; queries whose cells completed before
-    /// exhaustion are committed into the returned matrix, and the
-    /// remainder comes back as `(query, weight)` pairs the caller
-    /// records as pending and resumes later (e.g. next epoch, through
-    /// [`Self::add_queries_budgeted`]). With an
-    /// [`WorkBudget::unlimited`] budget the deferred list is empty and
-    /// the committed matrix costs identically to [`Self::build`].
-    pub fn build_budgeted(
-        inum: &'a Inum<'a>,
-        workload: &Workload,
-        indexes: &[Index],
-        threads: usize,
-        budget: &WorkBudget,
-    ) -> (Self, Vec<(Query, f64)>) {
-        let mut matrix = Self::build_with_threads(inum, &Workload::new(), indexes, threads);
-        let entries: Vec<(&Query, f64)> = workload.iter().collect();
-        let ids =
-            matrix.add_queries_budgeted_with_threads(entries.iter().copied(), budget, threads);
-        let deferred = ids
-            .iter()
-            .zip(&entries)
-            .filter(|(id, _)| id.is_none())
-            .map(|(_, &(q, w))| (q.clone(), w))
-            .collect();
-        (matrix, deferred)
-    }
-
-    /// Adopt an already-materialized core — the durable-restore entry.
-    /// Unlike [`Self::build`] this computes nothing and does **not**
-    /// count as a matrix build in [`crate::MatrixStats`]: the cells were
+    /// Adopt an already-materialized core (counting on `inum`'s block),
+    /// published as `generation` — the tail of [`Self::build`] and the
+    /// durable-restore entry. Computes nothing and does **not** count as a
+    /// matrix build in [`crate::MatrixStats`]: a restored core's cells were
     /// paid for in a previous process and arrive from disk.
-    pub(crate) fn from_core(inum: &'a Inum<'a>, core: MatrixCore, generation: u64) -> Self {
+    pub(crate) fn from_core(inum: &Inum<'a>, core: MatrixCore, generation: u64) -> Self {
         let slot = Arc::new(PublishSlot::new_at(core.clone(), generation));
         CostMatrix {
-            inum,
+            inum: inum.clone(),
             core,
             slot,
             journal: None,
@@ -1055,13 +1010,10 @@ impl<'a> CostMatrix<'a> {
         }
     }
 
-    /// The owning INUM instance (the slow-path oracle). The returned
-    /// borrow is tied to `&self`, not to `'a`: long-lived holders (e.g. a
-    /// session type that heap-pins the INUM and unsafely stretches its
-    /// lifetime) must not let the stretched reference escape through this
-    /// accessor.
+    /// The INUM handle the matrix was built on (the slow-path oracle);
+    /// clone it to keep it past the matrix borrow.
     pub fn inum(&self) -> &Inum<'a> {
-        self.inum
+        &self.inum
     }
 
     /// The catalog the matrix's costs were computed against. Metadata-only
@@ -1079,77 +1031,14 @@ impl<'a> CostMatrix<'a> {
         &self.inum.optimizer().params
     }
 
-    /// The matrix's queries, aligned with query ids: entry `i` is query
-    /// slot `i`. Entries of retired slots are stale (their weight is
-    /// zeroed); on a freshly built matrix this is exactly the workload the
-    /// matrix was built for.
-    pub fn workload(&self) -> &Workload {
-        self.core.workload()
-    }
-
-    /// Number of query slots (active + retired); `cost` accepts any id
-    /// below this.
-    pub fn n_queries(&self) -> usize {
-        self.core.n_queries()
-    }
-
-    /// Number of candidate id slots (live + removed) — the id space
-    /// [`CandidateBitset`]s range over.
-    pub fn n_candidates(&self) -> usize {
-        self.core.n_candidates()
-    }
-
-    /// The live candidates as `(id, index)` pairs, ascending by id.
-    pub fn candidates(&self) -> impl Iterator<Item = (usize, &Index)> {
-        self.core.candidates()
-    }
-
-    /// The live candidate with id `id` (`None` for removed ids).
-    pub fn candidate(&self, id: usize) -> Option<&Index> {
-        self.core.candidate(id)
-    }
-
-    /// The id of the live candidate equal to `index`, if registered
-    /// (O(1) hash lookup).
-    pub fn candidate_id(&self, index: &Index) -> Option<usize> {
-        self.core.candidate_id(index)
-    }
-
-    /// The *active* queries as an owned `(query, weight)` snapshot — what
-    /// advisors enumerate candidates from. Unlike [`Self::workload`],
-    /// retired slots are excluded, so the stale queries of a long-lived
-    /// session matrix cannot steer candidate analyses.
-    pub fn active_workload(&self) -> Workload {
-        self.core.active_workload()
-    }
-
-    /// Ids of the active (non-retired) queries, ascending.
-    pub fn active_query_ids(&self) -> impl Iterator<Item = usize> + '_ {
-        self.core.active_query_ids()
-    }
-
-    /// Whether query slot `id` is active (false for retired slots and
-    /// out-of-range ids).
-    pub fn query_active(&self, id: usize) -> bool {
-        self.core.query_active(id)
-    }
-
-    /// Workload weight of query slot `id` (0 for retired slots).
-    pub fn query_weight(&self, id: usize) -> f64 {
-        self.core.query_weight(id)
-    }
-
     /// Overwrite the weight of an active query slot (no-op on retired or
     /// out-of-range ids). [`Self::add_queries`] *adds* weights on reuse —
     /// a rotating consumer that wants per-epoch rather than cumulative
     /// weights resets them with this after each rotation (COLT does).
     pub fn set_query_weight(&mut self, id: usize, weight: f64) {
         self.record(|| MatrixEdit::SetQueryWeight(id, weight));
-        if let Some(qm) = self.core.queries.get_mut(id) {
-            if qm.active {
-                Arc::make_mut(qm).weight = weight;
-                self.core.workload.entries[id].weight = weight;
-            }
+        if self.core.query_active(id) {
+            self.store_query_weight(id, weight);
         }
     }
 
@@ -1217,9 +1106,8 @@ impl<'a> CostMatrix<'a> {
     }
 
     /// [`Self::add_candidates`] with an explicit worker count (1 =
-    /// serial). The suite pins serial-vs-parallel equality through this
-    /// entry.
-    pub fn add_candidates_with_threads(&mut self, indexes: &[Index], threads: usize) -> Vec<usize> {
+    /// serial), for the serial-vs-parallel equality tests.
+    fn add_candidates_with_threads(&mut self, indexes: &[Index], threads: usize) -> Vec<usize> {
         if indexes.is_empty() {
             return Vec::new();
         }
@@ -1238,35 +1126,12 @@ impl<'a> CostMatrix<'a> {
                 ids.push(id);
                 continue;
             }
-            let id = match self.core.free_candidates.pop() {
-                Some(id) => id,
-                None => {
-                    self.core.indexes.push(None);
-                    self.core.indexes.len() - 1
-                }
-            };
-            self.core.indexes[id] = Some(index.clone());
-            self.core.id_by_index.insert(index.clone(), id);
+            let id = self.register_candidate(index);
             ids.push(id);
             new.push((id, index.clone()));
         }
-        if new.is_empty() {
-            self.inum.note_matrix_incremental(0, reused, 0);
-            return ids;
-        }
-        let active: Vec<usize> = self.core.active_query_ids().collect();
-        let computed = compute_candidate_cells(self.inum, &self.core, &active, &new, threads);
-        let mut cells = 0u64;
-        for (&qi, (additions, c)) in active.iter().zip(computed) {
-            cells += c;
-            if additions.is_empty() {
-                continue;
-            }
-            let qm = Arc::make_mut(&mut self.core.queries[qi]);
-            for (s, cc) in additions {
-                qm.slots[s].cands.push(cc);
-            }
-        }
+        // The whole batch is costed in one fan-out.
+        let cells = self.install_candidate_cells(&new, threads);
         self.inum
             .note_matrix_incremental(cells, reused, t0.elapsed().as_nanos() as u64);
         ids
@@ -1274,12 +1139,13 @@ impl<'a> CostMatrix<'a> {
 
     /// [`Self::add_candidates`] under a [`WorkBudget`]: one budget unit
     /// per *new* candidate (residents and within-batch duplicates dedupe
-    /// for free, as always). A candidate is committed whole — all of its
-    /// cells across every active query — or not at all, so a bitset can
-    /// never select a partially-celled candidate and cost it wrongly.
-    /// Returns the id per input, `None` for deferred entries; the
-    /// journal records exactly the committed subset, so replaying the
-    /// edit log reproduces the budgeted state bit-for-bit.
+    /// for free, as always). The budget is checked between candidates and
+    /// a candidate is committed whole — all of its cells across every
+    /// active query — or not at all, so a bitset can never select a
+    /// partially-celled candidate and cost it wrongly. Returns the id per
+    /// input, `None` for deferred entries; the journal records exactly the
+    /// committed subset, so replaying the edit log reproduces the budgeted
+    /// state bit-for-bit.
     pub fn add_candidates_budgeted(
         &mut self,
         indexes: &[Index],
@@ -1289,7 +1155,7 @@ impl<'a> CostMatrix<'a> {
     }
 
     /// [`Self::add_candidates_budgeted`] with an explicit worker count.
-    pub fn add_candidates_budgeted_with_threads(
+    fn add_candidates_budgeted_with_threads(
         &mut self,
         indexes: &[Index],
         budget: &WorkBudget,
@@ -1299,13 +1165,12 @@ impl<'a> CostMatrix<'a> {
             return Vec::new();
         }
         let t0 = Instant::now();
-        let active: Vec<usize> = self.core.active_query_ids().collect();
         let mut ids: Vec<Option<usize>> = vec![None; indexes.len()];
         let mut committed: Vec<usize> = Vec::new();
         // Deferred uniques, so a later duplicate of a deferred candidate
         // defers too instead of re-attempting (and possibly committing a
         // different subset than the journal records).
-        let mut deferred: HashMap<&Index, ()> = HashMap::new();
+        let mut deferred: HashSet<&Index> = HashSet::new();
         let mut reused = 0u64;
         let mut cells = 0u64;
         for (i, index) in indexes.iter().enumerate() {
@@ -1317,34 +1182,15 @@ impl<'a> CostMatrix<'a> {
                 committed.push(i);
                 continue;
             }
-            if deferred.contains_key(index) {
+            if deferred.contains(index) {
                 continue;
             }
             if !budget.try_consume() {
-                deferred.insert(index, ());
+                deferred.insert(index);
                 continue;
             }
-            let id = match self.core.free_candidates.pop() {
-                Some(id) => id,
-                None => {
-                    self.core.indexes.push(None);
-                    self.core.indexes.len() - 1
-                }
-            };
-            self.core.indexes[id] = Some(index.clone());
-            self.core.id_by_index.insert(index.clone(), id);
-            let new = [(id, index.clone())];
-            let computed = compute_candidate_cells(self.inum, &self.core, &active, &new, threads);
-            for (&qi, (additions, c)) in active.iter().zip(computed) {
-                cells += c;
-                if additions.is_empty() {
-                    continue;
-                }
-                let qm = Arc::make_mut(&mut self.core.queries[qi]);
-                for (s, cc) in additions {
-                    qm.slots[s].cands.push(cc);
-                }
-            }
+            let id = self.register_candidate(index);
+            cells += self.install_candidate_cells(&[(id, index.clone())], threads);
             ids[i] = Some(id);
             committed.push(i);
         }
@@ -1358,6 +1204,47 @@ impl<'a> CostMatrix<'a> {
         self.inum
             .note_matrix_incremental(cells, reused, t0.elapsed().as_nanos() as u64);
         ids
+    }
+
+    /// Give a not-yet-resident index an id (LIFO from the free list, then
+    /// fresh) and enter it in the registry. Its cells are the caller's to
+    /// install ([`Self::install_candidate_cells`]).
+    fn register_candidate(&mut self, index: &Index) -> usize {
+        let core = &mut self.core;
+        let id = match core.free_candidates.pop() {
+            Some(id) => id,
+            None => {
+                core.indexes.push(None);
+                core.indexes.len() - 1
+            }
+        };
+        core.indexes[id] = Some(index.clone());
+        core.id_by_index.insert(index.clone(), id);
+        id
+    }
+
+    /// Cost the just-registered candidates `new` on every active query —
+    /// one fan-out over `threads` workers — and append the cells
+    /// (copy-on-write: only queries that gain a cell are unshared from
+    /// published snapshots). Returns the number of cells costed.
+    fn install_candidate_cells(&mut self, new: &[(usize, Index)], threads: usize) -> u64 {
+        if new.is_empty() {
+            return 0;
+        }
+        let active: Vec<usize> = self.core.active_query_ids().collect();
+        let computed = compute_candidate_cells(&self.inum, &self.core, &active, new, threads);
+        let mut cells = 0u64;
+        for (&qi, (additions, c)) in active.iter().zip(computed) {
+            cells += c;
+            if additions.is_empty() {
+                continue;
+            }
+            let qm = Arc::make_mut(&mut self.core.queries[qi]);
+            for (s, cc) in additions {
+                qm.slots[s].cands.push(cc);
+            }
+        }
+        cells
     }
 
     /// Remove a candidate: its cells are dropped from every query slot and
@@ -1420,114 +1307,25 @@ impl<'a> CostMatrix<'a> {
     /// even cloned); new queries have their cells computed — in parallel
     /// over [`build_threads`] workers for the bulk — and land in retired
     /// slots first, fresh slots after. Returns the query id per input,
-    /// aligned.
+    /// aligned. This is [`Self::add_queries_budgeted`] under a budget that
+    /// never exhausts.
     pub fn add_queries<'q, I: IntoIterator<Item = (&'q Query, f64)>>(
         &mut self,
         entries: I,
     ) -> Vec<usize> {
-        let entries: Vec<(&Query, f64)> = entries.into_iter().collect();
-        if entries.is_empty() {
-            return Vec::new();
-        }
-        self.record(|| {
-            MatrixEdit::AddQueries(entries.iter().map(|&(q, w)| (q.clone(), w)).collect())
-        });
-        let t0 = Instant::now();
-        let mut reused = 0u64;
-        let mut computed_cells = 0u64;
-
-        // Resolve each entry: an existing active slot, a duplicate of an
-        // earlier batch entry, or a pending computation.
-        enum Resolved {
-            Existing(usize),
-            SameAs(usize),
-            Pending,
-        }
-        let keys: Vec<u64> = entries.iter().map(|(q, _)| query_key(q)).collect();
-        let resident: HashMap<u64, usize> = self
-            .core
-            .queries
-            .iter()
-            .enumerate()
-            .filter(|(_, qm)| qm.active)
-            .map(|(id, qm)| (qm.key, id))
-            .collect();
-        let mut first_of: HashMap<u64, usize> = HashMap::new();
-        let mut resolved: Vec<Resolved> = Vec::with_capacity(entries.len());
-        let mut pending: Vec<usize> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            if let Some(&id) = resident.get(key) {
-                resolved.push(Resolved::Existing(id));
-            } else if let Some(&j) = first_of.get(key) {
-                resolved.push(Resolved::SameAs(j));
-            } else {
-                first_of.insert(*key, i);
-                pending.push(i);
-                resolved.push(Resolved::Pending);
-            }
-        }
-
-        // Compute the misses (the bulk) in parallel.
-        let refs: Vec<(&Query, f64)> = pending.iter().map(|&i| entries[i]).collect();
-        let computed =
-            compute_query_matrices(self.inum, &refs, &self.core.indexes, build_threads());
-
-        // Install the computed matrices (retired slots first), then wire
-        // up ids for every input entry.
-        let mut ids: Vec<usize> = vec![usize::MAX; entries.len()];
-        for (&i, (qm, cells)) in pending.iter().zip(computed) {
-            computed_cells += cells;
-            ids[i] = self.install_query(entries[i].0.clone(), qm);
-        }
-        // Per-table live candidate counts, shared by the reuse accounting
-        // below (a per-query recount would cost a visible fraction of the
-        // cell work it is crediting).
-        let mut cands_on: HashMap<TableId, u64> = HashMap::new();
-        for (_, idx) in self.candidates() {
-            *cands_on.entry(idx.table).or_insert(0) += 1;
-        }
-        let cell_work = |queries: &[Arc<QueryMatrix>], id: usize| -> u64 {
-            queries[id]
-                .slots
-                .iter()
-                .map(|s| 1 + cands_on.get(&s.table).copied().unwrap_or(0))
-                .sum()
-        };
-        for (i, r) in resolved.iter().enumerate() {
-            match *r {
-                Resolved::Existing(id) => {
-                    let w = self.core.queries[id].weight + entries[i].1;
-                    Arc::make_mut(&mut self.core.queries[id]).weight = w;
-                    self.core.workload.entries[id].weight = w;
-                    reused += cell_work(&self.core.queries, id);
-                    ids[i] = id;
-                }
-                Resolved::SameAs(j) => {
-                    let id = ids[j];
-                    let w = self.core.queries[id].weight + entries[i].1;
-                    Arc::make_mut(&mut self.core.queries[id]).weight = w;
-                    self.core.workload.entries[id].weight = w;
-                    // A fresh build would have costed this duplicate entry
-                    // separately; sharing the slot avoids that work.
-                    reused += cell_work(&self.core.queries, id);
-                    ids[i] = id;
-                }
-                Resolved::Pending => {}
-            }
-        }
-        self.inum
-            .note_matrix_incremental(computed_cells, reused, t0.elapsed().as_nanos() as u64);
-        ids
+        self.add_queries_budgeted(entries, &WorkBudget::unlimited())
+            .into_iter()
+            .map(|id| id.expect("an unlimited budget admits every query"))
+            .collect()
     }
 
     /// [`Self::add_queries`] under a [`WorkBudget`]: one budget unit per
     /// query that actually needs its cells computed (reuse of an active
     /// slot and within-batch duplicates stay free). Entries whose cells
-    /// completed before exhaustion commit exactly as the unbudgeted path
-    /// would; the rest return `None` and are the caller's pending
-    /// remainder. A duplicate of a deferred entry defers with it. The
-    /// journal records only the committed subset, so edit-log replay
-    /// reproduces the budgeted state bit-for-bit.
+    /// completed before exhaustion commit; the rest return `None` and are
+    /// the caller's pending remainder. A duplicate of a deferred entry
+    /// defers with it. The journal records only the committed subset, so
+    /// edit-log replay reproduces the budgeted state bit-for-bit.
     pub fn add_queries_budgeted<'q, I: IntoIterator<Item = (&'q Query, f64)>>(
         &mut self,
         entries: I,
@@ -1537,7 +1335,7 @@ impl<'a> CostMatrix<'a> {
     }
 
     /// [`Self::add_queries_budgeted`] with an explicit worker count.
-    pub fn add_queries_budgeted_with_threads<'q, I: IntoIterator<Item = (&'q Query, f64)>>(
+    fn add_queries_budgeted_with_threads<'q, I: IntoIterator<Item = (&'q Query, f64)>>(
         &mut self,
         entries: I,
         budget: &WorkBudget,
@@ -1551,14 +1349,14 @@ impl<'a> CostMatrix<'a> {
         let mut reused = 0u64;
         let mut computed_cells = 0u64;
 
-        // Resolution mirrors `add_queries` exactly; only the Pending
+        // Resolve each entry: an existing active slot, a duplicate of an
+        // earlier batch entry, or a pending computation. Only the Pending
         // entries cost budget units.
         enum Resolved {
             Existing(usize),
             SameAs(usize),
             Pending,
         }
-        let keys: Vec<u64> = entries.iter().map(|(q, _)| query_key(q)).collect();
         let resident: HashMap<u64, usize> = self
             .core
             .queries
@@ -1570,29 +1368,31 @@ impl<'a> CostMatrix<'a> {
         let mut first_of: HashMap<u64, usize> = HashMap::new();
         let mut resolved: Vec<Resolved> = Vec::with_capacity(entries.len());
         let mut pending: Vec<usize> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            if let Some(&id) = resident.get(key) {
+        for (i, (q, _)) in entries.iter().enumerate() {
+            let key = query_key(q);
+            if let Some(&id) = resident.get(&key) {
                 resolved.push(Resolved::Existing(id));
-            } else if let Some(&j) = first_of.get(key) {
+            } else if let Some(&j) = first_of.get(&key) {
                 resolved.push(Resolved::SameAs(j));
             } else {
-                first_of.insert(*key, i);
+                first_of.insert(key, i);
                 pending.push(i);
                 resolved.push(Resolved::Pending);
             }
         }
 
-        // Compute the misses under the budget; `None` means deferred.
+        // Compute the misses (the bulk) in parallel, under the budget;
+        // `None` means deferred.
         let refs: Vec<(&Query, f64)> = pending.iter().map(|&i| entries[i]).collect();
         let computed =
-            compute_query_matrices_budgeted(self.inum, &refs, &self.core.indexes, threads, budget);
+            compute_query_matrices(&self.inum, &refs, &self.core.indexes, threads, budget);
 
         // Journal exactly the committed subset in input order — an entry
         // commits when it resolved to a resident slot, its own cells
         // completed, or it duplicates a committed entry.
         let mut commits: Vec<bool> = vec![false; entries.len()];
-        for (slot, &i) in pending.iter().enumerate() {
-            commits[i] = computed[slot].is_some();
+        for (&i, done) in pending.iter().zip(&computed) {
+            commits[i] = done.is_some();
         }
         for (i, r) in resolved.iter().enumerate() {
             match *r {
@@ -1615,8 +1415,8 @@ impl<'a> CostMatrix<'a> {
         }
 
         // Install completed matrices (retired slots first, in input
-        // order), then wire up weights and ids — same flow as the
-        // unbudgeted path restricted to the committed subset.
+        // order), then wire up weights and ids for the entries that share
+        // a slot.
         let mut ids: Vec<Option<usize>> = vec![None; entries.len()];
         for (&i, done) in pending.iter().zip(computed) {
             if let Some((qm, cells)) = done {
@@ -1624,41 +1424,41 @@ impl<'a> CostMatrix<'a> {
                 ids[i] = Some(self.install_query(entries[i].0.clone(), qm));
             }
         }
+        // Per-table live candidate counts, shared by the reuse accounting
+        // below (a per-query recount would cost a visible fraction of the
+        // cell work it is crediting).
         let mut cands_on: HashMap<TableId, u64> = HashMap::new();
-        for (_, idx) in self.candidates() {
+        for (_, idx) in self.core.candidates() {
             *cands_on.entry(idx.table).or_insert(0) += 1;
         }
-        let cell_work = |queries: &[Arc<QueryMatrix>], id: usize| -> u64 {
-            queries[id]
-                .slots
-                .iter()
-                .map(|s| 1 + cands_on.get(&s.table).copied().unwrap_or(0))
-                .sum()
-        };
         for (i, r) in resolved.iter().enumerate() {
-            match *r {
-                Resolved::Existing(id) => {
-                    let w = self.core.queries[id].weight + entries[i].1;
-                    Arc::make_mut(&mut self.core.queries[id]).weight = w;
-                    self.core.workload.entries[id].weight = w;
-                    reused += cell_work(&self.core.queries, id);
-                    ids[i] = Some(id);
-                }
-                Resolved::SameAs(j) => {
-                    if let Some(id) = ids[j] {
-                        let w = self.core.queries[id].weight + entries[i].1;
-                        Arc::make_mut(&mut self.core.queries[id]).weight = w;
-                        self.core.workload.entries[id].weight = w;
-                        reused += cell_work(&self.core.queries, id);
-                        ids[i] = Some(id);
-                    }
-                }
-                Resolved::Pending => {}
+            let shared = match *r {
+                Resolved::Existing(id) => Some(id),
+                Resolved::SameAs(j) => ids[j],
+                Resolved::Pending => continue,
+            };
+            // Sharing a slot avoids the cells a fresh build would have
+            // costed for this entry separately.
+            if let Some(id) = shared {
+                let w = self.core.queries[id].weight + entries[i].1;
+                self.store_query_weight(id, w);
+                reused += self.core.queries[id]
+                    .slots
+                    .iter()
+                    .map(|s| 1 + cands_on.get(&s.table).copied().unwrap_or(0))
+                    .sum::<u64>();
+                ids[i] = Some(id);
             }
         }
         self.inum
             .note_matrix_incremental(computed_cells, reused, t0.elapsed().as_nanos() as u64);
         ids
+    }
+
+    /// Set a slot's weight in its cells and in the workload mirror.
+    fn store_query_weight(&mut self, id: usize, weight: f64) {
+        Arc::make_mut(&mut self.core.queries[id]).weight = weight;
+        self.core.workload.entries[id].weight = weight;
     }
 
     /// Retire a query: it stops contributing to workload costs, its cells
@@ -1668,7 +1468,7 @@ impl<'a> CostMatrix<'a> {
     /// leftovers — recurring queries then dedupe against their still-active
     /// slots instead of being recomputed. No-op on inactive ids.
     pub fn retire_query(&mut self, id: usize) {
-        if !self.core.queries.get(id).is_some_and(|qm| qm.active) {
+        if !self.core.query_active(id) {
             return;
         }
         self.record(|| MatrixEdit::RetireQuery(id));
@@ -1685,14 +1485,6 @@ impl<'a> CostMatrix<'a> {
             Arc::make_mut(sp).frac[id] = Vec::new();
         }
         self.core.free_queries.push(id);
-    }
-
-    /// The query-rotation generation: changes exactly when some slot id's
-    /// bound query changes ([`Self::retire_query`] or an install by
-    /// [`Self::add_queries`]). Equal generations guarantee every slot id
-    /// still denotes the same query, so per-slot caches stay valid.
-    pub fn generation(&self) -> u64 {
-        self.core.generation
     }
 
     /// Place a computed query matrix in a slot (retired first), keeping
@@ -1729,82 +1521,14 @@ impl<'a> CostMatrix<'a> {
         let mut cells = 0u64;
         for sp in &mut core.splits {
             let sp = Arc::make_mut(sp);
-            let mut per_slot = Vec::with_capacity(q.slot_count() as usize);
-            for slot in 0..q.slot_count() {
-                per_slot.push(if q.table_of(slot) == sp.hp.table {
-                    cells += 1;
-                    let (lo, hi) = access::column_range_restriction(q, slot, sp.hp.column);
-                    sp.hp.surviving_fraction(lo, hi)
-                } else {
-                    1.0
-                });
-            }
+            let (per_slot, c) = split_fractions(&sp.hp, q);
+            cells += c;
             sp.frac[id] = per_slot;
         }
         if cells > 0 {
             self.inum.note_partition_cells(cells);
         }
         id
-    }
-
-    /// An empty configuration sized for this matrix.
-    pub fn empty_config(&self) -> CandidateBitset {
-        self.core.empty_config()
-    }
-
-    /// A configuration holding exactly `ids`.
-    pub fn config_of<I: IntoIterator<Item = usize>>(&self, ids: I) -> CandidateBitset {
-        self.core.config_of(ids)
-    }
-
-    /// The [`PhysicalDesign`] a configuration denotes (slow-path bridge).
-    /// Removed candidate ids in the bitset are skipped, matching how the
-    /// cost lookups treat them.
-    pub fn design_of(&self, config: &CandidateBitset) -> PhysicalDesign {
-        self.core.design_of(config)
-    }
-
-    /// Cost of `query_id` under the configuration — pure lookups.
-    pub fn cost(&self, query_id: usize, config: &CandidateBitset) -> f64 {
-        self.cost_toggled(query_id, config, usize::MAX, usize::MAX)
-    }
-
-    /// Cost under `config ∪ {extra}` without materializing the union.
-    pub fn cost_plus(&self, query_id: usize, config: &CandidateBitset, extra: usize) -> f64 {
-        self.cost_toggled(query_id, config, extra, usize::MAX)
-    }
-
-    /// Cost under `config ∖ {removed}` without materializing the
-    /// difference.
-    pub fn cost_minus(&self, query_id: usize, config: &CandidateBitset, removed: usize) -> f64 {
-        self.cost_toggled(query_id, config, usize::MAX, removed)
-    }
-
-    /// Cost change from adding `cand` to the configuration (negative =
-    /// improvement).
-    pub fn delta_add(&self, query_id: usize, config: &CandidateBitset, cand: usize) -> f64 {
-        self.cost_plus(query_id, config, cand) - self.cost(query_id, config)
-    }
-
-    /// Cost change from removing `cand` from the configuration (positive =
-    /// regression).
-    pub fn delta_remove(&self, query_id: usize, config: &CandidateBitset, cand: usize) -> f64 {
-        self.cost_minus(query_id, config, cand) - self.cost(query_id, config)
-    }
-
-    /// Weighted workload cost under the configuration (active queries
-    /// only; retired slots contribute nothing).
-    pub fn workload_cost(&self, config: &CandidateBitset) -> f64 {
-        self.active_query_ids()
-            .map(|qi| self.core.queries[qi].weight * self.cost(qi, config))
-            .sum()
-    }
-
-    /// Weighted workload cost under `config ∪ {extra}`.
-    pub fn workload_cost_plus(&self, config: &CandidateBitset, extra: usize) -> f64 {
-        self.active_query_ids()
-            .map(|qi| self.core.queries[qi].weight * self.cost_plus(qi, config, extra))
-            .sum()
     }
 
     // ---- Partition candidates (the partition-aware cache level) ----
@@ -1859,17 +1583,8 @@ impl<'a> CostMatrix<'a> {
                 frac.push(Vec::new()); // retired slot: filled on reuse
                 continue;
             }
-            let q = &entry.query;
-            let mut per_slot = Vec::with_capacity(q.slot_count() as usize);
-            for slot in 0..q.slot_count() {
-                per_slot.push(if q.table_of(slot) == hp.table {
-                    cells += 1;
-                    let (lo, hi) = access::column_range_restriction(q, slot, hp.column);
-                    hp.surviving_fraction(lo, hi)
-                } else {
-                    1.0
-                });
-            }
+            let (per_slot, c) = split_fractions(&hp, &entry.query);
+            cells += c;
             frac.push(per_slot);
         }
         let id = self.core.splits.len();
@@ -1877,41 +1592,235 @@ impl<'a> CostMatrix<'a> {
         self.inum.note_partition_cells(cells);
         id
     }
+}
+
+/// One query's surviving fraction per slot under a horizontal split (1.0
+/// off the split's table), plus the number of cells that took computing.
+fn split_fractions(hp: &HorizontalPartitioning, q: &Query) -> (Vec<f64>, u64) {
+    let mut cells = 0u64;
+    let per_slot = (0..q.slot_count())
+        .map(|slot| {
+            if q.table_of(slot) == hp.table {
+                cells += 1;
+                let (lo, hi) = access::column_range_restriction(q, slot, hp.column);
+                hp.surviving_fraction(lo, hi)
+            } else {
+                1.0
+            }
+        })
+        .collect();
+    (per_slot, cells)
+}
+
+impl MatrixCore {
+    /// The matrix's queries, aligned with query ids: entry `i` is query
+    /// slot `i`. Entries of retired slots are stale (their weight is
+    /// zeroed); on a freshly built matrix this is exactly the workload the
+    /// matrix was built for.
+    pub fn workload(&self) -> &Workload {
+        &self.workload
+    }
+
+    /// Number of query slots (active + retired); `cost` accepts any id
+    /// below this.
+    pub fn n_queries(&self) -> usize {
+        self.queries.len()
+    }
+
+    /// Number of candidate id slots (live + removed) — the id space
+    /// [`CandidateBitset`]s range over.
+    pub fn n_candidates(&self) -> usize {
+        self.indexes.len()
+    }
+
+    /// The live candidates as `(id, index)` pairs, ascending by id.
+    pub fn candidates(&self) -> impl Iterator<Item = (usize, &Index)> {
+        self.indexes
+            .iter()
+            .enumerate()
+            .filter_map(|(id, idx)| idx.as_ref().map(|i| (id, i)))
+    }
+
+    /// The live candidate with id `id` (`None` for removed ids).
+    pub fn candidate(&self, id: usize) -> Option<&Index> {
+        self.indexes.get(id).and_then(|i| i.as_ref())
+    }
+
+    /// The id of the live candidate equal to `index`, if registered
+    /// (O(1) hash lookup).
+    pub fn candidate_id(&self, index: &Index) -> Option<usize> {
+        self.id_by_index.get(index).copied()
+    }
+
+    /// The *active* queries as an owned `(query, weight)` snapshot — what
+    /// advisors enumerate candidates from. Unlike [`Self::workload`],
+    /// retired slots are excluded, so the stale queries of a long-lived
+    /// session matrix cannot steer candidate analyses.
+    pub fn active_workload(&self) -> Workload {
+        let mut w = Workload::new();
+        for qid in self.active_query_ids() {
+            w.push(self.workload.query(qid).clone(), self.query_weight(qid));
+        }
+        w
+    }
+
+    /// Ids of the active (non-retired) queries, ascending.
+    pub fn active_query_ids(&self) -> impl Iterator<Item = usize> + '_ {
+        self.queries
+            .iter()
+            .enumerate()
+            .filter(|(_, qm)| qm.active)
+            .map(|(id, _)| id)
+    }
+
+    /// Whether query slot `id` is active (false for retired slots and
+    /// out-of-range ids).
+    pub fn query_active(&self, id: usize) -> bool {
+        self.queries.get(id).is_some_and(|qm| qm.active)
+    }
+
+    /// Workload weight of query slot `id` (0 for retired slots).
+    pub fn query_weight(&self, id: usize) -> f64 {
+        self.queries.get(id).map_or(0.0, |qm| qm.weight)
+    }
+
+    /// The query-rotation generation: changes exactly when some slot id's
+    /// bound query changes ([`CostMatrix::retire_query`] or an install by
+    /// [`CostMatrix::add_queries`]). Equal generations guarantee every
+    /// slot id still denotes the same query, so per-slot caches stay
+    /// valid. Distinct from a snapshot's publication generation
+    /// ([`crate::MatrixSnapshot::generation`]).
+    pub fn rotation_generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Cells a fresh build would compute for one candidate on `table`
+    /// (one per active slot on the table) — the reuse credit of a
+    /// duplicate registration.
+    fn active_slots_on(&self, table: TableId) -> u64 {
+        self.queries
+            .iter()
+            .filter(|qm| qm.active)
+            .flat_map(|qm| qm.slots.iter())
+            .filter(|s| s.table == table)
+            .count() as u64
+    }
+
+    /// An empty configuration sized for this matrix.
+    pub fn empty_config(&self) -> CandidateBitset {
+        CandidateBitset::new(self.indexes.len())
+    }
+
+    /// A configuration holding exactly `ids`.
+    pub fn config_of<I: IntoIterator<Item = usize>>(&self, ids: I) -> CandidateBitset {
+        CandidateBitset::from_ids(self.indexes.len(), ids)
+    }
+
+    /// The [`PhysicalDesign`] a configuration denotes (slow-path bridge).
+    /// Removed and unknown candidate ids in the bitset are skipped,
+    /// matching how the cost lookups treat them.
+    pub fn design_of(&self, config: &CandidateBitset) -> PhysicalDesign {
+        PhysicalDesign::with_indexes(config.ids().filter_map(|id| self.candidate(id).cloned()))
+    }
+
+    /// Cost of `query_id` under the configuration — pure lookups against
+    /// the resident cells; no lock, no optimizer call.
+    pub fn cost(&self, query_id: usize, config: &CandidateBitset) -> f64 {
+        self.cost_toggled(query_id, config, usize::MAX, usize::MAX)
+    }
+
+    /// Cost under `config ∪ {extra}` without materializing the union.
+    pub fn cost_plus(&self, query_id: usize, config: &CandidateBitset, extra: usize) -> f64 {
+        self.cost_toggled(query_id, config, extra, usize::MAX)
+    }
+
+    /// Cost under `config ∖ {removed}` without materializing the
+    /// difference.
+    pub fn cost_minus(&self, query_id: usize, config: &CandidateBitset, removed: usize) -> f64 {
+        self.cost_toggled(query_id, config, usize::MAX, removed)
+    }
+
+    /// Cost change from adding `cand` to the configuration (negative =
+    /// improvement).
+    pub fn delta_add(&self, query_id: usize, config: &CandidateBitset, cand: usize) -> f64 {
+        self.cost_plus(query_id, config, cand) - self.cost(query_id, config)
+    }
+
+    /// Cost change from removing `cand` from the configuration (positive =
+    /// regression).
+    pub fn delta_remove(&self, query_id: usize, config: &CandidateBitset, cand: usize) -> f64 {
+        self.cost_minus(query_id, config, cand) - self.cost(query_id, config)
+    }
+
+    /// Weighted workload cost under the configuration (active queries
+    /// only; retired slots contribute nothing).
+    pub fn workload_cost(&self, config: &CandidateBitset) -> f64 {
+        self.active_query_ids()
+            .map(|qi| self.queries[qi].weight * self.cost(qi, config))
+            .sum()
+    }
+
+    /// Weighted workload cost under `config ∪ {extra}`.
+    pub fn workload_cost_plus(&self, config: &CandidateBitset, extra: usize) -> f64 {
+        self.active_query_ids()
+            .map(|qi| self.queries[qi].weight * self.cost_plus(qi, config, extra))
+            .sum()
+    }
 
     /// Number of registered fragment candidates.
     pub fn n_fragments(&self) -> usize {
-        self.core.n_fragments()
+        self.fragments.len()
     }
 
     /// Number of registered split candidates.
     pub fn n_splits(&self) -> usize {
-        self.core.n_splits()
+        self.splits.len()
     }
 
     /// The (normalised) column group of a registered fragment.
     pub fn fragment_columns(&self, id: usize) -> &[u16] {
-        self.core.fragment_columns(id)
+        &self.fragments[id].columns
     }
 
     /// The table a registered fragment belongs to.
     pub fn fragment_table(&self, id: usize) -> TableId {
-        self.core.fragment_table(id)
+        self.fragments[id].table
     }
 
     /// The partitioning of a registered split candidate.
     pub fn split(&self, id: usize) -> &HorizontalPartitioning {
-        self.core.split(id)
+        &self.splits[id].hp
     }
 
     /// An empty joint configuration sized for this matrix.
     pub fn empty_joint(&self) -> JointConfig {
-        self.core.empty_joint()
+        JointConfig {
+            indexes: self.empty_config(),
+            fragments: FragmentBitset::new(self.fragments.len()),
+            splits: SplitBitset::new(self.splits.len()),
+        }
     }
 
     /// The [`PhysicalDesign`] a joint configuration denotes (slow-path
     /// bridge, for validation and for materializing a finished search).
     pub fn joint_design_of(&self, cfg: &JointConfig) -> PhysicalDesign {
-        self.core.joint_design_of(cfg)
+        let mut d = self.design_of(&cfg.indexes);
+        for (ti, frag_ids) in self.frags_by_table.iter().enumerate() {
+            let groups: Vec<Vec<u16>> = frag_ids
+                .iter()
+                .filter(|&&f| cfg.fragments.contains(f))
+                .map(|&f| self.fragments[f].columns.clone())
+                .collect();
+            if !groups.is_empty() {
+                d.set_vertical(VerticalPartitioning::new(TableId(ti as u32), groups));
+            }
+        }
+        for (sid, s) in self.splits.iter().enumerate() {
+            if cfg.splits.contains(sid) {
+                d.set_horizontal(s.hp.clone());
+            }
+        }
+        d
     }
 
     /// Cost of `query_id` under a joint configuration — pure lookups plus
@@ -1923,16 +1832,14 @@ impl<'a> CostMatrix<'a> {
     /// Weighted workload cost under a joint configuration (active queries
     /// only).
     pub fn joint_workload_cost(&self, cfg: &JointConfig) -> f64 {
-        self.active_query_ids()
-            .map(|qi| self.core.queries[qi].weight * self.joint_cost(qi, cfg))
-            .sum()
+        self.joint_workload_cost_with(cfg, &JointToggle::default())
     }
 
     /// Weighted workload cost under `cfg` with `toggle`'s virtual edits
     /// applied — the merge/split trial hot path.
     pub fn joint_workload_cost_with(&self, cfg: &JointConfig, toggle: &JointToggle) -> f64 {
         self.active_query_ids()
-            .map(|qi| self.core.queries[qi].weight * self.joint_cost_with(qi, cfg, toggle))
+            .map(|qi| self.queries[qi].weight * self.joint_cost_with(qi, cfg, toggle))
             .sum()
     }
 
@@ -1954,173 +1861,22 @@ impl<'a> CostMatrix<'a> {
     /// Cost of `query_id` under `cfg` with `toggle` applied. Mirrors
     /// [`Inum::cost`] on the design [`Self::joint_design_of`] would build,
     /// so the two agree on any joint configuration (the suite's invariant
-    /// tests assert this within 1e-6).
+    /// tests assert this within 1e-6). Counts one lookup, and one
+    /// partition lookup when any partition candidate is in play.
     pub fn joint_cost_with(&self, query_id: usize, cfg: &JointConfig, toggle: &JointToggle) -> f64 {
-        self.inum.note_matrix_lookup();
-        if !cfg.partitions_empty() || !toggle.is_noop() {
-            self.inum.note_partition_lookup();
+        let partitions_active = !cfg.partitions_empty() || !toggle.is_noop();
+        self.counters.lookups.fetch_add(1, Ordering::Relaxed);
+        if partitions_active {
+            self.counters
+                .partition_lookups
+                .fetch_add(1, Ordering::Relaxed);
         }
-        self.core.joint_cost_with(query_id, cfg, toggle)
-    }
-
-    /// The shared hot path: cost with one candidate virtually added
-    /// (`add`) and/or removed (`remove`); `usize::MAX` disables a toggle.
-    fn cost_toggled(
-        &self,
-        query_id: usize,
-        config: &CandidateBitset,
-        add: usize,
-        remove: usize,
-    ) -> f64 {
-        self.inum.note_matrix_lookup();
-        self.core.cost_toggled(query_id, config, add, remove)
-    }
-}
-
-impl MatrixCore {
-    pub(crate) fn workload(&self) -> &Workload {
-        &self.workload
-    }
-
-    pub(crate) fn n_queries(&self) -> usize {
-        self.queries.len()
-    }
-
-    pub(crate) fn n_candidates(&self) -> usize {
-        self.indexes.len()
-    }
-
-    pub(crate) fn candidates(&self) -> impl Iterator<Item = (usize, &Index)> {
-        self.indexes
-            .iter()
-            .enumerate()
-            .filter_map(|(id, idx)| idx.as_ref().map(|i| (id, i)))
-    }
-
-    pub(crate) fn candidate(&self, id: usize) -> Option<&Index> {
-        self.indexes.get(id).and_then(|i| i.as_ref())
-    }
-
-    pub(crate) fn candidate_id(&self, index: &Index) -> Option<usize> {
-        self.id_by_index.get(index).copied()
-    }
-
-    pub(crate) fn active_workload(&self) -> Workload {
-        let mut w = Workload::new();
-        for qid in self.active_query_ids() {
-            w.push(self.workload.query(qid).clone(), self.query_weight(qid));
-        }
-        w
-    }
-
-    pub(crate) fn active_query_ids(&self) -> impl Iterator<Item = usize> + '_ {
-        self.queries
-            .iter()
-            .enumerate()
-            .filter(|(_, qm)| qm.active)
-            .map(|(id, _)| id)
-    }
-
-    pub(crate) fn query_active(&self, id: usize) -> bool {
-        self.queries.get(id).is_some_and(|qm| qm.active)
-    }
-
-    pub(crate) fn query_weight(&self, id: usize) -> f64 {
-        self.queries.get(id).map_or(0.0, |qm| qm.weight)
-    }
-
-    pub(crate) fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Cells a fresh build would compute for one candidate on `table`
-    /// (one per active slot on the table) — the reuse credit of a
-    /// duplicate registration.
-    fn active_slots_on(&self, table: TableId) -> u64 {
-        self.queries
-            .iter()
-            .filter(|qm| qm.active)
-            .flat_map(|qm| qm.slots.iter())
-            .filter(|s| s.table == table)
-            .count() as u64
-    }
-
-    pub(crate) fn empty_config(&self) -> CandidateBitset {
-        CandidateBitset::new(self.indexes.len())
-    }
-
-    pub(crate) fn config_of<I: IntoIterator<Item = usize>>(&self, ids: I) -> CandidateBitset {
-        CandidateBitset::from_ids(self.indexes.len(), ids)
-    }
-
-    pub(crate) fn design_of(&self, config: &CandidateBitset) -> PhysicalDesign {
-        PhysicalDesign::with_indexes(config.ids().filter_map(|id| self.indexes[id].clone()))
-    }
-
-    pub(crate) fn n_fragments(&self) -> usize {
-        self.fragments.len()
-    }
-
-    pub(crate) fn n_splits(&self) -> usize {
-        self.splits.len()
-    }
-
-    pub(crate) fn fragment_columns(&self, id: usize) -> &[u16] {
-        &self.fragments[id].columns
-    }
-
-    pub(crate) fn fragment_table(&self, id: usize) -> TableId {
-        self.fragments[id].table
-    }
-
-    pub(crate) fn split(&self, id: usize) -> &HorizontalPartitioning {
-        &self.splits[id].hp
-    }
-
-    pub(crate) fn empty_joint(&self) -> JointConfig {
-        JointConfig {
-            indexes: self.empty_config(),
-            fragments: FragmentBitset::new(self.fragments.len()),
-            splits: SplitBitset::new(self.splits.len()),
-        }
-    }
-
-    pub(crate) fn joint_design_of(&self, cfg: &JointConfig) -> PhysicalDesign {
-        let mut d = self.design_of(&cfg.indexes);
-        for (ti, frag_ids) in self.frags_by_table.iter().enumerate() {
-            let groups: Vec<Vec<u16>> = frag_ids
-                .iter()
-                .filter(|&&f| cfg.fragments.contains(f))
-                .map(|&f| self.fragments[f].columns.clone())
-                .collect();
-            if !groups.is_empty() {
-                d.set_vertical(VerticalPartitioning::new(TableId(ti as u32), groups));
-            }
-        }
-        for (sid, s) in self.splits.iter().enumerate() {
-            if cfg.splits.contains(sid) {
-                d.set_horizontal(s.hp.clone());
-            }
-        }
-        d
-    }
-
-    /// Cost of `query_id` under `cfg` with `toggle` applied — the pure
-    /// algorithm behind [`CostMatrix::joint_cost_with`] and the snapshot
-    /// read path (no counters, no `Inum` borrow).
-    pub(crate) fn joint_cost_with(
-        &self,
-        query_id: usize,
-        cfg: &JointConfig,
-        toggle: &JointToggle,
-    ) -> f64 {
         let qm = &self.queries[query_id];
 
         // Per-slot partition-adjusted minima, resolved once per query —
         // they do not vary across skeletons, so the skeleton loop below
         // stays as cheap as the index-only fast path. Slot counts are tiny
         // (one per table in the query), so the state lives on the stack.
-        let partitions_active = !cfg.partitions_empty() || !toggle.is_noop();
         let mut state_buf = [NO_PART_STATE; MAX_STACK_SLOTS];
         let state_spill: Vec<Option<PartSlotMins>>;
         let slot_state: &[Option<PartSlotMins>] = if !partitions_active {
@@ -2209,10 +1965,14 @@ impl MatrixCore {
         // `merge(a, b, merged)` with `merged == b` (a merge that swallows a
         // subset fragment, which replication can produce) correctly keeps
         // `b` selected instead of dropping its columns from the cover.
+        // A split or fragment id this core does not know (the configuration
+        // was built against a newer generation) is unselected.
         let mut h_frac = 1.0f64;
         let mut has_split = false;
         let split_on = |sid: usize| {
-            self.splits[sid].hp.table == slot.table
+            self.splits
+                .get(sid)
+                .is_some_and(|sp| sp.hp.table == slot.table)
                 && (toggle.add_split == Some(sid) || toggle.remove_split != Some(sid))
         };
         for sid in cfg.splits.ids().filter(|&sid| split_on(sid)).chain(
@@ -2226,7 +1986,9 @@ impl MatrixCore {
         }
 
         let frag_on = |fid: usize| {
-            self.fragments[fid].table == slot.table
+            self.fragments
+                .get(fid)
+                .is_some_and(|fr| fr.table == slot.table)
                 && (toggle.add_fragment == Some(fid)
                     || (toggle.remove_fragments[0] != Some(fid)
                         && toggle.remove_fragments[1] != Some(fid)))
@@ -2361,14 +2123,15 @@ impl MatrixCore {
     /// The shared hot path: cost with one candidate virtually added
     /// (`add`) and/or removed (`remove`); `usize::MAX` disables a toggle.
     /// Mirrors [`Inum::cost`]'s skeleton loop exactly so the two agree
-    /// bit-for-bit on configurations the matrix covers.
-    pub(crate) fn cost_toggled(
+    /// bit-for-bit on configurations the matrix covers. Counts one lookup.
+    fn cost_toggled(
         &self,
         query_id: usize,
         config: &CandidateBitset,
         add: usize,
         remove: usize,
     ) -> f64 {
+        self.counters.lookups.fetch_add(1, Ordering::Relaxed);
         let qm = &self.queries[query_id];
         let mut best = f64::INFINITY;
         for (internal, reqs) in qm.internal.iter().zip(&qm.reqs) {
@@ -3048,20 +2811,5 @@ mod tests {
             let b = replayed.cost(qi, &replayed.config_of(all.iter().copied()));
             assert_eq!(a, b, "replayed cost must be bit-identical (Q{qi})");
         }
-    }
-
-    #[test]
-    fn budgeted_cold_build_returns_the_remainder() {
-        let (c, opt) = setup();
-        let inum = Inum::new(&c, &opt);
-        let w = sdss_workload(&c, 6, 204);
-        let cands = workload_candidates(&c, &w, &CandidateConfig::default());
-        let (m, deferred) =
-            CostMatrix::build_budgeted(&inum, &w, &cands.indexes, 1, &WorkBudget::with_units(4));
-        assert_eq!(m.n_queries(), 4);
-        assert_eq!(deferred.len(), 2);
-        // The deferred pairs are exactly the workload tail.
-        let tail: Vec<(Query, f64)> = w.iter().skip(4).map(|(q, w)| (q.clone(), w)).collect();
-        assert_eq!(deferred, tail);
     }
 }

@@ -650,13 +650,13 @@ fn get_query_matrix(r: &mut ByteReader<'_>) -> Result<QueryMatrix, PersistError>
 /// record 1 the candidate registry, then one record per query slot (so the
 /// per-record CRC localizes damage), then fragments, then splits.
 pub fn encode_snapshot(snap: &MatrixSnapshot, catalog: &Catalog) -> Vec<Vec<u8>> {
-    encode_core(snap.core(), snap.generation(), catalog)
+    encode_core(snap, snap.generation(), catalog)
 }
 
 /// [`encode_snapshot`] of the matrix's latest published generation.
 pub fn encode_published(matrix: &CostMatrix<'_>) -> Vec<Vec<u8>> {
     let snap = matrix.slot.current();
-    encode_core(snap.core(), snap.generation(), matrix.inum.catalog())
+    encode_core(&snap, snap.generation(), matrix.inum.catalog())
 }
 
 fn encode_core(core: &MatrixCore, generation: u64, catalog: &Catalog) -> Vec<Vec<u8>> {
@@ -931,6 +931,9 @@ pub fn decode_snapshot(records: &[Vec<u8>]) -> Result<DecodedSnapshot, PersistEr
             fragments,
             splits,
             frags_by_table,
+            // Placeholder: `restore_matrix` binds the core to its INUM's
+            // counter block.
+            counters: Arc::default(),
         },
         generation,
         cells,
@@ -962,7 +965,7 @@ pub struct RestoreReport {
 /// (`MatrixStats::builds` stays untouched; recomputed cells are counted as
 /// incremental work).
 pub fn restore_matrix<'a>(
-    inum: &'a Inum<'a>,
+    inum: &Inum<'a>,
     decoded: DecodedSnapshot,
 ) -> Result<(CostMatrix<'a>, RestoreReport), PersistError> {
     let t0 = Instant::now();
@@ -980,6 +983,7 @@ pub fn restore_matrix<'a>(
         .collect();
 
     let mut core = decoded.core;
+    core.counters = inum.lookup_counters();
     let mut invalidated = 0u64;
     if !stale_tables.is_empty() {
         let stale: Vec<bool> = (0..now.len())
@@ -1235,7 +1239,15 @@ mod tests {
             0,
             "restore must not count a build"
         );
+        let before = (inum.matrix_stats().lookups, inum2.matrix_stats().lookups);
         assert_same_costs(&live, &restored);
+        let after = (inum.matrix_stats().lookups, inum2.matrix_stats().lookups);
+        assert_eq!(
+            after.0 - before.0,
+            after.1 - before.1,
+            "a restored matrix counts its lookups on the INUM it was bound to"
+        );
+        assert!(after.1 > before.1);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! - [`MatrixSnapshot`] is an immutable, self-contained copy of the
 //!   matrix's cells and registries (no borrow of the owning
 //!   [`crate::Inum`]), tagged with a strictly monotonic publication
-//!   generation. All read methods of the matrix are available on it.
+//!   generation. It dereferences to the [`MatrixCore`] it carries, where
+//!   every read method of the matrix is defined.
 //! - [`PublishSlot`] is the shared mailbox: the writer swaps in a fresh
 //!   `Arc<MatrixSnapshot>` under a (vendored `parking_lot`) write lock —
 //!   writer-side only; readers never touch the lock on the lookup path.
@@ -25,25 +26,11 @@
 //! [`crate::CostMatrix::publish`] clones `Arc`s plus the small registry
 //! vectors — it pays for the epoch's drift, not the matrix size.
 
-use crate::matrix::{
-    CandidateBitset, CostMatrix, FragmentBitset, JointConfig, JointToggle, MatrixCore, SplitBitset,
-};
+use crate::matrix::{LookupCounters, MatrixCore};
 use parking_lot::RwLock;
-use pgdesign_catalog::design::{HorizontalPartitioning, Index, PhysicalDesign};
-use pgdesign_catalog::schema::TableId;
-use pgdesign_query::Workload;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Lookup counters shared by every snapshot published through one slot.
-/// Reader-side increments are `Relaxed` — they are statistics, not
-/// synchronization — so the lookup hot path stays wait-free.
-#[derive(Debug, Default)]
-pub(crate) struct ReaderCounters {
-    lookups: AtomicU64,
-    partition_lookups: AtomicU64,
-}
 
 /// The writer→readers mailbox: holds the current published snapshot and
 /// its generation. The lock guards *publication only*; readers acquire it
@@ -54,33 +41,34 @@ pub(crate) struct PublishSlot {
     /// lock — this is what makes [`MatrixReader::is_stale`] one atomic
     /// load.
     published: AtomicU64,
-    counters: Arc<ReaderCounters>,
+    /// Lookup counters shared by every snapshot published through this
+    /// slot — the reader side's block, stamped onto each published core.
+    counters: Arc<LookupCounters>,
 }
 
 impl PublishSlot {
-    /// A new slot with `core` published as generation 0, so readers
+    /// A new slot with `core` published as `generation`, so readers
     /// acquired before the first explicit publish still see a complete
-    /// matrix.
-    pub(crate) fn new(core: MatrixCore) -> Self {
-        Self::new_at(core, 0)
-    }
-
-    /// A new slot with `core` published as `generation` — used by a warm
-    /// restore ([`crate::matrix::persist`]) so publication numbering
-    /// continues where the durable snapshot left off instead of
-    /// restarting at 0.
+    /// matrix: 0 for a fresh build, the durable snapshot's generation for
+    /// a warm restore ([`crate::matrix::persist`]), so publication
+    /// numbering continues where it left off.
     pub(crate) fn new_at(core: MatrixCore, generation: u64) -> Self {
-        let counters = Arc::new(ReaderCounters::default());
-        let snapshot = Arc::new(MatrixSnapshot {
-            core,
-            generation,
-            counters: Arc::clone(&counters),
-        });
+        let counters = Arc::new(LookupCounters::default());
         PublishSlot {
-            current: RwLock::new(snapshot),
+            current: RwLock::new(Self::snapshot(core, generation, &counters)),
             published: AtomicU64::new(generation),
             counters,
         }
+    }
+
+    /// `core` as a published generation counting on the reader block.
+    fn snapshot(
+        mut core: MatrixCore,
+        generation: u64,
+        counters: &Arc<LookupCounters>,
+    ) -> Arc<MatrixSnapshot> {
+        core.counters = Arc::clone(counters);
+        Arc::new(MatrixSnapshot { core, generation })
     }
 
     /// Publish `core` as the next generation and return it. Existing
@@ -89,11 +77,7 @@ impl PublishSlot {
     pub(crate) fn publish(&self, core: MatrixCore) -> u64 {
         let mut guard = self.current.write();
         let generation = self.published.load(Ordering::Relaxed) + 1;
-        *guard = Arc::new(MatrixSnapshot {
-            core,
-            generation,
-            counters: Arc::clone(&self.counters),
-        });
+        *guard = Self::snapshot(core, generation, &self.counters);
         // Release-publish the generation *after* the swap so a reader that
         // observes generation g through `published` finds (at least) g in
         // `current`.
@@ -125,230 +109,32 @@ impl PublishSlot {
 
 /// An immutable, published generation of the cost matrix.
 ///
-/// Carries every *read* method of [`CostMatrix`] — `cost`, `joint_cost`,
-/// deltas, registries — served from owned cells with no lock and no
-/// [`crate::Inum`] borrow, so it is freely `Send + Sync` across threads.
-/// Obtained via [`CostMatrix::reader`] (or a `TuningSession`'s reader) and
-/// normally accessed through the [`MatrixReader`] handle's `Deref`.
+/// Dereferences to its [`MatrixCore`], so every *read* method — `cost`,
+/// `joint_cost`, deltas, registries — is served from owned cells with no
+/// lock and no [`crate::Inum`] borrow, and the snapshot is freely
+/// `Send + Sync` across threads. Obtained via [`crate::CostMatrix::reader`]
+/// (or a `TuningSession`'s reader) and normally accessed through the
+/// [`MatrixReader`] handle's `Deref`.
 pub struct MatrixSnapshot {
     core: MatrixCore,
     generation: u64,
-    counters: Arc<ReaderCounters>,
 }
 
 impl MatrixSnapshot {
     /// The publication generation of this snapshot: 0 for the build-time
-    /// snapshot, then +1 per [`CostMatrix::publish`]. Strictly monotonic
-    /// across publishes of one matrix.
+    /// snapshot, then +1 per [`crate::CostMatrix::publish`]. Strictly
+    /// monotonic across publishes of one matrix, and distinct from the
+    /// writer's rotation generation at publish time
+    /// ([`MatrixCore::rotation_generation`]).
     pub fn generation(&self) -> u64 {
         self.generation
     }
+}
 
-    /// The owned cell payload, for the durable-snapshot codec
-    /// ([`crate::matrix::persist`]) — a published snapshot is exactly the
-    /// consistent, generation-numbered state worth writing to disk.
-    pub(crate) fn core(&self) -> &MatrixCore {
+impl Deref for MatrixSnapshot {
+    type Target = MatrixCore;
+    fn deref(&self) -> &MatrixCore {
         &self.core
-    }
-
-    /// The writer's *rotation* generation at publish time (bumped by query
-    /// add/retire — the value [`CostMatrix::generation`] returns). Distinct
-    /// from [`Self::generation`], which counts publications.
-    pub fn rotation_generation(&self) -> u64 {
-        self.core.generation()
-    }
-
-    /// The workload this snapshot was computed over (retired entries
-    /// included; see [`Self::active_query_ids`]).
-    pub fn workload(&self) -> &Workload {
-        self.core.workload()
-    }
-
-    /// Total query slots (active + retired).
-    pub fn n_queries(&self) -> usize {
-        self.core.n_queries()
-    }
-
-    /// Total candidate slots (live + freed).
-    pub fn n_candidates(&self) -> usize {
-        self.core.n_candidates()
-    }
-
-    /// Live `(id, index)` candidates.
-    pub fn candidates(&self) -> impl Iterator<Item = (usize, &Index)> {
-        self.core.candidates()
-    }
-
-    /// The index registered under `id`, if live.
-    pub fn candidate(&self, id: usize) -> Option<&Index> {
-        self.core.candidate(id)
-    }
-
-    /// The id `index` is registered under, if any.
-    pub fn candidate_id(&self, index: &Index) -> Option<usize> {
-        self.core.candidate_id(index)
-    }
-
-    /// The active workload (retired slots dropped), weights included.
-    pub fn active_workload(&self) -> Workload {
-        self.core.active_workload()
-    }
-
-    /// Ids of the active (non-retired) query slots.
-    pub fn active_query_ids(&self) -> impl Iterator<Item = usize> + '_ {
-        self.core.active_query_ids()
-    }
-
-    /// Whether query slot `id` is active.
-    pub fn query_active(&self, id: usize) -> bool {
-        self.core.query_active(id)
-    }
-
-    /// Weight of query slot `id` (0 if retired/out of range).
-    pub fn query_weight(&self, id: usize) -> f64 {
-        self.core.query_weight(id)
-    }
-
-    /// An empty configuration sized for this snapshot.
-    pub fn empty_config(&self) -> CandidateBitset {
-        self.core.empty_config()
-    }
-
-    /// A configuration holding exactly `ids`.
-    pub fn config_of<I: IntoIterator<Item = usize>>(&self, ids: I) -> CandidateBitset {
-        self.core.config_of(ids)
-    }
-
-    /// The [`PhysicalDesign`] a configuration denotes.
-    pub fn design_of(&self, config: &CandidateBitset) -> PhysicalDesign {
-        self.core.design_of(config)
-    }
-
-    /// Cost of `query_id` under the configuration — pure lookups against
-    /// the pinned cells; no lock, no optimizer call.
-    pub fn cost(&self, query_id: usize, config: &CandidateBitset) -> f64 {
-        self.counters.lookups.fetch_add(1, Ordering::Relaxed);
-        self.core
-            .cost_toggled(query_id, config, usize::MAX, usize::MAX)
-    }
-
-    /// Cost under `config ∪ {extra}` without materializing the union.
-    pub fn cost_plus(&self, query_id: usize, config: &CandidateBitset, extra: usize) -> f64 {
-        self.counters.lookups.fetch_add(1, Ordering::Relaxed);
-        self.core.cost_toggled(query_id, config, extra, usize::MAX)
-    }
-
-    /// Cost under `config ∖ {removed}` without materializing the
-    /// difference.
-    pub fn cost_minus(&self, query_id: usize, config: &CandidateBitset, removed: usize) -> f64 {
-        self.counters.lookups.fetch_add(1, Ordering::Relaxed);
-        self.core
-            .cost_toggled(query_id, config, usize::MAX, removed)
-    }
-
-    /// Cost change from adding `cand` (negative = improvement).
-    pub fn delta_add(&self, query_id: usize, config: &CandidateBitset, cand: usize) -> f64 {
-        self.cost_plus(query_id, config, cand) - self.cost(query_id, config)
-    }
-
-    /// Cost change from removing `cand` (positive = regression).
-    pub fn delta_remove(&self, query_id: usize, config: &CandidateBitset, cand: usize) -> f64 {
-        self.cost_minus(query_id, config, cand) - self.cost(query_id, config)
-    }
-
-    /// Weighted workload cost under the configuration (active queries
-    /// only).
-    pub fn workload_cost(&self, config: &CandidateBitset) -> f64 {
-        self.active_query_ids()
-            .map(|qi| self.core.query_weight(qi) * self.cost(qi, config))
-            .sum()
-    }
-
-    /// Weighted workload cost under `config ∪ {extra}`.
-    pub fn workload_cost_plus(&self, config: &CandidateBitset, extra: usize) -> f64 {
-        self.active_query_ids()
-            .map(|qi| self.core.query_weight(qi) * self.cost_plus(qi, config, extra))
-            .sum()
-    }
-
-    /// Number of registered fragment candidates.
-    pub fn n_fragments(&self) -> usize {
-        self.core.n_fragments()
-    }
-
-    /// Number of registered split candidates.
-    pub fn n_splits(&self) -> usize {
-        self.core.n_splits()
-    }
-
-    /// The (normalised) column group of a registered fragment.
-    pub fn fragment_columns(&self, id: usize) -> &[u16] {
-        self.core.fragment_columns(id)
-    }
-
-    /// The table a registered fragment belongs to.
-    pub fn fragment_table(&self, id: usize) -> TableId {
-        self.core.fragment_table(id)
-    }
-
-    /// The partitioning of a registered split candidate.
-    pub fn split(&self, id: usize) -> &HorizontalPartitioning {
-        self.core.split(id)
-    }
-
-    /// An empty joint configuration sized for this snapshot.
-    pub fn empty_joint(&self) -> JointConfig {
-        self.core.empty_joint()
-    }
-
-    /// The [`PhysicalDesign`] a joint configuration denotes.
-    pub fn joint_design_of(&self, cfg: &JointConfig) -> PhysicalDesign {
-        self.core.joint_design_of(cfg)
-    }
-
-    /// Cost of `query_id` under a joint configuration.
-    pub fn joint_cost(&self, query_id: usize, cfg: &JointConfig) -> f64 {
-        self.joint_cost_with(query_id, cfg, &JointToggle::default())
-    }
-
-    /// Cost of `query_id` under `cfg` with `toggle`'s virtual edits
-    /// applied.
-    pub fn joint_cost_with(&self, query_id: usize, cfg: &JointConfig, toggle: &JointToggle) -> f64 {
-        self.counters.lookups.fetch_add(1, Ordering::Relaxed);
-        if !cfg.partitions_empty() || !toggle.is_noop() {
-            self.counters
-                .partition_lookups
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        self.core.joint_cost_with(query_id, cfg, toggle)
-    }
-
-    /// Weighted workload cost under a joint configuration.
-    pub fn joint_workload_cost(&self, cfg: &JointConfig) -> f64 {
-        self.active_query_ids()
-            .map(|qi| self.core.query_weight(qi) * self.joint_cost(qi, cfg))
-            .sum()
-    }
-
-    /// Weighted workload cost under `cfg` with `toggle` applied.
-    pub fn joint_workload_cost_with(&self, cfg: &JointConfig, toggle: &JointToggle) -> f64 {
-        self.active_query_ids()
-            .map(|qi| self.core.query_weight(qi) * self.joint_cost_with(qi, cfg, toggle))
-            .sum()
-    }
-
-    /// Workload-cost change from replacing fragments `a`, `b` with their
-    /// merge `merged` (negative = improvement).
-    pub fn delta_merge(&self, cfg: &JointConfig, a: usize, b: usize, merged: usize) -> f64 {
-        self.joint_workload_cost_with(cfg, &JointToggle::merge(a, b, merged))
-            - self.joint_workload_cost(cfg)
-    }
-
-    /// Workload-cost change from applying horizontal split `split`
-    /// (negative = improvement).
-    pub fn delta_split(&self, cfg: &JointConfig, split: usize) -> f64 {
-        self.joint_workload_cost_with(cfg, &JointToggle::split(split))
-            - self.joint_workload_cost(cfg)
     }
 }
 
@@ -404,180 +190,6 @@ impl Deref for MatrixReader {
     }
 }
 
-/// Read-only view of a cost matrix — implemented by both the writer-side
-/// [`CostMatrix`] and the published [`MatrixSnapshot`], so analysis code
-/// (the interaction sweep, report helpers) can run unchanged against
-/// either: `&dyn MatrixView` at the call site picks the live matrix or a
-/// pinned snapshot.
-///
-/// Object-safe by construction: iterator-returning and generic methods of
-/// the concrete types appear here in owned/slice form
-/// ([`Self::active_query_ids_vec`], [`Self::config_with`]).
-pub trait MatrixView {
-    /// Total query slots (active + retired).
-    fn n_queries(&self) -> usize;
-    /// Total candidate slots (live + freed).
-    fn n_candidates(&self) -> usize;
-    /// Number of registered fragment candidates.
-    fn n_fragments(&self) -> usize;
-    /// Number of registered split candidates.
-    fn n_splits(&self) -> usize;
-    /// The index registered under `id`, if live.
-    fn candidate(&self, id: usize) -> Option<&Index>;
-    /// The id `index` is registered under, if any.
-    fn candidate_id(&self, index: &Index) -> Option<usize>;
-    /// Whether query slot `id` is active.
-    fn query_active(&self, id: usize) -> bool;
-    /// Weight of query slot `id` (0 if retired/out of range).
-    fn query_weight(&self, id: usize) -> f64;
-    /// Ids of the active (non-retired) query slots.
-    fn active_query_ids_vec(&self) -> Vec<usize>;
-    /// Cost of `query_id` under the configuration.
-    fn cost(&self, query_id: usize, config: &CandidateBitset) -> f64;
-    /// Cost under `config ∪ {extra}`.
-    fn cost_plus(&self, query_id: usize, config: &CandidateBitset, extra: usize) -> f64;
-    /// Cost under `config ∖ {removed}`.
-    fn cost_minus(&self, query_id: usize, config: &CandidateBitset, removed: usize) -> f64;
-    /// Cost of `query_id` under a joint configuration.
-    fn joint_cost(&self, query_id: usize, cfg: &JointConfig) -> f64;
-    /// Cost of `query_id` under `cfg` with `toggle` applied.
-    fn joint_cost_with(&self, query_id: usize, cfg: &JointConfig, toggle: &JointToggle) -> f64;
-    /// The [`PhysicalDesign`] a configuration denotes.
-    fn design_of(&self, config: &CandidateBitset) -> PhysicalDesign;
-    /// The [`PhysicalDesign`] a joint configuration denotes.
-    fn joint_design_of(&self, cfg: &JointConfig) -> PhysicalDesign;
-
-    /// An empty configuration sized for this view.
-    fn empty_config(&self) -> CandidateBitset {
-        CandidateBitset::new(self.n_candidates())
-    }
-
-    /// A configuration holding exactly `ids`.
-    fn config_with(&self, ids: &[usize]) -> CandidateBitset {
-        CandidateBitset::from_ids(self.n_candidates(), ids.iter().copied())
-    }
-
-    /// An empty joint configuration sized for this view.
-    fn empty_joint(&self) -> JointConfig {
-        JointConfig {
-            indexes: self.empty_config(),
-            fragments: FragmentBitset::new(self.n_fragments()),
-            splits: SplitBitset::new(self.n_splits()),
-        }
-    }
-
-    /// Weighted workload cost under the configuration (active queries
-    /// only).
-    fn workload_cost(&self, config: &CandidateBitset) -> f64 {
-        self.active_query_ids_vec()
-            .into_iter()
-            .map(|qi| self.query_weight(qi) * self.cost(qi, config))
-            .sum()
-    }
-}
-
-impl MatrixView for CostMatrix<'_> {
-    fn n_queries(&self) -> usize {
-        CostMatrix::n_queries(self)
-    }
-    fn n_candidates(&self) -> usize {
-        CostMatrix::n_candidates(self)
-    }
-    fn n_fragments(&self) -> usize {
-        CostMatrix::n_fragments(self)
-    }
-    fn n_splits(&self) -> usize {
-        CostMatrix::n_splits(self)
-    }
-    fn candidate(&self, id: usize) -> Option<&Index> {
-        CostMatrix::candidate(self, id)
-    }
-    fn candidate_id(&self, index: &Index) -> Option<usize> {
-        CostMatrix::candidate_id(self, index)
-    }
-    fn query_active(&self, id: usize) -> bool {
-        CostMatrix::query_active(self, id)
-    }
-    fn query_weight(&self, id: usize) -> f64 {
-        CostMatrix::query_weight(self, id)
-    }
-    fn active_query_ids_vec(&self) -> Vec<usize> {
-        CostMatrix::active_query_ids(self).collect()
-    }
-    fn cost(&self, query_id: usize, config: &CandidateBitset) -> f64 {
-        CostMatrix::cost(self, query_id, config)
-    }
-    fn cost_plus(&self, query_id: usize, config: &CandidateBitset, extra: usize) -> f64 {
-        CostMatrix::cost_plus(self, query_id, config, extra)
-    }
-    fn cost_minus(&self, query_id: usize, config: &CandidateBitset, removed: usize) -> f64 {
-        CostMatrix::cost_minus(self, query_id, config, removed)
-    }
-    fn joint_cost(&self, query_id: usize, cfg: &JointConfig) -> f64 {
-        CostMatrix::joint_cost(self, query_id, cfg)
-    }
-    fn joint_cost_with(&self, query_id: usize, cfg: &JointConfig, toggle: &JointToggle) -> f64 {
-        CostMatrix::joint_cost_with(self, query_id, cfg, toggle)
-    }
-    fn design_of(&self, config: &CandidateBitset) -> PhysicalDesign {
-        CostMatrix::design_of(self, config)
-    }
-    fn joint_design_of(&self, cfg: &JointConfig) -> PhysicalDesign {
-        CostMatrix::joint_design_of(self, cfg)
-    }
-}
-
-impl MatrixView for MatrixSnapshot {
-    fn n_queries(&self) -> usize {
-        MatrixSnapshot::n_queries(self)
-    }
-    fn n_candidates(&self) -> usize {
-        MatrixSnapshot::n_candidates(self)
-    }
-    fn n_fragments(&self) -> usize {
-        MatrixSnapshot::n_fragments(self)
-    }
-    fn n_splits(&self) -> usize {
-        MatrixSnapshot::n_splits(self)
-    }
-    fn candidate(&self, id: usize) -> Option<&Index> {
-        MatrixSnapshot::candidate(self, id)
-    }
-    fn candidate_id(&self, index: &Index) -> Option<usize> {
-        MatrixSnapshot::candidate_id(self, index)
-    }
-    fn query_active(&self, id: usize) -> bool {
-        MatrixSnapshot::query_active(self, id)
-    }
-    fn query_weight(&self, id: usize) -> f64 {
-        MatrixSnapshot::query_weight(self, id)
-    }
-    fn active_query_ids_vec(&self) -> Vec<usize> {
-        MatrixSnapshot::active_query_ids(self).collect()
-    }
-    fn cost(&self, query_id: usize, config: &CandidateBitset) -> f64 {
-        MatrixSnapshot::cost(self, query_id, config)
-    }
-    fn cost_plus(&self, query_id: usize, config: &CandidateBitset, extra: usize) -> f64 {
-        MatrixSnapshot::cost_plus(self, query_id, config, extra)
-    }
-    fn cost_minus(&self, query_id: usize, config: &CandidateBitset, removed: usize) -> f64 {
-        MatrixSnapshot::cost_minus(self, query_id, config, removed)
-    }
-    fn joint_cost(&self, query_id: usize, cfg: &JointConfig) -> f64 {
-        MatrixSnapshot::joint_cost(self, query_id, cfg)
-    }
-    fn joint_cost_with(&self, query_id: usize, cfg: &JointConfig, toggle: &JointToggle) -> f64 {
-        MatrixSnapshot::joint_cost_with(self, query_id, cfg, toggle)
-    }
-    fn design_of(&self, config: &CandidateBitset) -> PhysicalDesign {
-        MatrixSnapshot::design_of(self, config)
-    }
-    fn joint_design_of(&self, cfg: &JointConfig) -> PhysicalDesign {
-        MatrixSnapshot::joint_design_of(self, cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -588,14 +200,21 @@ mod tests {
     use pgdesign_optimizer::Optimizer;
     use pgdesign_query::generators::sdss_workload;
 
-    // The whole point of the split: snapshots and readers cross threads.
+    // The whole point of the split: snapshots and readers cross threads,
+    // and the one read type borrows nothing.
     fn assert_send_sync<T: Send + Sync>() {}
+    fn assert_static<T: 'static>() {}
+    fn assert_clone<T: Clone>() {}
 
     #[test]
     fn snapshot_and_reader_are_send_sync() {
         assert_send_sync::<MatrixSnapshot>();
         assert_send_sync::<MatrixReader>();
         assert_send_sync::<PublishSlot>();
+        assert_send_sync::<MatrixCore>();
+        assert_static::<MatrixCore>();
+        assert_send_sync::<Inum<'_>>();
+        assert_clone::<Inum<'_>>();
     }
 
     #[test]
@@ -669,26 +288,5 @@ mod tests {
         assert_eq!(inum.stats(), before);
         assert_eq!(inum.matrix_stats().lookups, before_matrix.lookups);
         assert_eq!(matrix.reader_lookups(), 2 * reader.n_queries() as u64);
-    }
-
-    #[test]
-    fn view_trait_serves_matrix_and_snapshot_identically() {
-        let catalog = sdss_catalog(0.01);
-        let opt = Optimizer::new();
-        let inum = Inum::new(&catalog, &opt);
-        let w = sdss_workload(&catalog, 5, 13);
-        let cands = workload_candidates(&catalog, &w, &CandidateConfig::default());
-        let matrix = CostMatrix::build(&inum, &w, &cands.indexes);
-        let reader = matrix.reader();
-
-        let views: [&dyn MatrixView; 2] = [&matrix, reader.snapshot()];
-        let ids: Vec<usize> = (0..cands.indexes.len().min(3)).collect();
-        let cfg = views[0].config_with(&ids);
-        for qi in views[0].active_query_ids_vec() {
-            let a = views[0].cost(qi, &cfg);
-            let b = views[1].cost(qi, &cfg);
-            assert_eq!(a, b, "matrix and snapshot disagree on Q{qi}");
-        }
-        assert_eq!(views[0].workload_cost(&cfg), views[1].workload_cost(&cfg));
     }
 }

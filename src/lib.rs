@@ -2,4 +2,7 @@
 //!
 //! The real library surface lives in the `pgdesign` facade crate and the
 //! per-component crates (`pgdesign-catalog`, `pgdesign-optimizer`, ...).
+
+#![forbid(unsafe_code)]
+
 pub use pgdesign as facade;

@@ -150,7 +150,7 @@ proptest! {
 }
 
 /// Delta evaluation equals full re-evaluation: adding (removing) one
-/// candidate through [`CostMatrix::delta_add`] / [`CostMatrix::delta_remove`]
+/// candidate through [`pgdesign_inum::MatrixCore::delta_add`] / `delta_remove`
 /// matches the cost difference of the materialized configurations.
 #[test]
 fn matrix_delta_matches_full_reevaluation() {
@@ -282,7 +282,7 @@ proptest! {
 }
 
 /// Delta evaluation equals full re-evaluation on the partition level:
-/// [`CostMatrix::delta_merge`] / [`CostMatrix::delta_split`] match the
+/// [`pgdesign_inum::MatrixCore::delta_merge`] / `delta_split` match the
 /// workload-cost difference of the materialized edited configurations.
 #[test]
 fn joint_delta_matches_full_reevaluation() {
