@@ -46,12 +46,23 @@ doc:
 # Advisor API exercised exactly the way the README shows it.
 EXAMPLES := quickstart scenario1_interactive scenario2_offline \
             scenario3_online portability_tpch write_aware
+# Then the CLI past 20 indexes (the interaction analysis and the schedules
+# have no bound on the index count): 22 what-if indexes through
+# `evaluate`, and a `recommend` that chooses 28.
+WIDE_INDEXES := objid ra dec type u g r i z run camcol field flags status \
+                rowc colc type,r r,type u,g g,r run,camcol ra,dec
 examples:
 	$(CARGO) build --release --examples
 	@set -e; for ex in $(EXAMPLES); do \
 	  echo "== example: $$ex =="; \
 	  $(CARGO) run -q --release --example $$ex >/dev/null; \
 	done; echo "all examples ran"
+	$(CARGO) build --release
+	./target/release/pgdesign evaluate --workload builtin:20 \
+	  $(foreach c,$(WIDE_INDEXES),--index photoobj:$(c)) >/dev/null
+	./target/release/pgdesign recommend --workload examples/wide_workload.sql \
+	  --budget-frac 10 >/dev/null
+	@echo "evaluate at 22 indexes and recommend at 28 ran"
 
 # The E1-E7 experiment benches (report + timing per experiment).
 bench:

@@ -11,7 +11,10 @@
 //! zero per-design [`pgdesign_inum::Inum::cost`] calls after the session's
 //! warm-up build, which is what makes re-evaluation instant while the
 //! user explores. Removing a structure only clears its bit: the cells
-//! stay resident, so toggling it back is free.
+//! stay resident, so toggling it back is free. The graph is a pure
+//! function of the matrix and the selected ids — per query it sweeps only
+//! the selected indexes that own a cell on that query — so the session
+//! keeps no analysis state between steps.
 
 use crate::designer::Designer;
 use crate::report::TuningStats;
@@ -386,8 +389,12 @@ impl<'a> InteractiveSession<'a> {
         }
     }
 
-    /// The interaction graph over the session's what-if indexes (Fig 2) —
-    /// the `2^k` subset sweep runs on the session matrix's resident cells.
+    /// The interaction graph over the session's what-if indexes (Fig 2),
+    /// recomputed from the session matrix's resident cells on every call:
+    /// each query sweeps only the selected indexes with a cell on it
+    /// (`Σ_q 2^r_q` lookups, see [`pgdesign_interaction`]), so the graph
+    /// follows a toggle at lookup speed and there is nothing to
+    /// invalidate.
     pub fn interaction_graph(&self) -> InteractionGraph {
         let ids: Vec<usize> = self.cfg.indexes.ids().collect();
         let analysis = analyze_on(self.session.matrix(), &ids, &InteractionConfig::default());

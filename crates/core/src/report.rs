@@ -302,8 +302,11 @@ pub fn render_offline(r: &OfflineReport, f: &mut fmt::Formatter<'_>) -> fmt::Res
 
     writeln!(
         f,
-        "-- Index interactions: {} pair(s) above threshold --",
-        r.graph.edge_count()
+        "-- Index interactions: {} pair(s) above threshold --{}",
+        r.graph.edge_count(),
+        r.graph
+            .sampling_note()
+            .map_or(String::new(), |note| format!(" {note}"))
     )?;
     for (i, j, w) in r.graph.top_edges(5) {
         writeln!(f, "   doi(#{}, #{}) = {:.4}", i + 1, j + 1, w)?;

@@ -357,7 +357,7 @@ impl SessionReader {
     }
 
     /// The interaction graph over resident candidate ids, computed
-    /// entirely against the pinned snapshot (the `2^k` subset sweep never
+    /// entirely against the pinned snapshot (the per-query sweep never
     /// touches the writer).
     pub fn interaction_graph(
         &self,
@@ -664,7 +664,8 @@ impl Advisor for OfflineAdvisor {
 
 /// Degree-of-interaction analysis over an explicit candidate set as a
 /// session advisor: the candidates are registered on the session matrix
-/// (reusing resident cells) and the `2^k` subset sweep is pure lookups.
+/// (reusing resident cells) and the per-query sweep — `2^r_q` lookups for a
+/// query with `r_q` of the candidates on it — is pure lookups.
 #[derive(Debug, Clone)]
 pub struct InteractionAdvisor {
     /// The candidate indexes to analyze.

@@ -256,6 +256,56 @@ fn session_steps_through_whatif_structures() {
     );
 }
 
+/// Sixteen single-column and six composite photoobj indexes.
+fn twenty_two_index_flags() -> Vec<String> {
+    "objid ra dec type u g r i z run camcol field flags status rowc colc \
+     type,r r,type u,g g,r run,camcol ra,dec"
+        .split(' ')
+        .flat_map(|cols| ["--index".to_string(), format!("photoobj:{cols}")])
+        .collect()
+}
+
+#[test]
+fn more_than_twenty_indexes_still_get_a_graph() {
+    // Scenario 1's two front doors used to die in the interaction
+    // analysis past 20 selected indexes.
+    for subcommand in ["evaluate", "session"] {
+        let mut args = vec![subcommand.to_string()];
+        args.extend(["--workload", "builtin:20"].map(String::from));
+        args.extend(twenty_two_index_flags());
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let out = pgdesign(&args);
+        assert!(out.status.success(), "{subcommand} with 22 indexes");
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(
+            text.contains("Index interactions:\n") && text.contains("  ~  photoobj("),
+            "{subcommand} must print the interaction graph:\n{text}"
+        );
+    }
+}
+
+#[test]
+fn recommend_schedules_more_than_twenty_chosen_indexes() {
+    let workload = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/wide_workload.sql"
+    );
+    let out = pgdesign(&["recommend", "--workload", workload, "--budget-frac", "10"]);
+    assert!(out.status.success(), "recommend on the wide workload");
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        text.matches("CREATE INDEX").count() > 20,
+        "the repro needs more than 20 chosen indexes:\n{text}"
+    );
+    for needle in [
+        "-- Index interactions: ",
+        "interaction-aware order: [",
+        "naive order: ",
+    ] {
+        assert!(text.contains(needle), "must print {needle:?}:\n{text}");
+    }
+}
+
 #[test]
 fn session_rejects_malformed_structure_specs() {
     let out = pgdesign(&[

@@ -18,6 +18,10 @@ pub struct InteractionGraph {
     pub indexes: Vec<Index>,
     /// Edges `(i, j, doi)` with `i < j`, sorted by weight descending.
     pub edges: Vec<(usize, usize, f64)>,
+    /// Queries whose contexts the analysis sampled
+    /// ([`InteractionAnalysis::sampled_queries`]); 0 means every weight is
+    /// exact.
+    pub sampled_queries: usize,
 }
 
 impl InteractionGraph {
@@ -36,7 +40,16 @@ impl InteractionGraph {
         InteractionGraph {
             indexes: an.indexes.clone(),
             edges,
+            sampled_queries: an.sampled_queries,
         }
+    }
+
+    /// `(contexts sampled on N queries)` when the analysis behind this
+    /// graph had to sample, `None` when every weight is exact — what the
+    /// text renderings put beside their header.
+    pub fn sampling_note(&self) -> Option<String> {
+        (self.sampled_queries > 0)
+            .then(|| format!("(contexts sampled on {} queries)", self.sampled_queries))
     }
 
     /// The `k` strongest interactions (the UI's display filter).
@@ -66,9 +79,13 @@ impl InteractionGraph {
         s
     }
 
-    /// A plain-text edge list for terminal display.
+    /// A plain-text edge list for terminal display, headed by
+    /// [`Self::sampling_note`] when there is one.
     pub fn to_text(&self, schema: &Schema, k: usize) -> String {
         let mut s = String::new();
+        if let Some(note) = self.sampling_note() {
+            let _ = writeln!(s, "{note}");
+        }
         for (i, j, w) in self.top_edges(k) {
             let _ = writeln!(
                 s,
@@ -107,6 +124,7 @@ mod tests {
                 vec![0.8, 0.0, 0.3],
                 vec![0.0, 0.3, 0.0],
             ],
+            sampled_queries: 0,
         };
         (schema, InteractionGraph::from_analysis(&an))
     }
@@ -144,5 +162,15 @@ mod tests {
         let text = g.to_text(&schema, 1);
         assert_eq!(text.lines().count(), 1);
         assert!(text.contains("t(a)") && text.contains("t(b)"));
+    }
+
+    #[test]
+    fn text_render_says_when_contexts_were_sampled() {
+        let (schema, mut g) = sample();
+        assert_eq!(g.sampling_note(), None);
+        g.sampled_queries = 3;
+        let text = g.to_text(&schema, 1);
+        assert_eq!(text.lines().count(), 2);
+        assert!(text.starts_with("(contexts sampled on 3 queries)\n"));
     }
 }

@@ -20,10 +20,14 @@
 //! top of configuration `X`.
 //!
 //! The crate provides:
-//! * [`analyze`] — the doi matrix over a candidate set, with configuration
-//!   costs memoized through INUM (subsets shared across pairs, so the
-//!   whole analysis costs `O(2^n · |W|)` cached cost calls, sampled when
-//!   `n` is large);
+//! * [`analyze`] / [`analyze_on`] — the doi matrix over a candidate set,
+//!   factorised per query: `doi` is a `max` over queries, and a query's
+//!   cost depends only on the `r_q` analysed candidates that own a cell on
+//!   it, so each query sweeps `2^r_q` configurations of its own instead of
+//!   all `2^n` — `Σ_q 2^r_q` matrix lookups in total, with no bound on `n`
+//!   itself. A query whose `2^(r_q − 2)` contexts per pair exceed
+//!   [`InteractionConfig::max_subsets`] (`r_q > 10` by default) has them
+//!   stride-sampled, and the result says on how many queries that bit;
 //! * [`InteractionGraph`] — Figure 2's weighted undirected graph, with
 //!   top-k edge filtering ("the user can dynamically change the number of
 //!   interactions displayed") and DOT export;
@@ -36,6 +40,8 @@
 #![forbid(unsafe_code)]
 
 pub mod graph;
+#[cfg(test)]
+mod oracle;
 pub mod schedule;
 
 pub use graph::InteractionGraph;
@@ -43,7 +49,7 @@ pub use schedule::{
     exact_schedule, greedy_schedule, naive_schedule, schedule_pair, schedule_pair_on, Schedule,
 };
 
-use pgdesign_catalog::design::{Index, PhysicalDesign};
+use pgdesign_catalog::design::Index;
 use pgdesign_inum::{CostMatrix, Inum, MatrixCore};
 use pgdesign_query::Workload;
 use std::collections::HashMap;
@@ -51,146 +57,15 @@ use std::collections::HashMap;
 /// Analysis knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct InteractionConfig {
-    /// Cap on enumerated configurations per pair context. When `2^n`
-    /// exceeds this, subsets are sampled deterministically.
+    /// Cap on enumerated contexts per pair and query. A query on which
+    /// `r` analysed candidates own a cell has `2^(r − 2)` contexts per
+    /// pair; past this cap they are sampled deterministically.
     pub max_subsets: usize,
 }
 
 impl Default for InteractionConfig {
     fn default() -> Self {
         InteractionConfig { max_subsets: 256 }
-    }
-}
-
-/// The matrix a [`ConfigCostCache`] serves lookups from: either one it
-/// built (and owns) for a standalone analysis, or a borrowed core — that
-/// of a live session matrix *or* of a published snapshot
-/// ([`pgdesign_inum::MatrixSnapshot`]), which is how concurrent readers
-/// run interaction analyses without blocking the writer.
-enum MatrixHandle<'m, 'a> {
-    Owned(Box<CostMatrix<'a>>),
-    Borrowed(&'m MatrixCore),
-}
-
-impl MatrixHandle<'_, '_> {
-    fn core(&self) -> &MatrixCore {
-        match self {
-            MatrixHandle::Owned(m) => m,
-            MatrixHandle::Borrowed(m) => m,
-        }
-    }
-}
-
-/// Memoized workload costs per index-subset bitmask, served from a
-/// precomputed [`CostMatrix`]: each first-seen subset costs one matrix
-/// lookup per query (additions and `min`s over precomputed floats), never
-/// a design construction or an access-path enumeration. The `2^k` subset
-/// sweep of [`analyze`] runs entirely on this.
-///
-/// Bit `b` of a mask selects `ids[b]` — the cache maps compact mask
-/// positions onto arbitrary candidate ids, so it works both over a matrix
-/// it built itself ([`ConfigCostCache::new`], ids `0..n`) and over a slice
-/// of an existing session matrix ([`ConfigCostCache::on_matrix`], any live
-/// ids, no rebuild).
-pub struct ConfigCostCache<'m, 'a> {
-    handle: MatrixHandle<'m, 'a>,
-    /// Mask bit position → candidate id in the matrix.
-    ids: Vec<usize>,
-    /// Active query ids at construction time.
-    qids: Vec<usize>,
-    weights: Vec<f64>,
-    costs: HashMap<u32, Vec<f64>>,
-}
-
-impl<'m, 'a> ConfigCostCache<'m, 'a> {
-    /// New cache over a candidate set (builds and owns its matrix).
-    pub fn new(inum: &Inum<'a>, workload: &Workload, indexes: &[Index]) -> Self {
-        let matrix = CostMatrix::build(inum, workload, indexes);
-        let ids = (0..indexes.len()).collect();
-        Self::with_handle(MatrixHandle::Owned(Box::new(matrix)), ids)
-    }
-
-    /// New cache over `candidate_ids` of an existing matrix (`&CostMatrix`,
-    /// `&MatrixSnapshot` and the reader handles all deref-coerce to
-    /// `&MatrixCore`) — no rebuild; every lookup is served from the
-    /// resident cells. The ids must be live candidates of `matrix`.
-    pub fn on_matrix(matrix: &'m MatrixCore, candidate_ids: Vec<usize>) -> Self {
-        Self::with_handle(MatrixHandle::Borrowed(matrix), candidate_ids)
-    }
-
-    fn with_handle(handle: MatrixHandle<'m, 'a>, ids: Vec<usize>) -> Self {
-        assert!(
-            ids.len() <= 20,
-            "interaction analysis supports ≤ 20 indexes"
-        );
-        let m = handle.core();
-        let qids: Vec<usize> = m.active_query_ids().collect();
-        let weights = qids.iter().map(|&q| m.query_weight(q)).collect();
-        ConfigCostCache {
-            handle,
-            ids,
-            qids,
-            weights,
-            costs: HashMap::new(),
-        }
-    }
-
-    /// The matrix lookups are served from.
-    pub fn matrix(&self) -> &MatrixCore {
-        self.handle.core()
-    }
-
-    /// Number of (active) queries each cost vector covers.
-    pub fn n_queries(&self) -> usize {
-        self.qids.len()
-    }
-
-    /// Per-query costs under the subset encoded by `mask` (aligned with
-    /// the active queries of the matrix at cache construction).
-    pub fn query_costs(&mut self, mask: u32) -> &[f64] {
-        if !self.costs.contains_key(&mask) {
-            let selected: Vec<usize> = self
-                .ids
-                .iter()
-                .enumerate()
-                .filter(|&(bit, _)| mask & (1 << bit) != 0)
-                .map(|(_, &id)| id)
-                .collect();
-            let config = self.matrix().config_of(selected);
-            let costs: Vec<f64> = self
-                .qids
-                .iter()
-                .map(|&qi| self.matrix().cost(qi, &config))
-                .collect();
-            self.costs.insert(mask, costs);
-        }
-        &self.costs[&mask]
-    }
-
-    /// Weighted workload cost under the subset encoded by `mask`.
-    pub fn workload_cost(&mut self, mask: u32) -> f64 {
-        self.query_costs(mask); // fill the memo
-        self.costs[&mask]
-            .iter()
-            .zip(&self.weights)
-            .map(|(c, w)| c * w)
-            .sum()
-    }
-
-    /// The design corresponding to a bitmask (slow-path bridge).
-    pub fn design_of(&self, mask: u32) -> PhysicalDesign {
-        PhysicalDesign::with_indexes(
-            self.ids
-                .iter()
-                .enumerate()
-                .filter(|&(bit, _)| mask & (1 << bit) != 0)
-                .filter_map(|(_, &id)| self.matrix().candidate(id).cloned()),
-        )
-    }
-
-    /// Number of distinct configurations costed so far.
-    pub fn configurations_costed(&self) -> usize {
-        self.costs.len()
     }
 }
 
@@ -202,6 +77,10 @@ pub struct InteractionAnalysis {
     /// Symmetric degree-of-interaction matrix (`doi[i][j] = doi[j][i]`,
     /// diagonal zero).
     pub doi: Vec<Vec<f64>>,
+    /// Queries whose contexts were stride-sampled rather than enumerated
+    /// (0 whenever no query has more than `log2(max_subsets) + 2` of the
+    /// analysed candidates on it — the `doi` values are then exact).
+    pub sampled_queries: usize,
 }
 
 impl InteractionAnalysis {
@@ -245,25 +124,26 @@ impl InteractionAnalysis {
     }
 }
 
-/// Subset masks to explore for a pair context of `n` free indexes.
-fn subset_masks(n_free: usize, max_subsets: usize) -> Vec<u32> {
-    let total = 1u64 << n_free;
-    if total as usize <= max_subsets {
-        (0..total as u32).collect()
-    } else {
-        // Deterministic stride sampling, always including ∅ and the full
-        // set (the extreme contexts where interactions usually peak).
-        let mut masks: Vec<u32> = Vec::with_capacity(max_subsets);
-        masks.push(0);
-        masks.push((total - 1) as u32);
-        let stride = total / (max_subsets as u64 - 2);
-        let mut m = stride;
-        while m < total - 1 && masks.len() < max_subsets {
-            masks.push(m as u32);
-            m += stride;
-        }
-        masks
+/// Whether all `2^n_free` contexts of a pair fit under the cap.
+fn exhaustive(n_free: usize, max_subsets: usize) -> bool {
+    n_free < usize::BITS as usize && 1usize << n_free <= max_subsets
+}
+
+/// The context sample for a pair with `n_free` free positions, once
+/// [`exhaustive`] says no: deterministic stride sampling, always including
+/// ∅ and the full set (the extreme contexts where interactions usually
+/// peak). Free position `p` is in a context when bit `p % 64` of its mask
+/// is set, so both extremes stay in the sample at any width.
+fn subset_masks(n_free: usize, max_subsets: usize) -> Vec<u64> {
+    let total = 1u128 << n_free.min(64);
+    let mut masks = vec![0, (total - 1) as u64];
+    let stride = total / (max_subsets as u128).saturating_sub(2).max(1);
+    let mut m = stride;
+    while m < total - 1 && masks.len() < max_subsets {
+        masks.push(m as u64);
+        m += stride;
     }
+    masks
 }
 
 /// Compute the degree-of-interaction matrix for a candidate set (builds a
@@ -274,18 +154,20 @@ pub fn analyze(
     indexes: &[Index],
     config: &InteractionConfig,
 ) -> InteractionAnalysis {
-    let cache = ConfigCostCache::new(inum, workload, indexes);
-    analyze_with(cache, indexes.to_vec(), config)
+    let matrix = CostMatrix::build(inum, workload, indexes);
+    let ids: Vec<usize> = (0..indexes.len()).collect();
+    analyze_on(&matrix, &ids, config)
 }
 
 /// Compute the degree-of-interaction matrix for live candidates of an
 /// *existing* matrix — the session-scoped entry: no matrix build, every
-/// subset cost is a pure lookup against the resident cells. Pass the live
-/// [`CostMatrix`] or a published [`pgdesign_inum::MatrixSnapshot`]
+/// configuration cost is a pure lookup against the resident cells. Pass
+/// the live [`CostMatrix`] or a published [`pgdesign_inum::MatrixSnapshot`]
 /// (concurrent readers analyze against a pinned generation while the
 /// writer keeps mutating); both deref-coerce to their [`MatrixCore`].
 /// `candidate_ids` must be live candidate ids of `matrix`; the returned
-/// analysis lists the indexes in the same order.
+/// analysis lists the indexes in the same order. A pure function of the
+/// matrix and the ids: nothing is cached between calls.
 pub fn analyze_on(
     matrix: &MatrixCore,
     candidate_ids: &[usize],
@@ -300,43 +182,48 @@ pub fn analyze_on(
                 .clone()
         })
         .collect();
-    let cache = ConfigCostCache::on_matrix(matrix, candidate_ids.to_vec());
-    analyze_with(cache, indexes, config)
-}
-
-fn analyze_with(
-    mut cache: ConfigCostCache<'_, '_>,
-    indexes: Vec<Index>,
-    config: &InteractionConfig,
-) -> InteractionAnalysis {
-    let n = indexes.len();
+    let n = candidate_ids.len();
     let mut doi = vec![vec![0.0f64; n]; n];
-    if n < 2 {
-        return InteractionAnalysis { indexes, doi };
-    }
+    let mut sampled_queries = 0;
+    let mut selected = matrix.empty_config();
+    // Reused across queries: `cost(q, Y)` for every `Y ⊆ rel`, indexed by
+    // `Y`'s bitmask over `rel`.
+    let mut table: Vec<f64> = Vec::new();
 
-    // Free positions for a pair (a, b): all other indexes.
-    for a in 0..n {
-        for b in (a + 1)..n {
-            let free: Vec<usize> = (0..n).filter(|&k| k != a && k != b).collect();
-            let mut max_doi = 0.0f64;
-            for sub in subset_masks(free.len(), config.max_subsets) {
-                // Expand the compact submask over the free positions.
-                let mut x = 0u32;
-                for (bit, &pos) in free.iter().enumerate() {
-                    if sub & (1 << bit) != 0 {
-                        x |= 1 << pos;
-                    }
-                }
-                let xa = x | (1 << a);
-                let xb = x | (1 << b);
-                let xab = x | (1 << a) | (1 << b);
-                let nq = cache.n_queries();
-                for qi in 0..nq {
-                    let c_x = cache.query_costs(x)[qi];
-                    let c_xa = cache.query_costs(xa)[qi];
-                    let c_xb = cache.query_costs(xb)[qi];
-                    let c_xab = cache.query_costs(xab)[qi];
+    for q in matrix.active_query_ids() {
+        // An index with no cell on `q` cannot change `q`'s cost in any
+        // context, so every pair involving it scores +0.0 here: only the
+        // positions in `rel` need sweeping.
+        let owners = matrix.candidates_on(q);
+        let rel: Vec<usize> = (0..n)
+            .filter(|&p| owners.contains(&candidate_ids[p]))
+            .collect();
+        let r = rel.len();
+        if r < 2 {
+            continue;
+        }
+        // Cost of `q` under the `rel` entries `pick` selects.
+        let mut cost_of = |pick: &dyn Fn(usize) -> bool| {
+            selected.clear();
+            for i in (0..r).filter(|&i| pick(i)) {
+                selected.insert(candidate_ids[rel[i]]);
+            }
+            matrix.cost(q, &selected)
+        };
+        let sample = (!exhaustive(r - 2, config.max_subsets))
+            .then(|| subset_masks(r - 2, config.max_subsets));
+        if sample.is_some() {
+            sampled_queries += 1;
+        } else {
+            table.clear();
+            table.extend((0..1usize << r).map(|y| cost_of(&|i| y >> i & 1 == 1)));
+        }
+
+        for ia in 0..r {
+            for ib in (ia + 1)..r {
+                let (a, b) = (rel[ia], rel[ib]);
+                let mut max_doi = doi[a][b];
+                let mut fold = |c_x: f64, c_xa: f64, c_xb: f64, c_xab: f64| {
                     let delta_a = c_x - c_xa;
                     let delta_a_with_b = c_xb - c_xab;
                     let denom = c_xab.max(1e-9);
@@ -344,24 +231,56 @@ fn analyze_with(
                     if d > max_doi {
                         max_doi = d;
                     }
+                };
+                match &sample {
+                    None => {
+                        let (ma, mb) = (1usize << ia, 1usize << ib);
+                        for x in (0..1usize << r).filter(|x| x & (ma | mb) == 0) {
+                            fold(table[x], table[x | ma], table[x | mb], table[x | ma | mb]);
+                        }
+                    }
+                    Some(masks) => {
+                        for &sub in masks {
+                            // `rel` entry `i` sits at free position `i`
+                            // minus the pair members before it.
+                            let in_x = |i: usize| {
+                                let p = i - usize::from(i > ia) - usize::from(i > ib);
+                                i != ia && i != ib && sub >> (p % 64) & 1 == 1
+                            };
+                            fold(
+                                cost_of(&in_x),
+                                cost_of(&|i| i == ia || in_x(i)),
+                                cost_of(&|i| i == ib || in_x(i)),
+                                cost_of(&|i| i == ia || i == ib || in_x(i)),
+                            );
+                        }
+                    }
                 }
+                doi[a][b] = max_doi;
+                doi[b][a] = max_doi;
             }
-            doi[a][b] = max_doi;
-            doi[b][a] = max_doi;
         }
     }
 
-    InteractionAnalysis { indexes, doi }
+    InteractionAnalysis {
+        indexes,
+        doi,
+        sampled_queries,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgdesign_catalog::samples::sdss_catalog;
+    use pgdesign_catalog::samples::{sdss_catalog, tpch_catalog};
     use pgdesign_catalog::schema::TableId;
     use pgdesign_catalog::Catalog;
+    use pgdesign_optimizer::candidates::{workload_candidates, CandidateConfig};
     use pgdesign_optimizer::Optimizer;
+    use pgdesign_query::generators::{sdss_workload, tpch_workload};
     use pgdesign_query::parse_query;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn photo(c: &Catalog) -> TableId {
         c.schema.table_by_name("photoobj").unwrap().id
@@ -464,34 +383,165 @@ mod tests {
     }
 
     #[test]
-    fn cache_shares_subsets_across_pairs() {
-        let c = sdss_catalog(0.01);
-        let opt = Optimizer::new();
-        let inum = Inum::new(&c, &opt);
-        let w = pgdesign_query::generators::sdss_workload(&c, 9, 43);
-        let t = photo(&c);
-        let indexes = vec![
-            Index::new(t, vec![0]),
-            Index::new(t, vec![1]),
-            Index::new(t, vec![6]),
-        ];
-        let mut cache = ConfigCostCache::new(&inum, &w, &indexes);
-        for mask in 0u32..8 {
-            let _ = cache.workload_cost(mask);
-        }
-        assert_eq!(cache.configurations_costed(), 8);
-        // Re-asking costs nothing new.
-        let _ = cache.workload_cost(5);
-        assert_eq!(cache.configurations_costed(), 8);
-    }
-
-    #[test]
     fn subset_sampling_caps_enumeration() {
-        let all = subset_masks(4, 256);
-        assert_eq!(all.len(), 16);
+        assert!(exhaustive(4, 256));
+        assert!(exhaustive(8, 256));
+        assert!(!exhaustive(9, 256));
+        assert!(!exhaustive(200, usize::MAX));
         let sampled = subset_masks(12, 64);
         assert!(sampled.len() <= 64);
         assert!(sampled.contains(&0));
-        assert!(sampled.contains(&((1u32 << 12) - 1)));
+        assert!(sampled.contains(&((1u64 << 12) - 1)));
+        // Past 64 free positions the extremes are still ∅ and everything.
+        let wide = subset_masks(70, 64);
+        assert!(wide.len() <= 64);
+        assert!(wide.contains(&0) && wide.contains(&u64::MAX));
+    }
+
+    /// One matrix over every candidate of a generated workload, and a
+    /// subset of its candidate ids drawn by `picks` from: every candidate
+    /// (`mode` 0 — several tables, several indexes per table), the
+    /// candidates of one table (1), or the candidates with a cell on one
+    /// query (2 — the large-`r_q` case).
+    fn with_fixture(
+        catalog: &Catalog,
+        workload: &Workload,
+        picks: &[usize],
+        mode: u8,
+        check: impl FnOnce(&MatrixCore, &[usize]),
+    ) {
+        let opt = Optimizer::new();
+        let inum = Inum::new(catalog, &opt);
+        let pool = workload_candidates(catalog, workload, &CandidateConfig::default()).indexes;
+        let matrix = CostMatrix::build(&inum, workload, &pool);
+        let from: Vec<usize> = match mode {
+            1 => {
+                let table = pool[picks[0] % pool.len()].table;
+                (0..pool.len())
+                    .filter(|&id| pool[id].table == table)
+                    .collect()
+            }
+            2 => matrix.candidates_on(picks[0] % workload.len()),
+            _ => (0..pool.len()).collect(),
+        };
+        let mut ids: Vec<usize> = Vec::new();
+        for &p in picks {
+            let id = from[p % from.len()];
+            if !ids.contains(&id) {
+                ids.push(id);
+            }
+        }
+        check(&matrix, &ids);
+    }
+
+    fn assert_same_bits(got: &InteractionAnalysis, want: &[Vec<f64>]) {
+        for (i, row) in want.iter().enumerate() {
+            for (j, w) in row.iter().enumerate() {
+                assert_eq!(
+                    got.doi[i][j].to_bits(),
+                    w.to_bits(),
+                    "doi[{i}][{j}]: {} vs oracle {w}",
+                    got.doi[i][j]
+                );
+            }
+        }
+    }
+
+    /// `k ≤ 10`: the parent's sweep is exhaustive, so every bit must match.
+    fn check_exhaustive(matrix: &MatrixCore, ids: &[usize]) {
+        let cfg = InteractionConfig::default();
+        let an = analyze_on(matrix, ids, &cfg);
+        assert_eq!(an.sampled_queries, 0);
+        assert_same_bits(&an, &oracle::doi(matrix, ids, cfg.max_subsets));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(120))]
+
+        #[test]
+        fn factorised_sweep_has_the_oracle_bits_on_sdss(
+            seed in 0u64..10_000,
+            picks in vec(0usize..100_000, 2..11),
+            mode in 0u8..3,
+        ) {
+            let c = sdss_catalog(0.01);
+            let w = sdss_workload(&c, 10, seed);
+            with_fixture(&c, &w, &picks, mode, check_exhaustive);
+        }
+
+        #[test]
+        fn factorised_sweep_has_the_oracle_bits_on_tpch(
+            seed in 0u64..10_000,
+            picks in vec(0usize..100_000, 2..11),
+            mode in 0u8..3,
+        ) {
+            let c = tpch_catalog(0.01);
+            let w = tpch_workload(&c, 10, seed);
+            with_fixture(&c, &w, &picks, mode, check_exhaustive);
+        }
+    }
+
+    /// `k > 10`: the parent would sample per pair over `k − 2` positions;
+    /// the factorised sweep stays exact while every `r_q ≤ 10`, which the
+    /// un-capped oracle confirms. Returns how many of the drawn subsets
+    /// were exact (the comparison must not pass vacuously).
+    fn exact_beyond_ten(k_range: std::ops::Range<usize>, cases: u64) -> usize {
+        let c = sdss_catalog(0.01);
+        let mut exact = 0;
+        for case in 0..cases {
+            let w = sdss_workload(&c, 8, 500 + case);
+            let k = k_range.start + case as usize % k_range.len();
+            // A run of k consecutive pool entries, starting further in
+            // each case.
+            let picks: Vec<usize> = (0..k).map(|i| i + 3 * case as usize).collect();
+            with_fixture(&c, &w, &picks, 0, |matrix, ids| {
+                assert_eq!(ids.len(), k, "pool holds at least {k} candidates");
+                let an = analyze_on(matrix, ids, &InteractionConfig::default());
+                if an.sampled_queries == 0 {
+                    exact += 1;
+                    assert_same_bits(&an, &oracle::doi(matrix, ids, usize::MAX));
+                }
+            });
+        }
+        exact
+    }
+
+    #[test]
+    fn eleven_to_thirteen_indexes_are_exact_while_no_query_is_sampled() {
+        assert!(exact_beyond_ten(11..14, 6) > 0);
+    }
+
+    #[test]
+    #[ignore = "the oracle is 2^k per pair: minutes in a debug build, run with --release"]
+    fn fourteen_to_twenty_indexes_are_exact_while_no_query_is_sampled() {
+        assert!(exact_beyond_ten(14..21, 7) > 0);
+    }
+
+    #[test]
+    fn a_query_with_more_than_ten_indexes_on_it_is_sampled_and_says_so() {
+        // Twelve indexes that all lead with the one filtered column.
+        let c = sdss_catalog(0.01);
+        let opt = Optimizer::new();
+        let inum = Inum::new(&c, &opt);
+        let w = Workload::from_queries([parse_query(
+            &c.schema,
+            "SELECT objid FROM photoobj WHERE type = 3",
+        )
+        .unwrap()]);
+        let t = photo(&c);
+        let indexes: Vec<Index> = (0..16)
+            .filter(|&col| col != 3)
+            .take(12)
+            .map(|col| Index::new(t, vec![3, col]))
+            .collect();
+        let an = analyze(&inum, &w, &indexes, &InteractionConfig::default());
+        assert_eq!(an.sampled_queries, 1);
+        assert_eq!(an.graph().sampled_queries, 1);
+        assert!(an.doi[0][1] > 0.0, "competing indexes still interact");
+        // Lifting the cap makes the same analysis exact.
+        let all = InteractionConfig {
+            max_subsets: 1 << 10,
+        };
+        assert_eq!(analyze(&inum, &w, &indexes, &all).sampled_queries, 0);
     }
 }

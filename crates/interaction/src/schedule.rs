@@ -10,9 +10,8 @@
 //! benefit in contrast with a schedule that does not take into account
 //! index interaction."
 
-use crate::ConfigCostCache;
 use pgdesign_catalog::design::Index;
-use pgdesign_inum::Inum;
+use pgdesign_inum::{CandidateBitset, CostMatrix, Inum};
 use pgdesign_query::Workload;
 
 /// A materialization schedule and its quality.
@@ -49,77 +48,101 @@ pub fn build_time_with(
     pages as f64 * params.seq_page_cost + params.sort_cost(stats.row_count as f64, key_width + 8.0)
 }
 
-fn evaluate_order(
-    cache: &mut ConfigCostCache<'_, '_>,
-    times: &[f64],
-    order: &[usize],
-) -> (f64, Vec<(f64, f64)>) {
-    let mut mask = 0u32;
-    let mut area = 0.0;
-    let mut clock = 0.0;
-    let mut curve = vec![(0.0, cache.workload_cost(0))];
-    for &i in order {
-        let rate = cache.workload_cost(mask);
-        area += rate * times[i];
-        clock += times[i];
-        mask |= 1 << i;
-        curve.push((clock, cache.workload_cost(mask)));
+/// What every scheduler walks: the candidates to build, by position, on
+/// one matrix. A schedule is a chain of configurations, each the previous
+/// plus one index, so costs are read off a [`CandidateBitset`]
+/// that grows along the chain — no bound on the number of indexes.
+struct Builds<'m, 'a> {
+    matrix: &'m CostMatrix<'a>,
+    /// Position → candidate id in the matrix.
+    ids: Vec<usize>,
+    /// Position → build time.
+    times: Vec<f64>,
+}
+
+impl<'m, 'a> Builds<'m, 'a> {
+    fn on(matrix: &'m CostMatrix<'a>, candidate_ids: &[usize]) -> Self {
+        let times = candidate_ids
+            .iter()
+            .map(|&id| matrix.candidate(id).expect("schedules need live ids"))
+            .map(|index| build_time_with(matrix.catalog(), matrix.cost_params(), index))
+            .collect();
+        Builds {
+            matrix,
+            ids: candidate_ids.to_vec(),
+            times,
+        }
     }
-    (area, curve)
+
+    /// Every candidate of a matrix freshly built over `n` indexes.
+    fn all(matrix: &'m CostMatrix<'a>, n: usize) -> Self {
+        Self::on(matrix, &(0..n).collect::<Vec<_>>())
+    }
+
+    /// Walk the chain `next` picks: it sees what is built and the workload
+    /// cost rate under it, and names the position to build next.
+    fn walk(&self, mut next: impl FnMut(&CandidateBitset, f64) -> Option<usize>) -> Schedule {
+        let mut built = self.matrix.empty_config();
+        let mut rate = self.matrix.workload_cost(&built);
+        let (mut area, mut clock) = (0.0, 0.0);
+        let mut curve = vec![(0.0, rate)];
+        let mut order = Vec::with_capacity(self.ids.len());
+        while let Some(i) = next(&built, rate) {
+            area += rate * self.times[i];
+            clock += self.times[i];
+            built.insert(self.ids[i]);
+            rate = self.matrix.workload_cost(&built);
+            curve.push((clock, rate));
+            order.push(i);
+        }
+        Schedule { order, area, curve }
+    }
+
+    fn in_order(&self, order: impl IntoIterator<Item = usize>) -> Schedule {
+        let mut order = order.into_iter();
+        self.walk(|_, _| order.next())
+    }
+
+    fn greedy(&self) -> Schedule {
+        let mut remaining: Vec<usize> = (0..self.ids.len()).collect();
+        self.walk(|built, rate| {
+            let (best, _) = remaining
+                .iter()
+                .map(|&i| {
+                    let with_i = self.matrix.workload_cost_plus(built, self.ids[i]);
+                    (i, (rate - with_i) / self.times[i].max(1e-9))
+                })
+                .max_by(|a, b| a.1.total_cmp(&b.1))?;
+            remaining.retain(|&i| i != best);
+            Some(best)
+        })
+    }
 }
 
 /// The naive schedule: build in the given (recommendation) order.
 pub fn naive_schedule(inum: &Inum<'_>, workload: &Workload, indexes: &[Index]) -> Schedule {
-    let times: Vec<f64> = indexes.iter().map(|i| build_time(inum, i)).collect();
-    let mut cache = ConfigCostCache::new(inum, workload, indexes);
-    naive_with(&mut cache, &times, indexes.len())
+    let matrix = CostMatrix::build(inum, workload, indexes);
+    Builds::all(&matrix, indexes.len()).in_order(0..indexes.len())
 }
 
-fn naive_with(cache: &mut ConfigCostCache<'_, '_>, times: &[f64], n: usize) -> Schedule {
-    let order: Vec<usize> = (0..n).collect();
-    let (area, curve) = evaluate_order(cache, times, &order);
-    Schedule { order, area, curve }
-}
-
-/// The greedy and naive schedules over one shared cost cache (one matrix
-/// build serves both — they memoize the same configuration costs).
+/// The greedy and naive schedules over one shared matrix build.
 pub fn schedule_pair(
     inum: &Inum<'_>,
     workload: &Workload,
     indexes: &[Index],
 ) -> (Schedule, Schedule) {
-    let times: Vec<f64> = indexes.iter().map(|i| build_time(inum, i)).collect();
-    let mut cache = ConfigCostCache::new(inum, workload, indexes);
-    let greedy = greedy_with(&mut cache, &times, indexes.len());
-    let naive = naive_with(&mut cache, &times, indexes.len());
-    (greedy, naive)
+    let matrix = CostMatrix::build(inum, workload, indexes);
+    let builds = Builds::all(&matrix, indexes.len());
+    (builds.greedy(), builds.in_order(0..indexes.len()))
 }
 
 /// [`schedule_pair`] over live candidates of an *existing* matrix — the
 /// session-scoped entry: no matrix build, every configuration cost is a
 /// pure lookup against the resident cells. Schedule orders index into
 /// `candidate_ids`.
-pub fn schedule_pair_on(
-    matrix: &pgdesign_inum::CostMatrix<'_>,
-    candidate_ids: &[usize],
-) -> (Schedule, Schedule) {
-    let (catalog, params) = (matrix.catalog(), matrix.cost_params());
-    let times: Vec<f64> = candidate_ids
-        .iter()
-        .map(|&id| {
-            build_time_with(
-                catalog,
-                params,
-                matrix
-                    .candidate(id)
-                    .expect("schedule_pair_on requires live candidate ids"),
-            )
-        })
-        .collect();
-    let mut cache = ConfigCostCache::on_matrix(matrix, candidate_ids.to_vec());
-    let greedy = greedy_with(&mut cache, &times, candidate_ids.len());
-    let naive = naive_with(&mut cache, &times, candidate_ids.len());
-    (greedy, naive)
+pub fn schedule_pair_on(matrix: &CostMatrix<'_>, candidate_ids: &[usize]) -> (Schedule, Schedule) {
+    let builds = Builds::on(matrix, candidate_ids);
+    (builds.greedy(), builds.in_order(0..candidate_ids.len()))
 }
 
 /// Greedy interaction-aware schedule: at each step, build the index with
@@ -127,32 +150,8 @@ pub fn schedule_pair_on(
 /// already built. Interactions are honoured because marginal benefits are
 /// re-evaluated against the current set.
 pub fn greedy_schedule(inum: &Inum<'_>, workload: &Workload, indexes: &[Index]) -> Schedule {
-    let times: Vec<f64> = indexes.iter().map(|i| build_time(inum, i)).collect();
-    let mut cache = ConfigCostCache::new(inum, workload, indexes);
-    greedy_with(&mut cache, &times, indexes.len())
-}
-
-fn greedy_with(cache: &mut ConfigCostCache<'_, '_>, times: &[f64], n: usize) -> Schedule {
-    let mut order = Vec::with_capacity(n);
-    let mut mask = 0u32;
-    let mut remaining: Vec<usize> = (0..n).collect();
-    while !remaining.is_empty() {
-        let current_rate = cache.workload_cost(mask);
-        let best = remaining
-            .iter()
-            .copied()
-            .max_by(|&a, &b| {
-                let ba = (current_rate - cache.workload_cost(mask | (1 << a))) / times[a].max(1e-9);
-                let bb = (current_rate - cache.workload_cost(mask | (1 << b))) / times[b].max(1e-9);
-                ba.total_cmp(&bb)
-            })
-            .expect("remaining non-empty");
-        remaining.retain(|&i| i != best);
-        order.push(best);
-        mask |= 1 << best;
-    }
-    let (area, curve) = evaluate_order(cache, times, &order);
-    Schedule { order, area, curve }
+    let matrix = CostMatrix::build(inum, workload, indexes);
+    Builds::all(&matrix, indexes.len()).greedy()
 }
 
 /// Exact minimum-area schedule by DP over subsets (`n ≤ 16`).
@@ -162,8 +161,9 @@ fn greedy_with(cache: &mut ConfigCostCache<'_, '_>, times: &[f64], n: usize) -> 
 pub fn exact_schedule(inum: &Inum<'_>, workload: &Workload, indexes: &[Index]) -> Schedule {
     let n = indexes.len();
     assert!(n <= 16, "exact schedule supports ≤ 16 indexes");
-    let times: Vec<f64> = indexes.iter().map(|i| build_time(inum, i)).collect();
-    let mut cache = ConfigCostCache::new(inum, workload, indexes);
+    let matrix = CostMatrix::build(inum, workload, indexes);
+    let builds = Builds::all(&matrix, n);
+    let times = &builds.times;
     let full = (1u32 << n) - 1;
     let mut dp = vec![f64::INFINITY; (full + 1) as usize];
     let mut pred: Vec<Option<usize>> = vec![None; (full + 1) as usize];
@@ -172,7 +172,7 @@ pub fn exact_schedule(inum: &Inum<'_>, workload: &Workload, indexes: &[Index]) -
         if dp[mask as usize].is_infinite() {
             continue;
         }
-        let rate = cache.workload_cost(mask);
+        let rate = matrix.workload_cost(&matrix.config_of((0..n).filter(|i| mask & (1 << i) != 0)));
         for i in 0..n {
             if mask & (1 << i) != 0 {
                 continue;
@@ -194,12 +194,7 @@ pub fn exact_schedule(inum: &Inum<'_>, workload: &Workload, indexes: &[Index]) -
         mask &= !(1 << i);
     }
     order_rev.reverse();
-    let (area, curve) = evaluate_order(&mut cache, &times, &order_rev);
-    Schedule {
-        order: order_rev,
-        area,
-        curve,
-    }
+    builds.in_order(order_rev)
 }
 
 #[cfg(test)]

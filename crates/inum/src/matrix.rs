@@ -1684,6 +1684,21 @@ impl MatrixCore {
         self.queries.get(id).map_or(0.0, |qm| qm.weight)
     }
 
+    /// Ids of the candidates that own at least one cell on query slot
+    /// `query_id`, ascending — the only candidates whose presence in a
+    /// configuration can change [`Self::cost`] for that query. Removed and
+    /// unknown ids never appear. Not a cost lookup: no counter moves.
+    pub fn candidates_on(&self, query_id: usize) -> Vec<usize> {
+        let mut ids: Vec<usize> = self.queries[query_id]
+            .slots
+            .iter()
+            .flat_map(|slot| slot.cands.iter().map(|c| c.id))
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
     /// The query-rotation generation: changes exactly when some slot id's
     /// bound query changes ([`CostMatrix::retire_query`] or an install by
     /// [`CostMatrix::add_queries`]). Equal generations guarantee every
