@@ -20,24 +20,14 @@ lint:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
 
 # The architectural lint pass (crates/analyzer): cost-purity,
-# panic-freedom, fp-determinism, unsafe-audit, lock-discipline,
-# lock-order, and error-discipline — per-file rules plus interprocedural
-# call-chain analysis over every covered source file. Non-zero exit on
-# any error-severity violation; waivers need
-# `// analyzer:allow(<rule>): <reason>` with a written reason. The
-# compiled binary is reused when analyzer sources are unchanged, and
-# per-file fact modules are cached under target/analyzer-facts/ — the
-# stats line prints timing and cache hit counts.
-ANALYZER_BIN := target/release/pgdesign-analyzer
+# panic-freedom, fp-determinism, lock-discipline, lock-order, and
+# error-discipline — per-file rules plus interprocedural call-chain
+# analysis over every covered source file. Non-zero exit on any
+# error-severity violation; waivers need
+# `// analyzer:allow(<rule>): <reason>` with a written reason. The stats
+# line prints extraction and inference timing.
 lint-arch:
-	@if [ ! -x $(ANALYZER_BIN) ] \
-	  || [ -n "$$(find crates/analyzer/src crates/analyzer/Cargo.toml \
-	        -newer $(ANALYZER_BIN) -print -quit 2>/dev/null)" ]; then \
-	  $(CARGO) build -q --release -p pgdesign-analyzer; \
-	else \
-	  echo "lint-arch: reusing $(ANALYZER_BIN) (analyzer sources unchanged)"; \
-	fi
-	./$(ANALYZER_BIN)
+	$(CARGO) run -q --release -p pgdesign-analyzer
 
 doc:
 	$(CARGO) doc --workspace --no-deps
@@ -113,8 +103,7 @@ recovery-drill:
 	@echo "recovery drill passed (mid-epoch and mid-checkpoint kills)"
 
 # Remove durable session state (snapshot + edit-log directories created
-# via --state or TuningSession::open_or_create) and the analyzer's
-# per-file fact cache.
+# via --state or TuningSession::open_or_create).
 clean-state:
 	find . -name '*.pgds' -delete -o -name '*.pgdl' -delete
-	rm -rf target/recovery-drill target/cli-drill target/analyzer-facts
+	rm -rf target/recovery-drill target/cli-drill

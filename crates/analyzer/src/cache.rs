@@ -1,24 +1,16 @@
-//! Per-file fact modules and their on-disk cache.
+//! Per-file fact modules.
 //!
 //! A [`FileSummary`] is the analyzer's EDB for one source file: every
 //! base relation the interprocedural rules need (fns, calls, direct
 //! cost/panic sites, lock acquisitions, dropped results, allows, and the
 //! purely-local diagnostics), distilled from the token-level [`crate::facts`]
 //! extraction. It is deliberately *position-free* — only lines and
-//! fn-indices survive — so it can be serialised to
-//! `target/analyzer-facts/` keyed by an FNV-64 content hash and reloaded
-//! on the next run without re-lexing, in the spirit of modular Datalog
-//! materialisation: extraction is paid per *changed* file, the (cheap,
-//! deterministic) global inference is re-derived every run.
+//! fn-indices survive — so the graph and inference layers never see a
+//! token. Summaries are re-extracted on every run: the whole workspace
+//! takes under 100 ms, which is not worth a cache.
 
 use crate::facts::{extract, CallShape};
 use crate::rules;
-use std::fs;
-use std::path::Path;
-
-/// Bump when `FileSummary` or any extraction heuristic changes shape —
-/// stale cache entries from older analyzer builds must miss, not decode.
-pub const CACHE_VERSION: u32 = 1;
 
 /// Sentinel for "no enclosing fn" in `fn_idx` fields.
 pub const NO_FN: u32 = u32::MAX;
@@ -91,22 +83,11 @@ pub struct AllowSum {
     pub fn_idx: u32,
 }
 
-/// A purely file-local diagnostic (fp-determinism, unsafe-audit,
-/// lock-discipline) computed at extraction time so warm runs never re-lex.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LocalDiag {
-    pub line: u32,
-    pub rule: String,
-    pub msg: String,
-}
-
 /// The complete per-file fact module.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileSummary {
     /// Workspace-relative path with `/` separators.
     pub path: String,
-    /// FNV-64 of the source bytes this summary was extracted from.
-    pub hash: u64,
     /// Repo-root `examples/`/`tests/` harness file: panic-freedom is
     /// relaxed wholesale (test-adjacent code), other rules still apply.
     pub harness: bool,
@@ -117,17 +98,10 @@ pub struct FileSummary {
     pub acquires: Vec<AcquireSum>,
     pub drops: Vec<DropSum>,
     pub allows: Vec<AllowSum>,
-    pub local_diags: Vec<LocalDiag>,
-}
-
-/// FNV-1a, 64-bit — stable, dependency-free content hash.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    /// The purely file-local diagnostics (fp-determinism,
+    /// lock-discipline) as `(line, rule, message)`, computed at extraction
+    /// time while the tokens are at hand.
+    pub local_diags: Vec<(u32, &'static str, String)>,
 }
 
 fn is_harness_path(path: &str) -> bool {
@@ -137,7 +111,6 @@ fn is_harness_path(path: &str) -> bool {
 /// Extract the full fact module for one file.
 pub fn summarize(path: &str, src: &str) -> FileSummary {
     let facts = extract(src);
-    let hash = fnv64(src.as_bytes());
 
     let fns: Vec<FnSum> = facts
         .fns
@@ -299,18 +272,8 @@ pub fn summarize(path: &str, src: &str) -> FileSummary {
         })
         .collect();
 
-    let local_diags = rules::local_diags(&facts)
-        .into_iter()
-        .map(|(line, rule, msg)| LocalDiag {
-            line,
-            rule: rule.to_string(),
-            msg,
-        })
-        .collect();
-
     FileSummary {
         path: path.to_string(),
-        hash,
         harness: is_harness_path(path),
         fns,
         calls,
@@ -319,296 +282,13 @@ pub fn summarize(path: &str, src: &str) -> FileSummary {
         acquires,
         drops,
         allows,
-        local_diags,
+        local_diags: rules::local_diags(&facts),
     }
-}
-
-/// Cache hit/miss accounting for the summary line.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CacheStats {
-    pub files: usize,
-    pub hits: usize,
-    pub extracted: usize,
-}
-
-/// Load the summary for `path` from the cache if the content hash
-/// matches, else extract and (best-effort) persist it.
-pub fn load_or_summarize(
-    cache_dir: Option<&Path>,
-    path: &str,
-    src: &str,
-    stats: &mut CacheStats,
-) -> FileSummary {
-    stats.files += 1;
-    let hash = fnv64(src.as_bytes());
-    let entry = cache_dir.map(|d| d.join(format!("{}.facts", path.replace('/', "__"))));
-    if let Some(entry) = &entry {
-        if let Ok(text) = fs::read_to_string(entry) {
-            if let Some(sum) = decode(&text) {
-                if sum.hash == hash && sum.path == path {
-                    stats.hits += 1;
-                    return sum;
-                }
-            }
-        }
-    }
-    stats.extracted += 1;
-    let sum = summarize(path, src);
-    if let Some(entry) = &entry {
-        if let Some(dir) = entry.parent() {
-            let _ = fs::create_dir_all(dir);
-        }
-        let _ = fs::write(entry, encode(&sum));
-    }
-    sum
-}
-
-// ---- codec ---------------------------------------------------------------
-//
-// Line-oriented, tab-separated records with `\`-escaping; first line is a
-// version + hash header. Hand-rolled because the workspace is offline and
-// the analyzer must stay dependency-free.
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-fn unesc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut it = s.chars();
-    while let Some(c) = it.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match it.next() {
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some(other) => out.push(other),
-            None => {}
-        }
-    }
-    out
-}
-
-fn join(list: &[String]) -> String {
-    list.iter().map(|s| esc(s)).collect::<Vec<_>>().join(",")
-}
-
-fn split_list(s: &str) -> Vec<String> {
-    if s.is_empty() {
-        Vec::new()
-    } else {
-        s.split(',').map(unesc).collect()
-    }
-}
-
-/// Serialise a summary to the cache text format.
-pub fn encode(s: &FileSummary) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "v{CACHE_VERSION}\t{:016x}\t{}\t{}\n",
-        s.hash,
-        esc(&s.path),
-        s.harness as u8
-    ));
-    for f in &s.fns {
-        out.push_str(&format!(
-            "fn\t{}\t{}\t{}\t{}\t{}\t{}\n",
-            esc(&f.name),
-            esc(&f.receiver),
-            f.line,
-            f.end_line,
-            f.is_test as u8,
-            f.returns_result as u8
-        ));
-    }
-    for c in &s.calls {
-        out.push_str(&format!(
-            "call\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-            c.fn_idx,
-            c.line,
-            esc(&c.name),
-            c.shape,
-            esc(&c.arg),
-            esc(&c.recv_ty),
-            join(&c.held),
-            c.stmt_dropped as u8
-        ));
-    }
-    for (tag, sites) in [("cost", &s.cost_sites), ("panic", &s.panic_sites)] {
-        for x in sites.iter() {
-            out.push_str(&format!(
-                "{tag}\t{}\t{}\t{}\n",
-                x.fn_idx,
-                x.line,
-                esc(&x.msg)
-            ));
-        }
-    }
-    for a in &s.acquires {
-        out.push_str(&format!(
-            "acq\t{}\t{}\t{}\t{}\n",
-            a.fn_idx,
-            a.line,
-            esc(&a.lock),
-            join(&a.held)
-        ));
-    }
-    for d in &s.drops {
-        out.push_str(&format!(
-            "drop\t{}\t{}\t{}\n",
-            d.fn_idx,
-            d.line,
-            join(&d.callees)
-        ));
-    }
-    for a in &s.allows {
-        out.push_str(&format!(
-            "allow\t{}\t{}\t{}\t{}\t{}\n",
-            esc(&a.rule),
-            a.line,
-            a.has_reason as u8,
-            a.target_line,
-            a.fn_idx
-        ));
-    }
-    for d in &s.local_diags {
-        out.push_str(&format!(
-            "diag\t{}\t{}\t{}\n",
-            d.line,
-            esc(&d.rule),
-            esc(&d.msg)
-        ));
-    }
-    out
-}
-
-/// Parse the cache text format; `None` on any malformed input (the
-/// caller falls back to re-extraction — a cache can never panic a run).
-pub fn decode(text: &str) -> Option<FileSummary> {
-    let mut lines = text.lines();
-    let header = lines.next()?;
-    let mut h = header.split('\t');
-    let ver = h.next()?;
-    if ver != format!("v{CACHE_VERSION}") {
-        return None;
-    }
-    let hash = u64::from_str_radix(h.next()?, 16).ok()?;
-    let path = unesc(h.next()?);
-    let harness = h.next()? == "1";
-    let mut s = FileSummary {
-        path,
-        hash,
-        harness,
-        fns: Vec::new(),
-        calls: Vec::new(),
-        cost_sites: Vec::new(),
-        panic_sites: Vec::new(),
-        acquires: Vec::new(),
-        drops: Vec::new(),
-        allows: Vec::new(),
-        local_diags: Vec::new(),
-    };
-    for line in lines {
-        let mut f = line.split('\t');
-        match f.next()? {
-            "fn" => s.fns.push(FnSum {
-                name: unesc(f.next()?),
-                receiver: unesc(f.next()?),
-                line: f.next()?.parse().ok()?,
-                end_line: f.next()?.parse().ok()?,
-                is_test: f.next()? == "1",
-                returns_result: f.next()? == "1",
-            }),
-            "call" => s.calls.push(CallSum {
-                fn_idx: f.next()?.parse().ok()?,
-                line: f.next()?.parse().ok()?,
-                name: unesc(f.next()?),
-                shape: f.next()?.parse().ok()?,
-                arg: unesc(f.next()?),
-                recv_ty: unesc(f.next()?),
-                held: split_list(f.next()?),
-                stmt_dropped: f.next()? == "1",
-            }),
-            tag @ ("cost" | "panic") => {
-                let x = SiteSum {
-                    fn_idx: f.next()?.parse().ok()?,
-                    line: f.next()?.parse().ok()?,
-                    msg: unesc(f.next()?),
-                };
-                if tag == "cost" {
-                    s.cost_sites.push(x);
-                } else {
-                    s.panic_sites.push(x);
-                }
-            }
-            "acq" => s.acquires.push(AcquireSum {
-                fn_idx: f.next()?.parse().ok()?,
-                line: f.next()?.parse().ok()?,
-                lock: unesc(f.next()?),
-                held: split_list(f.next()?),
-            }),
-            "drop" => s.drops.push(DropSum {
-                fn_idx: f.next()?.parse().ok()?,
-                line: f.next()?.parse().ok()?,
-                callees: split_list(f.next()?),
-            }),
-            "allow" => s.allows.push(AllowSum {
-                rule: unesc(f.next()?),
-                line: f.next()?.parse().ok()?,
-                has_reason: f.next()? == "1",
-                target_line: f.next()?.parse().ok()?,
-                fn_idx: f.next()?.parse().ok()?,
-            }),
-            "diag" => s.local_diags.push(LocalDiag {
-                line: f.next()?.parse().ok()?,
-                rule: unesc(f.next()?),
-                msg: unesc(f.next()?),
-            }),
-            _ => return None,
-        }
-    }
-    Some(s)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn codec_round_trips() {
-        let src = "impl Advisor {\n    fn step(&self, s: &TuningSession) -> Result<(), E> {\n        let _ = s.sync_all();\n        helper(1);\n        Ok(())\n    }\n}\n";
-        let sum = summarize("crates/core/src/x.rs", src);
-        let back = decode(&encode(&sum)).expect("decode");
-        assert_eq!(sum, back);
-    }
-
-    #[test]
-    fn hash_keyed_cache_hits_and_misses() {
-        let dir = std::env::temp_dir().join(format!("analyzer-cache-test-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let mut stats = CacheStats::default();
-        let a = load_or_summarize(Some(&dir), "crates/x/src/a.rs", "fn a() {}\n", &mut stats);
-        assert_eq!((stats.hits, stats.extracted), (0, 1));
-        let b = load_or_summarize(Some(&dir), "crates/x/src/a.rs", "fn a() {}\n", &mut stats);
-        assert_eq!((stats.hits, stats.extracted), (1, 1));
-        assert_eq!(a, b);
-        // Changed content: the hash misses and the entry is rewritten.
-        let c = load_or_summarize(Some(&dir), "crates/x/src/a.rs", "fn b() {}\n", &mut stats);
-        assert_eq!((stats.hits, stats.extracted), (1, 2));
-        assert_eq!(c.fns[0].name, "b");
-        let _ = fs::remove_dir_all(&dir);
-    }
 
     #[test]
     fn summary_attributes_calls_and_locks() {

@@ -2,8 +2,8 @@
 //!
 //! Rules never look at raw source — they query the [`Facts`] produced
 //! here, in the Datalog spirit of lint-as-query-over-facts: the
-//! extractor materialises base relations (fn spans, call shapes, unsafe
-//! blocks, lock-guard live ranges, hash-ordered bindings) once per file,
+//! extractor materialises base relations (fn spans, call shapes,
+//! lock-guard live ranges, hash-ordered bindings) once per file,
 //! and each rule is a cheap scan over them. Extraction is deliberately
 //! heuristic — it runs on tokens, not a parse tree — and every heuristic
 //! is tuned to over-approximate (flag too much, never too little),
@@ -138,14 +138,6 @@ pub struct AllowFact {
     pub has_reason: bool,
 }
 
-/// One `unsafe { ... }` block.
-#[derive(Debug)]
-pub struct UnsafeFact {
-    pub line: u32,
-    /// A `// SAFETY:` comment within the six lines above the block.
-    pub has_safety: bool,
-}
-
 /// A `let`-bound lock write guard (`let g = slot.write();`) and the
 /// significant-token range over which it is live.
 #[derive(Debug)]
@@ -195,7 +187,6 @@ pub struct Facts {
     /// Names bound (anywhere in the file: fields, params, lets) to a
     /// `HashMap`/`HashSet`-typed value.
     pub hashy_names: BTreeSet<String>,
-    pub unsafe_blocks: Vec<UnsafeFact>,
     pub guards: Vec<GuardFact>,
     pub for_loops: Vec<ForLoop>,
     pub iter_calls: Vec<IterCall>,
@@ -255,7 +246,6 @@ pub fn extract(src: &str) -> Facts {
         fns: Vec::new(),
         allows: Vec::new(),
         hashy_names: BTreeSet::new(),
-        unsafe_blocks: Vec::new(),
         guards: Vec::new(),
         for_loops: Vec::new(),
         iter_calls: Vec::new(),
@@ -274,7 +264,6 @@ pub fn extract(src: &str) -> Facts {
     extract_impls(&mut facts);
     extract_fns(&mut facts);
     extract_hashy_names(&mut facts);
-    extract_unsafe(&mut facts);
     extract_guards(&mut facts);
     extract_loops_and_iter_calls(&mut facts);
     extract_calls(&mut facts);
@@ -967,29 +956,6 @@ fn extract_hashy_names(facts: &mut Facts) {
                 facts.hashy_names.insert(name);
             }
         }
-    }
-}
-
-fn extract_unsafe(facts: &mut Facts) {
-    for i in 0..facts.sig.len() {
-        if !facts.tok(i).is_some_and(|t| t.is_ident("unsafe")) {
-            continue;
-        }
-        // Blocks only: `unsafe fn` / `unsafe impl` declare, not perform.
-        if !facts.tok(i + 1).is_some_and(|t| t.is_punct("{")) {
-            continue;
-        }
-        let line = facts.tok(i).map(|t| t.line).unwrap_or(1);
-        // Look back through the raw stream for a SAFETY comment within
-        // six lines above the block (trailing-on-same-line also counts).
-        let raw_idx = facts.sig[i];
-        let floor = line.saturating_sub(6);
-        let has_safety = facts.tokens[..raw_idx]
-            .iter()
-            .rev()
-            .take_while(|t| t.line >= floor)
-            .any(|t| t.kind == Kind::Comment && t.text.contains("SAFETY"));
-        facts.unsafe_blocks.push(UnsafeFact { line, has_safety });
     }
 }
 

@@ -21,7 +21,7 @@
 //! full call chain for the diagnostic. Iteration order is sorted node
 //! ids per round, and a fact is never overwritten once inserted, so the
 //! fixpoint — and every printed chain — is deterministic regardless of
-//! file arrival order, a property the incremental cache relies on.
+//! file arrival order.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -4,8 +4,8 @@
 //! The analyzer needs a *token* view of every source file, not a parse
 //! tree: rules match on token shapes (an identifier followed by `(` is a
 //! call site, a `[` after an expression is an index), and comments are
-//! kept as first-class tokens because two rules read them (`// SAFETY:`
-//! for unsafe-audit, `// analyzer:allow(...)` for the escape hatch).
+//! kept as first-class tokens because the `// analyzer:allow(...)` escape
+//! hatch lives in them.
 //! Crucially, string literals lex as single opaque tokens, so a pattern
 //! like `".unwrap("` appearing *inside a string* (as it does in this very
 //! crate) can never be mistaken for a call site.

@@ -3,14 +3,14 @@
 //!
 //! The repo's load-bearing invariants (advisors cost via matrix lookups
 //! only; recovery never panics on corrupt bytes; f64 summation order is
-//! deterministic; every `unsafe` block argues its safety; no costing
-//! under a publish write guard; locks acquired in one global order; no
-//! dropped `Result`s on durability paths) were previously enforced only
+//! deterministic; no costing under a publish write guard; locks acquired
+//! in one global order; no dropped `Result`s on durability paths) were
+//! previously enforced only
 //! per file, which sees the sites a file happens to contain. This crate
 //! makes them *transitive*: a hand-rolled Rust lexer (same idiom as the
 //! SQL lexer in `pgdesign-query`, no external parser) tokenizes every
 //! source file into a fact base ([`facts`]), each file is condensed into
-//! a cacheable fact module ([`cache`]), a workspace call graph is
+//! a position-free fact module ([`cache`]), a workspace call graph is
 //! resolved over those modules ([`graph`]), and Datalog-style derived
 //! relations ([`infer`]) — `reaches_cost`, `may_panic`,
 //! `holds_lock_then_acquires`, `drops_result` — are computed to fixpoint
@@ -24,7 +24,6 @@
 //! | cost-purity      | everything                                   | matrix build, colt probe, durable restore (the sanctioned boundary) |
 //! | panic-freedom    | decode/replay surface (`crates/durability`, `inum/persist.rs`, `query/parser.rs`) | `#[cfg(test)]`/`#[test]` spans, `examples/`, `tests/` harnesses |
 //! | fp-determinism   | everything                                   | test spans                       |
-//! | unsafe-audit     | everything                                   | —                                |
 //! | lock-discipline  | everything                                   | —                                |
 //! | lock-order       | everything                                   | test spans                       |
 //! | error-discipline | durability/health paths                      | test spans                       |
@@ -34,11 +33,12 @@
 //! `tests/`) get panic-freedom's test-aware relaxation because they *are*
 //! drivers, not recovery code.
 //!
+//! `unsafe` needs no rule here: every crate root carries
+//! `#![forbid(unsafe_code)]`, and CI greps for it.
+//!
 //! Run it with `make lint-arch`; it exits non-zero if any error-severity
 //! diagnostic survives the `// analyzer:allow(<rule>): <reason>` escape
-//! hatch. Per-file fact modules are cached under `target/analyzer-facts/`
-//! keyed by content hash, so a warm run re-extracts only changed files
-//! (the global inference always reruns — it is cross-file by nature).
+//! hatch.
 
 #![forbid(unsafe_code)]
 
@@ -51,27 +51,20 @@ pub mod rules;
 
 pub use rules::{analyze_source, ChainLink, Config, Diagnostic, InferStats, Severity, RULE_NAMES};
 
-use cache::{CacheStats, FileSummary};
+use cache::FileSummary;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-/// Timing and cache accounting for one workspace run.
+/// Timing and size accounting for one workspace run.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RunStats {
     /// Files walked (and summarized).
     pub files: usize,
-    /// Fact modules served from the content-hash cache.
-    pub cache_hits: usize,
-    /// Fact modules (re-)extracted this run.
-    pub extracted: usize,
-    /// Total semi-naive rounds across derived relations.
-    pub rounds: u32,
-    /// Call-graph size.
-    pub fns: usize,
-    pub edges: usize,
-    /// Wall-clock: extraction (incl. cache I/O) and inference.
+    /// Call-graph size and fixpoint rounds.
+    pub infer: InferStats,
+    /// Wall-clock: extraction and inference.
     pub extract_ms: u128,
     pub infer_ms: u128,
 }
@@ -110,15 +103,10 @@ fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-/// Analyze the workspace at `root` with per-file fact caching under
-/// `cache_dir` (no caching when `None`).
-pub fn analyze_workspace_cached(
-    root: &Path,
-    cfg: &Config,
-    cache_dir: Option<&Path>,
-) -> io::Result<RunReport> {
+/// Analyze the workspace at `root`: summarize every covered file, then
+/// run the rules over the summaries.
+pub fn analyze_workspace(root: &Path, cfg: &Config) -> io::Result<RunReport> {
     let files = workspace_files(root)?;
-    let mut cstats = CacheStats::default();
     let mut summaries: Vec<FileSummary> = Vec::with_capacity(files.len());
     let t0 = Instant::now();
     for file in &files {
@@ -130,43 +118,24 @@ pub fn analyze_workspace_cached(
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        summaries.push(cache::load_or_summarize(
-            cache_dir,
-            &rel,
-            &text,
-            &mut cstats,
-        ));
+        summaries.push(cache::summarize(&rel, &text));
     }
     summaries.sort_by(|a, b| a.path.cmp(&b.path));
     let extract_ms = t0.elapsed().as_millis();
 
     let t1 = Instant::now();
-    let (diags, istats) = rules::analyze_summaries(&summaries, cfg);
+    let (diags, infer) = rules::analyze_summaries(&summaries, cfg);
     let infer_ms = t1.elapsed().as_millis();
 
     Ok(RunReport {
         diags,
         stats: RunStats {
             files: files.len(),
-            cache_hits: cstats.hits,
-            extracted: cstats.extracted,
-            rounds: istats.rounds,
-            fns: istats.fns,
-            edges: istats.edges,
+            infer,
             extract_ms,
             infer_ms,
         },
     })
-}
-
-/// Analyze the workspace without a fact cache; diagnostics only.
-pub fn analyze_workspace(root: &Path, cfg: &Config) -> io::Result<Vec<Diagnostic>> {
-    Ok(analyze_workspace_cached(root, cfg, None)?.diags)
-}
-
-/// How many `.rs` files the walk visits — for the summary line.
-pub fn workspace_file_count(root: &Path) -> io::Result<usize> {
-    Ok(workspace_files(root)?.len())
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {

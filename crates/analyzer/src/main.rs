@@ -1,5 +1,5 @@
 //! CLI entry point:
-//! `pgdesign-analyzer [workspace-root] [--format human|json] [--no-cache] [--cache-dir DIR]`.
+//! `pgdesign-analyzer [workspace-root] [--format human|json]`.
 //!
 //! Analyzes every covered `.rs` file (see the crate rustdoc for the
 //! walk and scoping table) and prints one `path:line: rule: message`
@@ -12,21 +12,14 @@
 
 #![forbid(unsafe_code)]
 
-use pgdesign_analyzer::{analyze_workspace_cached, Config, Diagnostic, Severity, RULE_NAMES};
+use pgdesign_analyzer::{analyze_workspace, Config, Diagnostic, Severity, RULE_NAMES};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-struct Args {
-    root: PathBuf,
-    json: bool,
-    cache_dir: Option<PathBuf>,
-}
-
-fn parse_args() -> Result<Args, String> {
+/// The workspace root and whether to print JSON.
+fn parse_args() -> Result<(PathBuf, bool), String> {
     let mut root = PathBuf::from(".");
     let mut json = false;
-    let mut no_cache = false;
-    let mut cache_dir: Option<PathBuf> = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -35,25 +28,11 @@ fn parse_args() -> Result<Args, String> {
                 Some("human") => json = false,
                 other => return Err(format!("--format wants human|json, got {other:?}")),
             },
-            "--no-cache" => no_cache = true,
-            "--cache-dir" => {
-                let d = it.next().ok_or("--cache-dir wants a path")?;
-                cache_dir = Some(PathBuf::from(d));
-            }
             _ if a.starts_with('-') => return Err(format!("unknown flag {a}")),
             _ => root = PathBuf::from(a),
         }
     }
-    let cache_dir = if no_cache {
-        None
-    } else {
-        Some(cache_dir.unwrap_or_else(|| root.join("target/analyzer-facts")))
-    };
-    Ok(Args {
-        root,
-        json,
-        cache_dir,
-    })
+    Ok((root, json))
 }
 
 fn json_escape(s: &str) -> String {
@@ -106,7 +85,7 @@ fn emit_json(diags: &[Diagnostic]) {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let (root, json) = match parse_args() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("pgdesign-analyzer: {e}");
@@ -114,12 +93,12 @@ fn main() -> ExitCode {
         }
     };
     let cfg = Config::workspace();
-    let report = match analyze_workspace_cached(&args.root, &cfg, args.cache_dir.as_deref()) {
+    let report = match analyze_workspace(&root, &cfg) {
         Ok(r) => r,
         Err(e) => {
             eprintln!(
                 "pgdesign-analyzer: cannot read workspace at {}: {e}",
-                args.root.display()
+                root.display()
             );
             return ExitCode::from(2);
         }
@@ -131,7 +110,7 @@ fn main() -> ExitCode {
         .count();
     let warnings = report.diags.len() - errors;
 
-    if args.json {
+    if json {
         emit_json(&report.diags);
         return if errors == 0 {
             ExitCode::SUCCESS
@@ -148,9 +127,9 @@ fn main() -> ExitCode {
     }
     let s = report.stats;
     eprintln!(
-        "pgdesign-analyzer: {} files in {} ms (cache: {} hit / {} extracted), \
-         graph {} fns / {} edges, {} fixpoint rounds in {} ms",
-        s.files, s.extract_ms, s.cache_hits, s.extracted, s.fns, s.edges, s.rounds, s.infer_ms
+        "pgdesign-analyzer: {} files in {} ms, graph {} fns / {} edges, \
+         {} fixpoint rounds in {} ms",
+        s.files, s.extract_ms, s.infer.fns, s.infer.edges, s.infer.rounds, s.infer_ms
     );
     if errors == 0 {
         if warnings > 0 {

@@ -26,7 +26,6 @@ pub const RULE_NAMES: &[&str] = &[
     "cost-purity",
     "panic-freedom",
     "fp-determinism",
-    "unsafe-audit",
     "lock-discipline",
     "lock-order",
     "error-discipline",
@@ -271,13 +270,11 @@ pub(crate) fn panic_sites(facts: &Facts) -> Vec<(usize, u32, String)> {
     out
 }
 
-/// The purely file-local rules: fp-determinism, unsafe-audit, and
-/// lock-discipline — computed once at extraction and cached with the
-/// fact module.
+/// The purely file-local rules: fp-determinism and lock-discipline —
+/// computed at extraction and carried in the fact module.
 pub(crate) fn local_diags(facts: &Facts) -> Vec<(u32, &'static str, String)> {
     let mut out = Vec::new();
     fp_determinism(facts, &mut out);
-    unsafe_audit(facts, &mut out);
     lock_discipline(facts, &mut out);
     out
 }
@@ -331,23 +328,6 @@ fn fp_determinism(facts: &Facts, out: &mut Vec<(u32, &'static str, String)>) {
                     ),
                 ));
             }
-        }
-    }
-}
-
-/// **unsafe-audit** — the workspace's unsafe surface is tiny (the
-/// self-referential session core) and must stay explainable: every
-/// `unsafe` block carries a `// SAFETY:` comment within the six lines
-/// above it stating the invariant it relies on, so a reviewer can check
-/// the argument instead of re-deriving it.
-fn unsafe_audit(facts: &Facts, out: &mut Vec<(u32, &'static str, String)>) {
-    for u in &facts.unsafe_blocks {
-        if !u.has_safety {
-            out.push((
-                u.line,
-                "unsafe-audit",
-                "unsafe block without a `// SAFETY:` comment in the six lines above it".to_string(),
-            ));
         }
     }
 }
@@ -409,14 +389,7 @@ fn direct_raw(s: &FileSummary, cfg: &Config) -> Vec<(u32, &'static str, String)>
             raw.push((x.line, "panic-freedom", x.msg.clone()));
         }
     }
-    for d in &s.local_diags {
-        let rule = RULE_NAMES
-            .iter()
-            .copied()
-            .find(|r| *r == d.rule)
-            .unwrap_or("fp-determinism");
-        raw.push((d.line, rule, d.msg.clone()));
-    }
+    raw.extend(s.local_diags.iter().cloned());
     raw.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
     raw.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
     raw
@@ -1134,16 +1107,6 @@ mod tests {
                      s\n\
                    }\n";
         assert!(run("crates/cophy/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn unsafe_audit_wants_safety_comment() {
-        let bad = "fn f(p: *const u8) -> u8 { unsafe { *p } }\n";
-        let d = run("crates/core/src/x.rs", bad);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "unsafe-audit");
-        let good = "fn f(p: *const u8) -> u8 {\n    // SAFETY: p is valid for reads.\n    unsafe { *p }\n}\n";
-        assert!(run("crates/core/src/x.rs", good).is_empty());
     }
 
     #[test]

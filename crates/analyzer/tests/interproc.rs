@@ -1,13 +1,13 @@
 //! Integration tests for the interprocedural engine: multi-file golden
 //! fixtures (cross-file chains, lock order, error discipline, dead
-//! allows), JSON emission, and incremental-cache determinism.
+//! allows) and JSON emission.
 //!
 //! Regenerate goldens after an intentional rule change with
 //! `UPDATE_GOLDEN=1 cargo test -p pgdesign-analyzer --test interproc`.
 
 use pgdesign_analyzer::cache::FileSummary;
 use pgdesign_analyzer::rules::analyze_summaries;
-use pgdesign_analyzer::{analyze_workspace_cached, Config, Severity};
+use pgdesign_analyzer::{Config, Severity};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -105,10 +105,9 @@ fn cross_file_chain_carries_every_hop() {
         .any(|d| d.rule == "cost-purity" && d.path.ends_with("probe.rs") && d.chain.is_empty()));
 }
 
-/// Build a three-crate throwaway workspace for cache/determinism tests.
-fn scratch_workspace(tag: &str) -> PathBuf {
-    let root =
-        std::env::temp_dir().join(format!("analyzer-interproc-{tag}-{}", std::process::id()));
+/// Build a two-crate throwaway workspace for the CLI test.
+fn scratch_workspace() -> PathBuf {
+    let root = std::env::temp_dir().join(format!("analyzer-interproc-{}", std::process::id()));
     let _ = fs::remove_dir_all(&root);
     for (krate, src) in [
         (
@@ -119,7 +118,6 @@ fn scratch_workspace(tag: &str) -> PathBuf {
             "beta",
             "pub struct Probe;\nimpl Probe {\n    pub fn raw_cost(&self) -> f64 {\n        self.inum().cost(&q)\n    }\n}\n",
         ),
-        ("gamma", "pub fn quiet() -> u32 {\n    7\n}\n"),
     ] {
         let dir = root.join("crates").join(krate).join("src");
         fs::create_dir_all(&dir).expect("mkdir");
@@ -128,60 +126,14 @@ fn scratch_workspace(tag: &str) -> PathBuf {
     root
 }
 
-fn render_report(diags: &[pgdesign_analyzer::Diagnostic]) -> String {
-    diags
-        .iter()
-        .map(|d| d.to_string())
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-/// Warm runs must hit the cache for every unchanged file, re-extract only
-/// a touched file, and reach a byte-identical fixpoint either way.
-#[test]
-fn incremental_reanalysis_is_byte_identical_to_cold() {
-    let root = scratch_workspace("incr");
-    let cache = root.join("target/analyzer-facts");
-    let cfg = Config::workspace();
-
-    let cold = analyze_workspace_cached(&root, &cfg, Some(&cache)).expect("cold run");
-    assert_eq!(cold.stats.extracted, 3);
-    assert_eq!(cold.stats.cache_hits, 0);
-
-    let warm = analyze_workspace_cached(&root, &cfg, Some(&cache)).expect("warm run");
-    assert_eq!(warm.stats.extracted, 0);
-    assert_eq!(warm.stats.cache_hits, 3);
-    assert_eq!(render_report(&warm.diags), render_report(&cold.diags));
-
-    // Touch one file: only it re-extracts; the fixpoint is unchanged.
-    let gamma = root.join("crates/gamma/src/lib.rs");
-    let mut src = fs::read_to_string(&gamma).expect("read gamma");
-    src.push_str("\n// a trailing comment changes the content hash\n");
-    fs::write(&gamma, src).expect("touch gamma");
-    let touched = analyze_workspace_cached(&root, &cfg, Some(&cache)).expect("touched run");
-    assert_eq!(
-        touched.stats.extracted, 1,
-        "only the touched file re-extracts"
-    );
-    assert_eq!(touched.stats.cache_hits, 2);
-    assert_eq!(touched.stats.rounds, cold.stats.rounds);
-    assert_eq!(render_report(&touched.diags), render_report(&cold.diags));
-
-    // And the cacheless run agrees byte-for-byte.
-    let nocache = analyze_workspace_cached(&root, &cfg, None).expect("nocache run");
-    assert_eq!(render_report(&nocache.diags), render_report(&cold.diags));
-
-    let _ = fs::remove_dir_all(&root);
-}
-
 /// `--format json` emits the `{rule, path, line, chain}` records CI diffs.
 #[test]
 fn json_output_carries_rule_path_line_chain() {
-    let root = scratch_workspace("json");
+    let root = scratch_workspace();
     let exe = env!("CARGO_BIN_EXE_pgdesign-analyzer");
     let out = std::process::Command::new(exe)
         .arg(&root)
-        .args(["--format", "json", "--no-cache"])
+        .args(["--format", "json"])
         .output()
         .expect("run analyzer binary");
     let text = String::from_utf8(out.stdout).expect("utf8");

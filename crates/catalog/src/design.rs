@@ -8,7 +8,6 @@
 use crate::schema::{Schema, TableId};
 use crate::sizing;
 use crate::stats::TableStats;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -17,7 +16,7 @@ use std::fmt;
 /// There is no "hypothetical" flag: the whole point of the paper's what-if
 /// component is that simulated and real structures share one definition and
 /// one size model, differing only in whether they have been materialized.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Index {
     /// Indexed table.
     pub table: TableId,
@@ -121,7 +120,7 @@ impl fmt::Display for Index {
 /// multiple fragments subject to a replication budget. Every column must
 /// appear in at least one group. Each fragment implicitly carries the row
 /// id so fragments can be re-joined.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VerticalPartitioning {
     /// Partitioned table.
     pub table: TableId,
@@ -201,7 +200,7 @@ impl VerticalPartitioning {
 }
 
 /// Horizontal range partitioning of a table on one column.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HorizontalPartitioning {
     /// Partitioned table.
     pub table: TableId,
@@ -257,7 +256,7 @@ impl HorizontalPartitioning {
 
 /// A complete physical design: a set of secondary indexes plus optional
 /// per-table vertical and horizontal partitionings.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhysicalDesign {
     indexes: Vec<Index>,
     vertical: BTreeMap<TableId, VerticalPartitioning>,

@@ -6,10 +6,8 @@
 //! `ineq_histogram_selectivity` does. We reproduce that scheme over the
 //! numeric image of values ([`crate::types::Value::numeric_image`]).
 
-use serde::{Deserialize, Serialize};
-
 /// An equi-depth histogram over the numeric image of a column.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EquiDepthHistogram {
     /// `bounds.len() == buckets + 1`; `bounds[0]` = min, last = max.
     bounds: Vec<f64>,

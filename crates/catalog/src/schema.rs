@@ -4,12 +4,11 @@
 //! and the solvers can key hash maps on them cheaply.
 
 use crate::types::DataType;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of a table within a [`Schema`] (dense, 0-based).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TableId(pub u32);
 
 impl fmt::Display for TableId {
@@ -19,7 +18,7 @@ impl fmt::Display for TableId {
 }
 
 /// Reference to a column: table plus 0-based column position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ColumnRef {
     /// Owning table.
     pub table: TableId,
@@ -41,7 +40,7 @@ impl fmt::Display for ColumnRef {
 }
 
 /// Definition of one column.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnDef {
     /// Column name, unique within its table.
     pub name: String,
@@ -52,7 +51,7 @@ pub struct ColumnDef {
 }
 
 /// Definition of one table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TableDef {
     /// Identifier (position within the schema).
     pub id: TableId,
@@ -96,7 +95,7 @@ impl TableDef {
 }
 
 /// A complete logical schema.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Schema {
     tables: Vec<TableDef>,
     by_name: HashMap<String, TableId>,

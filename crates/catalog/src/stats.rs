@@ -6,10 +6,9 @@
 //! how the paper's tool piggybacks on the DBMS's `ANALYZE` output.
 
 use crate::histogram::EquiDepthHistogram;
-use serde::{Deserialize, Serialize};
 
 /// Statistics for one column.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ColumnStats {
     /// Number of distinct non-NULL values.
     pub ndv: f64,
@@ -113,7 +112,7 @@ impl ColumnStats {
 }
 
 /// Statistics for one table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TableStats {
     /// Logical row count (may far exceed any generated sample).
     pub row_count: u64,

@@ -6,7 +6,6 @@
 //! closed set of types is therefore sufficient; it matches the types that
 //! appear in the SDSS and TPC-H style schemas used by the paper's demo.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -14,7 +13,7 @@ use std::fmt;
 ///
 /// `byte_width` feeds the size model ([`crate::sizing`]); variable-length
 /// types carry an *average* width the way `pg_statistic.stawidth` does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// 32-bit integer.
     Int,
@@ -73,7 +72,7 @@ impl fmt::Display for DataType {
 }
 
 /// A runtime value: generated data cell or query literal.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// SQL NULL.
     Null,

@@ -27,7 +27,10 @@
 
 use pgdesign_catalog::design::{Index, PhysicalDesign};
 use pgdesign_catalog::Catalog;
-use pgdesign_inum::{Clock, CostMatrix, Deadline, SystemClock, WorkBudget};
+use pgdesign_inum::{
+    wire_struct, ByteReader, ByteWriter, Clock, CodecError, CostMatrix, Deadline, PersistError,
+    SystemClock, Wire, WorkBudget,
+};
 use pgdesign_optimizer::candidates::{query_candidates, CandidateConfig};
 use pgdesign_optimizer::Optimizer;
 use pgdesign_query::ast::Query;
@@ -179,11 +182,14 @@ pub struct TunerState {
     pub candidates: Vec<TunerCandidate>,
 }
 
+wire_struct!(TunerCandidate: index, ewma_benefit, observations, last_seen_epoch);
+wire_struct!(TunerState: epoch, materialized, candidates);
+
 /// Why a [`TunerState`] byte payload was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TunerStateError {
-    /// The payload ended before the declared structure did.
-    Truncated,
+    /// The payload ended early or stopped making sense as bytes.
+    Codec(CodecError),
     /// Encoded with a codec version this build does not speak.
     Version(u32),
     /// Structurally well-formed but semantically impossible (e.g. a
@@ -194,7 +200,7 @@ pub enum TunerStateError {
 impl std::fmt::Display for TunerStateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TunerStateError::Truncated => write!(f, "tuner state payload truncated"),
+            TunerStateError::Codec(e) => write!(f, "tuner state payload: {e}"),
             TunerStateError::Version(v) => write!(f, "tuner state codec version {v} not supported"),
             TunerStateError::Invalid(why) => write!(f, "tuner state invalid: {why}"),
         }
@@ -203,137 +209,48 @@ impl std::fmt::Display for TunerStateError {
 
 impl std::error::Error for TunerStateError {}
 
-/// Codec version for [`TunerState::encode`]. Old daemons that never
-/// wrote a tuner section simply have no sidecar payload; new daemons
-/// reading an unknown future version fall back to a cold EWMA rather
-/// than guessing.
-pub const TUNER_STATE_VERSION: u32 = 1;
+impl From<PersistError> for TunerStateError {
+    fn from(e: PersistError) -> Self {
+        match e {
+            PersistError::Codec(e) => TunerStateError::Codec(e),
+            PersistError::Invalid(why) => TunerStateError::Invalid(why),
+        }
+    }
+}
+
+/// Codec version for [`TunerState::encode`], the payload's leading `u32`.
+/// A daemon reading any other version — older or newer — falls back to a
+/// cold EWMA rather than guessing. Version 1 was a private layout with
+/// its own `Index` encoding; version 2 is the shared [`Wire`] layout the
+/// matrix snapshot uses.
+pub const TUNER_STATE_VERSION: u32 = 2;
 
 impl TunerState {
-    /// Serialize to a little-endian byte payload (CRC framing is the
+    /// Encode as a little-endian byte payload (CRC framing is the
     /// durable store's job, not the codec's).
     pub fn encode(&self) -> Vec<u8> {
-        fn put_index(out: &mut Vec<u8>, idx: &Index) {
-            out.extend_from_slice(&idx.table.0.to_le_bytes());
-            out.push(u8::from(idx.unique));
-            out.extend_from_slice(&(idx.columns.len() as u32).to_le_bytes());
-            for &c in &idx.columns {
-                out.extend_from_slice(&c.to_le_bytes());
-            }
-        }
-        let mut out = Vec::new();
-        out.extend_from_slice(&TUNER_STATE_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&(self.materialized.len() as u32).to_le_bytes());
-        for idx in &self.materialized {
-            put_index(&mut out, idx);
-        }
-        out.extend_from_slice(&(self.candidates.len() as u32).to_le_bytes());
-        for c in &self.candidates {
-            put_index(&mut out, &c.index);
-            out.extend_from_slice(&c.ewma_benefit.to_bits().to_le_bytes());
-            out.extend_from_slice(&c.observations.to_le_bytes());
-            out.extend_from_slice(&c.last_seen_epoch.to_le_bytes());
-        }
-        out
+        let mut w = ByteWriter::new();
+        TUNER_STATE_VERSION.put(&mut w);
+        self.put(&mut w);
+        w.into_bytes()
     }
 
     /// Decode a payload produced by [`Self::encode`]. Rejects truncated
     /// input, unknown versions, and non-finite EWMA values with a typed
     /// error — never panics on hostile bytes.
     pub fn decode(bytes: &[u8]) -> Result<TunerState, TunerStateError> {
-        struct Cur<'b> {
-            b: &'b [u8],
-            at: usize,
-        }
-        impl<'b> Cur<'b> {
-            fn take(&mut self, n: usize) -> Result<&'b [u8], TunerStateError> {
-                let end = self.at.checked_add(n).ok_or(TunerStateError::Truncated)?;
-                let s = self.b.get(self.at..end).ok_or(TunerStateError::Truncated)?;
-                self.at = end;
-                Ok(s)
-            }
-            fn u8(&mut self) -> Result<u8, TunerStateError> {
-                Ok(self.take(1)?[0])
-            }
-            fn u16(&mut self) -> Result<u16, TunerStateError> {
-                let s = self.take(2)?;
-                Ok(u16::from_le_bytes([s[0], s[1]]))
-            }
-            fn u32(&mut self) -> Result<u32, TunerStateError> {
-                let s = self.take(4)?;
-                Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-            }
-            fn u64(&mut self) -> Result<u64, TunerStateError> {
-                let s = self.take(8)?;
-                let mut a = [0u8; 8];
-                a.copy_from_slice(s);
-                Ok(u64::from_le_bytes(a))
-            }
-            fn index(&mut self) -> Result<Index, TunerStateError> {
-                let table = pgdesign_catalog::schema::TableId(self.u32()?);
-                let unique = match self.u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(TunerStateError::Invalid("unique flag out of range")),
-                };
-                let n = self.u32()? as usize;
-                // Cap before allocating: a hostile length here must not
-                // trigger a huge reservation.
-                if n > 1 << 16 {
-                    return Err(TunerStateError::Invalid("column count out of range"));
-                }
-                let mut columns = Vec::with_capacity(n);
-                for _ in 0..n {
-                    columns.push(self.u16()?);
-                }
-                let mut idx = Index::new(table, columns);
-                idx.unique = unique;
-                Ok(idx)
-            }
-        }
-        let mut cur = Cur { b: bytes, at: 0 };
-        let version = cur.u32()?;
+        let mut r = ByteReader::new(bytes);
+        let version = u32::get(&mut r)?;
         if version != TUNER_STATE_VERSION {
             return Err(TunerStateError::Version(version));
         }
-        let epoch = cur.u64()?;
-        let n_mat = cur.u32()? as usize;
-        if n_mat > 1 << 20 {
-            return Err(TunerStateError::Invalid("materialized count out of range"));
+        let state = TunerState::get(&mut r)?;
+        r.expect_end("tuner state")
+            .map_err(TunerStateError::Codec)?;
+        if state.candidates.iter().any(|c| !c.ewma_benefit.is_finite()) {
+            return Err(TunerStateError::Invalid("non-finite EWMA benefit"));
         }
-        let mut materialized = Vec::with_capacity(n_mat);
-        for _ in 0..n_mat {
-            materialized.push(cur.index()?);
-        }
-        let n_cand = cur.u32()? as usize;
-        if n_cand > 1 << 20 {
-            return Err(TunerStateError::Invalid("candidate count out of range"));
-        }
-        let mut candidates = Vec::with_capacity(n_cand);
-        for _ in 0..n_cand {
-            let index = cur.index()?;
-            let ewma_benefit = f64::from_bits(cur.u64()?);
-            if !ewma_benefit.is_finite() {
-                return Err(TunerStateError::Invalid("non-finite EWMA benefit"));
-            }
-            let observations = cur.u64()?;
-            let last_seen_epoch = cur.u64()?;
-            candidates.push(TunerCandidate {
-                index,
-                ewma_benefit,
-                observations,
-                last_seen_epoch,
-            });
-        }
-        if cur.at != bytes.len() {
-            return Err(TunerStateError::Invalid("trailing bytes"));
-        }
-        Ok(TunerState {
-            epoch,
-            materialized,
-            candidates,
-        })
+        Ok(state)
     }
 }
 
@@ -1457,6 +1374,29 @@ mod tests {
             TunerState::decode(&skewed),
             Err(TunerStateError::Version(99))
         );
+        // A version-1 sidecar — these bytes were written by the last build
+        // that spoke it, for the `state` above — is refused by version,
+        // not misread under the version-2 layout.
+        #[rustfmt::skip]
+        let v1: [u8; 66] = [
+            1, 0, 0, 0, // version 1
+            7, 0, 0, 0, 0, 0, 0, 0, // epoch 7
+            1, 0, 0, 0, // 1 materialized (u32 count)
+            0, 0, 0, 0, //   table 0
+            0, //   not unique (flag before the columns)
+            1, 0, 0, 0, //   1 column (u32 count)
+            0, 0, //   column 0
+            1, 0, 0, 0, // 1 candidate
+            0, 0, 0, 0, //   table 0
+            0, //   not unique
+            1, 0, 0, 0, //   1 column
+            9, 0, //   column 9
+            0, 0, 0, 0, 0, 0, 0x29, 0x40, //   ewma_benefit 12.5
+            3, 0, 0, 0, 0, 0, 0, 0, //   observations 3
+            6, 0, 0, 0, 0, 0, 0, 0, //   last_seen_epoch 6
+        ];
+        assert_eq!(photo.0, 0, "the captured payload names table 0");
+        assert_eq!(TunerState::decode(&v1), Err(TunerStateError::Version(1)));
         // A NaN EWMA must not survive decoding.
         let mut poisoned = state.clone();
         poisoned.candidates[0].ewma_benefit = f64::NAN;

@@ -3,11 +3,9 @@
 use crate::interactive::InteractiveSession;
 use crate::online::OnlineSession;
 use crate::report;
-use crate::session::{
-    IndexAdvisor, InteractionAdvisor, JointAdvisor, OfflineAdvisor, PartitionAdvisor, TuningSession,
-};
-use pgdesign_autopart::{AutoPartConfig, PartitionRecommendation};
-use pgdesign_catalog::design::{Index, PhysicalDesign};
+use crate::session::{IndexAdvisor, JointAdvisor, OfflineAdvisor, TuningSession};
+use pgdesign_autopart::PartitionRecommendation;
+use pgdesign_catalog::design::PhysicalDesign;
 use pgdesign_catalog::Catalog;
 use pgdesign_colt::ColtConfig;
 use pgdesign_cophy::{CophyConfig, JointRecommendation, Recommendation};
@@ -74,28 +72,6 @@ impl Designer {
     pub fn recommend_indexes(&self, workload: &Workload, config: CophyConfig) -> Recommendation {
         self.tuning_session(workload.clone())
             .advise(&mut IndexAdvisor::new(config))
-    }
-
-    /// Run the AutoPart partition advisor alone (a one-shot
-    /// [`crate::session::PartitionAdvisor`] session).
-    pub fn recommend_partitions(
-        &self,
-        workload: &Workload,
-        config: AutoPartConfig,
-    ) -> PartitionRecommendation {
-        self.tuning_session(workload.clone())
-            .advise(&mut PartitionAdvisor::new(config))
-    }
-
-    /// Analyze index interactions for a candidate set (a one-shot
-    /// [`crate::session::InteractionAdvisor`] session).
-    pub fn analyze_interactions(
-        &self,
-        workload: &Workload,
-        indexes: &[Index],
-    ) -> InteractionAnalysis {
-        self.tuning_session(workload.clone())
-            .advise(&mut InteractionAdvisor::new(indexes.to_vec()))
     }
 
     /// EXPLAIN a query under a design.

@@ -509,6 +509,49 @@ mod tests {
     }
 
     #[test]
+    fn version_1_tuner_sidecar_starts_cold_and_keeps_tuning() {
+        use pgdesign_colt::TunerStateError;
+        use pgdesign_durability::{write_snapshot, SharedMemStore};
+
+        let d = Designer::new(sdss_catalog(0.01));
+        let q = parse_query(&d.catalog.schema, "SELECT ra FROM photoobj WHERE objid = 7").unwrap();
+        let config = || ColtConfig {
+            epoch_length: 5,
+            payback_horizon_epochs: 10.0,
+            ..Default::default()
+        };
+        let disk = SharedMemStore::new();
+        let open = || {
+            OnlineSession::open_or_create_on(&d, config(), Box::new(disk.clone())).expect("open")
+        };
+        open().observe_all(std::iter::repeat_with(|| q.clone()).take(40));
+
+        // Swap in a sidecar written by the last build that spoke tuner
+        // codec version 1 (it names a materialized index on table 0):
+        // CRC-valid, so it reaches `TunerState::decode`.
+        let v1_hex = "0100000007000000000000000100000000000000000100000000000100000000000000\
+                      00010000000900000000000000294003000000000000000600000000000000";
+        let v1: Vec<u8> = (0..v1_hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&v1_hex[i..i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(TunerState::decode(&v1), Err(TunerStateError::Version(1)));
+        write_snapshot(&mut *disk.lock(), TUNER_SIDECAR, &[v1]).unwrap();
+
+        let mut s = open();
+        assert!(
+            s.current_design().indexes().is_empty(),
+            "a version-1 sidecar restores a cold tuner"
+        );
+        s.observe_all(std::iter::repeat_with(|| q.clone()).take(40));
+        assert_eq!(s.reports().len(), 8);
+        assert!(!s.current_design().indexes().is_empty(), "and re-warms");
+        drop(s);
+        // The sidecar written since is the current version: warm again.
+        assert!(!open().current_design().indexes().is_empty());
+    }
+
+    #[test]
     fn joint_advice_mid_stream_works_too() {
         let d = Designer::new(sdss_catalog(0.01));
         let mut s = d.online_session(ColtConfig {

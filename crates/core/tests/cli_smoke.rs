@@ -172,45 +172,102 @@ fn recommend_without_stats_omits_counters() {
     );
 }
 
+/// Stdout of one run under a given matrix-build thread count (`None` =
+/// the machine's default), minus the one line that reports a wall-clock
+/// measurement.
+fn stdout_with_threads(args: &[&str], threads: Option<&str>) -> String {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_pgdesign"));
+    cmd.args(args);
+    match threads {
+        Some(n) => cmd.env("PGDESIGN_THREADS", n),
+        None => cmd.env_remove("PGDESIGN_THREADS"),
+    };
+    let out = cmd.output().expect("spawn pgdesign");
+    assert!(out.status.success(), "{args:?} should exit 0");
+    String::from_utf8(out.stdout)
+        .unwrap()
+        .lines()
+        .filter(|l| !l.contains("matrix build time"))
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
+/// Two runs, and runs with 1 and 4 build threads, render the same bytes.
+fn assert_same_bytes_at_any_thread_count(args: &[&str]) -> String {
+    let first = stdout_with_threads(args, None);
+    assert_eq!(first, stdout_with_threads(args, None), "two runs differ");
+    for n in ["1", "4"] {
+        assert_eq!(
+            first,
+            stdout_with_threads(args, Some(n)),
+            "PGDESIGN_THREADS={n} differs"
+        );
+    }
+    first
+}
+
 #[test]
 fn recommend_is_a_function_of_its_inputs_alone() {
     // Scenario 2 on 40 SDSS queries: the solver is budgeted in nodes, not
-    // seconds, so two runs — and runs with 1 and 4 build threads — must
-    // render the same bytes, node and pivot counts included.
-    let run = |threads: Option<&str>| {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_pgdesign"));
-        cmd.args([
-            "recommend",
-            "--catalog",
-            "sdss",
-            "--scale",
-            "0.01",
-            "--workload",
-            "builtin:40",
-            "--budget-frac",
-            "0.5",
-        ]);
-        match threads {
-            Some(n) => cmd.env("PGDESIGN_THREADS", n),
-            None => cmd.env_remove("PGDESIGN_THREADS"),
-        };
-        let out = cmd.output().expect("spawn pgdesign");
-        assert!(out.status.success(), "recommend should exit 0");
-        String::from_utf8(out.stdout).unwrap()
-    };
-    let first = run(None);
-    let status = first
+    // seconds, so the output — node and pivot counts included — depends
+    // on nothing but the arguments.
+    let text = assert_same_bytes_at_any_thread_count(&[
+        "recommend",
+        "--catalog",
+        "sdss",
+        "--scale",
+        "0.01",
+        "--workload",
+        "builtin:40",
+        "--budget-frac",
+        "0.5",
+    ]);
+    let status = text
         .lines()
         .find(|l| l.contains("solver gap"))
-        .unwrap_or_else(|| panic!("no solver line:\n{first}"));
+        .unwrap_or_else(|| panic!("no solver line:\n{text}"));
     assert!(status.contains("status: Optimal"), "{status}");
     assert!(
         status.contains("nodes: ") && status.contains("pivots: "),
         "the solver line must carry the search effort: {status}"
     );
-    assert_eq!(first, run(None), "two runs differ");
-    assert_eq!(first, run(Some("1")), "PGDESIGN_THREADS=1 differs");
-    assert_eq!(first, run(Some("4")), "PGDESIGN_THREADS=4 differs");
+}
+
+#[test]
+fn session_is_a_function_of_its_inputs_alone() {
+    let text = assert_same_bytes_at_any_thread_count(&[
+        "session",
+        "--scale",
+        "0.003",
+        "--workload",
+        "builtin:4",
+        "--index",
+        "photoobj:objid",
+        "--vertical",
+        "photoobj:objid,ra,dec|type,r",
+        "--horizontal",
+        "photoobj:ra:8",
+    ]);
+    assert!(text.contains("step 3: +horizontal photoobj.ra"), "{text}");
+}
+
+#[test]
+fn online_is_a_function_of_its_inputs_alone() {
+    // The trajectory, the alerts and every counter — cells computed and
+    // reused included — are the same at any build-thread count.
+    let text = assert_same_bytes_at_any_thread_count(&[
+        "online",
+        "--scale",
+        "0.003",
+        "--queries",
+        "60",
+        "--epoch",
+        "10",
+    ]);
+    assert!(
+        text.contains("cumulative:") && text.contains("cells reused"),
+        "{text}"
+    );
 }
 
 #[test]

@@ -1,10 +1,12 @@
-//! Hand-rolled little-endian byte codec.
+//! Little-endian byte writer and reader.
 //!
-//! The workspace's vendored `serde` is a no-op shim, so every durable
-//! artifact is written in an explicit little-endian format through this
-//! writer/reader pair. Numbers are fixed-width `to_le_bytes`; `f64` goes
-//! through `to_bits` so NaN payloads and signed zeros round-trip exactly;
-//! variable-length data is a `u64` length prefix followed by raw bytes.
+//! Every durable artifact is written in an explicit little-endian format
+//! through this writer/reader pair: the primitives live here, and what a
+//! record *is* — its fields and their order — is declared once upstream,
+//! as a `Wire` impl in `pgdesign-inum`. Numbers are fixed-width
+//! `to_le_bytes`; `f64` goes through `to_bits` so NaN payloads and signed
+//! zeros round-trip exactly; variable-length data is a `u64` length prefix
+//! followed by raw bytes.
 
 use std::fmt;
 

@@ -3,10 +3,11 @@
 //! Crash-safe storage primitives for pgdesign's long-lived tuning
 //! sessions. This crate is a dependency leaf — it knows nothing about
 //! cost matrices or catalogs; it provides the mechanics every durable
-//! layer needs and that the vendored no-op `serde` shim cannot:
+//! layer needs:
 //!
 //! - [`codec`]: an explicit little-endian [`ByteWriter`]/[`ByteReader`]
-//!   pair (the wire format is hand-rolled, versioned, and checked).
+//!   pair (the wire format is explicit, versioned, and checked; record
+//!   layouts are declared on top of it by `pgdesign-inum`'s `Wire`).
 //! - [`crc`]: table-driven CRC-32 guarding every record.
 //! - [`store`]: the [`DurableStore`] abstraction with a real filesystem
 //!   implementation ([`FsStore`]) and a deterministic fault-injection

@@ -45,9 +45,7 @@ mod oracle;
 pub mod schedule;
 
 pub use graph::InteractionGraph;
-pub use schedule::{
-    exact_schedule, greedy_schedule, naive_schedule, schedule_pair, schedule_pair_on, Schedule,
-};
+pub use schedule::{exact_schedule, greedy_schedule, naive_schedule, schedule_pair_on, Schedule};
 
 use pgdesign_catalog::design::Index;
 use pgdesign_inum::{CostMatrix, Inum, MatrixCore};

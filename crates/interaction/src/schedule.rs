@@ -125,21 +125,10 @@ pub fn naive_schedule(inum: &Inum<'_>, workload: &Workload, indexes: &[Index]) -
     Builds::all(&matrix, indexes.len()).in_order(0..indexes.len())
 }
 
-/// The greedy and naive schedules over one shared matrix build.
-pub fn schedule_pair(
-    inum: &Inum<'_>,
-    workload: &Workload,
-    indexes: &[Index],
-) -> (Schedule, Schedule) {
-    let matrix = CostMatrix::build(inum, workload, indexes);
-    let builds = Builds::all(&matrix, indexes.len());
-    (builds.greedy(), builds.in_order(0..indexes.len()))
-}
-
-/// [`schedule_pair`] over live candidates of an *existing* matrix — the
-/// session-scoped entry: no matrix build, every configuration cost is a
-/// pure lookup against the resident cells. Schedule orders index into
-/// `candidate_ids`.
+/// The greedy and naive schedules over live candidates of an *existing*
+/// matrix — the session-scoped entry: no matrix build, every
+/// configuration cost is a pure lookup against the resident cells.
+/// Schedule orders index into `candidate_ids`.
 pub fn schedule_pair_on(matrix: &CostMatrix<'_>, candidate_ids: &[usize]) -> (Schedule, Schedule) {
     let builds = Builds::on(matrix, candidate_ids);
     (builds.greedy(), builds.in_order(0..candidate_ids.len()))

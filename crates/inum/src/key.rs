@@ -19,11 +19,21 @@ use std::hash::{Hash, Hasher};
 /// multiplies per byte and needs no DoS resistance here — keys never
 /// leave the process and collisions only cost a (deterministic) cache
 /// mix-up on adversarial input we don't take.
-struct Fnv1a(u64);
+pub(crate) struct Fnv1a(u64);
 
 impl Fnv1a {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Feed a fixed little-endian image — for hashes that are stored
+    /// (`Hasher::write_u64` feeds native-endian bytes).
+    pub(crate) fn u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    pub(crate) fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
     }
 }
 

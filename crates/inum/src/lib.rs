@@ -109,16 +109,19 @@ mod inum;
 mod key;
 mod matrix;
 mod snapshot;
+mod wire;
 
 pub use budget::{Clock, Deadline, ManualClock, SystemClock, WorkBudget};
 pub use inum::{interesting_orders_per_slot, order_combinations, Inum, InumStats};
 pub use key::query_cell_key;
 pub use matrix::persist::{
-    catalog_fingerprints, decode_edit, decode_snapshot, encode_edit, encode_published,
-    encode_snapshot, restore_matrix, DecodedSnapshot, MatrixEdit, PersistError, RestoreReport,
+    decode_edit, decode_snapshot, encode_edit, encode_published, restore_matrix, DecodedSnapshot,
+    MatrixEdit, PersistError, RestoreReport,
 };
 pub use matrix::{
     build_threads, CandidateBitset, CostMatrix, FragmentBitset, JointConfig, JointToggle,
     MatrixCore, MatrixStats, SplitBitset,
 };
+pub use pgdesign_durability::{ByteReader, ByteWriter, CodecError};
 pub use snapshot::{MatrixReader, MatrixSnapshot};
+pub use wire::Wire;

@@ -1,12 +1,13 @@
-//! Durable codec for the cost matrix: snapshot payloads and edit records.
+//! Durable form of the cost matrix: snapshot payloads and edit records.
 //!
 //! This module turns a published [`MatrixSnapshot`] into the record
 //! payloads of a `.pgds` snapshot file and a [`MatrixEdit`] journal into
 //! `.pgdl` log records — and back. The storage framing (magic headers,
 //! format version, per-record CRC, atomic rename, fsync discipline) lives
 //! in `pgdesign-durability`; this module owns only the *meaning* of the
-//! bytes. The vendored `serde` is a no-op shim, so everything here is an
-//! explicit little-endian layout via `ByteWriter`/`ByteReader`.
+//! bytes. Every layout is one [`Wire`](crate::wire::Wire) declaration
+//! (`wire_struct!`/`wire_enum!`, see [`crate::wire`]): the cell payload
+//! and the records here, the catalog/query/optimizer types there.
 //!
 //! Layout invariants the decoder enforces rather than trusts:
 //!
@@ -14,6 +15,10 @@
 //!   FNV-1a [`crate::key::query_cell_key`] of its query — cells are keyed
 //!   by that public key, and a mismatch means the payload is not the
 //!   matrix it claims to be;
+//! - every id a lookup indexes with — required-order ids, per-slot table
+//!   ids, order-satisfaction bits, split fraction rows — is in range
+//!   ([`QueryMatrix::validate`]), so a CRC-valid but impossible payload is
+//!   an error here, not a panic at the first cost call;
 //! - redundant state (`id_by_index`, `frags_by_table`, fragment column
 //!   masks) is rebuilt from first principles on decode, never stored;
 //! - a per-table statistics fingerprint of the catalog is stored in the
@@ -28,13 +33,12 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use super::*;
-use crate::MatrixSnapshot;
-use pgdesign_catalog::types::Value;
+use crate::key::Fnv1a;
+pub use crate::wire::PersistError;
+use crate::wire::{from_bytes, to_bytes};
+use crate::{wire_enum, wire_struct};
 use pgdesign_catalog::{Catalog, ColumnStats};
-use pgdesign_durability::{ByteReader, ByteWriter, CodecError};
-use pgdesign_query::ast::{
-    Aggregate, CmpOp, FilterPredicate, JoinPredicate, OrderItem, PredOp, QueryTable,
-};
+use std::hash::Hasher;
 
 /// One recorded mutation of a [`CostMatrix`] — the unit of the durable
 /// edit log. Each variant stores exactly the public-API *inputs* of the
@@ -61,32 +65,25 @@ pub enum MatrixEdit {
     Publish,
 }
 
-/// Why a payload could not be decoded. Both variants are graceful-fallback
-/// signals (cold build), never panics.
-#[derive(Debug)]
-pub enum PersistError {
-    /// Structural failure: the bytes ran out or stopped making sense.
-    Codec(CodecError),
-    /// Semantic failure: well-formed bytes describing an impossible or
-    /// inconsistent matrix (bad tag, key mismatch, out-of-range table).
-    Invalid(&'static str),
+wire_enum!(MatrixEdit, "edit tag" {
+    0 => AddCandidates(indexes),
+    1 => RemoveCandidate(id),
+    2 => AddQueries(entries),
+    3 => RetireQuery(id),
+    4 => SetQueryWeight(id, weight),
+    5 => RegisterFragment(table, columns),
+    6 => RegisterSplit(hp),
+    7 => Publish,
+});
+
+/// Encode one edit as a log-record payload.
+pub fn encode_edit(edit: &MatrixEdit) -> Vec<u8> {
+    to_bytes(edit)
 }
 
-impl std::fmt::Display for PersistError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PersistError::Codec(e) => write!(f, "{e}"),
-            PersistError::Invalid(what) => write!(f, "invalid snapshot payload: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for PersistError {}
-
-impl From<CodecError> for PersistError {
-    fn from(e: CodecError) -> Self {
-        PersistError::Codec(e)
-    }
+/// Decode one log-record payload.
+pub fn decode_edit(bytes: &[u8]) -> Result<MatrixEdit, PersistError> {
+    from_bytes(bytes, "edit record")
 }
 
 fn invalid(what: &'static str) -> PersistError {
@@ -97,30 +94,7 @@ fn invalid(what: &'static str) -> PersistError {
 // Catalog statistics fingerprints
 // ---------------------------------------------------------------------------
 
-struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new() -> Self {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-}
-
-fn fingerprint_column(h: &mut Fnv64, c: &ColumnStats) {
+fn fingerprint_column(h: &mut Fnv1a, c: &ColumnStats) {
     h.f64(c.ndv);
     h.f64(c.null_frac);
     h.f64(c.min);
@@ -147,592 +121,148 @@ fn fingerprint_column(h: &mut Fnv64, c: &ColumnStats) {
 /// column's full statistics), indexed by `TableId.0`. This is the
 /// statistics-generation stamp stored in the snapshot header: a changed
 /// fingerprint on restore marks that table's cells stale.
-pub fn catalog_fingerprints(catalog: &Catalog) -> Vec<u64> {
+fn catalog_fingerprints(catalog: &Catalog) -> Vec<u64> {
     catalog
         .stats
         .iter()
         .map(|ts| {
-            let mut h = Fnv64::new();
+            let mut h = Fnv1a::new();
             h.u64(ts.row_count);
             h.u64(ts.columns.len() as u64);
             for c in &ts.columns {
                 fingerprint_column(&mut h, c);
             }
-            h.0
+            h.finish()
         })
         .collect()
 }
 
 // ---------------------------------------------------------------------------
-// Query AST codec
+// Cell payload and record layouts
 // ---------------------------------------------------------------------------
 
-fn put_query_column(w: &mut ByteWriter, qc: &QueryColumn) {
-    w.put_u16(qc.slot);
-    w.put_u16(qc.column);
-}
+wire_struct!(CandPath: profile, order_ok);
+wire_struct!(CandCosts: id, unordered, ordered, paths);
+wire_struct!(
+    SlotCosts: table, needed_mask, base_rows, n_filters, base_target, base_unordered, base_ordered,
+    slot_orders, cands
+);
+wire_struct!(QueryMatrix: weight, key, active, internal, reqs, slots);
+wire_struct!(Split: hp, frac);
 
-fn get_query_column(r: &mut ByteReader<'_>) -> Result<QueryColumn, PersistError> {
-    Ok(QueryColumn::new(r.get_u16()?, r.get_u16()?))
+/// Record 0: the published generation and the catalog's per-table
+/// statistics fingerprints at write time.
+struct Header {
+    generation: u64,
+    fingerprints: Vec<u64>,
 }
+wire_struct!(Header: generation, fingerprints);
 
-fn put_value(w: &mut ByteWriter, v: &Value) {
-    match v {
-        Value::Null => w.put_u8(0),
-        Value::Int(i) => {
-            w.put_u8(1);
-            w.put_i64(*i);
-        }
-        Value::Float(f) => {
-            w.put_u8(2);
-            w.put_f64(*f);
-        }
-        Value::Str(s) => {
-            w.put_u8(3);
-            w.put_str(s);
-        }
-        Value::Bool(b) => {
-            w.put_u8(4);
-            w.put_bool(*b);
-        }
-    }
+/// Record 1: the candidate registry and the free lists. `n_queries` is
+/// the number of query records that follow.
+struct Registry {
+    params: CostParams,
+    generation: u64,
+    indexes: Vec<Option<Index>>,
+    free_candidates: Vec<usize>,
+    free_queries: Vec<usize>,
+    n_queries: usize,
 }
+wire_struct!(Registry: params, generation, indexes, free_candidates, free_queries, n_queries);
 
-fn get_value(r: &mut ByteReader<'_>) -> Result<Value, PersistError> {
-    Ok(match r.get_u8()? {
-        0 => Value::Null,
-        1 => Value::Int(r.get_i64()?),
-        2 => Value::Float(r.get_f64()?),
-        3 => Value::Str(r.get_str()?),
-        4 => Value::Bool(r.get_bool()?),
-        _ => return Err(invalid("value tag")),
-    })
+/// One record per query slot (so the per-record CRC localizes damage):
+/// the slot's query and its cells.
+struct QueryRecord {
+    query: Query,
+    cells: Arc<QueryMatrix>,
 }
+wire_struct!(QueryRecord: query, cells);
 
-fn put_pred_op(w: &mut ByteWriter, op: &PredOp) {
-    match op {
-        PredOp::Cmp(cmp, v) => {
-            w.put_u8(0);
-            w.put_u8(match cmp {
-                CmpOp::Eq => 0,
-                CmpOp::Lt => 1,
-                CmpOp::Le => 2,
-                CmpOp::Gt => 3,
-                CmpOp::Ge => 4,
-                CmpOp::Ne => 5,
-            });
-            put_value(w, v);
+/// A [`Fragment`] as stored: its column mask is rebuilt on decode.
+struct FragmentRecord {
+    table: TableId,
+    columns: Vec<u16>,
+    pages: u64,
+}
+wire_struct!(FragmentRecord: table, columns, pages);
+
+impl QueryMatrix {
+    /// Check every id a lookup indexes this query's cells with. The
+    /// lookup paths trust these (they are invariants of
+    /// `compute_query_matrix`); a decoded payload has to earn that trust.
+    fn validate(&self) -> Result<(), PersistError> {
+        if self.internal.len() != self.reqs.len() {
+            return Err(invalid("skeleton costs misaligned with requirements"));
         }
-        PredOp::Between(lo, hi) => {
-            w.put_u8(1);
-            put_value(w, lo);
-            put_value(w, hi);
-        }
-        PredOp::InList(vs) => {
-            w.put_u8(2);
-            w.put_len(vs.len());
-            for v in vs {
-                put_value(w, v);
+        for slot in &self.slots {
+            let n_orders = slot.base_ordered.len();
+            if n_orders > MAX_SLOT_ORDERS || slot.slot_orders.len() != n_orders {
+                return Err(invalid("slot order table misaligned"));
+            }
+            for cand in &slot.cands {
+                if cand.ordered.len() != n_orders {
+                    return Err(invalid("candidate order costs misaligned with slot orders"));
+                }
+                if cand.paths.iter().any(|p| p.order_ok >> n_orders != 0) {
+                    return Err(invalid("path order bit out of range"));
+                }
             }
         }
-        PredOp::IsNull => w.put_u8(3),
-        PredOp::IsNotNull => w.put_u8(4),
-    }
-}
-
-fn get_pred_op(r: &mut ByteReader<'_>) -> Result<PredOp, PersistError> {
-    Ok(match r.get_u8()? {
-        0 => {
-            let cmp = match r.get_u8()? {
-                0 => CmpOp::Eq,
-                1 => CmpOp::Lt,
-                2 => CmpOp::Le,
-                3 => CmpOp::Gt,
-                4 => CmpOp::Ge,
-                5 => CmpOp::Ne,
-                _ => return Err(invalid("cmp tag")),
-            };
-            PredOp::Cmp(cmp, get_value(r)?)
-        }
-        1 => PredOp::Between(get_value(r)?, get_value(r)?),
-        2 => {
-            let n = r.get_len()?;
-            let mut vs = Vec::with_capacity(n);
-            for _ in 0..n {
-                vs.push(get_value(r)?);
+        for reqs in &self.reqs {
+            if reqs.len() != self.slots.len() {
+                return Err(invalid("skeleton requirements misaligned with slots"));
             }
-            PredOp::InList(vs)
-        }
-        3 => PredOp::IsNull,
-        4 => PredOp::IsNotNull,
-        _ => return Err(invalid("predicate tag")),
-    })
-}
-
-fn put_query(w: &mut ByteWriter, q: &Query) {
-    w.put_len(q.tables.len());
-    for t in &q.tables {
-        w.put_u32(t.table.0);
-        match &t.alias {
-            None => w.put_u8(0),
-            Some(a) => {
-                w.put_u8(1);
-                w.put_str(a);
+            for (&req, slot) in reqs.iter().zip(&self.slots) {
+                if req != NO_ORDER && req as usize >= slot.base_ordered.len() {
+                    return Err(invalid("required order id out of range"));
+                }
             }
         }
+        Ok(())
     }
-    w.put_len(q.projection.len());
-    for qc in &q.projection {
-        put_query_column(w, qc);
-    }
-    w.put_len(q.aggregates.len());
-    for a in &q.aggregates {
-        match a {
-            Aggregate::CountStar => w.put_u8(0),
-            Aggregate::Count(qc) => {
-                w.put_u8(1);
-                put_query_column(w, qc);
-            }
-            Aggregate::Sum(qc) => {
-                w.put_u8(2);
-                put_query_column(w, qc);
-            }
-            Aggregate::Avg(qc) => {
-                w.put_u8(3);
-                put_query_column(w, qc);
-            }
-            Aggregate::Min(qc) => {
-                w.put_u8(4);
-                put_query_column(w, qc);
-            }
-            Aggregate::Max(qc) => {
-                w.put_u8(5);
-                put_query_column(w, qc);
-            }
-        }
-    }
-    w.put_bool(q.select_star);
-    w.put_len(q.filters.len());
-    for f in &q.filters {
-        put_query_column(w, &f.col);
-        put_pred_op(w, &f.op);
-    }
-    w.put_len(q.joins.len());
-    for j in &q.joins {
-        put_query_column(w, &j.left);
-        put_query_column(w, &j.right);
-    }
-    w.put_len(q.group_by.len());
-    for qc in &q.group_by {
-        put_query_column(w, qc);
-    }
-    w.put_len(q.order_by.len());
-    for o in &q.order_by {
-        put_query_column(w, &o.col);
-        w.put_bool(o.desc);
-    }
-    match q.limit {
-        None => w.put_u8(0),
-        Some(n) => {
-            w.put_u8(1);
-            w.put_u64(n);
-        }
-    }
-}
-
-fn get_query(r: &mut ByteReader<'_>) -> Result<Query, PersistError> {
-    let mut q = Query::default();
-    for _ in 0..r.get_len()? {
-        let table = TableId(r.get_u32()?);
-        let alias = match r.get_u8()? {
-            0 => None,
-            1 => Some(r.get_str()?),
-            _ => return Err(invalid("alias tag")),
-        };
-        q.tables.push(QueryTable { table, alias });
-    }
-    for _ in 0..r.get_len()? {
-        q.projection.push(get_query_column(r)?);
-    }
-    for _ in 0..r.get_len()? {
-        q.aggregates.push(match r.get_u8()? {
-            0 => Aggregate::CountStar,
-            1 => Aggregate::Count(get_query_column(r)?),
-            2 => Aggregate::Sum(get_query_column(r)?),
-            3 => Aggregate::Avg(get_query_column(r)?),
-            4 => Aggregate::Min(get_query_column(r)?),
-            5 => Aggregate::Max(get_query_column(r)?),
-            _ => return Err(invalid("aggregate tag")),
-        });
-    }
-    q.select_star = r.get_bool()?;
-    for _ in 0..r.get_len()? {
-        let col = get_query_column(r)?;
-        let op = get_pred_op(r)?;
-        q.filters.push(FilterPredicate { col, op });
-    }
-    for _ in 0..r.get_len()? {
-        let left = get_query_column(r)?;
-        let right = get_query_column(r)?;
-        q.joins.push(JoinPredicate { left, right });
-    }
-    for _ in 0..r.get_len()? {
-        q.group_by.push(get_query_column(r)?);
-    }
-    for _ in 0..r.get_len()? {
-        let col = get_query_column(r)?;
-        let desc = r.get_bool()?;
-        q.order_by.push(OrderItem { col, desc });
-    }
-    q.limit = match r.get_u8()? {
-        0 => None,
-        1 => Some(r.get_u64()?),
-        _ => return Err(invalid("limit tag")),
-    };
-    Ok(q)
-}
-
-// ---------------------------------------------------------------------------
-// Cell payload codec
-// ---------------------------------------------------------------------------
-
-fn put_index(w: &mut ByteWriter, idx: &Index) {
-    w.put_u32(idx.table.0);
-    w.put_len(idx.columns.len());
-    for &c in &idx.columns {
-        w.put_u16(c);
-    }
-    w.put_bool(idx.unique);
-}
-
-fn get_index(r: &mut ByteReader<'_>) -> Result<Index, PersistError> {
-    let table = TableId(r.get_u32()?);
-    let n = r.get_len()?;
-    let mut columns = Vec::with_capacity(n);
-    for _ in 0..n {
-        columns.push(r.get_u16()?);
-    }
-    let unique = r.get_bool()?;
-    Ok(Index {
-        table,
-        columns,
-        unique,
-    })
-}
-
-fn put_params(w: &mut ByteWriter, p: &CostParams) {
-    w.put_f64(p.seq_page_cost);
-    w.put_f64(p.random_page_cost);
-    w.put_f64(p.cpu_tuple_cost);
-    w.put_f64(p.cpu_index_tuple_cost);
-    w.put_f64(p.cpu_operator_cost);
-    w.put_u64(p.effective_cache_pages);
-    w.put_u64(p.work_mem_bytes);
-    w.put_f64(p.index_only_heap_fetch_frac);
-}
-
-fn get_params(r: &mut ByteReader<'_>) -> Result<CostParams, PersistError> {
-    Ok(CostParams {
-        seq_page_cost: r.get_f64()?,
-        random_page_cost: r.get_f64()?,
-        cpu_tuple_cost: r.get_f64()?,
-        cpu_index_tuple_cost: r.get_f64()?,
-        cpu_operator_cost: r.get_f64()?,
-        effective_cache_pages: r.get_u64()?,
-        work_mem_bytes: r.get_u64()?,
-        index_only_heap_fetch_frac: r.get_f64()?,
-    })
-}
-
-fn put_cand_costs(w: &mut ByteWriter, cc: &CandCosts) {
-    w.put_u64(cc.id as u64);
-    w.put_f64(cc.unordered);
-    w.put_len(cc.ordered.len());
-    for &c in &cc.ordered {
-        w.put_f64(c);
-    }
-    w.put_len(cc.paths.len());
-    for p in &cc.paths {
-        let prof = &p.profile;
-        w.put_bool(prof.bitmap);
-        w.put_u64(prof.matched as u64);
-        w.put_bool(prof.index_only);
-        w.put_bool(prof.parameterized);
-        w.put_len(prof.order.len());
-        for qc in &prof.order {
-            put_query_column(w, qc);
-        }
-        let (pre, post, heap_rows, corr2, row_count) = prof.persist_parts();
-        w.put_f64(pre);
-        w.put_f64(post);
-        w.put_f64(heap_rows);
-        w.put_f64(corr2);
-        w.put_f64(row_count);
-        w.put_u64(p.order_ok);
-    }
-}
-
-fn get_cand_costs(r: &mut ByteReader<'_>) -> Result<CandCosts, PersistError> {
-    let id = r.get_u64()? as usize;
-    let unordered = r.get_f64()?;
-    let n = r.get_len()?;
-    let mut ordered = Vec::with_capacity(n);
-    for _ in 0..n {
-        ordered.push(r.get_f64()?);
-    }
-    let n = r.get_len()?;
-    let mut paths = Vec::with_capacity(n);
-    for _ in 0..n {
-        let bitmap = r.get_bool()?;
-        let matched = r.get_u64()? as usize;
-        let index_only = r.get_bool()?;
-        let parameterized = r.get_bool()?;
-        let no = r.get_len()?;
-        let mut order = Vec::with_capacity(no);
-        for _ in 0..no {
-            order.push(get_query_column(r)?);
-        }
-        let parts = (
-            r.get_f64()?,
-            r.get_f64()?,
-            r.get_f64()?,
-            r.get_f64()?,
-            r.get_f64()?,
-        );
-        let profile = IndexPathProfile::from_persist_parts(
-            bitmap,
-            matched,
-            index_only,
-            parameterized,
-            order,
-            parts,
-        );
-        let order_ok = r.get_u64()?;
-        paths.push(CandPath { profile, order_ok });
-    }
-    Ok(CandCosts {
-        id,
-        unordered,
-        ordered,
-        paths,
-    })
-}
-
-fn put_slot_costs(w: &mut ByteWriter, s: &SlotCosts) {
-    w.put_u32(s.table.0);
-    w.put_u128(s.needed_mask);
-    w.put_f64(s.base_rows);
-    w.put_u64(s.n_filters as u64);
-    w.put_f64(s.base_target.pages);
-    w.put_u64(s.base_target.fragments as u64);
-    w.put_f64(s.base_unordered);
-    w.put_len(s.base_ordered.len());
-    for &c in &s.base_ordered {
-        w.put_f64(c);
-    }
-    w.put_len(s.slot_orders.len());
-    for o in &s.slot_orders {
-        w.put_len(o.len());
-        for &c in o {
-            w.put_u16(c);
-        }
-    }
-    w.put_len(s.cands.len());
-    for cc in &s.cands {
-        put_cand_costs(w, cc);
-    }
-}
-
-fn get_slot_costs(r: &mut ByteReader<'_>) -> Result<SlotCosts, PersistError> {
-    let table = TableId(r.get_u32()?);
-    let needed_mask = r.get_u128()?;
-    let base_rows = r.get_f64()?;
-    let n_filters = r.get_u64()? as usize;
-    let base_target = FetchTarget {
-        pages: r.get_f64()?,
-        fragments: r.get_u64()? as usize,
-    };
-    let base_unordered = r.get_f64()?;
-    let n = r.get_len()?;
-    let mut base_ordered = Vec::with_capacity(n);
-    for _ in 0..n {
-        base_ordered.push(r.get_f64()?);
-    }
-    let n = r.get_len()?;
-    let mut slot_orders = Vec::with_capacity(n);
-    for _ in 0..n {
-        let no = r.get_len()?;
-        let mut o = Vec::with_capacity(no);
-        for _ in 0..no {
-            o.push(r.get_u16()?);
-        }
-        slot_orders.push(o);
-    }
-    let n = r.get_len()?;
-    let mut cands = Vec::with_capacity(n);
-    for _ in 0..n {
-        cands.push(get_cand_costs(r)?);
-    }
-    Ok(SlotCosts {
-        table,
-        needed_mask,
-        base_rows,
-        n_filters,
-        base_target,
-        base_unordered,
-        base_ordered,
-        slot_orders,
-        cands,
-    })
-}
-
-fn put_query_matrix(w: &mut ByteWriter, qm: &QueryMatrix) {
-    w.put_f64(qm.weight);
-    w.put_u64(qm.key);
-    w.put_bool(qm.active);
-    w.put_len(qm.internal.len());
-    for &c in &qm.internal {
-        w.put_f64(c);
-    }
-    w.put_len(qm.reqs.len());
-    for req in &qm.reqs {
-        w.put_len(req.len());
-        for &o in req {
-            w.put_u32(o);
-        }
-    }
-    w.put_len(qm.slots.len());
-    for s in &qm.slots {
-        put_slot_costs(w, s);
-    }
-}
-
-fn get_query_matrix(r: &mut ByteReader<'_>) -> Result<QueryMatrix, PersistError> {
-    let weight = r.get_f64()?;
-    let key = r.get_u64()?;
-    let active = r.get_bool()?;
-    let n = r.get_len()?;
-    let mut internal = Vec::with_capacity(n);
-    for _ in 0..n {
-        internal.push(r.get_f64()?);
-    }
-    let n = r.get_len()?;
-    let mut reqs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let ns = r.get_len()?;
-        let mut req = Vec::with_capacity(ns);
-        for _ in 0..ns {
-            req.push(r.get_u32()?);
-        }
-        reqs.push(req);
-    }
-    let n = r.get_len()?;
-    let mut slots = Vec::with_capacity(n);
-    for _ in 0..n {
-        slots.push(get_slot_costs(r)?);
-    }
-    Ok(QueryMatrix {
-        weight,
-        key,
-        active,
-        internal,
-        reqs,
-        slots,
-    })
 }
 
 // ---------------------------------------------------------------------------
 // Snapshot encode / decode
 // ---------------------------------------------------------------------------
 
-/// Encode a published snapshot as the record payloads of a `.pgds` file:
-/// record 0 is the header (published generation, catalog fingerprints),
-/// record 1 the candidate registry, then one record per query slot (so the
-/// per-record CRC localizes damage), then fragments, then splits.
-pub fn encode_snapshot(snap: &MatrixSnapshot, catalog: &Catalog) -> Vec<Vec<u8>> {
-    encode_core(snap, snap.generation(), catalog)
-}
-
-/// [`encode_snapshot`] of the matrix's latest published generation.
+/// Encode the matrix's latest published generation as the record
+/// payloads of a `.pgds` file: record 0 is the header (published
+/// generation, catalog fingerprints), record 1 the candidate registry,
+/// then one record per query slot, then fragments, then splits.
 pub fn encode_published(matrix: &CostMatrix<'_>) -> Vec<Vec<u8>> {
     let snap = matrix.slot.current();
-    encode_core(&snap, snap.generation(), matrix.inum.catalog())
-}
-
-fn encode_core(core: &MatrixCore, generation: u64, catalog: &Catalog) -> Vec<Vec<u8>> {
-    let fingerprints = catalog_fingerprints(catalog);
+    let core: &MatrixCore = &snap;
     let mut records = Vec::with_capacity(4 + core.queries.len());
-
-    let mut header = ByteWriter::new();
-    header.put_u64(generation);
-    header.put_len(fingerprints.len());
-    for &fp in &fingerprints {
-        header.put_u64(fp);
+    records.push(to_bytes(&Header {
+        generation: snap.generation(),
+        fingerprints: catalog_fingerprints(matrix.inum.catalog()),
+    }));
+    records.push(to_bytes(&Registry {
+        params: core.params,
+        generation: core.generation,
+        indexes: core.indexes.clone(),
+        free_candidates: core.free_candidates.clone(),
+        free_queries: core.free_queries.clone(),
+        n_queries: core.queries.len(),
+    }));
+    for (cells, entry) in core.queries.iter().zip(&core.workload.entries) {
+        records.push(to_bytes(&QueryRecord {
+            query: entry.query.clone(),
+            cells: Arc::clone(cells),
+        }));
     }
-    records.push(header.into_bytes());
-
-    let mut reg = ByteWriter::new();
-    put_params(&mut reg, &core.params);
-    reg.put_u64(core.generation);
-    reg.put_len(core.indexes.len());
-    for idx in &core.indexes {
-        match idx {
-            None => reg.put_u8(0),
-            Some(i) => {
-                reg.put_u8(1);
-                put_index(&mut reg, i);
-            }
-        }
-    }
-    reg.put_len(core.free_candidates.len());
-    for &id in &core.free_candidates {
-        reg.put_u64(id as u64);
-    }
-    reg.put_len(core.free_queries.len());
-    for &id in &core.free_queries {
-        reg.put_u64(id as u64);
-    }
-    reg.put_u64(core.queries.len() as u64);
-    records.push(reg.into_bytes());
-
-    for (qm, entry) in core.queries.iter().zip(&core.workload.entries) {
-        let mut w = ByteWriter::new();
-        put_query(&mut w, &entry.query);
-        put_query_matrix(&mut w, qm);
-        records.push(w.into_bytes());
-    }
-
-    let mut frags = ByteWriter::new();
-    frags.put_len(core.fragments.len());
-    for f in &core.fragments {
-        frags.put_u32(f.table.0);
-        frags.put_len(f.columns.len());
-        for &c in &f.columns {
-            frags.put_u16(c);
-        }
-        frags.put_u64(f.pages);
-    }
-    records.push(frags.into_bytes());
-
-    let mut splits = ByteWriter::new();
-    splits.put_len(core.splits.len());
-    for sp in &core.splits {
-        splits.put_u32(sp.hp.table.0);
-        splits.put_u16(sp.hp.column);
-        splits.put_len(sp.hp.bounds.len());
-        for &b in &sp.hp.bounds {
-            splits.put_f64(b);
-        }
-        splits.put_len(sp.frac.len());
-        for row in &sp.frac {
-            splits.put_len(row.len());
-            for &f in row {
-                splits.put_f64(f);
-            }
-        }
-    }
-    records.push(splits.into_bytes());
-
+    let fragments: Vec<FragmentRecord> = core
+        .fragments
+        .iter()
+        .map(|f| FragmentRecord {
+            table: f.table,
+            columns: f.columns.clone(),
+            pages: f.pages,
+        })
+        .collect();
+    records.push(to_bytes(&fragments));
+    records.push(to_bytes(&core.splits));
     records
 }
 
@@ -750,7 +280,7 @@ pub struct DecodedSnapshot {
 
 /// Decode the record payloads of a verified `.pgds` file. The framing
 /// layer has already checked every record's CRC; this validates the
-/// semantic invariants (tags, cross-record counts, cell keys).
+/// semantic invariants (tags, cross-record counts, id ranges, cell keys).
 pub fn decode_snapshot(records: &[Vec<u8>]) -> Result<DecodedSnapshot, PersistError> {
     if records.len() < 4 {
         return Err(invalid("too few records"));
@@ -762,49 +292,23 @@ pub fn decode_snapshot(records: &[Vec<u8>]) -> Result<DecodedSnapshot, PersistEr
             .map(Vec::as_slice)
             .ok_or_else(|| invalid("missing record"))
     };
-    let mut r = ByteReader::new(rec(0)?);
-    let generation = r.get_u64()?;
-    let n_tables = r.get_len()?;
-    let mut stored_fingerprints = Vec::with_capacity(n_tables);
-    for _ in 0..n_tables {
-        stored_fingerprints.push(r.get_u64()?);
-    }
-    r.expect_end("header record")?;
+    let header: Header = from_bytes(rec(0)?, "header record")?;
+    let n_tables = header.fingerprints.len();
 
-    let mut r = ByteReader::new(rec(1)?);
-    let params = get_params(&mut r)?;
-    let rotation_generation = r.get_u64()?;
-    let n = r.get_len()?;
-    let mut indexes: Vec<Option<Index>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        indexes.push(match r.get_u8()? {
-            0 => None,
-            1 => Some(get_index(&mut r)?),
-            _ => return Err(invalid("candidate tag")),
-        });
+    let registry: Registry = from_bytes(rec(1)?, "registry record")?;
+    let n_queries = registry.n_queries;
+    let n_candidates = registry.indexes.len();
+    if registry
+        .free_candidates
+        .iter()
+        .any(|&id| id >= n_candidates)
+    {
+        return Err(invalid("free candidate id out of range"));
     }
-    let n_candidates = indexes.len();
-    let n = r.get_len()?;
-    let mut free_candidates = Vec::with_capacity(n);
-    for _ in 0..n {
-        let id = r.get_u64()? as usize;
-        if id >= n_candidates {
-            return Err(invalid("free candidate id out of range"));
-        }
-        free_candidates.push(id);
-    }
-    let n = r.get_len()?;
-    let mut free_queries = Vec::with_capacity(n);
-    for _ in 0..n {
-        free_queries.push(r.get_u64()? as usize);
-    }
-    let n_queries = r.get_u64()? as usize;
-    r.expect_end("registry record")?;
-    if free_queries.iter().any(|&id| id >= n_queries) {
+    if registry.free_queries.iter().any(|&id| id >= n_queries) {
         return Err(invalid("free query id out of range"));
     }
-
-    if records.len() != 4 + n_queries {
+    if n_queries.checked_add(4) != Some(records.len()) {
         return Err(invalid("record count does not match query count"));
     }
 
@@ -815,10 +319,7 @@ pub fn decode_snapshot(records: &[Vec<u8>]) -> Result<DecodedSnapshot, PersistEr
         .get(2..2 + n_queries)
         .ok_or_else(|| invalid("missing query records"))?;
     for payload in query_records {
-        let mut r = ByteReader::new(payload);
-        let query = get_query(&mut r)?;
-        let qm = get_query_matrix(&mut r)?;
-        r.expect_end("query record")?;
+        let QueryRecord { query, cells: qm } = from_bytes(payload, "query record")?;
         // Slot table ids index per-table state during restore
         // (staleness masks, fragment lists); an id past the stored
         // table count is structural corruption, caught here rather
@@ -826,6 +327,7 @@ pub fn decode_snapshot(records: &[Vec<u8>]) -> Result<DecodedSnapshot, PersistEr
         if qm.slots.iter().any(|s| s.table.0 as usize >= n_tables) {
             return Err(invalid("query slot table out of range"));
         }
+        qm.validate()?;
         if qm.active {
             // Cells are keyed by the public FNV-1a cell key: a stored key
             // that does not match its own query is not the matrix it
@@ -840,79 +342,50 @@ pub fn decode_snapshot(records: &[Vec<u8>]) -> Result<DecodedSnapshot, PersistEr
                 .sum::<u64>();
         }
         workload.push(query, qm.weight);
-        queries.push(Arc::new(qm));
+        queries.push(qm);
     }
 
-    let mut r = ByteReader::new(rec(2 + n_queries)?);
-    let n = r.get_len()?;
-    let mut fragments = Vec::with_capacity(n);
+    let stored: Vec<FragmentRecord> = from_bytes(rec(2 + n_queries)?, "fragment record")?;
+    let mut fragments = Vec::with_capacity(stored.len());
     let mut frags_by_table: Vec<Vec<usize>> = vec![Vec::new(); n_tables];
-    for fid in 0..n {
-        let table = TableId(r.get_u32()?);
-        let nc = r.get_len()?;
-        let mut columns = Vec::with_capacity(nc);
-        for _ in 0..nc {
-            let c = r.get_u16()?;
-            if c >= 128 {
-                return Err(invalid("fragment column ordinal out of range"));
-            }
-            columns.push(c);
+    for (fid, f) in stored.into_iter().enumerate() {
+        if f.columns.iter().any(|&c| c >= 128) {
+            return Err(invalid("fragment column ordinal out of range"));
         }
-        let pages = r.get_u64()?;
-        let mask = column_mask(&columns);
         frags_by_table
-            .get_mut(table.0 as usize)
+            .get_mut(f.table.0 as usize)
             .ok_or_else(|| invalid("fragment table out of range"))?
             .push(fid);
         fragments.push(Arc::new(Fragment {
-            table,
-            columns,
-            mask,
-            pages,
+            table: f.table,
+            mask: column_mask(&f.columns),
+            columns: f.columns,
+            pages: f.pages,
         }));
     }
-    r.expect_end("fragment record")?;
 
-    let mut r = ByteReader::new(rec(3 + n_queries)?);
-    let n = r.get_len()?;
-    let mut splits = Vec::with_capacity(n);
-    for _ in 0..n {
-        let table = TableId(r.get_u32()?);
-        let column = r.get_u16()?;
-        let nb = r.get_len()?;
-        let mut bounds = Vec::with_capacity(nb);
-        for _ in 0..nb {
-            bounds.push(r.get_f64()?);
-        }
-        let nf = r.get_len()?;
-        if nf != n_queries {
+    let splits: Vec<Arc<Split>> = from_bytes(rec(3 + n_queries)?, "split record")?;
+    for sp in &splits {
+        if sp.frac.len() != n_queries {
             return Err(invalid("split fraction table misaligned with queries"));
         }
-        let mut frac = Vec::with_capacity(nf);
-        for _ in 0..nf {
-            let ns = r.get_len()?;
-            let mut row = Vec::with_capacity(ns);
-            for _ in 0..ns {
-                row.push(r.get_f64()?);
-            }
-            frac.push(row);
+        // A joint lookup indexes `frac[query][slot]`; retired slots carry
+        // no cells and an empty row.
+        if sp
+            .frac
+            .iter()
+            .zip(&queries)
+            .any(|(row, qm)| row.len() != qm.slots.len())
+        {
+            return Err(invalid("split fraction row misaligned with query slots"));
         }
-        splits.push(Arc::new(Split {
-            hp: HorizontalPartitioning {
-                table,
-                column,
-                bounds,
-            },
-            frac,
-        }));
     }
-    r.expect_end("split record")?;
 
     // Redundant state is rebuilt, never trusted: the live id per index is
     // the lowest live id (first registration wins, exactly as the builder
     // and `remove_candidate` maintain it).
-    let mut id_by_index = HashMap::with_capacity(indexes.len());
-    for (id, idx) in indexes.iter().enumerate() {
+    let mut id_by_index = HashMap::with_capacity(n_candidates);
+    for (id, idx) in registry.indexes.iter().enumerate() {
         if let Some(i) = idx {
             id_by_index.entry(i.clone()).or_insert(id);
         }
@@ -920,14 +393,14 @@ pub fn decode_snapshot(records: &[Vec<u8>]) -> Result<DecodedSnapshot, PersistEr
 
     Ok(DecodedSnapshot {
         core: MatrixCore {
-            params,
+            params: registry.params,
             workload,
-            indexes,
+            indexes: registry.indexes,
             id_by_index,
             queries,
-            free_candidates,
-            free_queries,
-            generation: rotation_generation,
+            free_candidates: registry.free_candidates,
+            free_queries: registry.free_queries,
+            generation: registry.generation,
             fragments,
             splits,
             frags_by_table,
@@ -935,9 +408,9 @@ pub fn decode_snapshot(records: &[Vec<u8>]) -> Result<DecodedSnapshot, PersistEr
             // counter block.
             counters: Arc::default(),
         },
-        generation,
+        generation: header.generation,
         cells,
-        stored_fingerprints,
+        stored_fingerprints: header.fingerprints,
     })
 }
 
@@ -1039,126 +512,10 @@ pub fn restore_matrix<'a>(
     ))
 }
 
-// ---------------------------------------------------------------------------
-// Edit codec
-// ---------------------------------------------------------------------------
-
-/// Encode one edit as a log-record payload.
-pub fn encode_edit(edit: &MatrixEdit) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    match edit {
-        MatrixEdit::AddCandidates(indexes) => {
-            w.put_u8(0);
-            w.put_len(indexes.len());
-            for idx in indexes {
-                put_index(&mut w, idx);
-            }
-        }
-        MatrixEdit::RemoveCandidate(id) => {
-            w.put_u8(1);
-            w.put_u64(*id as u64);
-        }
-        MatrixEdit::AddQueries(entries) => {
-            w.put_u8(2);
-            w.put_len(entries.len());
-            for (q, weight) in entries {
-                put_query(&mut w, q);
-                w.put_f64(*weight);
-            }
-        }
-        MatrixEdit::RetireQuery(id) => {
-            w.put_u8(3);
-            w.put_u64(*id as u64);
-        }
-        MatrixEdit::SetQueryWeight(id, weight) => {
-            w.put_u8(4);
-            w.put_u64(*id as u64);
-            w.put_f64(*weight);
-        }
-        MatrixEdit::RegisterFragment(table, columns) => {
-            w.put_u8(5);
-            w.put_u32(table.0);
-            w.put_len(columns.len());
-            for &c in columns {
-                w.put_u16(c);
-            }
-        }
-        MatrixEdit::RegisterSplit(hp) => {
-            w.put_u8(6);
-            w.put_u32(hp.table.0);
-            w.put_u16(hp.column);
-            w.put_len(hp.bounds.len());
-            for &b in &hp.bounds {
-                w.put_f64(b);
-            }
-        }
-        MatrixEdit::Publish => w.put_u8(7),
-    }
-    w.into_bytes()
-}
-
-/// Decode one log-record payload.
-pub fn decode_edit(bytes: &[u8]) -> Result<MatrixEdit, PersistError> {
-    let mut r = ByteReader::new(bytes);
-    let edit = match r.get_u8()? {
-        0 => {
-            let n = r.get_len()?;
-            let mut indexes = Vec::with_capacity(n);
-            for _ in 0..n {
-                indexes.push(get_index(&mut r)?);
-            }
-            MatrixEdit::AddCandidates(indexes)
-        }
-        1 => MatrixEdit::RemoveCandidate(r.get_u64()? as usize),
-        2 => {
-            let n = r.get_len()?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let q = get_query(&mut r)?;
-                let weight = r.get_f64()?;
-                entries.push((q, weight));
-            }
-            MatrixEdit::AddQueries(entries)
-        }
-        3 => MatrixEdit::RetireQuery(r.get_u64()? as usize),
-        4 => {
-            let id = r.get_u64()? as usize;
-            let weight = r.get_f64()?;
-            MatrixEdit::SetQueryWeight(id, weight)
-        }
-        5 => {
-            let table = TableId(r.get_u32()?);
-            let n = r.get_len()?;
-            let mut columns = Vec::with_capacity(n);
-            for _ in 0..n {
-                columns.push(r.get_u16()?);
-            }
-            MatrixEdit::RegisterFragment(table, columns)
-        }
-        6 => {
-            let table = TableId(r.get_u32()?);
-            let column = r.get_u16()?;
-            let n = r.get_len()?;
-            let mut bounds = Vec::with_capacity(n);
-            for _ in 0..n {
-                bounds.push(r.get_f64()?);
-            }
-            MatrixEdit::RegisterSplit(HorizontalPartitioning {
-                table,
-                column,
-                bounds,
-            })
-        }
-        7 => MatrixEdit::Publish,
-        _ => return Err(invalid("edit tag")),
-    };
-    r.expect_end("edit record")?;
-    Ok(edit)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Wire;
     use pgdesign_catalog::samples::sdss_catalog;
     use pgdesign_optimizer::candidates::{workload_candidates, CandidateConfig};
     use pgdesign_optimizer::Optimizer;
@@ -1331,85 +688,6 @@ mod tests {
         assert_same_costs(&cold, &restored);
     }
 
-    #[test]
-    fn decode_rejects_mismatched_cell_key() {
-        let c = sdss_catalog(0.01);
-        let opt = Optimizer::new();
-        let inum = Inum::new(&c, &opt);
-        let w = sdss_workload(&c, 3, 101);
-        let cands = workload_candidates(&c, &w, &CandidateConfig::default());
-        let mut live = CostMatrix::build(&inum, &w, &cands.indexes);
-        live.publish();
-        let mut records = encode_published(&live);
-        // Swap two query records: each record's CRC would still pass, but
-        // the stored cell keys no longer match their own queries... they do,
-        // since key travels with its query. Instead corrupt a key in place:
-        // re-encode record 2 with a flipped key bit.
-        let mut r = ByteReader::new(&records[2]);
-        let q = get_query(&mut r).unwrap();
-        let mut qm = get_query_matrix(&mut r).unwrap();
-        qm.key ^= 1;
-        let mut wtr = ByteWriter::new();
-        put_query(&mut wtr, &q);
-        put_query_matrix(&mut wtr, &qm);
-        records[2] = wtr.into_bytes();
-        assert!(matches!(
-            decode_snapshot(&records),
-            Err(PersistError::Invalid(_))
-        ));
-    }
-
-    /// Decode record 1 into its parts and re-encode it with the free lists
-    /// replaced — the tamper harness for the registry-record validations.
-    fn reencode_registry(
-        bytes: &[u8],
-        free_candidates: &[usize],
-        free_queries: &[usize],
-    ) -> Vec<u8> {
-        let mut r = ByteReader::new(bytes);
-        let params = get_params(&mut r).unwrap();
-        let generation = r.get_u64().unwrap();
-        let n = r.get_len().unwrap();
-        let mut indexes: Vec<Option<Index>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            indexes.push(match r.get_u8().unwrap() {
-                0 => None,
-                _ => Some(get_index(&mut r).unwrap()),
-            });
-        }
-        for _ in 0..r.get_len().unwrap() {
-            r.get_u64().unwrap(); // original free candidate ids
-        }
-        for _ in 0..r.get_len().unwrap() {
-            r.get_u64().unwrap(); // original free query ids
-        }
-        let n_queries = r.get_u64().unwrap();
-
-        let mut w = ByteWriter::new();
-        put_params(&mut w, &params);
-        w.put_u64(generation);
-        w.put_len(indexes.len());
-        for idx in &indexes {
-            match idx {
-                None => w.put_u8(0),
-                Some(i) => {
-                    w.put_u8(1);
-                    put_index(&mut w, i);
-                }
-            }
-        }
-        w.put_len(free_candidates.len());
-        for &id in free_candidates {
-            w.put_u64(id as u64);
-        }
-        w.put_len(free_queries.len());
-        for &id in free_queries {
-            w.put_u64(id as u64);
-        }
-        w.put_u64(n_queries);
-        w.into_bytes()
-    }
-
     fn published_records() -> Vec<Vec<u8>> {
         let c = sdss_catalog(0.01);
         let opt = Optimizer::new();
@@ -1417,51 +695,226 @@ mod tests {
         let w = sdss_workload(&c, 3, 101);
         let cands = workload_candidates(&c, &w, &CandidateConfig::default());
         let mut live = CostMatrix::build(&inum, &w, &cands.indexes);
+        live.register_split(HorizontalPartitioning {
+            table: TableId(0),
+            column: 0,
+            bounds: vec![0.25, 0.5],
+        });
         live.publish();
         encode_published(&live)
     }
 
+    /// The tamper harness: CRC-valid framing around a semantically
+    /// impossible payload. Decode record `i` as a `T`, edit it, re-encode
+    /// it in place, and require `decode_snapshot` to name the violation.
+    fn assert_tamper_rejected<T: Wire>(i: usize, tamper: impl FnOnce(&mut T), expected: &str) {
+        let mut records = published_records();
+        let mut record: T = from_bytes(&records[i], "tampered record").unwrap();
+        tamper(&mut record);
+        records[i] = to_bytes(&record);
+        match decode_snapshot(&records) {
+            Err(PersistError::Invalid(what)) => assert_eq!(what, expected),
+            Err(other) => panic!("expected Invalid({expected:?}), got {other}"),
+            Ok(_) => panic!("expected Invalid({expected:?}), decoded Ok"),
+        }
+    }
+
+    /// [`assert_tamper_rejected`] on the cells of the fixture's query 1
+    /// (record 3): two skeletons over one slot that has a required order
+    /// and candidates, so every order-table tamper has something to hit.
+    fn assert_cells_rejected(tamper: impl FnOnce(&mut QueryMatrix), expected: &str) {
+        assert_tamper_rejected(
+            3,
+            |rec: &mut QueryRecord| tamper(Arc::make_mut(&mut rec.cells)),
+            expected,
+        );
+    }
+
+    /// The fixture slot the order-table tampers edit (every candidate on
+    /// a slot carries at least one path).
+    fn ordered_slot(qm: &mut QueryMatrix) -> &mut SlotCosts {
+        let slot = &mut qm.slots[0];
+        assert!(!slot.base_ordered.is_empty() && !slot.cands.is_empty());
+        slot
+    }
+
+    #[test]
+    fn decode_rejects_mismatched_cell_key() {
+        assert_cells_rejected(|qm| qm.key ^= 1, "cell key does not match its query");
+    }
+
     #[test]
     fn decode_rejects_out_of_range_slot_table() {
-        let mut records = published_records();
-        // CRC-valid framing, semantically impossible payload: a slot that
-        // claims a table past the stored table count. Before decode-time
-        // validation this panicked inside `restore_matrix`'s per-table
-        // lookups; now it must be a structured error.
-        let mut r = ByteReader::new(&records[2]);
-        let q = get_query(&mut r).unwrap();
-        let mut qm = get_query_matrix(&mut r).unwrap();
-        qm.slots[0].table = TableId(u32::MAX);
-        let mut wtr = ByteWriter::new();
-        put_query(&mut wtr, &q);
-        put_query_matrix(&mut wtr, &qm);
-        records[2] = wtr.into_bytes();
-        assert!(matches!(
-            decode_snapshot(&records),
-            Err(PersistError::Invalid("query slot table out of range"))
-        ));
+        // Before decode-time validation this panicked inside
+        // `restore_matrix`'s per-table lookups.
+        assert_cells_rejected(
+            |qm| qm.slots[0].table = TableId(u32::MAX),
+            "query slot table out of range",
+        );
     }
 
     #[test]
     fn decode_rejects_out_of_range_free_candidate() {
-        let mut records = published_records();
-        records[1] = reencode_registry(&records[1], &[usize::MAX], &[]);
-        assert!(matches!(
-            decode_snapshot(&records),
-            Err(PersistError::Invalid("free candidate id out of range"))
-        ));
+        assert_tamper_rejected(
+            1,
+            |reg: &mut Registry| reg.free_candidates = vec![usize::MAX],
+            "free candidate id out of range",
+        );
     }
 
     #[test]
     fn decode_rejects_out_of_range_free_query() {
-        let mut records = published_records();
         // Free query ids are validated against the stored query count; an
         // id at the count (one past the last slot) must already fail.
-        records[1] = reencode_registry(&records[1], &[], &[3]);
-        assert!(matches!(
-            decode_snapshot(&records),
-            Err(PersistError::Invalid("free query id out of range"))
-        ));
+        assert_tamper_rejected(
+            1,
+            |reg: &mut Registry| reg.free_queries = vec![3],
+            "free query id out of range",
+        );
+    }
+
+    // The lookup paths index with the ids below without checking them;
+    // before `QueryMatrix::validate` each of these payloads decoded and
+    // restored `Ok`, then panicked or cost wrong at the first lookup.
+
+    #[test]
+    fn decode_rejects_out_of_range_required_order() {
+        assert_cells_rejected(|qm| qm.reqs[0][0] = 1000, "required order id out of range");
+    }
+
+    #[test]
+    fn decode_rejects_requirements_misaligned_with_slots() {
+        assert_cells_rejected(
+            |qm| {
+                qm.reqs[0].pop();
+            },
+            "skeleton requirements misaligned with slots",
+        );
+    }
+
+    #[test]
+    fn decode_rejects_skeleton_costs_misaligned_with_requirements() {
+        assert_cells_rejected(
+            |qm| {
+                qm.internal.pop();
+            },
+            "skeleton costs misaligned with requirements",
+        );
+    }
+
+    #[test]
+    fn decode_rejects_misaligned_slot_order_table() {
+        assert_cells_rejected(
+            |qm| ordered_slot(qm).slot_orders.push(vec![0]),
+            "slot order table misaligned",
+        );
+    }
+
+    #[test]
+    fn decode_rejects_too_many_slot_orders() {
+        // Internally consistent, but past the 16-wide per-slot scratch a
+        // joint lookup resolves orders into.
+        assert_cells_rejected(
+            |qm| {
+                let slot = ordered_slot(qm);
+                slot.base_ordered.resize(MAX_SLOT_ORDERS + 1, f64::INFINITY);
+                slot.slot_orders.resize(MAX_SLOT_ORDERS + 1, vec![0]);
+                for cand in &mut slot.cands {
+                    cand.ordered.resize(MAX_SLOT_ORDERS + 1, f64::INFINITY);
+                }
+            },
+            "slot order table misaligned",
+        );
+    }
+
+    #[test]
+    fn decode_rejects_candidate_order_costs_misaligned_with_slot_orders() {
+        assert_cells_rejected(
+            |qm| {
+                ordered_slot(qm).cands[0].ordered.pop();
+            },
+            "candidate order costs misaligned with slot orders",
+        );
+    }
+
+    #[test]
+    fn decode_rejects_out_of_range_path_order_bit() {
+        assert_cells_rejected(
+            |qm| {
+                let slot = ordered_slot(qm);
+                let first_unknown = slot.base_ordered.len();
+                slot.cands[0].paths[0].order_ok |= 1 << first_unknown;
+            },
+            "path order bit out of range",
+        );
+    }
+
+    #[test]
+    fn decode_rejects_split_fraction_row_misaligned_with_slots() {
+        let last = published_records().len() - 1;
+        assert_tamper_rejected(
+            last,
+            |splits: &mut Vec<Arc<Split>>| Arc::make_mut(&mut splits[0]).frac[1].clear(),
+            "split fraction row misaligned with query slots",
+        );
+    }
+
+    #[test]
+    fn every_record_round_trips_and_rejects_every_prefix() {
+        use crate::wire::tests::assert_wire_contract;
+
+        let c = sdss_catalog(0.01);
+        let opt = Optimizer::new();
+        let inum = Inum::new(&c, &opt);
+        let w = sdss_workload(&c, 3, 101);
+        let cands = workload_candidates(&c, &w, &CandidateConfig::default());
+        let mut live = CostMatrix::build(&inum, &w, &cands.indexes);
+        live.enable_journal();
+        live.register_fragment(TableId(0), &[0, 1]);
+        live.register_split(HorizontalPartitioning {
+            table: TableId(0),
+            column: 0,
+            bounds: vec![0.25, 0.5],
+        });
+        live.retire_query(1);
+        live.set_query_weight(0, 3.5);
+        live.add_queries(sdss_workload(&c, 1, 202).iter().map(|(q, _)| (q, 2.0)));
+        live.remove_candidate(0);
+        live.add_candidate(&Index::new(TableId(1), vec![2, 0]));
+        live.publish();
+
+        let journal = live.take_journal();
+        assert_eq!(journal.len(), 8, "one edit of every variant");
+        for edit in &journal {
+            assert_eq!(&assert_wire_contract(edit), edit);
+        }
+
+        let records = encode_published(&live);
+        let n = records.len();
+        assert_wire_contract(&from_bytes::<Header>(&records[0], "header").unwrap());
+        assert_wire_contract(&from_bytes::<Registry>(&records[1], "registry").unwrap());
+        for record in &records[2..n - 2] {
+            assert_wire_contract(&from_bytes::<QueryRecord>(record, "query").unwrap());
+        }
+        let fragments: Vec<FragmentRecord> = from_bytes(&records[n - 2], "fragments").unwrap();
+        assert_eq!(fragments.len(), 1);
+        assert_wire_contract(&fragments);
+        let splits: Vec<Arc<Split>> = from_bytes(&records[n - 1], "splits").unwrap();
+        assert_eq!(splits.len(), 1);
+        assert_wire_contract(&splits);
+
+        // And through the front door: a snapshot with any one record cut
+        // short is a structural error.
+        for i in 0..n {
+            for len in 0..records[i].len() {
+                let mut cut = records.clone();
+                cut[i].truncate(len);
+                assert!(
+                    matches!(decode_snapshot(&cut), Err(PersistError::Codec(_))),
+                    "record {i} cut to {len} bytes"
+                );
+            }
+        }
     }
 
     #[test]

@@ -313,7 +313,9 @@ pub fn seq_scan_path(ctx: &AccessContext<'_>, prof: &SlotProfile) -> PlanExpr {
 /// partitionings is folded into `pre`/`post`; [`IndexPathProfile::cost`]
 /// reproduces the full path formula — in the same floating-point order —
 /// for any [`FetchTarget`], so the cost matrix can re-cost candidate
-/// indexes under hypothetical partitionings without re-enumeration.
+/// indexes under hypothetical partitionings without re-enumeration. All
+/// fields are public so the durable-snapshot codec in `pgdesign-inum` can
+/// declare the profile's layout like any other record.
 #[derive(Debug, Clone)]
 pub struct IndexPathProfile {
     /// Bitmap index + heap scan (vs plain/index-only B-tree scan).
@@ -327,16 +329,16 @@ pub struct IndexPathProfile {
     /// Native output order delivered by the path (empty for bitmap).
     pub order: Vec<QueryColumn>,
     /// Cost added before the heap-I/O term (descent + leaf I/O + index CPU).
-    pre: f64,
+    pub pre: f64,
     /// Cost added after the heap-I/O term (residual filter/tuple CPU).
-    post: f64,
+    pub post: f64,
     /// Rows that reach the heap (index-only discount already applied; for
     /// bitmap paths, the matched entry count).
-    heap_rows: f64,
+    pub heap_rows: f64,
     /// Squared leading-column correlation (plain scans only).
-    corr2: f64,
+    pub corr2: f64,
     /// Table row count (min-I/O clamp for correlated scans).
-    row_count: f64,
+    pub row_count: f64,
 }
 
 impl IndexPathProfile {
@@ -366,45 +368,6 @@ impl IndexPathProfile {
             self.post
         );
         cost
-    }
-
-    /// The five private cost terms, exposed for the durable-snapshot
-    /// codec in `pgdesign-inum` (the vendored `serde` is a no-op shim, so
-    /// persistence is hand-rolled): `(pre, post, heap_rows, corr2,
-    /// row_count)`.
-    pub fn persist_parts(&self) -> (f64, f64, f64, f64, f64) {
-        (
-            self.pre,
-            self.post,
-            self.heap_rows,
-            self.corr2,
-            self.row_count,
-        )
-    }
-
-    /// Rebuild a profile from its public fields plus the
-    /// [`persist_parts`](Self::persist_parts) tuple, in that order.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_persist_parts(
-        bitmap: bool,
-        matched: usize,
-        index_only: bool,
-        parameterized: bool,
-        order: Vec<QueryColumn>,
-        parts: (f64, f64, f64, f64, f64),
-    ) -> Self {
-        IndexPathProfile {
-            bitmap,
-            matched,
-            index_only,
-            parameterized,
-            order,
-            pre: parts.0,
-            post: parts.1,
-            heap_rows: parts.2,
-            corr2: parts.3,
-            row_count: parts.4,
-        }
     }
 }
 

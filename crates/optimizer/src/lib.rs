@@ -27,9 +27,11 @@
 //!   by CoPhy, COLT and the interactive sessions;
 //! * [`maintenance`] — index/partition upkeep costs under a write profile,
 //!   folded into the advisors' objectives so write-heavy tables repel
-//!   marginal indexes;
-//! * [`exec`] — a reference executor over generated data samples, used to
-//!   validate the selectivity model against ground truth.
+//!   marginal indexes.
+//!
+//! A reference executor over generated data samples (`exec`, test-only)
+//! is the selectivity model's oracle: estimated cardinalities must track
+//! the row counts it actually produces.
 //!
 //! The *what-if* property needs no special machinery: a
 //! [`pgdesign_catalog::PhysicalDesign`] is just a value, so evaluating a
@@ -42,7 +44,8 @@
 
 pub mod access;
 pub mod candidates;
-pub mod exec;
+#[cfg(test)]
+mod exec;
 pub mod join;
 pub mod maintenance;
 pub mod optimizer;

@@ -9,12 +9,11 @@ use crate::selectivity;
 use pgdesign_catalog::design::PhysicalDesign;
 use pgdesign_catalog::Catalog;
 use pgdesign_query::ast::{PredOp, Query, QueryColumn};
-use serde::{Deserialize, Serialize};
 
 /// The "what-if join component" (§3.1): enables or disables join methods
 /// in the produced execution plans so a DBA can explore how the design
 /// interacts with join strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JoinControl {
     /// Allow hash joins.
     pub hash: bool,

@@ -5,10 +5,8 @@
 //! depend on cost *orderings*, so the exact values matter less than their
 //! ratios (random/sequential I/O being the important one).
 
-use serde::{Deserialize, Serialize};
-
 /// Tunable constants of the cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostParams {
     /// Cost of a sequentially-fetched page (`seq_page_cost`).
     pub seq_page_cost: f64,

@@ -6,12 +6,11 @@
 
 use pgdesign_catalog::schema::TableId;
 use pgdesign_catalog::types::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// One table instance in the FROM clause.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryTable {
     /// The underlying catalog table.
     pub table: TableId,
@@ -20,7 +19,7 @@ pub struct QueryTable {
 }
 
 /// Reference to a column of a specific table slot in the query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryColumn {
     /// Index into [`Query::tables`].
     pub slot: u16,
@@ -42,7 +41,7 @@ impl fmt::Display for QueryColumn {
 }
 
 /// Comparison operators for sargable predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `=`
     Eq,
@@ -73,7 +72,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// The operation of a single-column filter predicate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PredOp {
     /// `col <op> literal`
     Cmp(CmpOp, Value),
@@ -105,7 +104,7 @@ impl PredOp {
 }
 
 /// A filter predicate on one column (conjunct of the WHERE clause).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FilterPredicate {
     /// The restricted column.
     pub col: QueryColumn,
@@ -114,7 +113,7 @@ pub struct FilterPredicate {
 }
 
 /// An equi-join predicate between two slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JoinPredicate {
     /// Left column.
     pub left: QueryColumn,
@@ -147,7 +146,7 @@ impl JoinPredicate {
 }
 
 /// Aggregate functions in the SELECT list.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Aggregate {
     /// `COUNT(*)`
     CountStar,
@@ -178,7 +177,7 @@ impl Aggregate {
 }
 
 /// One ORDER BY item.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OrderItem {
     /// Ordered column.
     pub col: QueryColumn,
@@ -187,7 +186,7 @@ pub struct OrderItem {
 }
 
 /// A conjunctive select-project-join query.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Query {
     /// Table slots (FROM clause).
     pub tables: Vec<QueryTable>,

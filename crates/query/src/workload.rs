@@ -1,10 +1,9 @@
 //! Weighted workloads and online query streams.
 
 use crate::ast::Query;
-use serde::{Deserialize, Serialize};
 
 /// One workload member: a query with a relative weight (frequency).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadEntry {
     /// The query.
     pub query: Query,
@@ -13,7 +12,7 @@ pub struct WorkloadEntry {
 }
 
 /// A weighted set of queries — the offline tuning input.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Workload {
     /// The entries in submission order.
     pub entries: Vec<WorkloadEntry>,

@@ -1,8 +1,7 @@
-//! Umbrella crate for workspace-level integration tests and examples.
+//! Umbrella crate for workspace-level integration tests and examples; it
+//! exports nothing.
 //!
 //! The real library surface lives in the `pgdesign` facade crate and the
 //! per-component crates (`pgdesign-catalog`, `pgdesign-optimizer`, ...).
 
 #![forbid(unsafe_code)]
-
-pub use pgdesign as facade;

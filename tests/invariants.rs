@@ -14,6 +14,26 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// The suite's one tolerance policy: two kinds of agreement, two bounds,
+/// both relative to `max(|expected|, 1)`.
+mod tolerance {
+    /// Both sides run the same float operations in the same order —
+    /// incremental vs fresh cells, restored vs live, a pinned reader vs a
+    /// serial rebuild, parallel vs serial build. In practice they agree
+    /// bit for bit; the bound leaves room for nothing but that.
+    pub const EXACT_ORDER: f64 = 1e-12;
+
+    /// The two sides add the same terms in a different order or grouping
+    /// — a matrix lookup vs the per-design `Inum::cost` slow path, a
+    /// delta vs the difference of two totals, a weighted sum vs its
+    /// hand-expanded form.
+    pub const REORDERED_SUM: f64 = 1e-9;
+
+    pub fn within(actual: f64, expected: f64, bound: f64) -> bool {
+        (actual - expected).abs() <= bound * expected.abs().max(1.0)
+    }
+}
+
 fn catalog() -> &'static Catalog {
     use std::sync::OnceLock;
     static CATALOG: OnceLock<Catalog> = OnceLock::new();
@@ -74,8 +94,10 @@ proptest! {
             &PhysicalDesign::with_indexes([Index::new(photo, vec![col])]),
             &q,
         );
-        let rel = (p1.rows - p2.rows).abs() / p1.rows.max(1.0);
-        prop_assert!(rel < 1e-6, "rows changed with design: {} vs {}", p1.rows, p2.rows);
+        prop_assert!(
+            tolerance::within(p2.rows, p1.rows, tolerance::REORDERED_SUM),
+            "rows changed with design: {} vs {}", p1.rows, p2.rows
+        );
     }
 
     /// The what-if size model matches the catalog's size model exactly —
@@ -96,7 +118,8 @@ proptest! {
 
 /// The two INUM cache levels agree: for any subset of a candidate set,
 /// the precomputed [`CostMatrix`] returns the same cost as the per-design
-/// [`Inum::cost`] slow path, to within 1e-6 — on both sample catalogs.
+/// [`Inum::cost`] slow path, to within the reordered-sum bound — on both
+/// sample catalogs.
 fn assert_matrix_matches_inum(catalog: &Catalog, workload: &Workload, subset_seed: u64) {
     use rand::Rng;
     let opt = optimizer();
@@ -119,7 +142,7 @@ fn assert_matrix_matches_inum(catalog: &Catalog, workload: &Workload, subset_see
             // exists to compare matrix lookups against the optimizer.
             let oracle = inum.cost(&design, q);
             assert!(
-                (fast - oracle).abs() <= 1e-6 * oracle.abs().max(1.0),
+                tolerance::within(fast, oracle, tolerance::REORDERED_SUM),
                 "matrix {fast} vs inum {oracle} for Q{qi} under {ids:?}"
             );
         }
@@ -171,7 +194,7 @@ fn matrix_delta_matches_full_reevaluation() {
                 let full = matrix.cost(qi, &plus) - matrix.cost(qi, &base);
                 let delta = matrix.delta_add(qi, &base, cand);
                 assert!(
-                    (delta - full).abs() < 1e-9,
+                    tolerance::within(delta, full, tolerance::REORDERED_SUM),
                     "delta_add {delta} vs full {full} (Q{qi}, cand {cand})"
                 );
             } else {
@@ -180,7 +203,7 @@ fn matrix_delta_matches_full_reevaluation() {
                 let full = matrix.cost(qi, &minus) - matrix.cost(qi, &base);
                 let delta = matrix.delta_remove(qi, &base, cand);
                 assert!(
-                    (delta - full).abs() < 1e-9,
+                    tolerance::within(delta, full, tolerance::REORDERED_SUM),
                     "delta_remove {delta} vs full {full} (Q{qi}, cand {cand})"
                 );
             }
@@ -192,7 +215,7 @@ fn matrix_delta_matches_full_reevaluation() {
 /// joint configurations — vertical fragmentations (occasionally with a
 /// replicated column), horizontal range splits, and index subsets — cost
 /// identically through pure matrix lookups and the per-design slow path,
-/// to within 1e-6.
+/// to within the reordered-sum bound.
 fn assert_joint_matrix_matches_inum(catalog: &Catalog, workload: &Workload, seed: u64) {
     use pgdesign_catalog::design::HorizontalPartitioning;
     use rand::Rng;
@@ -251,7 +274,7 @@ fn assert_joint_matrix_matches_inum(catalog: &Catalog, workload: &Workload, seed
             // exists to compare matrix lookups against the optimizer.
             let oracle = inum.cost(&design, q);
             assert!(
-                (fast - oracle).abs() <= 1e-6 * oracle.abs().max(1.0),
+                tolerance::within(fast, oracle, tolerance::REORDERED_SUM),
                 "joint matrix {fast} vs inum {oracle} for Q{qi} (design {design:?})"
             );
         }
@@ -318,21 +341,21 @@ fn joint_delta_matches_full_reevaluation() {
     let full = matrix.joint_workload_cost(&merged_cfg) - matrix.joint_workload_cost(&cfg);
     let delta = matrix.delta_merge(&cfg, frag_ids[0], frag_ids[1], merged);
     assert!(
-        (delta - full).abs() < 1e-9,
+        tolerance::within(delta, full, tolerance::REORDERED_SUM),
         "delta_merge {delta} vs full {full}"
     );
     // The merged configuration still agrees with the slow-path oracle.
     let design = matrix.joint_design_of(&merged_cfg);
     let oracle = inum.workload_cost(&design, &w);
     let direct = matrix.joint_workload_cost(&merged_cfg);
-    assert!((direct - oracle).abs() <= 1e-6 * oracle.abs().max(1.0));
+    assert!(tolerance::within(direct, oracle, tolerance::REORDERED_SUM));
 
     let mut split_cfg = cfg.clone();
     split_cfg.splits.insert(split);
     let full = matrix.joint_workload_cost(&split_cfg) - matrix.joint_workload_cost(&cfg);
     let delta = matrix.delta_split(&cfg, split);
     assert!(
-        (delta - full).abs() < 1e-9,
+        tolerance::within(delta, full, tolerance::REORDERED_SUM),
         "delta_split {delta} vs full {full}"
     );
 }
@@ -417,7 +440,7 @@ fn assert_incremental_matches_fresh(
             let a = matrix.cost(qid, &inc_cfg);
             let b = fresh.cost(pos, &fresh_cfg);
             assert!(
-                (a - b).abs() <= 1e-12 * b.abs().max(1.0),
+                tolerance::within(a, b, tolerance::EXACT_ORDER),
                 "incremental {a} vs fresh {b} (qid {qid}, cfg {:?})",
                 inc_cfg.ids().collect::<Vec<_>>()
             );
@@ -425,7 +448,7 @@ fn assert_incremental_matches_fresh(
         let wa = matrix.workload_cost(&inc_cfg);
         let wb = fresh.workload_cost(&fresh_cfg);
         assert!(
-            (wa - wb).abs() <= 1e-12 * wb.abs().max(1.0),
+            tolerance::within(wa, wb, tolerance::EXACT_ORDER),
             "workload cost: incremental {wa} vs fresh {wb}"
         );
     }
@@ -502,7 +525,7 @@ fn workload_cost_is_linear() {
     w.push(q2.clone(), 3.0);
     let total = opt.workload_cost(c, &d, &w);
     let manual = 2.0 * opt.cost(c, &d, &q1) + 3.0 * opt.cost(c, &d, &q2);
-    assert!((total - manual).abs() < 1e-9);
+    assert!(tolerance::within(total, manual, tolerance::REORDERED_SUM));
 }
 
 /// The matrix-backed interactive session agrees with the per-design
@@ -571,7 +594,7 @@ fn assert_interactive_matches_inum(catalog: &Catalog, workload: &Workload, seed:
         for ((q, _), qb) in workload.iter().zip(&eval.per_query) {
             let slow = oracle.cost(&design, q);
             assert!(
-                (qb.whatif_cost - slow).abs() <= 1e-9 * slow.abs().max(1.0),
+                tolerance::within(qb.whatif_cost, slow, tolerance::REORDERED_SUM),
                 "interactive {} vs inum {slow} (design {design:?})",
                 qb.whatif_cost
             );
@@ -635,7 +658,10 @@ fn offline_recommendation_after_online_run_reuses_cells() {
         before.matrix,
         after.matrix
     );
-    assert!(rec.cost <= rec.base_cost + 1e-6);
+    assert!(
+        rec.cost <= rec.base_cost
+            || tolerance::within(rec.cost, rec.base_cost, tolerance::REORDERED_SUM)
+    );
 }
 
 /// Duplicate candidates handed to `build` stay findable through
@@ -876,7 +902,7 @@ fn assert_concurrent_readers_match_serial(
                 fresh.cost(qp, &fresh.config_of(pos_ids.iter().copied()))
             };
             assert!(
-                (cost - serial).abs() <= 1e-12 * serial.abs().max(1.0),
+                tolerance::within(*cost, serial, tolerance::EXACT_ORDER),
                 "reader saw {cost} at generation {generation}, serial rebuild says {serial} \
                  (qid {qid}, cands {ids:?}, joint {joint})"
             );
@@ -931,7 +957,7 @@ fn assert_matrices_agree(live: &CostMatrix, restored: &CostMatrix, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let close = |a: f64, b: f64, what: &str| {
         assert!(
-            (a - b).abs() <= 1e-12 * b.abs().max(1.0),
+            tolerance::within(a, b, tolerance::EXACT_ORDER),
             "{what}: live {a} vs restored {b}"
         );
     };
@@ -1138,14 +1164,14 @@ fn assert_restored_is_consistent(session: &mut TuningSession, seed: u64) {
             let a = matrix.cost(qid, &rec_cfg);
             let b = fresh.cost(pos, &fresh_cfg);
             assert!(
-                (a - b).abs() <= 1e-12 * b.abs().max(1.0),
+                tolerance::within(a, b, tolerance::EXACT_ORDER),
                 "restored {a} vs cold {b} (qid {qid})"
             );
         }
         let wa = matrix.workload_cost(&rec_cfg);
         let wb = fresh.workload_cost(&fresh_cfg);
         assert!(
-            (wa - wb).abs() <= 1e-12 * wb.abs().max(1.0),
+            tolerance::within(wa, wb, tolerance::EXACT_ORDER),
             "workload: restored {wa} vs cold {wb}"
         );
     }
