@@ -108,7 +108,8 @@ impl fmt::Display for TuningStats {
         writeln!(f, "-- INUM / cost-matrix statistics --")?;
         writeln!(
             f,
-            "   skeleton cache: {} cost calls ({} hits / {} misses, {} skeletons built)",
+            "   skeleton cache: {} cost calls ({} hits / {} misses, {} skeletons built \
+             = order combinations planned)",
             self.inum.cost_calls,
             self.inum.cache_hits,
             self.inum.cache_misses,

@@ -234,6 +234,48 @@ fn recommend_is_a_function_of_its_inputs_alone() {
 }
 
 #[test]
+fn tpch_recommend_and_its_skeleton_counters_ignore_the_thread_count() {
+    // The warm-up plans distinct queries on all cores; verbatim repeats
+    // (the three-way join among them) must count as the same hits at any
+    // thread count.
+    let statements = [
+        "SELECT o.o_orderkey, o.o_orderdate FROM customer c, orders o, lineitem l \
+         WHERE c.c_custkey = o.o_custkey AND l.l_orderkey = o.o_orderkey \
+         AND c.c_mktsegment = 3 AND o.o_orderdate < 9500 ORDER BY o_orderdate LIMIT 10",
+        "SELECT o_orderkey, o_totalprice FROM orders WHERE o_custkey = 4242 AND o_orderstatus = 1",
+        "SELECT s.s_suppkey, count(*) FROM supplier s, lineitem l \
+         WHERE s.s_suppkey = l.l_suppkey AND l.l_shipdate > 10000 GROUP BY s_suppkey",
+        "SELECT p_partkey, p_retailprice FROM part WHERE p_brand = 7 AND p_size BETWEEN 3 AND 11",
+    ];
+    let lines: Vec<&str> = [0, 1, 2, 0, 3, 1, 0].map(|i| statements[i]).to_vec();
+    let file = std::env::temp_dir().join(format!(
+        "pgdesign-cli-smoke-tpch-repeats-{}.sql",
+        std::process::id()
+    ));
+    std::fs::write(&file, lines.join("\n") + "\n").expect("write the workload file");
+    let text = assert_same_bytes_at_any_thread_count(&[
+        "recommend",
+        "--catalog",
+        "tpch",
+        "--scale",
+        "0.01",
+        "--workload",
+        file.to_str().expect("temp path is UTF-8"),
+        "--stats",
+    ]);
+    let _ = std::fs::remove_file(&file);
+    let line = text
+        .lines()
+        .find(|l| l.contains("skeleton cache:"))
+        .unwrap_or_else(|| panic!("no skeleton-cache line:\n{text}"));
+    // Warm-up: 4 misses, 3 repeats; the matrix build: 7 hits.
+    assert!(
+        line.contains("(10 hits / 4 misses, "),
+        "four distinct statements are planned once each: {line}"
+    );
+}
+
+#[test]
 fn session_is_a_function_of_its_inputs_alone() {
     let text = assert_same_bytes_at_any_thread_count(&[
         "session",

@@ -1,7 +1,8 @@
 //! The INUM cost model: skeleton cache + per-design fast costing.
 
 use crate::key::query_key;
-use crate::matrix::{LookupCounters, MatrixStats};
+use crate::matrix::{build_threads, fan_out, LookupCounters, MatrixStats};
+use crate::skeleton_set::SkeletonSet;
 use parking_lot::RwLock;
 use pgdesign_catalog::design::PhysicalDesign;
 use pgdesign_catalog::Catalog;
@@ -10,12 +11,17 @@ use pgdesign_optimizer::optimizer::interesting_slot_orders;
 use pgdesign_optimizer::plan::order_satisfies;
 use pgdesign_optimizer::{Optimizer, Skeleton};
 use pgdesign_query::ast::Query;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Cap on enumerated interesting-order combinations per query.
 const MAX_COMBOS: usize = 64;
+
+/// Order combinations the warm-up gives a worker at least: a few hundred
+/// microseconds of planning ([`Inum::prepare_workload`]).
+const COMBOS_PER_WORKER: usize = 64;
 
 /// Cache and call counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -26,17 +32,103 @@ pub struct InumStats {
     pub cache_hits: u64,
     /// Skeleton sets computed via the optimizer.
     pub cache_misses: u64,
-    /// Individual skeletons computed (order combinations).
+    /// Interesting-order combinations planned by the optimizer — one
+    /// skeleton each, whether or not it is kept (see [`Inum::skeletons`]).
     pub skeletons_built: u64,
 }
 
-/// One skeleton-cache entry: the skeleton set plus the tables the query
-/// touches (a bitmask over `TableId.0`, [`ALL_TABLES`] when any id
-/// overflows the mask), so a statistics refresh on one table can evict
+/// One skeleton-cache entry: a query's undominated skeletons packed with
+/// the query itself in canonical form (its wire bytes — what a key match
+/// is confirmed against, at a fraction of a `Query`'s footprint), and the
+/// tables it touches (a bitmask over `TableId.0`, [`ALL_TABLES`] when any
+/// id overflows the mask), so a statistics refresh on one table can evict
 /// only the entries it stales.
 struct CacheEntry {
-    skeletons: Arc<Vec<Skeleton>>,
     table_mask: u64,
+    skeletons: SkeletonSet,
+}
+
+/// The skeleton cache. A key is a 64-bit hash of input the user controls,
+/// so two different queries can share one: an entry is served only to the
+/// query it was planned for, and a key match with a different query is a
+/// miss. The first query cached under a key sits in `first`; a different
+/// query arriving under a taken key — a collision — goes to `collided`,
+/// which is scanned only when `first` holds another query.
+#[derive(Default)]
+struct SkeletonCache {
+    first: HashMap<u64, CacheEntry>,
+    collided: Vec<(u64, CacheEntry)>,
+}
+
+impl SkeletonCache {
+    /// The skeletons cached for `query` under `key`. The query is encoded
+    /// only when the key is taken.
+    fn get(&self, key: u64, query: &Query) -> Option<&SkeletonSet> {
+        if !self.first.contains_key(&key) {
+            return None;
+        }
+        self.find(key, &canonical(query))
+    }
+
+    /// The skeletons cached for the query whose canonical bytes are
+    /// `query`.
+    fn find(&self, key: u64, query: &[u8]) -> Option<&SkeletonSet> {
+        let first = self.first.get(&key)?;
+        if first.skeletons.is_for(query) {
+            return Some(&first.skeletons);
+        }
+        self.collided
+            .iter()
+            .find(|(k, e)| *k == key && e.skeletons.is_for(query))
+            .map(|(_, e)| &e.skeletons)
+    }
+
+    /// Cache `skeletons` for `query` unless it already has an entry (a
+    /// concurrent miss planned it first); returns the cached set.
+    fn insert(&mut self, key: u64, query: &Query, skeletons: &[Skeleton]) -> SkeletonSet {
+        let bytes = canonical(query);
+        if let Some(cached) = self.find(key, &bytes) {
+            return cached.clone();
+        }
+        let set = SkeletonSet::pack(&bytes, query.slot_count() as usize, skeletons);
+        self.place(
+            key,
+            CacheEntry {
+                table_mask: table_mask(query),
+                skeletons: set.clone(),
+            },
+        );
+        set
+    }
+
+    fn place(&mut self, key: u64, entry: CacheEntry) {
+        match self.first.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(entry);
+            }
+            Entry::Occupied(_) => self.collided.push((key, entry)),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.first.len() + self.collided.len()
+    }
+
+    /// Keep only the entries whose table mask passes `keep`.
+    fn retain(&mut self, keep: impl Fn(u64) -> bool) {
+        self.first.retain(|_, e| keep(e.table_mask));
+        for (key, e) in std::mem::take(&mut self.collided) {
+            if keep(e.table_mask) {
+                self.place(key, e);
+            }
+        }
+    }
+}
+
+/// A query's canonical bytes: its wire encoding, equal exactly for equal
+/// queries (literals compared by their bits).
+fn canonical(query: &Query) -> Vec<u8> {
+    crate::wire::to_bytes(query)
 }
 
 /// Conservative "touches every table" mask for queries whose table ids
@@ -72,7 +164,7 @@ pub struct Inum<'a> {
 /// The cache and counters every clone of one [`Inum`] handle shares.
 #[derive(Default)]
 struct Shared {
-    cache: RwLock<HashMap<u64, CacheEntry>>,
+    cache: RwLock<SkeletonCache>,
     cost_calls: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
@@ -86,6 +178,10 @@ struct Shared {
     /// Writer-side lookup counters: the block the cores of this
     /// instance's matrices count on ([`Self::lookup_counters`]).
     matrix_lookups: Arc<LookupCounters>,
+    /// Serve every combination's skeleton, dominated ones included: the
+    /// unpruned extraction the pruned cache is checked against.
+    #[cfg(test)]
+    unpruned: bool,
 }
 
 impl<'a> Inum<'a> {
@@ -95,6 +191,20 @@ impl<'a> Inum<'a> {
             catalog,
             optimizer,
             shared: Arc::default(),
+        }
+    }
+
+    /// An instance whose cache keeps every combination's skeleton — the
+    /// oracle of the pruning in [`Self::skeletons`].
+    #[cfg(test)]
+    pub(crate) fn unpruned(catalog: &'a Catalog, optimizer: &'a Optimizer) -> Self {
+        Inum {
+            catalog,
+            optimizer,
+            shared: Arc::new(Shared {
+                unpruned: true,
+                ..Shared::default()
+            }),
         }
     }
 
@@ -160,10 +270,57 @@ impl<'a> Inum<'a> {
             .fetch_add(cells, Ordering::Relaxed);
     }
 
-    /// Warm the cache for every query of a workload.
+    /// Warm the cache for every query of a workload: the distinct
+    /// uncached queries are planned on up to [`build_threads`] workers —
+    /// one per 64 order combinations to plan, so a small batch
+    /// stays on the calling thread — and cached in input order. Hits,
+    /// misses and skeletons built are counted as
+    /// [`Self::skeletons`] on each query in turn would count them, so the
+    /// cache and every counter are the same at any thread count.
     pub fn prepare_workload(&self, workload: &pgdesign_query::Workload) {
-        for (q, _) in workload.iter() {
-            let _ = self.skeletons(q);
+        let keyed = workload.iter().map(|(q, _)| (query_key(q), q)).collect();
+        self.prepare_keyed(keyed, build_threads());
+    }
+
+    /// [`Self::prepare_workload`] over explicitly keyed queries with an
+    /// explicit worker count (tests force distinct queries onto one key
+    /// through it).
+    pub(crate) fn prepare_keyed(&self, entries: Vec<(u64, &Query)>, threads: usize) {
+        let shared = &self.shared;
+        let mut misses: Vec<(u64, &Query)> = Vec::new();
+        {
+            let cache = shared.cache.read();
+            // First miss per key; a key shared by different queries falls
+            // back to a scan of the misses.
+            let mut first_miss: HashMap<u64, usize> = HashMap::new();
+            let mut hits = 0u64;
+            for (key, q) in entries {
+                let pending = match first_miss.get(&key) {
+                    Some(&i) if misses[i].1 == q => true,
+                    Some(_) => misses.iter().any(|&(k, m)| k == key && m == q),
+                    None => false,
+                };
+                if pending || cache.get(key, q).is_some() {
+                    hits += 1;
+                } else {
+                    first_miss.entry(key).or_insert(misses.len());
+                    misses.push((key, q));
+                }
+            }
+            shared.cache_hits.fetch_add(hits, Ordering::Relaxed);
+        }
+        shared
+            .cache_misses
+            .fetch_add(misses.len() as u64, Ordering::Relaxed);
+        // At most one worker per `COMBOS_PER_WORKER` combinations to plan:
+        // a smaller share plans in less time than a thread takes to start,
+        // and every thread is one more the scheduler can hold back.
+        let combos: usize = misses.iter().map(|&(_, q)| combination_count(q)).sum();
+        let workers = threads.min(combos.div_ceil(COMBOS_PER_WORKER));
+        let planned = fan_out(&misses, workers, |&(_, q)| self.plan_skeletons(q));
+        let mut cache = shared.cache.write();
+        for ((key, q), skeletons) in misses.into_iter().zip(planned) {
+            cache.insert(key, q, &skeletons);
         }
     }
 
@@ -209,37 +366,31 @@ impl<'a> Inum<'a> {
             slot_eq_bound.push(prof.eq_bound);
         }
 
-        // Per-slot memo of native-order minima, keyed by the order vector
-        // (orders borrow from the cached skeletons, so keys are slices).
-        let mut order_memo: Vec<HashMap<&[u16], Option<f64>>> = vec![HashMap::new(); n_slots];
+        // Per-slot memo of native-order minima, indexed by order id.
+        let orders = skeletons.orders();
+        let mut order_memo: Vec<Vec<Option<Option<f64>>>> =
+            orders.iter().map(|o| vec![None; o.len()]).collect();
 
         let mut best = f64::INFINITY;
-        for sk in skeletons.iter() {
-            let mut total = sk.internal_cost;
+        for k in 0..skeletons.len() {
+            let mut total = skeletons.internal_cost(k);
             let mut feasible = true;
             for slot in 0..query.slot_count() {
                 let s = slot as usize;
-                match &sk.slot_orders[s] {
+                match skeletons.order_id(k, s) {
                     None => total += slot_unordered[s],
-                    Some(order) => {
-                        let min = match order_memo[s].get(order.as_slice()) {
-                            Some(&cached) => cached,
-                            None => {
-                                let required: Vec<pgdesign_query::ast::QueryColumn> = order
-                                    .iter()
-                                    .map(|&c| pgdesign_query::ast::QueryColumn::new(slot, c))
-                                    .collect();
-                                let m = slot_paths[s]
-                                    .iter()
-                                    .filter(|p| {
-                                        order_satisfies(&p.order, &required, &slot_eq_bound[s])
-                                    })
-                                    .map(|p| p.cost)
-                                    .min_by(f64::total_cmp);
-                                order_memo[s].insert(order.as_slice(), m);
-                                m
-                            }
-                        };
+                    Some(id) => {
+                        let min = *order_memo[s][id].get_or_insert_with(|| {
+                            let required: Vec<pgdesign_query::ast::QueryColumn> = orders[s][id]
+                                .iter()
+                                .map(|&c| pgdesign_query::ast::QueryColumn::new(slot, c))
+                                .collect();
+                            slot_paths[s]
+                                .iter()
+                                .filter(|p| order_satisfies(&p.order, &required, &slot_eq_bound[s]))
+                                .map(|p| p.cost)
+                                .min_by(f64::total_cmp)
+                        });
                         match min {
                             Some(c) => total += c,
                             None => {
@@ -275,38 +426,46 @@ impl<'a> Inum<'a> {
         workload.iter().map(|(q, w)| w * self.cost(design, q)).sum()
     }
 
-    /// The skeleton set for a query (cached).
-    ///
-    /// On a miss, the interesting orders are computed *once* per query
-    /// ([`interesting_orders_per_slot`]) and reused both for combination
-    /// enumeration and, via [`Optimizer::optimize_skeletons`], across the
-    /// per-combination skeleton builds (which also share one cardinality
-    /// estimation).
-    pub fn skeletons(&self, query: &Query) -> Arc<Vec<Skeleton>> {
-        let key = query_key(query);
+    /// The skeleton set for a query (cached): of the skeletons of every
+    /// interesting-order combination ([`order_combinations`], planned in
+    /// one [`Optimizer::optimize_skeletons`] call), only those no other
+    /// skeleton dominates (see [`Skeleton`]), in combination order, the
+    /// all-`None` one always among them, packed into one [`SkeletonSet`].
+    /// Every cost served from them is the one the full set gives, bit for
+    /// bit.
+    pub fn skeletons(&self, query: &Query) -> SkeletonSet {
+        self.skeletons_keyed(query_key(query), query)
+    }
+
+    /// [`Self::skeletons`] under an explicit cache key — the matrix passes
+    /// the key it already derived, and tests force distinct queries onto
+    /// one key through it.
+    pub(crate) fn skeletons_keyed(&self, key: u64, query: &Query) -> SkeletonSet {
         let shared = &self.shared;
-        if let Some(found) = shared.cache.read().get(&key) {
+        if let Some(found) = shared.cache.read().get(key, query) {
             shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return found.skeletons.clone();
+            return found.clone();
         }
         shared.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let per_slot = interesting_orders_per_slot(query);
-        let combos = combinations_from_orders(&per_slot);
-        let skeletons = self
+        let planned = self.plan_skeletons(query);
+        shared.cache.write().insert(key, query, &planned)
+    }
+
+    /// Plan every interesting-order combination of `query` (counted in
+    /// [`InumStats::skeletons_built`]) and keep the undominated skeletons.
+    fn plan_skeletons(&self, query: &Query) -> Vec<Skeleton> {
+        let combos = order_combinations(query);
+        self.shared
+            .skeletons_built
+            .fetch_add(combos.len() as u64, Ordering::Relaxed);
+        let all = self
             .optimizer
             .optimize_skeletons(self.catalog, query, combos);
-        shared
-            .skeletons_built
-            .fetch_add(skeletons.len() as u64, Ordering::Relaxed);
-        let arc = Arc::new(skeletons);
-        shared.cache.write().insert(
-            key,
-            CacheEntry {
-                skeletons: arc.clone(),
-                table_mask: table_mask(query),
-            },
-        );
-        arc
+        #[cfg(test)]
+        if self.shared.unpruned {
+            return all;
+        }
+        undominated(all)
     }
 
     /// Number of cached queries.
@@ -316,7 +475,7 @@ impl<'a> Inum<'a> {
 
     /// Drop all cached skeletons (e.g. after a full statistics refresh).
     pub fn invalidate(&self) {
-        self.shared.cache.write().clear();
+        *self.shared.cache.write() = SkeletonCache::default();
     }
 
     /// Drop only the cached skeletons of queries touching `table` — the
@@ -329,18 +488,45 @@ impl<'a> Inum<'a> {
         if table.0 >= 64 {
             // Outside the tracked id range: only the conservative entries
             // (ALL_TABLES) could involve it.
-            self.shared
-                .cache
-                .write()
-                .retain(|_, e| e.table_mask != ALL_TABLES);
+            self.shared.cache.write().retain(|mask| mask != ALL_TABLES);
             return;
         }
         let bit = 1u64 << table.0;
-        self.shared
-            .cache
-            .write()
-            .retain(|_, e| e.table_mask & bit == 0);
+        self.shared.cache.write().retain(|mask| mask & bit == 0);
     }
+}
+
+/// The skeletons no other skeleton of the same query dominates. `a`
+/// dominates `b` when `a.internal_cost <= b.internal_cost` and, slot by
+/// slot, `a` needs no order or the order `b` needs; of two skeletons that
+/// dominate each other the earlier is kept, so the all-`None` skeleton —
+/// dominated by nothing else — always survives.
+///
+/// Dropping a dominated skeleton never changes a cost: under any design a
+/// slot's cheapest unordered access ranges over a superset of the paths
+/// its cheapest ordered access does, so it is no dearer, and IEEE addition
+/// is monotone, so `a`'s total is no dearer than `b`'s — the `min` over
+/// skeletons that [`Inum::cost`] and every matrix lookup take is the same
+/// float either way.
+fn undominated(all: Vec<Skeleton>) -> Vec<Skeleton> {
+    let dominates = |a: &Skeleton, b: &Skeleton| {
+        a.internal_cost <= b.internal_cost
+            && a.slot_orders
+                .iter()
+                .zip(&b.slot_orders)
+                .all(|(x, y)| x.is_none() || x == y)
+    };
+    let kept: Vec<bool> = (0..all.len())
+        .map(|i| {
+            !(0..all.len()).any(|j| {
+                j != i && dominates(&all[j], &all[i]) && (j < i || !dominates(&all[i], &all[j]))
+            })
+        })
+        .collect();
+    all.into_iter()
+        .zip(kept)
+        .filter_map(|(sk, keep)| keep.then_some(sk))
+        .collect()
 }
 
 /// The interesting orders of every slot, computed in one pass over the
@@ -352,16 +538,19 @@ pub fn interesting_orders_per_slot(query: &Query) -> Vec<Vec<Vec<u16>>> {
         .collect()
 }
 
+/// How many combinations [`order_combinations`] enumerates for `query`.
+fn combination_count(query: &Query) -> usize {
+    interesting_orders_per_slot(query)
+        .iter()
+        .fold(1, |n, orders| (n * (orders.len() + 1)).min(MAX_COMBOS))
+}
+
 /// Enumerate interesting-order combinations: the cartesian product of
 /// `None ∪ interesting_orders(slot)` over slots, capped at `MAX_COMBOS`
 /// (the all-`None` combination always included first).
 pub fn order_combinations(query: &Query) -> Vec<Vec<Option<Vec<u16>>>> {
-    combinations_from_orders(&interesting_orders_per_slot(query))
-}
-
-fn combinations_from_orders(per_slot: &[Vec<Vec<u16>>]) -> Vec<Vec<Option<Vec<u16>>>> {
     let mut out: Vec<Vec<Option<Vec<u16>>>> = vec![Vec::new()];
-    for slot_orders in per_slot {
+    for slot_orders in &interesting_orders_per_slot(query) {
         let mut next = Vec::with_capacity(out.len() * (slot_orders.len() + 1));
         for prefix in &out {
             for opt in std::iter::once(None).chain(slot_orders.iter().map(|o| Some(o.clone()))) {
@@ -385,9 +574,9 @@ fn combinations_from_orders(per_slot: &[Vec<Vec<u16>>]) -> Vec<Vec<Option<Vec<u1
 mod tests {
     use super::*;
     use pgdesign_catalog::design::Index;
-    use pgdesign_catalog::samples::sdss_catalog;
+    use pgdesign_catalog::samples::{sdss_catalog, tpch_catalog};
     use pgdesign_optimizer::JoinControl;
-    use pgdesign_query::generators::sdss_workload;
+    use pgdesign_query::generators::{sdss_workload, tpch_workload};
     use pgdesign_query::parse_query;
 
     fn setup() -> (Catalog, Optimizer) {
@@ -638,5 +827,239 @@ mod tests {
             part < base,
             "narrow fragment should be cheaper: {part} vs {base}"
         );
+    }
+
+    fn parse(catalog: &Catalog, sql: &str) -> Query {
+        parse_query(&catalog.schema, sql).expect("test SQL parses")
+    }
+
+    #[test]
+    fn a_shared_key_never_serves_another_querys_skeletons() {
+        let (c, opt) = setup();
+        let single = parse(&c, "SELECT ra FROM photoobj WHERE objid = 5");
+        let join = parse(
+            &c,
+            "SELECT p.ra FROM photoobj p, specobj s WHERE p.objid = s.bestobjid",
+        );
+        let honest = Inum::new(&c, &opt);
+        let counts = |i: &Inum<'_>| (i.stats().cache_hits, i.stats().cache_misses);
+        // Two different queries forced onto one key.
+        const KEY: u64 = 0x5eed;
+        let inum = Inum::new(&c, &opt);
+        assert_eq!(
+            inum.skeletons_keyed(KEY, &single),
+            honest.skeletons(&single)
+        );
+        assert_eq!(inum.skeletons_keyed(KEY, &join), honest.skeletons(&join));
+        assert_eq!(
+            counts(&inum),
+            (0, 2),
+            "a key match with another query is a miss"
+        );
+        assert_eq!(
+            inum.skeletons_keyed(KEY, &single),
+            honest.skeletons(&single)
+        );
+        assert_eq!(inum.skeletons_keyed(KEY, &join), honest.skeletons(&join));
+        assert_eq!(counts(&inum), (2, 2), "both stay cached under the one key");
+        assert_eq!(inum.cached_queries(), 2);
+
+        // Evicting the first entry under the key leaves the others served.
+        let spec = parse(&c, "SELECT zredshift FROM specobj WHERE zredshift < 0.1");
+        assert_eq!(inum.skeletons_keyed(KEY, &spec), honest.skeletons(&spec));
+        inum.invalidate_table(c.schema.table_by_name("photoobj").unwrap().id);
+        assert_eq!(inum.cached_queries(), 1);
+        assert_eq!(inum.skeletons_keyed(KEY, &spec), honest.skeletons(&spec));
+        assert_eq!(counts(&inum), (3, 3), "the surviving entry is a hit");
+
+        // The warm-up resolves a shared key the same way.
+        let warm = Inum::new(&c, &opt);
+        warm.prepare_keyed(vec![(KEY, &single), (KEY, &join), (KEY, &single)], 2);
+        assert_eq!(counts(&warm), (1, 2));
+        assert_eq!(warm.skeletons_keyed(KEY, &join), honest.skeletons(&join));
+        assert_eq!(
+            warm.skeletons_keyed(KEY, &single),
+            honest.skeletons(&single)
+        );
+    }
+
+    #[test]
+    fn prepare_workload_is_the_same_at_any_thread_count() {
+        let c = tpch_catalog(0.01);
+        let opt = Optimizer::new();
+        // Enough order combinations for three workers.
+        let mut w = tpch_workload(&c, 40, 3);
+        // Verbatim repeats: hits inside the batch, not cache lookups.
+        for i in [2, 5, 2] {
+            let q = w.query(i).clone();
+            w.push(q, 1.0);
+        }
+        // What planning the queries one by one caches and counts.
+        let one_by_one = Inum::new(&c, &opt);
+        for (q, _) in w.iter() {
+            let _ = one_by_one.skeletons(q);
+        }
+        let expected = one_by_one.stats();
+        assert_eq!((expected.cache_hits, expected.cache_misses), (3, 40));
+        assert!(expected.skeletons_built > 2 * COMBOS_PER_WORKER as u64);
+        for threads in [1, 2, 4] {
+            let inum = Inum::new(&c, &opt);
+            let keyed = w.iter().map(|(q, _)| (query_key(q), q)).collect();
+            inum.prepare_keyed(keyed, threads);
+            assert_eq!(inum.stats(), expected, "{threads} threads");
+            assert_eq!(inum.cached_queries(), one_by_one.cached_queries());
+            for (q, _) in w.iter() {
+                assert_eq!(inum.skeletons(q), one_by_one.skeletons(q));
+            }
+        }
+    }
+
+    /// The fixed corpus of `crates/optimizer/tests/pinned_plans.rs`.
+    fn corpus() -> Vec<(Catalog, pgdesign_query::Workload)> {
+        let sdss = sdss_catalog(0.01);
+        let tpch = tpch_catalog(0.01);
+        let ws = sdss_workload(&sdss, 12, 5);
+        let wt = tpch_workload(&tpch, 12, 5);
+        vec![(sdss, ws), (tpch, wt)]
+    }
+
+    #[test]
+    fn kept_skeletons_are_the_oracles_and_keep_the_all_none_one() {
+        let opt = Optimizer::new();
+        for (c, w) in corpus() {
+            let pruned = Inum::new(&c, &opt);
+            let full = Inum::unpruned(&c, &opt);
+            let (mut kept, mut all) = (0, 0);
+            for (q, _) in w.iter() {
+                let k = pruned.skeletons(q).to_skeletons();
+                let f = full.skeletons(q).to_skeletons();
+                let in_oracle_order: Vec<&Skeleton> = f.iter().filter(|s| k.contains(s)).collect();
+                assert_eq!(in_oracle_order, k.iter().collect::<Vec<_>>(), "{q:?}");
+                assert!(
+                    k.iter().any(|s| s.slot_orders.iter().all(Option::is_none)),
+                    "the all-None skeleton is kept: {q:?}"
+                );
+                kept += k.len();
+                all += f.len();
+            }
+            assert!(
+                kept < all,
+                "the corpus must prune something ({kept} of {all})"
+            );
+            assert_eq!(pruned.stats().skeletons_built, full.stats().skeletons_built);
+        }
+    }
+
+    /// The pruned cache and the unpruned oracle cost `workload`
+    /// bit-identically through `Inum::cost`, a matrix's index-only lookup
+    /// and its joint lookup, under random index subsets, vertical
+    /// fragmentations and horizontal splits drawn from `seed`.
+    fn assert_pruning_is_exact(catalog: &Catalog, workload: &pgdesign_query::Workload, seed: u64) {
+        use crate::CostMatrix;
+        use pgdesign_catalog::design::HorizontalPartitioning;
+        use pgdesign_optimizer::candidates::{workload_candidates, CandidateConfig};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let opt = Optimizer::new();
+        let pruned = Inum::new(catalog, &opt);
+        let full = Inum::unpruned(catalog, &opt);
+        let cands = workload_candidates(catalog, workload, &CandidateConfig::default()).indexes;
+        let mut m_pruned = CostMatrix::build(&pruned, workload, &cands);
+        let mut m_full = CostMatrix::build(&full, workload, &cands);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let tables: Vec<_> = catalog.schema.tables().map(|t| (t.id, t.width())).collect();
+        for _ in 0..3 {
+            let mut cfg = m_pruned.empty_joint();
+            if !cands.is_empty() {
+                for _ in 0..rng.random_range(0..6usize) {
+                    cfg.indexes.insert(rng.random_range(0..cands.len()));
+                }
+            }
+            for &(t, width) in &tables {
+                if width >= 2 && rng.random_range(0..3usize) == 0 {
+                    let n_groups = rng.random_range(2..5usize).min(width as usize);
+                    let mut groups: Vec<Vec<u16>> = vec![Vec::new(); n_groups];
+                    for col in 0..width {
+                        groups[rng.random_range(0..n_groups)].push(col);
+                    }
+                    for g in groups.iter().filter(|g| !g.is_empty()) {
+                        let id = m_pruned.register_fragment(t, g);
+                        assert_eq!(id, m_full.register_fragment(t, g));
+                        cfg.fragments.insert(id);
+                    }
+                }
+                if rng.random_range(0..3usize) == 0 {
+                    let col = rng.random_range(0..width);
+                    let stats = catalog.table_stats(t).column(col);
+                    if stats.max > stats.min {
+                        let parts = rng.random_range(2..9usize);
+                        let bounds = (1..parts)
+                            .map(|i| stats.min + (stats.max - stats.min) * i as f64 / parts as f64)
+                            .collect();
+                        let hp = HorizontalPartitioning::new(t, col, bounds);
+                        if hp.partitions() >= 2 {
+                            let id = m_pruned.register_split(hp.clone());
+                            assert_eq!(id, m_full.register_split(hp));
+                            cfg.splits.insert(id);
+                        }
+                    }
+                }
+            }
+            let joint = m_pruned.joint_design_of(&cfg);
+            let indexes = m_pruned.design_of(&cfg.indexes);
+            for (qi, (q, _)) in workload.iter().enumerate() {
+                let same = |what: &str, a: f64, b: f64| {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{what}, Q{qi}: pruned {a} vs all {b}"
+                    );
+                };
+                same(
+                    "Inum::cost (joint)",
+                    pruned.cost(&joint, q),
+                    full.cost(&joint, q),
+                );
+                same(
+                    "Inum::cost (indexes)",
+                    pruned.cost(&indexes, q),
+                    full.cost(&indexes, q),
+                );
+                same(
+                    "matrix cost",
+                    m_pruned.cost(qi, &cfg.indexes),
+                    m_full.cost(qi, &cfg.indexes),
+                );
+                same(
+                    "joint lookup",
+                    m_pruned.joint_cost(qi, &cfg),
+                    m_full.joint_cost(qi, &cfg),
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn pruned_skeletons_cost_like_every_combination_on_sdss(
+            seed in 0u64..10_000,
+            n in 4usize..13,
+        ) {
+            let c = sdss_catalog(0.01);
+            let w = sdss_workload(&c, n, seed);
+            assert_pruning_is_exact(&c, &w, seed ^ 0x9a7e);
+        }
+
+        #[test]
+        fn pruned_skeletons_cost_like_every_combination_on_tpch(
+            seed in 0u64..10_000,
+            n in 3usize..10,
+        ) {
+            let c = tpch_catalog(0.01);
+            let w = tpch_workload(&c, n, seed);
+            assert_pruning_is_exact(&c, &w, seed ^ 0x7c4);
+        }
     }
 }

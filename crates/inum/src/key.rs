@@ -1,13 +1,14 @@
 //! Cache keys — the *cell identity* of the two INUM cache levels.
 //!
 //! Both the skeleton cache ([`crate::Inum`]) and the incremental cost
-//! matrix ([`crate::CostMatrix`]) key a query by [`query_cell_key`]: two
-//! queries with the same key have identical skeletons and identical
-//! matrix cells, so [`crate::CostMatrix::add_query`] reuses the resident
-//! `QueryMatrix` slot of a same-key query instead of recomputing its
-//! cells. Candidate cell identity is the [`pgdesign_catalog::design::Index`]
-//! value itself (table + column list), which
-//! [`crate::CostMatrix::add_candidate`] dedupes on.
+//! matrix ([`crate::CostMatrix`]) find a query by [`query_cell_key`] and
+//! then confirm it with `==` on the stored query: equal queries have
+//! identical skeletons and identical matrix cells, so
+//! [`crate::CostMatrix::add_query`] reuses the resident `QueryMatrix` slot
+//! of an equal query instead of recomputing its cells. Candidate cell
+//! identity is the [`pgdesign_catalog::design::Index`] value itself
+//! (table + column list), which [`crate::CostMatrix::add_candidate`]
+//! dedupes on.
 
 use pgdesign_query::ast::Query;
 use std::hash::{Hash, Hasher};
@@ -16,9 +17,11 @@ use std::hash::{Hash, Hasher};
 /// path (every [`crate::CostMatrix::add_queries`] call re-keys the whole
 /// epoch to find resident queries), where SipHash's per-write overhead
 /// was a measurable slice of the incremental update; FNV-1a is a few
-/// multiplies per byte and needs no DoS resistance here — keys never
-/// leave the process and collisions only cost a (deterministic) cache
-/// mix-up on adversarial input we don't take.
+/// multiplies per byte. Keys are hashes of literals the user controls, so
+/// two different queries can share one — and neither cache trusts a key
+/// alone: a key match with a different stored query is a miss. A
+/// collision therefore costs a recomputation (and one more entry under
+/// the key), never another query's skeletons or cells.
 pub(crate) struct Fnv1a(u64);
 
 impl Fnv1a {
@@ -54,7 +57,8 @@ impl Hasher for Fnv1a {
 
 /// The cell-identity key of a query: a hash over its template *and*
 /// literals (selectivities feed the internal cost, so literals matter).
-/// Equal keys ⇒ equal skeletons and equal matrix cells.
+/// Equal queries ⇒ equal keys; the converse is only likely, so the caches
+/// compare the query itself on a key match.
 pub fn query_cell_key(query: &Query) -> u64 {
     query_key(query)
 }

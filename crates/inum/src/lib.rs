@@ -34,6 +34,16 @@
 //!    *any* [`PhysicalDesign`](pgdesign_catalog::design::PhysicalDesign) —
 //!    indexes, vertical or horizontal partitions — by enumerating access
 //!    paths once per slot. This is the general-purpose slow-path oracle.
+//!    Only the *undominated* skeletons are kept ([`Inum::skeletons`]): a
+//!    skeleton with no higher internal cost that needs, slot by slot, no
+//!    order or the same order as another makes the other redundant,
+//!    because an unordered access minimum ranges over a superset of an
+//!    ordered one's paths and IEEE addition is monotone — every served
+//!    cost is the same float from fewer rows. A cached query is one
+//!    allocation, a [`SkeletonSet`]. [`Inum::prepare_workload`]
+//!    plans a workload's distinct uncached queries on up to
+//!    [`build_threads`] workers and caches them in input order, so the
+//!    cache and its counters do not depend on the thread count.
 //! 2. **Cost matrix** ([`CostMatrix`]): for a fixed workload and candidate
 //!    *index* set, the per-candidate access cost under every skeleton
 //!    order is precomputed once, so costing a configuration
@@ -56,7 +66,8 @@
 //! [`CostMatrix::remove_candidate`] edit the candidate set with stable ids
 //! (existing [`CandidateBitset`]s stay valid; removed ids are recycled),
 //! and [`CostMatrix::add_query`] / [`CostMatrix::retire_query`] rotate
-//! queries with cell reuse keyed by [`query_cell_key`] — which is how COLT
+//! queries with cell reuse found by [`query_cell_key`] and confirmed by
+//! comparing the queries — which is how COLT
 //! holds one matrix across epochs and pays only for workload drift, and
 //! how CoPhy registers its merge-generated candidates without a rebuild.
 //! Cold builds (and the bulk of [`CostMatrix::add_queries`]) distribute
@@ -108,6 +119,7 @@ mod budget;
 mod inum;
 mod key;
 mod matrix;
+mod skeleton_set;
 mod snapshot;
 mod wire;
 
@@ -123,5 +135,6 @@ pub use matrix::{
     MatrixCore, MatrixStats, SplitBitset,
 };
 pub use pgdesign_durability::{ByteReader, ByteWriter, CodecError};
+pub use skeleton_set::SkeletonSet;
 pub use snapshot::{MatrixReader, MatrixSnapshot};
 pub use wire::Wire;

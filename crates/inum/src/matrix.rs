@@ -53,7 +53,7 @@ use pgdesign_query::ast::{Query, QueryColumn};
 use pgdesign_query::Workload;
 use std::collections::{HashMap, HashSet};
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -94,8 +94,8 @@ pub struct MatrixStats {
     /// [`CostMatrix::add_query`]).
     pub cells: u64,
     /// Cells an incremental update *reused* instead of recomputing: when
-    /// [`CostMatrix::add_query`] recognises a query already resident (same
-    /// cell-identity key) or [`CostMatrix::add_candidate`] an index already
+    /// [`CostMatrix::add_query`] recognises a query already resident (an
+    /// equal query) or [`CostMatrix::add_candidate`] an index already
     /// registered, the cells a fresh build would have recomputed for it
     /// count here.
     pub cells_reused: u64,
@@ -445,7 +445,8 @@ struct QueryMatrix {
     /// Workload weight.
     weight: f64,
     /// Cell-identity key of the query ([`crate::key::query_cell_key`]) —
-    /// what [`CostMatrix::add_query`] dedupes on.
+    /// how [`CostMatrix::add_query`] finds a resident candidate, which it
+    /// then confirms by comparing the queries.
     key: u64,
     /// False once the query was rotated out ([`CostMatrix::retire_query`]);
     /// the slot is then free for reuse by a later [`CostMatrix::add_query`].
@@ -507,7 +508,7 @@ pub(crate) struct LookupCounters {
 /// [`Self::add_candidate`] / [`Self::remove_candidate`] edit the candidate
 /// set with **stable ids** (existing [`CandidateBitset`]s stay valid), and
 /// [`Self::add_query`] / [`Self::retire_query`] rotate queries, reusing
-/// resident cells when a query (same cell-identity key,
+/// resident cells when an equal query (found by its cell-identity key,
 /// [`crate::key::query_cell_key`]) is already in the matrix. Cold builds
 /// and the bulk part of [`Self::add_queries`] run on all cores
 /// ([`build_threads`]); parallel results are bit-identical to serial ones
@@ -595,6 +596,7 @@ pub struct MatrixCore {
 /// the parallel build distributes.
 fn compute_query_matrix(
     inum: &Inum<'_>,
+    key: u64,
     q: &Query,
     weight: f64,
     indexes: &[Option<Index>],
@@ -603,7 +605,7 @@ fn compute_query_matrix(
     let params = &inum.optimizer().params;
     let empty = PhysicalDesign::empty();
     let mut cells = 0u64;
-    let skeletons = inum.skeletons(q);
+    let skeletons = inum.skeletons_keyed(key, q);
     let ctx = AccessContext {
         catalog,
         design: &empty,
@@ -612,34 +614,19 @@ fn compute_query_matrix(
     };
     let n_slots = q.slot_count() as usize;
 
-    // Distinct required orders per slot across the skeleton set.
-    let mut slot_orders: Vec<Vec<&[u16]>> = vec![Vec::new(); n_slots];
-    for sk in skeletons.iter() {
-        for (s, req) in sk.slot_orders.iter().enumerate() {
-            if let Some(o) = req {
-                if !slot_orders[s].contains(&o.as_slice()) {
-                    slot_orders[s].push(o.as_slice());
-                }
-            }
-        }
-    }
-    let reqs: Vec<Vec<u32>> = skeletons
-        .iter()
-        .map(|sk| {
-            sk.slot_orders
-                .iter()
-                .enumerate()
-                .map(|(s, req)| match req {
-                    None => NO_ORDER,
-                    Some(o) => slot_orders[s]
-                        .iter()
-                        .position(|x| *x == o.as_slice())
-                        .expect("order collected above") as u32,
-                })
+    // Distinct required orders per slot across the skeleton set, and each
+    // skeleton's order id per slot.
+    let slot_orders = skeletons.orders();
+    let reqs: Vec<Vec<u32>> = (0..skeletons.len())
+        .map(|k| {
+            (0..n_slots)
+                .map(|s| skeletons.order_id(k, s).map_or(NO_ORDER, |id| id as u32))
                 .collect()
         })
         .collect();
-    let internal: Vec<f64> = skeletons.iter().map(|sk| sk.internal_cost).collect();
+    let internal: Vec<f64> = (0..skeletons.len())
+        .map(|k| skeletons.internal_cost(k))
+        .collect();
     debug_assert!(
         internal.iter().all(|c| c.is_finite()),
         "skeleton internal costs must be finite"
@@ -706,7 +693,7 @@ fn compute_query_matrix(
     (
         QueryMatrix {
             weight,
-            key: query_key(q),
+            key,
             active: true,
             internal,
             reqs,
@@ -770,29 +757,43 @@ fn cost_candidate_on_slot(
     })
 }
 
-/// Map `one` over `items` on up to `threads` scoped workers. Items are
-/// split into contiguous chunks and results concatenated in input order,
-/// so whenever `one` is a pure function of its item the output is
-/// bit-identical to the serial (`threads == 1`) map.
-fn fan_out<T: Sync, R: Send>(items: &[T], threads: usize, one: impl Fn(&T) -> R + Sync) -> Vec<R> {
+/// Map `one` over `items` on up to `threads` scoped workers. Workers
+/// claim items one at a time, so a worker the scheduler starves leaves
+/// its share to the others instead of holding it; results are placed back
+/// in input order, so whenever `one` is a pure function of its item the
+/// output is bit-identical to the serial (`threads == 1`) map.
+pub(crate) fn fan_out<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    one: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
     let nt = threads.clamp(1, items.len().max(1));
     if nt <= 1 {
         return items.iter().map(one).collect();
     }
-    let chunk = items.len().div_ceil(nt);
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return done;
+            };
+            done.push((i, one(item)));
+        }
+    };
+    let mut out: Vec<Option<R>> = items.iter().map(|_| None).collect();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|ch| {
-                let one = &one;
-                scope.spawn(move || ch.iter().map(one).collect::<Vec<_>>())
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("matrix build worker panicked"))
-            .collect()
-    })
+        let workers: Vec<_> = (0..nt).map(|_| scope.spawn(claim)).collect();
+        for worker in workers {
+            for (i, r) in worker.join().expect("matrix build worker panicked") {
+                out[i] = Some(r);
+            }
+        }
+    });
+    out.into_iter()
+        .map(|r| r.expect("every item is claimed once"))
+        .collect()
 }
 
 /// Compute query matrices for a batch of queries over `threads` workers
@@ -805,15 +806,15 @@ fn fan_out<T: Sync, R: Send>(items: &[T], threads: usize, one: impl Fn(&T) -> R 
 /// and resume the remainder later.
 fn compute_query_matrices(
     inum: &Inum<'_>,
-    entries: &[(&Query, f64)],
+    entries: &[(u64, &Query, f64)],
     indexes: &[Option<Index>],
     threads: usize,
     budget: &WorkBudget,
 ) -> Vec<Option<(QueryMatrix, u64)>> {
-    fan_out(entries, threads, |&(q, w)| {
+    fan_out(entries, threads, |&(key, q, w)| {
         budget
             .try_consume()
-            .then(|| compute_query_matrix(inum, q, w, indexes))
+            .then(|| compute_query_matrix(inum, key, q, w, indexes))
     })
 }
 
@@ -899,7 +900,8 @@ impl<'a> CostMatrix<'a> {
     ) -> Self {
         let t0 = Instant::now();
         let idx: Vec<Option<Index>> = indexes.iter().cloned().map(Some).collect();
-        let entries: Vec<(&Query, f64)> = workload.iter().collect();
+        let entries: Vec<(u64, &Query, f64)> =
+            workload.iter().map(|(q, w)| (query_key(q), q, w)).collect();
         let computed =
             compute_query_matrices(inum, &entries, &idx, threads, &WorkBudget::unlimited());
         let mut cells = 0u64;
@@ -1302,11 +1304,11 @@ impl<'a> CostMatrix<'a> {
     }
 
     /// Add queries to the matrix, reusing resident cells where possible:
-    /// a query whose cell-identity key matches an *active* slot reuses
-    /// that slot (weights add, all its cells count as reused, nothing is
-    /// even cloned); new queries have their cells computed — in parallel
-    /// over [`build_threads`] workers for the bulk — and land in retired
-    /// slots first, fresh slots after. Returns the query id per input,
+    /// a query equal to an *active* slot's query reuses that slot (weights
+    /// add, all its cells count as reused, nothing is even cloned); new
+    /// queries have their cells computed — in parallel over
+    /// [`build_threads`] workers for the bulk — and land in retired slots
+    /// first, fresh slots after. Returns the query id per input,
     /// aligned. This is [`Self::add_queries_budgeted`] under a budget that
     /// never exhausts.
     pub fn add_queries<'q, I: IntoIterator<Item = (&'q Query, f64)>>(
@@ -1341,7 +1343,24 @@ impl<'a> CostMatrix<'a> {
         budget: &WorkBudget,
         threads: usize,
     ) -> Vec<Option<usize>> {
-        let entries: Vec<(&Query, f64)> = entries.into_iter().collect();
+        let keyed = entries
+            .into_iter()
+            .map(|(q, w)| (query_key(q), q, w))
+            .collect();
+        self.add_keyed_queries(keyed, budget, threads)
+    }
+
+    /// The body of [`Self::add_queries_budgeted`] over explicitly keyed
+    /// entries — tests force distinct queries onto one key through it. A
+    /// key identifies a query only together with the query itself: a key
+    /// match against a different query is a miss.
+    pub(crate) fn add_keyed_queries(
+        &mut self,
+        keyed: Vec<(u64, &Query, f64)>,
+        budget: &WorkBudget,
+        threads: usize,
+    ) -> Vec<Option<usize>> {
+        let entries: Vec<(&Query, f64)> = keyed.iter().map(|&(_, q, w)| (q, w)).collect();
         if entries.is_empty() {
             return Vec::new();
         }
@@ -1357,25 +1376,43 @@ impl<'a> CostMatrix<'a> {
             SameAs(usize),
             Pending,
         }
-        let resident: HashMap<u64, usize> = self
-            .core
+        // One id per key; a key shared by different queries falls back to
+        // a scan for the equal one.
+        let core = &self.core;
+        let resident: HashMap<u64, usize> = core
             .queries
             .iter()
             .enumerate()
             .filter(|(_, qm)| qm.active)
             .map(|(id, qm)| (qm.key, id))
             .collect();
+        let resident_query = |id: usize| &core.workload.entries[id].query;
         let mut first_of: HashMap<u64, usize> = HashMap::new();
         let mut resolved: Vec<Resolved> = Vec::with_capacity(entries.len());
         let mut pending: Vec<usize> = Vec::new();
-        for (i, (q, _)) in entries.iter().enumerate() {
-            let key = query_key(q);
-            if let Some(&id) = resident.get(&key) {
+        for (i, &(key, q, _)) in keyed.iter().enumerate() {
+            let existing = match resident.get(&key) {
+                Some(&id) if resident_query(id) == q => Some(id),
+                Some(_) => (0..core.queries.len()).find(|&id| {
+                    let qm = &core.queries[id];
+                    qm.active && qm.key == key && resident_query(id) == q
+                }),
+                None => None,
+            };
+            let earlier = match first_of.get(&key) {
+                Some(&j) if keyed[j].1 == q => Some(j),
+                Some(_) => pending
+                    .iter()
+                    .copied()
+                    .find(|&j| keyed[j].0 == key && keyed[j].1 == q),
+                None => None,
+            };
+            if let Some(id) = existing {
                 resolved.push(Resolved::Existing(id));
-            } else if let Some(&j) = first_of.get(&key) {
+            } else if let Some(j) = earlier {
                 resolved.push(Resolved::SameAs(j));
             } else {
-                first_of.insert(key, i);
+                first_of.entry(key).or_insert(i);
                 pending.push(i);
                 resolved.push(Resolved::Pending);
             }
@@ -1383,7 +1420,7 @@ impl<'a> CostMatrix<'a> {
 
         // Compute the misses (the bulk) in parallel, under the budget;
         // `None` means deferred.
-        let refs: Vec<(&Query, f64)> = pending.iter().map(|&i| entries[i]).collect();
+        let refs: Vec<(u64, &Query, f64)> = pending.iter().map(|&i| keyed[i]).collect();
         let computed =
             compute_query_matrices(&self.inum, &refs, &self.core.indexes, threads, budget);
 
@@ -2200,6 +2237,46 @@ mod tests {
 
     fn setup() -> (Catalog, Optimizer) {
         (sdss_catalog(0.01), Optimizer::new())
+    }
+
+    #[test]
+    fn a_shared_key_never_serves_another_querys_cells() {
+        let (c, opt) = setup();
+        let parse = |sql| pgdesign_query::parse_query(&c.schema, sql).expect("test SQL parses");
+        let single = parse("SELECT ra FROM photoobj WHERE objid = 5");
+        let join = parse("SELECT p.ra FROM photoobj p, specobj s WHERE p.objid = s.bestobjid");
+        let mut w = Workload::new();
+        w.push(single.clone(), 1.0);
+        w.push(join.clone(), 1.0);
+        let cands = workload_candidates(&c, &w, &CandidateConfig::default()).indexes;
+        let honest = CostMatrix::build(&Inum::new(&c, &opt), &w, &cands);
+
+        // Two different queries forced onto one key.
+        const KEY: u64 = 0x5eed;
+        let inum = Inum::new(&c, &opt);
+        let mut m = CostMatrix::build(&inum, &Workload::new(), &cands);
+        let unlimited = WorkBudget::unlimited();
+        let batch = vec![(KEY, &single, 1.0), (KEY, &join, 1.0), (KEY, &single, 1.0)];
+        let ids: Vec<usize> = m
+            .add_keyed_queries(batch, &unlimited, 1)
+            .into_iter()
+            .map(|id| id.expect("an unlimited budget admits every query"))
+            .collect();
+        assert_ne!(ids[0], ids[1], "a key match with another query is a miss");
+        assert_eq!(ids[2], ids[0], "an equal query shares the slot");
+        assert_eq!(
+            m.add_keyed_queries(vec![(KEY, &join, 1.0)], &unlimited, 1),
+            vec![Some(ids[1])],
+            "a later batch finds the resident it equals"
+        );
+        for cfg in [m.empty_config(), m.config_of(0..cands.len())] {
+            for (id, honest_id) in [(ids[0], 0), (ids[1], 1)] {
+                assert_eq!(
+                    m.cost(id, &cfg).to_bits(),
+                    honest.cost(honest_id, &cfg).to_bits()
+                );
+            }
+        }
     }
 
     #[test]

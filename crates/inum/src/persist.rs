@@ -474,7 +474,8 @@ pub fn restore_matrix<'a>(
             if !slot.active || !slot.slots.iter().any(|s| is_stale(s.table)) {
                 continue;
             }
-            let (qm, cells) = compute_query_matrix(inum, &entry.query, slot.weight, indexes);
+            let (qm, cells) =
+                compute_query_matrix(inum, slot.key, &entry.query, slot.weight, indexes);
             invalidated += cells;
             *slot = Arc::new(qm);
         }
@@ -605,6 +606,74 @@ mod tests {
             "a restored matrix counts its lookups on the INUM it was bound to"
         );
         assert!(after.1 > before.1);
+    }
+
+    #[test]
+    fn state_with_dominated_skeleton_rows_reopens_warm_at_the_same_costs() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // State written before the cache dropped dominated skeletons
+        // carries their rows; the unpruned oracle writes that shape.
+        let c = sdss_catalog(0.01);
+        let opt = Optimizer::new();
+        let writer = Inum::unpruned(&c, &opt);
+        let w = sdss_workload(&c, 12, 7);
+        let cands = workload_candidates(&c, &w, &CandidateConfig::default());
+        let mut live = CostMatrix::build(&writer, &w, &cands.indexes);
+        let frags = [
+            live.register_fragment(TableId(0), &[0, 1, 2]),
+            live.register_fragment(TableId(0), &(3..16).collect::<Vec<_>>()),
+        ];
+        let split = live.register_split(HorizontalPartitioning {
+            table: TableId(0),
+            column: 1,
+            bounds: vec![90.0, 180.0, 270.0],
+        });
+        live.publish();
+        let pruned = CostMatrix::build(&Inum::new(&c, &opt), &w, &cands.indexes);
+        let rows = |m: &CostMatrix<'_>| m.queries.iter().map(|qm| qm.internal.len()).sum::<usize>();
+        assert!(
+            rows(&live) > rows(&pruned),
+            "the state must hold dominated rows"
+        );
+
+        let reader = Inum::new(&c, &opt);
+        let decoded = decode_snapshot(&encode_published(&live)).expect("decode");
+        let (restored, report) = restore_matrix(&reader, decoded).expect("restore");
+        assert_eq!(
+            reader.matrix_stats().builds,
+            0,
+            "a warm open builds nothing"
+        );
+        assert_eq!(report.cells_invalidated, 0);
+        assert_eq!(rows(&restored), rows(&live), "rows are adopted as written");
+
+        // 32 seeded probe configurations cost the same bits after the reopen.
+        let mut rng = StdRng::seed_from_u64(32);
+        for _ in 0..32 {
+            let mut cfg = restored.empty_joint();
+            for _ in 0..rng.random_range(0..6usize) {
+                cfg.indexes.insert(rng.random_range(0..cands.indexes.len()));
+            }
+            if rng.random_range(0..2usize) == 0 {
+                frags.iter().for_each(|&f| cfg.fragments.insert(f));
+            }
+            if rng.random_range(0..2usize) == 0 {
+                cfg.splits.insert(split);
+            }
+            for qi in 0..w.len() {
+                for (a, b) in [
+                    (live.cost(qi, &cfg.indexes), restored.cost(qi, &cfg.indexes)),
+                    (live.joint_cost(qi, &cfg), restored.joint_cost(qi, &cfg)),
+                    (
+                        pruned.cost(qi, &cfg.indexes),
+                        restored.cost(qi, &cfg.indexes),
+                    ),
+                ] {
+                    assert_eq!(a.to_bits(), b.to_bits(), "Q{qi} under {cfg:?}");
+                }
+            }
+        }
     }
 
     #[test]

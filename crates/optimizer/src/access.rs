@@ -13,6 +13,7 @@ use pgdesign_catalog::design::{Index, PhysicalDesign};
 use pgdesign_catalog::sizing;
 use pgdesign_catalog::Catalog;
 use pgdesign_query::ast::{PredOp, Query, QueryColumn};
+use std::sync::Arc;
 
 /// Everything access-path costing needs, bundled to keep signatures sane.
 #[derive(Clone, Copy)]
@@ -589,7 +590,7 @@ pub fn best_access(
                     width: path.width,
                     order: req.to_vec(),
                     node: PlanNode::Sort {
-                        input: Box::new(path),
+                        input: Arc::new(path),
                         keys: req.to_vec(),
                     },
                 }

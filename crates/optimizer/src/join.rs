@@ -15,6 +15,7 @@ use crate::optimizer::JoinControl;
 use crate::plan::{order_satisfies, PlanExpr, PlanNode};
 use crate::selectivity;
 use pgdesign_query::ast::QueryColumn;
+use std::sync::Arc;
 
 /// Supplies leaf (single-slot) plans to the join DP.
 pub trait LeafProvider {
@@ -62,7 +63,9 @@ const PARETO_CAP: usize = 6;
 const RESCAN_FACTOR: f64 = 0.7;
 
 /// Insert `plan` into a Pareto set pruned on (cost, delivered order).
-fn pareto_insert(set: &mut Vec<PlanExpr>, plan: PlanExpr) {
+/// Sets hold shared handles, so a plan that survives here is referenced —
+/// never copied — by every parent later built on it.
+fn pareto_insert(set: &mut Vec<Arc<PlanExpr>>, plan: PlanExpr) {
     // Dominated: someone is no more expensive and delivers at least the
     // same order prefix.
     for p in set.iter() {
@@ -71,7 +74,7 @@ fn pareto_insert(set: &mut Vec<PlanExpr>, plan: PlanExpr) {
         }
     }
     set.retain(|p| !(plan.cost <= p.cost && order_satisfies(&plan.order, &p.order, &[])));
-    set.push(plan);
+    set.push(Arc::new(plan));
     if set.len() > PARETO_CAP {
         set.sort_by(|a, b| a.cost.total_cmp(&b.cost));
         set.truncate(PARETO_CAP);
@@ -170,12 +173,12 @@ impl<'a, L: LeafProvider> JoinPlanner<'a, L> {
     }
 
     /// Run the DP and return the Pareto plans for the full slot set.
-    pub fn plan(&self) -> Vec<PlanExpr> {
+    pub fn plan(&self) -> Vec<Arc<PlanExpr>> {
         let q = self.ctx.query;
         let n = q.slot_count() as usize;
         assert!((1..=16).contains(&n), "join DP supports 1..=16 slots");
         let full = (1u32 << n) - 1;
-        let mut table: Vec<Vec<PlanExpr>> = vec![Vec::new(); (full + 1) as usize];
+        let mut table: Vec<Vec<Arc<PlanExpr>>> = vec![Vec::new(); (full + 1) as usize];
 
         // Leaves.
         for s in 0..n {
@@ -214,7 +217,7 @@ impl<'a, L: LeafProvider> JoinPlanner<'a, L> {
             if (mask & (mask - 1)) == 0 {
                 continue; // single slot, already done
             }
-            let mut set: Vec<PlanExpr> = Vec::new();
+            let mut set: Vec<Arc<PlanExpr>> = Vec::new();
             let mut connected_split_found = false;
             // Enumerate proper submasks as the outer side.
             let mut a = (mask - 1) & mask;
@@ -243,14 +246,14 @@ impl<'a, L: LeafProvider> JoinPlanner<'a, L> {
             table[mask as usize] = set;
         }
 
-        table[full as usize].clone()
+        std::mem::take(&mut table[full as usize])
     }
 
     /// Combine subsets `a` (outer) and `b` (inner) over `edges`.
     fn combine(
         &self,
-        set: &mut Vec<PlanExpr>,
-        table: &[Vec<PlanExpr>],
+        set: &mut Vec<Arc<PlanExpr>>,
+        table: &[Vec<Arc<PlanExpr>>],
         a: u32,
         b: u32,
         edges: &[usize],
@@ -273,8 +276,8 @@ impl<'a, L: LeafProvider> JoinPlanner<'a, L> {
                         set,
                         PlanExpr {
                             node: PlanNode::HashJoin {
-                                outer: Box::new(outer.clone()),
-                                inner: Box::new(inner.clone()),
+                                outer: Arc::clone(outer),
+                                inner: Arc::clone(inner),
                             },
                             cost,
                             rows: out_rows,
@@ -307,8 +310,8 @@ impl<'a, L: LeafProvider> JoinPlanner<'a, L> {
                         set,
                         PlanExpr {
                             node: PlanNode::MergeJoin {
-                                outer: Box::new(outer),
-                                inner: Box::new(inner),
+                                outer,
+                                inner,
                                 key: (ok, ik),
                             },
                             cost,
@@ -330,6 +333,7 @@ impl<'a, L: LeafProvider> JoinPlanner<'a, L> {
                 .collect();
             if !eq_cols.is_empty() {
                 if let Some(probe) = self.provider.param_probe(&self.ctx, inner_slot, &eq_cols) {
+                    let probe = Arc::new(probe);
                     for outer in &table[a as usize] {
                         let probes = outer.rows.max(1.0);
                         let probe_cost = probe.cost * (1.0 + RESCAN_FACTOR * (probes - 1.0));
@@ -338,8 +342,8 @@ impl<'a, L: LeafProvider> JoinPlanner<'a, L> {
                             set,
                             PlanExpr {
                                 node: PlanNode::NestLoop {
-                                    outer: Box::new(outer.clone()),
-                                    inner: Box::new(probe.clone()),
+                                    outer: Arc::clone(outer),
+                                    inner: Arc::clone(&probe),
                                 },
                                 cost,
                                 rows: out_rows,
@@ -357,8 +361,8 @@ impl<'a, L: LeafProvider> JoinPlanner<'a, L> {
     /// graphs only).
     fn cartesian(
         &self,
-        set: &mut Vec<PlanExpr>,
-        table: &[Vec<PlanExpr>],
+        set: &mut Vec<Arc<PlanExpr>>,
+        table: &[Vec<Arc<PlanExpr>>],
         a: u32,
         b: u32,
         mask: u32,
@@ -376,8 +380,8 @@ impl<'a, L: LeafProvider> JoinPlanner<'a, L> {
                 set,
                 PlanExpr {
                     node: PlanNode::NestLoop {
-                        outer: Box::new(outer.clone()),
-                        inner: Box::new(inner.clone()),
+                        outer: Arc::clone(outer),
+                        inner: Arc::clone(inner),
                     },
                     cost,
                     rows: out_rows,
@@ -393,10 +397,10 @@ impl<'a, L: LeafProvider> JoinPlanner<'a, L> {
     /// slots, ask the provider (it may have an index delivering the order).
     fn ordered_variant(
         &self,
-        table: &[Vec<PlanExpr>],
+        table: &[Vec<Arc<PlanExpr>>],
         mask: u32,
         order: &[QueryColumn],
-    ) -> Option<PlanExpr> {
+    ) -> Option<Arc<PlanExpr>> {
         if mask.count_ones() == 1 {
             let slot = mask.trailing_zeros() as u16;
             if let Some(leaf) = self.provider.ordered_leaf(&self.ctx, slot, order) {
@@ -404,38 +408,42 @@ impl<'a, L: LeafProvider> JoinPlanner<'a, L> {
                 let from_set = self.sorted_from_set(&table[mask as usize], order);
                 return match from_set {
                     Some(s) if s.cost < leaf.cost => Some(s),
-                    _ => Some(leaf),
+                    _ => Some(Arc::new(leaf)),
                 };
             }
         }
         self.sorted_from_set(&table[mask as usize], order)
     }
 
-    fn sorted_from_set(&self, set: &[PlanExpr], order: &[QueryColumn]) -> Option<PlanExpr> {
+    fn sorted_from_set(
+        &self,
+        set: &[Arc<PlanExpr>],
+        order: &[QueryColumn],
+    ) -> Option<Arc<PlanExpr>> {
         let native = set
             .iter()
             .filter(|p| order_satisfies(&p.order, order, &[]))
             .min_by(|x, y| x.cost.total_cmp(&y.cost));
         if let Some(p) = native {
-            return Some(p.clone());
+            return Some(Arc::clone(p));
         }
         let base = cheapest(set)?;
         let cost = base.cost + self.ctx.params.sort_cost(base.rows, base.width);
-        Some(PlanExpr {
+        Some(Arc::new(PlanExpr {
             cost,
             rows: base.rows,
             width: base.width,
             order: order.to_vec(),
             node: PlanNode::Sort {
-                input: Box::new(base.clone()),
+                input: Arc::clone(base),
                 keys: order.to_vec(),
             },
-        })
+        }))
     }
 }
 
 /// Cheapest plan in a set.
-pub fn cheapest(set: &[PlanExpr]) -> Option<&PlanExpr> {
+pub fn cheapest(set: &[Arc<PlanExpr>]) -> Option<&Arc<PlanExpr>> {
     set.iter().min_by(|x, y| x.cost.total_cmp(&y.cost))
 }
 
@@ -443,37 +451,70 @@ pub fn cheapest(set: &[PlanExpr]) -> Option<&PlanExpr> {
 /// accessed at zero cost, delivering exactly the interesting order fixed
 /// for it, with design-independent cardinalities. Nested loops are
 /// disabled (their inner cost is inherently design-dependent).
+///
+/// A slot's abstract access depends on the query alone, so the leaves are
+/// built once per query ([`Self::new`], from the rows
+/// [`query_cardinalities`] already estimated) and each interesting-order
+/// combination only relabels the orders they deliver
+/// ([`Self::with_orders`]).
 pub struct AbstractLeafProvider {
-    /// One optional order per slot (columns of that slot).
-    pub slot_orders: Vec<Option<Vec<u16>>>,
+    /// One zero-cost sequential access per slot.
+    leaves: Vec<PlanExpr>,
+}
+
+impl AbstractLeafProvider {
+    /// Unordered abstract leaves for every slot of `ctx.query`; `slot_rows`
+    /// is the per-slot half of [`query_cardinalities`].
+    pub fn new(ctx: &AccessContext<'_>, slot_rows: &[f64]) -> Self {
+        let q = ctx.query;
+        let leaves = (0..q.slot_count())
+            .map(|slot| {
+                let tdef = ctx.catalog.schema.table(q.table_of(slot));
+                let needed = if q.select_star {
+                    (0..tdef.width()).collect()
+                } else {
+                    q.columns_used(slot)
+                };
+                PlanExpr {
+                    node: PlanNode::SeqScan {
+                        slot,
+                        filters: q.filters_on(slot).count(),
+                    },
+                    cost: 0.0,
+                    rows: slot_rows[slot as usize],
+                    order: Vec::new(),
+                    width: f64::from(tdef.byte_width_of(&needed)).max(8.0),
+                }
+            })
+            .collect();
+        AbstractLeafProvider { leaves }
+    }
+
+    /// The same leaves, each slot's access delivering `slot_orders[slot]`
+    /// (columns of that slot; `None` = no order).
+    pub fn with_orders(&self, slot_orders: &[Option<Vec<u16>>]) -> Self {
+        let leaves = self
+            .leaves
+            .iter()
+            .zip(slot_orders)
+            .enumerate()
+            .map(|(slot, (leaf, order))| PlanExpr {
+                order: order
+                    .as_deref()
+                    .unwrap_or(&[])
+                    .iter()
+                    .map(|&c| QueryColumn::new(slot as u16, c))
+                    .collect(),
+                ..leaf.clone()
+            })
+            .collect();
+        AbstractLeafProvider { leaves }
+    }
 }
 
 impl LeafProvider for AbstractLeafProvider {
-    fn leaves(&self, ctx: &AccessContext<'_>, slot: u16) -> Vec<PlanExpr> {
-        let rows = selectivity::slot_rows(ctx.catalog, ctx.query, slot);
-        let tdef = ctx.catalog.schema.table(ctx.query.table_of(slot));
-        let needed = if ctx.query.select_star {
-            (0..tdef.width()).collect()
-        } else {
-            ctx.query.columns_used(slot)
-        };
-        let width = f64::from(tdef.byte_width_of(&needed)).max(8.0);
-        let order: Vec<QueryColumn> = self.slot_orders[slot as usize]
-            .as_deref()
-            .unwrap_or(&[])
-            .iter()
-            .map(|&c| QueryColumn::new(slot, c))
-            .collect();
-        vec![PlanExpr {
-            node: PlanNode::SeqScan {
-                slot,
-                filters: ctx.query.filters_on(slot).count(),
-            },
-            cost: 0.0,
-            rows,
-            order,
-            width,
-        }]
+    fn leaves(&self, _ctx: &AccessContext<'_>, slot: u16) -> Vec<PlanExpr> {
+        vec![self.leaves[slot as usize].clone()]
     }
 
     fn ordered_leaf(
@@ -482,7 +523,7 @@ impl LeafProvider for AbstractLeafProvider {
         slot: u16,
         order: &[QueryColumn],
     ) -> Option<PlanExpr> {
-        let base = self.leaves(ctx, slot).pop()?;
+        let base = self.leaves[slot as usize].clone();
         if order_satisfies(&base.order, order, &[]) {
             return Some(base);
         }
@@ -494,7 +535,7 @@ impl LeafProvider for AbstractLeafProvider {
             width: base.width,
             order: order.to_vec(),
             node: PlanNode::Sort {
-                input: Box::new(base),
+                input: Arc::new(base),
                 keys: order.to_vec(),
             },
         })
@@ -529,7 +570,7 @@ mod tests {
             query: &q,
         };
         let planner = JoinPlanner::new(ctx, JoinControl::default(), &AccessLeafProvider);
-        cheapest(&planner.plan()).unwrap().clone()
+        PlanExpr::clone(cheapest(&planner.plan()).unwrap())
     }
 
     #[test]
@@ -691,9 +732,8 @@ mod tests {
             params: &params,
             query: &q,
         };
-        let provider = AbstractLeafProvider {
-            slot_orders: vec![None, None],
-        };
+        let provider = AbstractLeafProvider::new(&ctx, &query_cardinalities(&ctx).0)
+            .with_orders(&[None, None]);
         let planner = JoinPlanner::new(ctx, JoinControl::default(), &provider);
         let best = cheapest(&planner.plan()).unwrap().clone();
         assert_eq!(best.leaf_access_cost(), 0.0);
@@ -717,9 +757,8 @@ mod tests {
             query: &q,
         };
         // Orders on the join columns make a sort-free merge join possible.
-        let ordered = AbstractLeafProvider {
-            slot_orders: vec![Some(vec![0]), Some(vec![1])],
-        };
+        let unordered = AbstractLeafProvider::new(&ctx, &query_cardinalities(&ctx).0);
+        let ordered = unordered.with_orders(&[Some(vec![0]), Some(vec![1])]);
         let merge_only = JoinControl {
             hash: false,
             merge: true,
@@ -728,9 +767,6 @@ mod tests {
         let with_orders = {
             let planner = JoinPlanner::new(ctx, merge_only, &ordered);
             cheapest(&planner.plan()).unwrap().clone()
-        };
-        let unordered = AbstractLeafProvider {
-            slot_orders: vec![None, None],
         };
         let without = {
             let planner = JoinPlanner::new(ctx, merge_only, &unordered);

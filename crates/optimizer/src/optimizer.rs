@@ -9,6 +9,7 @@ use crate::selectivity;
 use pgdesign_catalog::design::PhysicalDesign;
 use pgdesign_catalog::Catalog;
 use pgdesign_query::ast::{PredOp, Query, QueryColumn};
+use std::sync::Arc;
 
 /// The "what-if join component" (§3.1): enables or disables join methods
 /// in the produced execution plans so a DBA can explore how the design
@@ -37,6 +38,13 @@ impl Default for JoinControl {
 /// fixed combination of interesting orders, plus that combination.
 ///
 /// `cost(q, design) = internal_cost + Σ_slots access_cost(slot, order, design)`
+///
+/// A skeleton is *dominated* when another skeleton of the same query has
+/// an internal cost no higher and needs, slot by slot, no order or the
+/// same order. Under any design it then costs at least as much (an
+/// unordered access minimum ranges over a superset of an ordered one's
+/// paths, and IEEE addition is monotone), so it can never be the minimum;
+/// the `pgdesign-inum` skeleton cache drops it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Skeleton {
     /// Join/sort/aggregation cost with all leaf accesses at zero cost.
@@ -130,10 +138,14 @@ impl Optimizer {
     }
 
     /// Extract skeletons for a whole batch of interesting-order
-    /// combinations of one query, computing the design-independent
-    /// cardinalities ([`crate::join::query_cardinalities`]) once instead of
-    /// once per combination. This is the path the `pgdesign-inum` skeleton
-    /// cache uses.
+    /// combinations of one query: one skeleton per combination, in input
+    /// order. What depends on the query alone is computed once, not once
+    /// per combination — the design-independent cardinalities
+    /// ([`crate::join::query_cardinalities`]) and the abstract leaves cut
+    /// from them ([`AbstractLeafProvider::new`]) — and the DP shares plan
+    /// subtrees instead of copying them. This is the path the
+    /// `pgdesign-inum` skeleton cache uses; it then keeps only the
+    /// skeletons no other one dominates (see [`Skeleton`]).
     pub fn optimize_skeletons(
         &self,
         catalog: &Catalog,
@@ -148,6 +160,7 @@ impl Optimizer {
             query,
         };
         let (slot_rows, edge_sel) = crate::join::query_cardinalities(&ctx);
+        let unordered = AbstractLeafProvider::new(&ctx, &slot_rows);
         let control = JoinControl {
             nestloop: false,
             ..self.control
@@ -155,9 +168,7 @@ impl Optimizer {
         combos
             .into_iter()
             .map(|slot_orders| {
-                let provider = AbstractLeafProvider {
-                    slot_orders: slot_orders.clone(),
-                };
+                let provider = unordered.with_orders(&slot_orders);
                 let planner = JoinPlanner::with_cardinalities(
                     ctx,
                     control,
@@ -197,7 +208,7 @@ impl Optimizer {
 
     /// Finish a set of join-output variants: aggregation, final ordering,
     /// limit; returns the cheapest complete plan.
-    fn finish(&self, ctx: &AccessContext<'_>, variants: Vec<PlanExpr>) -> Plan {
+    fn finish(&self, ctx: &AccessContext<'_>, variants: Vec<Arc<PlanExpr>>) -> Plan {
         let q = ctx.query;
         let p = ctx.params;
         let eq_bound = equality_bound_columns(q);
@@ -217,24 +228,24 @@ impl Optimizer {
                     width: v.width,
                     order: vec![],
                     node: PlanNode::Aggregate {
-                        input: Box::new(v.clone()),
+                        input: Arc::clone(&v),
                         hash: true,
                     },
                 });
                 // Stream aggregate over ordered input (sort if needed).
                 let ordered = if order_satisfies(&v.order, &q.group_by, &eq_bound) {
-                    v.clone()
+                    Arc::clone(&v)
                 } else {
-                    PlanExpr {
+                    Arc::new(PlanExpr {
                         cost: v.cost + p.sort_cost(v.rows, v.width),
                         rows: v.rows,
                         width: v.width,
                         order: q.group_by.clone(),
                         node: PlanNode::Sort {
-                            input: Box::new(v.clone()),
+                            input: Arc::clone(&v),
                             keys: q.group_by.clone(),
                         },
-                    }
+                    })
                 };
                 finals.push(PlanExpr {
                     cost: ordered.cost
@@ -244,7 +255,7 @@ impl Optimizer {
                     width: ordered.width,
                     order: ordered.order.clone(),
                     node: PlanNode::Aggregate {
-                        input: Box::new(ordered),
+                        input: ordered,
                         hash: false,
                     },
                 });
@@ -256,12 +267,12 @@ impl Optimizer {
                     width: 8.0 * n_aggs,
                     order: vec![],
                     node: PlanNode::Aggregate {
-                        input: Box::new(v.clone()),
+                        input: Arc::clone(&v),
                         hash: false,
                     },
                 });
             } else {
-                finals.push(v);
+                finals.push(Arc::unwrap_or_clone(v));
             }
 
             for f in finals {
@@ -276,7 +287,7 @@ impl Optimizer {
                             width: plan.width,
                             order: keys.clone(),
                             node: PlanNode::Sort {
-                                input: Box::new(plan),
+                                input: Arc::new(plan),
                                 keys,
                             },
                         };
@@ -291,7 +302,7 @@ impl Optimizer {
                         width: plan.width,
                         order: plan.order.clone(),
                         node: PlanNode::Limit {
-                            input: Box::new(plan),
+                            input: Arc::new(plan),
                             n,
                         },
                     };

@@ -8,6 +8,7 @@ use pgdesign_catalog::design::Index;
 use pgdesign_catalog::schema::Schema;
 use pgdesign_query::ast::{Query, QueryColumn};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// A costed plan expression (node + derived properties).
 #[derive(Debug, Clone, PartialEq)]
@@ -28,7 +29,9 @@ pub struct PlanExpr {
 /// Alias: the optimizer's final product.
 pub type Plan = PlanExpr;
 
-/// Physical operators.
+/// Physical operators. Children are shared handles: the join DP hands
+/// one subplan to every parent it is costed under, so composing a plan
+/// never deep-copies a subtree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanNode {
     /// Full sequential scan of a slot's table (or its sole fragment).
@@ -72,44 +75,44 @@ pub enum PlanNode {
     /// Explicit sort.
     Sort {
         /// Input plan.
-        input: Box<PlanExpr>,
+        input: Arc<PlanExpr>,
         /// Sort keys.
         keys: Vec<QueryColumn>,
     },
     /// Hash join (build on inner).
     HashJoin {
         /// Probe side.
-        outer: Box<PlanExpr>,
+        outer: Arc<PlanExpr>,
         /// Build side.
-        inner: Box<PlanExpr>,
+        inner: Arc<PlanExpr>,
     },
     /// Merge join on one equi-key.
     MergeJoin {
         /// Left (order-defining) side.
-        outer: Box<PlanExpr>,
+        outer: Arc<PlanExpr>,
         /// Right side.
-        inner: Box<PlanExpr>,
+        inner: Arc<PlanExpr>,
         /// The merged key (outer column, inner column).
         key: (QueryColumn, QueryColumn),
     },
     /// Nested-loop join; the inner side re-executes per outer row.
     NestLoop {
         /// Outer side.
-        outer: Box<PlanExpr>,
+        outer: Arc<PlanExpr>,
         /// Inner side (often a parameterized index probe).
-        inner: Box<PlanExpr>,
+        inner: Arc<PlanExpr>,
     },
     /// Grouped or plain aggregation.
     Aggregate {
         /// Input plan.
-        input: Box<PlanExpr>,
+        input: Arc<PlanExpr>,
         /// Hash aggregation (true) or sorted/stream aggregation (false).
         hash: bool,
     },
     /// Row-count limit.
     Limit {
         /// Input plan.
-        input: Box<PlanExpr>,
+        input: Arc<PlanExpr>,
         /// Maximum rows returned.
         n: u64,
     },
@@ -342,8 +345,8 @@ mod tests {
         let scan_b = leaf(20.0);
         let join = PlanExpr {
             node: PlanNode::HashJoin {
-                outer: Box::new(scan_a),
-                inner: Box::new(scan_b),
+                outer: Arc::new(scan_a),
+                inner: Arc::new(scan_b),
             },
             cost: 50.0,
             rows: 10.0,
@@ -352,7 +355,7 @@ mod tests {
         };
         let sorted = PlanExpr {
             node: PlanNode::Sort {
-                input: Box::new(join),
+                input: Arc::new(join),
                 keys: vec![qc(0, 0)],
             },
             cost: 60.0,
@@ -381,7 +384,7 @@ mod tests {
         };
         let lim = PlanExpr {
             node: PlanNode::Limit {
-                input: Box::new(scan),
+                input: Arc::new(scan),
                 n: 10,
             },
             cost: 5.0,
