@@ -23,20 +23,61 @@
 //! cost model to include partitions") — specifically through the
 //! *partition-aware cost matrix* ([`CostMatrix`]): atomic fragments are
 //! registered as fragment candidates once, every merge/replication trial
-//! of the greedy loop is a [`JointToggle`] delta evaluation, and the
-//! horizontal pass is a [`pgdesign_inum::MatrixCore::delta_split`]. The
-//! search therefore issues **zero** per-trial [`Inum::cost`] calls and
-//! never constructs a `PhysicalDesign` inside the loop (the suite asserts
-//! both).
+//! of the greedy loop is a [`JointToggle`] evaluation against a
+//! configuration resolved once for it
+//! ([`pgdesign_inum::MatrixCore::resolve_joint`]), and the horizontal pass
+//! is a [`pgdesign_inum::MatrixCore::delta_split`]. The search therefore
+//! issues **zero** per-trial [`Inum::cost`] calls and never constructs a
+//! `PhysicalDesign` inside the loop (the suite asserts both).
+//!
+//! ## What a trial costs
+//!
+//! A trial toggles two fragments of one table, and a query's cost depends
+//! on a table's fragmentation only through the selected fragments that
+//! meet the columns its slots read there
+//! ([`pgdesign_inum::MatrixCore::columns_read`]). So the search keeps each
+//! active query's weighted cost under the current configuration, and a
+//! trial re-costs only the queries with a slot on the table that reads a
+//! column of a toggled fragment or reads no column at all. A trial keeps
+//! those values across iterations: after an accepted step, a surviving
+//! trial re-costs only the queries that step touched, when it is next
+//! read. Each configuration a trial costs is resolved once for all its
+//! queries. Every trial total is still the sum over all active queries in
+//! id order, so each total — and each decision — is the float the full
+//! re-costing gives. A table's trial state is dropped when its search
+//! ends.
+//!
+//! The original AutoPart only considers pairs of fragments some query
+//! accesses together. Here that filter is exact, not a heuristic: while a
+//! table's selected fragments are disjoint (and no query weight is
+//! negative), a merge or replication of two fragments no active query
+//! reads together only grows the fragment each affected slot fetches.
+//! Every access cost is non-decreasing in the fetch target's pages at a
+//! fixed fragment count, so such a trial costs, query by query, at least
+//! the current design and can never pass the improvement test — the
+//! search skips it without registering or costing it. Once a replication
+//! has made fragments overlap, the greedy set cover can pick differently
+//! and every pair is tried again. The replication budget is checked in
+//! integers on the fragments' column masks: the current replicated row
+//! width plus the width of the columns the copy adds, times the row
+//! count.
+//!
+//! The suite keeps the search as it was before these cuts (`oracle.rs`,
+//! test-only) and checks the two recommend the same bits across
+//! replication budgets, index-only and joint mode, and the horizontal
+//! pass on and off.
 
 #![forbid(unsafe_code)]
 
 use pgdesign_catalog::design::{HorizontalPartitioning, PhysicalDesign, VerticalPartitioning};
-use pgdesign_catalog::schema::TableId;
-use pgdesign_inum::{CostMatrix, Inum, JointConfig, JointToggle};
+use pgdesign_catalog::schema::{TableDef, TableId};
+use pgdesign_inum::{CostMatrix, Inum, JointConfig, JointToggle, MatrixCore};
 use pgdesign_query::ast::PredOp;
 use pgdesign_query::Workload;
 use std::collections::BTreeMap;
+
+#[cfg(test)]
+mod oracle;
 
 /// AutoPart knobs.
 #[derive(Debug, Clone, Copy)]
@@ -104,6 +145,245 @@ pub struct AutoPartAdvisor<'a> {
     config: AutoPartConfig,
 }
 
+/// A trial of the merge search, named by the selected fragments it edits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum TrialKey {
+    /// Replace fragments `.0` and `.1` by their union.
+    Merge(usize, usize),
+    /// Copy fragment `from`'s columns into fragment `into`.
+    Replicate { from: usize, into: usize },
+}
+
+impl TrialKey {
+    /// The two fragments the trial is made of; it is stale once either is
+    /// no longer selected.
+    fn fragments(self) -> [usize; 2] {
+        match self {
+            TrialKey::Merge(a, b) => [a, b],
+            TrialKey::Replicate { from, into } => [from, into],
+        }
+    }
+}
+
+/// One costed trial.
+struct Trial {
+    /// The edit, as the matrix costs it.
+    toggle: JointToggle,
+    /// The columns of the fragments the edit is made of: it can change
+    /// the cost of the queries [`QueryCosts::touches`] names for it.
+    mask: u128,
+    /// Per query (position in [`QueryCosts::qids`]) the edit can change:
+    /// its weighted cost under the edit. Unused at the other positions.
+    values: Vec<f64>,
+    /// The step [`Self::values`] are exact at ([`TableSearch::step`]).
+    step: u32,
+}
+
+/// One table's merge-search state: each active query's weighted cost
+/// under the current configuration, and the trials costed so far with the
+/// weighted costs of the queries each can change. Lives as long as the
+/// table's search.
+struct TableSearch {
+    queries: QueryCosts,
+    /// No weight is negative — half of the skip rule's exactness
+    /// condition (see the crate doc).
+    nonneg_weights: bool,
+    /// Steps accepted so far.
+    step: u32,
+    /// The trials costed so far.
+    trials: BTreeMap<TrialKey, Trial>,
+}
+
+/// The active queries of one table's search, in id order — the order
+/// every total is summed in.
+struct QueryCosts {
+    qids: Vec<usize>,
+    weights: Vec<f64>,
+    /// The columns the query's slots on the table read, as one mask.
+    reads: Vec<u128>,
+    /// A slot of the query on the table reads no column, so any
+    /// fragmentation edit can change its cost.
+    blind: Vec<bool>,
+    /// Its weighted cost under the current configuration.
+    base: Vec<f64>,
+    /// The last step that changed its cost (0: none yet).
+    changed_at: Vec<u32>,
+}
+
+impl QueryCosts {
+    /// Whether an edit of fragments whose columns are `mask` can change
+    /// the cost of the query at position `p`.
+    fn touches(&self, p: usize, mask: u128) -> bool {
+        self.reads[p] & mask != 0 || self.blind[p]
+    }
+
+    /// The workload cost of a trial whose values are current.
+    fn total(&self, trial: &Trial) -> f64 {
+        (0..self.qids.len())
+            .map(|p| {
+                if self.touches(p, trial.mask) {
+                    trial.values[p]
+                } else {
+                    self.base[p]
+                }
+            })
+            .sum()
+    }
+}
+
+impl TableSearch {
+    /// Cost every active query once under `cfg`, the configuration with
+    /// `table`'s atomic fragments selected.
+    fn new(core: &MatrixCore, cfg: &JointConfig, table: TableId) -> Self {
+        let resolved = core.resolve_joint(cfg, &JointToggle::default());
+        let qids: Vec<usize> = core.active_query_ids().collect();
+        let (mut weights, mut reads, mut blind, mut base) = (vec![], vec![], vec![], vec![]);
+        for &qi in &qids {
+            let (mut read, mut reads_nothing) = (0u128, false);
+            for (t, mask) in core.columns_read(qi) {
+                if t == table {
+                    read |= mask;
+                    reads_nothing |= mask == 0;
+                }
+            }
+            let w = core.query_weight(qi);
+            weights.push(w);
+            reads.push(read);
+            blind.push(reads_nothing);
+            base.push(w * core.joint_cost_resolved(qi, &resolved));
+        }
+        TableSearch {
+            nonneg_weights: weights.iter().all(|&w| w >= 0.0),
+            queries: QueryCosts {
+                changed_at: vec![0; qids.len()],
+                qids,
+                weights,
+                reads,
+                blind,
+                base,
+            },
+            step: 0,
+            trials: BTreeMap::new(),
+        }
+    }
+
+    /// The workload cost of the current configuration.
+    fn current(&self) -> f64 {
+        self.queries.base.iter().sum()
+    }
+
+    /// Whether some active query reads columns of both masks.
+    fn read_together(&self, a: u128, b: u128) -> bool {
+        self.queries.reads.iter().any(|&r| r & a != 0 && r & b != 0)
+    }
+
+    /// The workload cost of trial `key` under `cfg`, the current
+    /// configuration, or `None` if it was not costed yet. The queries a
+    /// step accepted since the trial was last costed are re-costed first.
+    fn total(&mut self, core: &MatrixCore, cfg: &JointConfig, key: TrialKey) -> Option<f64> {
+        let trial = self.trials.get_mut(&key)?;
+        let q = &self.queries;
+        if trial.step < self.step {
+            let mut resolved = None;
+            for p in 0..q.qids.len() {
+                if q.touches(p, trial.mask) && q.changed_at[p] > trial.step {
+                    let resolved =
+                        resolved.get_or_insert_with(|| core.resolve_joint(cfg, &trial.toggle));
+                    trial.values[p] = q.weights[p] * core.joint_cost_resolved(q.qids[p], resolved);
+                }
+            }
+            trial.step = self.step;
+        }
+        Some(q.total(trial))
+    }
+
+    /// Cost a new trial — `toggle` on top of `cfg`, editing fragments whose
+    /// columns are `mask` — on the queries it can change; returns its
+    /// workload cost.
+    fn add(
+        &mut self,
+        core: &MatrixCore,
+        cfg: &JointConfig,
+        key: TrialKey,
+        toggle: JointToggle,
+        mask: u128,
+    ) -> f64 {
+        let q = &self.queries;
+        let resolved = core.resolve_joint(cfg, &toggle);
+        let values = (0..q.qids.len())
+            .map(|p| {
+                if q.touches(p, mask) {
+                    q.weights[p] * core.joint_cost_resolved(q.qids[p], &resolved)
+                } else {
+                    f64::NAN
+                }
+            })
+            .collect();
+        let trial = Trial {
+            toggle,
+            mask,
+            values,
+            step: self.step,
+        };
+        let total = q.total(&trial);
+        self.trials.insert(key, trial);
+        total
+    }
+
+    /// The edit of a costed trial.
+    fn toggle(&self, key: TrialKey) -> JointToggle {
+        self.trials[&key].toggle
+    }
+
+    /// Adopt trial `key`, costed at the current step, as the current
+    /// configuration, and drop the trials made of a fragment `selected`
+    /// (the table's fragments after the step) no longer lists. A kept
+    /// trial stays exact on every query the step did not change — the
+    /// step's fragments meet none of their columns — and re-costs the
+    /// others when it is next read ([`Self::total`]).
+    fn accept(&mut self, key: TrialKey, selected: &[usize]) {
+        let step = self
+            .trials
+            .remove(&key)
+            .expect("an accepted trial was costed");
+        debug_assert_eq!(step.step, self.step, "accepted on stale values");
+        self.step += 1;
+        let q = &mut self.queries;
+        for p in 0..q.qids.len() {
+            if q.touches(p, step.mask) {
+                q.base[p] = step.values[p];
+                q.changed_at[p] = self.step;
+            }
+        }
+        self.trials
+            .retain(|k, _| k.fragments().iter().all(|f| selected.contains(f)));
+    }
+}
+
+/// One table's vertical merge search: [`AutoPartAdvisor::partition_table_on`],
+/// or in the suite the earlier search it is checked against. Takes the
+/// matrix, the configuration to edit, the table, the active workload and
+/// the shared replication pool; returns the merge steps taken.
+type VerticalSearch<'a> = fn(
+    &AutoPartAdvisor<'a>,
+    &mut CostMatrix<'_>,
+    &mut JointConfig,
+    TableId,
+    &Workload,
+    &mut u64,
+) -> usize;
+
+/// Bytes per row of the columns in `mask`.
+fn row_width(tdef: &TableDef, mut mask: u128) -> u64 {
+    let mut width = 0;
+    while mask != 0 {
+        let c = mask.trailing_zeros() as u16;
+        mask &= mask - 1;
+        width += u64::from(tdef.column(c).dtype.byte_width());
+    }
+    width
+}
+
 impl<'a> AutoPartAdvisor<'a> {
     /// New advisor over an INUM instance.
     pub fn new(inum: &'a Inum<'a>, config: AutoPartConfig) -> Self {
@@ -140,14 +420,15 @@ impl<'a> AutoPartAdvisor<'a> {
     }
 
     /// Run the greedy composite-fragment search for one table, entirely on
-    /// matrix deltas: every merge/replication trial is a [`JointToggle`]
-    /// evaluation against the current configuration. `cfg` is edited in
-    /// place (the table's fragments stay selected only if the final
-    /// partitioning beats leaving the table whole). `replication_left` is
-    /// the *shared* replication budget: trials are checked against it and
-    /// an accepted partitioning's replicated bytes are deducted, so the
-    /// tables of one search draw from a single pool rather than each
-    /// getting the full budget. Returns the merge steps taken.
+    /// matrix lookups: every merge/replication trial is a [`JointToggle`]
+    /// evaluated on the queries it can change (see the crate doc). `cfg`
+    /// is edited in place (the table's fragments stay selected only if the
+    /// final partitioning beats leaving the table whole).
+    /// `replication_left` is the *shared* replication budget: trials are
+    /// checked against it and an accepted partitioning's replicated bytes
+    /// are deducted, so the tables of one search draw from a single pool
+    /// rather than each getting the full budget. Returns the merge steps
+    /// taken.
     fn partition_table_on(
         &self,
         matrix: &mut CostMatrix<'_>,
@@ -160,7 +441,8 @@ impl<'a> AutoPartAdvisor<'a> {
             return 0; // degenerate knob: no search, valid no-op
         }
         let catalog = self.inum.catalog();
-        let width = catalog.schema.table(table).width();
+        let tdef = catalog.schema.table(table);
+        let rows = catalog.table_stats(table).row_count;
         let atomic = self.atomic_fragments(workload, table);
         if atomic.len() <= 1 {
             return 0;
@@ -168,110 +450,133 @@ impl<'a> AutoPartAdvisor<'a> {
 
         let unpartitioned = matrix.joint_workload_cost(cfg);
 
-        // Select the atomic fragmentation. `groups` mirrors the selected
-        // fragment set as column lists (kept duplicate-free; a duplicate
-        // group never changes the cost model's answer) for replication
-        // budget checks.
-        let group_ids: Vec<usize> = atomic
+        // Select the atomic fragmentation. `group_ids` lists the table's
+        // selected fragments in search order (kept duplicate-free; a
+        // duplicate group never changes the cost model's answer).
+        let mut group_ids: Vec<usize> = atomic
             .iter()
             .map(|g| matrix.register_fragment(table, g))
             .collect();
-        let mut group_ids = group_ids;
         for &id in &group_ids {
             cfg.fragments.insert(id);
         }
-        let mut groups = atomic;
-        let mut current = matrix.joint_workload_cost(cfg);
+        let mut search = TableSearch::new(matrix, cfg, table);
+        let mut current = search.current();
         let mut iterations = 0usize;
 
         while iterations < self.config.max_iterations && group_ids.len() > 1 {
-            // Candidate merges: all fragment pairs. (The original filters
-            // to co-accessed pairs; non-co-accessed merges simply won't
-            // improve the cost, so the filter is an optimization only.)
-            let mut best: Option<(usize, usize, usize, f64)> = None;
-            for i in 0..group_ids.len() {
-                for j in (i + 1)..group_ids.len() {
-                    let mut merged = groups[i].clone();
-                    merged.extend(groups[j].iter().copied());
-                    let mid = matrix.register_fragment(table, &merged);
-                    let c = matrix.joint_workload_cost_with(
-                        cfg,
-                        &JointToggle::merge(group_ids[i], group_ids[j], mid),
-                    );
-                    if c < current - 1e-9 && best.is_none_or(|(_, _, _, bc)| c < bc) {
-                        best = Some((i, j, mid, c));
+            let n = group_ids.len();
+            let masks: Vec<u128> = group_ids
+                .iter()
+                .map(|&id| matrix.fragment_mask(id))
+                .collect();
+            let union = masks.iter().fold(0u128, |u, &m| u | m);
+            let columns: u32 = masks.iter().map(|m| m.count_ones()).sum();
+            // The exact skip rule of the crate doc: a pair no query reads
+            // together cannot improve a disjoint fragmentation.
+            let skip_unread = search.nonneg_weights && union.count_ones() == columns;
+
+            // Candidate merges: all fragment pairs some query reads
+            // together.
+            let mut best: Option<(TrialKey, f64)> = None;
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    if skip_unread && !search.read_together(masks[i], masks[j]) {
+                        continue;
+                    }
+                    let (a, b) = (group_ids[i], group_ids[j]);
+                    let key = TrialKey::Merge(a, b);
+                    let c = match search.total(matrix, cfg, key) {
+                        Some(c) => c,
+                        None => {
+                            let merged =
+                                [matrix.fragment_columns(a), matrix.fragment_columns(b)].concat();
+                            let mid = matrix.register_fragment(table, &merged);
+                            let toggle = JointToggle::merge(a, b, mid);
+                            search.add(matrix, cfg, key, toggle, masks[i] | masks[j])
+                        }
+                    };
+                    if c < current - 1e-9 && best.is_none_or(|(_, bc)| c < bc) {
+                        best = Some((key, c));
                     }
                 }
             }
             // Replication candidates: copy fragment i's columns into
-            // fragment j, if the budget allows.
-            let mut best_repl: Option<(usize, usize, usize, f64)> = None;
+            // fragment j, if the budget allows. Replicated bytes are
+            // `rows × Σ (copies − 1) × width` over the columns; the copy
+            // adds one of each column of i that j lacks.
+            let mut best_repl: Option<(TrialKey, f64)> = None;
             if *replication_left > 0 {
-                for i in 0..group_ids.len() {
-                    for j in 0..group_ids.len() {
-                        if i == j {
-                            continue;
-                        }
-                        let mut extended = groups[j].clone();
-                        extended.extend(groups[i].iter().copied());
-                        let mut trial = groups.clone();
-                        trial[j] = extended.clone();
-                        let vp = VerticalPartitioning::new(table, trial);
-                        if vp.replication_bytes(&catalog.schema, catalog.table_stats(table))
-                            > *replication_left
+                let extra =
+                    masks.iter().map(|&m| row_width(tdef, m)).sum::<u64>() - row_width(tdef, union);
+                for i in 0..n {
+                    for j in 0..n {
+                        let added = masks[i] & !masks[j];
+                        // `added == 0` (i inside j) edits nothing.
+                        if i == j
+                            || added == 0
+                            || (extra + row_width(tdef, added)) * rows > *replication_left
                         {
                             continue;
                         }
-                        let eid = matrix.register_fragment(table, &extended);
-                        let c = matrix.joint_workload_cost_with(
-                            cfg,
-                            &JointToggle::replace(group_ids[j], eid),
-                        );
-                        if c < current - 1e-9 && best_repl.is_none_or(|(_, _, _, bc)| c < bc) {
-                            best_repl = Some((i, j, eid, c));
+                        if skip_unread && !search.read_together(masks[i], masks[j]) {
+                            continue;
+                        }
+                        let (from, into) = (group_ids[i], group_ids[j]);
+                        let key = TrialKey::Replicate { from, into };
+                        let c = match search.total(matrix, cfg, key) {
+                            Some(c) => c,
+                            None => {
+                                let extended =
+                                    [matrix.fragment_columns(into), matrix.fragment_columns(from)]
+                                        .concat();
+                                let eid = matrix.register_fragment(table, &extended);
+                                let toggle = JointToggle::replace(into, eid);
+                                search.add(matrix, cfg, key, toggle, masks[i] | masks[j])
+                            }
+                        };
+                        if c < current - 1e-9 && best_repl.is_none_or(|(_, bc)| c < bc) {
+                            best_repl = Some((key, c));
                         }
                     }
                 }
             }
 
-            let take_merge = match (best, best_repl) {
-                (Some((.., mc)), Some((.., rc))) => mc <= rc,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
+            let (key, c) = match (best, best_repl) {
+                (Some(m), Some(r)) => {
+                    if m.1 <= r.1 {
+                        m
+                    } else {
+                        r
+                    }
+                }
+                (Some(step), None) | (None, Some(step)) => step,
                 (None, None) => break,
             };
-            if take_merge {
-                let (i, j, mid, c) = best.expect("checked above");
-                cfg.fragments.remove(group_ids[j]);
-                cfg.fragments.remove(group_ids[i]);
-                groups.remove(j);
-                groups.remove(i);
-                group_ids.remove(j);
-                group_ids.remove(i);
-                if !group_ids.contains(&mid) {
-                    cfg.fragments.insert(mid);
-                    group_ids.push(mid);
-                    groups.push(matrix.fragment_columns(mid).to_vec());
-                }
-                current = c;
-            } else {
-                let (_, j, eid, c) = best_repl.expect("checked above");
-                cfg.fragments.remove(group_ids[j]);
-                groups.remove(j);
-                group_ids.remove(j);
-                if !group_ids.contains(&eid) {
-                    cfg.fragments.insert(eid);
-                    group_ids.push(eid);
-                    groups.push(matrix.fragment_columns(eid).to_vec());
-                }
-                current = c;
+            let toggle = search.toggle(key);
+            for removed in toggle.remove_fragments.into_iter().flatten() {
+                cfg.fragments.remove(removed);
+                group_ids.retain(|&id| id != removed);
             }
+            let added = toggle
+                .add_fragment
+                .expect("merge and replication add a fragment");
+            if !group_ids.contains(&added) {
+                cfg.fragments.insert(added);
+                group_ids.push(added);
+            }
+            current = c;
+            search.accept(key, &group_ids);
             iterations += 1;
         }
 
         if current < unpartitioned - 1e-9 {
+            let groups = group_ids
+                .iter()
+                .map(|&id| matrix.fragment_columns(id).to_vec())
+                .collect();
             let vp = VerticalPartitioning::new(table, groups);
-            debug_assert!(vp.is_complete(width));
+            debug_assert!(vp.is_complete(tdef.width()));
             // Deduct the accepted partitioning's replicated bytes from the
             // shared pool so later tables cannot overspend it.
             *replication_left = replication_left
@@ -345,6 +650,17 @@ impl<'a> AutoPartAdvisor<'a> {
     /// configuration it must coexist with. Returns the merge iterations
     /// performed.
     pub fn search_on(&self, matrix: &mut CostMatrix<'_>, cfg: &mut JointConfig) -> usize {
+        self.search_with(matrix, cfg, Self::partition_table_on)
+    }
+
+    /// [`Self::search_on`] with `vertical` as the per-table merge search
+    /// (the suite passes the earlier search, its oracle).
+    fn search_with(
+        &self,
+        matrix: &mut CostMatrix<'_>,
+        cfg: &mut JointConfig,
+        vertical: VerticalSearch<'a>,
+    ) -> usize {
         // The matrix owns its queries, so snapshot the *active* ones for
         // the candidate analyses below while the search mutates the matrix
         // (a long-lived session matrix may hold retired slots whose stale
@@ -357,7 +673,7 @@ impl<'a> AutoPartAdvisor<'a> {
         // replication draws it down.
         let mut replication_left = self.config.replication_budget_bytes;
         for &t in &tables {
-            iterations += self.partition_table_on(matrix, cfg, t, workload, &mut replication_left);
+            iterations += vertical(self, matrix, cfg, t, workload, &mut replication_left);
         }
         if self.config.consider_horizontal {
             for &t in &tables {
@@ -384,12 +700,22 @@ impl<'a> AutoPartAdvisor<'a> {
     /// and splits it registers stay resident, so later joint costings on
     /// the same session are pure lookups.
     pub fn recommend_on(&self, matrix: &mut CostMatrix<'_>) -> PartitionRecommendation {
+        self.recommend_with(matrix, Self::partition_table_on)
+    }
+
+    /// [`Self::recommend_on`] with `vertical` as the per-table merge
+    /// search (see [`Self::search_with`]).
+    fn recommend_with(
+        &self,
+        matrix: &mut CostMatrix<'_>,
+        vertical: VerticalSearch<'a>,
+    ) -> PartitionRecommendation {
         let catalog = self.inum.catalog();
         let empty = matrix.empty_joint();
         let base_cost = matrix.joint_workload_cost(&empty);
 
         let mut cfg = matrix.empty_joint();
-        let iterations = self.search_on(matrix, &mut cfg);
+        let iterations = self.search_with(matrix, &mut cfg, vertical);
 
         let mut cost = matrix.joint_workload_cost(&cfg);
         if cost > base_cost {
@@ -399,10 +725,7 @@ impl<'a> AutoPartAdvisor<'a> {
             cost = base_cost;
         }
         let design = matrix.joint_design_of(&cfg);
-        let per_query = matrix
-            .active_query_ids()
-            .map(|qi| (matrix.joint_cost(qi, &empty), matrix.joint_cost(qi, &cfg)))
-            .collect();
+        let per_query = matrix.joint_cost_pairs(&empty, &cfg);
         let replication_bytes = design.replication_bytes(&catalog.schema, &catalog.stats);
         // Session-scoped entry: the fragments/splits this search
         // registered become visible to concurrent snapshot readers.
@@ -421,11 +744,17 @@ impl<'a> AutoPartAdvisor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pgdesign_catalog::samples::sdss_catalog;
+    use pgdesign_catalog::design::Index;
+    use pgdesign_catalog::samples::{sdss_catalog, tpch_catalog};
     use pgdesign_catalog::Catalog;
+    use pgdesign_inum::MatrixStats;
+    use pgdesign_optimizer::candidates::{workload_candidates, CandidateConfig};
     use pgdesign_optimizer::Optimizer;
-    use pgdesign_query::generators::sdss_workload;
+    use pgdesign_query::generators::{sdss_workload, tpch_workload};
     use pgdesign_query::parse_query;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn narrow_workload(c: &Catalog) -> Workload {
         // Queries touching only a thin column slice of photoobj: vertical
@@ -624,6 +953,157 @@ mod tests {
             "no-op recommendation must cost exactly the base: {} vs {}",
             rec.cost,
             rec.base_cost
+        );
+    }
+
+    /// A recommendation with every float as its bits.
+    type Bits = (String, u64, u64, Vec<(u64, u64)>, usize, u64);
+
+    fn bits(rec: &PartitionRecommendation) -> Bits {
+        (
+            format!("{:?}", rec.design),
+            rec.base_cost.to_bits(),
+            rec.cost.to_bits(),
+            rec.per_query
+                .iter()
+                .map(|(b, p)| (b.to_bits(), p.to_bits()))
+                .collect(),
+            rec.iterations,
+            rec.replication_bytes,
+        )
+    }
+
+    /// One search over a fresh matrix of `workload`: the incremental one
+    /// or the oracle. Index-only mode is [`AutoPartAdvisor::recommend_on`];
+    /// joint mode builds the matrix over `candidates`, selects `preselected`
+    /// and runs [`AutoPartAdvisor::search_on`]'s body, as
+    /// `recommend_joint_on` does after its index half.
+    fn run_search(
+        inum: &Inum<'_>,
+        config: AutoPartConfig,
+        workload: &Workload,
+        joint: Option<(&[Index], &[usize])>,
+        incremental: bool,
+    ) -> (Bits, MatrixStats) {
+        let advisor = AutoPartAdvisor::new(inum, config);
+        let vertical: VerticalSearch<'_> = if incremental {
+            AutoPartAdvisor::partition_table_on
+        } else {
+            oracle::partition_table_on
+        };
+        let before = inum.matrix_stats();
+        let rec = match joint {
+            None => {
+                let mut matrix = CostMatrix::build(inum, workload, &[]);
+                advisor.recommend_with(&mut matrix, vertical)
+            }
+            Some((candidates, preselected)) => {
+                let mut matrix = CostMatrix::build(inum, workload, candidates);
+                let mut cfg = matrix.empty_joint();
+                for &id in preselected {
+                    cfg.indexes.insert(id);
+                }
+                let iterations = advisor.search_with(&mut matrix, &mut cfg, vertical);
+                let empty = matrix.empty_joint();
+                let design = matrix.joint_design_of(&cfg);
+                let catalog = inum.catalog();
+                PartitionRecommendation {
+                    base_cost: matrix.joint_workload_cost(&empty),
+                    cost: matrix.joint_workload_cost(&cfg),
+                    per_query: matrix.joint_cost_pairs(&empty, &cfg),
+                    iterations,
+                    replication_bytes: design.replication_bytes(&catalog.schema, &catalog.stats),
+                    design,
+                }
+            }
+        };
+        let after = inum.matrix_stats();
+        let spent = MatrixStats {
+            lookups: after.lookups - before.lookups,
+            partition_lookups: after.partition_lookups - before.partition_lookups,
+            partition_cells: after.partition_cells - before.partition_cells,
+            ..MatrixStats::default()
+        };
+        (bits(&rec), spent)
+    }
+
+    /// The incremental search and the oracle recommend the same bits over
+    /// the grid: replication budget none, a twentieth of the data, and
+    /// unbounded; index-only and with a random third of the workload's
+    /// candidate indexes preselected; horizontal pass on and off. Returns
+    /// the matrix work each side spent, summed over the grid.
+    fn assert_search_matches_oracle(
+        catalog: &Catalog,
+        workload: &Workload,
+        seed: u64,
+    ) -> (MatrixStats, MatrixStats) {
+        let opt = Optimizer::new();
+        let inum = Inum::new(catalog, &opt);
+        let candidates =
+            workload_candidates(catalog, workload, &CandidateConfig::default()).indexes;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let preselected: Vec<usize> = (0..candidates.len())
+            .filter(|_| rng.random_range(0..3usize) == 0)
+            .collect();
+        let mut spent = (MatrixStats::default(), MatrixStats::default());
+        for budget in [0, catalog.data_bytes() / 20, u64::MAX / 4] {
+            for joint in [None, Some((&candidates[..], &preselected[..]))] {
+                for consider_horizontal in [true, false] {
+                    let config = AutoPartConfig {
+                        replication_budget_bytes: budget,
+                        consider_horizontal,
+                        ..AutoPartConfig::default()
+                    };
+                    let (new, new_spent) = run_search(&inum, config, workload, joint, true);
+                    let (old, old_spent) = run_search(&inum, config, workload, joint, false);
+                    assert_eq!(
+                        new,
+                        old,
+                        "budget {budget}, joint {}, horizontal {consider_horizontal}",
+                        joint.is_some()
+                    );
+                    for (total, part) in [(&mut spent.0, new_spent), (&mut spent.1, old_spent)] {
+                        total.lookups += part.lookups;
+                        total.partition_lookups += part.partition_lookups;
+                        total.partition_cells += part.partition_cells;
+                    }
+                }
+            }
+        }
+        spent
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn incremental_search_matches_the_oracle_on_sdss(seed in 0u64..10_000, n in 4usize..16) {
+            let c = sdss_catalog(0.01);
+            assert_search_matches_oracle(&c, &sdss_workload(&c, n, seed), seed ^ 0x5a7);
+        }
+
+        #[test]
+        fn incremental_search_matches_the_oracle_on_tpch(seed in 0u64..10_000, n in 3usize..12) {
+            let c = tpch_catalog(0.01);
+            assert_search_matches_oracle(&c, &tpch_workload(&c, n, seed), seed ^ 0x7c4);
+        }
+    }
+
+    #[test]
+    fn incremental_search_costs_a_fraction_of_the_oracles_lookups() {
+        let c = sdss_catalog(0.01);
+        let (new, old) = assert_search_matches_oracle(&c, &sdss_workload(&c, 12, 7), 7);
+        assert!(
+            4 * new.partition_lookups < 3 * old.partition_lookups,
+            "re-costing only touched queries: {} vs {} partition lookups",
+            new.partition_lookups,
+            old.partition_lookups
+        );
+        assert!(
+            new.partition_cells < old.partition_cells,
+            "skipped pairs register no fragment: {} vs {} partition cells",
+            new.partition_cells,
+            old.partition_cells
         );
     }
 

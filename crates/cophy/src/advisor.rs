@@ -379,7 +379,6 @@ impl<'a> CophyAdvisor<'a> {
         partition_config: AutoPartConfig,
     ) -> JointRecommendation {
         let catalog = self.inum.catalog();
-        let qids: Vec<usize> = matrix.active_query_ids().collect();
         matrix.add_candidates(&candidates.indexes);
         let budget = self.config.storage_budget_bytes;
 
@@ -425,10 +424,7 @@ impl<'a> CophyAdvisor<'a> {
         }
 
         let design = matrix.joint_design_of(&cfg);
-        let per_query = qids
-            .iter()
-            .map(|&qi| (matrix.joint_cost(qi, &empty), matrix.joint_cost(qi, &cfg)))
-            .collect();
+        let per_query = matrix.joint_cost_pairs(&empty, &cfg);
         let replication_bytes = design.replication_bytes(&catalog.schema, &catalog.stats);
         JointRecommendation {
             indexes: greedy

@@ -24,7 +24,8 @@ use pgdesign_catalog::design::{
 };
 use pgdesign_catalog::schema::TableId;
 use pgdesign_interaction::{analyze_on, InteractionConfig, InteractionGraph};
-use pgdesign_inum::{query_cell_key, JointConfig};
+use pgdesign_inum::{ByteWriter, JointConfig, JointToggle, Wire};
+use pgdesign_query::ast::Query;
 use pgdesign_query::Workload;
 use std::collections::HashMap;
 use std::fmt;
@@ -112,6 +113,14 @@ impl fmt::Display for BenefitReport {
     }
 }
 
+/// A query's wire encoding: equal exactly for equal queries, and one
+/// allocation where a `Query` takes several.
+fn canonical(query: &Query) -> Box<[u8]> {
+    let mut w = ByteWriter::new();
+    query.put(&mut w);
+    w.into_bytes().into_boxed_slice()
+}
+
 /// An interactive what-if session: a [`TuningSession`] view whose design
 /// edits are bitset toggles and whose evaluations are matrix lookups.
 pub struct InteractiveSession<'a> {
@@ -124,14 +133,16 @@ pub struct InteractiveSession<'a> {
     horizontal_of: HashMap<TableId, usize>,
     /// Empty-design base cost per query slot, computed once at session
     /// start — base costs are design-independent, so no evaluation
-    /// recomputes them. Keyed by slot id, guarded by the query's
-    /// cell-identity key, and gated on the matrix's rotation generation:
-    /// slot ids are recycled after `retire_query`, so a query rotated in
-    /// through the [`TuningSession`] escape hatch must not inherit the
-    /// retired occupant's cached cost. While the generation is unchanged
-    /// (the common case — nothing rotates in an interactive session) the
-    /// keys are not even rechecked.
-    base_costs: HashMap<usize, (u64, f64)>,
+    /// recomputes them. Keyed by slot id, stored with the wire encoding of
+    /// the query it was computed for, and gated on the matrix's rotation
+    /// generation: slot ids are recycled after `retire_query`, so a query
+    /// rotated in through the [`TuningSession`] escape hatch must not
+    /// inherit the retired occupant's cached cost — not even one whose
+    /// cell-identity key ([`pgdesign_inum::query_cell_key`]) is the same.
+    /// While the generation is unchanged (the common case — nothing
+    /// rotates in an interactive session) the queries are not even
+    /// compared.
+    base_costs: HashMap<usize, (Box<[u8]>, f64)>,
     /// Matrix rotation generation the cache was captured at.
     base_generation: u64,
 }
@@ -167,8 +178,8 @@ impl<'a> InteractiveSession<'a> {
         let base_costs = matrix
             .active_query_ids()
             .map(|qi| {
-                let key = query_cell_key(matrix.workload().query(qi));
-                (qi, (key, matrix.joint_cost(qi, &empty)))
+                let query = canonical(matrix.workload().query(qi));
+                (qi, (query, matrix.joint_cost(qi, &empty)))
             })
             .collect();
         let base_generation = matrix.rotation_generation();
@@ -338,29 +349,32 @@ impl<'a> InteractiveSession<'a> {
 
     /// Evaluate the current what-if design against the workload — pure
     /// matrix lookups (base costs were computed once at session start; the
-    /// what-if side is one [`pgdesign_inum::MatrixCore::joint_cost`]
-    /// lookup per query).
+    /// what-if side is one lookup per query against the design resolved
+    /// once, [`pgdesign_inum::MatrixCore::resolve_joint`]).
     pub fn evaluate(&self) -> BenefitReport {
         let matrix = self.session.matrix();
         let empty = matrix.empty_joint();
+        let whatif = matrix.resolve_joint(&self.cfg, &JointToggle::default());
         // Unchanged generation ⇒ every slot id still denotes the query it
         // was cached for, so the hot path is a plain map hit. After a
         // rotation through the session escape hatch, cached entries are
-        // revalidated by cell key (a recycled slot id must not inherit the
-        // retired occupant's cost) and misses cost one extra lookup.
+        // revalidated against the slot's query (a recycled slot id must
+        // not inherit the retired occupant's cost) and misses cost one
+        // extra lookup.
         let rotated = matrix.rotation_generation() != self.base_generation;
         let per_query: Vec<QueryBenefit> = matrix
             .active_query_ids()
             .map(|qi| {
-                let cached = self.base_costs.get(&qi).copied();
-                let base_cost = match cached {
-                    Some((_, cost)) if !rotated => cost,
-                    Some((k, cost)) if k == query_cell_key(matrix.workload().query(qi)) => cost,
+                let base_cost = match self.base_costs.get(&qi) {
+                    Some(&(_, cost)) if !rotated => cost,
+                    Some((query, cost)) if *query == canonical(matrix.workload().query(qi)) => {
+                        *cost
+                    }
                     _ => matrix.joint_cost(qi, &empty),
                 };
                 QueryBenefit {
                     base_cost,
-                    whatif_cost: matrix.joint_cost(qi, &self.cfg),
+                    whatif_cost: matrix.joint_cost_resolved(qi, &whatif),
                 }
             })
             .collect();
@@ -467,6 +481,7 @@ mod tests {
     use super::*;
     use pgdesign_catalog::samples::sdss_catalog;
     use pgdesign_catalog::schema::TableId;
+    use pgdesign_inum::query_cell_key;
     use pgdesign_query::parse_query;
 
     fn setup() -> (Designer, Workload) {
@@ -555,6 +570,39 @@ mod tests {
                 "base costs are design-independent"
             );
         }
+    }
+
+    #[test]
+    fn a_recycled_slot_holding_another_query_under_the_same_key_is_recosted() {
+        let (d, w) = setup();
+        let mut s = d.session(w);
+        let parse = |sql| parse_query(&d.catalog.schema, sql).unwrap();
+        // Equal up to an alias: the cell-identity key does not hash
+        // aliases, so the two share a key but are different queries.
+        let retired = parse("SELECT ra FROM photoobj WHERE ra BETWEEN 100 AND 110");
+        let rotated_in = parse("SELECT p.ra FROM photoobj p WHERE p.ra BETWEEN 100 AND 110");
+        assert_eq!(query_cell_key(&retired), query_cell_key(&rotated_in));
+        assert_ne!(retired, rotated_in);
+        assert_eq!(s.workload().query(2), &retired);
+
+        let matrix = s.tuning_session().matrix_mut();
+        matrix.retire_query(2);
+        assert_eq!(
+            matrix.add_query(&rotated_in, 1.0),
+            2,
+            "the slot is recycled"
+        );
+        let fresh = matrix.joint_cost(2, &matrix.empty_joint());
+        // Mark the retired occupant's cached cost, so serving it shows.
+        s.base_costs.get_mut(&2).expect("cached at session start").1 = -1.0;
+        let lookups = s.tuning_stats().matrix.lookups;
+        let report = s.evaluate();
+        assert_eq!(report.per_query[2].base_cost.to_bits(), fresh.to_bits());
+        assert_eq!(
+            s.tuning_stats().matrix.lookups - lookups,
+            4,
+            "three what-if lookups and one re-costed base"
+        );
     }
 
     #[test]

@@ -633,15 +633,7 @@ impl Advisor for OfflineAdvisor {
         let graph = analysis.graph();
         let (schedule, naive) = schedule_pair_on(matrix, &chosen_ids);
 
-        let per_query = matrix
-            .active_query_ids()
-            .map(|qi| {
-                (
-                    matrix.joint_cost(qi, &empty),
-                    matrix.joint_cost(qi, &final_cfg),
-                )
-            })
-            .collect();
+        let per_query = matrix.joint_cost_pairs(&empty, &final_cfg);
 
         let schema = &session.designer().catalog.schema;
         let index_display = indexes.indexes.iter().map(|i| i.display(schema)).collect();

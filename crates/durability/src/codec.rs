@@ -41,6 +41,16 @@ impl ByteWriter {
         self.buf
     }
 
+    /// The bytes written so far.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Forget what was written, keeping the buffer for the next encoding.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     pub fn len(&self) -> usize {
         self.buf.len()
     }

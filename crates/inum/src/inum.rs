@@ -3,14 +3,17 @@
 use crate::key::query_key;
 use crate::matrix::{build_threads, fan_out, LookupCounters, MatrixStats};
 use crate::skeleton_set::SkeletonSet;
+use crate::wire::Wire;
 use parking_lot::RwLock;
 use pgdesign_catalog::design::PhysicalDesign;
 use pgdesign_catalog::Catalog;
+use pgdesign_durability::ByteWriter;
 use pgdesign_optimizer::access::{self, AccessContext, SlotProfile};
 use pgdesign_optimizer::optimizer::interesting_slot_orders;
 use pgdesign_optimizer::plan::order_satisfies;
 use pgdesign_optimizer::{Optimizer, Skeleton};
 use pgdesign_query::ast::Query;
+use std::cell::RefCell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,12 +65,20 @@ struct SkeletonCache {
 
 impl SkeletonCache {
     /// The skeletons cached for `query` under `key`. The query is encoded
-    /// only when the key is taken.
+    /// only when the key is taken, into this thread's reused buffer, so a
+    /// hit allocates nothing.
     fn get(&self, key: u64, query: &Query) -> Option<&SkeletonSet> {
         if !self.first.contains_key(&key) {
             return None;
         }
-        self.find(key, &canonical(query))
+        ENCODED.with(|buf| match buf.try_borrow_mut() {
+            Ok(mut w) => {
+                w.clear();
+                query.put(&mut w);
+                self.find(key, w.as_bytes())
+            }
+            Err(_) => self.find(key, &canonical(query)),
+        })
     }
 
     /// The skeletons cached for the query whose canonical bytes are
@@ -129,6 +140,12 @@ impl SkeletonCache {
 /// queries (literals compared by their bits).
 fn canonical(query: &Query) -> Vec<u8> {
     crate::wire::to_bytes(query)
+}
+
+thread_local! {
+    /// The buffer [`SkeletonCache::get`] encodes a query into to confirm a
+    /// key match — kept per thread so the hit path does not allocate.
+    static ENCODED: RefCell<ByteWriter> = RefCell::new(ByteWriter::new());
 }
 
 /// Conservative "touches every table" mask for queries whose table ids

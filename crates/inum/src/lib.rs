@@ -107,6 +107,19 @@
 //! ([`MatrixCore::delta_merge`] / [`MatrixCore::delta_split`]) is what
 //! AutoPart's greedy merge search runs on.
 //!
+//! Every partition-aware lookup reads one path. A configuration plus a
+//! toggle is resolved once per costing ([`MatrixCore::resolve_joint`])
+//! into a [`ResolvedJoint`]: per table, the selected fragments (in column
+//! order when they overlap, the order the replication-aware set cover
+//! breaks ties in), whether they are disjoint, and the selected split.
+//! Each slot then reads its table's entry without scanning the
+//! configuration or allocating ([`MatrixCore::joint_cost_resolved`]).
+//! `joint_cost{,_with}`, `joint_workload_cost{,_with}` and the `delta_*`
+//! family resolve once per call; callers costing many queries against one
+//! configuration resolve it themselves (or use
+//! [`MatrixCore::joint_cost_pairs`]). Fragment registration is deduped by
+//! `(table, column mask)` in O(1).
+//!
 //! Nested-loop joins are excluded from the INUM space (their inner cost is
 //! design-dependent), as in the original paper; [`Inum::cost`] is therefore
 //! an upper bound on the full optimizer's cost, tight whenever the best
@@ -132,7 +145,7 @@ pub use matrix::persist::{
 };
 pub use matrix::{
     build_threads, CandidateBitset, CostMatrix, FragmentBitset, JointConfig, JointToggle,
-    MatrixCore, MatrixStats, SplitBitset,
+    MatrixCore, MatrixStats, ResolvedJoint, SplitBitset,
 };
 pub use pgdesign_durability::{ByteReader, ByteWriter, CodecError};
 pub use skeleton_set::SkeletonSet;

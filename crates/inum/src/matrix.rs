@@ -384,6 +384,51 @@ impl JointToggle {
     }
 }
 
+/// A [`JointConfig`] with a [`JointToggle`] applied, resolved once for one
+/// costing by [`MatrixCore::resolve_joint`]: per table, the selected
+/// fragments, whether they are pairwise disjoint, and the selected split.
+/// Every slot of every query costed against it
+/// ([`MatrixCore::joint_cost_resolved`]) then reads its table's entry —
+/// no scan of the configuration, no allocation. A resolution belongs to
+/// the core that made it (fragment and split ids were looked up there) and
+/// borrows the configuration's index set.
+#[derive(Debug)]
+pub struct ResolvedJoint<'c> {
+    /// The selected candidate indexes.
+    indexes: &'c CandidateBitset,
+    /// Some partition candidate is in play — the configuration selects one
+    /// or the toggle edits one — so each lookup counts as partition-aware.
+    partitioned: bool,
+    /// The selected fragments, grouped by table. A table's group is in
+    /// column order when its fragments overlap — the order the greedy
+    /// cover's tie-breaking follows — and in id order otherwise.
+    frags: Vec<PartFrag>,
+    /// Per table (`TableId.0`); empty when nothing is partitioned.
+    tables: Vec<TableParts>,
+}
+
+/// One selected fragment of a [`ResolvedJoint`]: what a slot's fetch
+/// target reads of it, copied out of the registry.
+#[derive(Debug, Clone, Copy, Default)]
+struct PartFrag {
+    mask: u128,
+    pages: u64,
+    id: usize,
+}
+
+/// One table's entry of a [`ResolvedJoint`].
+#[derive(Debug, Clone, Copy, Default)]
+struct TableParts {
+    /// `frags[start..end]` are the table's selected fragments.
+    start: usize,
+    end: usize,
+    /// No column is in two of the selected fragments, so a slot's fetch
+    /// target is every fragment meeting its needed columns.
+    disjoint: bool,
+    /// The selected split.
+    split: Option<usize>,
+}
+
 /// One access path of a candidate index on a slot, kept in its
 /// target-parameterized form so partitioned configurations can re-cost it
 /// against any fetch target.
@@ -582,9 +627,13 @@ pub struct MatrixCore {
     fragments: Vec<Arc<Fragment>>,
     /// Registered horizontal-split candidates (id = position).
     splits: Vec<Arc<Split>>,
-    /// Fragment ids per table (indexed by `TableId.0`), for the
-    /// replication set-cover path and `joint_design_of`.
+    /// Fragment ids per table (indexed by `TableId.0`), for
+    /// `joint_design_of`; its length is the table count a
+    /// [`ResolvedJoint`] spans.
     frags_by_table: Vec<Vec<usize>>,
+    /// Fragment id per `(table, column mask)` — the O(1) dedupe behind
+    /// [`CostMatrix::register_fragment`] (the first registration wins).
+    frag_ids: HashMap<(TableId, u128), usize>,
     /// Where this core's lookups are counted: the writer's block, or —
     /// stamped on by [`PublishSlot::publish`] — the readers'.
     pub(crate) counters: Arc<LookupCounters>,
@@ -931,6 +980,7 @@ impl<'a> CostMatrix<'a> {
             fragments: Vec::new(),
             splits: Vec::new(),
             frags_by_table: vec![Vec::new(); n_tables],
+            frag_ids: HashMap::new(),
             counters: inum.lookup_counters(),
         };
         // Generation 0 is published at build time, so readers acquired
@@ -1576,23 +1626,19 @@ impl<'a> CostMatrix<'a> {
     /// precomputed here — the one-off cell work of this cache level.
     pub fn register_fragment(&mut self, table: TableId, columns: &[u16]) -> usize {
         self.record(|| MatrixEdit::RegisterFragment(table, columns.to_vec()));
-        let mut cols: Vec<u16> = columns.to_vec();
-        cols.sort_unstable();
-        cols.dedup();
-        if let Some(id) = self
-            .core
-            .fragments
-            .iter()
-            .position(|f| f.table == table && f.columns == cols)
-        {
-            return id;
-        }
         let catalog = self.inum.catalog();
         let tdef = catalog.schema.table(table);
         assert!(tdef.width() <= 128, "fragment masks support 128 columns");
-        let mask = column_mask(&cols);
+        let mask = column_mask(columns);
+        if let Some(&id) = self.core.frag_ids.get(&(table, mask)) {
+            return id;
+        }
+        let mut cols: Vec<u16> = columns.to_vec();
+        cols.sort_unstable();
+        cols.dedup();
         let pages = sizing::heap_pages(catalog.row_count(table), tdef.byte_width_of(&cols) + 8);
         let id = self.core.fragments.len();
+        self.core.frag_ids.insert((table, mask), id);
         self.core.fragments.push(Arc::new(Fragment {
             table,
             columns: cols,
@@ -1839,6 +1885,24 @@ impl MatrixCore {
         self.fragments[id].table
     }
 
+    /// A registered fragment's columns as a mask (bit `c` = ordinal `c`).
+    pub fn fragment_mask(&self, id: usize) -> u128 {
+        self.fragments[id].mask
+    }
+
+    /// Per slot of query `query_id`, its table and the mask of the columns
+    /// its costing reads (bit `c` = ordinal `c`). A vertical fragment can
+    /// change the slot's joint cost only if it meets that mask, or the
+    /// mask is empty: the slot's fetch target is built from the selected
+    /// fragments that meet its columns alone, and a slot reading no column
+    /// fetches one page from any fragmentation. Not a cost lookup.
+    pub fn columns_read(&self, query_id: usize) -> impl Iterator<Item = (TableId, u128)> + '_ {
+        self.queries[query_id]
+            .slots
+            .iter()
+            .map(|slot| (slot.table, slot.needed_mask))
+    }
+
     /// The partitioning of a registered split candidate.
     pub fn split(&self, id: usize) -> &HorizontalPartitioning {
         &self.splits[id].hp
@@ -1881,6 +1945,25 @@ impl MatrixCore {
         self.joint_cost_with(query_id, cfg, &JointToggle::default())
     }
 
+    /// Per active query, in id order, its cost under `before` and under
+    /// `after` — a recommendation's per-query report, each configuration
+    /// resolved once.
+    pub fn joint_cost_pairs(&self, before: &JointConfig, after: &JointConfig) -> Vec<(f64, f64)> {
+        let none = JointToggle::default();
+        let (before, after) = (
+            self.resolve_joint(before, &none),
+            self.resolve_joint(after, &none),
+        );
+        self.active_query_ids()
+            .map(|qi| {
+                (
+                    self.joint_cost_resolved(qi, &before),
+                    self.joint_cost_resolved(qi, &after),
+                )
+            })
+            .collect()
+    }
+
     /// Weighted workload cost under a joint configuration (active queries
     /// only).
     pub fn joint_workload_cost(&self, cfg: &JointConfig) -> f64 {
@@ -1888,16 +1971,16 @@ impl MatrixCore {
     }
 
     /// Weighted workload cost under `cfg` with `toggle`'s virtual edits
-    /// applied — the merge/split trial hot path.
+    /// applied, resolved once for the whole workload.
     pub fn joint_workload_cost_with(&self, cfg: &JointConfig, toggle: &JointToggle) -> f64 {
+        let resolved = self.resolve_joint(cfg, toggle);
         self.active_query_ids()
-            .map(|qi| self.queries[qi].weight * self.joint_cost_with(qi, cfg, toggle))
+            .map(|qi| self.queries[qi].weight * self.joint_cost_resolved(qi, &resolved))
             .sum()
     }
 
     /// Workload-cost change from replacing fragments `a` and `b` with
-    /// their (pre-registered) merge `merged` — AutoPart's merge-trial
-    /// entry point (negative = improvement).
+    /// their (pre-registered) merge `merged` (negative = improvement).
     pub fn delta_merge(&self, cfg: &JointConfig, a: usize, b: usize, merged: usize) -> f64 {
         self.joint_workload_cost_with(cfg, &JointToggle::merge(a, b, merged))
             - self.joint_workload_cost(cfg)
@@ -1910,32 +1993,138 @@ impl MatrixCore {
             - self.joint_workload_cost(cfg)
     }
 
-    /// Cost of `query_id` under `cfg` with `toggle` applied. Mirrors
+    /// Cost of `query_id` under `cfg` with `toggle` applied (see
+    /// [`Self::joint_cost_resolved`]); resolves the configuration for this
+    /// one lookup, so callers costing many queries resolve once themselves.
+    pub fn joint_cost_with(&self, query_id: usize, cfg: &JointConfig, toggle: &JointToggle) -> f64 {
+        self.joint_cost_resolved(query_id, &self.resolve_joint(cfg, toggle))
+    }
+
+    /// Resolve `cfg` with `toggle` applied into its per-table partition
+    /// state — the one partition-aware read path's setup, paid once per
+    /// costing instead of once per slot. The toggled set is
+    /// `(cfg ∖ removes) ∪ adds` (an add wins over a remove of the same id),
+    /// and fragment and split ids this core does not know are unselected.
+    /// Of several splits selected on one table the last one (by id, then
+    /// the toggle's add) applies.
+    pub fn resolve_joint<'c>(
+        &self,
+        cfg: &'c JointConfig,
+        toggle: &JointToggle,
+    ) -> ResolvedJoint<'c> {
+        let mut resolved = ResolvedJoint {
+            indexes: &cfg.indexes,
+            partitioned: !cfg.partitions_empty() || !toggle.is_noop(),
+            frags: Vec::new(),
+            tables: Vec::new(),
+        };
+        if !resolved.partitioned {
+            return resolved;
+        }
+        let tables = &mut resolved.tables;
+        tables.resize(self.frags_by_table.len(), TableParts::default());
+
+        let split_on = |sid: usize| {
+            sid < self.splits.len()
+                && (toggle.add_split == Some(sid) || toggle.remove_split != Some(sid))
+        };
+        let added_split = toggle
+            .add_split
+            .filter(|&sid| split_on(sid) && !cfg.splits.contains(sid));
+        for sid in cfg
+            .splits
+            .ids()
+            .filter(|&sid| split_on(sid))
+            .chain(added_split)
+        {
+            if let Some(parts) = tables.get_mut(self.splits[sid].hp.table.0 as usize) {
+                parts.split = Some(sid);
+            }
+        }
+
+        let frag_on = |fid: usize| {
+            fid < self.fragments.len()
+                && (toggle.add_fragment == Some(fid)
+                    || !toggle.remove_fragments.contains(&Some(fid)))
+        };
+        let selected = || {
+            let added = toggle
+                .add_fragment
+                .filter(|&fid| frag_on(fid) && !cfg.fragments.contains(fid));
+            cfg.fragments
+                .ids()
+                .filter(|&fid| frag_on(fid))
+                .chain(added)
+                .map(|fid| (fid, &*self.fragments[fid]))
+        };
+        // Group by table in two passes (count, then place), no sort: each
+        // table's `end` first counts its fragments, then serves as the
+        // cursor its fragments are placed at.
+        for (_, f) in selected() {
+            tables[f.table.0 as usize].end += 1;
+        }
+        let mut at = 0;
+        for parts in tables.iter_mut() {
+            let n = parts.end;
+            (parts.start, parts.end) = (at, at);
+            at += n;
+        }
+        let frags = &mut resolved.frags;
+        frags.resize(at, PartFrag::default());
+        for (fid, f) in selected() {
+            let parts = &mut tables[f.table.0 as usize];
+            frags[parts.end] = PartFrag {
+                mask: f.mask,
+                pages: f.pages,
+                id: fid,
+            };
+            parts.end += 1;
+        }
+        for parts in tables.iter_mut() {
+            let group = &mut frags[parts.start..parts.end];
+            let (union, columns) = group.iter().fold((0u128, 0u32), |(union, n), f| {
+                (union | f.mask, n + f.mask.count_ones())
+            });
+            parts.disjoint = union.count_ones() == columns;
+            if !parts.disjoint {
+                // `VerticalPartitioning::new` sorts groups by column list;
+                // the greedy cover's tie-breaking depends on that order.
+                group.sort_unstable_by(|a, b| {
+                    self.fragments[a.id]
+                        .columns
+                        .cmp(&self.fragments[b.id].columns)
+                });
+            }
+        }
+        resolved
+    }
+
+    /// Cost of `query_id` under a resolved joint configuration. Mirrors
     /// [`Inum::cost`] on the design [`Self::joint_design_of`] would build,
     /// so the two agree on any joint configuration (the suite's invariant
     /// tests assert this within 1e-6). Counts one lookup, and one
     /// partition lookup when any partition candidate is in play.
-    pub fn joint_cost_with(&self, query_id: usize, cfg: &JointConfig, toggle: &JointToggle) -> f64 {
-        let partitions_active = !cfg.partitions_empty() || !toggle.is_noop();
+    pub fn joint_cost_resolved(&self, query_id: usize, resolved: &ResolvedJoint<'_>) -> f64 {
         self.counters.lookups.fetch_add(1, Ordering::Relaxed);
-        if partitions_active {
+        if resolved.partitioned {
             self.counters
                 .partition_lookups
                 .fetch_add(1, Ordering::Relaxed);
         }
         let qm = &self.queries[query_id];
+        if !resolved.partitioned {
+            return self.joint_min_over_skeletons(qm, resolved.indexes, &[]);
+        }
 
-        // Per-slot partition-adjusted minima, resolved once per query —
-        // they do not vary across skeletons, so the skeleton loop below
-        // stays as cheap as the index-only fast path. Slot counts are tiny
-        // (one per table in the query), so the state lives on the stack.
+        // Per-slot partition-adjusted minima, derived once per query —
+        // they do not vary across skeletons, so the skeleton loop stays as
+        // cheap as the index-only fast path. Slot counts are tiny (one per
+        // table in the query), so the state lives on the stack.
         let mut state_buf = [NO_PART_STATE; MAX_STACK_SLOTS];
         let state_spill: Vec<Option<PartSlotMins>>;
-        let slot_state: &[Option<PartSlotMins>] = if !partitions_active {
-            &state_buf[..qm.slots.len().min(MAX_STACK_SLOTS)]
-        } else if qm.slots.len() <= MAX_STACK_SLOTS {
+        let slot_state: &[Option<PartSlotMins>] = if qm.slots.len() <= MAX_STACK_SLOTS {
             for (s, slot) in qm.slots.iter().enumerate() {
-                state_buf[s] = self.slot_partition_state(query_id, s, slot, cfg, toggle);
+                state_buf[s] = self.resolved_slot_mins(query_id, s, slot, resolved);
             }
             &state_buf[..qm.slots.len()]
         } else {
@@ -1943,12 +2132,25 @@ impl MatrixCore {
                 .slots
                 .iter()
                 .enumerate()
-                .map(|(s, slot)| self.slot_partition_state(query_id, s, slot, cfg, toggle))
+                .map(|(s, slot)| self.resolved_slot_mins(query_id, s, slot, resolved))
                 .collect();
             &state_spill
         };
-        let use_fast = |s: usize| slot_state.get(s).is_none_or(|st| st.is_none());
+        self.joint_min_over_skeletons(qm, resolved.indexes, slot_state)
+    }
 
+    /// The skeleton loop of a joint lookup: per skeleton, internal cost
+    /// plus each slot's cheapest access — the precomputed unpartitioned
+    /// minima where `slot_state` has no entry, the partition-adjusted ones
+    /// where it does.
+    #[inline]
+    fn joint_min_over_skeletons(
+        &self,
+        qm: &QueryMatrix,
+        indexes: &CandidateBitset,
+        slot_state: &[Option<PartSlotMins>],
+    ) -> f64 {
+        let use_fast = |s: usize| slot_state.get(s).is_none_or(|st| st.is_none());
         let mut best = f64::INFINITY;
         for (internal, reqs) in qm.internal.iter().zip(&qm.reqs) {
             let mut total = *internal;
@@ -1961,7 +2163,7 @@ impl MatrixCore {
                         slot.base_ordered[req as usize]
                     };
                     for cand in &slot.cands {
-                        if !cfg.indexes.contains(cand.id) {
+                        if !indexes.contains(cand.id) {
                             continue;
                         }
                         let c = if req == NO_ORDER {
@@ -1976,7 +2178,7 @@ impl MatrixCore {
                     m
                 } else {
                     // Partition-touched slot: the minima were re-derived
-                    // against the configuration's fetch target above.
+                    // against the configuration's fetch target.
                     let mins = slot_state[s].as_ref().expect("checked by use_fast");
                     if req == NO_ORDER {
                         mins.unordered
@@ -1998,12 +2200,150 @@ impl MatrixCore {
         best
     }
 
-    /// Resolve one slot's partition-adjusted access minima under the
-    /// configuration (+ toggle): the fetch target from the selected
-    /// fragments, the surviving fraction from the selected split, then one
+    /// One slot's partition-adjusted access minima under a resolved
+    /// configuration: the fetch target from its table's selected
+    /// fragments, the surviving fraction from its table's split, then one
     /// arithmetic re-costing per cached path. `None` = the slot's table
     /// carries no partition candidate, use the precomputed unpartitioned
     /// numbers.
+    fn resolved_slot_mins(
+        &self,
+        query_id: usize,
+        slot_idx: usize,
+        slot: &SlotCosts,
+        resolved: &ResolvedJoint<'_>,
+    ) -> Option<PartSlotMins> {
+        let parts = resolved.tables.get(slot.table.0 as usize)?;
+        let frags = &resolved.frags[parts.start..parts.end];
+        let h_frac = match parts.split {
+            Some(sid) => self.splits[sid].frac[query_id][slot_idx],
+            None if frags.is_empty() => return None,
+            None => 1.0,
+        };
+        let target = if frags.is_empty() {
+            slot.base_target
+        } else if parts.disjoint {
+            // Disjoint fragments: the greedy set cover reduces to "every
+            // fragment intersecting the needed columns".
+            let (pages, touched) = frags
+                .iter()
+                .filter(|fr| fr.mask & slot.needed_mask != 0)
+                .fold((0u64, 0usize), |(pages, n), fr| (pages + fr.pages, n + 1));
+            FetchTarget {
+                pages: pages.max(1) as f64,
+                fragments: touched.max(1),
+            }
+        } else {
+            Self::overlapping_target(frags, slot.needed_mask)
+        };
+        Some(self.partition_mins(slot, resolved.indexes, target, h_frac))
+    }
+
+    /// Re-derive a slot's per-order access minima against a fetch target
+    /// and a surviving fraction: the base scan first, then every cached
+    /// path of every selected candidate, each costed exactly once.
+    fn partition_mins(
+        &self,
+        slot: &SlotCosts,
+        indexes: &CandidateBitset,
+        target: FetchTarget,
+        h_frac: f64,
+    ) -> PartSlotMins {
+        let params = &self.params;
+        let base = access::seq_scan_cost(params, slot.base_rows, slot.n_filters, target, h_frac);
+        let mut mins = PartSlotMins {
+            unordered: base,
+            ordered: [f64::INFINITY; MAX_SLOT_ORDERS],
+        };
+        for (o, c) in slot.base_ordered.iter().enumerate() {
+            if c.is_finite() {
+                mins.ordered[o] = base;
+            }
+        }
+        for cand in &slot.cands {
+            if !indexes.contains(cand.id) {
+                continue;
+            }
+            for path in &cand.paths {
+                let c = path.profile.cost(params, target);
+                if c < mins.unordered {
+                    mins.unordered = c;
+                }
+                let mut order_bits = path.order_ok;
+                while order_bits != 0 {
+                    let o = order_bits.trailing_zeros() as usize;
+                    order_bits &= order_bits - 1;
+                    if c < mins.ordered[o] {
+                        mins.ordered[o] = c;
+                    }
+                }
+            }
+        }
+        mins
+    }
+
+    /// Replication-aware fetch target: reproduce
+    /// [`VerticalPartitioning::fragments_for`]'s greedy set cover —
+    /// including its tie-breaking — over `frags`, one table's selected
+    /// fragments in column order, so costs agree with the slow path
+    /// exactly.
+    fn overlapping_target(frags: &[PartFrag], needed: u128) -> FetchTarget {
+        let mut remaining = needed;
+        let (mut pages, mut count) = (0u64, 0usize);
+        while remaining != 0 {
+            // Last maximal coverage wins, as `Iterator::max_by_key` does.
+            // A picked fragment covers nothing of `remaining` any more, so
+            // it can win again only when nothing covers anything.
+            let mut best: Option<(&PartFrag, u32)> = None;
+            for g in frags {
+                let cov = (g.mask & remaining).count_ones();
+                if best.is_none_or(|(_, c)| cov >= c) {
+                    best = Some((g, cov));
+                }
+            }
+            match best {
+                Some((g, cov)) if cov > 0 => {
+                    remaining &= !g.mask;
+                    pages += g.pages;
+                    count += 1;
+                }
+                _ => break, // column not covered anywhere: malformed, stop
+            }
+        }
+        FetchTarget {
+            pages: pages.max(1) as f64,
+            fragments: count.max(1),
+        }
+    }
+
+    /// The per-lookup resolution [`Self::resolve_joint`] replaced, kept as
+    /// its oracle: every slot scans the configuration and the toggle, and
+    /// an overlapping table's fragments are collected and sorted per slot.
+    #[cfg(test)]
+    pub(crate) fn joint_cost_with_oracle(
+        &self,
+        query_id: usize,
+        cfg: &JointConfig,
+        toggle: &JointToggle,
+    ) -> f64 {
+        let partitions_active = !cfg.partitions_empty() || !toggle.is_noop();
+        let qm = &self.queries[query_id];
+        let slot_state: Vec<Option<PartSlotMins>> = qm
+            .slots
+            .iter()
+            .enumerate()
+            .map(|(s, slot)| {
+                partitions_active
+                    .then(|| self.slot_partition_state(query_id, s, slot, cfg, toggle))
+                    .flatten()
+            })
+            .collect();
+        self.joint_min_over_skeletons(qm, &cfg.indexes, &slot_state)
+    }
+
+    /// One slot's partition state resolved from the configuration and the
+    /// toggle directly (the oracle's per-slot step).
+    #[cfg(test)]
     fn slot_partition_state(
         &self,
         query_id: usize,
@@ -2012,13 +2352,6 @@ impl MatrixCore {
         cfg: &JointConfig,
         toggle: &JointToggle,
     ) -> Option<PartSlotMins> {
-        // In every toggle resolution below, an add wins over a remove of
-        // the same id: the trial set is (cfg ∖ removes) ∪ adds, so
-        // `merge(a, b, merged)` with `merged == b` (a merge that swallows a
-        // subset fragment, which replication can produce) correctly keeps
-        // `b` selected instead of dropping its columns from the cover.
-        // A split or fragment id this core does not know (the configuration
-        // was built against a newer generation) is unselected.
         let mut h_frac = 1.0f64;
         let mut has_split = false;
         let split_on = |sid: usize| {
@@ -2032,7 +2365,6 @@ impl MatrixCore {
                 .add_split
                 .filter(|&sid| split_on(sid) && !cfg.splits.contains(sid)),
         ) {
-            debug_assert!(!has_split, "at most one split per table");
             h_frac = self.splits[sid].frac[query_id][slot_idx];
             has_split = true;
         }
@@ -2070,8 +2402,6 @@ impl MatrixCore {
         let target = if !any {
             slot.base_target
         } else if popcount_sum == union_mask.count_ones() {
-            // Disjoint fragments: the greedy set cover reduces to "every
-            // fragment intersecting the needed columns".
             FetchTarget {
                 pages: disjoint_pages.max(1) as f64,
                 fragments: touched.max(1),
@@ -2083,93 +2413,43 @@ impl MatrixCore {
                         && toggle.remove_fragments[0] != Some(fid)
                         && toggle.remove_fragments[1] != Some(fid))
             };
-            self.cover_target(slot.table.0 as usize, slot, &selected)
-        };
-
-        // Re-derive the per-order minima against the new target: base scan
-        // first, then every cached path of every selected candidate, each
-        // costed exactly once.
-        let params = &self.params;
-        let base = access::seq_scan_cost(params, slot.base_rows, slot.n_filters, target, h_frac);
-        let mut mins = PartSlotMins {
-            unordered: base,
-            ordered: [f64::INFINITY; MAX_SLOT_ORDERS],
-        };
-        for (o, c) in slot.base_ordered.iter().enumerate() {
-            if c.is_finite() {
-                mins.ordered[o] = base;
-            }
-        }
-        for cand in &slot.cands {
-            if !cfg.indexes.contains(cand.id) {
-                continue;
-            }
-            for path in &cand.paths {
-                let c = path.profile.cost(params, target);
-                if c < mins.unordered {
-                    mins.unordered = c;
-                }
-                let mut order_bits = path.order_ok;
-                while order_bits != 0 {
-                    let o = order_bits.trailing_zeros() as usize;
-                    order_bits &= order_bits - 1;
-                    if c < mins.ordered[o] {
-                        mins.ordered[o] = c;
+            let mut groups: Vec<&Fragment> = self.frags_by_table[slot.table.0 as usize]
+                .iter()
+                .filter(|&&fid| selected(fid))
+                .map(|&fid| &*self.fragments[fid])
+                .collect();
+            groups.sort_by(|a, b| a.columns.cmp(&b.columns));
+            let mut remaining = slot.needed_mask;
+            let mut picked = vec![false; groups.len()];
+            let mut pages = 0u64;
+            let mut count = 0usize;
+            while remaining != 0 {
+                let mut best: Option<(usize, u32)> = None;
+                for (i, g) in groups.iter().enumerate() {
+                    if picked[i] {
+                        continue;
+                    }
+                    let cov = (g.mask & remaining).count_ones();
+                    if best.is_none_or(|(_, c)| cov >= c) {
+                        best = Some((i, cov));
                     }
                 }
-            }
-        }
-        Some(mins)
-    }
-
-    /// Replication-aware fetch target: reproduce
-    /// [`VerticalPartitioning::fragments_for`]'s greedy set cover —
-    /// including its group ordering and tie-breaking — over the selected
-    /// (overlapping) fragments, so costs agree with the slow path exactly.
-    fn cover_target(
-        &self,
-        table_idx: usize,
-        slot: &SlotCosts,
-        selected: &dyn Fn(usize) -> bool,
-    ) -> FetchTarget {
-        let mut groups: Vec<&Fragment> = self.frags_by_table[table_idx]
-            .iter()
-            .filter(|&&fid| selected(fid))
-            .map(|&fid| &*self.fragments[fid])
-            .collect();
-        // `VerticalPartitioning::new` sorts groups by column list; the
-        // greedy cover's tie-breaking depends on that order.
-        groups.sort_by(|a, b| a.columns.cmp(&b.columns));
-        let mut remaining = slot.needed_mask;
-        let mut picked = vec![false; groups.len()];
-        let mut pages = 0u64;
-        let mut count = 0usize;
-        while remaining != 0 {
-            // Last maximal coverage wins, as `Iterator::max_by_key` does.
-            let mut best: Option<(usize, u32)> = None;
-            for (i, g) in groups.iter().enumerate() {
-                if picked[i] {
-                    continue;
-                }
-                let cov = (g.mask & remaining).count_ones();
-                if best.is_none_or(|(_, c)| cov >= c) {
-                    best = Some((i, cov));
+                match best {
+                    Some((i, cov)) if cov > 0 => {
+                        remaining &= !groups[i].mask;
+                        picked[i] = true;
+                        pages += groups[i].pages;
+                        count += 1;
+                    }
+                    _ => break,
                 }
             }
-            match best {
-                Some((i, cov)) if cov > 0 => {
-                    remaining &= !groups[i].mask;
-                    picked[i] = true;
-                    pages += groups[i].pages;
-                    count += 1;
-                }
-                _ => break, // column not covered anywhere: malformed, stop
+            FetchTarget {
+                pages: pages.max(1) as f64,
+                fragments: count.max(1),
             }
-        }
-        FetchTarget {
-            pages: pages.max(1) as f64,
-            fragments: count.max(1),
-        }
+        };
+        Some(self.partition_mins(slot, &cfg.indexes, target, h_frac))
     }
 
     /// The shared hot path: cost with one candidate virtually added
@@ -2537,6 +2817,101 @@ mod tests {
             (trial - expect).abs() < 1e-9,
             "merge(a, b, b) must cost cfg ∖ {{a}}: {trial} vs {expect}"
         );
+    }
+
+    /// The resolved read path ([`MatrixCore::resolve_joint`] once per
+    /// costing) and the per-lookup oracle ([`MatrixCore::joint_cost_with_oracle`])
+    /// agree bit for bit under random configurations: overlapping random
+    /// column groups, splits, index subsets, and toggles that add and
+    /// remove one id at once or name ids the matrix does not know.
+    fn assert_resolved_path_matches_oracle(catalog: &Catalog, workload: &Workload, seed: u64) {
+        use pgdesign_catalog::design::HorizontalPartitioning;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let opt = Optimizer::new();
+        let inum = Inum::new(catalog, &opt);
+        let cands = workload_candidates(catalog, workload, &CandidateConfig::default()).indexes;
+        let mut m = CostMatrix::build(&inum, workload, &cands);
+        let mut rng = StdRng::seed_from_u64(seed);
+        for t in catalog.schema.tables() {
+            let width = t.width();
+            for _ in 0..rng.random_range(0..5usize) {
+                let group: Vec<u16> = (0..width).filter(|_| rng.random_range(0..3) == 0).collect();
+                if !group.is_empty() {
+                    m.register_fragment(t.id, &group);
+                }
+            }
+            if rng.random_range(0..2usize) == 0 {
+                let col = rng.random_range(0..width);
+                let stats = catalog.table_stats(t.id).column(col);
+                let bounds = (1..rng.random_range(2..9usize))
+                    .map(|i| stats.min + (stats.max - stats.min) * i as f64 / 8.0)
+                    .collect();
+                m.register_split(HorizontalPartitioning::new(t.id, col, bounds));
+            }
+        }
+        let (n_frags, n_splits) = (m.n_fragments(), m.n_splits());
+        // Any registered id, sometimes one past the registry.
+        let mut id = |n: usize| rng.random_range(0..n + 2);
+        for _ in 0..12 {
+            let mut cfg = m.empty_joint();
+            for _ in 0..id(cands.len()) {
+                cfg.indexes.insert(id(cands.len()));
+            }
+            for _ in 0..id(n_frags) {
+                cfg.fragments.insert(id(n_frags));
+            }
+            for _ in 0..id(n_splits) % 3 {
+                cfg.splits.insert(id(n_splits));
+            }
+            let add = id(n_frags);
+            let toggle = JointToggle {
+                add_fragment: (id(3) > 0).then_some(add),
+                remove_fragments: [
+                    Some(if id(2) == 0 { add } else { id(n_frags) }),
+                    (id(2) > 0).then(|| id(n_frags)),
+                ],
+                add_split: (id(2) == 0).then(|| id(n_splits)),
+                remove_split: (id(2) == 0).then(|| id(n_splits)),
+            };
+            for toggle in [JointToggle::default(), toggle] {
+                let resolved = m.resolve_joint(&cfg, &toggle);
+                let mut oracle_total = 0.0;
+                for qi in m.active_query_ids() {
+                    let want = m.joint_cost_with_oracle(qi, &cfg, &toggle);
+                    oracle_total += m.query_weight(qi) * want;
+                    for got in [
+                        m.joint_cost_resolved(qi, &resolved),
+                        m.joint_cost_with(qi, &cfg, &toggle),
+                    ] {
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "Q{qi} {toggle:?}: {got} vs {want}"
+                        );
+                    }
+                }
+                let total = m.joint_workload_cost_with(&cfg, &toggle);
+                assert_eq!(total.to_bits(), oracle_total.to_bits(), "{toggle:?}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn resolved_read_path_matches_the_oracle_on_sdss(seed in 0u64..10_000, n in 3usize..12) {
+            let c = sdss_catalog(0.01);
+            assert_resolved_path_matches_oracle(&c, &sdss_workload(&c, n, seed), seed ^ 0x2e5);
+        }
+
+        #[test]
+        fn resolved_read_path_matches_the_oracle_on_tpch(seed in 0u64..10_000, n in 3usize..10) {
+            let c = pgdesign_catalog::samples::tpch_catalog(0.01);
+            let w = pgdesign_query::generators::tpch_workload(&c, n, seed);
+            assert_resolved_path_matches_oracle(&c, &w, seed ^ 0x7c4);
+        }
     }
 
     #[test]

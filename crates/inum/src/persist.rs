@@ -20,7 +20,8 @@
 //!   ([`QueryMatrix::validate`]), so a CRC-valid but impossible payload is
 //!   an error here, not a panic at the first cost call;
 //! - redundant state (`id_by_index`, `frags_by_table`, fragment column
-//!   masks) is rebuilt from first principles on decode, never stored;
+//!   masks and the fragment id per `(table, mask)`) is rebuilt from first
+//!   principles on decode, never stored;
 //! - a per-table statistics fingerprint of the catalog is stored in the
 //!   header; on restore, tables whose fingerprint changed have their
 //!   skeleton cache entries invalidated ([`Inum::invalidate_table`]) and
@@ -348,17 +349,25 @@ pub fn decode_snapshot(records: &[Vec<u8>]) -> Result<DecodedSnapshot, PersistEr
     let stored: Vec<FragmentRecord> = from_bytes(rec(2 + n_queries)?, "fragment record")?;
     let mut fragments = Vec::with_capacity(stored.len());
     let mut frags_by_table: Vec<Vec<usize>> = vec![Vec::new(); n_tables];
+    let mut frag_ids = HashMap::with_capacity(stored.len());
     for (fid, f) in stored.into_iter().enumerate() {
         if f.columns.iter().any(|&c| c >= 128) {
             return Err(invalid("fragment column ordinal out of range"));
+        }
+        // Registration stores a column group sorted and deduplicated, the
+        // form its mask names uniquely.
+        if f.columns.windows(2).any(|w| w.first() >= w.last()) {
+            return Err(invalid("fragment columns not normalised"));
         }
         frags_by_table
             .get_mut(f.table.0 as usize)
             .ok_or_else(|| invalid("fragment table out of range"))?
             .push(fid);
+        let mask = column_mask(&f.columns);
+        frag_ids.entry((f.table, mask)).or_insert(fid);
         fragments.push(Arc::new(Fragment {
             table: f.table,
-            mask: column_mask(&f.columns),
+            mask,
             columns: f.columns,
             pages: f.pages,
         }));
@@ -404,6 +413,7 @@ pub fn decode_snapshot(records: &[Vec<u8>]) -> Result<DecodedSnapshot, PersistEr
             fragments,
             splits,
             frags_by_table,
+            frag_ids,
             // Placeholder: `restore_matrix` binds the core to its INUM's
             // counter block.
             counters: Arc::default(),
@@ -769,6 +779,7 @@ mod tests {
             column: 0,
             bounds: vec![0.25, 0.5],
         });
+        live.register_fragment(TableId(0), &[0, 1]);
         live.publish();
         encode_published(&live)
     }
@@ -915,6 +926,18 @@ mod tests {
                 slot.cands[0].paths[0].order_ok |= 1 << first_unknown;
             },
             "path order bit out of range",
+        );
+    }
+
+    #[test]
+    fn decode_rejects_unnormalised_fragment_columns() {
+        // Registration stores a group sorted and deduplicated; another
+        // spelling of one column set would break the `(table, mask)` dedupe.
+        let fragments = published_records().len() - 2;
+        assert_tamper_rejected(
+            fragments,
+            |frags: &mut Vec<FragmentRecord>| frags[0].columns.reverse(),
+            "fragment columns not normalised",
         );
     }
 
