@@ -1,7 +1,8 @@
 //! The INUM cost model: skeleton cache + per-design fast costing.
 
 use crate::key::query_key;
-use crate::matrix::{build_threads, fan_out, LookupCounters, MatrixStats};
+use crate::matrix::{LookupCounters, MatrixStats};
+use crate::parallel::{fan_out, Workers, CELLS_PER_COMBO};
 use crate::skeleton_set::SkeletonSet;
 use crate::wire::Wire;
 use parking_lot::RwLock;
@@ -21,10 +22,6 @@ use std::sync::Arc;
 
 /// Cap on enumerated interesting-order combinations per query.
 const MAX_COMBOS: usize = 64;
-
-/// Order combinations the warm-up gives a worker at least: a few hundred
-/// microseconds of planning ([`Inum::prepare_workload`]).
-const COMBOS_PER_WORKER: usize = 64;
 
 /// Cache and call counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -288,21 +285,21 @@ impl<'a> Inum<'a> {
     }
 
     /// Warm the cache for every query of a workload: the distinct
-    /// uncached queries are planned on up to [`build_threads`] workers —
-    /// one per 64 order combinations to plan, so a small batch
+    /// uncached queries are planned on one worker per ~1 ms of planning,
+    /// at most [`build_threads`](crate::build_threads) — so a small batch
     /// stays on the calling thread — and cached in input order. Hits,
     /// misses and skeletons built are counted as
     /// [`Self::skeletons`] on each query in turn would count them, so the
     /// cache and every counter are the same at any thread count.
     pub fn prepare_workload(&self, workload: &pgdesign_query::Workload) {
         let keyed = workload.iter().map(|(q, _)| (query_key(q), q)).collect();
-        self.prepare_keyed(keyed, build_threads());
+        self.prepare_keyed(keyed, Workers::sized());
     }
 
-    /// [`Self::prepare_workload`] over explicitly keyed queries with an
-    /// explicit worker count (tests force distinct queries onto one key
-    /// through it).
-    pub(crate) fn prepare_keyed(&self, entries: Vec<(u64, &Query)>, threads: usize) {
+    /// [`Self::prepare_workload`] over explicitly keyed queries on chosen
+    /// workers (tests force distinct queries onto one key, and the
+    /// planning onto several workers, through it).
+    pub(crate) fn prepare_keyed(&self, entries: Vec<(u64, &Query)>, workers: Workers) {
         let shared = &self.shared;
         let mut misses: Vec<(u64, &Query)> = Vec::new();
         {
@@ -329,11 +326,10 @@ impl<'a> Inum<'a> {
         shared
             .cache_misses
             .fetch_add(misses.len() as u64, Ordering::Relaxed);
-        // At most one worker per `COMBOS_PER_WORKER` combinations to plan:
-        // a smaller share plans in less time than a thread takes to start,
-        // and every thread is one more the scheduler can hold back.
-        let combos: usize = misses.iter().map(|&(_, q)| combination_count(q)).sum();
-        let workers = threads.min(combos.div_ceil(COMBOS_PER_WORKER));
+        let workers = workers.count(|| {
+            let combos: usize = misses.iter().map(|&(_, q)| combination_count(q)).sum();
+            combos * CELLS_PER_COMBO
+        });
         let planned = fan_out(&misses, workers, |&(_, q)| self.plan_skeletons(q));
         let mut cache = shared.cache.write();
         for ((key, q), skeletons) in misses.into_iter().zip(planned) {
@@ -468,6 +464,22 @@ impl<'a> Inum<'a> {
         shared.cache.write().insert(key, query, &planned)
     }
 
+    /// What planning the queries the cache holds no entry for is worth,
+    /// in cells: the sizing of a parallel region that plans them on a
+    /// miss. The key alone decides, so a collision only misjudges the
+    /// size.
+    pub(crate) fn planning_work<'q>(
+        &self,
+        entries: impl Iterator<Item = (u64, &'q Query)>,
+    ) -> usize {
+        let cache = self.shared.cache.read();
+        let combos: usize = entries
+            .filter(|(key, _)| !cache.first.contains_key(key))
+            .map(|(_, q)| combination_count(q))
+            .sum();
+        combos * CELLS_PER_COMBO
+    }
+
     /// Plan every interesting-order combination of `query` (counted in
     /// [`InumStats::skeletons_built`]) and keep the undominated skeletons.
     fn plan_skeletons(&self, query: &Query) -> Vec<Skeleton> {
@@ -590,6 +602,7 @@ pub fn order_combinations(query: &Query) -> Vec<Vec<Option<Vec<u16>>>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::spawned_workers;
     use pgdesign_catalog::design::Index;
     use pgdesign_catalog::samples::{sdss_catalog, tpch_catalog};
     use pgdesign_optimizer::JoinControl;
@@ -891,7 +904,10 @@ mod tests {
 
         // The warm-up resolves a shared key the same way.
         let warm = Inum::new(&c, &opt);
-        warm.prepare_keyed(vec![(KEY, &single), (KEY, &join), (KEY, &single)], 2);
+        warm.prepare_keyed(
+            vec![(KEY, &single), (KEY, &join), (KEY, &single)],
+            Workers::Exactly(2),
+        );
         assert_eq!(counts(&warm), (1, 2));
         assert_eq!(warm.skeletons_keyed(KEY, &join), honest.skeletons(&join));
         assert_eq!(
@@ -904,8 +920,8 @@ mod tests {
     fn prepare_workload_is_the_same_at_any_thread_count() {
         let c = tpch_catalog(0.01);
         let opt = Optimizer::new();
-        // Enough order combinations for three workers.
-        let mut w = tpch_workload(&c, 40, 3);
+        // Enough order combinations for two sized workers.
+        let mut w = tpch_workload(&c, 60, 3);
         // Verbatim repeats: hits inside the batch, not cache lookups.
         for i in [2, 5, 2] {
             let q = w.query(i).clone();
@@ -917,13 +933,22 @@ mod tests {
             let _ = one_by_one.skeletons(q);
         }
         let expected = one_by_one.stats();
-        assert_eq!((expected.cache_hits, expected.cache_misses), (3, 40));
-        assert!(expected.skeletons_built > 2 * COMBOS_PER_WORKER as u64);
-        for threads in [1, 2, 4] {
+        assert_eq!((expected.cache_hits, expected.cache_misses), (3, 60));
+        let work = expected.skeletons_built as usize * CELLS_PER_COMBO;
+        assert_eq!(Workers::UpTo(4).count(|| work), 2, "{work} cells");
+        let (one, two, four) = (
+            Workers::Exactly(1),
+            Workers::Exactly(2),
+            Workers::Exactly(4),
+        );
+        for workers in [one, two, four, Workers::UpTo(4)] {
             let inum = Inum::new(&c, &opt);
             let keyed = w.iter().map(|(q, _)| (query_key(q), q)).collect();
-            inum.prepare_keyed(keyed, threads);
-            assert_eq!(inum.stats(), expected, "{threads} threads");
+            let spawned = spawned_workers();
+            inum.prepare_keyed(keyed, workers);
+            let ran = 1 + (spawned_workers() - spawned) as usize;
+            assert_eq!(ran, workers.count(|| work), "{workers:?}");
+            assert_eq!(inum.stats(), expected, "{workers:?}");
             assert_eq!(inum.cached_queries(), one_by_one.cached_queries());
             for (q, _) in w.iter() {
                 assert_eq!(inum.skeletons(q), one_by_one.skeletons(q));

@@ -41,8 +41,8 @@
 //!    ordered one's paths and IEEE addition is monotone — every served
 //!    cost is the same float from fewer rows. A cached query is one
 //!    allocation, a [`SkeletonSet`]. [`Inum::prepare_workload`]
-//!    plans a workload's distinct uncached queries on up to
-//!    [`build_threads`] workers and caches them in input order, so the
+//!    plans a workload's distinct uncached queries — in parallel when
+//!    there is enough to plan — and caches them in input order, so the
 //!    cache and its counters do not depend on the thread count.
 //! 2. **Cost matrix** ([`CostMatrix`]): for a fixed workload and candidate
 //!    *index* set, the per-candidate access cost under every skeleton
@@ -70,12 +70,22 @@
 //! comparing the queries — which is how COLT
 //! holds one matrix across epochs and pays only for workload drift, and
 //! how CoPhy registers its merge-generated candidates without a rebuild.
-//! Cold builds (and the bulk of [`CostMatrix::add_queries`]) distribute
-//! queries over [`build_threads`] workers (`PGDESIGN_THREADS` overrides;
-//! default is the machine's available parallelism) and are bit-identical
-//! to serial builds, since every cell depends on nothing but its own
-//! query. The suite proptests random add/remove/retire interleavings
-//! against fresh builds and pins serial-vs-parallel equality.
+//! Cold builds, [`CostMatrix::add_candidates`] and the bulk of
+//! [`CostMatrix::add_queries`] distribute queries over workers and are
+//! bit-identical to serial builds, since every cell depends on nothing
+//! but its own query. The suite proptests random add/remove/retire
+//! interleavings against fresh builds and pins serial-vs-parallel
+//! equality.
+//!
+//! Every parallel region — those and the warm-up — is **sized by its
+//! work**. It counts its serial work in cells (one access-path costing,
+//! 250–450 ns; planning an order combination is worth 11) and runs on
+//! the calling thread plus one spawned worker per full 2,048 cells
+//! (~1 ms), at most [`build_threads`] in all. `PGDESIGN_THREADS` is that
+//! cap, read once per process (default: the machine's available
+//! parallelism). An online epoch close, an interactive toggle or a
+//! dozen-query recommend spawns no thread: starting one costs more than
+//! the work it would take over.
 //!
 //! The matrix also serves **concurrent readers**: [`CostMatrix::publish`]
 //! snapshots the writer's state as an immutable [`MatrixSnapshot`] behind
@@ -132,6 +142,7 @@ mod budget;
 mod inum;
 mod key;
 mod matrix;
+mod parallel;
 mod skeleton_set;
 mod snapshot;
 mod wire;
@@ -144,9 +155,12 @@ pub use matrix::persist::{
     MatrixEdit, PersistError, RestoreReport,
 };
 pub use matrix::{
-    build_threads, CandidateBitset, CostMatrix, FragmentBitset, JointConfig, JointToggle,
-    MatrixCore, MatrixStats, ResolvedJoint, SplitBitset,
+    CandidateBitset, CostMatrix, FragmentBitset, JointConfig, JointToggle, MatrixCore, MatrixStats,
+    ResolvedJoint, SplitBitset,
 };
+pub use parallel::build_threads;
+#[doc(hidden)]
+pub use parallel::spawned_workers;
 pub use pgdesign_durability::{ByteReader, ByteWriter, CodecError};
 pub use skeleton_set::SkeletonSet;
 pub use snapshot::{MatrixReader, MatrixSnapshot};

@@ -40,6 +40,7 @@
 use crate::budget::WorkBudget;
 use crate::inum::Inum;
 use crate::key::query_key;
+use crate::parallel::{fan_out, Workers};
 use crate::snapshot::{MatrixReader, PublishSlot};
 use pgdesign_catalog::design::{
     HorizontalPartitioning, Index, PhysicalDesign, VerticalPartitioning,
@@ -53,7 +54,7 @@ use pgdesign_query::ast::{Query, QueryColumn};
 use pgdesign_query::Workload;
 use std::collections::{HashMap, HashSet};
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -64,23 +65,6 @@ use std::time::Instant;
 pub mod persist;
 
 use persist::MatrixEdit;
-
-/// Number of worker threads for matrix builds: the `PGDESIGN_THREADS`
-/// environment variable when set to a positive integer, otherwise the
-/// machine's available parallelism. `PGDESIGN_THREADS=1` pins the build
-/// serial (CI uses this to pin determinism, though parallel builds are
-/// bit-identical to serial ones by construction).
-pub fn build_threads() -> usize {
-    match std::env::var("PGDESIGN_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
-}
 
 /// Counters for the matrix layer, aggregated on the owning [`Inum`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -555,10 +539,10 @@ pub(crate) struct LookupCounters {
 /// [`Self::add_query`] / [`Self::retire_query`] rotate queries, reusing
 /// resident cells when an equal query (found by its cell-identity key,
 /// [`crate::key::query_cell_key`]) is already in the matrix. Cold builds
-/// and the bulk part of [`Self::add_queries`] run on all cores
-/// ([`build_threads`]); parallel results are bit-identical to serial ones
-/// because cells are computed independently per query and written to
-/// disjoint slots.
+/// and the bulk part of [`Self::add_queries`] run on one worker per ~1 ms
+/// of cell work, at most [`build_threads`](crate::build_threads); parallel
+/// results are bit-identical to serial ones because cells are computed
+/// independently per query and written to disjoint slots.
 pub struct CostMatrix<'a> {
     /// A clone of the handle the matrix was built on (the slow-path
     /// oracle, and where build work is counted).
@@ -806,61 +790,42 @@ fn cost_candidate_on_slot(
     })
 }
 
-/// Map `one` over `items` on up to `threads` scoped workers. Workers
-/// claim items one at a time, so a worker the scheduler starves leaves
-/// its share to the others instead of holding it; results are placed back
-/// in input order, so whenever `one` is a pure function of its item the
-/// output is bit-identical to the serial (`threads == 1`) map.
-pub(crate) fn fan_out<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    one: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let nt = threads.clamp(1, items.len().max(1));
-    if nt <= 1 {
-        return items.iter().map(one).collect();
+/// Live entries per table, for sizing a region's work.
+fn count_per_table(tables: impl Iterator<Item = TableId>) -> HashMap<TableId, usize> {
+    let mut on: HashMap<TableId, usize> = HashMap::new();
+    for table in tables {
+        *on.entry(table).or_insert(0) += 1;
     }
-    let next = AtomicUsize::new(0);
-    let claim = || {
-        let mut done = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(item) = items.get(i) else {
-                return done;
-            };
-            done.push((i, one(item)));
-        }
-    };
-    let mut out: Vec<Option<R>> = items.iter().map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..nt).map(|_| scope.spawn(claim)).collect();
-        for worker in workers {
-            for (i, r) in worker.join().expect("matrix build worker panicked") {
-                out[i] = Some(r);
-            }
-        }
-    });
-    out.into_iter()
-        .map(|r| r.expect("every item is claimed once"))
-        .collect()
+    on
 }
 
-/// Compute query matrices for a batch of queries over `threads` workers
-/// ([`fan_out`]), under a [`WorkBudget`]: each worker pays for a query
-/// *before* computing it and stops claiming units once the budget is
-/// exhausted — completed entries come back `Some`, skipped ones `None`,
-/// aligned with the input. Completed cells are never discarded (the
-/// budget is checked **between** per-query cell units, never inside one),
-/// which is what lets a deadline-cancelled batch commit its finished work
-/// and resume the remainder later.
+/// Compute query matrices for a batch of queries ([`fan_out`]), under a
+/// [`WorkBudget`]: each worker pays for a query *before* computing it and
+/// stops claiming units once the budget is exhausted — completed entries
+/// come back `Some`, skipped ones `None`, aligned with the input.
+/// Completed cells are never discarded (the budget is checked **between**
+/// per-query cell units, never inside one), which is what lets a
+/// deadline-cancelled batch commit its finished work and resume the
+/// remainder later. The work is sized as a slot's base cell plus one cell
+/// per live candidate on its table, plus the planning of queries the
+/// skeleton cache does not hold yet.
 fn compute_query_matrices(
     inum: &Inum<'_>,
     entries: &[(u64, &Query, f64)],
     indexes: &[Option<Index>],
-    threads: usize,
+    workers: Workers,
     budget: &WorkBudget,
 ) -> Vec<Option<(QueryMatrix, u64)>> {
-    fan_out(entries, threads, |&(key, q, w)| {
+    let workers = workers.count(|| {
+        let on_table = count_per_table(indexes.iter().flatten().map(|i| i.table));
+        let cells: usize = entries
+            .iter()
+            .flat_map(|&(_, q, _)| (0..q.slot_count()).map(|s| q.table_of(s)))
+            .map(|table| 1 + on_table.get(&table).copied().unwrap_or(0))
+            .sum();
+        cells + inum.planning_work(entries.iter().map(|&(key, q, _)| (key, q)))
+    });
+    fan_out(entries, workers, |&(key, q, w)| {
         budget
             .try_consume()
             .then(|| compute_query_matrix(inum, key, q, w, indexes))
@@ -873,15 +838,24 @@ fn compute_query_matrices(
 /// plus the number of cells costed. The per-query unit the bulk
 /// [`CostMatrix::add_candidates`] distributes over scoped workers — cells
 /// are bit-identical to the serial path because each depends on nothing
-/// but its own `(query, slot, candidate)` inputs.
+/// but its own `(query, slot, candidate)` inputs. The work is one cell
+/// per active slot and new candidate on its table.
 fn compute_candidate_cells(
     inum: &Inum<'_>,
     core: &MatrixCore,
     active: &[usize],
     new: &[(usize, Index)],
-    threads: usize,
+    workers: Workers,
 ) -> Vec<(Vec<(usize, CandCosts)>, u64)> {
-    fan_out(active, threads, |&qi| {
+    let workers = workers.count(|| {
+        let new_on = count_per_table(new.iter().map(|(_, idx)| idx.table));
+        active
+            .iter()
+            .flat_map(|&qi| &core.queries[qi].slots)
+            .map(|slot| new_on.get(&slot.table).copied().unwrap_or(0))
+            .sum()
+    });
+    fan_out(active, workers, |&qi| {
         let q = &core.workload.entries[qi].query;
         let qm = &core.queries[qi];
         let catalog = inum.catalog();
@@ -932,27 +906,38 @@ impl<'a> CostMatrix<'a> {
     /// Build the matrix: for every query, fetch (or build) its cached
     /// skeletons, then cost the base access and each candidate index's
     /// access once per slot and distinct required order. Queries are
-    /// distributed over [`build_threads`] workers; the result is
+    /// distributed over one worker per ~1 ms of cell work, at most
+    /// [`build_threads`](crate::build_threads); the result is
     /// bit-identical to a serial build. The matrix keeps a clone of the
     /// `inum` handle.
     pub fn build(inum: &Inum<'a>, workload: &Workload, indexes: &[Index]) -> Self {
-        Self::build_with_threads(inum, workload, indexes, build_threads())
+        Self::build_with_workers(inum, workload, indexes, Workers::sized())
     }
 
-    /// [`Self::build`] with an explicit worker count (1 = serial). The
-    /// suite pins serial-vs-parallel equality through this entry.
+    /// [`Self::build`] on exactly `threads` workers (1 = serial, at most
+    /// one per query), whatever the work. The suite pins
+    /// serial-vs-parallel equality through this entry.
     pub fn build_with_threads(
         inum: &Inum<'a>,
         workload: &Workload,
         indexes: &[Index],
         threads: usize,
     ) -> Self {
+        Self::build_with_workers(inum, workload, indexes, Workers::Exactly(threads))
+    }
+
+    fn build_with_workers(
+        inum: &Inum<'a>,
+        workload: &Workload,
+        indexes: &[Index],
+        workers: Workers,
+    ) -> Self {
         let t0 = Instant::now();
         let idx: Vec<Option<Index>> = indexes.iter().cloned().map(Some).collect();
         let entries: Vec<(u64, &Query, f64)> =
             workload.iter().map(|(q, w)| (query_key(q), q, w)).collect();
         let computed =
-            compute_query_matrices(inum, &entries, &idx, threads, &WorkBudget::unlimited());
+            compute_query_matrices(inum, &entries, &idx, workers, &WorkBudget::unlimited());
         let mut cells = 0u64;
         let mut queries = Vec::with_capacity(computed.len());
         for done in computed {
@@ -1146,20 +1131,21 @@ impl<'a> CostMatrix<'a> {
     }
 
     /// Bulk [`Self::add_candidate`]: register a batch of candidate indexes
-    /// in one pass, fanning the cell work out over [`build_threads`]
-    /// scoped workers (one unit per active query, like the cold build).
+    /// in one pass, fanning the cell work out like the cold build (one
+    /// unit per active query, one worker per ~1 ms of cells, at most
+    /// [`build_threads`](crate::build_threads)).
     /// Returns the id per input, aligned. Semantics match a one-at-a-time
     /// loop exactly — same dedupe (against residents *and* within the
     /// batch), same LIFO id recycling, same per-slot candidate order, and
     /// bit-identical cells (each cell is a pure function of its own
     /// `(query, slot, candidate)` inputs).
     pub fn add_candidates(&mut self, indexes: &[Index]) -> Vec<usize> {
-        self.add_candidates_with_threads(indexes, build_threads())
+        self.add_candidates_with_workers(indexes, Workers::sized())
     }
 
-    /// [`Self::add_candidates`] with an explicit worker count (1 =
-    /// serial), for the serial-vs-parallel equality tests.
-    fn add_candidates_with_threads(&mut self, indexes: &[Index], threads: usize) -> Vec<usize> {
+    /// [`Self::add_candidates`] on chosen workers, for the
+    /// serial-vs-parallel equality tests.
+    fn add_candidates_with_workers(&mut self, indexes: &[Index], workers: Workers) -> Vec<usize> {
         if indexes.is_empty() {
             return Vec::new();
         }
@@ -1183,7 +1169,7 @@ impl<'a> CostMatrix<'a> {
             new.push((id, index.clone()));
         }
         // The whole batch is costed in one fan-out.
-        let cells = self.install_candidate_cells(&new, threads);
+        let cells = self.install_candidate_cells(&new, workers);
         self.inum
             .note_matrix_incremental(cells, reused, t0.elapsed().as_nanos() as u64);
         ids
@@ -1203,15 +1189,15 @@ impl<'a> CostMatrix<'a> {
         indexes: &[Index],
         budget: &WorkBudget,
     ) -> Vec<Option<usize>> {
-        self.add_candidates_budgeted_with_threads(indexes, budget, build_threads())
+        self.add_candidates_budgeted_with_workers(indexes, budget, Workers::sized())
     }
 
-    /// [`Self::add_candidates_budgeted`] with an explicit worker count.
-    fn add_candidates_budgeted_with_threads(
+    /// [`Self::add_candidates_budgeted`] on chosen workers.
+    fn add_candidates_budgeted_with_workers(
         &mut self,
         indexes: &[Index],
         budget: &WorkBudget,
-        threads: usize,
+        workers: Workers,
     ) -> Vec<Option<usize>> {
         if indexes.is_empty() {
             return Vec::new();
@@ -1242,7 +1228,7 @@ impl<'a> CostMatrix<'a> {
                 continue;
             }
             let id = self.register_candidate(index);
-            cells += self.install_candidate_cells(&[(id, index.clone())], threads);
+            cells += self.install_candidate_cells(&[(id, index.clone())], workers);
             ids[i] = Some(id);
             committed.push(i);
         }
@@ -1276,15 +1262,15 @@ impl<'a> CostMatrix<'a> {
     }
 
     /// Cost the just-registered candidates `new` on every active query —
-    /// one fan-out over `threads` workers — and append the cells
+    /// one fan-out — and append the cells
     /// (copy-on-write: only queries that gain a cell are unshared from
     /// published snapshots). Returns the number of cells costed.
-    fn install_candidate_cells(&mut self, new: &[(usize, Index)], threads: usize) -> u64 {
+    fn install_candidate_cells(&mut self, new: &[(usize, Index)], workers: Workers) -> u64 {
         if new.is_empty() {
             return 0;
         }
         let active: Vec<usize> = self.core.active_query_ids().collect();
-        let computed = compute_candidate_cells(&self.inum, &self.core, &active, new, threads);
+        let computed = compute_candidate_cells(&self.inum, &self.core, &active, new, workers);
         let mut cells = 0u64;
         for (&qi, (additions, c)) in active.iter().zip(computed) {
             cells += c;
@@ -1356,8 +1342,8 @@ impl<'a> CostMatrix<'a> {
     /// Add queries to the matrix, reusing resident cells where possible:
     /// a query equal to an *active* slot's query reuses that slot (weights
     /// add, all its cells count as reused, nothing is even cloned); new
-    /// queries have their cells computed — in parallel over
-    /// [`build_threads`] workers for the bulk — and land in retired slots
+    /// queries have their cells computed — in parallel like the cold
+    /// build when there is enough of them — and land in retired slots
     /// first, fresh slots after. Returns the query id per input,
     /// aligned. This is [`Self::add_queries_budgeted`] under a budget that
     /// never exhausts.
@@ -1383,21 +1369,21 @@ impl<'a> CostMatrix<'a> {
         entries: I,
         budget: &WorkBudget,
     ) -> Vec<Option<usize>> {
-        self.add_queries_budgeted_with_threads(entries, budget, build_threads())
+        self.add_queries_budgeted_with_workers(entries, budget, Workers::sized())
     }
 
-    /// [`Self::add_queries_budgeted`] with an explicit worker count.
-    fn add_queries_budgeted_with_threads<'q, I: IntoIterator<Item = (&'q Query, f64)>>(
+    /// [`Self::add_queries_budgeted`] on chosen workers.
+    fn add_queries_budgeted_with_workers<'q, I: IntoIterator<Item = (&'q Query, f64)>>(
         &mut self,
         entries: I,
         budget: &WorkBudget,
-        threads: usize,
+        workers: Workers,
     ) -> Vec<Option<usize>> {
         let keyed = entries
             .into_iter()
             .map(|(q, w)| (query_key(q), q, w))
             .collect();
-        self.add_keyed_queries(keyed, budget, threads)
+        self.add_keyed_queries(keyed, budget, workers)
     }
 
     /// The body of [`Self::add_queries_budgeted`] over explicitly keyed
@@ -1408,7 +1394,7 @@ impl<'a> CostMatrix<'a> {
         &mut self,
         keyed: Vec<(u64, &Query, f64)>,
         budget: &WorkBudget,
-        threads: usize,
+        workers: Workers,
     ) -> Vec<Option<usize>> {
         let entries: Vec<(&Query, f64)> = keyed.iter().map(|&(_, q, w)| (q, w)).collect();
         if entries.is_empty() {
@@ -1472,7 +1458,7 @@ impl<'a> CostMatrix<'a> {
         // `None` means deferred.
         let refs: Vec<(u64, &Query, f64)> = pending.iter().map(|&i| keyed[i]).collect();
         let computed =
-            compute_query_matrices(&self.inum, &refs, &self.core.indexes, threads, budget);
+            compute_query_matrices(&self.inum, &refs, &self.core.indexes, workers, budget);
 
         // Journal exactly the committed subset in input order — an entry
         // commits when it resolved to a resident slot, its own cells
@@ -1514,10 +1500,7 @@ impl<'a> CostMatrix<'a> {
         // Per-table live candidate counts, shared by the reuse accounting
         // below (a per-query recount would cost a visible fraction of the
         // cell work it is crediting).
-        let mut cands_on: HashMap<TableId, u64> = HashMap::new();
-        for (_, idx) in self.core.candidates() {
-            *cands_on.entry(idx.table).or_insert(0) += 1;
-        }
+        let cands_on = count_per_table(self.core.candidates().map(|(_, idx)| idx.table));
         for (i, r) in resolved.iter().enumerate() {
             let shared = match *r {
                 Resolved::Existing(id) => Some(id),
@@ -1532,7 +1515,7 @@ impl<'a> CostMatrix<'a> {
                 reused += self.core.queries[id]
                     .slots
                     .iter()
-                    .map(|s| 1 + cands_on.get(&s.table).copied().unwrap_or(0))
+                    .map(|s| 1 + cands_on.get(&s.table).copied().unwrap_or(0) as u64)
                     .sum::<u64>();
                 ids[i] = Some(id);
             }
@@ -2509,6 +2492,7 @@ impl MatrixCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::spawned_workers;
     use pgdesign_catalog::samples::sdss_catalog;
     use pgdesign_catalog::Catalog;
     use pgdesign_optimizer::candidates::{workload_candidates, CandidateConfig};
@@ -2538,14 +2522,14 @@ mod tests {
         let unlimited = WorkBudget::unlimited();
         let batch = vec![(KEY, &single, 1.0), (KEY, &join, 1.0), (KEY, &single, 1.0)];
         let ids: Vec<usize> = m
-            .add_keyed_queries(batch, &unlimited, 1)
+            .add_keyed_queries(batch, &unlimited, Workers::Exactly(1))
             .into_iter()
             .map(|id| id.expect("an unlimited budget admits every query"))
             .collect();
         assert_ne!(ids[0], ids[1], "a key match with another query is a miss");
         assert_eq!(ids[2], ids[0], "an equal query shares the slot");
         assert_eq!(
-            m.add_keyed_queries(vec![(KEY, &join, 1.0)], &unlimited, 1),
+            m.add_keyed_queries(vec![(KEY, &join, 1.0)], &unlimited, Workers::Exactly(1)),
             vec![Some(ids[1])],
             "a later batch finds the resident it equals"
         );
@@ -3003,9 +2987,15 @@ mod tests {
         // Bulk (parallel), bulk (pinned serial), and one-at-a-time growth
         // from the same prefix must produce bit-identical cells and ids.
         let mut bulk = CostMatrix::build(&inum, &w, &cands.indexes[..split]);
-        let bulk_ids = bulk.add_candidates_with_threads(rest, 4);
+        let spawned = spawned_workers();
+        let bulk_ids = bulk.add_candidates_with_workers(rest, Workers::Exactly(4));
+        assert_eq!(
+            spawned_workers() - spawned,
+            3,
+            "the bulk ran on four workers"
+        );
         let mut serial = CostMatrix::build(&inum, &w, &cands.indexes[..split]);
-        let serial_ids = serial.add_candidates_with_threads(rest, 1);
+        let serial_ids = serial.add_candidates_with_workers(rest, Workers::Exactly(1));
         let mut single = CostMatrix::build(&inum, &w, &cands.indexes[..split]);
         let single_ids: Vec<usize> = rest.iter().map(|idx| single.add_candidate(idx)).collect();
         assert_eq!(bulk_ids, single_ids, "bulk ids must match one-at-a-time");
@@ -3139,7 +3129,13 @@ mod tests {
         let w = sdss_workload(&c, 12, 117);
         let cands = workload_candidates(&c, &w, &CandidateConfig::default());
         let serial = CostMatrix::build_with_threads(&inum, &w, &cands.indexes, 1);
+        let spawned = spawned_workers();
         let parallel = CostMatrix::build_with_threads(&inum, &w, &cands.indexes, 4);
+        assert_eq!(
+            spawned_workers() - spawned,
+            3,
+            "the build ran on four workers"
+        );
         for qi in 0..w.len() {
             assert_eq!(
                 serial.cost(qi, &serial.empty_config()),
@@ -3190,7 +3186,11 @@ mod tests {
         );
         let entries: Vec<(&Query, f64)> = w.iter().collect();
         let budget = WorkBudget::with_units(3);
-        let ids = m.add_queries_budgeted_with_threads(entries.iter().copied(), &budget, 1);
+        let ids = m.add_queries_budgeted_with_workers(
+            entries.iter().copied(),
+            &budget,
+            Workers::Exactly(1),
+        );
         assert_eq!(ids.len(), 6);
         let committed: Vec<usize> = ids.iter().filter_map(|id| *id).collect();
         assert_eq!(committed.len(), 3, "exactly the budgeted prefix commits");
@@ -3198,8 +3198,11 @@ mod tests {
         // Resume the remainder with an unlimited budget: every deferred
         // entry lands, and the final matrix costs like a fresh build.
         let rest: Vec<(&Query, f64)> = entries[3..].to_vec();
-        let more =
-            m.add_queries_budgeted_with_threads(rest.iter().copied(), &WorkBudget::unlimited(), 1);
+        let more = m.add_queries_budgeted_with_workers(
+            rest.iter().copied(),
+            &WorkBudget::unlimited(),
+            Workers::Exactly(1),
+        );
         assert!(more.iter().all(|id| id.is_some()));
         let fresh = CostMatrix::build_with_threads(&inum, &w, &cands.indexes, 1);
         let cfg = m.config_of([0, 1]);
@@ -3218,7 +3221,8 @@ mod tests {
         assert!(cands.indexes.len() >= 4);
         let mut m = CostMatrix::build_with_threads(&inum, &w, &[], 1);
         let budget = WorkBudget::with_units(2);
-        let ids = m.add_candidates_budgeted_with_threads(&cands.indexes, &budget, 1);
+        let ids =
+            m.add_candidates_budgeted_with_workers(&cands.indexes, &budget, Workers::Exactly(1));
         let committed: Vec<usize> = ids.iter().filter_map(|id| *id).collect();
         assert_eq!(committed.len(), 2, "one unit per new candidate");
         // Committed candidates cost exactly as in a matrix that only ever
@@ -3234,8 +3238,11 @@ mod tests {
             assert_eq!(m.cost(qi, &cfg), fresh.cost(qi, &cfg_f), "Q{qi}");
         }
         // Deferred candidates resume for free-list ids on the next call.
-        let again =
-            m.add_candidates_budgeted_with_threads(&cands.indexes, &WorkBudget::unlimited(), 1);
+        let again = m.add_candidates_budgeted_with_workers(
+            &cands.indexes,
+            &WorkBudget::unlimited(),
+            Workers::Exactly(1),
+        );
         assert!(again.iter().all(|id| id.is_some()));
     }
 
@@ -3249,15 +3256,15 @@ mod tests {
             CostMatrix::build_with_threads(&inum, &pgdesign_query::Workload::new(), &[], 1);
         live.enable_journal();
         let entries: Vec<(&Query, f64)> = w.iter().collect();
-        let _ = live.add_queries_budgeted_with_threads(
+        let _ = live.add_queries_budgeted_with_workers(
             entries.iter().copied(),
             &WorkBudget::with_units(4),
-            1,
+            Workers::Exactly(1),
         );
-        let _ = live.add_candidates_budgeted_with_threads(
+        let _ = live.add_candidates_budgeted_with_workers(
             &cands.indexes,
             &WorkBudget::with_units(3),
-            1,
+            Workers::Exactly(1),
         );
         live.publish();
         let edits = live.take_journal();

@@ -492,7 +492,13 @@ fn parallel_build_matches_serial_exactly() {
     let cands = workload_candidates(c, &w, &CandidateConfig::default());
     let serial = CostMatrix::build_with_threads(&inum, &w, &cands.indexes, 1);
     for threads in [2, 4, 7] {
+        let spawned = pgdesign_inum::spawned_workers();
         let parallel = CostMatrix::build_with_threads(&inum, &w, &cands.indexes, threads);
+        assert_eq!(
+            pgdesign_inum::spawned_workers() - spawned,
+            threads as u64 - 1,
+            "the build ran on {threads} workers"
+        );
         let mut rng = StdRng::seed_from_u64(threads as u64);
         for _ in 0..8 {
             use rand::Rng;
