@@ -20,7 +20,7 @@
 //! still catch the primitives they might have hidden, because cost/panic
 //! *sites* are matched textually per file, not through the graph.
 
-use crate::cache::{FileSummary, NO_FN};
+use crate::summary::{FileSummary, NO_FN};
 use std::collections::BTreeMap;
 
 /// Method names that must never resolve through the unique-name
@@ -275,7 +275,7 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::summarize;
+    use crate::summary::summarize;
 
     fn graph_of(files: &[(&str, &str)]) -> Graph {
         let mut sums: Vec<FileSummary> = files.iter().map(|(p, s)| summarize(p, s)).collect();

@@ -10,7 +10,7 @@
 //! makes them *transitive*: a hand-rolled Rust lexer (same idiom as the
 //! SQL lexer in `pgdesign-query`, no external parser) tokenizes every
 //! source file into a fact base ([`facts`]), each file is condensed into
-//! a position-free fact module ([`cache`]), a workspace call graph is
+//! a position-free fact module ([`summary`]), a workspace call graph is
 //! resolved over those modules ([`graph`]), and Datalog-style derived
 //! relations ([`infer`]) — `reaches_cost`, `may_panic`,
 //! `holds_lock_then_acquires`, `drops_result` — are computed to fixpoint
@@ -42,20 +42,20 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod facts;
 pub mod graph;
 pub mod infer;
 pub mod lexer;
 pub mod rules;
+pub mod summary;
 
 pub use rules::{analyze_source, ChainLink, Config, Diagnostic, InferStats, Severity, RULE_NAMES};
 
-use cache::FileSummary;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
+use summary::FileSummary;
 
 /// Timing and size accounting for one workspace run.
 #[derive(Debug, Default, Clone, Copy)]
@@ -118,7 +118,7 @@ pub fn analyze_workspace(root: &Path, cfg: &Config) -> io::Result<RunReport> {
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        summaries.push(cache::summarize(&rel, &text));
+        summaries.push(summary::summarize(&rel, &text));
     }
     summaries.sort_by(|a, b| a.path.cmp(&b.path));
     let extract_ms = t0.elapsed().as_millis();

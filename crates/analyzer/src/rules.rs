@@ -14,11 +14,11 @@
 //! as a warning-level `dead-allow` finding so the escape-hatch inventory
 //! cannot rot.
 
-use crate::cache::{FileSummary, NO_FN};
 use crate::facts::{Facts, NON_INDEX_KEYWORDS};
 use crate::graph::Graph;
 use crate::infer::{reach, Derived};
 use crate::lexer::Kind;
+use crate::summary::{FileSummary, NO_FN};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The rule names recognised by `analyzer:allow(...)`.
@@ -438,7 +438,7 @@ fn file_allows(s: &FileSummary, out: &mut Vec<Diagnostic>) -> Vec<(usize, bool)>
 /// fixtures and unit tests exercise; `make lint-arch` runs
 /// [`analyze_summaries`] over the whole workspace instead).
 pub fn analyze_source(path: &str, src: &str, cfg: &Config) -> Vec<Diagnostic> {
-    let s = crate::cache::summarize(path, src);
+    let s = crate::summary::summarize(path, src);
     let mut out: Vec<Diagnostic> = Vec::new();
     let valid = file_allows(&s, &mut out);
     let raw = direct_raw(&s, cfg);
@@ -546,7 +546,7 @@ pub fn analyze_summaries(summaries: &[FileSummary], cfg: &Config) -> (Vec<Diagno
     };
 
     // Seeds and per-fn first-site tables for the two site relations.
-    let site_table = |pick: fn(&FileSummary) -> &Vec<crate::cache::SiteSum>| {
+    let site_table = |pick: fn(&FileSummary) -> &Vec<crate::summary::SiteSum>| {
         let mut first: BTreeMap<u32, u32> = BTreeMap::new();
         for (fi, s) in summaries.iter().enumerate() {
             for x in pick(s) {
@@ -1034,7 +1034,7 @@ mod tests {
     fn run_workspace(files: &[(&str, &str)]) -> Vec<Diagnostic> {
         let mut sums: Vec<FileSummary> = files
             .iter()
-            .map(|(p, s)| crate::cache::summarize(p, s))
+            .map(|(p, s)| crate::summary::summarize(p, s))
             .collect();
         sums.sort_by(|a, b| a.path.cmp(&b.path));
         analyze_summaries(&sums, &Config::workspace()).0

@@ -5,8 +5,8 @@
 //! Regenerate goldens after an intentional rule change with
 //! `UPDATE_GOLDEN=1 cargo test -p pgdesign-analyzer --test interproc`.
 
-use pgdesign_analyzer::cache::FileSummary;
 use pgdesign_analyzer::rules::analyze_summaries;
+use pgdesign_analyzer::summary::FileSummary;
 use pgdesign_analyzer::{Config, Severity};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -44,7 +44,7 @@ fn summaries_of(files: &[(&str, &str)]) -> Vec<FileSummary> {
         .iter()
         .map(|&(fixture, as_path)| {
             let src = fs::read_to_string(fixture_dir().join(fixture)).expect("read fixture");
-            pgdesign_analyzer::cache::summarize(as_path, &src)
+            pgdesign_analyzer::summary::summarize(as_path, &src)
         })
         .collect();
     sums.sort_by(|a, b| a.path.cmp(&b.path));

@@ -120,7 +120,7 @@ pub struct JointReport {
 
 impl fmt::Display for JointReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        report::render_joint(self, f)
+        f.write_str(&report::render_joint(self))
     }
 }
 
@@ -171,7 +171,7 @@ impl OfflineReport {
 
 impl fmt::Display for OfflineReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        report::render_offline(self, f)
+        f.write_str(&report::render_offline(self))
     }
 }
 

@@ -153,8 +153,12 @@ impl DurableHandle {
     /// suspend the log. Nothing further is appended while suspended, but
     /// `pending` keeps tracking post-publish edits so the healing
     /// checkpoint stays exact. Returns whether a checkpoint is due.
-    pub(crate) fn append_edits(&mut self, edits: &[MatrixEdit]) -> bool {
-        for edit in edits {
+    ///
+    /// Takes the drained journal by value: only the edits after the
+    /// batch's last `Publish` are kept in `pending`, moved, never cloned.
+    pub(crate) fn append_edits(&mut self, mut edits: Vec<MatrixEdit>) -> bool {
+        let mut last_publish = None;
+        for (i, edit) in edits.iter().enumerate() {
             if !self.degraded {
                 match self.append_one(edit) {
                     Ok(retries) => {
@@ -172,12 +176,15 @@ impl DurableHandle {
                 }
             }
             if matches!(edit, MatrixEdit::Publish) {
-                self.pending.clear();
                 self.publishes_since_checkpoint += 1;
-            } else {
-                self.pending.push(edit.clone());
+                last_publish = Some(i);
             }
         }
+        if let Some(i) = last_publish {
+            self.pending.clear();
+            edits.drain(..=i);
+        }
+        self.pending.append(&mut edits);
         self.degraded || self.publishes_since_checkpoint >= CHECKPOINT_EVERY_PUBLISHES
     }
 
@@ -320,4 +327,56 @@ pub(crate) fn try_restore<'a>(
     }
 
     Ok((Some((matrix, pending)), recovery))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pgdesign_durability::MemStore;
+    use MatrixEdit::{Publish, RemoveCandidate, RetireQuery, SetQueryWeight};
+
+    #[test]
+    fn pending_keeps_exactly_the_edits_after_the_last_publish() {
+        let mut h = DurableHandle::new(
+            Box::new(MemStore::new()),
+            Vec::new(),
+            RecoveryStats::default(),
+        );
+
+        // A batch ending in a publish leaves nothing pending.
+        let due = h.append_edits(vec![RetireQuery(1), SetQueryWeight(0, 2.0), Publish]);
+        assert!(!due);
+        assert!(h.pending.is_empty());
+        assert_eq!(h.publishes_since_checkpoint, 1);
+
+        // Batches with no publish accumulate behind what is pending.
+        h.append_edits(vec![RetireQuery(2)]);
+        h.append_edits(vec![RemoveCandidate(3), RetireQuery(4)]);
+        assert_eq!(
+            h.pending,
+            [RetireQuery(2), RemoveCandidate(3), RetireQuery(4)]
+        );
+        assert_eq!(h.publishes_since_checkpoint, 1);
+
+        // Publishes mid-batch: every one counts, and only the tail after
+        // the last one stays pending.
+        h.append_edits(vec![
+            RetireQuery(5),
+            Publish,
+            RetireQuery(6),
+            Publish,
+            RemoveCandidate(7),
+            RetireQuery(8),
+        ]);
+        assert_eq!(h.pending, [RemoveCandidate(7), RetireQuery(8)]);
+        assert_eq!(h.publishes_since_checkpoint, 3);
+        assert!(!h.is_suspended());
+
+        // The checkpoint falls due on the publish that reaches the
+        // threshold.
+        let remaining = CHECKPOINT_EVERY_PUBLISHES - 3;
+        assert!(!h.append_edits(vec![Publish; remaining - 1]));
+        assert!(h.append_edits(vec![Publish]));
+        assert!(h.pending.is_empty());
+    }
 }

@@ -17,7 +17,7 @@
 //! keeps no analysis state between steps.
 
 use crate::designer::Designer;
-use crate::report::TuningStats;
+use crate::report::{push_query_row, report_buffer, TuningStats};
 use crate::session::{Advisor, TuningSession};
 use pgdesign_catalog::design::{
     HorizontalPartitioning, Index, PhysicalDesign, VerticalPartitioning,
@@ -83,33 +83,34 @@ impl BenefitReport {
 
 impl fmt::Display for BenefitReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
+        let mut out = report_buffer(self.per_query.len());
+        let _ = writeln!(
+            out,
             "workload cost: {:.1} -> {:.1}",
             self.base_cost, self.whatif_cost
-        )?;
-        writeln!(
-            f,
+        );
+        let _ = writeln!(
+            out,
             "average workload benefit: {:.1}%",
             100.0 * self.average_benefit()
-        )?;
-        writeln!(
-            f,
+        );
+        let _ = writeln!(
+            out,
             "hypothetical storage: {:.1} MiB indexes, {:.1} MiB replication",
             self.index_bytes as f64 / (1024.0 * 1024.0),
             self.replication_bytes as f64 / (1024.0 * 1024.0)
-        )?;
+        );
         for (i, q) in self.per_query.iter().enumerate() {
-            writeln!(
-                f,
-                "  Q{:<3} {:>12.1} -> {:>12.1}   ({:>5.1}%)",
+            push_query_row(
+                &mut out,
+                "  ",
                 i + 1,
                 q.base_cost,
                 q.whatif_cost,
-                100.0 * q.benefit()
-            )?;
+                100.0 * q.benefit(),
+            );
         }
-        Ok(())
+        f.write_str(&out)
     }
 }
 

@@ -81,6 +81,7 @@
 
 pub mod designer;
 mod durable;
+mod fixed;
 pub mod health;
 pub mod interactive;
 pub mod online;

@@ -14,12 +14,12 @@
 //! suggested indexes").
 
 use crate::designer::Designer;
+use crate::fixed::{push_fixed, push_uint, Align};
 use crate::health::{DegradeReason, ServiceHealth};
 use crate::session::{Advisor, TuningSession};
 use pgdesign_colt::{ColtConfig, ColtTuner, EpochMode, EpochReport, TunerState};
 use pgdesign_query::ast::Query;
 use pgdesign_query::Workload;
-use std::fmt::Write as _;
 
 /// Sidecar file (beside `matrix.pgds`) holding the COLT tuner's EWMA
 /// profiling state and current design. Optional and version-gated: a
@@ -186,18 +186,23 @@ impl<'a> OnlineSession<'a> {
     /// column counts candidates the what-if budget truncated out of the
     /// epoch's probe plan (no benefit evidence gathered).
     pub fn trajectory(&self) -> String {
-        let mut s = String::from("epoch  untuned      tuned        builds  indexes  dropped\n");
+        // Each row is the bytes of
+        // "{:>5}  {:>11.1}  {:>11.1}  {:>6.1}  {:>7}  {:>7}".
+        let mut s = crate::report::report_buffer(self.reports.len());
+        s.push_str("epoch  untuned      tuned        builds  indexes  dropped\n");
         for r in &self.reports {
-            let _ = writeln!(
-                s,
-                "{:>5}  {:>11.1}  {:>11.1}  {:>6.1}  {:>7}  {:>7}",
-                r.epoch,
-                r.untuned_cost,
-                r.tuned_cost,
-                r.build_cost,
-                r.materialized.len(),
-                r.candidates_dropped
-            );
+            push_uint(&mut s, r.epoch as u64, 5, Align::Right);
+            s.push_str("  ");
+            push_fixed(&mut s, r.untuned_cost, 1, 11);
+            s.push_str("  ");
+            push_fixed(&mut s, r.tuned_cost, 1, 11);
+            s.push_str("  ");
+            push_fixed(&mut s, r.build_cost, 1, 6);
+            s.push_str("  ");
+            push_uint(&mut s, r.materialized.len() as u64, 7, Align::Right);
+            s.push_str("  ");
+            push_uint(&mut s, r.candidates_dropped as u64, 7, Align::Right);
+            s.push('\n');
         }
         s
     }

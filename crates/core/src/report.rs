@@ -1,11 +1,22 @@
 //! Textual rendering of recommendations — the stand-in for the demo's GUI
 //! panels (Figure 3's "list of suggested partitions ... individual query
 //! benefit and the average workload benefit").
+//!
+//! A report is built into one `String` pre-sized for its rows. The O(1)
+//! header lines go through `write!`; every per-query row goes through
+//! `push_query_row`, the one row format shared by the offline, joint and
+//! interactive reports, whose numbers the crate's fixed-point writer
+//! (`fixed.rs`) writes with the exact rounding of `{:.1}` at a fraction of
+//! core::fmt's cost. On a 200-query interactive session the rows were
+//! most of a toggle step.
 
 use crate::designer::{JointReport, OfflineReport};
+use crate::fixed::{push_fixed, push_uint, Align};
 use crate::health::ServiceHealth;
+use pgdesign_catalog::design::PhysicalDesign;
 use pgdesign_inum::{InumStats, MatrixStats};
 use std::fmt;
+use std::fmt::Write as _;
 
 /// Counters from both INUM cache levels, captured after a tuning run —
 /// what `pgdesign recommend --stats` prints.
@@ -155,174 +166,186 @@ impl fmt::Display for TuningStats {
     }
 }
 
-/// Render the joint index + partition report (called from `JointReport`'s
-/// `Display`).
-pub fn render_joint(r: &JointReport, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+/// Bytes reserved per table row: a per-query row is 48 with its indent
+/// and newline, a trajectory row 58, plus room for a wide cost.
+const ROW_BYTES: usize = 64;
+
+/// Bytes reserved for a report's O(1) header and footer lines.
+const FRAME_BYTES: usize = 1024;
+
+/// A `String` pre-sized for a report with `rows` table rows.
+pub(crate) fn report_buffer(rows: usize) -> String {
+    String::with_capacity(FRAME_BYTES + rows * ROW_BYTES)
+}
+
+/// Append one per-query row, the one row format of every per-query
+/// benefit table:
+///
+/// `{indent}Q{n:<3} {base:>12.1} -> {tuned:>12.1}   ({pct:>5.1}%)`
+///
+/// The caller computes `pct`, so each report keeps its own formula.
+pub(crate) fn push_query_row(
+    out: &mut String,
+    indent: &str,
+    n: usize,
+    base: f64,
+    tuned: f64,
+    pct: f64,
+) {
+    out.push_str(indent);
+    out.push('Q');
+    push_uint(out, n as u64, 3, Align::Left);
+    out.push(' ');
+    push_fixed(out, base, 1, 12);
+    out.push_str(" -> ");
+    push_fixed(out, tuned, 1, 12);
+    out.push_str("   (");
+    push_fixed(out, pct, 1, 5);
+    out.push_str("%)\n");
+}
+
+/// The offline and joint reports' per-query rows: the benefit is clamped
+/// at zero and reads 0% on a non-positive base cost.
+fn push_recommendation_rows(out: &mut String, per_query: &[(f64, f64)]) {
+    out.push_str("-- Benefit per query --\n");
+    for (i, &(base, tuned)) in per_query.iter().enumerate() {
+        let pct = if base > 0.0 {
+            100.0 * (base - tuned).max(0.0) / base
+        } else {
+            0.0
+        };
+        push_query_row(out, "   ", i + 1, base, tuned, pct);
+    }
+}
+
+/// Append the suggested partitions of `design`, one line each.
+fn push_partitions(out: &mut String, design: &PhysicalDesign) {
+    let verticals: Vec<_> = design.verticals().collect();
+    let horizontals: Vec<_> = design.horizontals().collect();
+    if verticals.is_empty() && horizontals.is_empty() {
+        out.push_str("   (none beneficial)\n");
+    }
+    for vp in verticals {
+        let _ = writeln!(
+            out,
+            "   table {:?}: {} vertical fragment(s)",
+            vp.table,
+            vp.groups.len()
+        );
+    }
+    for hp in horizontals {
+        let _ = writeln!(
+            out,
+            "   table {:?}: {} range partition(s) on column {}",
+            hp.table,
+            hp.partitions(),
+            hp.column
+        );
+    }
+}
+
+/// Render the joint index + partition report (what `JointReport`'s
+/// `Display` writes).
+pub fn render_joint(r: &JointReport) -> String {
     let j = &r.joint;
-    writeln!(
-        f,
+    let mut out = report_buffer(j.per_query.len());
+    let _ = writeln!(
+        out,
         "================ Joint index + partition recommendation ================"
-    )?;
-    writeln!(
-        f,
+    );
+    let _ = writeln!(
+        out,
         "Workload cost: {:.1} -> {:.1} (indexes alone {:.1})   Average workload benefit: {:.1}%",
         j.base_cost,
         j.cost,
         j.index_cost,
         100.0 * j.average_benefit()
-    )?;
-    writeln!(f)?;
-    writeln!(f, "-- Suggested indexes ({}) --", j.indexes.len())?;
-    writeln!(
-        f,
+    );
+    out.push('\n');
+    let _ = writeln!(out, "-- Suggested indexes ({}) --", j.indexes.len());
+    let _ = writeln!(
+        out,
         "   (storage: {:.1} MiB indexes + {:.1} MiB replicated fragments)",
         j.total_index_bytes as f64 / (1024.0 * 1024.0),
         j.replication_bytes as f64 / (1024.0 * 1024.0)
-    )?;
+    );
     for (i, name) in r.index_display.iter().enumerate() {
-        writeln!(f, "   [{}] {}", i + 1, name)?;
+        let _ = writeln!(out, "   [{}] {}", i + 1, name);
     }
-    writeln!(f)?;
-    writeln!(
-        f,
+    out.push('\n');
+    let _ = writeln!(
+        out,
         "-- Suggested partitions ({} merge iterations) --",
         j.partition_iterations
-    )?;
-    let verticals: Vec<_> = j.design.verticals().collect();
-    let horizontals: Vec<_> = j.design.horizontals().collect();
-    if verticals.is_empty() && horizontals.is_empty() {
-        writeln!(f, "   (none beneficial)")?;
-    }
-    for vp in verticals {
-        writeln!(
-            f,
-            "   table {:?}: {} vertical fragment(s)",
-            vp.table,
-            vp.groups.len()
-        )?;
-    }
-    for hp in horizontals {
-        writeln!(
-            f,
-            "   table {:?}: {} range partition(s) on column {}",
-            hp.table,
-            hp.partitions(),
-            hp.column
-        )?;
-    }
-    writeln!(f)?;
-    writeln!(f, "-- Benefit per query --")?;
-    for (i, (base, tuned)) in j.per_query.iter().enumerate() {
-        let pct = if *base > 0.0 {
-            100.0 * (base - tuned).max(0.0) / base
-        } else {
-            0.0
-        };
-        writeln!(
-            f,
-            "   Q{:<3} {:>12.1} -> {:>12.1}   ({pct:>5.1}%)",
-            i + 1,
-            base,
-            tuned
-        )?;
-    }
-    Ok(())
+    );
+    push_partitions(&mut out, &j.design);
+    out.push('\n');
+    push_recommendation_rows(&mut out, &j.per_query);
+    out
 }
 
-/// Render the scenario-2 report (called from `OfflineReport`'s `Display`).
-pub fn render_offline(r: &OfflineReport, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-    writeln!(
-        f,
+/// Render the scenario-2 report (what `OfflineReport`'s `Display`
+/// writes).
+pub fn render_offline(r: &OfflineReport) -> String {
+    let mut out = report_buffer(r.per_query.len());
+    let _ = writeln!(
+        out,
         "==================== Physical design recommendation ===================="
-    )?;
-    writeln!(
-        f,
+    );
+    let _ = writeln!(
+        out,
         "Workload cost: {:.1} -> {:.1}   Average workload benefit: {:.1}%",
         r.base_cost,
         r.combined_cost,
         100.0 * r.average_benefit()
-    )?;
-    writeln!(f)?;
+    );
+    out.push('\n');
 
-    writeln!(f, "-- Suggested indexes ({}) --", r.indexes.indexes.len())?;
-    writeln!(
-        f,
+    let _ = writeln!(out, "-- Suggested indexes ({}) --", r.indexes.indexes.len());
+    let _ = writeln!(
+        out,
         "   (storage: {:.1} MiB, solver gap: {:.2}%, status: {:?}, nodes: {}, pivots: {})",
         r.indexes.total_index_bytes as f64 / (1024.0 * 1024.0),
         100.0 * r.indexes.gap,
         r.indexes.status,
         r.indexes.nodes,
         r.indexes.pivots
-    )?;
+    );
     for (i, name) in r.index_display.iter().enumerate() {
-        writeln!(f, "   [{}] {}", i + 1, name)?;
+        let _ = writeln!(out, "   [{}] {}", i + 1, name);
     }
-    writeln!(f)?;
+    out.push('\n');
 
-    writeln!(f, "-- Suggested partitions --")?;
-    let verticals: Vec<_> = r.partitions.design.verticals().collect();
-    let horizontals: Vec<_> = r.partitions.design.horizontals().collect();
-    if verticals.is_empty() && horizontals.is_empty() {
-        writeln!(f, "   (none beneficial)")?;
-    }
-    for vp in verticals {
-        writeln!(
-            f,
-            "   table {:?}: {} vertical fragment(s)",
-            vp.table,
-            vp.groups.len()
-        )?;
-    }
-    for hp in horizontals {
-        writeln!(
-            f,
-            "   table {:?}: {} range partition(s) on column {}",
-            hp.table,
-            hp.partitions(),
-            hp.column
-        )?;
-    }
-    writeln!(f)?;
+    out.push_str("-- Suggested partitions --\n");
+    push_partitions(&mut out, &r.partitions.design);
+    out.push('\n');
 
-    writeln!(f, "-- Benefit per query --")?;
-    for (i, (base, tuned)) in r.per_query.iter().enumerate() {
-        let pct = if *base > 0.0 {
-            100.0 * (base - tuned).max(0.0) / base
-        } else {
-            0.0
-        };
-        writeln!(
-            f,
-            "   Q{:<3} {:>12.1} -> {:>12.1}   ({pct:>5.1}%)",
-            i + 1,
-            base,
-            tuned
-        )?;
-    }
-    writeln!(f)?;
+    push_recommendation_rows(&mut out, &r.per_query);
+    out.push('\n');
 
-    writeln!(
-        f,
-        "-- Index interactions: {} pair(s) above threshold --{}",
-        r.graph.edge_count(),
-        r.graph
-            .sampling_note()
-            .map_or(String::new(), |note| format!(" {note}"))
-    )?;
+    let _ = write!(
+        out,
+        "-- Index interactions: {} pair(s) above threshold --",
+        r.graph.edge_count()
+    );
+    if let Some(note) = r.graph.sampling_note() {
+        let _ = write!(out, " {note}");
+    }
+    out.push('\n');
     for (i, j, w) in r.graph.top_edges(5) {
-        writeln!(f, "   doi(#{}, #{}) = {:.4}", i + 1, j + 1, w)?;
+        let _ = writeln!(out, "   doi(#{}, #{}) = {:.4}", i + 1, j + 1, w);
     }
-    writeln!(f)?;
+    out.push('\n');
 
-    writeln!(f, "-- Materialization schedule --")?;
-    writeln!(
-        f,
+    out.push_str("-- Materialization schedule --\n");
+    let _ = writeln!(
+        out,
         "   interaction-aware order: {:?}   (area {:.1})",
         r.schedule.order.iter().map(|i| i + 1).collect::<Vec<_>>(),
         r.schedule.area
-    )?;
-    writeln!(
-        f,
+    );
+    let _ = writeln!(
+        out,
         "   naive order:             {:?}   (area {:.1})",
         r.naive_schedule
             .order
@@ -330,13 +353,13 @@ pub fn render_offline(r: &OfflineReport, f: &mut fmt::Formatter<'_>) -> fmt::Res
             .map(|i| i + 1)
             .collect::<Vec<_>>(),
         r.naive_schedule.area
-    )?;
+    );
     if r.naive_schedule.area > 0.0 {
-        writeln!(
-            f,
+        let _ = writeln!(
+            out,
             "   area saved by scheduling: {:.1}%",
             100.0 * (r.naive_schedule.area - r.schedule.area).max(0.0) / r.naive_schedule.area
-        )?;
+        );
     }
-    Ok(())
+    out
 }

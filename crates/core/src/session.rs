@@ -170,7 +170,7 @@ impl<'a> TuningSession<'a> {
         }
         let edits = self.matrix.take_journal();
         let handle = self.durable.as_mut().expect("checked above");
-        if handle.append_edits(&edits) {
+        if handle.append_edits(edits) {
             self.checkpoint()?;
         }
         Ok(())
