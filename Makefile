@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify tier1 fmt lint lint-arch doc bench bench-json examples recovery-drill clean-state
+.PHONY: verify tier1 fmt lint lint-arch doc bench bench-json examples recovery-drill same-bytes clean-state
 
 # Everything CI checks, in CI's order.
 verify: fmt lint lint-arch tier1 doc examples
@@ -102,8 +102,35 @@ recovery-drill:
 	rm -rf target/recovery-drill target/recovery-drill.out
 	@echo "recovery drill passed (mid-epoch and mid-checkpoint kills)"
 
-# Remove durable session state (snapshot + edit-log directories created
-# via --state or TuningSession::open_or_create).
+# Compare this tree's CLI output byte for byte against another build of
+# pgdesign: `make same-bytes PARENT=path/to/other/pgdesign`. Runs every
+# command below with both binaries, drops the wall-clock `matrix build
+# time` lines, `cmp`s each pair, and names each command whose output
+# differs (exit 1 if any does). Outputs are kept in target/same-bytes.
+SAME_BYTES_RUNS := \
+  "evaluate --workload builtin:40 --index photoobj:objid --index photoobj:ra --index photoobj:type,r --index specobj:bestobjid" \
+  "session --workload builtin:200 --index photoobj:objid --vertical photoobj:objid,ra,dec|type,r --horizontal photoobj:ra:8 --stats" \
+  "recommend --workload builtin:40 --stats" \
+  "recommend --workload builtin:40 --joint --stats" \
+  "recommend --catalog tpch --workload builtin:36 --stats" \
+  "recommend --catalog tpch --workload builtin:36 --joint --stats" \
+  "online --scale 0.005 --queries 120 --epoch 10 --stats"
+same-bytes:
+	@test -n "$(PARENT)" || { echo "usage: make same-bytes PARENT=<other pgdesign binary>"; exit 2; }
+	$(CARGO) build --release
+	@rm -rf target/same-bytes; mkdir -p target/same-bytes; n=0; differ=0; \
+	for run in $(SAME_BYTES_RUNS); do \
+	  n=$$((n + 1)); out=target/same-bytes/$$n; \
+	  "$(PARENT)" $$run | grep -v 'matrix build time' > $$out.parent; \
+	  ./target/release/pgdesign $$run | grep -v 'matrix build time' > $$out.this; \
+	  if cmp -s $$out.parent $$out.this; then echo "same:    pgdesign $$run"; \
+	  else echo "DIFFERS: pgdesign $$run ($$out.parent vs $$out.this)"; differ=1; fi; \
+	done; exit $$differ
+
+# Remove durable session state: the snapshot, sidecar and edit-log files
+# (*.pgds, *.pgdl) that `--state DIR`, or a session opened with
+# `open_or_create_on` over an `FsStore`, writes into its directory, and the
+# recovery drill's directory.
 clean-state:
 	find . -name '*.pgds' -delete -o -name '*.pgdl' -delete
-	rm -rf target/recovery-drill target/cli-drill
+	rm -rf target/recovery-drill

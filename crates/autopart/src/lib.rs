@@ -685,20 +685,14 @@ impl<'a> AutoPartAdvisor<'a> {
         iterations
     }
 
-    /// Produce the full partitioning recommendation. The search and all
-    /// reported costs run on the partition-aware cost matrix; no
-    /// [`Inum::cost`] call is issued anywhere in this method. (Builds a
-    /// private matrix; see [`Self::recommend_on`] for the session entry.)
-    pub fn recommend(&self, workload: &Workload) -> PartitionRecommendation {
-        let mut matrix = CostMatrix::build(self.inum, workload, &[]);
-        self.recommend_on(&mut matrix)
-    }
-
-    /// [`Self::recommend`] against an *existing* matrix — the
-    /// session-scoped entry point. The search runs over the matrix's
-    /// active queries with no index selected (partitions alone); fragments
-    /// and splits it registers stay resident, so later joint costings on
-    /// the same session are pure lookups.
+    /// Produce the full partitioning recommendation against `matrix`.
+    /// The search runs over the matrix's active queries with no index
+    /// selected (partitions alone), and it and all reported costs run on
+    /// matrix lookups; no [`Inum::cost`] call is issued anywhere in this
+    /// method. Fragments and splits it registers stay resident, so later
+    /// joint costings on the same matrix are pure lookups. Nothing is
+    /// published: the matrix owner publishes (a session's `advise` does,
+    /// once per advice).
     pub fn recommend_on(&self, matrix: &mut CostMatrix<'_>) -> PartitionRecommendation {
         self.recommend_with(matrix, Self::partition_table_on)
     }
@@ -727,9 +721,6 @@ impl<'a> AutoPartAdvisor<'a> {
         let design = matrix.joint_design_of(&cfg);
         let per_query = matrix.joint_cost_pairs(&empty, &cfg);
         let replication_bytes = design.replication_bytes(&catalog.schema, &catalog.stats);
-        // Session-scoped entry: the fragments/splits this search
-        // registered become visible to concurrent snapshot readers.
-        matrix.publish();
         PartitionRecommendation {
             design,
             base_cost,
@@ -791,7 +782,7 @@ mod tests {
         let inum = Inum::new(&c, &opt);
         let advisor = AutoPartAdvisor::new(&inum, AutoPartConfig::default());
         let w = narrow_workload(&c);
-        let rec = advisor.recommend(&w);
+        let rec = advisor.recommend_on(&mut CostMatrix::build(&inum, &w, &[]));
         let photo = c.schema.table_by_name("photoobj").unwrap().id;
         assert!(
             rec.design.vertical(photo).is_some(),
@@ -817,7 +808,7 @@ mod tests {
             parse_query(&c.schema, "SELECT * FROM photoobj WHERE type = 3").unwrap(),
             parse_query(&c.schema, "SELECT * FROM photoobj WHERE run = 5").unwrap(),
         ]);
-        let rec = advisor.recommend(&w);
+        let rec = advisor.recommend_on(&mut CostMatrix::build(&inum, &w, &[]));
         let photo = c.schema.table_by_name("photoobj").unwrap().id;
         // SELECT * touches everything: splitting can only add stitch cost.
         assert!(rec.design.vertical(photo).is_none());
@@ -830,7 +821,7 @@ mod tests {
         let inum = Inum::new(&c, &opt);
         let advisor = AutoPartAdvisor::new(&inum, AutoPartConfig::default());
         let w = narrow_workload(&c);
-        let rec = advisor.recommend(&w);
+        let rec = advisor.recommend_on(&mut CostMatrix::build(&inum, &w, &[]));
         let photo = c.schema.table_by_name("photoobj").unwrap().id;
         // ra is repeatedly range-restricted: horizontal partitioning on ra
         // should survive the benefit test.
@@ -862,7 +853,7 @@ mod tests {
             .unwrap(),
             parse_query(&c.schema, "SELECT objid, r FROM photoobj WHERE r < 15").unwrap(),
         ]);
-        let rec = advisor.recommend(&w);
+        let rec = advisor.recommend_on(&mut CostMatrix::build(&inum, &w, &[]));
         assert!(rec.replication_bytes <= budget);
     }
 
@@ -873,7 +864,7 @@ mod tests {
         let inum = Inum::new(&c, &opt);
         let advisor = AutoPartAdvisor::new(&inum, AutoPartConfig::default());
         let w = sdss_workload(&c, 18, 33);
-        let rec = advisor.recommend(&w);
+        let rec = advisor.recommend_on(&mut CostMatrix::build(&inum, &w, &[]));
         assert!(
             rec.cost <= rec.base_cost + 1e-6,
             "{} vs {}",
@@ -894,7 +885,7 @@ mod tests {
         let w = narrow_workload(&c);
         let calls_before = inum.stats().cost_calls;
         let lookups_before = inum.matrix_stats().partition_lookups;
-        let rec = advisor.recommend(&w);
+        let rec = advisor.recommend_on(&mut CostMatrix::build(&inum, &w, &[]));
         assert!(
             rec.design.verticals().next().is_some(),
             "search must actually run (and partition something) for this check to mean anything"
@@ -942,7 +933,7 @@ mod tests {
             },
         );
         let w = narrow_workload(&c);
-        let rec = advisor.recommend(&w);
+        let rec = advisor.recommend_on(&mut CostMatrix::build(&inum, &w, &[]));
         assert!(
             rec.design.verticals().next().is_none(),
             "no iterations allowed: no vertical partitioning may be proposed"
@@ -1121,7 +1112,7 @@ mod tests {
                     ..Default::default()
                 },
             );
-            let rec = advisor.recommend(&w);
+            let rec = advisor.recommend_on(&mut CostMatrix::build(&inum, &w, &[]));
             assert!(
                 rec.design.horizontals().next().is_none(),
                 "{degenerate} horizontal partitions cannot describe a split"

@@ -51,7 +51,7 @@ fn print_report() {
             },
         );
         let t = Instant::now();
-        let rec = advisor.recommend(&bench.workload);
+        let rec = advisor.recommend_on(&mut CostMatrix::build(&inum, &bench.workload, &[]));
         let ms = t.elapsed().as_secs_f64() * 1e3;
         println!(
             "{:>10} {:>12.0} {:>8.2} {:>8} {:>10.1} {:>8?}",
@@ -86,7 +86,7 @@ fn bench_solve(c: &mut Criterion) {
                     ..Default::default()
                 },
             );
-            advisor.recommend(&bench.workload)
+            advisor.recommend_on(&mut CostMatrix::build(&inum, &bench.workload, &[]))
         })
     });
     g.finish();

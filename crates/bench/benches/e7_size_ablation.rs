@@ -70,7 +70,10 @@ fn print_report() {
             ..Default::default()
         },
     )
-    .recommend_joint(&bench.workload, AutoPartConfig::default());
+    .recommend_joint_on(
+        &mut CostMatrix::build(&inum, &bench.workload, &[]),
+        AutoPartConfig::default(),
+    );
     let joint_bytes = joint.total_index_bytes + joint.replication_bytes;
     println!(
         "{:<22} {:>10} {:>12.0} {:>14.1} {:>14.1}",

@@ -167,7 +167,7 @@ fn bench_build(c: &mut Criterion) {
 
     // (e) Warm restart: encode the published matrix into snapshot
     // records, then decode + restore onto a *second* INUM — the recovery
-    // path a durable session takes at open (`TuningSession::open_or_create`)
+    // path a durable session takes at open (`TuningSession::open_or_create_on`)
     // — versus paying the cold build again. Restore adopts the persisted
     // cells instead of recomputing them, so it is pure decode work.
     serial.publish();

@@ -8,7 +8,6 @@ use pgdesign_catalog::design::{Index, PhysicalDesign};
 use pgdesign_inum::{CostMatrix, Inum};
 use pgdesign_optimizer::candidates::{workload_candidates, CandidateConfig};
 use pgdesign_optimizer::maintenance::{index_maintenance_cost, WriteProfile};
-use pgdesign_query::Workload;
 use pgdesign_solver::{MilpOptions, MilpStatus};
 use std::collections::BTreeMap;
 
@@ -151,48 +150,23 @@ impl<'a> CophyAdvisor<'a> {
         &self.config
     }
 
-    /// Produce an index recommendation for the workload (builds a private
-    /// matrix; see [`Self::recommend_on`] for the session-matrix entry).
-    pub fn recommend(&self, workload: &Workload) -> Recommendation {
-        // Cold path: bulk-build the matrix over the enumerated base pool
-        // so cell computation fans out over all cores; registration of the
-        // same pool below dedupes into no-ops.
-        let base = workload_candidates(self.inum.catalog(), workload, &self.config.candidates);
-        let mut matrix = CostMatrix::build(self.inum, workload, &base.indexes);
-        self.recommend_with_pool(&mut matrix, base)
-    }
-
-    /// Produce an index recommendation against an *existing* matrix — the
-    /// session-scoped entry point. The advisor enumerates candidates from
-    /// the matrix's active queries and registers them with
-    /// [`CostMatrix::add_candidate`]: candidates already resident (e.g.
-    /// registered by an on-line tuner sharing the same session matrix)
-    /// reuse their cells instead of recomputing them, and candidates the
-    /// matrix holds beyond this enumeration compete on equal footing. The
-    /// matrix is extended, never rebuilt, and registered candidates stay
-    /// resident for later advisors on the same session.
+    /// Produce an index recommendation against `matrix`. The advisor
+    /// enumerates candidates from the matrix's active queries and
+    /// registers them with [`CostMatrix::add_candidates`]: candidates
+    /// already resident (e.g. registered by an on-line tuner sharing the
+    /// same session matrix) reuse their cells instead of recomputing them,
+    /// and candidates the matrix holds beyond this enumeration compete on
+    /// equal footing. The matrix is extended, never rebuilt, and
+    /// registered candidates stay resident for later advisors on the same
+    /// matrix. A caller without a matrix builds one with
+    /// `CostMatrix::build(&inum, &workload, &[])`.
+    ///
+    /// Nothing is published: snapshot readers see the registered
+    /// candidates once the matrix owner calls [`CostMatrix::publish`] (a
+    /// session's `advise` does, once per advice).
     pub fn recommend_on(&self, matrix: &mut CostMatrix<'_>) -> Recommendation {
-        let base = workload_candidates(
-            self.inum.catalog(),
-            &matrix.active_workload(),
-            &self.config.candidates,
-        );
-        let rec = self.recommend_with_pool(matrix, base);
-        // Session-scoped entry: everything this search registered becomes
-        // visible to concurrent snapshot readers as the next generation.
-        matrix.publish();
-        rec
-    }
-
-    /// Shared body of [`Self::recommend`]/[`Self::recommend_on`]: `base`
-    /// is the pre-enumerated candidate pool for the matrix's active
-    /// workload (enumerated exactly once by either caller).
-    fn recommend_with_pool(
-        &self,
-        matrix: &mut CostMatrix<'_>,
-        base: pgdesign_optimizer::candidates::CandidateSet,
-    ) -> Recommendation {
         let catalog = self.inum.catalog();
+        let base = workload_candidates(catalog, &matrix.active_workload(), &self.config.candidates);
         let qids: Vec<usize> = matrix.active_query_ids().collect();
 
         // Register the candidate pool. Merged candidates ride on the same
@@ -331,54 +305,24 @@ impl<'a> CophyAdvisor<'a> {
         }
     }
 
-    /// Joint index + partition mode: one partition-aware [`CostMatrix`]
-    /// serves the greedy index selection *and* AutoPart's merge search, so
-    /// both run on pure lookups, and the two structures share a single
-    /// storage budget — the partition search may replicate columns only
-    /// into the bytes the chosen indexes left over. The partition trials
-    /// run with the chosen indexes selected in the configuration, so every
-    /// merge decision sees the index accesses it must coexist with.
-    pub fn recommend_joint(
-        &self,
-        workload: &Workload,
-        partition_config: AutoPartConfig,
-    ) -> JointRecommendation {
-        // Same cold-path bulk build as `recommend` (parallel over queries).
-        let base = workload_candidates(self.inum.catalog(), workload, &self.config.candidates);
-        let mut matrix = CostMatrix::build(self.inum, workload, &base.indexes);
-        self.recommend_joint_with_pool(&mut matrix, base, partition_config)
-    }
-
-    /// [`Self::recommend_joint`] against an *existing* matrix — the
-    /// session-scoped entry point: candidates are registered incrementally
-    /// (resident ones reuse their cells), the partition search runs on the
-    /// same matrix, and everything registered stays resident for later
-    /// advisors on the same session.
+    /// Joint index + partition mode against `matrix`: one
+    /// partition-aware [`CostMatrix`] serves the greedy index selection
+    /// *and* AutoPart's merge search, so both run on pure lookups, and the
+    /// two structures share a single storage budget — the partition search
+    /// may replicate columns only into the bytes the chosen indexes left
+    /// over. The partition trials run with the chosen indexes selected in
+    /// the configuration, so every merge decision sees the index accesses
+    /// it must coexist with. Candidates are registered incrementally
+    /// (resident ones reuse their cells) and stay resident; nothing is
+    /// published (see [`Self::recommend_on`]).
     pub fn recommend_joint_on(
         &self,
         matrix: &mut CostMatrix<'_>,
         partition_config: AutoPartConfig,
     ) -> JointRecommendation {
-        let candidates = workload_candidates(
-            self.inum.catalog(),
-            &matrix.active_workload(),
-            &self.config.candidates,
-        );
-        let rec = self.recommend_joint_with_pool(matrix, candidates, partition_config);
-        // Session-scoped entry: publish for concurrent snapshot readers.
-        matrix.publish();
-        rec
-    }
-
-    /// Shared body of [`Self::recommend_joint`]/[`Self::recommend_joint_on`]
-    /// (`candidates` pre-enumerated exactly once by either caller).
-    fn recommend_joint_with_pool(
-        &self,
-        matrix: &mut CostMatrix<'_>,
-        candidates: pgdesign_optimizer::candidates::CandidateSet,
-        partition_config: AutoPartConfig,
-    ) -> JointRecommendation {
         let catalog = self.inum.catalog();
+        let candidates =
+            workload_candidates(catalog, &matrix.active_workload(), &self.config.candidates);
         matrix.add_candidates(&candidates.indexes);
         let budget = self.config.storage_budget_bytes;
 
@@ -450,6 +394,12 @@ mod tests {
     use pgdesign_catalog::samples::sdss_catalog;
     use pgdesign_optimizer::Optimizer;
     use pgdesign_query::generators::sdss_workload;
+    use pgdesign_query::Workload;
+
+    /// A fresh private matrix over `w`, for the advisor to fill.
+    fn matrix<'a>(inum: &Inum<'a>, w: &Workload) -> CostMatrix<'a> {
+        CostMatrix::build(inum, w, &[])
+    }
 
     fn advise(budget_frac: f64, n_queries: usize, seed: u64) -> (Recommendation, f64) {
         let c = sdss_catalog(0.01);
@@ -464,7 +414,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let rec = advisor.recommend(&w);
+        let rec = advisor.recommend_on(&mut matrix(&inum, &w));
         let greedy = {
             let cands = pgdesign_optimizer::candidates::workload_candidates(
                 &c,
@@ -526,7 +476,8 @@ mod tests {
         let inum = Inum::new(&c, &opt);
         let w = sdss_workload(&c, 9, 26);
         let photo = c.schema.table_by_name("photoobj").unwrap().id;
-        let read_only = CophyAdvisor::new(&inum, CophyConfig::default()).recommend(&w);
+        let read_only =
+            CophyAdvisor::new(&inum, CophyConfig::default()).recommend_on(&mut matrix(&inum, &w));
         // A write-hammered photoobj should carry fewer (or equal) indexes.
         let writes = pgdesign_optimizer::maintenance::WriteProfile::read_only()
             .with_inserts(photo, 5_000_000.0);
@@ -537,7 +488,7 @@ mod tests {
                 ..Default::default()
             },
         )
-        .recommend(&w);
+        .recommend_on(&mut matrix(&inum, &w));
         let ro_photo = read_only
             .indexes
             .iter()
@@ -571,8 +522,8 @@ mod tests {
         );
         let builds_before = inum.matrix_stats().builds;
         let cost_calls_before = inum.stats().cost_calls;
-        let rec = advisor.recommend_joint(
-            &w,
+        let rec = advisor.recommend_joint_on(
+            &mut matrix(&inum, &w),
             pgdesign_autopart::AutoPartConfig {
                 replication_budget_bytes: budget / 10,
                 ..Default::default()
@@ -631,7 +582,10 @@ mod tests {
                 ..Default::default()
             },
         );
-        let rec = advisor.recommend_joint(&w, pgdesign_autopart::AutoPartConfig::default());
+        let rec = advisor.recommend_joint_on(
+            &mut matrix(&inum, &w),
+            pgdesign_autopart::AutoPartConfig::default(),
+        );
         assert!(rec.indexes.is_empty());
         let photo = c.schema.table_by_name("photoobj").unwrap().id;
         assert!(
@@ -656,7 +610,7 @@ mod tests {
                 ..Default::default()
             },
         )
-        .recommend(&w);
+        .recommend_on(&mut matrix(&inum, &w));
         assert_eq!(
             inum.matrix_stats().builds,
             builds_before + 1,

@@ -21,6 +21,7 @@ use pgdesign::{Designer, InteractiveSession, OnlineSession};
 use pgdesign_catalog::samples::{sdss_catalog, tpch_catalog};
 use pgdesign_catalog::Catalog;
 use pgdesign_colt::ColtConfig;
+use pgdesign_durability::{DurableStore, FsStore};
 use pgdesign_query::generators::{sdss_workload, tpch_workload, DriftingStream};
 use pgdesign_query::{parse_query, Workload};
 use std::process::ExitCode;
@@ -187,6 +188,17 @@ fn load_workload(catalog: &Catalog, flags: &Flags) -> Result<Workload, String> {
     parse_workload_text(catalog, &text)
 }
 
+/// Open the durable state directory `dir` (created if absent) and a
+/// session on it with `open`.
+fn open_state<T>(
+    dir: &str,
+    open: impl FnOnce(Box<dyn DurableStore>) -> std::io::Result<T>,
+) -> Result<T, String> {
+    FsStore::open(dir)
+        .and_then(|store| open(Box::new(store)))
+        .map_err(|e| format!("cannot open state dir {dir:?}: {e}"))
+}
+
 fn run(args: &[String]) -> Result<(), String> {
     let Some((cmd, rest)) = args.split_first() else {
         return Err("missing subcommand".into());
@@ -323,8 +335,9 @@ fn run(args: &[String]) -> Result<(), String> {
             let workload = load_workload(&designer.catalog, &flags)?;
             let n_queries = workload.len();
             let mut session = match flags.get("state") {
-                Some(dir) => InteractiveSession::open_or_create(&designer, workload, dir)
-                    .map_err(|e| format!("cannot open state dir {dir:?}: {e}"))?,
+                Some(dir) => open_state(dir, |store| {
+                    InteractiveSession::open_or_create_on(&designer, workload, store)
+                })?,
                 None => designer.session(workload),
             };
             let baseline = session.evaluate();
@@ -461,8 +474,9 @@ fn run(args: &[String]) -> Result<(), String> {
                 ..Default::default()
             };
             let mut session = match flags.get("state") {
-                Some(dir) => OnlineSession::open_or_create(&designer, config, dir)
-                    .map_err(|e| format!("cannot open state dir {dir:?}: {e}"))?,
+                Some(dir) => open_state(dir, |store| {
+                    OnlineSession::open_or_create_on(&designer, config, store)
+                })?,
                 None => designer.online_session(config),
             };
             // The stream is seed-deterministic, so a restarted run re-draws

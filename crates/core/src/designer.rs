@@ -57,14 +57,14 @@ impl Designer {
     /// Start an interactive what-if session (demo scenario 1) — a
     /// [`TuningSession`] view whose evaluations are pure matrix lookups.
     pub fn session(&self, workload: Workload) -> InteractiveSession<'_> {
-        InteractiveSession::new(self, workload)
+        InteractiveSession::new(self.tuning_session(workload))
     }
 
     /// Start a continuous-tuning session (demo scenario 3) — COLT over a
     /// [`TuningSession`] matrix, with mid-stream advisor handoff
     /// ([`OnlineSession::advise`]).
     pub fn online_session(&self, config: ColtConfig) -> OnlineSession<'_> {
-        OnlineSession::new(self, config)
+        OnlineSession::new(self.tuning_session(Workload::new()), config)
     }
 
     /// Run the CoPhy index advisor alone (a one-shot
@@ -90,8 +90,10 @@ impl Designer {
     /// a single storage budget (`pgdesign recommend --joint`). A one-shot
     /// [`crate::session::JointAdvisor`] session.
     pub fn recommend_joint(&self, workload: &Workload, storage_budget_bytes: u64) -> JointReport {
-        self.tuning_session(workload.clone())
-            .advise(&mut JointAdvisor::new(storage_budget_bytes))
+        let mut session = self.tuning_session(workload.clone());
+        let mut report = session.advise(&mut JointAdvisor::new(storage_budget_bytes));
+        report.stats = session.stats();
+        report
     }
 
     /// The full offline pipeline (demo scenario 2): CoPhy indexes +
@@ -102,8 +104,10 @@ impl Designer {
     /// — selection, combination, interactions, scheduling — costs through
     /// the session's single matrix.
     pub fn recommend(&self, workload: &Workload, storage_budget_bytes: u64) -> OfflineReport {
-        self.tuning_session(workload.clone())
-            .advise(&mut OfflineAdvisor::new(storage_budget_bytes))
+        let mut session = self.tuning_session(workload.clone());
+        let mut report = session.advise(&mut OfflineAdvisor::new(storage_budget_bytes));
+        report.stats = session.stats();
+        report
     }
 }
 
@@ -114,7 +118,9 @@ pub struct JointReport {
     pub joint: JointRecommendation,
     /// Human-readable names of the suggested indexes (schema-resolved).
     pub index_display: Vec<String>,
-    /// INUM / cost-matrix counters captured at the end of the run.
+    /// INUM / cost-matrix counters: as the advisor returned them, and
+    /// after the advice's publish when [`Designer::recommend_joint`] ran
+    /// it (what `pgdesign recommend --joint --stats` prints).
     pub stats: crate::report::TuningStats,
 }
 
@@ -150,8 +156,9 @@ pub struct OfflineReport {
     pub naive_schedule: Schedule,
     /// Human-readable names of the suggested indexes (schema-resolved).
     pub index_display: Vec<String>,
-    /// INUM / cost-matrix counters captured at the end of the run (what
-    /// `pgdesign recommend --stats` prints).
+    /// INUM / cost-matrix counters: as the advisor returned them, and
+    /// after the advice's publish when [`Designer::recommend`] ran it
+    /// (what `pgdesign recommend --stats` prints).
     pub stats: crate::report::TuningStats,
 }
 

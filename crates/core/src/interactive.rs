@@ -23,6 +23,7 @@ use pgdesign_catalog::design::{
     HorizontalPartitioning, Index, PhysicalDesign, VerticalPartitioning,
 };
 use pgdesign_catalog::schema::TableId;
+use pgdesign_durability::DurableStore;
 use pgdesign_interaction::{analyze_on, InteractionConfig, InteractionGraph};
 use pgdesign_inum::{ByteWriter, JointConfig, JointToggle, Wire};
 use pgdesign_query::ast::Query;
@@ -149,30 +150,11 @@ pub struct InteractiveSession<'a> {
 }
 
 impl<'a> InteractiveSession<'a> {
-    /// Start a session over a workload. The one-off warm-up builds the
-    /// skeleton cache and base cells; the catalog's base design (if any)
-    /// is registered and selected as the starting configuration.
-    pub fn new(designer: &'a Designer, workload: Workload) -> Self {
-        Self::over(TuningSession::new(designer, workload))
-    }
-
-    /// Start an interactive session over a *durable* [`TuningSession`]
-    /// (state directory at `dir`): a reopened session finds the previous
-    /// run's cells resident — the warm-up builds nothing for recurring
-    /// queries — and every published exploration step is journaled for the
-    /// next open. See [`TuningSession::open_or_create_on`] for the
-    /// recovery contract.
-    pub fn open_or_create(
-        designer: &'a Designer,
-        workload: Workload,
-        dir: impl AsRef<std::path::Path>,
-    ) -> std::io::Result<Self> {
-        Ok(Self::over(TuningSession::open_or_create(
-            designer, workload, dir,
-        )?))
-    }
-
-    fn over(session: TuningSession<'a>) -> Self {
+    /// Start a view over `session` (in memory from [`Designer::session`],
+    /// durable from [`Self::open_or_create_on`]). The catalog's base
+    /// design (if any) is registered and selected as the starting
+    /// configuration.
+    pub(crate) fn new(session: TuningSession<'a>) -> Self {
         let matrix = session.matrix();
         let cfg = matrix.empty_joint();
         let empty = matrix.empty_joint();
@@ -194,6 +176,20 @@ impl<'a> InteractiveSession<'a> {
         };
         s.select_base_design();
         s
+    }
+
+    /// Start an interactive session over a *durable* [`TuningSession`] on
+    /// `store` (an `FsStore` over a state directory, or a test
+    /// `MemStore`): a reopened session finds the previous run's cells
+    /// resident — the warm-up builds nothing for recurring queries — and
+    /// every published exploration step is journaled for the next open.
+    /// See [`TuningSession::open_or_create_on`] for the recovery contract.
+    pub fn open_or_create_on(
+        designer: &'a Designer,
+        workload: Workload,
+        store: Box<dyn DurableStore>,
+    ) -> std::io::Result<Self> {
+        TuningSession::open_or_create_on(designer, workload, store).map(Self::new)
     }
 
     /// Register and select the catalog's base design.

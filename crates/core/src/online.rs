@@ -35,60 +35,16 @@ pub struct OnlineSession<'a> {
 }
 
 impl<'a> OnlineSession<'a> {
-    /// Start a session against a designer.
-    pub fn new(designer: &'a Designer, config: ColtConfig) -> Self {
-        let session = TuningSession::new(designer, Workload::new());
+    /// Start the tuner over `session` (in memory from
+    /// [`Designer::online_session`], durable from
+    /// [`Self::open_or_create_on`]), then try the tuner sidecar's warm
+    /// start. An in-memory session has no sidecar; decode failures of any
+    /// kind mean a cold tuner.
+    pub(crate) fn new(mut session: TuningSession<'a>, config: ColtConfig) -> Self {
         // The tuner borrows only the designer's catalog/optimizer (true
         // `'a` data) — its cost calls go through the session matrix it is
         // handed per call, so it holds no reference into the session.
-        let tuner = ColtTuner::new(&designer.catalog, &designer.optimizer, config);
-        OnlineSession {
-            tuner,
-            reports: Vec::new(),
-            session,
-        }
-    }
-
-    /// Start a *durable* session backed by the state directory at `dir`:
-    /// a restarted stream resumes on the previous run's resident matrix —
-    /// no matrix build, recurring queries reuse their cells from the first
-    /// epoch on (`tuning_stats().matrix` shows `builds == 0` and
-    /// `cells_reused > 0`). The COLT tuner's profiling state (benefit
-    /// EWMA, current design) rides along as an optional, version-gated
-    /// sidecar snapshot: a restart restores design continuity when the
-    /// sidecar is present and decodes, and falls back to a cold tuner
-    /// (EWMAs re-warm within an epoch or two) when it is missing, corrupt,
-    /// or written by an older version. See
-    /// [`TuningSession::open_or_create_on`] for the matrix recovery
-    /// contract.
-    pub fn open_or_create(
-        designer: &'a Designer,
-        config: ColtConfig,
-        dir: impl AsRef<std::path::Path>,
-    ) -> std::io::Result<Self> {
-        let session = TuningSession::open_or_create(designer, Workload::new(), dir)?;
-        Ok(Self::assemble(designer, config, session))
-    }
-
-    /// [`Self::open_or_create`] over any
-    /// [`pgdesign_durability::DurableStore`] (fault-injection tests pass a
-    /// `MemStore`).
-    pub fn open_or_create_on(
-        designer: &'a Designer,
-        config: ColtConfig,
-        store: Box<dyn pgdesign_durability::DurableStore>,
-    ) -> std::io::Result<Self> {
-        let session = TuningSession::open_or_create_on(designer, Workload::new(), store)?;
-        Ok(Self::assemble(designer, config, session))
-    }
-
-    /// Shared durable-open tail: build the tuner, then try the sidecar
-    /// warm start. Decode failures of any kind mean a cold tuner.
-    fn assemble(
-        designer: &'a Designer,
-        config: ColtConfig,
-        mut session: TuningSession<'a>,
-    ) -> Self {
+        let designer = session.designer();
         let mut tuner = ColtTuner::new(&designer.catalog, &designer.optimizer, config);
         if let Some(bytes) = session.read_sidecar(TUNER_SIDECAR) {
             match TunerState::decode(&bytes) {
@@ -103,6 +59,28 @@ impl<'a> OnlineSession<'a> {
         }
     }
 
+    /// Start a *durable* session on `store` (an `FsStore` over a state
+    /// directory, or a fault-injection `MemStore`): a restarted stream
+    /// resumes on the previous run's resident matrix — no matrix build,
+    /// recurring queries reuse their cells from the first epoch on
+    /// (`tuning_stats().matrix` shows `builds == 0` and
+    /// `cells_reused > 0`). The COLT tuner's profiling state (benefit
+    /// EWMA, current design) rides along as an optional, version-gated
+    /// sidecar snapshot: a restart restores design continuity when the
+    /// sidecar is present and decodes, and falls back to a cold tuner
+    /// (EWMAs re-warm within an epoch or two) when it is missing, corrupt,
+    /// or written by an older version. See
+    /// [`TuningSession::open_or_create_on`] for the matrix recovery
+    /// contract.
+    pub fn open_or_create_on(
+        designer: &'a Designer,
+        config: ColtConfig,
+        store: Box<dyn pgdesign_durability::DurableStore>,
+    ) -> std::io::Result<Self> {
+        let session = TuningSession::open_or_create_on(designer, Workload::new(), store)?;
+        Ok(Self::new(session, config))
+    }
+
     /// Feed one query; epoch reports accumulate internally. On a durable
     /// session, each epoch boundary (the only point the matrix mutates)
     /// syncs the journaled edits to the edit log before the report is
@@ -111,9 +89,7 @@ impl<'a> OnlineSession<'a> {
     pub fn observe(&mut self, query: Query) -> Option<&EpochReport> {
         if let Some(r) = self.tuner.observe(query, self.session.matrix_mut()) {
             if self.session.is_durable() {
-                if let Err(e) = self.session.sync_durable() {
-                    eprintln!("pgdesign: durable sync failed ({e}); continuing in memory");
-                }
+                self.session.sync_durable_logged();
                 // Persist the tuner's profiling state beside the matrix.
                 // Best-effort: a failed sidecar write only costs the next
                 // restart a cold EWMA, never correctness.

@@ -27,14 +27,14 @@ pub struct TuningStats {
     /// Second level: precomputed cost matrices.
     pub matrix: MatrixStats,
     /// Generation of the latest published reader snapshot (0 = the
-    /// build-time snapshot; each advise/publish bumps it).
+    /// build-time snapshot; each advise and each publish bumps it by one).
     pub published_generation: u64,
     /// Configuration-cost lookups served to concurrent snapshot readers
     /// (lock-free; not included in `matrix.lookups`).
     pub reader_lookups: u64,
     /// What recovery did at session open — `Some` only for sessions opened
-    /// through a durable entry point (`TuningSession::open_or_create` and
-    /// friends).
+    /// durably (`TuningSession::open_or_create_on` and its interactive and
+    /// online counterparts).
     pub recovery: Option<RecoveryStats>,
     /// The daemon's current service state (worst of the tuner's epoch
     /// ladder and the durable log's condition).

@@ -19,21 +19,21 @@
 use crate::designer::Designer;
 use crate::durable::{try_restore, DurableHandle};
 use crate::report::TuningStats;
-use pgdesign_durability::{DurableStore, FsStore};
+use pgdesign_durability::DurableStore;
 use pgdesign_inum::{encode_published, CostMatrix, Inum, MatrixReader, MatrixSnapshot};
 use pgdesign_query::Workload;
 use std::collections::HashMap as StdHashMap;
 use std::io;
 use std::ops::Deref;
-use std::path::Path;
 
 /// A tuning session: one [`Inum`] skeleton cache plus one persistent,
 /// incrementally-maintained [`CostMatrix`], shared by every advisor and
 /// view attached to it.
 ///
-/// Created via [`Designer::tuning_session`] (or implicitly by
+/// Created in memory via [`Designer::tuning_session`] (or implicitly by
 /// [`Designer::session`] / [`Designer::online_session`] and the
-/// `recommend_*` wrappers). The session's matrix is never rebuilt:
+/// `recommend*` one-shots), or durably via [`Self::open_or_create_on`].
+/// The session's matrix is never rebuilt:
 /// advisors register candidates with [`CostMatrix::add_candidate`] /
 /// [`CostMatrix::register_fragment`] / [`CostMatrix::register_split`]
 /// (already-resident entries reuse their cells), and streaming consumers
@@ -53,7 +53,7 @@ impl<'a> TuningSession<'a> {
     /// Start a session over a workload: builds the skeleton cache for the
     /// workload (the one-off warm-up) and a candidate-less cost matrix
     /// over it. Everything after this is incremental.
-    pub fn new(designer: &'a Designer, workload: Workload) -> Self {
+    pub(crate) fn new(designer: &'a Designer, workload: Workload) -> Self {
         let inum = Inum::new(&designer.catalog, &designer.optimizer);
         inum.prepare_workload(&workload);
         let matrix = CostMatrix::build(&inum, &workload, &[]);
@@ -65,20 +65,9 @@ impl<'a> TuningSession<'a> {
         }
     }
 
-    /// Open a durable session backed by the state directory at `dir`
-    /// (created if absent), or create a fresh one when no usable state
-    /// exists. See [`Self::open_or_create_on`] for the recovery contract.
-    pub fn open_or_create(
-        designer: &'a Designer,
-        workload: Workload,
-        dir: impl AsRef<Path>,
-    ) -> io::Result<Self> {
-        let store = FsStore::open(dir.as_ref())?;
-        Self::open_or_create_on(designer, workload, Box::new(store))
-    }
-
-    /// Open a durable session against any [`DurableStore`] (the
-    /// fault-injection tests pass a `MemStore`).
+    /// Open a durable session on `store` — an `FsStore` over a state
+    /// directory, or the `MemStore` the fault-injection tests pass — or
+    /// create a fresh one when no usable state exists.
     ///
     /// Warm path: the snapshot is decoded and verified, catalog-stale
     /// cells are recomputed, the edit log replays on top (torn tail
@@ -86,8 +75,8 @@ impl<'a> TuningSession<'a> {
     /// is reconciled against the resident queries — recurring queries
     /// reuse their cells, no matrix build happens. Cold path (no state,
     /// corrupt or version-skewed snapshot, changed catalog shape): exactly
-    /// [`Self::new`], with the reason recorded in the session's
-    /// [`TuningStats::recovery`]. Either way the session checkpoints
+    /// [`Designer::tuning_session`], with the reason recorded in the
+    /// session's [`TuningStats::recovery`]. Either way the session checkpoints
     /// immediately, so the next open never re-pays this one's recovery,
     /// and every later mutation is journaled to the edit log at publish
     /// boundaries ([`Self::sync_durable`]).
@@ -189,7 +178,7 @@ impl<'a> TuningSession<'a> {
     /// [`Self::sync_durable`], with I/O failure reported to stderr instead
     /// of returned — the shape internal callers want: durability already
     /// degrades gracefully, so a sync failure must not abort tuning.
-    fn sync_durable_logged(&mut self) {
+    pub(crate) fn sync_durable_logged(&mut self) {
         if let Err(e) = self.sync_durable() {
             eprintln!("pgdesign: durable sync failed ({e}); continuing in memory");
         }
@@ -752,6 +741,78 @@ mod tests {
             session.stats().inum.cost_calls,
             cost_calls,
             "the subset sweep must run on matrix lookups, not Inum::cost"
+        );
+    }
+
+    #[test]
+    fn each_advise_publishes_once_and_journals_one_publish() {
+        use crate::durable::{LOG_NAME, SNAPSHOT_NAME};
+        use pgdesign_durability::{log_open, read_snapshot, LogState, SharedMemStore};
+        use pgdesign_inum::{decode_edit, MatrixEdit};
+
+        let d = designer();
+        let w = sdss_workload(&d.catalog, 6, 96);
+        let budget = d.catalog.data_bytes() / 2;
+        let disk = SharedMemStore::new();
+        let mut session = TuningSession::open_or_create_on(&d, w, Box::new(disk.clone()))
+            .expect("open a durable session");
+        // `Publish` records in the edit log since the open's checkpoint.
+        let logged_publishes = || {
+            let mut store = disk.lock();
+            let crc = read_snapshot(&mut *store, SNAPSHOT_NAME).unwrap().body_crc;
+            match log_open(&mut *store, LOG_NAME, crc).unwrap() {
+                LogState::Replay(scan) => scan
+                    .records
+                    .iter()
+                    .filter(|r| matches!(decode_edit(r).unwrap(), MatrixEdit::Publish))
+                    .count(),
+                other => panic!("expected a replayable log, got {other:?}"),
+            }
+        };
+        for name in [
+            "IndexAdvisor",
+            "PartitionAdvisor",
+            "JointAdvisor",
+            "OfflineAdvisor",
+        ] {
+            let (generation, publishes) =
+                (session.matrix().published_generation(), logged_publishes());
+            match name {
+                "IndexAdvisor" => {
+                    session.advise(&mut IndexAdvisor::default());
+                }
+                "PartitionAdvisor" => {
+                    session.advise(&mut PartitionAdvisor::default());
+                }
+                "JointAdvisor" => {
+                    session.advise(&mut JointAdvisor::new(budget));
+                }
+                _ => {
+                    session.advise(&mut OfflineAdvisor::new(budget));
+                }
+            }
+            assert_eq!(
+                session.matrix().published_generation(),
+                generation + 1,
+                "{name}: one advise, one generation"
+            );
+            assert_eq!(
+                logged_publishes(),
+                publishes + 1,
+                "{name}: one advise, one journaled publish"
+            );
+            let (matrix, reader) = (session.matrix(), session.reader());
+            assert_eq!(
+                reader.candidates().collect::<Vec<_>>(),
+                matrix.candidates().collect::<Vec<_>>(),
+                "{name}: readers see every registered candidate"
+            );
+            assert_eq!(reader.n_fragments(), matrix.n_fragments(), "{name}");
+            assert_eq!(reader.n_splits(), matrix.n_splits(), "{name}");
+        }
+        assert!(
+            session.matrix().n_fragments() > 0,
+            "the searches registered fragments"
         );
     }
 

@@ -91,6 +91,8 @@ fn recommend_stats_prints_inum_and_matrix_counters() {
         "cost matrices:",
         "matrix lookups:",
         "optimizer calls avoided",
+        // Captured after the advice's one publish.
+        "published snapshot: generation 1 (",
     ] {
         assert!(
             text.contains(needle),
@@ -120,6 +122,8 @@ fn recommend_joint_prints_the_joint_report() {
         "Benefit per query",
         "partition-aware",
         "partition cells",
+        // Captured after the advice's one publish.
+        "published snapshot: generation 1 (",
     ] {
         assert!(
             text.contains(needle),
@@ -446,6 +450,62 @@ fn online_prints_trajectory_and_matrix_counters() {
             text.contains(needle),
             "online must print {needle:?}:\n{text}"
         );
+    }
+}
+
+/// Run `args` twice against one fresh `--state` directory and return the
+/// second run's stdout.
+fn reopened_stdout(name: &str, args: &[&str]) -> String {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().expect("utf-8 temp path");
+    let mut args = args.to_vec();
+    args.extend(["--state", dir_arg, "--stats"]);
+    let first = pgdesign(&args);
+    assert!(first.status.success(), "first {name} run should exit 0");
+    let second = pgdesign(&args);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(second.status.success(), "second {name} run should exit 0");
+    String::from_utf8(second.stdout).unwrap()
+}
+
+#[test]
+fn durable_session_and_online_reopen_warm() {
+    let session = reopened_stdout(
+        "cli-session-state",
+        &[
+            "session",
+            "--scale",
+            "0.003",
+            "--workload",
+            "builtin:4",
+            "--index",
+            "photoobj:ra",
+        ],
+    );
+    let online = reopened_stdout(
+        "cli-online-state",
+        &[
+            "online",
+            "--scale",
+            "0.005",
+            "--queries",
+            "40",
+            "--epoch",
+            "10",
+        ],
+    );
+    for (what, text) in [("session", session), ("online", online)] {
+        for needle in [
+            "cost matrices:  0 built",
+            " snapshot cells loaded, ",
+            "(0 dropped at torn tail)",
+        ] {
+            assert!(
+                text.contains(needle),
+                "a reopened {what} must print {needle:?}:\n{text}"
+            );
+        }
     }
 }
 

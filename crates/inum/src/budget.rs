@@ -5,8 +5,8 @@
 //! [`CostMatrix::add_candidates_budgeted`]) take a [`WorkBudget`] and
 //! check it between work units (one query's cells, one candidate's cells),
 //! committing completed work and reporting the remainder so the caller can
-//! resume it next epoch. The unbudgeted `add_queries` is the same body
-//! under [`WorkBudget::unlimited`].
+//! resume it next epoch. The unbudgeted `add_queries` and
+//! `add_candidates` are the same bodies under [`WorkBudget::unlimited`].
 //!
 //! Time is read through an injectable [`Clock`] so tests drive expiry
 //! deterministically with a [`ManualClock`]; production uses the
@@ -161,6 +161,12 @@ impl WorkBudget {
     pub fn and_units(mut self, units: u64) -> Self {
         self.units = Some(Arc::new(AtomicU64::new(units)));
         self
+    }
+
+    /// Does the budget carry a deadline (so work must commit unit by
+    /// unit, each before the next is paid for)?
+    pub(crate) fn has_deadline(&self) -> bool {
+        self.deadline.is_some()
     }
 
     /// Is the budget spent? (Deadline passed, or unit pool empty.)

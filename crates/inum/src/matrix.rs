@@ -574,9 +574,10 @@ impl Deref for CostMatrix<'_> {
 /// ([`crate::MatrixSnapshot`]) and the reader handles on top of it.
 /// Nothing is borrowed from the owning [`Inum`], so a core is
 /// `Send + Sync + 'static`. Cloning is cheap relative to a rebuild:
-/// per-query cell blocks and per-split fraction tables are behind `Arc`s
-/// and shared with previous clones (copy-on-write at the writer's mutation
-/// sites).
+/// per-query cell blocks, fragments and per-split fraction tables are
+/// behind `Arc`s and shared with previous clones (copy-on-write at the
+/// writer's mutation sites); the query mirror and the registries are
+/// deep-copied.
 ///
 /// A published core is stale by contract, so a configuration may have been
 /// built against a newer generation than the one costing it. Candidate,
@@ -1138,62 +1139,38 @@ impl<'a> CostMatrix<'a> {
     /// loop exactly — same dedupe (against residents *and* within the
     /// batch), same LIFO id recycling, same per-slot candidate order, and
     /// bit-identical cells (each cell is a pure function of its own
-    /// `(query, slot, candidate)` inputs).
+    /// `(query, slot, candidate)` inputs). This is
+    /// [`Self::add_candidates_budgeted`] under a budget that never
+    /// exhausts.
     pub fn add_candidates(&mut self, indexes: &[Index]) -> Vec<usize> {
-        self.add_candidates_with_workers(indexes, Workers::sized())
-    }
-
-    /// [`Self::add_candidates`] on chosen workers, for the
-    /// serial-vs-parallel equality tests.
-    fn add_candidates_with_workers(&mut self, indexes: &[Index], workers: Workers) -> Vec<usize> {
-        if indexes.is_empty() {
-            return Vec::new();
-        }
-        self.record(|| MatrixEdit::AddCandidates(indexes.to_vec()));
-        let t0 = Instant::now();
-        let mut ids = Vec::with_capacity(indexes.len());
-        let mut reused = 0u64;
-        // Registration order matters: ids are handed out (LIFO from the
-        // free list, then fresh) in input order, and later duplicates in
-        // the batch dedupe against earlier entries, exactly as sequential
-        // `add_candidate` calls would.
-        let mut new: Vec<(usize, Index)> = Vec::new();
-        for index in indexes {
-            if let Some(id) = self.core.candidate_id(index) {
-                reused += self.core.active_slots_on(index.table);
-                ids.push(id);
-                continue;
-            }
-            let id = self.register_candidate(index);
-            ids.push(id);
-            new.push((id, index.clone()));
-        }
-        // The whole batch is costed in one fan-out.
-        let cells = self.install_candidate_cells(&new, workers);
-        self.inum
-            .note_matrix_incremental(cells, reused, t0.elapsed().as_nanos() as u64);
-        ids
+        self.add_candidates_budgeted(indexes, &WorkBudget::unlimited())
+            .into_iter()
+            .map(|id| id.expect("an unlimited budget admits every candidate"))
+            .collect()
     }
 
     /// [`Self::add_candidates`] under a [`WorkBudget`]: one budget unit
     /// per *new* candidate (residents and within-batch duplicates dedupe
-    /// for free, as always). The budget is checked between candidates and
-    /// a candidate is committed whole — all of its cells across every
-    /// active query — or not at all, so a bitset can never select a
-    /// partially-celled candidate and cost it wrongly. Returns the id per
-    /// input, `None` for deferred entries; the journal records exactly the
-    /// committed subset, so replaying the edit log reproduces the budgeted
-    /// state bit-for-bit.
+    /// for free, as always). A candidate is committed whole — all of its
+    /// cells across every active query — or not at all, so a bitset can
+    /// never select a partially-celled candidate and cost it wrongly.
+    /// Without a deadline the committed candidates are costed in one
+    /// fan-out; under a deadline each is installed before the next is
+    /// paid for, since installing is the time the deadline runs against.
+    /// Returns the id per input, `None` for deferred entries; the journal
+    /// records exactly the committed subset, so replaying the edit log
+    /// reproduces the budgeted state bit-for-bit.
     pub fn add_candidates_budgeted(
         &mut self,
         indexes: &[Index],
         budget: &WorkBudget,
     ) -> Vec<Option<usize>> {
-        self.add_candidates_budgeted_with_workers(indexes, budget, Workers::sized())
+        self.add_candidates_with_workers(indexes, budget, Workers::sized())
     }
 
-    /// [`Self::add_candidates_budgeted`] on chosen workers.
-    fn add_candidates_budgeted_with_workers(
+    /// [`Self::add_candidates_budgeted`] on chosen workers, for the
+    /// serial-vs-parallel equality tests.
+    fn add_candidates_with_workers(
         &mut self,
         indexes: &[Index],
         budget: &WorkBudget,
@@ -1209,12 +1186,19 @@ impl<'a> CostMatrix<'a> {
         // defers too instead of re-attempting (and possibly committing a
         // different subset than the journal records).
         let mut deferred: HashSet<&Index> = HashSet::new();
+        // Registered candidates whose cells are not installed yet.
+        let mut new: Vec<(usize, Index)> = Vec::new();
+        let per_candidate = budget.has_deadline();
         let mut reused = 0u64;
         let mut cells = 0u64;
+        // Registration order matters: ids are handed out (LIFO from the
+        // free list, then fresh) in input order, and later duplicates in
+        // the batch dedupe against earlier entries, exactly as sequential
+        // `add_candidate` calls would.
         for (i, index) in indexes.iter().enumerate() {
             if let Some(id) = self.core.candidate_id(index) {
                 // Resident — or a duplicate of an earlier committed batch
-                // entry, which by now is resident as well.
+                // entry, which is registered by now as well.
                 reused += self.core.active_slots_on(index.table);
                 ids[i] = Some(id);
                 committed.push(i);
@@ -1228,10 +1212,15 @@ impl<'a> CostMatrix<'a> {
                 continue;
             }
             let id = self.register_candidate(index);
-            cells += self.install_candidate_cells(&[(id, index.clone())], workers);
+            new.push((id, index.clone()));
+            if per_candidate {
+                cells += self.install_candidate_cells(&new, workers);
+                new.clear();
+            }
             ids[i] = Some(id);
             committed.push(i);
         }
+        cells += self.install_candidate_cells(&new, workers);
         // Journal exactly what was installed: a replay must reproduce the
         // budgeted state, not the state the full batch would have built.
         if !committed.is_empty() {
@@ -2096,7 +2085,7 @@ impl MatrixCore {
         }
         let qm = &self.queries[query_id];
         if !resolved.partitioned {
-            return self.joint_min_over_skeletons(qm, resolved.indexes, &[]);
+            return min_over_skeletons(qm, |id| resolved.indexes.contains(id), |_| None);
         }
 
         // Per-slot partition-adjusted minima, derived once per query —
@@ -2119,68 +2108,11 @@ impl MatrixCore {
                 .collect();
             &state_spill
         };
-        self.joint_min_over_skeletons(qm, resolved.indexes, slot_state)
-    }
-
-    /// The skeleton loop of a joint lookup: per skeleton, internal cost
-    /// plus each slot's cheapest access — the precomputed unpartitioned
-    /// minima where `slot_state` has no entry, the partition-adjusted ones
-    /// where it does.
-    #[inline]
-    fn joint_min_over_skeletons(
-        &self,
-        qm: &QueryMatrix,
-        indexes: &CandidateBitset,
-        slot_state: &[Option<PartSlotMins>],
-    ) -> f64 {
-        let use_fast = |s: usize| slot_state.get(s).is_none_or(|st| st.is_none());
-        let mut best = f64::INFINITY;
-        for (internal, reqs) in qm.internal.iter().zip(&qm.reqs) {
-            let mut total = *internal;
-            for (s, (slot, &req)) in qm.slots.iter().zip(reqs.iter()).enumerate() {
-                let m = if use_fast(s) {
-                    // Unpartitioned slot: the precomputed fast path.
-                    let mut m = if req == NO_ORDER {
-                        slot.base_unordered
-                    } else {
-                        slot.base_ordered[req as usize]
-                    };
-                    for cand in &slot.cands {
-                        if !indexes.contains(cand.id) {
-                            continue;
-                        }
-                        let c = if req == NO_ORDER {
-                            cand.unordered
-                        } else {
-                            cand.ordered[req as usize]
-                        };
-                        if c < m {
-                            m = c;
-                        }
-                    }
-                    m
-                } else {
-                    // Partition-touched slot: the minima were re-derived
-                    // against the configuration's fetch target.
-                    let mins = slot_state[s].as_ref().expect("checked by use_fast");
-                    if req == NO_ORDER {
-                        mins.unordered
-                    } else {
-                        mins.ordered[req as usize]
-                    }
-                };
-                total += m;
-                if total >= best {
-                    total = f64::INFINITY;
-                    break; // early exit: already worse (or infeasible)
-                }
-            }
-            if total < best {
-                best = total;
-            }
-        }
-        debug_assert!(!best.is_nan(), "joint cost accumulation produced NaN");
-        best
+        min_over_skeletons(
+            qm,
+            |id| resolved.indexes.contains(id),
+            |s| slot_state[s].as_ref(),
+        )
     }
 
     /// One slot's partition-adjusted access minima under a resolved
@@ -2321,7 +2253,11 @@ impl MatrixCore {
                     .flatten()
             })
             .collect();
-        self.joint_min_over_skeletons(qm, &cfg.indexes, &slot_state)
+        min_over_skeletons(
+            qm,
+            |id| cfg.indexes.contains(id),
+            |s| slot_state[s].as_ref(),
+        )
     }
 
     /// One slot's partition state resolved from the configuration and the
@@ -2447,46 +2383,77 @@ impl MatrixCore {
         remove: usize,
     ) -> f64 {
         self.counters.lookups.fetch_add(1, Ordering::Relaxed);
-        let qm = &self.queries[query_id];
-        let mut best = f64::INFINITY;
-        for (internal, reqs) in qm.internal.iter().zip(&qm.reqs) {
-            let mut total = *internal;
-            for (slot, &req) in qm.slots.iter().zip(reqs.iter()) {
-                let mut m = if req == NO_ORDER {
-                    slot.base_unordered
-                } else {
-                    slot.base_ordered[req as usize]
-                };
-                for cand in &slot.cands {
-                    if (!config.contains(cand.id) && cand.id != add) || cand.id == remove {
-                        continue;
-                    }
-                    let c = if req == NO_ORDER {
-                        cand.unordered
+        let selected = |id: usize| (config.contains(id) || id == add) && id != remove;
+        min_over_skeletons(&self.queries[query_id], selected, |_| None)
+    }
+}
+
+/// The one skeleton loop behind every lookup: per skeleton, internal cost
+/// plus each slot's cheapest access, early-exiting once a partial sum
+/// reaches the best so far. Slot `s` takes the partition-adjusted minima
+/// `partitioned(s)` returns, or where it returns `None` (always, for
+/// index-only lookups) its precomputed minima over the candidates
+/// `selected` admits. Both are closures so each caller's instance compiles
+/// to its own loop. Mirrors [`Inum::cost`]'s loop, so the two agree
+/// bit-for-bit on configurations the matrix covers.
+#[inline]
+fn min_over_skeletons<'s>(
+    qm: &QueryMatrix,
+    selected: impl Fn(usize) -> bool,
+    partitioned: impl Fn(usize) -> Option<&'s PartSlotMins>,
+) -> f64 {
+    let mut best = f64::INFINITY;
+    for (internal, reqs) in qm.internal.iter().zip(&qm.reqs) {
+        let mut total = *internal;
+        for (s, (slot, &req)) in qm.slots.iter().zip(reqs.iter()).enumerate() {
+            let m = match partitioned(s) {
+                // Partition-touched slot: the minima were re-derived
+                // against the configuration's fetch target.
+                Some(mins) => {
+                    if req == NO_ORDER {
+                        mins.unordered
                     } else {
-                        cand.ordered[req as usize]
-                    };
-                    if c < m {
-                        m = c;
+                        mins.ordered[req as usize]
                     }
                 }
-                total += m;
-                if total >= best {
-                    total = f64::INFINITY;
-                    break; // early exit: already worse (or infeasible)
+                // Unpartitioned slot: the precomputed fast path.
+                None => {
+                    let mut m = if req == NO_ORDER {
+                        slot.base_unordered
+                    } else {
+                        slot.base_ordered[req as usize]
+                    };
+                    for cand in &slot.cands {
+                        if !selected(cand.id) {
+                            continue;
+                        }
+                        let c = if req == NO_ORDER {
+                            cand.unordered
+                        } else {
+                            cand.ordered[req as usize]
+                        };
+                        if c < m {
+                            m = c;
+                        }
+                    }
+                    m
                 }
-            }
-            if total < best {
-                best = total;
+            };
+            total += m;
+            if total >= best {
+                total = f64::INFINITY;
+                break; // early exit: already worse (or infeasible)
             }
         }
-        // `INFINITY` is a legitimate "no feasible plan under this
-        // skeleton" sentinel, but NaN means a poisoned float reached the
-        // accumulation — the catalog edge is supposed to make that
-        // impossible.
-        debug_assert!(!best.is_nan(), "cost accumulation produced NaN");
-        best
+        if total < best {
+            best = total;
+        }
     }
+    // `INFINITY` is a legitimate "no feasible plan under this skeleton"
+    // sentinel, but NaN means a poisoned float reached the accumulation —
+    // the catalog edge is supposed to make that impossible.
+    debug_assert!(!best.is_nan(), "cost accumulation produced NaN");
+    best
 }
 
 #[cfg(test)]
@@ -2988,16 +2955,20 @@ mod tests {
         // from the same prefix must produce bit-identical cells and ids.
         let mut bulk = CostMatrix::build(&inum, &w, &cands.indexes[..split]);
         let spawned = spawned_workers();
-        let bulk_ids = bulk.add_candidates_with_workers(rest, Workers::Exactly(4));
+        let unlimited = WorkBudget::unlimited();
+        let bulk_ids = bulk.add_candidates_with_workers(rest, &unlimited, Workers::Exactly(4));
         assert_eq!(
             spawned_workers() - spawned,
             3,
             "the bulk ran on four workers"
         );
         let mut serial = CostMatrix::build(&inum, &w, &cands.indexes[..split]);
-        let serial_ids = serial.add_candidates_with_workers(rest, Workers::Exactly(1));
+        let serial_ids = serial.add_candidates_with_workers(rest, &unlimited, Workers::Exactly(1));
         let mut single = CostMatrix::build(&inum, &w, &cands.indexes[..split]);
-        let single_ids: Vec<usize> = rest.iter().map(|idx| single.add_candidate(idx)).collect();
+        let single_ids: Vec<Option<usize>> = rest
+            .iter()
+            .map(|idx| Some(single.add_candidate(idx)))
+            .collect();
         assert_eq!(bulk_ids, single_ids, "bulk ids must match one-at-a-time");
         assert_eq!(bulk_ids, serial_ids, "thread count must not affect ids");
         for qi in 0..w.len() {
@@ -3016,7 +2987,7 @@ mod tests {
         let before = inum.matrix_stats();
         let dup_batch = [rest[0].clone(), cands.indexes[0].clone(), rest[0].clone()];
         let dup_ids = bulk.add_candidates(&dup_batch);
-        assert_eq!(dup_ids[0], bulk_ids[0]);
+        assert_eq!(Some(dup_ids[0]), bulk_ids[0]);
         assert_eq!(dup_ids[1], 0);
         assert_eq!(
             dup_ids[2], dup_ids[0],
@@ -3221,8 +3192,7 @@ mod tests {
         assert!(cands.indexes.len() >= 4);
         let mut m = CostMatrix::build_with_threads(&inum, &w, &[], 1);
         let budget = WorkBudget::with_units(2);
-        let ids =
-            m.add_candidates_budgeted_with_workers(&cands.indexes, &budget, Workers::Exactly(1));
+        let ids = m.add_candidates_with_workers(&cands.indexes, &budget, Workers::Exactly(1));
         let committed: Vec<usize> = ids.iter().filter_map(|id| *id).collect();
         assert_eq!(committed.len(), 2, "one unit per new candidate");
         // Committed candidates cost exactly as in a matrix that only ever
@@ -3238,7 +3208,7 @@ mod tests {
             assert_eq!(m.cost(qi, &cfg), fresh.cost(qi, &cfg_f), "Q{qi}");
         }
         // Deferred candidates resume for free-list ids on the next call.
-        let again = m.add_candidates_budgeted_with_workers(
+        let again = m.add_candidates_with_workers(
             &cands.indexes,
             &WorkBudget::unlimited(),
             Workers::Exactly(1),
@@ -3261,7 +3231,7 @@ mod tests {
             &WorkBudget::with_units(4),
             Workers::Exactly(1),
         );
-        let _ = live.add_candidates_budgeted_with_workers(
+        let _ = live.add_candidates_with_workers(
             &cands.indexes,
             &WorkBudget::with_units(3),
             Workers::Exactly(1),

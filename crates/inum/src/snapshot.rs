@@ -21,10 +21,16 @@
 //!   [`MatrixReader::is_stale`] is a single atomic load;
 //!   [`MatrixReader::refresh`] re-pins the latest generation.
 //!
-//! Publication is copy-on-write at the mutation sites: query and split
-//! payloads are `Arc`-shared between the writer and its snapshots, so
-//! [`crate::CostMatrix::publish`] clones `Arc`s plus the small registry
-//! vectors — it pays for the epoch's drift, not the matrix size.
+//! Publication clones the writer's [`MatrixCore`]. The cells are
+//! copy-on-write at the mutation sites: per-query cell blocks, fragments
+//! and split fraction tables are `Arc`-shared between the writer and its
+//! snapshots, so [`crate::CostMatrix::publish`] clones one `Arc` per
+//! query slot, fragment and split for them. Everything else is deep-copied
+//! on every publish: the workload mirror (every slot's query and
+//! weight), the candidate registry and its dedupe map (every live
+//! index), the fragment dedupe map and per-table fragment lists, and the
+//! free lists. A publish therefore costs time linear in the number of
+//! slots, candidates and fragments, not in the number of cells.
 
 use crate::matrix::{LookupCounters, MatrixCore};
 use parking_lot::RwLock;

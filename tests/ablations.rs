@@ -106,8 +106,9 @@ fn compressed_workload_yields_equivalent_designs() {
             ..Default::default()
         },
     );
-    let from_full = advisor.recommend(&trace);
-    let from_compressed = advisor.recommend(&compressed.workload);
+    let from_full = advisor.recommend_on(&mut CostMatrix::build(&inum, &trace, &[]));
+    let from_compressed =
+        advisor.recommend_on(&mut CostMatrix::build(&inum, &compressed.workload, &[]));
 
     // Evaluate both designs on the FULL trace.
     let eval = |d: &PhysicalDesign| inum.workload_cost(d, &trace);
