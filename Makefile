@@ -20,10 +20,12 @@ lint:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
 
 # The architectural lint pass (crates/analyzer): cost-purity,
-# panic-freedom, fp-determinism, lock-discipline, lock-order, and
-# error-discipline — per-file rules plus interprocedural call-chain
-# analysis over every covered source file. Non-zero exit on any
-# error-severity violation; waivers need
+# panic-freedom, fp-determinism, lock-order (global lock order plus no
+# publish or optimizer call under a write guard), error-discipline, and
+# clock-purity (no `Instant`/`SystemTime` reads outside the `Clock` seam,
+# the CLI binaries and the benches) — per-file rules plus interprocedural
+# call-chain analysis over every covered source file. Non-zero exit on
+# any error-severity violation; waivers need
 # `// analyzer:allow(<rule>): <reason>` with a written reason. The stats
 # line prints extraction and inference timing.
 lint-arch:

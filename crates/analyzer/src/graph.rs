@@ -20,7 +20,7 @@
 //! still catch the primitives they might have hidden, because cost/panic
 //! *sites* are matched textually per file, not through the graph.
 
-use crate::summary::{FileSummary, NO_FN};
+use crate::facts::{CallShape, FileFacts, NO_FN};
 use std::collections::BTreeMap;
 
 /// Method names that must never resolve through the unique-name
@@ -108,7 +108,7 @@ const COMMON_METHODS: &[&str] = &[
 /// One fn in the workspace graph.
 #[derive(Debug)]
 pub struct FnNode {
-    /// Index of the owning [`FileSummary`].
+    /// Index of the owning [`FileFacts`].
     pub file: u32,
     /// Fn index within that file.
     pub local: u32,
@@ -154,12 +154,27 @@ impl Graph {
         (id < self.nodes.len() as u32).then_some(id)
     }
 
-    /// Build the graph from per-file fact modules. `summaries` must be
+    /// [`Graph::node_of`], unless that fn is test code.
+    pub fn live_node(&self, file: usize, local: u32) -> Option<u32> {
+        self.node_of(file as u32, local)
+            .filter(|&id| !self.nodes[id as usize].is_test)
+    }
+
+    /// The callee `caller`'s edge for the call to `name` on `line` resolved
+    /// to, if that edge survived deduplication.
+    pub fn callee_at(&self, caller: u32, line: u32, name: &str) -> Option<u32> {
+        self.edges[caller as usize]
+            .iter()
+            .find(|&&(callee, l)| l == line && self.nodes[callee as usize].name == name)
+            .map(|&(callee, _)| callee)
+    }
+
+    /// Build the graph from per-file fact modules. `files` must be
     /// sorted by path — node ids and edge order are then deterministic.
-    pub fn build(summaries: &[FileSummary]) -> Graph {
+    pub fn build(files: &[FileFacts]) -> Graph {
         let mut nodes = Vec::new();
-        let mut offsets = Vec::with_capacity(summaries.len());
-        for (fi, s) in summaries.iter().enumerate() {
+        let mut offsets = Vec::with_capacity(files.len());
+        for (fi, s) in files.iter().enumerate() {
             offsets.push(nodes.len() as u32);
             for (li, f) in s.fns.iter().enumerate() {
                 nodes.push(FnNode {
@@ -197,7 +212,7 @@ impl Graph {
         };
 
         let mut edges: Vec<Vec<(u32, u32)>> = vec![Vec::new(); nodes.len()];
-        for (fi, s) in summaries.iter().enumerate() {
+        for (fi, s) in files.iter().enumerate() {
             for c in &s.calls {
                 let Some(caller) = offsets
                     .get(fi)
@@ -208,9 +223,11 @@ impl Graph {
                 let callee = match c.shape {
                     // Qualified or typed-receiver: exact impl lookup, then
                     // free fns for `module::fn(...)` paths.
-                    2 => unique(methods.get(&(c.recv_ty.clone(), c.name.clone())))
-                        .or_else(|| unique(frees.get(&c.name))),
-                    1 => {
+                    CallShape::Qualified => {
+                        unique(methods.get(&(c.recv_ty.clone(), c.name.clone())))
+                            .or_else(|| unique(frees.get(&c.name)))
+                    }
+                    CallShape::Method => {
                         let typed = if c.recv_ty.is_empty() {
                             None
                         } else {
@@ -224,7 +241,7 @@ impl Graph {
                             }
                         })
                     }
-                    _ => match frees.get(&c.name) {
+                    CallShape::Free => match frees.get(&c.name) {
                         Some(v) if v.len() == 1 => Some(v[0]),
                         Some(v) => v
                             .iter()
@@ -261,26 +278,17 @@ impl Graph {
             offsets,
         }
     }
-
-    /// All nodes named `name` (methods and frees) — for the
-    /// error-discipline name-level `Result` check.
-    pub fn by_name<'a, 'b>(&'a self, name: &'b str) -> impl Iterator<Item = &'a FnNode> + 'a
-    where
-        'b: 'a,
-    {
-        self.nodes.iter().filter(move |n| n.name == name)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::summary::summarize;
+    use crate::facts::extract;
 
     fn graph_of(files: &[(&str, &str)]) -> Graph {
-        let mut sums: Vec<FileSummary> = files.iter().map(|(p, s)| summarize(p, s)).collect();
-        sums.sort_by(|a, b| a.path.cmp(&b.path));
-        Graph::build(&sums)
+        let mut facts: Vec<FileFacts> = files.iter().map(|(p, s)| extract(p, s)).collect();
+        facts.sort_by(|a, b| a.path.cmp(&b.path));
+        Graph::build(&facts)
     }
 
     #[test]

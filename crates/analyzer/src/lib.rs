@@ -3,19 +3,19 @@
 //!
 //! The repo's load-bearing invariants (advisors cost via matrix lookups
 //! only; recovery never panics on corrupt bytes; f64 summation order is
-//! deterministic; no costing under a publish write guard; locks acquired
-//! in one global order; no dropped `Result`s on durability paths) were
-//! previously enforced only
-//! per file, which sees the sites a file happens to contain. This crate
-//! makes them *transitive*: a hand-rolled Rust lexer (same idiom as the
-//! SQL lexer in `pgdesign-query`, no external parser) tokenizes every
-//! source file into a fact base ([`facts`]), each file is condensed into
-//! a position-free fact module ([`summary`]), a workspace call graph is
-//! resolved over those modules ([`graph`]), and Datalog-style derived
-//! relations ([`infer`]) — `reaches_cost`, `may_panic`,
-//! `holds_lock_then_acquires`, `drops_result` — are computed to fixpoint
-//! by semi-naive iteration. Diagnostics for the transitive rules print
-//! the full call chain.
+//! deterministic; locks acquired in one global order and no costing under
+//! a publish write guard; no dropped `Result`s on durability paths; no
+//! wall-clock reads outside the `Clock` seam) were previously enforced
+//! only per file, which sees the sites a file happens to contain. This
+//! crate makes them *transitive*: a hand-rolled Rust lexer (same idiom as
+//! the SQL lexer in `pgdesign-query`, no external parser) tokenizes every
+//! source file, each file is condensed into a fact module of fn-attributed
+//! records ([`facts`]), a workspace call graph is resolved over those
+//! modules ([`graph`]), and Datalog-style derived relations ([`infer`]) —
+//! `reaches_cost`, `may_panic`, `may_acquire(L)`, `drops_result` — are
+//! computed to fixpoint by semi-naive iteration. Diagnostics for the
+//! transitive rules print the full call chain. A single file is analyzed
+//! by the same pipeline, as a one-file workspace.
 //!
 //! ## Rule scoping
 //!
@@ -24,9 +24,9 @@
 //! | cost-purity      | everything                                   | matrix build, colt probe, durable restore (the sanctioned boundary) |
 //! | panic-freedom    | decode/replay surface (`crates/durability`, `inum/persist.rs`, `query/parser.rs`) | `#[cfg(test)]`/`#[test]` spans, `examples/`, `tests/` harnesses |
 //! | fp-determinism   | everything                                   | test spans                       |
-//! | lock-discipline  | everything                                   | —                                |
-//! | lock-order       | everything                                   | test spans                       |
+//! | lock-order       | everything: the global lock order (test spans relaxed), and no `publish()` or optimizer call while a write guard is live | test spans (lock order only) |
 //! | error-discipline | durability/health paths                      | test spans                       |
+//! | clock-purity     | everything: no `Instant::now`/`SystemTime::now` | `inum/budget.rs` (`SystemClock`), `core/src/bin/`, `crates/bench/`, `crates/analyzer/src/`, test spans |
 //!
 //! The walk covers `crates/*/src/**.rs` plus the repo-root `src/`,
 //! `examples/`, and `tests/` trees; harness files (root `examples/` and
@@ -47,7 +47,6 @@ pub mod graph;
 pub mod infer;
 pub mod lexer;
 pub mod rules;
-pub mod summary;
 
 pub use rules::{analyze_source, ChainLink, Config, Diagnostic, InferStats, Severity, RULE_NAMES};
 
@@ -55,12 +54,11 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-use summary::FileSummary;
 
 /// Timing and size accounting for one workspace run.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RunStats {
-    /// Files walked (and summarized).
+    /// Files walked (and extracted).
     pub files: usize,
     /// Call-graph size and fixpoint rounds.
     pub infer: InferStats,
@@ -103,11 +101,11 @@ fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-/// Analyze the workspace at `root`: summarize every covered file, then
-/// run the rules over the summaries.
+/// Analyze the workspace at `root`: extract every covered file's facts,
+/// then run the rules over them.
 pub fn analyze_workspace(root: &Path, cfg: &Config) -> io::Result<RunReport> {
     let files = workspace_files(root)?;
-    let mut summaries: Vec<FileSummary> = Vec::with_capacity(files.len());
+    let mut facts = Vec::with_capacity(files.len());
     let t0 = Instant::now();
     for file in &files {
         let text = fs::read_to_string(file)?;
@@ -118,13 +116,13 @@ pub fn analyze_workspace(root: &Path, cfg: &Config) -> io::Result<RunReport> {
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        summaries.push(summary::summarize(&rel, &text));
+        facts.push(facts::extract(&rel, &text));
     }
-    summaries.sort_by(|a, b| a.path.cmp(&b.path));
+    facts.sort_by(|a: &facts::FileFacts, b| a.path.cmp(&b.path));
     let extract_ms = t0.elapsed().as_millis();
 
     let t1 = Instant::now();
-    let (diags, infer) = rules::analyze_summaries(&summaries, cfg);
+    let (diags, infer) = rules::analyze_files(&facts, cfg);
     let infer_ms = t1.elapsed().as_millis();
 
     Ok(RunReport {

@@ -1,6 +1,7 @@
 //! The rule set: architectural invariants evaluated as queries over the
-//! fact base — per-file direct rules plus interprocedural rules derived
-//! from the workspace call graph.
+//! fact base — direct rules over each file's sites plus interprocedural
+//! rules derived from the workspace call graph. There is one pipeline:
+//! a single file is analyzed as a one-file workspace.
 //!
 //! Every rule documents *why* the invariant is load-bearing for the
 //! design described in the paper reproduction (see each rule fn's
@@ -14,11 +15,10 @@
 //! as a warning-level `dead-allow` finding so the escape-hatch inventory
 //! cannot rot.
 
-use crate::facts::{Facts, NON_INDEX_KEYWORDS};
-use crate::graph::Graph;
+use crate::facts::{extract, FileFacts, Scan, SiteFact, NON_INDEX_KEYWORDS};
+use crate::graph::{FnNode, Graph};
 use crate::infer::{reach, Derived};
 use crate::lexer::Kind;
-use crate::summary::{FileSummary, NO_FN};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The rule names recognised by `analyzer:allow(...)`.
@@ -26,9 +26,9 @@ pub const RULE_NAMES: &[&str] = &[
     "cost-purity",
     "panic-freedom",
     "fp-determinism",
-    "lock-discipline",
     "lock-order",
     "error-discipline",
+    "clock-purity",
 ];
 
 /// Finding severity: errors gate the build, warnings only report.
@@ -104,39 +104,45 @@ pub struct Config {
     /// Acquiring a lock of an earlier group — or re-acquiring the same
     /// lock — while holding a later one is a `lock-order` violation.
     pub lock_order: Vec<Vec<String>>,
+    /// Modules allowed to read the wall clock: the production
+    /// `SystemClock`, the CLI binaries, the benches, and the analyzer's
+    /// own timing line.
+    pub clock_purity_allowed: Vec<String>,
 }
 
 impl Config {
     /// The scoping for this workspace (the defaults `make lint-arch`
     /// runs with).
     pub fn workspace() -> Self {
+        let paths = |ps: &[&str]| ps.iter().map(|p| p.to_string()).collect::<Vec<_>>();
         Config {
-            cost_purity_allowed: vec![
-                "crates/inum/src/".to_string(),
-                "crates/colt/src/".to_string(),
-                "crates/core/src/durable.rs".to_string(),
-            ],
-            panic_freedom_scope: vec![
-                "crates/durability/src/".to_string(),
-                "crates/inum/src/persist.rs".to_string(),
-                "crates/query/src/parser.rs".to_string(),
-            ],
-            error_discipline_scope: vec![
-                "crates/durability/src/".to_string(),
-                "crates/core/src/durable.rs".to_string(),
-                "crates/core/src/health.rs".to_string(),
-                "crates/inum/src/persist.rs".to_string(),
-            ],
+            cost_purity_allowed: paths(&[
+                "crates/inum/src/",
+                "crates/colt/src/",
+                "crates/core/src/durable.rs",
+            ]),
+            panic_freedom_scope: paths(&[
+                "crates/durability/src/",
+                "crates/inum/src/persist.rs",
+                "crates/query/src/parser.rs",
+            ]),
+            error_discipline_scope: paths(&[
+                "crates/durability/src/",
+                "crates/core/src/durable.rs",
+                "crates/core/src/health.rs",
+                "crates/inum/src/persist.rs",
+            ]),
             lock_order: vec![
-                vec![
-                    "store".to_string(),
-                    "disk".to_string(),
-                    "mem".to_string(),
-                    "SharedMemStore".to_string(),
-                ],
-                vec!["cache".to_string()],
-                vec!["current".to_string()],
+                paths(&["store", "disk", "mem", "SharedMemStore"]),
+                paths(&["cache"]),
+                paths(&["current"]),
             ],
+            clock_purity_allowed: paths(&[
+                "crates/inum/src/budget.rs",
+                "crates/core/src/bin/",
+                "crates/bench/",
+                "crates/analyzer/src/",
+            ]),
         }
     }
 }
@@ -145,7 +151,39 @@ fn path_matches(path: &str, prefixes: &[String]) -> bool {
     prefixes.iter().any(|p| path.starts_with(p.as_str()))
 }
 
-// ---- direct site extraction ---------------------------------------------
+// ---- direct sites ----------------------------------------------------------
+
+/// Every direct rule site of one file, outside test spans unless the rule
+/// says otherwise; path scoping is [`analyze_files`]' business.
+pub(crate) fn scan_sites(s: &Scan) -> Vec<SiteFact> {
+    let mut out = Vec::new();
+    cost_sites(s, &mut out);
+    panic_sites(s, &mut out);
+    fp_determinism(s, &mut out);
+    write_guard_sites(s, &mut out);
+    clock_sites(s, &mut out);
+    out
+}
+
+fn site(s: &Scan, at: usize, line: u32, rule: &'static str, msg: String) -> SiteFact {
+    SiteFact {
+        fn_idx: s.fn_at(at),
+        line,
+        rule,
+        msg,
+    }
+}
+
+/// Do the significant tokens from `i` on spell `pat`, one identifier or
+/// punctuation token per entry?
+fn spells(s: &Scan, i: usize, pat: &[&str]) -> bool {
+    pat.iter().enumerate().all(|(k, p)| {
+        s.tok(i + k).is_some_and(|t| {
+            let ident = p.starts_with(|c: char| c.is_alphabetic());
+            t.text == *p && t.kind == if ident { Kind::Ident } else { Kind::Punct }
+        })
+    })
+}
 
 /// **cost-purity** sites — advisors, interactive sessions, and snapshot
 /// readers must price candidates from cost-*matrix lookups*, never by
@@ -154,51 +192,28 @@ fn path_matches(path: &str, prefixes: &[String]) -> bool {
 /// with runtime counters) rests on costing being a build-time event
 /// captured in the matrix; a stray `.inum()`/`Inum::cost` call on a read
 /// path silently reintroduces per-question optimizer latency and breaks
-/// the journaled-edit accounting that durability replays. Returns
-/// `(sig index, line, message)` for every match outside test spans; path
-/// scoping is the caller's business.
-pub(crate) fn cost_sites(facts: &Facts) -> Vec<(usize, u32, String)> {
-    let mut out = Vec::new();
-    let n = facts.sig.len();
-    for i in 0..n {
-        let Some(t) = facts.tok(i) else { break };
-        if facts.in_test(t.line) {
+/// the journaled-edit accounting that durability replays.
+fn cost_sites(s: &Scan, out: &mut Vec<SiteFact>) {
+    for i in 0..s.sig.len() {
+        let Some(t) = s.tok(i) else { break };
+        if s.in_test(t.line) {
             continue;
         }
-        let hit = if t.is_punct(".")
-            && facts.tok(i + 1).is_some_and(|u| u.is_ident("inum"))
-            && facts.tok(i + 2).is_some_and(|u| u.is_punct("("))
-        {
-            Some((
-                facts.tokens[facts.sig[i]].line,
-                ".inum() grants raw optimizer access",
-            ))
-        } else if t.is_ident("Inum")
-            && facts.tok(i + 1).is_some_and(|u| u.is_punct("::"))
-            && facts.tok(i + 2).is_some_and(|u| u.is_ident("cost"))
-        {
-            Some((t.line, "Inum::cost invokes the what-if optimizer"))
-        } else if t.is_ident("inum")
-            && facts.tok(i + 1).is_some_and(|u| u.is_punct("."))
-            && facts.tok(i + 2).is_some_and(|u| u.is_ident("cost"))
-            && facts.tok(i + 3).is_some_and(|u| u.is_punct("("))
-        {
-            Some((t.line, "direct cost() call on an Inum handle"))
+        let what = if spells(s, i, &[".", "inum", "("]) {
+            ".inum() grants raw optimizer access"
+        } else if spells(s, i, &["Inum", "::", "cost"]) {
+            "Inum::cost invokes the what-if optimizer"
+        } else if spells(s, i, &["inum", ".", "cost", "("]) {
+            "direct cost() call on an Inum handle"
         } else {
-            None
+            continue;
         };
-        if let Some((line, what)) = hit {
-            out.push((
-                i,
-                line,
-                format!(
-                    "{what}; read paths must use cost-matrix lookups \
-                     (allowed modules: matrix build, colt probe, durable restore)"
-                ),
-            ));
-        }
+        let msg = format!(
+            "{what}; read paths must use cost-matrix lookups \
+             (allowed modules: matrix build, colt probe, durable restore)"
+        );
+        out.push(site(s, i, t.line, "cost-purity", msg));
     }
-    out
 }
 
 /// **panic-freedom** sites — the decode/replay surface parses bytes that
@@ -209,74 +224,50 @@ pub(crate) fn cost_sites(facts: &Facts) -> Vec<(usize, u32, String)> {
 /// session *before* it can fall back to a cold build.
 /// `unwrap`/`expect`/`panic!`/`unreachable!` and unchecked indexing are
 /// all panics waiting on the first corrupt byte.
-pub(crate) fn panic_sites(facts: &Facts) -> Vec<(usize, u32, String)> {
-    let mut out = Vec::new();
-    let n = facts.sig.len();
-    for i in 0..n {
-        let Some(t) = facts.tok(i) else { break };
-        if facts.in_test(t.line) {
+fn panic_sites(s: &Scan, out: &mut Vec<SiteFact>) {
+    for i in 0..s.sig.len() {
+        let Some(t) = s.tok(i) else { break };
+        if s.in_test(t.line) {
             continue;
         }
-        if t.is_punct(".") && facts.tok(i + 2).is_some_and(|u| u.is_punct("(")) {
-            if let Some(m) = facts.tok(i + 1) {
-                if m.is_ident("unwrap") || m.is_ident("expect") {
-                    out.push((
-                        i,
-                        m.line,
-                        format!(
-                            ".{}() panics on corrupt input; return a decode error instead",
-                            m.text
-                        ),
-                    ));
-                }
-            }
+        if let Some(m) = s.tok(i + 1).filter(|m| {
+            (m.is_ident("unwrap") || m.is_ident("expect"))
+                && t.is_punct(".")
+                && spells(s, i + 2, &["("])
+        }) {
+            let msg = format!(
+                ".{}() panics on corrupt input; return a decode error instead",
+                m.text
+            );
+            out.push(site(s, i, m.line, "panic-freedom", msg));
         }
         if t.kind == Kind::Ident
-            && facts.tok(i + 1).is_some_and(|u| u.is_punct("!"))
+            && spells(s, i + 1, &["!"])
             && matches!(
                 t.text.as_str(),
                 "panic" | "unreachable" | "todo" | "unimplemented"
             )
         {
-            out.push((
-                i,
-                t.line,
-                format!(
-                    "{}! is unreachable only until the first corrupt snapshot",
-                    t.text
-                ),
-            ));
+            let msg = format!(
+                "{}! is unreachable only until the first corrupt snapshot",
+                t.text
+            );
+            out.push(site(s, i, t.line, "panic-freedom", msg));
         }
-        if t.is_punct("[") {
-            let prev = facts.tok(i.wrapping_sub(1));
-            let is_index = prev.is_some_and(|p| {
+        let is_index = t.is_punct("[")
+            && s.tok(i.wrapping_sub(1)).is_some_and(|p| {
                 (p.kind == Kind::Ident && !NON_INDEX_KEYWORDS.contains(&p.text.as_str()))
                     || p.kind == Kind::Number
                     || p.is_punct("]")
                     || p.is_punct(")")
                     || p.is_punct("?")
             });
-            if is_index {
-                out.push((
-                    i,
-                    t.line,
-                    "unchecked indexing panics out of range; use .get()/.get_mut() and map \
-                     the None to a decode error"
-                        .to_string(),
-                ));
-            }
+        if is_index {
+            let msg = "unchecked indexing panics out of range; use .get()/.get_mut() and map \
+                       the None to a decode error";
+            out.push(site(s, i, t.line, "panic-freedom", msg.to_string()));
         }
     }
-    out
-}
-
-/// The purely file-local rules: fp-determinism and lock-discipline —
-/// computed at extraction and carried in the fact module.
-pub(crate) fn local_diags(facts: &Facts) -> Vec<(u32, &'static str, String)> {
-    let mut out = Vec::new();
-    fp_determinism(facts, &mut out);
-    lock_discipline(facts, &mut out);
-    out
 }
 
 /// **fp-determinism** — agreement proptests pin interactive-vs-offline
@@ -286,175 +277,98 @@ pub(crate) fn local_diags(facts: &Facts) -> Vec<(u32, &'static str, String)> {
 /// f64 accumulation — or worse, MILP variable numbering — driven by hash
 /// iteration makes results run-dependent. Cost-accumulating functions
 /// must iterate `BTreeMap`/sorted vectors.
-fn fp_determinism(facts: &Facts, out: &mut Vec<(u32, &'static str, String)>) {
-    for f in &facts.fns {
+fn fp_determinism(s: &Scan, out: &mut Vec<SiteFact>) {
+    for f in &s.fns {
         let Some((a, b)) = f.body else { continue };
-        if !f.mentions_f64 || facts.in_test(f.line) {
+        if !f.mentions_f64 || s.in_test(f.line) {
             continue;
         }
-        for l in &facts.for_loops {
-            if l.at < a || l.at >= b || facts.in_test(l.line) {
+        for l in &s.for_loops {
+            if l.at < a || l.at >= b || s.in_test(l.line) {
                 continue;
             }
             let hashy = l
                 .iterand_idents
                 .iter()
-                .any(|id| id == "HashMap" || id == "HashSet" || facts.hashy_names.contains(id));
+                .any(|id| id == "HashMap" || id == "HashSet" || s.hashy_names.contains(id));
             if hashy {
-                out.push((
-                    l.line,
-                    "fp-determinism",
-                    format!(
-                        "fn `{}` works with f64 costs but iterates a hash-ordered \
-                         collection; summation order must be fixed — use BTreeMap or \
-                         a sorted Vec",
-                        f.name
-                    ),
-                ));
+                let msg = format!(
+                    "fn `{}` works with f64 costs but iterates a hash-ordered \
+                     collection; summation order must be fixed — use BTreeMap or \
+                     a sorted Vec",
+                    f.name
+                );
+                out.push(site(s, l.at, l.line, "fp-determinism", msg));
             }
         }
-        for c in &facts.iter_calls {
-            if c.at < a || c.at >= b || facts.in_test(c.line) {
+        for c in &s.iter_calls {
+            if c.at < a || c.at >= b || s.in_test(c.line) {
                 continue;
             }
-            if facts.hashy_names.contains(&c.receiver) {
-                out.push((
-                    c.line,
-                    "fp-determinism",
-                    format!(
-                        "fn `{}` works with f64 costs but `{}.{}()` yields hash order; \
-                         use BTreeMap or a sorted Vec",
-                        f.name, c.receiver, c.method
-                    ),
-                ));
+            if s.hashy_names.contains(&c.receiver) {
+                let msg = format!(
+                    "fn `{}` works with f64 costs but `{}.{}()` yields hash order; \
+                     use BTreeMap or a sorted Vec",
+                    f.name, c.receiver, c.method
+                );
+                out.push(site(s, c.at, c.line, "fp-determinism", msg));
             }
         }
     }
 }
 
-/// **lock-discipline** — `PublishSlot::publish` holds the slot's RwLock
-/// write guard; every reader `refresh()` blocks on that guard. Costing
-/// work (optimizer calls) or a nested `publish()` while the guard is
-/// live turns a microsecond pointer swap into a reader-visible stall —
-/// and a nested publish on the same slot self-deadlocks. Compute first,
-/// then take the guard for the swap alone.
-fn lock_discipline(facts: &Facts, out: &mut Vec<(u32, &'static str, String)>) {
-    for g in &facts.guards {
+/// **lock-order**, write-guard sites — `PublishSlot::publish` holds the
+/// slot's RwLock write guard; every reader `refresh()` blocks on that
+/// guard. Costing work (optimizer calls) or a nested `publish()` while a
+/// write guard is live turns a microsecond pointer swap into a
+/// reader-visible stall — and a nested publish on the same slot
+/// self-deadlocks. Compute first, then take the guard for the swap alone.
+fn write_guard_sites(s: &Scan, out: &mut Vec<SiteFact>) {
+    for g in s.lock_guards.iter().filter(|g| g.kind == "write") {
         for i in g.start..g.end {
-            let Some(t) = facts.tok(i) else { break };
-            let hit = if t.is_ident("publish")
-                && facts.tok(i + 1).is_some_and(|u| u.is_punct("("))
-                && !facts
-                    .tok(i.wrapping_sub(1))
-                    .is_some_and(|u| u.is_ident("fn"))
+            let Some(t) = s.tok(i) else { break };
+            let what = if spells(s, i, &["publish", "("]) && !spells(s, i.wrapping_sub(1), &["fn"])
             {
-                Some("publish() while a write guard is live can self-deadlock")
-            } else if t.is_punct(".")
-                && facts.tok(i + 1).is_some_and(|u| u.is_ident("inum"))
-                && facts.tok(i + 2).is_some_and(|u| u.is_punct("("))
-            {
-                Some("optimizer access while a write guard is live stalls every reader")
-            } else if t.is_ident("Inum")
-                && facts.tok(i + 1).is_some_and(|u| u.is_punct("::"))
-                && facts.tok(i + 2).is_some_and(|u| u.is_ident("cost"))
-            {
-                Some("Inum::cost while a write guard is live stalls every reader")
+                "publish() while a write guard is live can self-deadlock"
+            } else if spells(s, i, &[".", "inum", "("]) {
+                "optimizer access while a write guard is live stalls every reader"
+            } else if spells(s, i, &["Inum", "::", "cost"]) {
+                "Inum::cost while a write guard is live stalls every reader"
             } else {
-                None
+                continue;
             };
-            if let Some(what) = hit {
-                out.push((
-                    t.line,
-                    "lock-discipline",
-                    format!("{what} (guard `{}` taken at line {})", g.name, g.line),
-                ));
-            }
+            let msg = format!("{what} (guard `{}` taken at line {})", g.name, g.line);
+            out.push(site(s, i, t.line, "lock-order", msg));
         }
     }
 }
 
-// ---- per-file analysis ---------------------------------------------------
-
-/// Direct (non-interprocedural) raw findings for one file summary, path
-/// scoping applied, deduplicated by `(line, rule)`.
-fn direct_raw(s: &FileSummary, cfg: &Config) -> Vec<(u32, &'static str, String)> {
-    let mut raw: Vec<(u32, &'static str, String)> = Vec::new();
-    if !path_matches(&s.path, &cfg.cost_purity_allowed) {
-        for x in &s.cost_sites {
-            raw.push((x.line, "cost-purity", x.msg.clone()));
+/// **clock-purity** — a recommendation is a deterministic function of
+/// (catalog, workload, budget, seed), never of machine speed. Time enters
+/// the designer through the injectable `Clock` trait (`SystemClock` in
+/// `inum/src/budget.rs` is the one production reader), so deadlines are
+/// driven by hand in tests; an `Instant::now()`/`SystemTime::now()`
+/// anywhere else is a wall-clock read a decision can quietly come to
+/// depend on.
+fn clock_sites(s: &Scan, out: &mut Vec<SiteFact>) {
+    for i in 0..s.sig.len() {
+        let Some(t) = s.tok(i) else { break };
+        if (t.is_ident("Instant") || t.is_ident("SystemTime"))
+            && spells(s, i + 1, &["::", "now"])
+            && !s.in_test(t.line)
+        {
+            let msg = format!(
+                "{}::now() reads the wall clock; take time through the `Clock` trait \
+                 so no decision depends on machine speed (allowed modules: SystemClock, \
+                 CLI binaries, benches)",
+                t.text
+            );
+            out.push(site(s, i, t.line, "clock-purity", msg));
         }
     }
-    if path_matches(&s.path, &cfg.panic_freedom_scope) && !s.harness {
-        for x in &s.panic_sites {
-            raw.push((x.line, "panic-freedom", x.msg.clone()));
-        }
-    }
-    raw.extend(s.local_diags.iter().cloned());
-    raw.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
-    raw.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
-    raw
 }
 
-/// Allow-syntax findings plus the file's valid allows (known rule, with
-/// reason, resolved to a target line).
-fn file_allows(s: &FileSummary, out: &mut Vec<Diagnostic>) -> Vec<(usize, bool)> {
-    let mut valid = Vec::new();
-    for (i, a) in s.allows.iter().enumerate() {
-        if !RULE_NAMES.contains(&a.rule.as_str()) {
-            out.push(Diagnostic::new(
-                &s.path,
-                a.line,
-                "allow-syntax",
-                format!(
-                    "unknown rule `{}` in analyzer:allow (known: {})",
-                    a.rule,
-                    RULE_NAMES.join(", ")
-                ),
-            ));
-            continue;
-        }
-        if !a.has_reason {
-            out.push(Diagnostic::new(
-                &s.path,
-                a.line,
-                "allow-syntax",
-                format!(
-                    "analyzer:allow({}) without a reason — write \
-                     `// analyzer:allow({}): <why this site is sound>`",
-                    a.rule, a.rule
-                ),
-            ));
-            continue;
-        }
-        if a.target_line != 0 {
-            valid.push((i, false));
-        }
-    }
-    valid
-}
-
-/// Analyze one source file in isolation: direct rules only, line-exact
-/// allows, no call-graph context (the single-file entry point the golden
-/// fixtures and unit tests exercise; `make lint-arch` runs
-/// [`analyze_summaries`] over the whole workspace instead).
-pub fn analyze_source(path: &str, src: &str, cfg: &Config) -> Vec<Diagnostic> {
-    let s = crate::summary::summarize(path, src);
-    let mut out: Vec<Diagnostic> = Vec::new();
-    let valid = file_allows(&s, &mut out);
-    let raw = direct_raw(&s, cfg);
-    for (line, rule, msg) in raw {
-        let waived = valid
-            .iter()
-            .any(|&(i, _)| s.allows[i].rule == rule && s.allows[i].target_line == line);
-        if !waived {
-            out.push(Diagnostic::new(path, line, rule, msg));
-        }
-    }
-    out.sort_by_key(|d| d.line);
-    out
-}
-
-// ---- interprocedural analysis -------------------------------------------
+// ---- the workspace pipeline -------------------------------------------------
 
 /// Fn/method names whose return value is a `Result` by std contract —
 /// the error-discipline rule's knowledge of I/O surfaces the call graph
@@ -486,7 +400,8 @@ pub struct InferStats {
     pub edges: usize,
 }
 
-/// A global allow record with usage tracking for dead-allow detection.
+/// A valid allow (known rule, with a reason, resolved to a target line)
+/// with usage tracking for dead-allow detection.
 struct AllowRec {
     file: usize,
     rule: String,
@@ -498,476 +413,195 @@ struct AllowRec {
     used: bool,
 }
 
-/// Analyze the whole workspace from per-file fact modules: direct rules,
-/// the derived transitive relations, and dead-allow accounting.
-/// `summaries` must be sorted by path.
-pub fn analyze_summaries(summaries: &[FileSummary], cfg: &Config) -> (Vec<Diagnostic>, InferStats) {
-    let g = Graph::build(summaries);
-    let mut out: Vec<Diagnostic> = Vec::new();
+/// Mark the first `rule` allow that `covers` a finding as used; whether
+/// there was one.
+fn waive(allows: &mut [AllowRec], rule: &str, covers: impl Fn(&AllowRec) -> bool) -> bool {
+    let hit = allows.iter_mut().find(|a| a.rule == rule && covers(a));
+    hit.map(|a| a.used = true).is_some()
+}
 
-    // Allows, globally, with graph nodes attached.
-    let mut allows: Vec<AllowRec> = Vec::new();
-    for (fi, s) in summaries.iter().enumerate() {
-        for (ai, _) in file_allows(s, &mut out) {
-            let a = &s.allows[ai];
-            allows.push(AllowRec {
-                file: fi,
-                rule: a.rule.clone(),
-                line: a.line,
-                target_line: a.target_line,
-                node: g.node_of(fi as u32, a.fn_idx),
-                used: false,
-            });
+/// Node → line of its first site, over the live (non-test) fns among
+/// `(file, fn index, line)` sites.
+fn seed_table(g: &Graph, sites: impl Iterator<Item = (usize, u32, u32)>) -> BTreeMap<u32, u32> {
+    let mut first = BTreeMap::new();
+    for (fi, fn_idx, line) in sites {
+        if let Some(node) = g.live_node(fi, fn_idx) {
+            first.entry(node).or_insert(line);
         }
     }
-    let covered = |allows: &[AllowRec], rule: &str, node: u32| -> Option<usize> {
-        allows
-            .iter()
-            .position(|a| a.rule == rule && a.node == Some(node))
-    };
+    first
+}
 
-    // Direct findings with line-exact allow application.
-    for (fi, s) in summaries.iter().enumerate() {
-        for (line, rule, msg) in direct_raw(s, cfg) {
-            let waiver = allows
-                .iter()
-                .position(|a| a.file == fi && a.rule == rule && a.target_line == line);
-            match waiver {
-                Some(i) => allows[i].used = true,
-                None => out.push(Diagnostic::new(&s.path, line, rule, msg)),
-            }
-        }
-    }
+/// Analyze one source file in isolation: the workspace pipeline over a
+/// one-file workspace (the entry point the golden fixtures and unit tests
+/// exercise; `make lint-arch` runs [`analyze_files`] over every file).
+pub fn analyze_source(path: &str, src: &str, cfg: &Config) -> Vec<Diagnostic> {
+    analyze_files(&[extract(path, src)], cfg).0
+}
 
-    let mut stats = InferStats {
+/// Analyze the workspace from per-file fact modules: allow syntax, direct
+/// rules, the derived transitive relations, and dead-allow accounting.
+/// `files` must be sorted by path.
+pub fn analyze_files(files: &[FileFacts], cfg: &Config) -> (Vec<Diagnostic>, InferStats) {
+    let g = Graph::build(files);
+    let stats = InferStats {
         rounds: 0,
         fns: g.nodes.len(),
-        edges: g.edges.iter().map(|e| e.len()).sum(),
+        edges: g.edges.iter().map(Vec::len).sum(),
     };
-
-    // Seeds and per-fn first-site tables for the two site relations.
-    let site_table = |pick: fn(&FileSummary) -> &Vec<crate::summary::SiteSum>| {
-        let mut first: BTreeMap<u32, u32> = BTreeMap::new();
-        for (fi, s) in summaries.iter().enumerate() {
-            for x in pick(s) {
-                if let Some(node) = g.node_of(fi as u32, x.fn_idx) {
-                    if g.nodes[node as usize].is_test {
-                        continue;
-                    }
-                    first.entry(node).or_insert(x.line);
-                }
-            }
-        }
-        first
+    let mut e = Eval {
+        files,
+        cfg,
+        g,
+        allows: Vec::new(),
+        stats,
+        out: Vec::new(),
     };
-    let cost_seed_sites = site_table(|s| &s.cost_sites);
-    let panic_seed_sites = site_table(|s| &s.panic_sites);
-
+    e.collect_allows();
+    e.direct();
     // reaches_cost: blocked at the sanctioned boundary (cost-allowed
-    // modules), at tests, and at allow-covered fns (chain semantics).
-    {
-        let seeds: Vec<u32> = cost_seed_sites.keys().copied().collect();
-        let mut blocked: BTreeSet<u32> = BTreeSet::new();
-        for (id, n) in g.nodes.iter().enumerate() {
-            if n.is_test || path_matches(&n.path, &cfg.cost_purity_allowed) {
-                blocked.insert(id as u32);
-            }
-        }
-        for a in &allows {
-            if a.rule == "cost-purity" {
-                if let Some(n) = a.node {
-                    blocked.insert(n);
-                }
-            }
-        }
-        let derived = reach(&seeds, &blocked, &g.redges);
-        stats.rounds += derived.rounds;
-        // An allow that cuts a live chain is in use.
-        for a in &mut allows {
-            if a.rule == "cost-purity" && a.node.is_some_and(|n| derived.holds(n)) {
-                a.used = true;
-            }
-        }
-        for (&node, via) in &derived.facts {
-            if via.is_none() {
-                continue; // seeds carry their own direct diagnostics
-            }
-            let n = &g.nodes[node as usize];
-            if n.is_test || path_matches(&n.path, &cfg.cost_purity_allowed) {
-                continue;
-            }
-            if let Some(i) = covered(&allows, "cost-purity", node) {
-                allows[i].used = true;
-                continue;
-            }
-            let (chain, text) = render_chain(&g, &derived, node, &cost_seed_sites);
-            let mut d = Diagnostic::new(
-                &n.path,
-                n.line,
-                "cost-purity",
-                format!(
-                    "fn `{}` transitively reaches the optimizer ({text}); \
-                     read paths must use cost-matrix lookups",
-                    n.qualified()
-                ),
-            );
-            d.chain = chain;
-            out.push(d);
-        }
-    }
-
+    // modules), which is never flagged either.
+    let cost_allowed = |n: &FnNode| path_matches(&n.path, &cfg.cost_purity_allowed);
+    e.transitive(
+        "cost-purity",
+        cost_allowed,
+        |n| !cost_allowed(n),
+        "transitively reaches the optimizer",
+        "read paths must use cost-matrix lookups",
+    );
     // may_panic: seeds everywhere, flagged only on the decode/replay
     // surface — a scope fn that can reach a panic through any number of
     // helpers (in any crate) is a recovery hole.
-    {
-        let seeds: Vec<u32> = panic_seed_sites.keys().copied().collect();
-        let mut blocked: BTreeSet<u32> = BTreeSet::new();
-        for (id, n) in g.nodes.iter().enumerate() {
-            if n.is_test {
-                blocked.insert(id as u32);
-            }
-        }
-        for a in &allows {
-            if a.rule == "panic-freedom" {
-                if let Some(n) = a.node {
-                    blocked.insert(n);
-                }
-            }
-        }
-        let derived = reach(&seeds, &blocked, &g.redges);
-        stats.rounds += derived.rounds;
-        for a in &mut allows {
-            if a.rule == "panic-freedom" && a.node.is_some_and(|n| derived.holds(n)) {
-                a.used = true;
-            }
-        }
-        for (&node, via) in &derived.facts {
-            if via.is_none() {
-                continue;
-            }
-            let n = &g.nodes[node as usize];
-            let fi = n.file as usize;
-            if n.is_test
-                || summaries[fi].harness
-                || !path_matches(&n.path, &cfg.panic_freedom_scope)
-            {
-                continue;
-            }
-            if let Some(i) = covered(&allows, "panic-freedom", node) {
-                allows[i].used = true;
-                continue;
-            }
-            let (chain, text) = render_chain(&g, &derived, node, &panic_seed_sites);
-            let mut d = Diagnostic::new(
-                &n.path,
-                n.line,
-                "panic-freedom",
-                format!(
-                    "fn `{}` can transitively reach a panic ({text}); \
-                     the decode/replay surface must return decode errors instead",
-                    n.qualified()
-                ),
-            );
-            d.chain = chain;
-            out.push(d);
-        }
-    }
-
-    // holds_lock_then_acquires: a total order over the workspace's locks.
-    lock_order_rule(summaries, cfg, &g, &mut allows, &mut stats, &mut out);
-
-    // drops_result: `let _ = …;` / bare-statement drops on durability
-    // paths.
-    error_discipline_rule(summaries, cfg, &g, &mut allows, &mut out);
+    e.transitive(
+        "panic-freedom",
+        |_| false,
+        |n| !files[n.file as usize].harness && path_matches(&n.path, &cfg.panic_freedom_scope),
+        "can transitively reach a panic",
+        "the decode/replay surface must return decode errors instead",
+    );
+    e.lock_order();
 
     // Dead allows: a reasoned, well-formed allow that suppressed nothing.
-    for a in &allows {
-        if !a.used {
-            let mut d = Diagnostic::new(
-                &summaries[a.file].path,
-                a.line,
-                "dead-allow",
-                format!(
-                    "analyzer:allow({}) no longer suppresses anything — remove it, \
-                     or re-point it at the offending line",
-                    a.rule
-                ),
-            );
-            d.severity = Severity::Warning;
-            out.push(d);
-        }
-    }
-
-    out.sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
-    (out, stats)
-}
-
-/// Render the witness chain from `head` to its seed's first site as both
-/// structured links and display text.
-fn render_chain(
-    g: &Graph,
-    derived: &Derived,
-    head: u32,
-    seed_sites: &BTreeMap<u32, u32>,
-) -> (Vec<ChainLink>, String) {
-    let mut links = Vec::new();
-    let n = &g.nodes[head as usize];
-    links.push(ChainLink {
-        func: n.qualified(),
-        path: n.path.clone(),
-        line: n.line,
-    });
-    let hops = derived.chain(head);
-    let mut last = head;
-    for &(next, call_line) in &hops {
-        let m = &g.nodes[next as usize];
-        links.push(ChainLink {
-            func: m.qualified(),
-            path: g.nodes[last as usize].path.clone(),
-            line: call_line,
-        });
-        last = next;
-    }
-    let seed = last;
-    let site_line = seed_sites
-        .get(&seed)
-        .copied()
-        .unwrap_or(g.nodes[seed as usize].line);
-    links.push(ChainLink {
-        func: "<site>".to_string(),
-        path: g.nodes[seed as usize].path.clone(),
-        line: site_line,
-    });
-    let text = links
-        .iter()
-        .map(|l| {
-            if l.func == "<site>" {
-                format!("site at {}:{}", l.path, l.line)
-            } else {
-                format!("{} [{}:{}]", l.func, l.path, l.line)
-            }
-        })
-        .collect::<Vec<_>>()
-        .join(" -> ");
-    (links, format!("call chain: {text}"))
-}
-
-/// **lock-order** — the PR 6 reader/writer split holds because every
-/// thread acquires the workspace's locks in one global order (store
-/// mutex, then the Inum probe cache, then a snapshot slot's RwLock).
-/// A function whose *derived* lock set acquires out of that order — even
-/// through a chain of calls — can deadlock against the publish path.
-fn lock_order_rule(
-    summaries: &[FileSummary],
-    cfg: &Config,
-    g: &Graph,
-    allows: &mut [AllowRec],
-    stats: &mut InferStats,
-    out: &mut Vec<Diagnostic>,
-) {
-    let rank = |lock: &str| -> Option<usize> {
-        cfg.lock_order
-            .iter()
-            .position(|group| group.iter().any(|l| l == lock))
-    };
-    let order_text = cfg
-        .lock_order
-        .iter()
-        .map(|group| group[0].clone())
-        .collect::<Vec<_>>()
-        .join(" then ");
-
-    // Per-rank seeds and first-acquire sites.
-    let nranks = cfg.lock_order.len();
-    let mut seeds: Vec<Vec<u32>> = vec![Vec::new(); nranks];
-    let mut sites: Vec<BTreeMap<u32, u32>> = vec![BTreeMap::new(); nranks];
-    for (fi, s) in summaries.iter().enumerate() {
-        for a in &s.acquires {
-            let Some(r) = rank(&a.lock) else { continue };
-            let Some(node) = g.node_of(fi as u32, a.fn_idx) else {
-                continue;
-            };
-            if g.nodes[node as usize].is_test {
-                continue;
-            }
-            seeds[r].push(node);
-            sites[r].entry(node).or_insert(a.line);
-        }
-    }
-    let mut blocked: BTreeSet<u32> = BTreeSet::new();
-    for (id, n) in g.nodes.iter().enumerate() {
-        if n.is_test {
-            blocked.insert(id as u32);
-        }
-    }
-    for a in allows.iter() {
-        if a.rule == "lock-order" {
-            if let Some(n) = a.node {
-                blocked.insert(n);
-            }
-        }
-    }
-    let derived: Vec<Derived> = (0..nranks)
-        .map(|r| {
-            let d = reach(&seeds[r], &blocked, &g.redges);
-            stats.rounds += d.rounds;
-            d
-        })
-        .collect();
-    for a in allows.iter_mut() {
-        if a.rule == "lock-order" && a.node.is_some_and(|n| derived.iter().any(|d| d.holds(n))) {
-            a.used = true;
-        }
-    }
-
-    let mut seen: BTreeSet<(String, u32, String, String)> = BTreeSet::new();
-    let mut push = |out: &mut Vec<Diagnostic>,
-                    allows: &mut [AllowRec],
-                    path: &str,
-                    line: u32,
-                    held: &str,
-                    acq: &str,
-                    node: u32,
-                    chain: Option<(Vec<ChainLink>, String)>| {
-        if !seen.insert((path.to_string(), line, held.to_string(), acq.to_string())) {
-            return;
-        }
-        if let Some(i) = allows
-            .iter()
-            .position(|a| a.rule == "lock-order" && a.node == Some(node))
-        {
-            allows[i].used = true;
-            return;
-        }
-        let same = held == acq || (rank(held) == rank(acq) && rank(held).is_some());
-        let what = if same {
-            format!("re-acquires `{acq}` while already holding it (self-deadlock)")
-        } else {
-            format!("acquires `{acq}` while holding `{held}`")
-        };
-        let detail = match &chain {
-            Some((_, text)) => format!(" via {text}"),
-            None => String::new(),
-        };
+    for a in e.allows.iter().filter(|a| !a.used) {
         let mut d = Diagnostic::new(
-            path,
-            line,
-            "lock-order",
-            format!("{what}{detail}; the workspace lock order is {order_text}"),
+            &files[a.file].path,
+            a.line,
+            "dead-allow",
+            format!(
+                "analyzer:allow({}) no longer suppresses anything — remove it, \
+                 or re-point it at the offending line",
+                a.rule
+            ),
         );
-        if let Some((links, _)) = chain {
-            d.chain = links;
-        }
-        out.push(d);
-    };
+        d.severity = Severity::Warning;
+        e.out.push(d);
+    }
+    let mut out = e.out;
+    out.sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
+    (out, e.stats)
+}
 
-    for (fi, s) in summaries.iter().enumerate() {
-        // Direct out-of-order acquisition.
-        for a in &s.acquires {
-            let Some(node) = g.node_of(fi as u32, a.fn_idx) else {
-                continue;
-            };
-            if g.nodes[node as usize].is_test || a.held.is_empty() {
-                continue;
-            }
-            let Some(ra) = rank(&a.lock) else { continue };
-            for held in &a.held {
-                let Some(rh) = rank(held) else { continue };
-                // Outer-rank (or same-lock re-entrant) acquisition while
-                // a later-rank lock is held.
-                if ra < rh || (ra == rh && *held == a.lock) {
-                    push(out, allows, &s.path, a.line, held, &a.lock, node, None);
-                }
-            }
-        }
-        // A call made while holding a lock, into a fn whose derived lock
-        // set acquires out of order.
-        for c in &s.calls {
-            if c.held.is_empty() {
-                continue;
-            }
-            let Some(caller) = g.node_of(fi as u32, c.fn_idx) else {
-                continue;
-            };
-            if g.nodes[caller as usize].is_test {
-                continue;
-            }
-            let Some(&(callee, _)) = g.edges[caller as usize]
-                .iter()
-                .find(|&&(cal, line)| line == c.line && g.nodes[cal as usize].name == c.name)
-                .or_else(|| {
-                    g.edges[caller as usize]
-                        .iter()
-                        .find(|&&(cal, _)| g.nodes[cal as usize].name == c.name)
-                })
-            else {
-                continue;
-            };
-            for held in &c.held {
-                let Some(rh) = rank(held) else { continue };
-                for (ra, d) in derived.iter().enumerate() {
-                    if ra > rh || !d.holds(callee) {
-                        continue;
+/// One workspace evaluation: the call graph, the valid allows and their
+/// usage, and the findings so far.
+struct Eval<'a> {
+    files: &'a [FileFacts],
+    cfg: &'a Config,
+    g: Graph,
+    allows: Vec<AllowRec>,
+    stats: InferStats,
+    out: Vec<Diagnostic>,
+}
+
+impl Eval<'_> {
+    /// Allow-syntax findings, and the valid allows with their graph nodes.
+    fn collect_allows(&mut self) {
+        for (fi, f) in self.files.iter().enumerate() {
+            for a in &f.allows {
+                let bad = if !RULE_NAMES.contains(&a.rule.as_str()) {
+                    Some(format!(
+                        "unknown rule `{}` in analyzer:allow (known: {})",
+                        a.rule,
+                        RULE_NAMES.join(", ")
+                    ))
+                } else if !a.has_reason {
+                    Some(format!(
+                        "analyzer:allow({}) without a reason — write \
+                         `// analyzer:allow({}): <why this site is sound>`",
+                        a.rule, a.rule
+                    ))
+                } else {
+                    None
+                };
+                match bad {
+                    Some(msg) => {
+                        self.out
+                            .push(Diagnostic::new(&f.path, a.line, "allow-syntax", msg))
                     }
-                    let acq_name = &cfg.lock_order[ra][0];
-                    if ra == rh && acq_name != held {
-                        continue;
-                    }
-                    let (links, text) = render_chain(g, d, callee, &sites[ra]);
-                    push(
-                        out,
-                        allows,
-                        &s.path,
-                        c.line,
-                        held,
-                        acq_name,
-                        caller,
-                        Some((links, text)),
-                    );
+                    None if a.target_line != 0 => self.allows.push(AllowRec {
+                        file: fi,
+                        rule: a.rule.clone(),
+                        line: a.line,
+                        target_line: a.target_line,
+                        node: self.g.node_of(fi as u32, a.fn_idx),
+                        used: false,
+                    }),
+                    None => {}
                 }
             }
         }
     }
-}
 
-/// **error-discipline** — PR 7/9's recovery contract is "never a log
-/// with a hole": on the durability and health paths every fallible step
-/// either succeeds or surfaces its error to the degradation ladder. A
-/// `Result` silently discarded with `let _ = …` (or a bare expression
-/// statement) is a write that can fail without anyone noticing until
-/// replay.
-fn error_discipline_rule(
-    summaries: &[FileSummary],
-    cfg: &Config,
-    g: &Graph,
-    allows: &mut [AllowRec],
-    out: &mut Vec<Diagnostic>,
-) {
-    // A callee name is Result-returning if std says so or every
-    // workspace fn of that name says so.
-    let returns_result = |name: &str| -> bool {
-        if KNOWN_RESULT_FNS.contains(&name) {
-            return true;
-        }
-        let mut any = false;
-        for n in g.by_name(name) {
-            any = true;
-            if !n.returns_result {
-                return false;
+    /// Direct findings — each file's sites in their rule's scope, plus
+    /// dropped results on durability paths — with line-exact allows.
+    fn direct(&mut self) {
+        let (files, cfg) = (self.files, self.cfg);
+        for (fi, f) in files.iter().enumerate() {
+            let in_scope = |rule: &str| match rule {
+                "cost-purity" => !path_matches(&f.path, &cfg.cost_purity_allowed),
+                "panic-freedom" => path_matches(&f.path, &cfg.panic_freedom_scope) && !f.harness,
+                "clock-purity" => !path_matches(&f.path, &cfg.clock_purity_allowed),
+                _ => true,
+            };
+            let mut raw: Vec<(u32, &'static str, String)> = f
+                .sites
+                .iter()
+                .filter(|x| in_scope(x.rule))
+                .map(|x| (x.line, x.rule, x.msg.clone()))
+                .collect();
+            raw.sort_by_key(|x| (x.0, x.1));
+            raw.dedup_by(|a, b| (a.0, a.1) == (b.0, b.1));
+            if path_matches(&f.path, &cfg.error_discipline_scope) {
+                let dropped = self.dropped_results(fi).into_iter();
+                raw.extend(dropped.map(|(line, msg)| (line, "error-discipline", msg)));
+            }
+            for (line, rule, msg) in raw {
+                if !waive(&mut self.allows, rule, |a| {
+                    a.file == fi && a.target_line == line
+                }) {
+                    self.out.push(Diagnostic::new(&f.path, line, rule, msg));
+                }
             }
         }
-        any
-    };
-    for (fi, s) in summaries.iter().enumerate() {
-        if !path_matches(&s.path, &cfg.error_discipline_scope) {
-            continue;
-        }
-        let is_test_fn = |fn_idx: u32| -> bool {
-            fn_idx == NO_FN || s.fns.get(fn_idx as usize).is_none_or(|f| f.is_test)
+    }
+
+    /// **error-discipline** — PR 7/9's recovery contract is "never a log
+    /// with a hole": on the durability and health paths every fallible
+    /// step either succeeds or surfaces its error to the degradation
+    /// ladder. A `Result` silently discarded with `let _ = …` (or a bare
+    /// expression statement) is a write that can fail without anyone
+    /// noticing until replay.
+    fn dropped_results(&self, fi: usize) -> Vec<(u32, String)> {
+        let (g, f) = (&self.g, &self.files[fi]);
+        // A callee name is Result-returning if std says so or every
+        // workspace fn of that name says so.
+        let returns_result = |name: &str| {
+            let mut same_name = g.nodes.iter().filter(|n| n.name == name).peekable();
+            KNOWN_RESULT_FNS.contains(&name)
+                || (same_name.peek().is_some() && same_name.all(|n| n.returns_result))
         };
         let mut hits: Vec<(u32, String)> = Vec::new();
-        for d in &s.drops {
-            if is_test_fn(d.fn_idx) {
+        for d in &f.drops {
+            if g.live_node(fi, d.fn_idx).is_none() {
                 continue;
             }
             if let Some(callee) = d.callees.iter().find(|c| returns_result(c)) {
@@ -981,20 +615,12 @@ fn error_discipline_rule(
                 ));
             }
         }
-        for c in &s.calls {
-            if !c.stmt_dropped || is_test_fn(c.fn_idx) {
+        for c in f.calls.iter().filter(|c| c.stmt_dropped) {
+            let Some(caller) = g.live_node(fi, c.fn_idx) else {
                 continue;
-            }
-            let typed = g.node_of(fi as u32, c.fn_idx).and_then(|caller| {
-                g.edges[caller as usize]
-                    .iter()
-                    .find(|&&(callee, line)| {
-                        line == c.line && g.nodes[callee as usize].name == c.name
-                    })
-                    .map(|&(callee, _)| g.nodes[callee as usize].returns_result)
-            });
-            let drops_result = match typed {
-                Some(flag) => flag,
+            };
+            let drops_result = match g.callee_at(caller, c.line, &c.name) {
+                Some(callee) => g.nodes[callee as usize].returns_result,
                 None => KNOWN_RESULT_FNS.contains(&c.name.as_str()),
             };
             if drops_result {
@@ -1010,17 +636,222 @@ fn error_discipline_rule(
         }
         hits.sort();
         hits.dedup();
-        for (line, msg) in hits {
-            if let Some(i) = allows
+        hits
+    }
+
+    /// One transitive relation: reachability from `seeds` over reversed
+    /// call edges, propagating out of no test fn, no `boundary` fn, and no
+    /// fn a `rule` allow covers (chain semantics). Every such allow whose
+    /// fn the relation reaches is in use.
+    fn derive(
+        &mut self,
+        rule: &str,
+        seeds: &BTreeMap<u32, u32>,
+        boundary: impl Fn(&FnNode) -> bool,
+    ) -> Derived {
+        let mut blocked: BTreeSet<u32> = (0u32..)
+            .zip(&self.g.nodes)
+            .filter(|(_, n)| n.is_test || boundary(n))
+            .map(|(id, _)| id)
+            .collect();
+        blocked.extend(
+            self.allows
                 .iter()
-                .position(|a| a.file == fi && a.rule == "error-discipline" && a.target_line == line)
-            {
-                allows[i].used = true;
+                .filter(|a| a.rule == rule)
+                .filter_map(|a| a.node),
+        );
+        let seed_ids: Vec<u32> = seeds.keys().copied().collect();
+        let derived = reach(&seed_ids, &blocked, &self.g.redges);
+        self.stats.rounds += derived.rounds;
+        for a in self.allows.iter_mut().filter(|a| a.rule == rule) {
+            if a.node.is_some_and(|n| derived.holds(n)) {
+                a.used = true;
+            }
+        }
+        derived
+    }
+
+    /// A transitive site rule: seed from `rule`'s direct sites, derive
+    /// reachability, and flag every live fn in `scope` that reaches a
+    /// site through at least one call (`what`) with its call chain and the
+    /// `fix`. Seeds carry their own direct diagnostics.
+    fn transitive(
+        &mut self,
+        rule: &'static str,
+        boundary: impl Fn(&FnNode) -> bool,
+        scope: impl Fn(&FnNode) -> bool,
+        what: &str,
+        fix: &str,
+    ) {
+        let files = self.files;
+        let sites = files.iter().enumerate().flat_map(|(fi, f)| {
+            let of_rule = f.sites.iter().filter(move |x| x.rule == rule);
+            of_rule.map(move |x| (fi, x.fn_idx, x.line))
+        });
+        let seeds = seed_table(&self.g, sites);
+        let derived = self.derive(rule, &seeds, boundary);
+        for (&node, via) in &derived.facts {
+            let n = &self.g.nodes[node as usize];
+            if via.is_none() || n.is_test || !scope(n) {
                 continue;
             }
-            out.push(Diagnostic::new(&s.path, line, "error-discipline", msg));
+            if waive(&mut self.allows, rule, |a| a.node == Some(node)) {
+                continue;
+            }
+            let (chain, text) = render_chain(&self.g, &derived, node, &seeds);
+            let msg = format!("fn `{}` {what} ({text}); {fix}", n.qualified());
+            let mut d = Diagnostic::new(&n.path, n.line, rule, msg);
+            d.chain = chain;
+            self.out.push(d);
         }
     }
+
+    /// **lock-order** — the PR 6 reader/writer split holds because every
+    /// thread acquires the workspace's locks in one global order (store
+    /// mutex, then the Inum probe cache, then a snapshot slot's RwLock).
+    /// A function whose *derived* lock set acquires out of that order —
+    /// even through a chain of calls — can deadlock against the publish
+    /// path. (The rule's write-guard sites are direct: see
+    /// `write_guard_sites`.)
+    fn lock_order(&mut self) {
+        let (files, cfg) = (self.files, self.cfg);
+        let rank = |lock: &str| {
+            cfg.lock_order
+                .iter()
+                .position(|group| group.iter().any(|l| l == lock))
+        };
+        let order_text = cfg
+            .lock_order
+            .iter()
+            .map(|group| group[0].as_str())
+            .collect::<Vec<_>>()
+            .join(" then ");
+
+        // may_acquire(L) per rank, from each rank's acquisition sites.
+        let sites: Vec<BTreeMap<u32, u32>> = (0..cfg.lock_order.len())
+            .map(|r| {
+                let acquires = files.iter().enumerate().flat_map(|(fi, f)| {
+                    let of_rank = f.acquires.iter().filter(move |a| rank(&a.lock) == Some(r));
+                    of_rank.map(move |a| (fi, a.fn_idx, a.line))
+                });
+                seed_table(&self.g, acquires)
+            })
+            .collect();
+        let derived: Vec<Derived> = sites
+            .iter()
+            .map(|s| self.derive("lock-order", s, |_| false))
+            .collect();
+
+        // (line, held, acquired, the fn an allow must cover, chain).
+        type Hit<'h> = (u32, &'h str, &'h str, u32, Option<(Vec<ChainLink>, String)>);
+        let mut seen: BTreeSet<(usize, u32, &str, &str)> = BTreeSet::new();
+        for (fi, f) in files.iter().enumerate() {
+            let mut hits: Vec<Hit<'_>> = Vec::new();
+            // Direct: an outer-rank (or same-lock re-entrant) acquisition
+            // while a later-rank lock is held.
+            for a in &f.acquires {
+                let (Some(node), Some(ra)) = (self.g.live_node(fi, a.fn_idx), rank(&a.lock)) else {
+                    continue;
+                };
+                for held in &a.held {
+                    if rank(held).is_some_and(|rh| ra < rh || (ra == rh && *held == a.lock)) {
+                        hits.push((a.line, held, &a.lock, node, None));
+                    }
+                }
+            }
+            // A call made while holding a lock, into a fn whose derived
+            // lock set acquires out of order.
+            for c in f.calls.iter().filter(|c| !c.held.is_empty()) {
+                let Some(caller) = self.g.live_node(fi, c.fn_idx) else {
+                    continue;
+                };
+                let by_name = || {
+                    let edges = &self.g.edges[caller as usize];
+                    let named = edges
+                        .iter()
+                        .find(|&&(cal, _)| self.g.nodes[cal as usize].name == c.name);
+                    named.map(|&(cal, _)| cal)
+                };
+                let Some(callee) = self.g.callee_at(caller, c.line, &c.name).or_else(by_name)
+                else {
+                    continue;
+                };
+                for held in &c.held {
+                    let Some(rh) = rank(held) else { continue };
+                    for (ra, d) in derived.iter().enumerate() {
+                        let acq = cfg.lock_order[ra][0].as_str();
+                        if ra > rh || !d.holds(callee) || (ra == rh && acq != held) {
+                            continue;
+                        }
+                        let chain = render_chain(&self.g, d, callee, &sites[ra]);
+                        hits.push((c.line, held, acq, caller, Some(chain)));
+                    }
+                }
+            }
+            for (line, held, acq, node, chain) in hits {
+                if !seen.insert((fi, line, held, acq))
+                    || waive(&mut self.allows, "lock-order", |a| a.node == Some(node))
+                {
+                    continue;
+                }
+                let what = if held == acq || (rank(held) == rank(acq) && rank(held).is_some()) {
+                    format!("re-acquires `{acq}` while already holding it (self-deadlock)")
+                } else {
+                    format!("acquires `{acq}` while holding `{held}`")
+                };
+                let (links, detail) = match chain {
+                    Some((links, text)) => (links, format!(" via {text}")),
+                    None => (Vec::new(), String::new()),
+                };
+                let msg = format!("{what}{detail}; the workspace lock order is {order_text}");
+                let mut d = Diagnostic::new(&f.path, line, "lock-order", msg);
+                d.chain = links;
+                self.out.push(d);
+            }
+        }
+    }
+}
+
+/// Render the witness chain from `head` to its seed's first site as both
+/// structured links and display text.
+fn render_chain(
+    g: &Graph,
+    derived: &Derived,
+    head: u32,
+    seed_sites: &BTreeMap<u32, u32>,
+) -> (Vec<ChainLink>, String) {
+    let node = |id: u32| &g.nodes[id as usize];
+    let mut links = vec![ChainLink {
+        func: node(head).qualified(),
+        path: node(head).path.clone(),
+        line: node(head).line,
+    }];
+    let mut last = head;
+    for (next, call_line) in derived.chain(head) {
+        links.push(ChainLink {
+            func: node(next).qualified(),
+            path: node(last).path.clone(),
+            line: call_line,
+        });
+        last = next;
+    }
+    links.push(ChainLink {
+        func: "<site>".to_string(),
+        path: node(last).path.clone(),
+        line: seed_sites.get(&last).copied().unwrap_or(node(last).line),
+    });
+    let text = links
+        .iter()
+        .map(|l| {
+            if l.func == "<site>" {
+                format!("site at {}:{}", l.path, l.line)
+            } else {
+                format!("{} [{}:{}]", l.func, l.path, l.line)
+            }
+        })
+        .collect::<Vec<_>>()
+        .join(" -> ");
+    (links, format!("call chain: {text}"))
 }
 
 #[cfg(test)]
@@ -1032,12 +863,9 @@ mod tests {
     }
 
     fn run_workspace(files: &[(&str, &str)]) -> Vec<Diagnostic> {
-        let mut sums: Vec<FileSummary> = files
-            .iter()
-            .map(|(p, s)| crate::summary::summarize(p, s))
-            .collect();
-        sums.sort_by(|a, b| a.path.cmp(&b.path));
-        analyze_summaries(&sums, &Config::workspace()).0
+        let mut facts: Vec<FileFacts> = files.iter().map(|(p, s)| extract(p, s)).collect();
+        facts.sort_by(|a, b| a.path.cmp(&b.path));
+        analyze_files(&facts, &Config::workspace()).0
     }
 
     #[test]
@@ -1118,7 +946,7 @@ mod tests {
                    }\n";
         let d = run("crates/inum/src/x.rs", src);
         assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, "lock-discipline");
+        assert_eq!(d[0].rule, "lock-order");
         assert_eq!(d[0].line, 3);
         let good = "fn publish_new(&self) {\n\
                       let c = self.matrix.inum().cost(&q);\n\

@@ -1,4 +1,4 @@
-//! Seeded lock-discipline violations: costing and publishing while a
+//! Seeded lock-order write-guard violations: costing and publishing while a
 //! publish-slot write guard is live. Not compiled — lexed by the golden test.
 
 pub fn publish_under_guard(slot: &PublishSlot, matrix: &CostMatrix<'_>) {

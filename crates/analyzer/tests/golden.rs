@@ -12,7 +12,8 @@
 //!
 //! and review the diff — a golden update is a rule-behavior change.
 
-use pgdesign_analyzer::{analyze_source, analyze_workspace, Config};
+use pgdesign_analyzer::{analyze_source, analyze_workspace, Config, RULE_NAMES};
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -24,7 +25,16 @@ const FIXTURES: &[(&str, &str)] = &[
     ("fp_determinism.rs", "crates/colt/src/fixture.rs"),
     ("lock_discipline.rs", "crates/interaction/src/fixture.rs"),
     ("allow_no_reason.rs", "crates/durability/src/fixture.rs"),
+    ("clock_purity.rs", "crates/solver/src/fixture.rs"),
     ("clean.rs", "crates/query/src/fixture.rs"),
+];
+
+/// Seeded fixtures whose goldens live with the interprocedural sets
+/// (`tests/interproc.rs`); single files, so they run through
+/// [`analyze_source`] here too.
+const MORE_SEEDED: &[(&str, &str)] = &[
+    ("lock_order.rs", "crates/interaction/src/fixture2.rs"),
+    ("error_discipline.rs", "crates/durability/src/fixture2.rs"),
 ];
 
 fn fixture_dir() -> PathBuf {
@@ -63,7 +73,8 @@ fn fixtures_match_golden_output() {
 
 #[test]
 fn every_seeded_fixture_is_caught() {
-    for &(fixture, as_path) in FIXTURES {
+    let mut tripped: BTreeSet<&str> = BTreeSet::new();
+    for &(fixture, as_path) in FIXTURES.iter().chain(MORE_SEEDED) {
         if fixture == "clean.rs" {
             continue;
         }
@@ -74,15 +85,22 @@ fn every_seeded_fixture_is_caught() {
             "{fixture} should trip the analyzer but came back clean"
         );
         // Every fixture's namesake rule shows up (allow_no_reason seeds
-        // allow-syntax plus the unwaived panic-freedom hit).
+        // allow-syntax plus the unwaived panic-freedom hit;
+        // lock_discipline seeds lock-order's write-guard sites).
         let rule: String = match fixture {
             "allow_no_reason.rs" => "allow-syntax".to_string(),
+            "lock_discipline.rs" => "lock-order".to_string(),
             other => other[..other.len() - 3].replace('_', "-"),
         };
         assert!(
             diags.iter().any(|d| d.rule == rule),
             "{fixture}: expected a `{rule}` diagnostic, got {diags:?}"
         );
+        tripped.extend(diags.iter().map(|d| d.rule));
+    }
+    // And every rule, plus allow-syntax, has a seeded fixture tripping it.
+    for rule in RULE_NAMES.iter().chain(&["allow-syntax"]) {
+        assert!(tripped.contains(rule), "no seeded fixture trips `{rule}`");
     }
 }
 
@@ -107,6 +125,8 @@ fn bare_allow_does_not_waive_the_violation() {
 #[test]
 fn clean_fixture_stays_clean() {
     assert_eq!(render("clean.rs", "crates/query/src/fixture.rs"), "");
+    // The clock-purity fixture in the one module that may read the clock.
+    assert_eq!(render("clock_purity.rs", "crates/inum/src/budget.rs"), "");
 }
 
 /// The self-test: the workspace this analyzer ships in must satisfy its

@@ -5,8 +5,8 @@
 //! Regenerate goldens after an intentional rule change with
 //! `UPDATE_GOLDEN=1 cargo test -p pgdesign-analyzer --test interproc`.
 
-use pgdesign_analyzer::rules::analyze_summaries;
-use pgdesign_analyzer::summary::FileSummary;
+use pgdesign_analyzer::facts::{extract, FileFacts};
+use pgdesign_analyzer::rules::analyze_files;
 use pgdesign_analyzer::{Config, Severity};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -39,20 +39,20 @@ fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
 }
 
-fn summaries_of(files: &[(&str, &str)]) -> Vec<FileSummary> {
-    let mut sums: Vec<FileSummary> = files
+fn facts_of(files: &[(&str, &str)]) -> Vec<FileFacts> {
+    let mut facts: Vec<FileFacts> = files
         .iter()
         .map(|&(fixture, as_path)| {
             let src = fs::read_to_string(fixture_dir().join(fixture)).expect("read fixture");
-            pgdesign_analyzer::summary::summarize(as_path, &src)
+            extract(as_path, &src)
         })
         .collect();
-    sums.sort_by(|a, b| a.path.cmp(&b.path));
-    sums
+    facts.sort_by(|a, b| a.path.cmp(&b.path));
+    facts
 }
 
 fn render_set(files: &[(&str, &str)]) -> String {
-    let (diags, _) = analyze_summaries(&summaries_of(files), &Config::workspace());
+    let (diags, _) = analyze_files(&facts_of(files), &Config::workspace());
     let mut out = String::new();
     for d in &diags {
         if d.severity == Severity::Warning {
@@ -87,7 +87,7 @@ fn interproc_fixtures_match_golden_output() {
 /// only through an intermediate helper is flagged with the full chain.
 #[test]
 fn cross_file_chain_carries_every_hop() {
-    let (diags, _) = analyze_summaries(&summaries_of(SETS[0].1), &Config::workspace());
+    let (diags, _) = analyze_files(&facts_of(SETS[0].1), &Config::workspace());
     let pick = diags
         .iter()
         .find(|d| d.rule == "cost-purity" && d.msg.contains("`pick`"))

@@ -467,14 +467,53 @@ impl<'a> ColtTuner<'a> {
         }
     }
 
+    /// Age every tracked candidate's evidence by one epoch, except the
+    /// candidates `fresh` just updated.
+    fn decay_ewmas(&mut self, fresh: &BTreeMap<Index, f64>) {
+        let alpha = self.config.ewma_alpha;
+        for (cand, st) in self.states.iter_mut() {
+            if !fresh.contains_key(cand) {
+                st.ewma_benefit *= 1.0 - alpha;
+            }
+        }
+    }
+
+    /// Close the epoch on `mode`: report it and reset the per-epoch
+    /// accumulators. Only a [`EpochMode::Full`] close builds indexes and
+    /// probes candidates; the lower rungs pass no events and zero probes.
+    fn close_epoch(
+        &mut self,
+        mode: EpochMode,
+        (build_cost, events): (f64, Vec<ColtEvent>),
+        (whatif_calls, candidates_dropped): (usize, usize),
+        (deferred_queries, deferred_candidates): (usize, usize),
+    ) -> EpochReport {
+        self.last_mode = mode;
+        let report = EpochReport {
+            epoch: self.epoch,
+            untuned_cost: self.epoch_untuned,
+            tuned_cost: self.epoch_tuned + build_cost,
+            build_cost,
+            materialized: self.current.indexes().to_vec(),
+            events,
+            whatif_calls,
+            candidates_dropped,
+            mode,
+            deferred_queries,
+            deferred_candidates,
+        };
+        self.epoch += 1;
+        self.epoch_queries.clear();
+        self.epoch_untuned = 0.0;
+        self.epoch_tuned = 0.0;
+        report
+    }
+
     /// Close an epoch on the [`EpochMode::Stale`] rung: publish nothing
     /// (readers keep the previous generation), queue the epoch's cell
     /// work as pending, and decay the EWMAs so unprobed evidence ages.
     fn close_stale_epoch(&mut self) -> EpochReport {
-        let alpha = self.config.ewma_alpha;
-        for st in self.states.values_mut() {
-            st.ewma_benefit *= 1.0 - alpha;
-        }
+        self.decay_ewmas(&BTreeMap::new());
         let queued: Vec<(Query, f64)> = self
             .epoch_queries
             .iter()
@@ -483,25 +522,8 @@ impl<'a> ColtTuner<'a> {
         self.pending_queries.extend(queued);
         self.trim_pending();
         self.stale_generations += 1;
-        self.last_mode = EpochMode::Stale;
-        let report = EpochReport {
-            epoch: self.epoch,
-            untuned_cost: self.epoch_untuned,
-            tuned_cost: self.epoch_tuned,
-            build_cost: 0.0,
-            materialized: self.current.indexes().to_vec(),
-            events: Vec::new(),
-            whatif_calls: 0,
-            candidates_dropped: 0,
-            mode: EpochMode::Stale,
-            deferred_queries: self.pending_queries.len(),
-            deferred_candidates: self.pending_candidates.len(),
-        };
-        self.epoch += 1;
-        self.epoch_queries.clear();
-        self.epoch_untuned = 0.0;
-        self.epoch_tuned = 0.0;
-        report
+        let deferred = (self.pending_queries.len(), self.pending_candidates.len());
+        self.close_epoch(EpochMode::Stale, (0.0, Vec::new()), (0, 0), deferred)
     }
 
     /// Close the current epoch: profile candidates, update EWMAs, re-pick
@@ -678,29 +700,14 @@ impl<'a> ColtTuner<'a> {
             self.trim_pending();
             matrix.publish();
             self.stale_generations = 0;
-            let alpha = self.config.ewma_alpha;
-            for st in self.states.values_mut() {
-                st.ewma_benefit *= 1.0 - alpha;
-            }
-            self.last_mode = EpochMode::IncrementalOnly;
-            let report = EpochReport {
-                epoch: self.epoch,
-                untuned_cost: self.epoch_untuned,
-                tuned_cost: self.epoch_tuned,
-                build_cost: 0.0,
-                materialized: self.current.indexes().to_vec(),
-                events: Vec::new(),
-                whatif_calls: 0,
-                candidates_dropped: 0,
-                mode: EpochMode::IncrementalOnly,
-                deferred_queries,
-                deferred_candidates,
-            };
-            self.epoch += 1;
-            self.epoch_queries.clear();
-            self.epoch_untuned = 0.0;
-            self.epoch_tuned = 0.0;
-            return report;
+            self.decay_ewmas(&BTreeMap::new());
+            let deferred = (deferred_queries, deferred_candidates);
+            return self.close_epoch(
+                EpochMode::IncrementalOnly,
+                (0.0, Vec::new()),
+                (0, 0),
+                deferred,
+            );
         }
 
         // Bulk registration: the epoch's new candidates are costed in one
@@ -813,11 +820,7 @@ impl<'a> ColtTuner<'a> {
             st.observations += 1;
             st.last_seen_epoch = self.epoch;
         }
-        for (cand, st) in self.states.iter_mut() {
-            if !epoch_benefit.contains_key(cand) {
-                st.ewma_benefit *= 1.0 - alpha;
-            }
-        }
+        self.decay_ewmas(&epoch_benefit);
 
         // Knapsack over tracked candidates, in deterministic (index) order
         // so ties in the greedy density ranking break reproducibly.
@@ -889,25 +892,12 @@ impl<'a> ColtTuner<'a> {
             }
         }
 
-        self.last_mode = EpochMode::Full;
-        let report = EpochReport {
-            epoch: self.epoch,
-            untuned_cost: self.epoch_untuned,
-            tuned_cost: self.epoch_tuned + build_cost_total,
-            build_cost: build_cost_total,
-            materialized: self.current.indexes().to_vec(),
-            events,
-            whatif_calls,
-            candidates_dropped,
-            mode: EpochMode::Full,
-            deferred_queries,
-            deferred_candidates,
-        };
-        self.epoch += 1;
-        self.epoch_queries.clear();
-        self.epoch_untuned = 0.0;
-        self.epoch_tuned = 0.0;
-        report
+        self.close_epoch(
+            EpochMode::Full,
+            (build_cost_total, events),
+            (whatif_calls, candidates_dropped),
+            (deferred_queries, deferred_candidates),
+        )
     }
 }
 

@@ -451,6 +451,7 @@ pub fn restore_matrix<'a>(
     inum: &Inum<'a>,
     decoded: DecodedSnapshot,
 ) -> Result<(CostMatrix<'a>, RestoreReport), PersistError> {
+    // analyzer:allow(clock-purity): stats-counter timing; no decision reads it
     let t0 = Instant::now();
     let catalog = inum.catalog();
     let now = catalog_fingerprints(catalog);
