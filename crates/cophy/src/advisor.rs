@@ -1,7 +1,7 @@
 //! The CoPhy advisor: candidates → atomic configurations → ILP → solution.
 
 use crate::atomic::enumerate_atomic_configs;
-use crate::formulation::{build_ilp, decode_solution, warm_start_assignment};
+use crate::formulation::{build_ilp, decode_solution, warm_start_assignment, IlpShape};
 use crate::greedy::greedy_select;
 use pgdesign_autopart::{AutoPartAdvisor, AutoPartConfig};
 use pgdesign_catalog::design::{Index, PhysicalDesign};
@@ -81,6 +81,9 @@ pub struct Recommendation {
     pub nodes: usize,
     /// Simplex iterations the solve took, root relaxation included.
     pub pivots: usize,
+    /// The ILP the solver saw: query blocks before and after presolve,
+    /// rows and columns.
+    pub ilp: IlpShape,
     /// Number of candidate indexes considered.
     pub candidates_considered: usize,
     /// Per-query costs (base, recommended), aligned with the workload.
@@ -299,6 +302,7 @@ impl<'a> CophyAdvisor<'a> {
             status: result.status,
             nodes: result.nodes,
             pivots: result.pivots,
+            ilp: model.shape,
             candidates_considered: matrix.candidates().count(),
             per_query,
             total_index_bytes,

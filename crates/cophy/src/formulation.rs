@@ -2,31 +2,51 @@
 //!
 //! Variables:
 //! * `x_i ∈ {0,1}` — candidate index `i` is materialized;
-//! * `y_{q,k} ∈ [0,1]` — query `q` executes under atomic configuration
-//!   `k`. Given integral `x`, the optimal `y` is automatically integral
-//!   (each query picks its cheapest feasible configuration), so only the
-//!   `x` variables branch — the key to tractability.
+//! * `y_{b,k} ∈ [0,1]` — the queries of block `b` (below) execute under
+//!   atomic configuration `k`. Given integral `x`, the optimal `y` is
+//!   automatically integral (each block picks its cheapest feasible
+//!   configuration), so only the `x` variables branch — the key to
+//!   tractability.
 //!
 //! Constraints:
-//! * `Σ_k y_{q,k} = 1` for every query (exactly one configuration);
-//! * `y_{q,k} ≤ x_i` for every index `i` in configuration `k` (can't use
-//!   what isn't built);
+//! * `Σ_k y_{b,k} = 1` for every block (exactly one configuration);
+//! * `Σ_{k ∋ i} y_{b,k} ≤ x_i` for every index `i` some configuration of
+//!   block `b` uses (can't use what isn't built) — one row per (block,
+//!   index), not one per (configuration, index). The integer points are
+//!   the same, since a block's configurations are alternatives. The LP
+//!   relaxation is strictly tighter: under per-configuration rows a block
+//!   could split its weight over two configurations that share an index
+//!   and pay for only half of it (`y = ½, ½` under `x_i = ½`);
 //! * `Σ_i size_i · x_i ≤ B` (storage budget).
 //!
-//! Objective: `min Σ_q w_q Σ_k cost(q,k) · y_{q,k}`.
+//! Objective: `min c₀ + Σ_i m_i x_i + Σ_b W_b Σ_k cost(b,k) · y_{b,k}`,
+//! with `m_i` the index's maintenance cost and `W_b` the block's weight.
 //!
-//! Presolve, as pure comparisons on the enumerated configurations before
-//! the solver sees anything: a candidate no configuration references gets
-//! no `x` column, and a configuration *dominated* within its query —
-//! another one needs a subset of its indexes and costs no more — gets no
-//! `y` column and no coupling rows; its slot in `y_vars` points at its
-//! dominator's column. Neither changes the optimum or the LP bound: any
-//! weight on a dominated `y` moves to its dominator for free.
+//! Presolve, exact and before any column exists, as pure comparisons on
+//! the enumerated configurations:
+//! * a configuration *dominated* within its query — another one needs a
+//!   subset of its indexes and costs no more — gets no column: its slot in
+//!   `y_vars` points at its dominator's column (any weight on it moves to
+//!   the dominator for free). What is left is the query's *block*;
+//! * a block that is only the empty configuration is a constant: `w·c_∅`
+//!   goes into the objective offset `c₀`;
+//! * a block of the empty configuration and one single-index `{i}` (which,
+//!   being undominated, is cheaper) folds into `x_i`: `w·c_∅` into `c₀` and
+//!   `w·(c_i − c_∅)` into `x_i`'s coefficient. This is exact in the LP too,
+//!   where such a block's optimum is `y_{q,i} = x_i`;
+//! * blocks with the same configurations (candidate ids and cost bits, in
+//!   order) merge into one with their weights summed;
+//! * a candidate no configuration references gets no `x` column.
+//!
+//! The offset lives in the solver's program, not in a row, so every
+//! objective, bound and gap the solver reports — and its test for
+//! `Optimal` — is the number the unreduced program would give.
 
 use crate::atomic::{used_candidates, QueryConfigs};
 use pgdesign_solver::lp::Relation;
 use pgdesign_solver::Milp;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 /// Mapping from ILP variables back to the design space.
 #[derive(Debug, Clone)]
@@ -38,8 +58,56 @@ pub struct IlpModel {
     pub x_vars: BTreeMap<usize, usize>,
     /// `y` variable ids: `y_vars[q][k]` for workload query `q`,
     /// configuration `k` — positionally aligned with `configs[q].configs`.
-    /// A dominated configuration shares its dominator's variable.
+    /// A dominated configuration shares its dominator's variable, and
+    /// queries whose blocks merged share their variables. A query whose
+    /// block folded into an `x` coefficient or became a constant has no
+    /// variables: its row is empty.
     pub y_vars: Vec<Vec<usize>>,
+    /// What presolve did, and the size of the program it left.
+    pub shape: IlpShape,
+}
+
+/// The shape of a CoPhy ILP: query blocks before and after presolve, then
+/// the program's rows and columns — what `pgdesign recommend --stats`
+/// prints.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IlpShape {
+    /// Query blocks before presolve (one per query).
+    pub blocks: usize,
+    /// Blocks merged into an identical earlier block.
+    pub merged: usize,
+    /// Blocks folded into one index's objective coefficient.
+    pub folded: usize,
+    /// Blocks with no usable candidate, now part of the objective offset.
+    pub constant: usize,
+    /// Rows of the program.
+    pub rows: usize,
+    /// Columns of the program.
+    pub columns: usize,
+}
+
+impl IlpShape {
+    /// Query blocks that kept columns of their own.
+    pub fn kept(&self) -> usize {
+        self.blocks - self.merged - self.folded - self.constant
+    }
+}
+
+impl fmt::Display for IlpShape {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(
+            f,
+            "   ILP: {} query blocks, {} after presolve ({} merged, {} folded, {} constant), \
+             {} rows, {} columns",
+            self.blocks,
+            self.kept(),
+            self.merged,
+            self.folded,
+            self.constant,
+            self.rows,
+            self.columns
+        )
+    }
 }
 
 /// Build the CoPhy ILP.
@@ -85,8 +153,19 @@ fn representative(qc: &QueryConfigs, k: usize) -> usize {
         .unwrap_or(k)
 }
 
+/// A query block that keeps columns: the configurations of its first
+/// query that stand for themselves, and the summed weight of every query
+/// merged into it.
+struct Block {
+    query: usize,
+    own: Vec<usize>,
+    weight: f64,
+    columns: Vec<usize>,
+}
+
 /// [`build_ilp`]; `presolve` is off only where a test wants the full
-/// formulation to compare against.
+/// formulation — every query its own block, every configuration its own
+/// column — to compare against.
 fn build(
     weights: &[f64],
     configs: &[QueryConfigs],
@@ -96,57 +175,123 @@ fn build(
     presolve: bool,
 ) -> IlpModel {
     assert_eq!(weights.len(), configs.len(), "one weight per query");
-    let mut milp = Milp::new();
+    let mut shape = IlpShape {
+        blocks: configs.len(),
+        ..IlpShape::default()
+    };
+
+    // Each query's block. `placed[q]` is the block of a query that keeps
+    // columns, with the block column standing for each of its
+    // configurations; `None` for a query folded or made constant.
+    let mut offset = 0.0;
+    let mut folded_gain: BTreeMap<usize, f64> = BTreeMap::new();
+    let mut blocks: Vec<Block> = Vec::new();
+    let mut block_of: BTreeMap<Vec<(&[usize], u64)>, usize> = BTreeMap::new();
+    let mut placed: Vec<Option<(usize, Vec<usize>)>> = Vec::with_capacity(configs.len());
+    for (q, (qc, &weight)) in configs.iter().zip(weights).enumerate() {
+        let stands_for: Vec<usize> = (0..qc.configs.len())
+            .map(|k| if presolve { representative(qc, k) } else { k })
+            .collect();
+        let own: Vec<usize> = (0..stands_for.len())
+            .filter(|&k| stands_for[k] == k)
+            .collect();
+        let ids = |k: usize| qc.configs[k].candidate_ids.as_slice();
+        let cost = |k: usize| qc.configs[k].cost;
+        if presolve {
+            let empty = own.iter().copied().find(|&k| ids(k).is_empty());
+            match (own.len(), empty) {
+                (1, Some(e)) => {
+                    offset += weight * cost(e);
+                    shape.constant += 1;
+                    placed.push(None);
+                    continue;
+                }
+                (2, Some(e)) => {
+                    let single = own[usize::from(own[0] == e)];
+                    if let [i] = ids(single) {
+                        offset += weight * cost(e);
+                        *folded_gain.entry(*i).or_insert(0.0) += weight * (cost(single) - cost(e));
+                        shape.folded += 1;
+                        placed.push(None);
+                        continue;
+                    }
+                }
+                _ => {}
+            }
+        }
+        let at = stands_for
+            .iter()
+            .map(|&k| own.partition_point(|&o| o < k))
+            .collect();
+        let key: Vec<(&[usize], u64)> = own.iter().map(|&k| (ids(k), cost(k).to_bits())).collect();
+        let b = match block_of.get(&key) {
+            Some(&b) if presolve => {
+                blocks[b].weight += weight;
+                shape.merged += 1;
+                b
+            }
+            _ => {
+                block_of.insert(key, blocks.len());
+                blocks.push(Block {
+                    query: q,
+                    own,
+                    weight,
+                    columns: Vec::new(),
+                });
+                blocks.len() - 1
+            }
+        };
+        placed.push(Some((b, at)));
+    }
 
     // x variables (binary); the objective coefficient is the index's
-    // maintenance cost — storage stays a constraint, not an objective term.
+    // maintenance cost plus what the blocks folded into it — storage
+    // stays a constraint, not an objective term.
+    let mut milp = Milp::new();
+    milp.lp.add_objective_offset(offset);
     let used = used_candidates(configs);
     let mut x_vars: BTreeMap<usize, usize> = BTreeMap::new();
     for &cand in sizes.keys() {
         if presolve && used.binary_search(&cand).is_err() {
             continue;
         }
-        let v = milp.add_binary(maintenance.get(&cand).copied().unwrap_or(0.0));
-        x_vars.insert(cand, v);
+        let upkeep = maintenance.get(&cand).copied().unwrap_or(0.0);
+        let gain = folded_gain.get(&cand).copied().unwrap_or(0.0);
+        x_vars.insert(cand, milp.add_binary(upkeep + gain));
     }
 
     // y variables (continuous in [0,1] via the Σ=1 rows + x-coupling),
-    // one per configuration that stands for itself; `kept[q]` lists those.
-    let mut y_vars: Vec<Vec<usize>> = Vec::with_capacity(configs.len());
-    let mut kept: Vec<Vec<usize>> = Vec::with_capacity(configs.len());
-    for (qc, &weight) in configs.iter().zip(weights) {
-        let stands_for: Vec<usize> = (0..qc.configs.len())
-            .map(|k| if presolve { representative(qc, k) } else { k })
+    // one per configuration of a block.
+    for block in &mut blocks {
+        let qc = &configs[block.query];
+        block.columns = block
+            .own
+            .iter()
+            .map(|&k| milp.add_continuous(block.weight * qc.configs[k].cost))
             .collect();
-        let mut row = vec![usize::MAX; qc.configs.len()];
-        let own: Vec<usize> = (0..row.len()).filter(|&k| stands_for[k] == k).collect();
-        for &k in &own {
-            row[k] = milp.add_continuous(weight * qc.configs[k].cost);
-        }
-        for k in 0..row.len() {
-            row[k] = row[stands_for[k]];
-        }
-        y_vars.push(row);
-        kept.push(own);
     }
 
-    // Σ_k y_{q,k} = 1.
-    for (row, own) in y_vars.iter().zip(&kept) {
+    // Σ_k y_{b,k} = 1.
+    for block in &blocks {
         milp.lp.add_constraint(
-            own.iter().map(|&k| (row[k], 1.0)).collect(),
+            block.columns.iter().map(|&y| (y, 1.0)).collect(),
             Relation::Eq,
             1.0,
         );
     }
 
-    // y ≤ x couplings.
-    for ((qc, row), own) in configs.iter().zip(&y_vars).zip(&kept) {
-        for &k in own {
+    // Σ_{k ∋ i} y_{b,k} ≤ x_i.
+    for block in &blocks {
+        let qc = &configs[block.query];
+        let mut users: BTreeMap<usize, Vec<(usize, f64)>> = BTreeMap::new();
+        for (&k, &y) in block.own.iter().zip(&block.columns) {
             for &cand in &qc.configs[k].candidate_ids {
-                let x = x_vars[&cand];
-                milp.lp
-                    .add_constraint(vec![(row[k], 1.0), (x, -1.0)], Relation::Le, 0.0);
+                users.entry(cand).or_default().push((y, 1.0));
             }
+        }
+        for (cand, mut row) in users {
+            row.push((x_vars[&cand], -1.0));
+            milp.lp.add_constraint(row, Relation::Le, 0.0);
         }
     }
 
@@ -157,10 +302,20 @@ fn build(
             .add_constraint(knapsack, Relation::Le, storage_budget);
     }
 
+    let y_vars = placed
+        .into_iter()
+        .map(|place| match place {
+            None => Vec::new(),
+            Some((b, at)) => at.iter().map(|&j| blocks[b].columns[j]).collect(),
+        })
+        .collect();
+    shape.rows = milp.lp.num_constraints();
+    shape.columns = milp.lp.num_vars();
     IlpModel {
         milp,
         x_vars,
         y_vars,
+        shape,
     }
 }
 
@@ -181,6 +336,12 @@ pub fn warm_start_assignment(
         }
     }
     for (qc, row) in configs.iter().zip(&model.y_vars) {
+        // A folded or constant query has no columns (its cost follows
+        // from `x`); a query merged into an earlier twin's block finds
+        // the block already placed.
+        if row.is_empty() || row.iter().any(|&y| x[y] != 0.0) {
+            continue;
+        }
         let mut best: Option<(usize, f64)> = None;
         for (k, cfg) in qc.configs.iter().enumerate() {
             if cfg.candidate_ids.iter().all(|c| chosen.contains(c))
@@ -347,6 +508,10 @@ mod tests {
         let model = build_ilp(&w, &configs, &sizes, &BTreeMap::new(), 100.0);
         assert_eq!(full.x_vars.len(), 3);
         assert_eq!(model.x_vars.keys().copied().collect::<Vec<_>>(), vec![0, 1]);
+        assert!(
+            model.y_vars[0].is_empty(),
+            "query 0 is ∅ and {{A}} alone: folded into x_A, no columns"
+        );
         let y1 = &model.y_vars[1];
         assert_eq!(y1.len(), 5, "positionally aligned with the configurations");
         assert_eq!(
@@ -357,14 +522,25 @@ mod tests {
             y1[4], y1[0],
             "an {{A}} no better than nothing is the empty configuration"
         );
+        // Full: 3 x + 2 + 5 y. Presolved: 2 x + query 1's 3 undominated y.
+        assert_eq!(full.milp.lp.num_vars(), 10);
+        assert_eq!(model.milp.lp.num_vars(), 5);
+        // One Σ = 1 row per block, one coupling row per (block, index),
+        // one storage row; no `x ≤ 1` rows at all. Full: blocks 0 and 1,
+        // couplings (0, A), (1, A), (1, B). Presolved: block 1 only.
+        assert_eq!(full.milp.lp.num_constraints(), 2 + 3 + 1);
+        assert_eq!(model.milp.lp.num_constraints(), 1 + 2 + 1);
         assert_eq!(
-            full.milp.lp.num_vars() - model.milp.lp.num_vars(),
-            3,
-            "one x and two y columns gone"
+            model.shape,
+            IlpShape {
+                blocks: 2,
+                merged: 0,
+                folded: 1,
+                constant: 0,
+                rows: 4,
+                columns: 5,
+            }
         );
-        // 2 + 2 coupling rows gone with the y columns; no `x ≤ 1` rows at all.
-        assert_eq!(full.milp.lp.num_constraints(), 2 + 7 + 1);
-        assert_eq!(model.milp.lp.num_constraints(), 2 + 4 + 1);
         let (a, b) = (
             full.milp.solve(&MilpOptions::default()),
             model.milp.solve(&MilpOptions::default()),
@@ -385,6 +561,50 @@ mod tests {
         assert!((r.objective - 110.0).abs() < 1e-6, "{}", r.objective);
     }
 
+    #[test]
+    fn identical_blocks_merge_and_empty_blocks_become_constants() {
+        let (_, tiny_configs, sizes) = tiny();
+        // Query 1 twice (weights 1 and 3), and a query no index helps.
+        let mut configs = vec![tiny_configs[1].clone(), tiny_configs[1].clone()];
+        configs.push(QueryConfigs {
+            query_id: 2,
+            configs: vec![
+                AtomicConfig {
+                    candidate_ids: vec![],
+                    cost: 50.0,
+                },
+                AtomicConfig {
+                    candidate_ids: vec![0],
+                    cost: 60.0,
+                },
+            ],
+        });
+        let weights = [1.0, 3.0, 2.0];
+        let model = build_ilp(&weights, &configs, &sizes, &BTreeMap::new(), 100.0);
+        assert_eq!((model.shape.merged, model.shape.constant), (1, 1));
+        assert_eq!(model.shape.kept(), 1);
+        assert_eq!(model.y_vars[0], model.y_vars[1], "twins share columns");
+        assert!(model.y_vars[2].is_empty());
+        let r = model.milp.solve(&MilpOptions::default());
+        assert_eq!(r.status, MilpStatus::Optimal);
+        // 4 × {A,B} at 5, plus the constant 2 × 50.
+        assert!((r.objective - 120.0).abs() < 1e-9, "{}", r.objective);
+        // A warm start places the merged block once.
+        let warm = warm_start_assignment(&model, &configs, &[1]);
+        let priced = model.milp.solve_with_warm_start(
+            &MilpOptions {
+                node_limit: 0,
+                ..Default::default()
+            },
+            Some(&warm),
+        );
+        assert!(
+            (priced.objective - 180.0).abs() < 1e-9,
+            "{}",
+            priced.objective
+        );
+    }
+
     /// SplitMix64, so the instances below are the same on every run.
     struct Rng(u64);
 
@@ -398,6 +618,78 @@ mod tests {
         }
     }
 
+    /// One random instance: weights, configurations, sizes, maintenance
+    /// and budget.
+    struct Instance {
+        weights: Vec<f64>,
+        configs: Vec<QueryConfigs>,
+        sizes: BTreeMap<usize, f64>,
+        maintenance: BTreeMap<usize, f64>,
+        budget: f64,
+    }
+
+    /// Draw an instance over `n_cands` candidates. With `twins`, a query
+    /// sometimes repeats an earlier one's configurations and a
+    /// configuration is sometimes a single index, so every presolve rule
+    /// fires; without, the draws are the ones the brute-force test has
+    /// always used.
+    fn instance(rng: &mut Rng, twins: bool) -> Instance {
+        let n_cands = 2 + rng.below(9);
+        let n_queries = 1 + rng.below(if twins { 9 } else { 6 });
+        let sizes: BTreeMap<usize, f64> = (0..n_cands)
+            .map(|c| (c, (1 + rng.below(20)) as f64))
+            .collect();
+        let mut maintenance: BTreeMap<usize, f64> = BTreeMap::new();
+        for c in 0..n_cands {
+            if rng.below(4) == 0 {
+                maintenance.insert(c, rng.below(40) as f64);
+            }
+        }
+        let budget = (rng.below(1 + 12 * n_cands)) as f64;
+        let weights: Vec<f64> = (0..n_queries).map(|_| (1 + rng.below(3)) as f64).collect();
+        let mut configs: Vec<QueryConfigs> = Vec::with_capacity(n_queries);
+        for query_id in 0..n_queries {
+            if twins && query_id > 0 && rng.below(3) == 0 {
+                let mut twin = configs[rng.below(query_id)].clone();
+                twin.query_id = query_id;
+                configs.push(twin);
+                continue;
+            }
+            let empty = (60 + rng.below(140)) as f64;
+            let mut list = vec![AtomicConfig {
+                candidate_ids: vec![],
+                cost: empty,
+            }];
+            for _ in 0..rng.below(6) {
+                let width = if twins && rng.below(2) == 0 {
+                    1
+                } else {
+                    1 + rng.below(3)
+                };
+                let mut ids: Vec<usize> = (0..width).map(|_| rng.below(n_cands)).collect();
+                ids.sort_unstable();
+                ids.dedup();
+                // Mostly cheaper than no index at all, sometimes not.
+                let cost = (1 + rng.below((empty * 1.2) as usize)) as f64;
+                list.push(AtomicConfig {
+                    candidate_ids: ids,
+                    cost,
+                });
+            }
+            configs.push(QueryConfigs {
+                query_id,
+                configs: list,
+            });
+        }
+        Instance {
+            weights,
+            configs,
+            sizes,
+            maintenance,
+            budget,
+        }
+    }
+
     #[test]
     fn milp_matches_brute_force_over_all_index_sets() {
         let mut rng = Rng(2010);
@@ -406,44 +698,14 @@ mod tests {
             ..Default::default()
         };
         for case in 0..40 {
-            let n_cands = 2 + rng.below(9);
-            let n_queries = 1 + rng.below(6);
-            let sizes: BTreeMap<usize, f64> = (0..n_cands)
-                .map(|c| (c, (1 + rng.below(20)) as f64))
-                .collect();
-            let mut maintenance: BTreeMap<usize, f64> = BTreeMap::new();
-            for c in 0..n_cands {
-                if rng.below(4) == 0 {
-                    maintenance.insert(c, rng.below(40) as f64);
-                }
-            }
-            let budget = (rng.below(1 + 12 * n_cands)) as f64;
-            let weights: Vec<f64> = (0..n_queries).map(|_| (1 + rng.below(3)) as f64).collect();
-            let configs: Vec<QueryConfigs> = (0..n_queries)
-                .map(|query_id| {
-                    let empty = (60 + rng.below(140)) as f64;
-                    let mut list = vec![AtomicConfig {
-                        candidate_ids: vec![],
-                        cost: empty,
-                    }];
-                    for _ in 0..rng.below(6) {
-                        let mut ids: Vec<usize> =
-                            (0..1 + rng.below(3)).map(|_| rng.below(n_cands)).collect();
-                        ids.sort_unstable();
-                        ids.dedup();
-                        // Mostly cheaper than no index at all, sometimes not.
-                        let cost = (1 + rng.below((empty * 1.2) as usize)) as f64;
-                        list.push(AtomicConfig {
-                            candidate_ids: ids,
-                            cost,
-                        });
-                    }
-                    QueryConfigs {
-                        query_id,
-                        configs: list,
-                    }
-                })
-                .collect();
+            let Instance {
+                weights,
+                configs,
+                sizes,
+                maintenance,
+                budget,
+            } = instance(&mut rng, false);
+            let n_cands = sizes.len();
 
             let mut optimum = [0.0f64; 2];
             for (slot, presolve) in [false, true].into_iter().enumerate() {
@@ -476,6 +738,115 @@ mod tests {
                 optimum[1]
             );
         }
+    }
+
+    /// The formulation [`build_ilp`] replaced, kept as its oracle: no
+    /// presolve, one column per configuration, and one `y_{q,k} ≤ x_i`
+    /// row per (query, configuration, index).
+    fn per_configuration_ilp(instance: &Instance) -> IlpModel {
+        let mut milp = Milp::new();
+        let x_vars: BTreeMap<usize, usize> = instance
+            .sizes
+            .keys()
+            .map(|&cand| {
+                let upkeep = instance.maintenance.get(&cand).copied().unwrap_or(0.0);
+                (cand, milp.add_binary(upkeep))
+            })
+            .collect();
+        let y_vars: Vec<Vec<usize>> = instance
+            .configs
+            .iter()
+            .zip(&instance.weights)
+            .map(|(qc, &w)| {
+                qc.configs
+                    .iter()
+                    .map(|cfg| milp.add_continuous(w * cfg.cost))
+                    .collect()
+            })
+            .collect();
+        for row in &y_vars {
+            let sos = row.iter().map(|&y| (y, 1.0)).collect();
+            milp.lp.add_constraint(sos, Relation::Eq, 1.0);
+        }
+        for (qc, row) in instance.configs.iter().zip(&y_vars) {
+            for (cfg, &y) in qc.configs.iter().zip(row) {
+                for cand in &cfg.candidate_ids {
+                    let coupling = vec![(y, 1.0), (x_vars[cand], -1.0)];
+                    milp.lp.add_constraint(coupling, Relation::Le, 0.0);
+                }
+            }
+        }
+        let knapsack = x_vars
+            .iter()
+            .map(|(cand, &x)| (x, instance.sizes[cand]))
+            .collect();
+        milp.lp
+            .add_constraint(knapsack, Relation::Le, instance.budget);
+        IlpModel {
+            shape: IlpShape::default(),
+            milp,
+            x_vars,
+            y_vars,
+        }
+    }
+
+    #[test]
+    fn compact_model_matches_the_per_configuration_oracle() {
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0);
+        let cases = (0..40)
+            .scan(Rng(2010), |rng, _| Some(instance(rng, false)))
+            .chain((0..240).scan(Rng(31), |rng, _| Some(instance(rng, true))));
+        let (mut fired, mut tighter) = (IlpShape::default(), 0);
+        for (case, inst) in cases.enumerate() {
+            let oracle = per_configuration_ilp(&inst);
+            let model = |presolve| {
+                let i = &inst;
+                build(
+                    &i.weights,
+                    &i.configs,
+                    &i.sizes,
+                    &i.maintenance,
+                    i.budget,
+                    presolve,
+                )
+            };
+            let (full, compact) = (model(false), model(true));
+            let shape = compact.shape;
+            fired.merged += shape.merged;
+            fired.folded += shape.folded;
+            fired.constant += shape.constant;
+
+            let solve = |m: &IlpModel| m.milp.solve(&MilpOptions::default());
+            let (want, off, on) = (solve(&oracle), solve(&full), solve(&compact));
+            for (what, got) in [("presolve off", &off), ("presolve on", &on)] {
+                assert_eq!(got.status, MilpStatus::Optimal, "case {case} ({what})");
+                assert!(
+                    close(got.objective, want.objective),
+                    "case {case} ({what}): optimum {} vs the oracle's {}",
+                    got.objective,
+                    want.objective
+                );
+            }
+
+            let root = |m: &IlpModel| m.milp.lp.solve().expect("feasible at x = 0").objective;
+            let (old_bound, new_bound) = (root(&oracle), root(&compact));
+            assert!(
+                new_bound >= old_bound - 1e-9 * old_bound.abs().max(1.0),
+                "case {case}: root bound {new_bound} below the oracle's {old_bound}"
+            );
+            assert!(
+                close(root(&full), new_bound),
+                "case {case}: presolve moved the root bound"
+            );
+            if new_bound > old_bound + 1e-6 * old_bound.abs().max(1.0) {
+                tighter += 1;
+            }
+        }
+        assert!(
+            fired.merged > 0 && fired.folded > 0 && fired.constant > 0,
+            "every presolve rule fired: {fired:?}"
+        );
+        assert!(tighter > 0, "the compact rows cut some root bound");
     }
 
     #[test]

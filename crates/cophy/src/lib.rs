@@ -13,12 +13,15 @@
 //!   through the INUM cache ([`atomic`]);
 //! * encode index selection as a binary integer program: pick one atomic
 //!   configuration per query, pay each index's storage once, respect the
-//!   storage budget, minimise total weighted workload cost
-//!   ([`formulation`]);
+//!   storage budget, minimise total weighted workload cost, with one
+//!   coupling row per (query, index) ([`formulation`]);
 //! * presolve by pure comparisons on those configurations (no column for
-//!   an index nothing uses or a configuration another one dominates), then
-//!   solve with branch-and-bound over the LP relaxation; the solver's
-//!   bound certifies an optimality gap at any node budget — the paper's
+//!   an index nothing uses or a configuration another one dominates;
+//!   identical queries merge, queries no index helps become a constant,
+//!   and a query one single index helps folds into that index's
+//!   coefficient), then solve with branch-and-bound over the LP
+//!   relaxation; the solver's bound certifies an optimality gap at any
+//!   node budget — the paper's
 //!   "trade off execution time against the quality of the suggested
 //!   solutions", with effort counted in nodes so the answer never depends
 //!   on the machine ([`advisor`]).

@@ -310,6 +310,7 @@ fn run(args: &[String]) -> Result<(), String> {
             if show_stats {
                 println!();
                 print!("{}", report.stats);
+                print!("{}", report.indexes.ilp);
             }
             Ok(())
         }

@@ -118,6 +118,8 @@ pub struct JointReport {
     pub joint: JointRecommendation,
     /// Human-readable names of the suggested indexes (schema-resolved).
     pub index_display: Vec<String>,
+    /// Human-readable lines of the suggested partitions (schema-resolved).
+    pub partition_display: Vec<String>,
     /// INUM / cost-matrix counters: as the advisor returned them, and
     /// after the advice's publish when [`Designer::recommend_joint`] ran
     /// it (what `pgdesign recommend --joint --stats` prints).
@@ -156,6 +158,8 @@ pub struct OfflineReport {
     pub naive_schedule: Schedule,
     /// Human-readable names of the suggested indexes (schema-resolved).
     pub index_display: Vec<String>,
+    /// Human-readable lines of the suggested partitions (schema-resolved).
+    pub partition_display: Vec<String>,
     /// INUM / cost-matrix counters: as the advisor returned them, and
     /// after the advice's publish when [`Designer::recommend`] ran it
     /// (what `pgdesign recommend --stats` prints).

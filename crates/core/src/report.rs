@@ -14,6 +14,7 @@ use crate::designer::{JointReport, OfflineReport};
 use crate::fixed::{push_fixed, push_uint, Align};
 use crate::health::ServiceHealth;
 use pgdesign_catalog::design::PhysicalDesign;
+use pgdesign_catalog::schema::Schema;
 use pgdesign_inum::{InumStats, MatrixStats};
 use std::fmt;
 use std::fmt::Write as _;
@@ -218,29 +219,38 @@ fn push_recommendation_rows(out: &mut String, per_query: &[(f64, f64)]) {
     }
 }
 
-/// Append the suggested partitions of `design`, one line each.
-fn push_partitions(out: &mut String, design: &PhysicalDesign) {
-    let verticals: Vec<_> = design.verticals().collect();
-    let horizontals: Vec<_> = design.horizontals().collect();
-    if verticals.is_empty() && horizontals.is_empty() {
+/// The suggested partitions of `design`, one line each, with table and
+/// column names resolved through `schema` — what the reports' partition
+/// sections print.
+pub(crate) fn partition_lines(design: &PhysicalDesign, schema: &Schema) -> Vec<String> {
+    let verticals = design.verticals().map(|vp| {
+        format!(
+            "table {}: {} vertical fragment(s)",
+            schema.table(vp.table).name,
+            vp.groups.len()
+        )
+    });
+    let horizontals = design.horizontals().map(|hp| {
+        let table = schema.table(hp.table);
+        format!(
+            "table {}: {} range partition(s) on column {}",
+            table.name,
+            hp.partitions(),
+            table.column(hp.column).name
+        )
+    });
+    verticals.chain(horizontals).collect()
+}
+
+/// Append the partition lines of a report.
+fn push_partitions(out: &mut String, lines: &[String]) {
+    if lines.is_empty() {
         out.push_str("   (none beneficial)\n");
     }
-    for vp in verticals {
-        let _ = writeln!(
-            out,
-            "   table {:?}: {} vertical fragment(s)",
-            vp.table,
-            vp.groups.len()
-        );
-    }
-    for hp in horizontals {
-        let _ = writeln!(
-            out,
-            "   table {:?}: {} range partition(s) on column {}",
-            hp.table,
-            hp.partitions(),
-            hp.column
-        );
+    for line in lines {
+        out.push_str("   ");
+        out.push_str(line);
+        out.push('\n');
     }
 }
 
@@ -278,7 +288,7 @@ pub fn render_joint(r: &JointReport) -> String {
         "-- Suggested partitions ({} merge iterations) --",
         j.partition_iterations
     );
-    push_partitions(&mut out, &j.design);
+    push_partitions(&mut out, &r.partition_display);
     out.push('\n');
     push_recommendation_rows(&mut out, &j.per_query);
     out
@@ -317,7 +327,7 @@ pub fn render_offline(r: &OfflineReport) -> String {
     out.push('\n');
 
     out.push_str("-- Suggested partitions --\n");
-    push_partitions(&mut out, &r.partitions.design);
+    push_partitions(&mut out, &r.partition_display);
     out.push('\n');
 
     push_recommendation_rows(&mut out, &r.per_query);

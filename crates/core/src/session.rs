@@ -411,6 +411,7 @@ pub trait Advisor {
 // ---- The built-in advisors ----
 
 use crate::designer::{JointReport, OfflineReport};
+use crate::report;
 use pgdesign_autopart::{AutoPartAdvisor, AutoPartConfig, PartitionRecommendation};
 use pgdesign_catalog::design::Index;
 use pgdesign_cophy::{CophyAdvisor, CophyConfig, Recommendation};
@@ -509,9 +510,11 @@ impl Advisor for JointAdvisor {
         );
         let schema = &session.designer().catalog.schema;
         let index_display = joint.indexes.iter().map(|i| i.display(schema)).collect();
+        let partition_display = report::partition_lines(&joint.design, schema);
         JointReport {
             joint,
             index_display,
+            partition_display,
             stats: session.stats(),
         }
     }
@@ -626,6 +629,7 @@ impl Advisor for OfflineAdvisor {
 
         let schema = &session.designer().catalog.schema;
         let index_display = indexes.indexes.iter().map(|i| i.display(schema)).collect();
+        let partition_display = report::partition_lines(&partitions.design, schema);
         OfflineReport {
             indexes,
             partitions,
@@ -638,6 +642,7 @@ impl Advisor for OfflineAdvisor {
             schedule,
             naive_schedule: naive,
             index_display,
+            partition_display,
             stats: session.stats(),
         }
     }

@@ -93,6 +93,11 @@ fn recommend_stats_prints_inum_and_matrix_counters() {
         "optimizer calls avoided",
         // Captured after the advice's one publish.
         "published snapshot: generation 1 (",
+        // The shape of the ILP the solver saw.
+        "ILP: 5 query blocks, ",
+        " after presolve (",
+        " rows, ",
+        " columns",
     ] {
         assert!(
             text.contains(needle),

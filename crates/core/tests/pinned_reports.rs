@@ -25,6 +25,15 @@ fn assert_pinned(what: &str, text: &str, pinned: u64) {
     );
 }
 
+/// Re-pinned when the ILP moved to one coupling row per (query, index)
+/// with a query-block presolve and partition lines began to print table
+/// and column names: the SDSS reports changed only in the solver's
+/// `nodes:`/`pivots:` and the partition lines. The TPC-H offline report
+/// also lists `orders(o_custkey)`, an index of zero value to the ILP that
+/// the greedy warm start picks: the search now keeps that warm start,
+/// where the old one replaced it by a design 1.5e-11 "cheaper" by
+/// rounding alone. Its workload cost and every per-query row are
+/// unchanged.
 #[test]
 fn offline_and_joint_reports_match_the_recorded_bytes() {
     let sdss = Designer::new(sdss_catalog(0.005));
@@ -33,12 +42,12 @@ fn offline_and_joint_reports_match_the_recorded_bytes() {
     assert_pinned(
         "SDSS offline report",
         &sdss.recommend(&w, budget).to_string(),
-        0xf55b_bc38_07aa_ead1,
+        0x5528_50d1_d43e_7bf6,
     );
     assert_pinned(
         "SDSS joint report",
         &sdss.recommend_joint(&w, budget).to_string(),
-        0x7c40_2ebe_b324_a685,
+        0x7c8f_ee48_9470_26c0,
     );
 
     let tpch = Designer::new(tpch_catalog(0.005));
@@ -47,12 +56,12 @@ fn offline_and_joint_reports_match_the_recorded_bytes() {
     assert_pinned(
         "TPC-H offline report",
         &tpch.recommend(&w, budget).to_string(),
-        0xd380_601d_ad34_30ce,
+        0x024e_2c8b_1811_7857,
     );
     assert_pinned(
         "TPC-H joint report",
         &tpch.recommend_joint(&w, budget).to_string(),
-        0x3096_f96f_b8dd_d5aa,
+        0x37f1_95b3_0068_e3cb,
     );
 }
 

@@ -659,37 +659,56 @@ mod tests {
         }
     }
 
+    /// `n` seeded designs of 1–8 distinct candidates of `w`.
+    fn seeded_designs(c: &Catalog, w: &pgdesign_query::Workload, n: usize) -> Vec<PhysicalDesign> {
+        use pgdesign_optimizer::candidates::{workload_candidates, CandidateConfig};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let pool = workload_candidates(c, w, &CandidateConfig::default()).indexes;
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        (0..n)
+            .map(|_| {
+                let want = rng.random_range(1..9usize).min(pool.len());
+                let mut picked: Vec<usize> = Vec::with_capacity(want);
+                while picked.len() < want {
+                    let i = rng.random_range(0..pool.len());
+                    if !picked.contains(&i) {
+                        picked.push(i);
+                    }
+                }
+                PhysicalDesign::with_indexes(picked.into_iter().map(|i| pool[i].clone()))
+            })
+            .collect()
+    }
+
+    /// INUM prices a design exactly as the optimizer does once nested
+    /// loops are off — on SDSS and TPC-H, over the empty design and 40
+    /// seeded designs of 1–8 candidates, to 1e-12 relative.
     #[test]
     fn inum_is_close_to_exact_without_nestloop() {
-        let (c, _) = setup();
         let opt = Optimizer::new().with_control(JoinControl {
             nestloop: false,
             ..Default::default()
         });
-        let inum = Inum::new(&c, &opt);
-        let w = sdss_workload(&c, 18, 11);
-        let photo = c.schema.table_by_name("photoobj").unwrap().id;
-        let spec = c.schema.table_by_name("specobj").unwrap().id;
-        let designs = [
-            PhysicalDesign::empty(),
-            PhysicalDesign::with_indexes([
-                Index::new(photo, vec![0]),
-                Index::new(spec, vec![1]),
-                Index::new(photo, vec![6]),
-            ]),
+        let sdss = sdss_catalog(0.01);
+        let tpch = tpch_catalog(0.01);
+        let cases = [
+            (&sdss, sdss_workload(&sdss, 40, 5)),
+            (&tpch, tpch_workload(&tpch, 36, 5)),
         ];
-        for design in &designs {
-            for (q, _) in w.iter() {
-                let fast = inum.cost(design, q);
-                let exact = inum.exact_cost(design, q);
-                assert!(
-                    fast >= exact * 0.95,
-                    "INUM must not undercut the optimizer: {fast} vs {exact}"
-                );
-                assert!(
-                    fast <= exact * 1.30,
-                    "INUM should stay close: {fast} vs {exact}"
-                );
+        for (c, w) in &cases {
+            let inum = Inum::new(c, &opt);
+            let mut designs = seeded_designs(c, w, 40);
+            designs.push(PhysicalDesign::empty());
+            for design in &designs {
+                for (q, _) in w.iter() {
+                    let fast = inum.cost(design, q);
+                    let exact = inum.exact_cost(design, q);
+                    assert!(
+                        (fast - exact).abs() <= 1e-12 * exact.abs(),
+                        "INUM {fast} vs the optimizer's {exact} on {design:?}"
+                    );
+                }
             }
         }
     }

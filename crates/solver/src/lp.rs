@@ -1,8 +1,12 @@
-//! The linear-program model: `min cᵀx  s.t.  Ax {≤,=,≥} b,  0 ≤ x ≤ u`.
+//! The linear-program model: `min c₀ + cᵀx  s.t.  Ax {≤,=,≥} b,  0 ≤ x ≤ u`.
 //!
 //! [`LinearProgram`] only *describes* a program — objective, rows and
 //! per-variable upper bounds (infinite unless [`LinearProgram::set_upper`]
-//! says otherwise; a bound is a property of the column, never a row).
+//! says otherwise; a bound is a property of the column, never a row). The
+//! constant `c₀` ([`LinearProgram::add_objective_offset`]) is what a
+//! presolve leaves behind when it takes a part of the program out: every
+//! objective and bound reported includes it, so they are the numbers of
+//! the program before the presolve.
 //! Solving is the bounded-variable simplex engine in `simplex.rs`:
 //! [`LinearProgram::solve`] runs it once, cold; branch-and-bound
 //! ([`crate::milp`]) keeps one engine alive across its whole tree.
@@ -65,6 +69,7 @@ const CHECK_TOL: f64 = 1e-7;
 /// A linear program in minimization form over variables in `[0, u]`.
 #[derive(Debug, Clone, Default)]
 pub struct LinearProgram {
+    pub(crate) offset: f64,
     pub(crate) objective: Vec<f64>,
     pub(crate) upper: Vec<f64>,
     pub(crate) constraints: Vec<Constraint>,
@@ -82,6 +87,12 @@ impl LinearProgram {
         self.objective.push(cost);
         self.upper.push(f64::INFINITY);
         self.objective.len() - 1
+    }
+
+    /// Add `value` to the objective's constant term. Costs no row and no
+    /// column.
+    pub fn add_objective_offset(&mut self, value: f64) {
+        self.offset += value;
     }
 
     /// Bound `var` above: `var ≤ upper`. Costs no row.
@@ -118,7 +129,7 @@ impl LinearProgram {
         })
     }
 
-    /// `cᵀx` if `x` satisfies every bound and every row of the program as
+    /// `c₀ + cᵀx` if `x` satisfies every bound and every row of the program as
     /// written (within [`CHECK_TOL`]) — the check an incumbent must pass
     /// whatever a long-lived tableau believes about it.
     pub(crate) fn objective_if_feasible(&self, x: &[f64]) -> Option<f64> {
@@ -137,7 +148,15 @@ impl LinearProgram {
                 Relation::Eq => (lhs - c.rhs).abs() <= CHECK_TOL,
             }
         });
-        (in_bounds && rows_hold).then(|| self.objective.iter().zip(x).map(|(c, v)| c * v).sum())
+        (in_bounds && rows_hold).then(|| {
+            self.offset
+                + self
+                    .objective
+                    .iter()
+                    .zip(x)
+                    .map(|(c, v)| c * v)
+                    .sum::<f64>()
+        })
     }
 }
 

@@ -473,6 +473,32 @@ mod tests {
     }
 
     #[test]
+    fn objective_offset_is_in_every_reported_number() {
+        let plain = knapsack_milp(&[6.0, 10.0, 12.0], &[1.0, 2.0, 3.0], 5.0);
+        let mut shifted = plain.clone();
+        shifted.lp.add_objective_offset(100.0);
+        for node_limit in [0, 1, 50_000] {
+            let opts = MilpOptions {
+                node_limit,
+                ..Default::default()
+            };
+            let warm = [1.0, 0.0, 0.0];
+            let (a, b) = (
+                plain.solve_with_warm_start(&opts, Some(&warm)),
+                shifted.solve_with_warm_start(&opts, Some(&warm)),
+            );
+            assert!((b.objective - (a.objective + 100.0)).abs() < 1e-9);
+            assert!((b.bound - (a.bound + 100.0)).abs() < 1e-9);
+            assert_eq!(a.x, b.x);
+            // The gap is relative to the shifted objective.
+            let gap = (b.objective - b.bound) / b.objective.abs();
+            assert!((b.gap - gap).abs() < 1e-12, "{} vs {gap}", b.gap);
+        }
+        let root = shifted.lp.solve().unwrap();
+        assert!((root.objective - (plain.lp.solve().unwrap().objective + 100.0)).abs() < 1e-9);
+    }
+
+    #[test]
     fn equality_constrained_assignment() {
         // Choose exactly one of three options; costs 3, 1, 2 → pick #1.
         let mut m = Milp::new();

@@ -67,6 +67,7 @@ pub(crate) struct Simplex {
     // The program as given (rows scaled, duplicates summed).
     rows: Vec<Vec<(usize, f64)>>,
     b: Vec<f64>,
+    offset: f64,
     cost: Vec<f64>,
     lb: Vec<f64>,
     ub: Vec<f64>,
@@ -129,6 +130,7 @@ impl Simplex {
             width,
             rows,
             b,
+            offset: lp.offset,
             cost,
             lb,
             ub,
@@ -172,9 +174,12 @@ impl Simplex {
         self.ub[j] = ub;
     }
 
-    /// Objective `cᵀx` at the current point.
+    /// Objective `c₀ + cᵀx` at the current point.
     pub(crate) fn objective(&self) -> f64 {
-        (0..self.n).map(|j| self.cost[j] * self.value(j)).sum()
+        self.offset
+            + (0..self.n)
+                .map(|j| self.cost[j] * self.value(j))
+                .sum::<f64>()
     }
 
     /// The current point, structural columns only, into `x`.

@@ -31,7 +31,7 @@ impl LinearProgram {
         }
         let n = free_vars.len();
 
-        let mut fixed_cost = 0.0;
+        let mut fixed_cost = self.offset;
         for (&v, &val) in fixed {
             fixed_cost += self.objective[v] * val;
         }

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the three demo scenarios end-to-end.
 
 use pgdesign::Designer;
-use pgdesign_catalog::design::{Index, PhysicalDesign};
+use pgdesign_catalog::design::PhysicalDesign;
 use pgdesign_catalog::samples::sdss_catalog;
 use pgdesign_colt::ColtConfig;
 use pgdesign_query::generators::{sdss_workload, DriftingStream};
@@ -85,35 +85,67 @@ fn scenario3_online_tuning_tracks_drift() {
     assert!(tuned < untuned, "tuned {tuned} vs untuned {untuned}");
 }
 
+/// `n` seeded designs of 1–8 distinct candidates of `workload`.
+fn seeded_designs(
+    catalog: &pgdesign_catalog::Catalog,
+    workload: &Workload,
+    n: usize,
+) -> Vec<PhysicalDesign> {
+    use pgdesign_optimizer::candidates::{workload_candidates, CandidateConfig};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let pool = workload_candidates(catalog, workload, &CandidateConfig::default()).indexes;
+    let mut rng = StdRng::seed_from_u64(2010);
+    (0..n)
+        .map(|_| {
+            let want = rng.random_range(1..9usize).min(pool.len());
+            let mut picked: Vec<usize> = Vec::with_capacity(want);
+            while picked.len() < want {
+                let i = rng.random_range(0..pool.len());
+                if !picked.contains(&i) {
+                    picked.push(i);
+                }
+            }
+            PhysicalDesign::with_indexes(picked.into_iter().map(|i| pool[i].clone()))
+        })
+        .collect()
+}
+
 #[test]
 fn whatif_costing_is_consistent_between_direct_and_inum_paths() {
-    let catalog = sdss_catalog(0.01);
-    let workload = sdss_workload(&catalog, 9, 5);
-    let designer = Designer::new(catalog);
-    let photo = designer
-        .catalog
-        .schema
-        .table_by_name("photoobj")
-        .unwrap()
-        .id;
-    let design =
-        PhysicalDesign::with_indexes([Index::new(photo, vec![0]), Index::new(photo, vec![3, 6])]);
     // INUM excludes nested-loop joins (their inner cost is design
-    // dependent), so the fair oracle is the NLJ-free optimizer.
+    // dependent), so the fair oracle is the NLJ-free optimizer — and
+    // against it INUM is exact, to 1e-12 relative, on both catalogs.
     let no_nlj =
         pgdesign_optimizer::Optimizer::new().with_control(pgdesign_optimizer::JoinControl {
             nestloop: false,
             ..Default::default()
         });
-    let inum = pgdesign_inum::Inum::new(&designer.catalog, &no_nlj);
-    for (q, _) in workload.iter() {
-        let direct = no_nlj.cost(&designer.catalog, &design, q);
-        let fast = inum.cost(&design, q);
-        assert!(fast >= direct * 0.95, "{fast} vs {direct}");
-        assert!(fast <= direct * 1.3, "{fast} vs {direct}");
-        // And INUM never undercuts the *full* optimizer either.
-        let full = designer.cost(&design, q);
-        assert!(fast >= full * 0.95, "{fast} vs full {full}");
+    let sdss = sdss_catalog(0.01);
+    let tpch = pgdesign_catalog::samples::tpch_catalog(0.01);
+    let cases = [
+        (sdss_workload(&sdss, 12, 5), Designer::new(sdss)),
+        (
+            pgdesign_query::generators::tpch_workload(&tpch, 12, 5),
+            Designer::new(tpch),
+        ),
+    ];
+    for (workload, designer) in &cases {
+        let inum = pgdesign_inum::Inum::new(&designer.catalog, &no_nlj);
+        for design in seeded_designs(&designer.catalog, workload, 40) {
+            for (q, _) in workload.iter() {
+                let direct = no_nlj.cost(&designer.catalog, &design, q);
+                let fast = inum.cost(&design, q);
+                assert!(
+                    (fast - direct).abs() <= 1e-12 * direct.abs(),
+                    "{fast} vs {direct} on {design:?}"
+                );
+                // And INUM never undercuts the *full* optimizer either:
+                // nested loops only ever add cheaper plans.
+                let full = designer.cost(&design, q);
+                assert!(fast >= full * (1.0 - 1e-12), "{fast} vs full {full}");
+            }
+        }
     }
 }
 
