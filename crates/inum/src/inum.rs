@@ -2,7 +2,7 @@
 
 use crate::key::query_key;
 use crate::matrix::{LookupCounters, MatrixStats};
-use crate::parallel::{fan_out, Workers, CELLS_PER_COMBO};
+use crate::parallel::{fan_out_with, Workers, CELLS_PER_COMBO};
 use crate::skeleton_set::SkeletonSet;
 use crate::wire::Wire;
 use parking_lot::RwLock;
@@ -12,7 +12,7 @@ use pgdesign_durability::ByteWriter;
 use pgdesign_optimizer::access::{self, AccessContext, SlotProfile};
 use pgdesign_optimizer::optimizer::interesting_slot_orders;
 use pgdesign_optimizer::plan::order_satisfies;
-use pgdesign_optimizer::{Optimizer, Skeleton};
+use pgdesign_optimizer::{JoinPlanner, Optimizer, Skeleton};
 use pgdesign_query::ast::Query;
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -330,7 +330,12 @@ impl<'a> Inum<'a> {
             let combos: usize = misses.iter().map(|&(_, q)| combination_count(q)).sum();
             combos * CELLS_PER_COMBO
         });
-        let planned = fan_out(&misses, workers, |&(_, q)| self.plan_skeletons(q));
+        let planned = fan_out_with(
+            &misses,
+            workers,
+            JoinPlanner::default,
+            |planner, &(_, q)| self.plan_skeletons(planner, q),
+        );
         let mut cache = shared.cache.write();
         for ((key, q), skeletons) in misses.into_iter().zip(planned) {
             cache.insert(key, q, &skeletons);
@@ -460,7 +465,7 @@ impl<'a> Inum<'a> {
             return found.clone();
         }
         shared.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let planned = self.plan_skeletons(query);
+        let planned = self.plan_skeletons(&mut JoinPlanner::default(), query);
         shared.cache.write().insert(key, query, &planned)
     }
 
@@ -481,15 +486,16 @@ impl<'a> Inum<'a> {
     }
 
     /// Plan every interesting-order combination of `query` (counted in
-    /// [`InumStats::skeletons_built`]) and keep the undominated skeletons.
-    fn plan_skeletons(&self, query: &Query) -> Vec<Skeleton> {
+    /// [`InumStats::skeletons_built`]) on `planner` and keep the
+    /// undominated skeletons.
+    fn plan_skeletons(&self, planner: &mut JoinPlanner, query: &Query) -> Vec<Skeleton> {
         let combos = order_combinations(query);
         self.shared
             .skeletons_built
             .fetch_add(combos.len() as u64, Ordering::Relaxed);
         let all = self
             .optimizer
-            .optimize_skeletons(self.catalog, query, combos);
+            .optimize_skeletons(planner, self.catalog, query, combos);
         #[cfg(test)]
         if self.shared.unpruned {
             return all;
@@ -940,7 +946,7 @@ mod tests {
         let c = tpch_catalog(0.01);
         let opt = Optimizer::new();
         // Enough order combinations for two sized workers.
-        let mut w = tpch_workload(&c, 60, 3);
+        let mut w = tpch_workload(&c, 90, 3);
         // Verbatim repeats: hits inside the batch, not cache lookups.
         for i in [2, 5, 2] {
             let q = w.query(i).clone();
@@ -952,7 +958,7 @@ mod tests {
             let _ = one_by_one.skeletons(q);
         }
         let expected = one_by_one.stats();
-        assert_eq!((expected.cache_hits, expected.cache_misses), (3, 60));
+        assert_eq!((expected.cache_hits, expected.cache_misses), (3, 90));
         let work = expected.skeletons_built as usize * CELLS_PER_COMBO;
         assert_eq!(Workers::UpTo(4).count(|| work), 2, "{work} cells");
         let (one, two, four) = (

@@ -20,10 +20,12 @@ use std::sync::OnceLock;
 /// and TPC-H, 2-vCPU VM).
 pub(crate) const WORK_PER_WORKER: usize = 2048;
 
-/// What planning one interesting-order combination is worth in cells:
-/// 2.7 µs against a 250 ns cell on SDSS and 5.1 µs against a 438 ns cell
-/// on TPC-H (serial, same VM).
-pub(crate) const CELLS_PER_COMBO: usize = 11;
+/// What planning one interesting-order combination is worth in cells: a
+/// serial warm-up of 400 generator queries spends 6–7 cells' time per
+/// combination it plans on SDSS (1.4–2.1 µs against a 200–340 ns cell)
+/// and on TPC-H (3.2–3.4 µs against a 480–490 ns cell), medians of seven
+/// workloads on the same VM.
+pub(crate) const CELLS_PER_COMBO: usize = 7;
 
 /// The most workers any parallel region runs on: `PGDESIGN_THREADS` when
 /// set to a positive integer, otherwise the machine's available
@@ -106,19 +108,35 @@ pub(crate) fn fan_out<T: Sync, R: Send>(
     workers: usize,
     one: impl Fn(&T) -> R + Sync,
 ) -> Vec<R> {
+    fan_out_with(items, workers, || (), |(), item| one(item))
+}
+
+/// [`fan_out`] with a scratch state per participant: each one makes its
+/// own with `init` and hands it to `one` for every item it claims (the
+/// skeleton warm-up's join planner, whose buffers every query reuses).
+/// The output is still bit-identical to the serial map whenever `one`'s
+/// result does not depend on what the state held before.
+pub(crate) fn fan_out_with<T: Sync, S, R: Send>(
+    items: &[T],
+    workers: usize,
+    init: impl Fn() -> S + Sync,
+    one: impl Fn(&mut S, &T) -> R + Sync,
+) -> Vec<R> {
     let nt = workers.clamp(1, items.len().max(1));
     if nt <= 1 {
-        return items.iter().map(one).collect();
+        let mut state = init();
+        return items.iter().map(|item| one(&mut state, item)).collect();
     }
     let next = AtomicUsize::new(0);
     let claim = || {
+        let mut state = init();
         let mut done = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             let Some(item) = items.get(i) else {
                 return done;
             };
-            done.push((i, one(item)));
+            done.push((i, one(&mut state, item)));
         }
     };
     SPAWNED.with(|s| s.set(s.get() + (nt - 1) as u64));

@@ -19,7 +19,8 @@
 //! * [`plan`] — physical plan trees with costs, cardinalities, delivered
 //!   sort orders and an `EXPLAIN`-style renderer;
 //! * [`join`] — dynamic-programming join enumeration with hash, merge and
-//!   (index-)nested-loop methods and interesting-order tracking;
+//!   (index-)nested-loop methods and interesting-order tracking, over
+//!   value-typed plan entries on a reusable [`JoinPlanner`];
 //! * [`optimizer`] — the façade: [`Optimizer::optimize`] plus the INUM
 //!   hooks ([`Optimizer::optimize_skeleton`], [`Optimizer::best_access`])
 //!   and the what-if join control (§3.1's "what-if join component");
@@ -31,7 +32,10 @@
 //!
 //! A reference executor over generated data samples (`exec`, test-only)
 //! is the selectivity model's oracle: estimated cardinalities must track
-//! the row counts it actually produces.
+//! the row counts it actually produces. The join DP's oracle is the
+//! tree-building planner it replaced (`oracle`, test-only): every
+//! `optimize` plan and every INUM skeleton cost must equal that planner's,
+//! bit for bit.
 //!
 //! The *what-if* property needs no special machinery: a
 //! [`pgdesign_catalog::PhysicalDesign`] is just a value, so evaluating a
@@ -49,10 +53,13 @@ mod exec;
 pub mod join;
 pub mod maintenance;
 pub mod optimizer;
+#[cfg(test)]
+mod oracle;
 pub mod params;
 pub mod plan;
 pub mod selectivity;
 
+pub use join::JoinPlanner;
 pub use optimizer::{JoinControl, Optimizer, Skeleton};
 pub use params::CostParams;
 pub use plan::{Plan, PlanNode};

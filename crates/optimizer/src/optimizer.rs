@@ -2,14 +2,12 @@
 //! control, and the INUM skeleton hooks.
 
 use crate::access::{self, AccessContext};
-use crate::join::{AbstractLeafProvider, AccessLeafProvider, JoinPlanner};
+use crate::join::JoinPlanner;
 use crate::params::CostParams;
-use crate::plan::{order_satisfies, Plan, PlanExpr, PlanNode};
-use crate::selectivity;
+use crate::plan::{Plan, PlanExpr};
 use pgdesign_catalog::design::PhysicalDesign;
 use pgdesign_catalog::Catalog;
 use pgdesign_query::ast::{PredOp, Query, QueryColumn};
-use std::sync::Arc;
 
 /// The "what-if join component" (§3.1): enables or disables join methods
 /// in the produced execution plans so a DBA can explore how the design
@@ -87,20 +85,15 @@ impl Optimizer {
     /// included in `design`). This *is* the what-if call: the design is
     /// never materialized.
     pub fn optimize(&self, catalog: &Catalog, design: &PhysicalDesign, query: &Query) -> Plan {
-        let ctx = AccessContext {
-            catalog,
-            design,
-            params: &self.params,
-            query,
-        };
-        let planner = JoinPlanner::new(ctx, self.control, &AccessLeafProvider);
-        let variants = planner.plan();
-        self.finish(&ctx, variants)
+        let ctx = self.context(catalog, design, query);
+        JoinPlanner::default().best_plan(&ctx, self.control)
     }
 
-    /// Estimated cost of `query` under `design`.
+    /// Estimated cost of `query` under `design`: the cost of
+    /// [`Self::optimize`]'s plan, without building its tree.
     pub fn cost(&self, catalog: &Catalog, design: &PhysicalDesign, query: &Query) -> f64 {
-        let cost = self.optimize(catalog, design, query).cost;
+        let ctx = self.context(catalog, design, query);
+        let cost = JoinPlanner::default().best_cost(&ctx, self.control);
         debug_assert!(
             cost.is_finite(),
             "optimizer produced a non-finite plan cost"
@@ -132,55 +125,43 @@ impl Optimizer {
         query: &Query,
         slot_orders: Vec<Option<Vec<u16>>>,
     ) -> Skeleton {
-        self.optimize_skeletons(catalog, query, vec![slot_orders])
-            .pop()
-            .expect("one combination in, one skeleton out")
+        self.optimize_skeletons(
+            &mut JoinPlanner::default(),
+            catalog,
+            query,
+            vec![slot_orders],
+        )
+        .pop()
+        .expect("one combination in, one skeleton out")
     }
 
     /// Extract skeletons for a whole batch of interesting-order
     /// combinations of one query: one skeleton per combination, in input
-    /// order. What depends on the query alone is computed once, not once
-    /// per combination — the design-independent cardinalities
-    /// ([`crate::join::query_cardinalities`]) and the abstract leaves cut
-    /// from them ([`AbstractLeafProvider::new`]) — and the DP shares plan
-    /// subtrees instead of copying them. This is the path the
-    /// `pgdesign-inum` skeleton cache uses; it then keeps only the
+    /// order, planned on `planner`'s reused buffers. What depends on the
+    /// query alone is computed once, not once per combination, and no
+    /// plan tree is built. This is the path the `pgdesign-inum` skeleton
+    /// cache uses (one planner per warm-up worker); it then keeps only the
     /// skeletons no other one dominates (see [`Skeleton`]).
     pub fn optimize_skeletons(
         &self,
+        planner: &mut JoinPlanner,
         catalog: &Catalog,
         query: &Query,
         combos: Vec<Vec<Option<Vec<u16>>>>,
     ) -> Vec<Skeleton> {
         let design = PhysicalDesign::empty();
-        let ctx = AccessContext {
-            catalog,
-            design: &design,
-            params: &self.params,
-            query,
-        };
-        let (slot_rows, edge_sel) = crate::join::query_cardinalities(&ctx);
-        let unordered = AbstractLeafProvider::new(&ctx, &slot_rows);
+        let ctx = self.context(catalog, &design, query);
         let control = JoinControl {
             nestloop: false,
             ..self.control
         };
+        let costs = planner.internal_costs(&ctx, control, &combos);
         combos
             .into_iter()
-            .map(|slot_orders| {
-                let provider = unordered.with_orders(&slot_orders);
-                let planner = JoinPlanner::with_cardinalities(
-                    ctx,
-                    control,
-                    &provider,
-                    slot_rows.clone(),
-                    edge_sel.clone(),
-                );
-                let plan = self.finish(&ctx, planner.plan());
-                Skeleton {
-                    internal_cost: plan.cost,
-                    slot_orders,
-                }
+            .zip(costs)
+            .map(|(slot_orders, internal_cost)| Skeleton {
+                internal_cost,
+                slot_orders,
             })
             .collect()
     }
@@ -195,124 +176,24 @@ impl Optimizer {
         slot: u16,
         required_order: Option<&[u16]>,
     ) -> PlanExpr {
-        let ctx = AccessContext {
-            catalog,
-            design,
-            params: &self.params,
-            query,
-        };
+        let ctx = self.context(catalog, design, query);
         let order: Option<Vec<QueryColumn>> =
             required_order.map(|cols| cols.iter().map(|&c| QueryColumn::new(slot, c)).collect());
         access::best_access(&ctx, slot, order.as_deref(), &[])
     }
 
-    /// Finish a set of join-output variants: aggregation, final ordering,
-    /// limit; returns the cheapest complete plan.
-    fn finish(&self, ctx: &AccessContext<'_>, variants: Vec<Arc<PlanExpr>>) -> Plan {
-        let q = ctx.query;
-        let p = ctx.params;
-        let eq_bound = equality_bound_columns(q);
-        let n_aggs = q.aggregates.len().max(1) as f64;
-        let mut best: Option<PlanExpr> = None;
-        for v in variants {
-            let mut finals: Vec<PlanExpr> = Vec::new();
-            if !q.group_by.is_empty() {
-                let groups = selectivity::group_count(ctx.catalog, q, v.rows);
-                // Hash aggregate.
-                finals.push(PlanExpr {
-                    cost: v.cost
-                        + v.rows * n_aggs * p.cpu_operator_cost
-                        + groups * p.cpu_tuple_cost
-                        + p.hash_build_cost(groups, v.width) * 0.5,
-                    rows: groups,
-                    width: v.width,
-                    order: vec![],
-                    node: PlanNode::Aggregate {
-                        input: Arc::clone(&v),
-                        hash: true,
-                    },
-                });
-                // Stream aggregate over ordered input (sort if needed).
-                let ordered = if order_satisfies(&v.order, &q.group_by, &eq_bound) {
-                    Arc::clone(&v)
-                } else {
-                    Arc::new(PlanExpr {
-                        cost: v.cost + p.sort_cost(v.rows, v.width),
-                        rows: v.rows,
-                        width: v.width,
-                        order: q.group_by.clone(),
-                        node: PlanNode::Sort {
-                            input: Arc::clone(&v),
-                            keys: q.group_by.clone(),
-                        },
-                    })
-                };
-                finals.push(PlanExpr {
-                    cost: ordered.cost
-                        + ordered.rows * n_aggs * p.cpu_operator_cost
-                        + groups * p.cpu_tuple_cost,
-                    rows: groups,
-                    width: ordered.width,
-                    order: ordered.order.clone(),
-                    node: PlanNode::Aggregate {
-                        input: ordered,
-                        hash: false,
-                    },
-                });
-            } else if !q.aggregates.is_empty() {
-                // Scalar aggregation collapses to one row.
-                finals.push(PlanExpr {
-                    cost: v.cost + v.rows * n_aggs * p.cpu_operator_cost,
-                    rows: 1.0,
-                    width: 8.0 * n_aggs,
-                    order: vec![],
-                    node: PlanNode::Aggregate {
-                        input: Arc::clone(&v),
-                        hash: false,
-                    },
-                });
-            } else {
-                finals.push(Arc::unwrap_or_clone(v));
-            }
-
-            for f in finals {
-                let mut plan = f;
-                // Final ORDER BY.
-                if !q.order_by.is_empty() {
-                    let keys: Vec<QueryColumn> = q.order_by.iter().map(|o| o.col).collect();
-                    if !order_satisfies(&plan.order, &keys, &eq_bound) {
-                        plan = PlanExpr {
-                            cost: plan.cost + p.sort_cost(plan.rows, plan.width),
-                            rows: plan.rows,
-                            width: plan.width,
-                            order: keys.clone(),
-                            node: PlanNode::Sort {
-                                input: Arc::new(plan),
-                                keys,
-                            },
-                        };
-                    }
-                }
-                // LIMIT.
-                if let Some(n) = q.limit {
-                    let rows = plan.rows.min(n as f64);
-                    plan = PlanExpr {
-                        cost: plan.cost,
-                        rows,
-                        width: plan.width,
-                        order: plan.order.clone(),
-                        node: PlanNode::Limit {
-                            input: Arc::new(plan),
-                            n,
-                        },
-                    };
-                }
-                if best.as_ref().is_none_or(|b| plan.cost < b.cost) {
-                    best = Some(plan);
-                }
-            }
+    fn context<'a>(
+        &'a self,
+        catalog: &'a Catalog,
+        design: &'a PhysicalDesign,
+        query: &'a Query,
+    ) -> AccessContext<'a> {
+        AccessContext {
+            catalog,
+            design,
+            params: &self.params,
+            query,
         }
-        best.expect("at least one variant exists")
     }
 }
 
@@ -360,6 +241,7 @@ pub fn interesting_slot_orders(q: &Query, slot: u16) -> Vec<Vec<u16>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::PlanNode;
     use pgdesign_catalog::design::Index;
     use pgdesign_catalog::samples::sdss_catalog;
     use pgdesign_query::parse_query;

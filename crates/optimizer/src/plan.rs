@@ -29,9 +29,9 @@ pub struct PlanExpr {
 /// Alias: the optimizer's final product.
 pub type Plan = PlanExpr;
 
-/// Physical operators. Children are shared handles: the join DP hands
-/// one subplan to every parent it is costed under, so composing a plan
-/// never deep-copies a subtree.
+/// Physical operators. Children are shared handles, so cloning a plan
+/// (or a leaf the join planner keeps for its tree rebuild) never
+/// deep-copies a subtree.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanNode {
     /// Full sequential scan of a slot's table (or its sole fragment).

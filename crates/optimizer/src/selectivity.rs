@@ -111,12 +111,19 @@ pub fn group_count(catalog: &Catalog, query: &Query, input_rows: f64) -> f64 {
     if query.group_by.is_empty() {
         return 1.0;
     }
+    group_ndv(catalog, query).min(input_rows).max(1.0)
+}
+
+/// The product of the GROUP BY columns' distinct-value counts: the group
+/// count before [`group_count`] caps it by the input rows. Depends on the
+/// query alone, so a planner costing many inputs computes it once.
+pub fn group_ndv(catalog: &Catalog, query: &Query) -> f64 {
     let mut ndv = 1.0f64;
     for g in &query.group_by {
         let stats = catalog.table_stats(query.table_of(g.slot)).column(g.column);
         ndv *= stats.ndv.max(1.0);
     }
-    ndv.min(input_rows).max(1.0)
+    ndv
 }
 
 #[cfg(test)]
