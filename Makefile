@@ -31,8 +31,9 @@ lint:
 lint-arch:
 	$(CARGO) run -q --release -p pgdesign-analyzer
 
+# Rustdoc warnings (a dangling intra-doc link) are errors, as in CI.
 doc:
-	$(CARGO) doc --workspace --no-deps
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps
 
 # Build and run every example end to end — the public TuningSession /
 # Advisor API exercised exactly the way the README shows it.

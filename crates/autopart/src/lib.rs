@@ -79,33 +79,18 @@ use std::collections::BTreeMap;
 #[cfg(test)]
 mod oracle;
 
+/// Maximum greedy merge iterations per table.
+const MAX_ITERATIONS: usize = 64;
+/// Number of horizontal partitions to propose.
+const HORIZONTAL_PARTITIONS: usize = 16;
+
 /// AutoPart knobs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct AutoPartConfig {
     /// Extra bytes allowed for column replication across fragments — one
     /// shared pool for the whole search, drawn down by every table's
     /// accepted replication (not a per-table allowance).
     pub replication_budget_bytes: u64,
-    /// Maximum greedy merge iterations per table. `0` disables the
-    /// vertical search entirely (a valid no-op recommendation).
-    pub max_iterations: usize,
-    /// Number of horizontal partitions to propose. Values below 2 cannot
-    /// describe a split, so they disable the horizontal pass (no-op)
-    /// rather than being silently rounded up.
-    pub horizontal_partitions: usize,
-    /// Whether to attempt horizontal partitioning at all.
-    pub consider_horizontal: bool,
-}
-
-impl Default for AutoPartConfig {
-    fn default() -> Self {
-        AutoPartConfig {
-            replication_budget_bytes: 0,
-            max_iterations: 64,
-            horizontal_partitions: 16,
-            consider_horizontal: true,
-        }
-    }
 }
 
 /// A finished partitioning recommendation.
@@ -437,9 +422,6 @@ impl<'a> AutoPartAdvisor<'a> {
         workload: &Workload,
         replication_left: &mut u64,
     ) -> usize {
-        if self.config.max_iterations == 0 {
-            return 0; // degenerate knob: no search, valid no-op
-        }
         let catalog = self.inum.catalog();
         let tdef = catalog.schema.table(table);
         let rows = catalog.table_stats(table).row_count;
@@ -464,7 +446,7 @@ impl<'a> AutoPartAdvisor<'a> {
         let mut current = search.current();
         let mut iterations = 0usize;
 
-        while iterations < self.config.max_iterations && group_ids.len() > 1 {
+        while iterations < MAX_ITERATIONS && group_ids.len() > 1 {
             let n = group_ids.len();
             let masks: Vec<u128> = group_ids
                 .iter()
@@ -600,10 +582,7 @@ impl<'a> AutoPartAdvisor<'a> {
         table: TableId,
         workload: &Workload,
     ) -> Option<usize> {
-        let n = self.config.horizontal_partitions;
-        if n < 2 {
-            return None; // degenerate knob: <2 partitions is no split
-        }
+        let n = HORIZONTAL_PARTITIONS;
         let catalog = self.inum.catalog();
         // Most-restricted sargable column.
         let mut restriction_count: BTreeMap<u16, usize> = BTreeMap::new();
@@ -675,11 +654,9 @@ impl<'a> AutoPartAdvisor<'a> {
         for &t in &tables {
             iterations += vertical(self, matrix, cfg, t, workload, &mut replication_left);
         }
-        if self.config.consider_horizontal {
-            for &t in &tables {
-                if let Some(sid) = self.horizontal_for_table_on(matrix, cfg, t, workload) {
-                    cfg.splits.insert(sid);
-                }
+        for &t in &tables {
+            if let Some(sid) = self.horizontal_for_table_on(matrix, cfg, t, workload) {
+                cfg.splits.insert(sid);
             }
         }
         iterations
@@ -840,7 +817,6 @@ mod tests {
             &inum,
             AutoPartConfig {
                 replication_budget_bytes: budget,
-                ..Default::default()
             },
         );
         // objid is co-accessed with both {ra,dec} and {r}: replicating it
@@ -917,34 +893,6 @@ mod tests {
         // Non-positive base cost: no meaningful fraction; explicitly 0.
         assert_eq!(rec(0.0, 10.0).average_benefit(), 0.0);
         assert_eq!(rec(-5.0, 10.0).average_benefit(), 0.0);
-    }
-
-    #[test]
-    fn zero_max_iterations_yields_valid_noop() {
-        let c = sdss_catalog(0.01);
-        let opt = Optimizer::new();
-        let inum = Inum::new(&c, &opt);
-        let advisor = AutoPartAdvisor::new(
-            &inum,
-            AutoPartConfig {
-                max_iterations: 0,
-                consider_horizontal: false,
-                ..Default::default()
-            },
-        );
-        let w = narrow_workload(&c);
-        let rec = advisor.recommend_on(&mut CostMatrix::build(&inum, &w, &[]));
-        assert!(
-            rec.design.verticals().next().is_none(),
-            "no iterations allowed: no vertical partitioning may be proposed"
-        );
-        assert_eq!(rec.iterations, 0);
-        assert!(
-            (rec.cost - rec.base_cost).abs() < 1e-9,
-            "no-op recommendation must cost exactly the base: {} vs {}",
-            rec.cost,
-            rec.base_cost
-        );
     }
 
     /// A recommendation with every float as its bits.
@@ -1039,25 +987,16 @@ mod tests {
         let mut spent = (MatrixStats::default(), MatrixStats::default());
         for budget in [0, catalog.data_bytes() / 20, u64::MAX / 4] {
             for joint in [None, Some((&candidates[..], &preselected[..]))] {
-                for consider_horizontal in [true, false] {
-                    let config = AutoPartConfig {
-                        replication_budget_bytes: budget,
-                        consider_horizontal,
-                        ..AutoPartConfig::default()
-                    };
-                    let (new, new_spent) = run_search(&inum, config, workload, joint, true);
-                    let (old, old_spent) = run_search(&inum, config, workload, joint, false);
-                    assert_eq!(
-                        new,
-                        old,
-                        "budget {budget}, joint {}, horizontal {consider_horizontal}",
-                        joint.is_some()
-                    );
-                    for (total, part) in [(&mut spent.0, new_spent), (&mut spent.1, old_spent)] {
-                        total.lookups += part.lookups;
-                        total.partition_lookups += part.partition_lookups;
-                        total.partition_cells += part.partition_cells;
-                    }
+                let config = AutoPartConfig {
+                    replication_budget_bytes: budget,
+                };
+                let (new, new_spent) = run_search(&inum, config, workload, joint, true);
+                let (old, old_spent) = run_search(&inum, config, workload, joint, false);
+                assert_eq!(new, old, "budget {budget}, joint {}", joint.is_some());
+                for (total, part) in [(&mut spent.0, new_spent), (&mut spent.1, old_spent)] {
+                    total.lookups += part.lookups;
+                    total.partition_lookups += part.partition_lookups;
+                    total.partition_cells += part.partition_cells;
                 }
             }
         }
@@ -1096,33 +1035,5 @@ mod tests {
             new.partition_cells,
             old.partition_cells
         );
-    }
-
-    #[test]
-    fn zero_horizontal_partitions_yields_valid_noop() {
-        let c = sdss_catalog(0.01);
-        let opt = Optimizer::new();
-        let inum = Inum::new(&c, &opt);
-        let w = narrow_workload(&c);
-        for degenerate in [0usize, 1] {
-            let advisor = AutoPartAdvisor::new(
-                &inum,
-                AutoPartConfig {
-                    horizontal_partitions: degenerate,
-                    ..Default::default()
-                },
-            );
-            let rec = advisor.recommend_on(&mut CostMatrix::build(&inum, &w, &[]));
-            assert!(
-                rec.design.horizontals().next().is_none(),
-                "{degenerate} horizontal partitions cannot describe a split"
-            );
-            // The vertical search is unaffected and still valid.
-            let photo = c.schema.table_by_name("photoobj").unwrap().id;
-            if let Some(vp) = rec.design.vertical(photo) {
-                assert!(vp.is_complete(16));
-            }
-            assert!(rec.cost <= rec.base_cost + 1e-6);
-        }
     }
 }

@@ -21,9 +21,6 @@ pub(crate) fn partition_table_on(
     workload: &Workload,
     replication_left: &mut u64,
 ) -> usize {
-    if advisor.config.max_iterations == 0 {
-        return 0;
-    }
     let catalog = advisor.inum.catalog();
     let width = catalog.schema.table(table).width();
     let atomic = advisor.atomic_fragments(workload, table);
@@ -43,7 +40,7 @@ pub(crate) fn partition_table_on(
     let mut current = matrix.joint_workload_cost(cfg);
     let mut iterations = 0usize;
 
-    while iterations < advisor.config.max_iterations && group_ids.len() > 1 {
+    while iterations < crate::MAX_ITERATIONS && group_ids.len() > 1 {
         let mut best: Option<(usize, usize, usize, f64)> = None;
         for i in 0..group_ids.len() {
             for j in (i + 1)..group_ids.len() {

@@ -43,10 +43,7 @@ fn print_report() {
             &inum,
             CophyConfig {
                 storage_budget_bytes: budget,
-                solver: MilpOptions {
-                    node_limit,
-                    ..Default::default()
-                },
+                solver: MilpOptions { node_limit },
                 ..Default::default()
             },
         );
@@ -79,10 +76,7 @@ fn bench_solve(c: &mut Criterion) {
                 &inum,
                 CophyConfig {
                     storage_budget_bytes: budget,
-                    solver: MilpOptions {
-                        node_limit: 500,
-                        ..Default::default()
-                    },
+                    solver: MilpOptions { node_limit: 500 },
                     ..Default::default()
                 },
             );

@@ -1,7 +1,7 @@
 //! The [`Catalog`]: schema + statistics + base physical design.
 
 use crate::design::PhysicalDesign;
-use crate::schema::{ColumnRef, Schema, TableId};
+use crate::schema::{Schema, TableId};
 use crate::stats::{ColumnStats, TableStats};
 
 /// Why a [`Catalog`] (or a statistics update) was rejected.
@@ -193,11 +193,6 @@ impl Catalog {
         &self.stats[table.0 as usize]
     }
 
-    /// Statistics of one column.
-    pub fn column_stats(&self, col: ColumnRef) -> &ColumnStats {
-        self.table_stats(col.table).column(col.column)
-    }
-
     /// Row count of one table.
     pub fn row_count(&self, table: TableId) -> u64 {
         self.table_stats(table).row_count
@@ -215,11 +210,6 @@ impl Catalog {
                 ))
             })
             .sum()
-    }
-
-    /// Install the materialized design.
-    pub fn set_base_design(&mut self, d: PhysicalDesign) {
-        self.base_design = d;
     }
 }
 
@@ -251,7 +241,7 @@ mod tests {
         let c = tiny();
         assert_eq!(c.row_count(TableId(0)), 1000);
         let col = c.schema.resolve("t", "b").unwrap();
-        assert_eq!(c.column_stats(col).ndv, 100.0);
+        assert_eq!(c.table_stats(col.table).column(col.column).ndv, 100.0);
     }
 
     #[test]
@@ -307,7 +297,7 @@ mod tests {
     #[test]
     fn stats_updates_validate_and_leave_catalog_unchanged_on_error() {
         let mut c = tiny();
-        let before_ndv = c.column_stats(c.schema.resolve("t", "b").unwrap()).ndv;
+        let before_ndv = c.table_stats(TableId(0)).column(1).ndv;
         // Poisoned drift is refused...
         let mut bad = c.table_stats(TableId(0)).clone();
         bad.columns[1].ndv = f64::NAN;
@@ -316,7 +306,7 @@ mod tests {
             Err(CatalogError::NonFinite { .. })
         ));
         assert_eq!(
-            c.column_stats(c.schema.resolve("t", "b").unwrap()).ndv,
+            c.table_stats(TableId(0)).column(1).ndv,
             before_ndv,
             "a rejected update must not mutate the catalog"
         );

@@ -70,11 +70,6 @@ impl Index {
         sizing::btree_height(stats.row_count, self.key_width(schema))
     }
 
-    /// True if `prefix` equals the first `prefix.len()` key columns.
-    pub fn has_prefix(&self, prefix: &[u16]) -> bool {
-        prefix.len() <= self.columns.len() && self.columns[..prefix.len()] == *prefix
-    }
-
     /// True if the index key contains every column in `cols` (any order) —
     /// the covering test for index-only scans.
     pub fn covers(&self, cols: &[u16]) -> bool {
@@ -129,14 +124,6 @@ pub struct VerticalPartitioning {
 }
 
 impl VerticalPartitioning {
-    /// The trivial partitioning: one group holding all columns.
-    pub fn trivial(table: TableId, width: u16) -> Self {
-        VerticalPartitioning {
-            table,
-            groups: vec![(0..width).collect()],
-        }
-    }
-
     /// Build a partitioning, normalising group order and content order.
     pub fn new(table: TableId, mut groups: Vec<Vec<u16>>) -> Self {
         for g in &mut groups {
@@ -356,20 +343,6 @@ impl PhysicalDesign {
         d
     }
 
-    /// This design plus one extra index (no mutation).
-    pub fn plus_index(&self, index: &Index) -> PhysicalDesign {
-        let mut d = self.clone();
-        d.add_index(index.clone());
-        d
-    }
-
-    /// This design minus one index (no mutation).
-    pub fn minus_index(&self, index: &Index) -> PhysicalDesign {
-        let mut d = self.clone();
-        d.remove_index(index);
-        d
-    }
-
     /// Total estimated bytes of all secondary indexes.
     pub fn index_bytes(&self, schema: &Schema, stats: &[TableStats]) -> u64 {
         self.indexes
@@ -425,9 +398,6 @@ mod tests {
     #[test]
     fn index_prefix_and_cover() {
         let i = Index::new(TableId(0), vec![1, 2, 0]);
-        assert!(i.has_prefix(&[1]));
-        assert!(i.has_prefix(&[1, 2]));
-        assert!(!i.has_prefix(&[2]));
         assert!(i.covers(&[0, 2]));
         assert!(!i.covers(&[3]));
     }
@@ -462,21 +432,12 @@ mod tests {
     }
 
     #[test]
-    fn plus_minus_do_not_mutate() {
-        let d = PhysicalDesign::empty();
-        let i = Index::new(TableId(0), vec![0]);
-        let d2 = d.plus_index(&i);
-        assert_eq!(d.index_count(), 0);
-        assert_eq!(d2.index_count(), 1);
-        let d3 = d2.minus_index(&i);
-        assert_eq!(d2.index_count(), 1);
-        assert_eq!(d3.index_count(), 0);
-    }
-
-    #[test]
     fn union_merges_everything() {
         let mut a = PhysicalDesign::with_indexes([Index::new(TableId(0), vec![0])]);
-        a.set_vertical(VerticalPartitioning::trivial(TableId(0), 4));
+        a.set_vertical(VerticalPartitioning::new(
+            TableId(0),
+            vec![vec![0, 1, 2, 3]],
+        ));
         let b = PhysicalDesign::with_indexes([Index::new(TableId(0), vec![1])]);
         let u = a.union(&b);
         assert_eq!(u.index_count(), 2);

@@ -382,14 +382,15 @@ mod tests {
             100_000
         );
         let objid = c.schema.resolve("photoobj", "objid").unwrap();
-        assert!(c.column_stats(objid).ndv > 50_000.0, "objid is a key");
+        let stats = c.table_stats(objid.table).column(objid.column);
+        assert!(stats.ndv > 50_000.0, "objid is a key");
     }
 
     #[test]
     fn sdss_type_column_is_skewed() {
         let c = sdss_catalog(0.01);
         let ty = c.schema.resolve("photoobj", "type").unwrap();
-        assert!(!c.column_stats(ty).mcv.is_empty());
+        assert!(!c.table_stats(ty.table).column(ty.column).mcv.is_empty());
     }
 
     #[test]
@@ -397,7 +398,7 @@ mod tests {
         let c = tpch_catalog(0.01);
         assert_eq!(c.schema.len(), 5);
         let sd = c.schema.resolve("lineitem", "l_shipdate").unwrap();
-        let s = c.column_stats(sd);
+        let s = c.table_stats(sd.table).column(sd.column);
         assert!(s.max > s.min);
     }
 
@@ -421,6 +422,6 @@ mod tests {
     fn stats_widths_match_schema() {
         let c = sdss_catalog(0.01);
         let ra = c.schema.resolve("photoobj", "ra").unwrap();
-        assert_eq!(c.column_stats(ra).avg_width, 8.0);
+        assert_eq!(c.table_stats(ra.table).column(ra.column).avg_width, 8.0);
     }
 }

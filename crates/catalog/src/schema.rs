@@ -46,8 +46,6 @@ pub struct ColumnDef {
     pub name: String,
     /// Data type.
     pub dtype: DataType,
-    /// Whether NULLs may appear.
-    pub nullable: bool,
 }
 
 /// Definition of one table.
@@ -136,27 +134,6 @@ impl Schema {
         let c = t.column_by_name(column)?;
         Some(ColumnRef::new(t.id, c))
     }
-
-    /// Resolve a bare column name by scanning all tables; `None` if the
-    /// name is absent or ambiguous. Mirrors SQL unqualified-name rules.
-    pub fn resolve_unqualified(&self, column: &str) -> Option<ColumnRef> {
-        let mut found = None;
-        for t in &self.tables {
-            if let Some(c) = t.column_by_name(column) {
-                if found.is_some() {
-                    return None; // ambiguous
-                }
-                found = Some(ColumnRef::new(t.id, c));
-            }
-        }
-        found
-    }
-
-    /// Human-readable name of a column reference.
-    pub fn column_name(&self, c: ColumnRef) -> String {
-        let t = self.table(c.table);
-        format!("{}.{}", t.name, t.column(c.column).name)
-    }
 }
 
 /// Errors raised while building a schema.
@@ -225,17 +202,9 @@ impl SchemaBuilder {
         self
     }
 
-    /// Add a non-nullable column to the current table.
-    pub fn column(self, name: &str, dtype: DataType) -> Self {
-        self.column_full(name, dtype, false)
-    }
-
-    /// Add a nullable column to the current table.
-    pub fn nullable_column(self, name: &str, dtype: DataType) -> Self {
-        self.column_full(name, dtype, true)
-    }
-
-    fn column_full(mut self, name: &str, dtype: DataType, nullable: bool) -> Self {
+    /// Add a column to the current table. (How many of its values are
+    /// NULL is a statistic: [`crate::stats::ColumnStats::null_frac`].)
+    pub fn column(mut self, name: &str, dtype: DataType) -> Self {
         let (_, cols) = self
             .tables
             .last_mut()
@@ -243,7 +212,6 @@ impl SchemaBuilder {
         cols.push(ColumnDef {
             name: name.to_string(),
             dtype,
-            nullable,
         });
         self
     }
@@ -291,7 +259,7 @@ mod tests {
             .column("b", DataType::Float)
             .table("t2")
             .column("a", DataType::BigInt)
-            .nullable_column("z", DataType::Text { avg_len: 10 })
+            .column("z", DataType::Text { avg_len: 10 })
             .build()
             .unwrap()
     }
@@ -304,14 +272,12 @@ mod tests {
     }
 
     #[test]
-    fn resolve_qualified_and_unqualified() {
+    fn resolve_qualified_names() {
         let s = demo();
         let b = s.resolve("t1", "b").unwrap();
         assert_eq!(b, ColumnRef::new(TableId(0), 1));
-        // "b" is unique across tables, "a" is ambiguous.
-        assert!(s.resolve_unqualified("b").is_some());
-        assert!(s.resolve_unqualified("a").is_none());
-        assert!(s.resolve_unqualified("nope").is_none());
+        assert!(s.resolve("t1", "z").is_none());
+        assert!(s.resolve("nope", "a").is_none());
     }
 
     #[test]
@@ -349,12 +315,5 @@ mod tests {
         let t2 = s.table_by_name("t2").unwrap();
         assert_eq!(t2.row_byte_width(), 8 + 11);
         assert_eq!(t2.byte_width_of(&[0]), 8);
-    }
-
-    #[test]
-    fn column_name_formats() {
-        let s = demo();
-        let c = s.resolve("t2", "z").unwrap();
-        assert_eq!(s.column_name(c), "t2.z");
     }
 }

@@ -48,6 +48,7 @@ impl ColumnStats {
     }
 
     /// Synthetic stats for a key column: distinct, clustered, uniform.
+    #[cfg(test)]
     pub fn synthetic_key(rows: u64, avg_width: f64) -> Self {
         let mut s = Self::synthetic_uniform(0.0, rows.max(1) as f64 - 1.0, rows as f64, avg_width);
         s.correlation = 1.0;
@@ -56,6 +57,7 @@ impl ColumnStats {
 
     /// Synthetic stats for a categorical column with `k` equally likely
     /// categories.
+    #[cfg(test)]
     pub fn synthetic_categorical(k: u32, avg_width: f64) -> Self {
         let k = k.max(1);
         ColumnStats {
@@ -104,11 +106,6 @@ impl ColumnStats {
         // only approximately in our construction, so blend conservatively).
         (base * (1.0 - self.null_frac)).clamp(0.0, 1.0)
     }
-
-    /// Selectivity of `IS NULL`.
-    pub fn null_selectivity(&self) -> f64 {
-        self.null_frac
-    }
 }
 
 /// Statistics for one table.
@@ -124,16 +121,6 @@ impl TableStats {
     /// Statistics for the column at `ordinal`.
     pub fn column(&self, ordinal: u16) -> &ColumnStats {
         &self.columns[ordinal as usize]
-    }
-
-    /// Joint number of distinct values over a set of columns, assuming
-    /// independence but capped by the row count (the standard estimate).
-    pub fn joint_ndv(&self, ordinals: &[u16]) -> f64 {
-        let prod: f64 = ordinals
-            .iter()
-            .map(|&c| self.columns[c as usize].ndv.max(1.0))
-            .product();
-        prod.min(self.row_count as f64).max(1.0)
     }
 }
 
@@ -184,18 +171,5 @@ mod tests {
     fn categorical_stats_spread_mass_evenly() {
         let s = ColumnStats::synthetic_categorical(4, 1.0);
         assert!((s.eq_selectivity(2.0) - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn joint_ndv_caps_at_row_count() {
-        let t = TableStats {
-            row_count: 1000,
-            columns: vec![
-                ColumnStats::synthetic_uniform(0.0, 99.0, 100.0, 4.0),
-                ColumnStats::synthetic_uniform(0.0, 99.0, 100.0, 4.0),
-            ],
-        };
-        assert_eq!(t.joint_ndv(&[0]), 100.0);
-        assert_eq!(t.joint_ndv(&[0, 1]), 1000.0); // 100*100 capped at rows
     }
 }

@@ -44,18 +44,6 @@ impl DataType {
             DataType::Timestamp => 8,
         }
     }
-
-    /// True if values of this type have a natural linear order useful for
-    /// B-tree indexing and range predicates (everything in our set does).
-    pub fn is_orderable(&self) -> bool {
-        true
-    }
-
-    /// True for types on which equality predicates are the norm and range
-    /// predicates are unusual (flags / categorical text).
-    pub fn is_categorical(&self) -> bool {
-        matches!(self, DataType::Bool | DataType::Text { .. })
-    }
 }
 
 impl fmt::Display for DataType {
@@ -278,12 +266,5 @@ mod tests {
         assert_eq!(Value::Str("x".into()).to_string(), "'x'");
         assert_eq!(Value::Null.to_string(), "NULL");
         assert_eq!(DataType::Text { avg_len: 8 }.to_string(), "text(8)");
-    }
-
-    #[test]
-    fn categorical_classification() {
-        assert!(DataType::Bool.is_categorical());
-        assert!(DataType::Text { avg_len: 4 }.is_categorical());
-        assert!(!DataType::Float.is_categorical());
     }
 }

@@ -323,7 +323,8 @@ impl<'a> ColtTuner<'a> {
     }
 
     /// Number of candidates being tracked.
-    pub fn tracked_candidates(&self) -> usize {
+    #[cfg(test)]
+    fn tracked_candidates(&self) -> usize {
         self.states.len()
     }
 
@@ -356,7 +357,8 @@ impl<'a> ColtTuner<'a> {
 
     /// Deadline-cancelled work waiting to be resumed:
     /// `(query entries, candidate registrations)`.
-    pub fn pending_work(&self) -> (usize, usize) {
+    #[cfg(test)]
+    fn pending_work(&self) -> (usize, usize) {
         (self.pending_queries.len(), self.pending_candidates.len())
     }
 
@@ -422,7 +424,8 @@ impl<'a> ColtTuner<'a> {
 
     /// Feed a whole stream; returns the per-epoch reports (a trailing
     /// partial epoch is flushed at the end).
-    pub fn process_stream<I: IntoIterator<Item = Query>>(
+    #[cfg(test)]
+    fn process_stream<I: IntoIterator<Item = Query>>(
         &mut self,
         queries: I,
         matrix: &mut CostMatrix<'_>,

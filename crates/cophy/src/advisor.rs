@@ -56,7 +56,6 @@ impl Default for CophyConfig {
             write_profile: None,
             solver: MilpOptions {
                 node_limit: NODE_LIMIT,
-                ..Default::default()
             },
         }
     }
@@ -355,7 +354,6 @@ impl<'a> CophyAdvisor<'a> {
                 replication_budget_bytes: partition_config
                     .replication_budget_bytes
                     .min(budget.saturating_sub(total_index_bytes)),
-                ..partition_config
             },
         );
         let partition_iterations = autopart.search_on(matrix, &mut cfg);
@@ -530,7 +528,6 @@ mod tests {
             &mut matrix(&inum, &w),
             pgdesign_autopart::AutoPartConfig {
                 replication_budget_bytes: budget / 10,
-                ..Default::default()
             },
         );
         assert_eq!(

@@ -456,13 +456,9 @@ mod tests {
         let model = build_ilp(&w, &configs, &sizes, &BTreeMap::new(), 100.0);
         let warm = warm_start_assignment(&model, &configs, &[0]);
         // Feasible: solve with warm start at zero nodes.
-        let r = model.milp.solve_with_warm_start(
-            &MilpOptions {
-                node_limit: 0,
-                ..Default::default()
-            },
-            Some(&warm),
-        );
+        let r = model
+            .milp
+            .solve_with_warm_start(&MilpOptions { node_limit: 0 }, Some(&warm));
         // Objective: q0 picks {A}=10, q1 must pick empty=100 → 110.
         assert!((r.objective - 110.0).abs() < 1e-6, "{}", r.objective);
         assert_eq!(decode_solution(&model, &r.x), vec![0]);
@@ -551,13 +547,9 @@ mod tests {
         assert_eq!(decode_solution(&model, &b.x), vec![0, 1]);
         // A warm start that names the unused candidate still decodes.
         let warm = warm_start_assignment(&model, &configs, &[0, 2]);
-        let r = model.milp.solve_with_warm_start(
-            &MilpOptions {
-                node_limit: 0,
-                ..Default::default()
-            },
-            Some(&warm),
-        );
+        let r = model
+            .milp
+            .solve_with_warm_start(&MilpOptions { node_limit: 0 }, Some(&warm));
         assert!((r.objective - 110.0).abs() < 1e-6, "{}", r.objective);
     }
 
@@ -591,13 +583,9 @@ mod tests {
         assert!((r.objective - 120.0).abs() < 1e-9, "{}", r.objective);
         // A warm start places the merged block once.
         let warm = warm_start_assignment(&model, &configs, &[1]);
-        let priced = model.milp.solve_with_warm_start(
-            &MilpOptions {
-                node_limit: 0,
-                ..Default::default()
-            },
-            Some(&warm),
-        );
+        let priced = model
+            .milp
+            .solve_with_warm_start(&MilpOptions { node_limit: 0 }, Some(&warm));
         assert!(
             (priced.objective - 180.0).abs() < 1e-9,
             "{}",
@@ -693,10 +681,7 @@ mod tests {
     #[test]
     fn milp_matches_brute_force_over_all_index_sets() {
         let mut rng = Rng(2010);
-        let zero_nodes = MilpOptions {
-            node_limit: 0,
-            ..Default::default()
-        };
+        let zero_nodes = MilpOptions { node_limit: 0 };
         for case in 0..40 {
             let Instance {
                 weights,

@@ -78,7 +78,9 @@ Per-subcommand flags:
   evaluate    --index table:c1,c2    Hypothetical index (repeatable)
   session     --index table:c1,c2    Hypothetical index (repeatable)
               --vertical t:c1,c2|c3  Hypothetical vertical partitioning:
-                                     column groups separated by '|'
+                                     column groups separated by '|'; the
+                                     columns no group names form one more
+                                     fragment
               --horizontal t:col:N   Hypothetical N-way range partitioning
               --state DIR            Durable state directory: the cost matrix
                                      persists as a checksummed snapshot + edit
@@ -131,6 +133,23 @@ impl Flags {
             .map(|(_, v)| v.as_str())
     }
 
+    /// The value of `--key` parsed as a `T`; `bad --key` when it does not
+    /// parse or `valid` rejects it.
+    fn number<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        valid: impl Fn(&T) -> bool,
+    ) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|s| {
+                s.parse()
+                    .ok()
+                    .filter(|v| valid(v))
+                    .ok_or_else(|| format!("bad --{key} {s:?}"))
+            })
+            .transpose()
+    }
+
     fn get_all(&self, key: &str) -> Vec<&str> {
         self.pairs
             .iter()
@@ -141,10 +160,8 @@ impl Flags {
 }
 
 fn load_catalog(flags: &Flags) -> Result<Catalog, String> {
-    let scale: f64 = flags
-        .get("scale")
-        .map(|s| s.parse().map_err(|_| format!("bad --scale {s:?}")))
-        .transpose()?
+    let scale = flags
+        .number("scale", |s: &f64| s.is_finite() && *s > 0.0)?
         .unwrap_or(0.01);
     match flags.get("catalog").unwrap_or("sdss") {
         "sdss" => Ok(sdss_catalog(scale)),
@@ -276,10 +293,8 @@ fn run(args: &[String]) -> Result<(), String> {
     match cmd.as_str() {
         "recommend" => {
             let workload = load_workload(&designer.catalog, &flags)?;
-            let frac: f64 = flags
-                .get("budget-frac")
-                .map(|s| s.parse().map_err(|_| format!("bad --budget-frac {s:?}")))
-                .transpose()?
+            let frac = flags
+                .number("budget-frac", |f: &f64| f.is_finite() && *f >= 0.0)?
                 .unwrap_or(0.5);
             let budget = (designer.catalog.data_bytes() as f64 * frac) as u64;
             if joint {
@@ -376,13 +391,10 @@ fn run(args: &[String]) -> Result<(), String> {
                             }
                             col_groups.push(ids);
                         }
-                        session.set_vertical(pgdesign_catalog::design::VerticalPartitioning::new(
-                            t.id, col_groups,
-                        ));
-                        format!(
-                            "+vertical {table} ({} fragments)",
-                            groups.split('|').count()
-                        )
+                        let fragments = session.set_vertical(
+                            pgdesign_catalog::design::VerticalPartitioning::new(t.id, col_groups),
+                        );
+                        format!("+vertical {table} ({fragments} fragments)")
                     }
                     "horizontal" => {
                         let parts: Vec<&str> = spec.split(':').collect();
@@ -446,24 +458,10 @@ fn run(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "online" => {
-            let queries: usize = flags
-                .get("queries")
-                .map(|s| s.parse().map_err(|_| format!("bad --queries {s:?}")))
-                .transpose()?
-                .unwrap_or(600);
-            let epoch: usize = flags
-                .get("epoch")
-                .map(|s| s.parse().map_err(|_| format!("bad --epoch {s:?}")))
-                .transpose()?
-                .unwrap_or(25);
-            let kill_after: Option<usize> = flags
-                .get("kill-after")
-                .map(|s| s.parse().map_err(|_| format!("bad --kill-after {s:?}")))
-                .transpose()?;
-            let deadline_ms: Option<u64> = flags
-                .get("deadline-ms")
-                .map(|s| s.parse().map_err(|_| format!("bad --deadline-ms {s:?}")))
-                .transpose()?;
+            let queries: usize = flags.number("queries", |_| true)?.unwrap_or(600);
+            let epoch: usize = flags.number("epoch", |&e| e > 0)?.unwrap_or(25);
+            let kill_after: Option<usize> = flags.number("kill-after", |_| true)?;
+            let deadline_ms: Option<u64> = flags.number("deadline-ms", |_| true)?;
             if expect_warm && flags.get("state").is_none() {
                 return Err("--expect-warm requires --state".into());
             }

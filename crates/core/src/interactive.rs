@@ -295,16 +295,33 @@ impl<'a> InteractiveSession<'a> {
 
     /// Install a what-if vertical partitioning (replacing any previous
     /// partitioning of the same table): each column group is registered as
-    /// a fragment candidate and selected.
-    pub fn set_vertical(&mut self, vp: VerticalPartitioning) {
+    /// a fragment candidate and selected. The columns no group names form
+    /// one more group, so every column stays stored somewhere and a query
+    /// reading them pays for their pages. Returns the number of fragments
+    /// installed.
+    pub fn set_vertical(&mut self, vp: VerticalPartitioning) -> usize {
         self.clear_vertical(vp.table);
-        let mut ids = Vec::with_capacity(vp.groups.len());
-        for group in &vp.groups {
-            let id = self.session.matrix_mut().register_fragment(vp.table, group);
-            self.cfg.fragments.insert(id);
-            ids.push(id);
-        }
+        let width = self
+            .session
+            .designer()
+            .catalog
+            .schema
+            .table(vp.table)
+            .width();
+        let rest: Vec<u16> = (0..width)
+            .filter(|c| !vp.groups.iter().any(|g| g.contains(c)))
+            .collect();
+        let groups = vp.groups.iter().chain((!rest.is_empty()).then_some(&rest));
+        let ids: Vec<usize> = groups
+            .map(|group| {
+                let id = self.session.matrix_mut().register_fragment(vp.table, group);
+                self.cfg.fragments.insert(id);
+                id
+            })
+            .collect();
+        let installed = ids.len();
         self.vertical_of.insert(vp.table, ids);
+        installed
     }
 
     /// Remove the what-if vertical partitioning of a table, if any.
@@ -585,7 +602,7 @@ mod tests {
         let matrix = s.tuning_session().matrix_mut();
         matrix.retire_query(2);
         assert_eq!(
-            matrix.add_query(&rotated_in, 1.0),
+            matrix.add_queries([(&rotated_in, 1.0)])[0],
             2,
             "the slot is recycled"
         );
@@ -666,6 +683,23 @@ mod tests {
             "{report}"
         );
         assert!(report.contains("objid"));
+    }
+
+    #[test]
+    fn partial_vertical_partitioning_stores_the_rest_as_one_fragment() {
+        let (d, w) = setup();
+        let photo = TableId(0);
+        let mut partial = d.session(w.clone());
+        let installed = partial.set_vertical(VerticalPartitioning::new(photo, vec![vec![0]]));
+        assert_eq!(installed, 2, "objid plus the other fifteen columns");
+        let mut full = d.session(w);
+        let spelled_out = VerticalPartitioning::new(photo, vec![vec![0], (1..16).collect()]);
+        assert_eq!(full.set_vertical(spelled_out), 2);
+        assert_eq!(partial.evaluate().to_string(), full.evaluate().to_string());
+        assert_eq!(partial.fragment_report(), full.fragment_report());
+        // Q1 reads ra and dec, which only the completing fragment holds.
+        let report = partial.fragment_report();
+        assert!(report.contains("Q1 reads 2 fragment(s)"), "{report}");
     }
 
     #[test]

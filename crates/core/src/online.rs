@@ -226,11 +226,6 @@ impl<'a> OnlineSession<'a> {
     pub fn staleness_generations(&self) -> u64 {
         self.tuner.staleness_generations()
     }
-
-    /// Deferred work carried to the next epoch: `(queries, candidates)`.
-    pub fn pending_work(&self) -> (usize, usize) {
-        self.tuner.pending_work()
-    }
 }
 
 #[cfg(test)]

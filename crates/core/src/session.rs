@@ -505,7 +505,6 @@ impl Advisor for JointAdvisor {
             session.matrix_mut(),
             AutoPartConfig {
                 replication_budget_bytes: self.storage_budget_bytes / 10,
-                ..Default::default()
             },
         );
         let schema = &session.designer().catalog.schema;
@@ -562,7 +561,6 @@ impl Advisor for OfflineAdvisor {
             &inum,
             AutoPartConfig {
                 replication_budget_bytes: budget / 10,
-                ..Default::default()
             },
         );
         let partitions = autopart.recommend_on(session.matrix_mut());
@@ -828,7 +826,7 @@ mod tests {
         cfg: CandidateBitset,
         cand: usize,
         joint: JointConfig,
-        frags: [usize; 3],
+        frags: [usize; 2],
         split: usize,
     }
 
@@ -849,7 +847,6 @@ mod tests {
         }
         const NONE: (u64, u64) = (0, 0);
         const ONE: (u64, u64) = (1, 0);
-        const TWO: (u64, u64) = (2, 0);
         const PER_QUERY: (u64, u64) = (0, 1);
         const TWICE_PER_QUERY: (u64, u64) = (0, 2);
         let table: Vec<ReadRow> = vec![
@@ -911,18 +908,6 @@ mod tests {
                 NONE,
             ),
             (
-                "delta_add",
-                |m, f| show(m.delta_add(f.q, &f.cfg, f.cand)),
-                TWO,
-                NONE,
-            ),
-            (
-                "delta_remove",
-                |m, f| show(m.delta_remove(f.q, &f.cfg, 0)),
-                TWO,
-                NONE,
-            ),
-            (
                 "workload_cost",
                 |m, f| show(m.workload_cost(&f.cfg)),
                 PER_QUERY,
@@ -939,12 +924,6 @@ mod tests {
             (
                 "fragment_columns",
                 |m, f| show(m.fragment_columns(f.frags[0])),
-                NONE,
-                NONE,
-            ),
-            (
-                "fragment_table",
-                |m, f| show(m.fragment_table(f.frags[0])),
                 NONE,
                 NONE,
             ),
@@ -987,12 +966,6 @@ mod tests {
                 PER_QUERY,
             ),
             (
-                "delta_merge",
-                |m, f| show(m.delta_merge(&f.joint, f.frags[0], f.frags[1], f.frags[2])),
-                TWICE_PER_QUERY,
-                TWICE_PER_QUERY,
-            ),
-            (
                 "delta_split",
                 |m, f| show(m.delta_split(&f.joint, f.split)),
                 TWICE_PER_QUERY,
@@ -1009,7 +982,6 @@ mod tests {
         let frags = [
             m.register_fragment(photo, &[0, 1, 2]),
             m.register_fragment(photo, &[3, 4, 5]),
-            m.register_fragment(photo, &[0, 1, 2, 3, 4, 5]),
         ];
         let rest = m.register_fragment(photo, &(6..16).collect::<Vec<u16>>());
         let split = m.register_split(HorizontalPartitioning::new(
@@ -1045,15 +1017,10 @@ mod tests {
             ("&MatrixReader", &matrix_reader, true),
             ("&SessionReader", &session_reader, true),
         ];
-        // (writer lookups, writer partition, reader lookups, reader partition)
+        // (writer lookups, writer partition, reader lookups)
         let counters = || {
             let s = session.stats().matrix;
-            (
-                s.lookups,
-                s.partition_lookups,
-                matrix.reader_lookups(),
-                matrix.reader_partition_lookups(),
-            )
+            (s.lookups, s.partition_lookups, matrix.reader_lookups())
         };
         for &(name, read, lookups, partition) in &table {
             let lookups = lookups.0 + lookups.1 * n;
@@ -1063,16 +1030,11 @@ mod tests {
                 let before = counters();
                 assert_eq!(read(core, &fx), expected, "{name} through {handle}");
                 let after = counters();
-                let moved = (
-                    after.0 - before.0,
-                    after.1 - before.1,
-                    after.2 - before.2,
-                    after.3 - before.3,
-                );
+                let moved = (after.0 - before.0, after.1 - before.1, after.2 - before.2);
                 let want = if reader_side {
-                    (0, 0, lookups, partition)
+                    (0, 0, lookups)
                 } else {
-                    (lookups, partition, 0, 0)
+                    (lookups, partition, 0)
                 };
                 assert_eq!(moved, want, "{name} through {handle}: counters");
             }

@@ -567,3 +567,28 @@ fn explain_prints_a_plan() {
         "plan should contain a scan node:\n{text}"
     );
 }
+
+#[test]
+fn out_of_range_numbers_are_rejected() {
+    let recommend = ["recommend", "--workload", "builtin:2"];
+    let small_recommend = ["recommend", "--scale", "0.003", "--workload", "builtin:2"];
+    let online = ["online", "--scale", "0.003", "--queries", "6"];
+    for (base, flag, value) in [
+        (&recommend[..], "--scale", "-1"),
+        (&recommend[..], "--scale", "0"),
+        (&recommend[..], "--scale", "nan"),
+        (&recommend[..], "--scale", "inf"),
+        (&small_recommend[..], "--budget-frac", "-1"),
+        (&small_recommend[..], "--budget-frac", "nan"),
+        (&small_recommend[..], "--budget-frac", "inf"),
+        (&online[..], "--epoch", "0"),
+    ] {
+        let out = pgdesign(&[base, &[flag, value]].concat());
+        assert!(!out.status.success(), "{flag} {value} must be rejected");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains(&format!("bad {flag} {value:?}")), "{err}");
+    }
+    // A zero budget is a valid question: recommend nothing.
+    let out = pgdesign(&[&small_recommend[..], &["--budget-frac", "0"]].concat());
+    assert!(out.status.success(), "--budget-frac 0 is accepted");
+}

@@ -96,11 +96,6 @@ impl ByteWriter {
         self.put_u64(n as u64);
     }
 
-    /// Raw bytes without a length prefix.
-    pub fn put_raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
     /// Length-prefixed byte blob.
     pub fn put_blob(&mut self, bytes: &[u8]) {
         self.put_len(bytes.len());
@@ -211,10 +206,6 @@ impl<'a> ByteReader<'a> {
             });
         }
         Ok(n as usize)
-    }
-
-    pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        self.take(n, "raw bytes")
     }
 
     pub fn get_blob(&mut self) -> Result<&'a [u8], CodecError> {

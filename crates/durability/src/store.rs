@@ -205,11 +205,6 @@ impl MemStore {
         }
     }
 
-    /// Durable length of `name` (what a restart would see), for tests.
-    pub fn durable_len(&self, name: &str) -> usize {
-        self.files.get(name).map_or(0, |f| f.synced.len())
-    }
-
     fn check_alive(&self) -> io::Result<()> {
         if self.crashed {
             Err(io::Error::new(

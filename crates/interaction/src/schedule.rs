@@ -28,14 +28,9 @@ pub struct Schedule {
     pub curve: Vec<(f64, f64)>,
 }
 
-/// Estimated build time of an index (same scan+sort model COLT charges).
-pub fn build_time(inum: &Inum<'_>, index: &Index) -> f64 {
-    build_time_with(inum.catalog(), &inum.optimizer().params, index)
-}
-
-/// [`build_time`] from raw catalog metadata and cost-model constants — the
-/// build-time model never needs what-if costing, so matrix-backed callers
-/// can use this without touching the optimizer at all.
+/// Estimated build time of an index (same scan+sort model COLT charges),
+/// from catalog metadata and cost-model constants alone — the build-time
+/// model never needs what-if costing.
 pub fn build_time_with(
     catalog: &pgdesign_catalog::Catalog,
     params: &pgdesign_optimizer::CostParams,
@@ -192,7 +187,7 @@ mod tests {
     use pgdesign_catalog::samples::sdss_catalog;
     use pgdesign_catalog::schema::TableId;
     use pgdesign_catalog::Catalog;
-    use pgdesign_optimizer::Optimizer;
+    use pgdesign_optimizer::{CostParams, Optimizer};
     use pgdesign_query::parse_query;
 
     fn photo(c: &Catalog) -> TableId {
@@ -287,12 +282,12 @@ mod tests {
     fn build_time_scales_with_table_size() {
         let small = sdss_catalog(0.01);
         let large = sdss_catalog(0.05);
-        let opt = Optimizer::new();
-        let inum_s = Inum::new(&small, &opt);
-        let inum_l = Inum::new(&large, &opt);
+        let params = CostParams::default();
         let idx_s = Index::new(photo(&small), vec![0]);
         let idx_l = Index::new(photo(&large), vec![0]);
-        assert!(build_time(&inum_l, &idx_l) > build_time(&inum_s, &idx_s));
+        assert!(
+            build_time_with(&large, &params, &idx_l) > build_time_with(&small, &params, &idx_s)
+        );
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!
 //! Time is read through an injectable [`Clock`] so tests drive expiry
 //! deterministically with a [`ManualClock`]; production uses the
-//! monotonic [`SystemClock`]. A [`WorkBudget`] can additionally (or
-//! instead) carry a shared unit counter, which gives tests an exact,
-//! clock-free way to cancel after N units.
+//! monotonic [`SystemClock`]. In tests a [`WorkBudget`] can instead
+//! carry a shared unit counter, an exact, clock-free way to cancel after
+//! N units.
 //!
 //! [`CostMatrix::add_queries_budgeted`]: crate::CostMatrix::add_queries_budgeted
 //! [`CostMatrix::add_candidates_budgeted`]: crate::CostMatrix::add_candidates_budgeted
@@ -150,17 +150,12 @@ impl WorkBudget {
     }
 
     /// A budget of exactly `units` work units (deterministic, clock-free).
-    pub fn with_units(units: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_units(units: u64) -> Self {
         WorkBudget {
             deadline: None,
             units: Some(Arc::new(AtomicU64::new(units))),
         }
-    }
-
-    /// Add a unit cap to an existing budget (both limits then apply).
-    pub fn and_units(mut self, units: u64) -> Self {
-        self.units = Some(Arc::new(AtomicU64::new(units)));
-        self
     }
 
     /// Does the budget carry a deadline (so work must commit unit by

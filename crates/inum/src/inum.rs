@@ -508,17 +508,11 @@ impl<'a> Inum<'a> {
         self.shared.cache.read().len()
     }
 
-    /// Drop all cached skeletons (e.g. after a full statistics refresh).
-    pub fn invalidate(&self) {
-        *self.shared.cache.write() = SkeletonCache::default();
-    }
-
     /// Drop only the cached skeletons of queries touching `table` — the
     /// common "one table's statistics changed" case. Queries over other
     /// tables keep their skeletons (their cardinalities are unaffected).
     /// Entries whose table set overflowed the tracking mask are evicted
-    /// conservatively; for a multi-table refresh, call this per table or
-    /// fall back to [`Self::invalidate`].
+    /// conservatively; for a multi-table refresh, call this per table.
     pub fn invalidate_table(&self, table: pgdesign_catalog::schema::TableId) {
         if table.0 >= 64 {
             // Outside the tracked id range: only the conservative entries
@@ -755,7 +749,9 @@ mod tests {
         let inum = Inum::new(&c, &opt);
         let q = parse_query(&c.schema, "SELECT ra FROM photoobj WHERE type = 1").unwrap();
         let _ = inum.cost(&PhysicalDesign::empty(), &q);
-        inum.invalidate();
+        for t in c.schema.tables() {
+            inum.invalidate_table(t.id);
+        }
         assert_eq!(inum.cached_queries(), 0);
     }
 

@@ -4,7 +4,7 @@
 //! matrix ([`crate::CostMatrix`]) find a query by [`query_cell_key`] and
 //! then confirm it with `==` on the stored query: equal queries have
 //! identical skeletons and identical matrix cells, so
-//! [`crate::CostMatrix::add_query`] reuses the resident `QueryMatrix` slot
+//! [`crate::CostMatrix::add_queries`] reuses the resident `QueryMatrix` slot
 //! of an equal query instead of recomputing its cells. Candidate cell
 //! identity is the [`pgdesign_catalog::design::Index`] value itself
 //! (table + column list), which [`crate::CostMatrix::add_candidate`]

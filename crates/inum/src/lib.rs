@@ -65,7 +65,7 @@
 //! build-once artifact: [`CostMatrix::add_candidate`] /
 //! [`CostMatrix::remove_candidate`] edit the candidate set with stable ids
 //! (existing [`CandidateBitset`]s stay valid; removed ids are recycled),
-//! and [`CostMatrix::add_query`] / [`CostMatrix::retire_query`] rotate
+//! and [`CostMatrix::add_queries`] / [`CostMatrix::retire_query`] rotate
 //! queries with cell reuse found by [`query_cell_key`] and confirmed by
 //! comparing the queries — which is how COLT
 //! holds one matrix across epochs and pays only for workload drift, and
@@ -114,8 +114,9 @@
 //! [`JointConfig`] (indexes + fragments + splits) then needs only
 //! per-slot arithmetic — no path re-enumeration, no design construction —
 //! and [`JointToggle`]-based trial evaluation
-//! ([`MatrixCore::delta_merge`] / [`MatrixCore::delta_split`]) is what
-//! AutoPart's greedy merge search runs on.
+//! ([`MatrixCore::joint_workload_cost_with`] /
+//! [`MatrixCore::delta_split`]) is what AutoPart's greedy merge search
+//! runs on.
 //!
 //! Every partition-aware lookup reads one path. A configuration plus a
 //! toggle is resolved once per costing ([`MatrixCore::resolve_joint`])

@@ -22,9 +22,9 @@
 //! [`MatrixCore::cost`] walks precomputed vectors with zero allocation, no
 //! [`PhysicalDesign`] construction and no access-path re-enumeration, and
 //! agrees with [`crate::Inum::cost`] exactly (the suite's invariant tests
-//! assert this within 1e-6). [`MatrixCore::delta_add`] /
-//! [`MatrixCore::delta_remove`] evaluate the cost change of toggling one
-//! candidate without materializing the toggled configuration.
+//! assert this within 1e-6). [`MatrixCore::cost_plus`] /
+//! [`MatrixCore::cost_minus`] cost a configuration with one candidate
+//! toggled without materializing the toggled configuration.
 //!
 //! The matrix additionally serves **concurrent readers**: all cells and
 //! registries — and every read method — live in an owned [`MatrixCore`]
@@ -75,10 +75,10 @@ pub struct MatrixStats {
     /// per `(query, slot, candidate)` entry) — the build work, each
     /// roughly one access-path costing. Includes cells computed by the
     /// incremental paths ([`CostMatrix::add_candidate`] /
-    /// [`CostMatrix::add_query`]).
+    /// [`CostMatrix::add_queries`]).
     pub cells: u64,
     /// Cells an incremental update *reused* instead of recomputing: when
-    /// [`CostMatrix::add_query`] recognises a query already resident (an
+    /// [`CostMatrix::add_queries`] recognises a query already resident (an
     /// equal query) or [`CostMatrix::add_candidate`] an index already
     /// registered, the cells a fresh build would have recomputed for it
     /// count here.
@@ -474,11 +474,11 @@ struct QueryMatrix {
     /// Workload weight.
     weight: f64,
     /// Cell-identity key of the query ([`crate::key::query_cell_key`]) —
-    /// how [`CostMatrix::add_query`] finds a resident candidate, which it
+    /// how [`CostMatrix::add_queries`] finds a resident candidate, which it
     /// then confirms by comparing the queries.
     key: u64,
     /// False once the query was rotated out ([`CostMatrix::retire_query`]);
-    /// the slot is then free for reuse by a later [`CostMatrix::add_query`].
+    /// the slot is then free for reuse by a later [`CostMatrix::add_queries`].
     active: bool,
     /// Internal (design-independent) cost per skeleton.
     internal: Vec<f64>,
@@ -536,7 +536,7 @@ pub(crate) struct LookupCounters {
 /// matrix and rotates work in and out instead of rebuilding —
 /// [`Self::add_candidate`] / [`Self::remove_candidate`] edit the candidate
 /// set with **stable ids** (existing [`CandidateBitset`]s stay valid), and
-/// [`Self::add_query`] / [`Self::retire_query`] rotate queries, reusing
+/// [`Self::add_queries`] / [`Self::retire_query`] rotate queries, reusing
 /// resident cells when an equal query (found by its cell-identity key,
 /// [`crate::key::query_cell_key`]) is already in the matrix. Cold builds
 /// and the bulk part of [`Self::add_queries`] run on one worker per ~1 ms
@@ -999,11 +999,6 @@ impl<'a> CostMatrix<'a> {
         }
     }
 
-    /// Stop recording and drop anything recorded.
-    pub fn disable_journal(&mut self) {
-        self.journal = None;
-    }
-
     /// Drain the recorded edits (journaling stays enabled). Empty when
     /// journaling is off.
     pub fn take_journal(&mut self) -> Vec<MatrixEdit> {
@@ -1112,12 +1107,6 @@ impl<'a> CostMatrix<'a> {
     /// [`MatrixStats::lookups`].
     pub fn reader_lookups(&self) -> u64 {
         self.slot.reader_lookups()
-    }
-
-    /// The subset of [`Self::reader_lookups`] that costed at least one
-    /// partition candidate.
-    pub fn reader_partition_lookups(&self) -> u64 {
-        self.slot.reader_partition_lookups()
     }
 
     // ---- Incremental maintenance ----
@@ -1325,11 +1314,6 @@ impl<'a> CostMatrix<'a> {
         }
     }
 
-    /// Add one query (see [`Self::add_queries`]).
-    pub fn add_query(&mut self, query: &Query, weight: f64) -> usize {
-        self.add_queries([(query, weight)])[0]
-    }
-
     /// Add queries to the matrix, reusing resident cells where possible:
     /// a query equal to an *active* slot's query reuses that slot (weights
     /// add, all its cells count as reused, nothing is even cloned); new
@@ -1524,7 +1508,7 @@ impl<'a> CostMatrix<'a> {
     }
 
     /// Retire a query: it stops contributing to workload costs, its cells
-    /// are dropped, and its slot is reused by the next [`Self::add_query`].
+    /// are dropped, and its slot is reused by the next [`Self::add_queries`].
     /// Costing a retired id yields `∞` (no skeletons). To rotate an epoch
     /// cheaply, *add the new epoch's queries first*, then retire the
     /// leftovers — recurring queries then dedupe against their still-active
@@ -1627,7 +1611,7 @@ impl<'a> CostMatrix<'a> {
 
     /// Register (or find) a horizontal-split candidate. The per-(query,
     /// slot) surviving fractions are precomputed once here (and extended
-    /// on [`Self::add_query`]), so applying the split in a configuration
+    /// on [`Self::add_queries`]), so applying the split in a configuration
     /// is a pure lookup.
     pub fn register_split(&mut self, hp: HorizontalPartitioning) -> usize {
         self.record(|| MatrixEdit::RegisterSplit(hp.clone()));
@@ -1813,18 +1797,6 @@ impl MatrixCore {
         self.cost_toggled(query_id, config, usize::MAX, removed)
     }
 
-    /// Cost change from adding `cand` to the configuration (negative =
-    /// improvement).
-    pub fn delta_add(&self, query_id: usize, config: &CandidateBitset, cand: usize) -> f64 {
-        self.cost_plus(query_id, config, cand) - self.cost(query_id, config)
-    }
-
-    /// Cost change from removing `cand` from the configuration (positive =
-    /// regression).
-    pub fn delta_remove(&self, query_id: usize, config: &CandidateBitset, cand: usize) -> f64 {
-        self.cost_minus(query_id, config, cand) - self.cost(query_id, config)
-    }
-
     /// Weighted workload cost under the configuration (active queries
     /// only; retired slots contribute nothing).
     pub fn workload_cost(&self, config: &CandidateBitset) -> f64 {
@@ -1853,11 +1825,6 @@ impl MatrixCore {
     /// The (normalised) column group of a registered fragment.
     pub fn fragment_columns(&self, id: usize) -> &[u16] {
         &self.fragments[id].columns
-    }
-
-    /// The table a registered fragment belongs to.
-    pub fn fragment_table(&self, id: usize) -> TableId {
-        self.fragments[id].table
     }
 
     /// A registered fragment's columns as a mask (bit `c` = ordinal `c`).
@@ -1952,13 +1919,6 @@ impl MatrixCore {
         self.active_query_ids()
             .map(|qi| self.queries[qi].weight * self.joint_cost_resolved(qi, &resolved))
             .sum()
-    }
-
-    /// Workload-cost change from replacing fragments `a` and `b` with
-    /// their (pre-registered) merge `merged` (negative = improvement).
-    pub fn delta_merge(&self, cfg: &JointConfig, a: usize, b: usize, merged: usize) -> f64 {
-        self.joint_workload_cost_with(cfg, &JointToggle::merge(a, b, merged))
-            - self.joint_workload_cost(cfg)
     }
 
     /// Workload-cost change from applying horizontal split `split` —
@@ -2583,11 +2543,6 @@ mod tests {
                 matrix.cost(qi, &plus),
                 "cost_plus must equal materialized union (Q{qi})"
             );
-            let delta = matrix.delta_add(qi, &base, extra);
-            assert!(
-                (delta - (matrix.cost(qi, &plus) - matrix.cost(qi, &base))).abs() < 1e-12,
-                "delta_add must equal full re-evaluation (Q{qi})"
-            );
             // minus
             let removed = 2usize;
             let mut minus = base.clone();
@@ -2722,15 +2677,16 @@ mod tests {
             cfg.fragments.insert(f);
         }
 
-        // delta_merge against materialized re-evaluation.
+        // A merge toggle against materialized re-evaluation.
         let mut merged_cfg = matrix.empty_joint();
         merged_cfg.fragments.insert(rest);
         merged_cfg.fragments.insert(merged);
         let full = matrix.joint_workload_cost(&merged_cfg) - matrix.joint_workload_cost(&cfg);
-        let delta = matrix.delta_merge(&cfg, a, b, merged);
+        let delta = matrix.joint_workload_cost_with(&cfg, &JointToggle::merge(a, b, merged))
+            - matrix.joint_workload_cost(&cfg);
         assert!(
             (delta - full).abs() < 1e-9,
-            "delta_merge {delta} vs full {full}"
+            "merge delta {delta} vs full {full}"
         );
 
         // delta_split against materialized re-evaluation.
@@ -3040,7 +2996,7 @@ mod tests {
 
         // Adding a resident query reuses its slot (weights add, no cells).
         let before = inum.matrix_stats();
-        let id = matrix.add_query(w.query(2), 2.5);
+        let id = matrix.add_queries([(w.query(2), 2.5)])[0];
         assert_eq!(id, 2);
         assert_eq!(matrix.n_queries(), n0, "no new slot for a resident query");
         assert!((matrix.query_weight(2) - 3.5).abs() < 1e-12);
@@ -3053,7 +3009,7 @@ mod tests {
         assert!(!matrix.query_active(2));
         assert_eq!(matrix.query_weight(2), 0.0);
         assert!(matrix.cost(2, &matrix.empty_config()).is_infinite());
-        let nid = matrix.add_query(extra.query(8), 1.0);
+        let nid = matrix.add_queries([(extra.query(8), 1.0)])[0];
         assert_eq!(nid, 2, "retired slots are reused first");
         assert!(matrix.query_active(2));
         // The reused slot costs like a fresh single-query build.
@@ -3084,7 +3040,7 @@ mod tests {
         ));
         // Query added *after* the split registration still costs correctly
         // under it (fractions are extended on install).
-        let qid = matrix.add_query(extra.query(0), 1.0);
+        let qid = matrix.add_queries([(extra.query(0), 1.0)])[0];
         let mut cfg = matrix.empty_joint();
         cfg.splits.insert(split);
         let design = matrix.joint_design_of(&cfg);

@@ -52,7 +52,7 @@ pub enum MatrixEdit {
     AddCandidates(Vec<Index>),
     /// [`CostMatrix::remove_candidate`] of a live id.
     RemoveCandidate(usize),
-    /// [`CostMatrix::add_queries`] (and `add_query`).
+    /// [`CostMatrix::add_queries`].
     AddQueries(Vec<(Query, f64)>),
     /// [`CostMatrix::retire_query`] of an active id.
     RetireQuery(usize),

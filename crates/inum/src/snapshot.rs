@@ -105,12 +105,6 @@ impl PublishSlot {
     pub(crate) fn reader_lookups(&self) -> u64 {
         self.counters.lookups.load(Ordering::Relaxed)
     }
-
-    /// The subset of reader lookups that costed a partition-touched
-    /// configuration.
-    pub(crate) fn reader_partition_lookups(&self) -> u64 {
-        self.counters.partition_lookups.load(Ordering::Relaxed)
-    }
 }
 
 /// An immutable, published generation of the cost matrix.
@@ -180,12 +174,6 @@ impl MatrixReader {
     pub fn refresh(&mut self) -> u64 {
         self.snapshot = self.slot.current();
         self.snapshot.generation
-    }
-
-    /// Latest published generation (the writer side's counter) — what
-    /// [`Self::refresh`] would pin right now.
-    pub fn latest_generation(&self) -> u64 {
-        self.slot.published()
     }
 }
 

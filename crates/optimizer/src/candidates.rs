@@ -12,28 +12,17 @@ use pgdesign_query::ast::Query;
 use pgdesign_query::Workload;
 use std::collections::BTreeMap;
 
+/// Maximum key columns in a multi-column candidate.
+const MAX_KEY_COLUMNS: usize = 3;
+/// Maximum total columns in a covering candidate (key + projected
+/// columns).
+const MAX_COVERING_WIDTH: usize = 5;
+
 /// Knobs for candidate generation.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct CandidateConfig {
-    /// Maximum key columns in a multi-column candidate.
-    pub max_key_columns: usize,
-    /// Also propose covering candidates (key + projected columns).
-    pub include_covering: bool,
-    /// Maximum total columns in a covering candidate.
-    pub max_covering_width: usize,
     /// Restrict to single-column candidates (COLT mode).
     pub single_column_only: bool,
-}
-
-impl Default for CandidateConfig {
-    fn default() -> Self {
-        CandidateConfig {
-            max_key_columns: 3,
-            include_covering: true,
-            max_covering_width: 5,
-            single_column_only: false,
-        }
-    }
 }
 
 impl CandidateConfig {
@@ -41,9 +30,6 @@ impl CandidateConfig {
     pub fn single_column() -> Self {
         CandidateConfig {
             single_column_only: true,
-            include_covering: false,
-            max_key_columns: 1,
-            ..Default::default()
         }
     }
 }
@@ -83,30 +69,26 @@ pub fn query_candidates(catalog: &Catalog, query: &Query, cfg: &CandidateConfig)
         // Multi-column: sargable prefix (equality cols first, then the
         // first range column — already the order `sargable_columns` gives).
         if sargable.len() >= 2 {
-            let key: Vec<u16> = sargable.iter().copied().take(cfg.max_key_columns).collect();
+            let key: Vec<u16> = sargable.iter().copied().take(MAX_KEY_COLUMNS).collect();
             push(Index::new(table, key.clone()));
             // Covering variant: append remaining needed columns.
-            if cfg.include_covering {
-                let mut cov = key;
-                for c in query.columns_used(slot) {
-                    if cov.len() >= cfg.max_covering_width {
-                        break;
-                    }
-                    if !cov.contains(&c) {
-                        cov.push(c);
-                    }
+            let mut cov = key;
+            for c in query.columns_used(slot) {
+                if cov.len() >= MAX_COVERING_WIDTH {
+                    break;
                 }
-                if cov.len() <= cfg.max_covering_width {
-                    push(Index::new(table, cov));
+                if !cov.contains(&c) {
+                    cov.push(c);
                 }
             }
+            push(Index::new(table, cov));
         }
         // Join column + filter columns (index-nested-loop enabler that
         // also filters at the inner side).
         for &jc in &join_cols {
             if !sargable.is_empty() {
                 let mut key = vec![jc];
-                for &c in sargable.iter().take(cfg.max_key_columns - 1) {
+                for &c in sargable.iter().take(MAX_KEY_COLUMNS - 1) {
                     if !key.contains(&c) {
                         key.push(c);
                     }
@@ -124,19 +106,19 @@ pub fn query_candidates(catalog: &Catalog, query: &Query, cfg: &CandidateConfig)
         if !ob.is_empty() {
             push(Index::new(
                 table,
-                ob.iter().copied().take(cfg.max_key_columns).collect(),
+                ob.iter().copied().take(MAX_KEY_COLUMNS).collect(),
             ));
             // equality prefix + order column: classic "filter then sorted".
             let eqs: Vec<u16> = sargable
                 .iter()
                 .copied()
                 .filter(|c| !ob.contains(c))
-                .take(cfg.max_key_columns - 1)
+                .take(MAX_KEY_COLUMNS - 1)
                 .collect();
             if !eqs.is_empty() {
                 let mut key = eqs;
                 key.extend(ob.iter().copied());
-                key.truncate(cfg.max_key_columns);
+                key.truncate(MAX_KEY_COLUMNS);
                 push(Index::new(table, key));
             }
         }
@@ -150,7 +132,7 @@ pub fn query_candidates(catalog: &Catalog, query: &Query, cfg: &CandidateConfig)
         if gb.len() >= 2 {
             push(Index::new(
                 table,
-                gb.into_iter().take(cfg.max_key_columns).collect(),
+                gb.into_iter().take(MAX_KEY_COLUMNS).collect(),
             ));
         }
         let _ = tdef;
@@ -269,9 +251,7 @@ mod tests {
         .unwrap();
         let cfg = CandidateConfig::default();
         let cands = query_candidates(&c, &q, &cfg);
-        assert!(cands
-            .iter()
-            .all(|i| i.columns.len() <= cfg.max_covering_width));
+        assert!(cands.iter().all(|i| i.columns.len() <= MAX_COVERING_WIDTH));
         // Some covering candidate includes a projected column.
         assert!(cands.iter().any(|i| i.columns.contains(&1)));
     }

@@ -14,7 +14,7 @@
 
 use pgdesign_catalog::datagen::TableData;
 use pgdesign_catalog::types::Value;
-use pgdesign_query::ast::{Aggregate, CmpOp, PredOp, Query};
+use pgdesign_query::ast::{Aggregate, CmpOp, JoinPredicate, PredOp, Query, QueryColumn};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -107,6 +107,17 @@ fn filtered_rows(data: &TableData, query: &Query, slot: u16) -> Result<Vec<usize
 }
 
 /// Join key usable in a hash map (NULL keys never match, mirroring SQL).
+/// The other side of join `j` relative to `slot`.
+fn other_side(j: &JoinPredicate, slot: u16) -> Option<QueryColumn> {
+    if j.left.slot == slot {
+        Some(j.right)
+    } else if j.right.slot == slot {
+        Some(j.left)
+    } else {
+        None
+    }
+}
+
 fn join_key(v: &Value) -> Option<u64> {
     use std::collections::hash_map::DefaultHasher;
     use std::hash::{Hash, Hasher};
@@ -145,7 +156,7 @@ pub fn execute(data: &[&TableData], query: &Query) -> Result<ResultSet, ExecErro
             .max_by_key(|&s| {
                 query
                     .joins_on(s)
-                    .filter(|j| j.other_side(s).is_some_and(|o| bound.contains(&o.slot)))
+                    .filter(|j| other_side(j, s).is_some_and(|o| bound.contains(&o.slot)))
                     .count()
             })
             .expect("unbound slot exists");
@@ -156,7 +167,7 @@ pub fn execute(data: &[&TableData], query: &Query) -> Result<ResultSet, ExecErro
             .joins_on(next)
             .filter_map(|j| {
                 let mine = j.column_on(next)?;
-                let other = j.other_side(next)?;
+                let other = other_side(j, next)?;
                 bound
                     .contains(&other.slot)
                     .then_some((mine, other.slot, other.column))
@@ -505,9 +516,9 @@ mod tests {
     fn null_join_keys_never_match() {
         let schema = SchemaBuilder::new()
             .table("a")
-            .nullable_column("k", DataType::Int)
+            .column("k", DataType::Int)
             .table("b")
-            .nullable_column("k", DataType::Int)
+            .column("k", DataType::Int)
             .build()
             .unwrap();
         let a = TableData {

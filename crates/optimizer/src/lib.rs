@@ -22,7 +22,7 @@
 //!   (index-)nested-loop methods and interesting-order tracking, over
 //!   value-typed plan entries on a reusable [`JoinPlanner`];
 //! * [`optimizer`] — the façade: [`Optimizer::optimize`] plus the INUM
-//!   hooks ([`Optimizer::optimize_skeleton`], [`Optimizer::best_access`])
+//!   hooks ([`Optimizer::optimize_skeletons`], [`Optimizer::best_access`])
 //!   and the what-if join control (§3.1's "what-if join component");
 //! * [`candidates`] — candidate-index enumeration from a workload, shared
 //!   by CoPhy, COLT and the interactive sessions;

@@ -65,13 +65,6 @@ impl WriteProfile {
         }
         self
     }
-
-    /// True when no writes are registered.
-    pub fn is_read_only(&self) -> bool {
-        self.per_table
-            .values()
-            .all(|w| w.inserts == 0.0 && w.updates == 0.0)
-    }
 }
 
 /// Cost of one B-tree entry insertion: descent plus leaf modification,
@@ -149,7 +142,6 @@ mod tests {
         let (c, p, t) = setup();
         let idx = Index::new(t, vec![0]);
         let profile = WriteProfile::read_only();
-        assert!(profile.is_read_only());
         assert_eq!(index_maintenance_cost(&p, &c, &idx, &profile), 0.0);
     }
 

@@ -67,14 +67,6 @@ impl Optimizer {
         Self::default()
     }
 
-    /// Optimizer with explicit parameters.
-    pub fn with_params(params: CostParams) -> Self {
-        Optimizer {
-            params,
-            control: JoinControl::default(),
-        }
-    }
-
     /// Replace the join control (builder style).
     pub fn with_control(mut self, control: JoinControl) -> Self {
         self.control = control;
@@ -114,34 +106,17 @@ impl Optimizer {
             .sum()
     }
 
-    /// Extract the INUM skeleton for a fixed interesting-order combination.
-    ///
-    /// Nested loops are excluded (their inner side's cost is design-
-    /// dependent, violating the INUM invariant), mirroring the original
-    /// INUM space; merge and hash joins are both considered.
-    pub fn optimize_skeleton(
-        &self,
-        catalog: &Catalog,
-        query: &Query,
-        slot_orders: Vec<Option<Vec<u16>>>,
-    ) -> Skeleton {
-        self.optimize_skeletons(
-            &mut JoinPlanner::default(),
-            catalog,
-            query,
-            vec![slot_orders],
-        )
-        .pop()
-        .expect("one combination in, one skeleton out")
-    }
-
-    /// Extract skeletons for a whole batch of interesting-order
+    /// Extract the INUM skeletons for a batch of interesting-order
     /// combinations of one query: one skeleton per combination, in input
     /// order, planned on `planner`'s reused buffers. What depends on the
     /// query alone is computed once, not once per combination, and no
     /// plan tree is built. This is the path the `pgdesign-inum` skeleton
     /// cache uses (one planner per warm-up worker); it then keeps only the
     /// skeletons no other one dominates (see [`Skeleton`]).
+    ///
+    /// Nested loops are excluded (their inner side's cost is design-
+    /// dependent, violating the INUM invariant), mirroring the original
+    /// INUM space; merge and hash joins are both considered.
     pub fn optimize_skeletons(
         &self,
         planner: &mut JoinPlanner,
@@ -342,11 +317,15 @@ mod tests {
         )
         .unwrap();
         let opt = Optimizer::new();
-        let sk = opt.optimize_skeleton(&c, &q, vec![None, None]);
+        let combos = vec![vec![None, None], vec![Some(vec![0]), Some(vec![1])]];
+        let [sk, sk_ordered] =
+            &opt.optimize_skeletons(&mut JoinPlanner::default(), &c, &q, combos)[..]
+        else {
+            panic!("one skeleton per combination");
+        };
         assert!(sk.internal_cost > 0.0);
         // With join-column orders fixed, the merge-join skeleton is
         // cheaper (sorts disappear from the internal cost).
-        let sk_ordered = opt.optimize_skeleton(&c, &q, vec![Some(vec![0]), Some(vec![1])]);
         assert!(sk_ordered.internal_cost <= sk.internal_cost);
     }
 

@@ -121,7 +121,8 @@ pub enum PlanNode {
 impl PlanExpr {
     /// Sum of the costs of all *leaf access* operators (scans/probes) in
     /// the tree. `cost - leaf_access_cost()` is the INUM "internal" cost.
-    pub fn leaf_access_cost(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn leaf_access_cost(&self) -> f64 {
         match &self.node {
             PlanNode::SeqScan { .. }
             | PlanNode::FragmentScan { .. }
@@ -139,12 +140,14 @@ impl PlanExpr {
     }
 
     /// All indexes referenced anywhere in the plan.
-    pub fn indexes_used(&self) -> Vec<&Index> {
+    #[cfg(test)]
+    pub(crate) fn indexes_used(&self) -> Vec<&Index> {
         let mut out = Vec::new();
         self.collect_indexes(&mut out);
         out
     }
 
+    #[cfg(test)]
     fn collect_indexes<'a>(&'a self, out: &mut Vec<&'a Index>) {
         match &self.node {
             PlanNode::IndexScan { index, .. } | PlanNode::BitmapHeapScan { index, .. } => {

@@ -9,10 +9,6 @@ use pgdesign_catalog::stats::ColumnStats;
 use pgdesign_catalog::Catalog;
 use pgdesign_query::ast::{CmpOp, FilterPredicate, PredOp, Query};
 
-/// Default selectivity when nothing can be estimated (PostgreSQL's
-/// `DEFAULT_EQ_SEL` neighbourhood).
-pub const DEFAULT_SEL: f64 = 0.005;
-
 /// Selectivity of a single filter predicate against column statistics.
 pub fn predicate_selectivity(stats: &ColumnStats, op: &PredOp) -> f64 {
     let sel = match op {
@@ -107,7 +103,8 @@ pub fn join_predicate_selectivity(
 
 /// Number of groups a GROUP BY produces: joint NDV of the grouping
 /// columns, capped by input rows.
-pub fn group_count(catalog: &Catalog, query: &Query, input_rows: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn group_count(catalog: &Catalog, query: &Query, input_rows: f64) -> f64 {
     if query.group_by.is_empty() {
         return 1.0;
     }
@@ -115,7 +112,7 @@ pub fn group_count(catalog: &Catalog, query: &Query, input_rows: f64) -> f64 {
 }
 
 /// The product of the GROUP BY columns' distinct-value counts: the group
-/// count before [`group_count`] caps it by the input rows. Depends on the
+/// count before it is capped by the input rows. Depends on the
 /// query alone, so a planner costing many inputs computes it once.
 pub fn group_ndv(catalog: &Catalog, query: &Query) -> f64 {
     let mut ndv = 1.0f64;
@@ -135,6 +132,11 @@ mod tests {
 
     fn catalog() -> Catalog {
         sdss_catalog(0.01)
+    }
+
+    fn column<'a>(c: &'a Catalog, name: &str) -> &'a ColumnStats {
+        let col = c.schema.resolve("photoobj", name).unwrap();
+        c.table_stats(col.table).column(col.column)
     }
 
     #[test]
@@ -228,7 +230,7 @@ mod tests {
     #[test]
     fn null_comparison_selects_nothing() {
         let c = catalog();
-        let stats = c.column_stats(c.schema.resolve("photoobj", "ra").unwrap());
+        let stats = column(&c, "ra");
         assert_eq!(
             predicate_selectivity(stats, &PredOp::Cmp(CmpOp::Eq, Value::Null)),
             0.0
@@ -238,7 +240,7 @@ mod tests {
     #[test]
     fn empty_between_selects_nothing() {
         let c = catalog();
-        let stats = c.column_stats(c.schema.resolve("photoobj", "ra").unwrap());
+        let stats = column(&c, "ra");
         let s = predicate_selectivity(
             stats,
             &PredOp::Between(Value::Float(50.0), Value::Float(10.0)),
@@ -249,7 +251,7 @@ mod tests {
     #[test]
     fn selectivities_clamped_to_unit() {
         let c = catalog();
-        let stats = c.column_stats(c.schema.resolve("photoobj", "type").unwrap());
+        let stats = column(&c, "type");
         let many: Vec<Value> = (0..100).map(Value::Int).collect();
         let s = predicate_selectivity(stats, &PredOp::InList(many));
         assert!(s <= 1.0);

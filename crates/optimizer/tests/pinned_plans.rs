@@ -11,7 +11,7 @@ use pgdesign_catalog::design::{Index, PhysicalDesign};
 use pgdesign_catalog::samples::{sdss_catalog, tpch_catalog};
 use pgdesign_catalog::Catalog;
 use pgdesign_optimizer::optimizer::interesting_slot_orders;
-use pgdesign_optimizer::Optimizer;
+use pgdesign_optimizer::{JoinPlanner, Optimizer};
 use pgdesign_query::generators::{sdss_workload, tpch_workload};
 use pgdesign_query::Workload;
 
@@ -65,14 +65,13 @@ fn pins(catalog: &Catalog, workload: &Workload, indexed: &PhysicalDesign) -> Vec
                 })
                 .collect();
         }
-        let bits: Vec<u8> = combos
+        let n = combos.len() as u64;
+        let bits: Vec<u8> = opt
+            .optimize_skeletons(&mut JoinPlanner::default(), catalog, q, combos)
             .iter()
-            .flat_map(|combo| {
-                let sk = opt.optimize_skeleton(catalog, q, combo.clone());
-                sk.internal_cost.to_bits().to_le_bytes()
-            })
+            .flat_map(|sk| sk.internal_cost.to_bits().to_le_bytes())
             .collect();
-        (fnv64(&bits), combos.len() as u64)
+        (fnv64(&bits), n)
     });
     plans.into_iter().chain(skeletons).collect()
 }

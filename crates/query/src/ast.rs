@@ -132,17 +132,6 @@ impl JoinPredicate {
             None
         }
     }
-
-    /// The other side of the join relative to `slot`.
-    pub fn other_side(&self, slot: u16) -> Option<QueryColumn> {
-        if self.left.slot == slot {
-            Some(self.right)
-        } else if self.right.slot == slot {
-            Some(self.left)
-        } else {
-            None
-        }
-    }
 }
 
 /// Aggregate functions in the SELECT list.
@@ -303,11 +292,6 @@ impl Query {
         eq
     }
 
-    /// True if the query has no joins.
-    pub fn is_single_table(&self) -> bool {
-        self.tables.len() == 1
-    }
-
     /// A short structural signature used for caching (INUM keys queries by
     /// template: same tables, joins, filtered columns — literals ignored).
     pub fn template_signature(&self) -> u64 {
@@ -340,12 +324,15 @@ impl Query {
     }
 }
 
-/// Fluent builder for [`Query`], used by generators and tests.
+/// Fluent builder for [`Query`] in tests (workloads are parsed from SQL
+/// or generated).
+#[cfg(test)]
 #[derive(Debug, Default)]
-pub struct QueryBuilder {
+pub(crate) struct QueryBuilder {
     q: Query,
 }
 
+#[cfg(test)]
 impl QueryBuilder {
     /// Start an empty query.
     pub fn new() -> Self {
@@ -376,12 +363,6 @@ impl QueryBuilder {
     /// SELECT *.
     pub fn star(mut self) -> Self {
         self.q.select_star = true;
-        self
-    }
-
-    /// Add an aggregate.
-    pub fn aggregate(mut self, a: Aggregate) -> Self {
-        self.q.aggregates.push(a);
         self
     }
 
@@ -430,12 +411,6 @@ impl QueryBuilder {
             col: QueryColumn::new(slot, column),
             desc,
         });
-        self
-    }
-
-    /// Set LIMIT.
-    pub fn limit(mut self, n: u64) -> Self {
-        self.q.limit = Some(n);
         self
     }
 
@@ -496,7 +471,6 @@ mod tests {
         assert_eq!(j.column_on(0), Some(4));
         assert_eq!(j.column_on(1), Some(7));
         assert_eq!(j.column_on(2), None);
-        assert_eq!(j.other_side(0), Some(QueryColumn::new(1, 7)));
     }
 
     #[test]

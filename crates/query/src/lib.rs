@@ -12,15 +12,12 @@
 //! * [`parser`] — a small SQL parser so workloads can be written as text,
 //!   which is how a DBA would feed the demo tool;
 //! * [`workload`] — weighted workloads and online query streams;
-//! * [`compress`] — workload compression: collapse literal-only variants
-//!   of a template into weighted representatives;
 //! * [`generators`] — SDSS-style and TPC-H-style workload generators plus
 //!   the drifting stream used by the continuous-tuning scenario.
 
 #![forbid(unsafe_code)]
 
 pub mod ast;
-pub mod compress;
 pub mod generators;
 pub mod parser;
 pub mod workload;

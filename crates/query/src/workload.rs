@@ -49,11 +49,6 @@ impl Workload {
         self.entries.is_empty()
     }
 
-    /// Sum of weights.
-    pub fn total_weight(&self) -> f64 {
-        self.entries.iter().map(|e| e.weight).sum()
-    }
-
     /// Iterate over `(query, weight)`.
     pub fn iter(&self) -> impl Iterator<Item = (&Query, f64)> {
         self.entries.iter().map(|e| (&e.query, e.weight))
@@ -81,19 +76,22 @@ mod tests {
         QueryBuilder::new().table(TableId(0)).star().build()
     }
 
+    fn weights(w: &Workload) -> Vec<f64> {
+        w.iter().map(|(_, weight)| weight).collect()
+    }
+
     #[test]
     fn weights_accumulate() {
         let mut w = Workload::new();
         w.push(q(), 2.0);
         w.push(q(), 3.0);
-        assert_eq!(w.len(), 2);
-        assert_eq!(w.total_weight(), 5.0);
+        assert_eq!(weights(&w), [2.0, 3.0]);
     }
 
     #[test]
     fn from_queries_defaults_to_unit_weight() {
         let w = Workload::from_queries([q(), q(), q()]);
-        assert_eq!(w.total_weight(), 3.0);
+        assert_eq!(weights(&w), [1.0; 3]);
         assert!(!w.is_empty());
     }
 

@@ -84,12 +84,14 @@ pub fn dp(items: &[Item], capacity: f64, bins: usize) -> Vec<usize> {
 }
 
 /// Total value of a selection.
-pub fn value_of(items: &[Item], chosen: &[usize]) -> f64 {
+#[cfg(test)]
+fn value_of(items: &[Item], chosen: &[usize]) -> f64 {
     chosen.iter().map(|&i| items[i].value).sum()
 }
 
 /// Total weight of a selection.
-pub fn weight_of(items: &[Item], chosen: &[usize]) -> f64 {
+#[cfg(test)]
+fn weight_of(items: &[Item], chosen: &[usize]) -> f64 {
     chosen.iter().map(|&i| items[i].weight).sum()
 }
 

@@ -32,25 +32,22 @@ pub enum MilpStatus {
     NoSolution,
 }
 
-/// Budget and tolerances.
+/// Integrality tolerance.
+const INT_TOL: f64 = 1e-6;
+/// Stop when the relative gap falls below this.
+const GAP_TOL: f64 = 1e-6;
+
+/// The search budget.
 #[derive(Debug, Clone, Copy)]
 pub struct MilpOptions {
     /// Maximum branch-and-bound nodes — the one search budget. A run cut
     /// here reports `nodes == node_limit`.
     pub node_limit: usize,
-    /// Integrality tolerance.
-    pub int_tol: f64,
-    /// Stop when the relative gap falls below this.
-    pub gap_tol: f64,
 }
 
 impl Default for MilpOptions {
     fn default() -> Self {
-        MilpOptions {
-            node_limit: 50_000,
-            int_tol: 1e-6,
-            gap_tol: 1e-6,
-        }
+        MilpOptions { node_limit: 50_000 }
     }
 }
 
@@ -149,17 +146,17 @@ impl Milp {
     }
 
     /// Check integer feasibility of the binary variables.
-    fn is_integral(&self, x: &[f64], tol: f64) -> bool {
+    fn is_integral(&self, x: &[f64]) -> bool {
         self.binaries
             .iter()
-            .all(|&v| (x[v] - x[v].round()).abs() <= tol)
+            .all(|&v| (x[v] - x[v].round()).abs() <= INT_TOL)
     }
 
     /// Offer `x` as an incumbent: its binaries are snapped to integers,
     /// and it is taken only if the snapped point is integral, satisfies
     /// the program's *original* rows and bounds, and beats the incumbent.
-    fn offer(&self, x: &[f64], tol: f64, incumbent: &mut Option<(Vec<f64>, f64)>) -> bool {
-        if x.len() != self.lp.num_vars() || !self.is_integral(x, tol) {
+    fn offer(&self, x: &[f64], incumbent: &mut Option<(Vec<f64>, f64)>) -> bool {
+        if x.len() != self.lp.num_vars() || !self.is_integral(x) {
             return false;
         }
         // (`lp` is public: a variable added behind `Milp`'s back has no
@@ -186,7 +183,7 @@ impl Milp {
         let mut nodes = 0usize;
         let mut incumbent: Option<(Vec<f64>, f64)> = None;
         if let Some(w) = warm {
-            self.offer(w, opts.int_tol, &mut incumbent);
+            self.offer(w, &mut incumbent);
         }
 
         // Root relaxation: the one cold solve of the run.
@@ -223,7 +220,7 @@ impl Milp {
             // Prune against incumbent.
             if let Some((_, inc_obj)) = &incumbent {
                 let gap = relative_gap(*inc_obj, node.bound);
-                if node.bound >= *inc_obj - 1e-12 || gap <= opts.gap_tol {
+                if node.bound >= *inc_obj - 1e-12 || gap <= GAP_TOL {
                     // Everything remaining is worse; we're done.
                     best_bound = node.bound.min(*inc_obj);
                     break;
@@ -256,7 +253,7 @@ impl Milp {
             }
             let relaxed = engine.objective();
             engine.write_solution(&mut x);
-            if self.offer(&x, opts.int_tol, &mut incumbent) {
+            if self.offer(&x, &mut incumbent) {
                 continue;
             }
             // Branch on the most fractional binary the node leaves free.
@@ -279,7 +276,7 @@ impl Milp {
                 if engine.reoptimize(f64::INFINITY).is_ok() {
                     let mut rounded = Vec::new();
                     engine.write_solution(&mut rounded);
-                    self.offer(&rounded, opts.int_tol, &mut incumbent);
+                    self.offer(&rounded, &mut incumbent);
                 }
             }
             let Some(v) = frac_var else { continue };
@@ -308,7 +305,7 @@ impl Milp {
             Some((x, objective)) => {
                 let gap = relative_gap(objective, best_bound);
                 MilpResult {
-                    status: if gap <= opts.gap_tol {
+                    status: if gap <= GAP_TOL {
                         MilpStatus::Optimal
                     } else {
                         MilpStatus::Feasible
@@ -406,7 +403,6 @@ mod tests {
         let r = m.solve_with_warm_start(
             &MilpOptions {
                 node_limit: 0, // no exploration: incumbent must come from warm start
-                ..Default::default()
             },
             Some(&warm),
         );
@@ -418,10 +414,7 @@ mod tests {
     #[test]
     fn warm_start_must_satisfy_the_original_rows() {
         let m = knapsack_milp(&[6.0, 10.0, 12.0], &[1.0, 2.0, 3.0], 5.0);
-        let no_search = MilpOptions {
-            node_limit: 0,
-            ..Default::default()
-        };
+        let no_search = MilpOptions { node_limit: 0 };
         // Over capacity, fractional, out of bounds, wrong length: none of
         // these may become the incumbent.
         for bad in [
@@ -441,10 +434,7 @@ mod tests {
         let values: Vec<f64> = (1..=12).map(|i| (i * 7 % 13) as f64 + 1.0).collect();
         let weights: Vec<f64> = (1..=12).map(|i| (i * 5 % 11) as f64 + 1.0).collect();
         let m = knapsack_milp(&values, &weights, 20.0);
-        let budget = MilpOptions {
-            node_limit: 3,
-            ..Default::default()
-        };
+        let budget = MilpOptions { node_limit: 3 };
         let cut = m.solve_with_warm_start(&budget, Some(&[0.0; 12]));
         assert_eq!(cut.status, MilpStatus::Feasible);
         assert_eq!(cut.nodes, 3, "a cut run spent exactly its budget");
@@ -463,10 +453,7 @@ mod tests {
         let values: Vec<f64> = (1..=12).map(|i| (i * 7 % 13) as f64 + 1.0).collect();
         let weights: Vec<f64> = (1..=12).map(|i| (i * 5 % 11) as f64 + 1.0).collect();
         let m = knapsack_milp(&values, &weights, 20.0);
-        let tight = m.solve(&MilpOptions {
-            node_limit: 1,
-            ..Default::default()
-        });
+        let tight = m.solve(&MilpOptions { node_limit: 1 });
         let loose = m.solve(&MilpOptions::default());
         assert!(loose.gap <= tight.gap + 1e-9);
         assert!(loose.objective <= tight.objective + 1e-9);
@@ -478,10 +465,7 @@ mod tests {
         let mut shifted = plain.clone();
         shifted.lp.add_objective_offset(100.0);
         for node_limit in [0, 1, 50_000] {
-            let opts = MilpOptions {
-                node_limit,
-                ..Default::default()
-            };
+            let opts = MilpOptions { node_limit };
             let warm = [1.0, 0.0, 0.0];
             let (a, b) = (
                 plain.solve_with_warm_start(&opts, Some(&warm)),

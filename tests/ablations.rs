@@ -3,12 +3,11 @@
 
 use pgdesign_catalog::design::{Index, PhysicalDesign};
 use pgdesign_catalog::samples::sdss_catalog;
+use pgdesign_cophy::greedy_select;
 use pgdesign_cophy::merging::augment_with_merges;
-use pgdesign_cophy::{greedy_select, CophyAdvisor, CophyConfig};
 use pgdesign_inum::{CostMatrix, Inum};
 use pgdesign_optimizer::candidates::{workload_candidates, CandidateConfig};
 use pgdesign_optimizer::{CostParams, JoinControl, Optimizer};
-use pgdesign_query::compress::{compress, Representative};
 use pgdesign_query::generators::sdss_workload;
 
 /// Ablation: the random/sequential page-cost ratio drives index adoption.
@@ -21,10 +20,13 @@ fn random_page_cost_ratio_shifts_index_adoption() {
     let budget = c.data_bytes();
 
     let count_for = |random_page_cost: f64| -> usize {
-        let opt = Optimizer::with_params(CostParams {
-            random_page_cost,
-            ..Default::default()
-        });
+        let opt = Optimizer {
+            params: CostParams {
+                random_page_cost,
+                ..Default::default()
+            },
+            ..Optimizer::new()
+        };
         let inum = Inum::new(&c, &opt);
         let cands = workload_candidates(&c, &w, &CandidateConfig::default());
         let matrix = CostMatrix::build(&inum, &w, &cands.indexes);
@@ -85,39 +87,6 @@ fn merge_augmentation_is_weakly_beneficial_across_budgets() {
             plain.cost
         );
     }
-}
-
-/// Ablation: workload compression preserves the recommendation's benefit
-/// while shrinking the tuning input.
-#[test]
-fn compressed_workload_yields_equivalent_designs() {
-    let c = sdss_catalog(0.01);
-    let trace = sdss_workload(&c, 54, 4); // 9 templates × 6 instances
-    let compressed = compress(&trace, Representative::Median);
-    assert!(compressed.ratio() > 1.0);
-
-    let opt = Optimizer::new();
-    let inum = Inum::new(&c, &opt);
-    let budget = c.data_bytes() / 2;
-    let advisor = CophyAdvisor::new(
-        &inum,
-        CophyConfig {
-            storage_budget_bytes: budget,
-            ..Default::default()
-        },
-    );
-    let from_full = advisor.recommend_on(&mut CostMatrix::build(&inum, &trace, &[]));
-    let from_compressed =
-        advisor.recommend_on(&mut CostMatrix::build(&inum, &compressed.workload, &[]));
-
-    // Evaluate both designs on the FULL trace.
-    let eval = |d: &PhysicalDesign| inum.workload_cost(d, &trace);
-    let full_cost = eval(&from_full.design);
-    let comp_cost = eval(&from_compressed.design);
-    assert!(
-        comp_cost <= full_cost * 1.10,
-        "compression lost too much: {comp_cost} vs {full_cost}"
-    );
 }
 
 /// Ablation: disabling nested loops (as INUM's space does) hurts join

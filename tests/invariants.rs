@@ -3,7 +3,7 @@
 use pgdesign_catalog::design::{Index, PhysicalDesign};
 use pgdesign_catalog::samples::{sdss_catalog, tpch_catalog};
 use pgdesign_catalog::Catalog;
-use pgdesign_inum::{CostMatrix, Inum};
+use pgdesign_inum::{CostMatrix, Inum, JointToggle};
 use pgdesign_optimizer::candidates::{workload_candidates, CandidateConfig};
 use pgdesign_optimizer::Optimizer;
 use pgdesign_query::generators::{
@@ -173,7 +173,7 @@ proptest! {
 }
 
 /// Delta evaluation equals full re-evaluation: adding (removing) one
-/// candidate through [`pgdesign_inum::MatrixCore::delta_add`] / `delta_remove`
+/// candidate through [`pgdesign_inum::MatrixCore::cost_plus`] / `cost_minus`
 /// matches the cost difference of the materialized configurations.
 #[test]
 fn matrix_delta_matches_full_reevaluation() {
@@ -192,19 +192,19 @@ fn matrix_delta_matches_full_reevaluation() {
                 let mut plus = base.clone();
                 plus.insert(cand);
                 let full = matrix.cost(qi, &plus) - matrix.cost(qi, &base);
-                let delta = matrix.delta_add(qi, &base, cand);
+                let delta = matrix.cost_plus(qi, &base, cand) - matrix.cost(qi, &base);
                 assert!(
                     tolerance::within(delta, full, tolerance::REORDERED_SUM),
-                    "delta_add {delta} vs full {full} (Q{qi}, cand {cand})"
+                    "cost_plus delta {delta} vs full {full} (Q{qi}, cand {cand})"
                 );
             } else {
                 let mut minus = base.clone();
                 minus.remove(cand);
                 let full = matrix.cost(qi, &minus) - matrix.cost(qi, &base);
-                let delta = matrix.delta_remove(qi, &base, cand);
+                let delta = matrix.cost_minus(qi, &base, cand) - matrix.cost(qi, &base);
                 assert!(
                     tolerance::within(delta, full, tolerance::REORDERED_SUM),
-                    "delta_remove {delta} vs full {full} (Q{qi}, cand {cand})"
+                    "cost_minus delta {delta} vs full {full} (Q{qi}, cand {cand})"
                 );
             }
         }
@@ -305,7 +305,8 @@ proptest! {
 }
 
 /// Delta evaluation equals full re-evaluation on the partition level:
-/// [`pgdesign_inum::MatrixCore::delta_merge`] / `delta_split` match the
+/// a merge toggle ([`pgdesign_inum::MatrixCore::joint_workload_cost_with`])
+/// and [`pgdesign_inum::MatrixCore::delta_split`] match the
 /// workload-cost difference of the materialized edited configurations.
 #[test]
 fn joint_delta_matches_full_reevaluation() {
@@ -339,10 +340,12 @@ fn joint_delta_matches_full_reevaluation() {
     merged_cfg.fragments.insert(frag_ids[2]);
     merged_cfg.fragments.insert(merged);
     let full = matrix.joint_workload_cost(&merged_cfg) - matrix.joint_workload_cost(&cfg);
-    let delta = matrix.delta_merge(&cfg, frag_ids[0], frag_ids[1], merged);
+    let delta = matrix
+        .joint_workload_cost_with(&cfg, &JointToggle::merge(frag_ids[0], frag_ids[1], merged))
+        - matrix.joint_workload_cost(&cfg);
     assert!(
         tolerance::within(delta, full, tolerance::REORDERED_SUM),
-        "delta_merge {delta} vs full {full}"
+        "merge delta {delta} vs full {full}"
     );
     // The merged configuration still agrees with the slow-path oracle.
     let design = matrix.joint_design_of(&merged_cfg);
@@ -362,7 +365,7 @@ fn joint_delta_matches_full_reevaluation() {
 
 /// Incremental maintenance equals a fresh build: starting from a random
 /// initial matrix, apply a random interleaving of
-/// `add_candidate`/`remove_candidate`/`add_query`/`retire_query`, then
+/// `add_candidate`/`remove_candidate`/`add_queries`/`retire_query`, then
 /// rebuild a matrix from scratch over the *final* state (live candidates,
 /// active queries) and require every configuration cost to agree within
 /// 1e-12 (in practice bit-identically — incremental cells run the same
@@ -397,7 +400,7 @@ fn assert_incremental_matches_fresh(
             }
             2 => {
                 let q = pool.query(rng.random_range(0..pool.len()));
-                matrix.add_query(q, 1.0);
+                matrix.add_queries([(q, 1.0)]);
             }
             _ => {
                 let active: Vec<usize> = matrix.active_query_ids().collect();
@@ -701,7 +704,7 @@ fn duplicate_candidates_stay_findable_after_removal() {
 /// Lock-free reader snapshots agree with serial rebuilds under live
 /// rotation: N reader threads take snapshots through [`MatrixReader`] and
 /// issue random `cost`/`joint_cost` lookups while the writer interleaves
-/// `add_candidates`/`remove_candidate`/`add_query`/`retire_query` and
+/// `add_candidates`/`remove_candidate`/`add_queries`/`retire_query` and
 /// publishes a new generation per round. The writer records the exact
 /// (active queries, live candidates) state behind every generation; after
 /// the threads join, each reader-observed (generation, lookup) pair must
@@ -809,7 +812,7 @@ fn assert_concurrent_readers_match_serial(
                     }
                     2 => {
                         let q = pool.query(rng.random_range(0..pool.len()));
-                        matrix.add_query(q, 1.0);
+                        matrix.add_queries([(q, 1.0)]);
                     }
                     _ => {
                         let active: Vec<usize> = matrix.active_query_ids().collect();
@@ -1048,7 +1051,7 @@ fn assert_durable_roundtrip_matches_live(
             }
             2 => {
                 let q = pool.query(rng.random_range(0..pool.len()));
-                live.add_query(q, 1.0 + rng.random_range(0..3) as f64);
+                live.add_queries([(q, 1.0 + rng.random_range(0..3) as f64)]);
             }
             3 => {
                 let active: Vec<usize> = live.active_query_ids().collect();
@@ -1243,7 +1246,7 @@ fn flipped_byte_in_log_tail_is_dropped_at_last_good_record() {
         s.publish();
     }
     // Flip a byte inside the last appended record.
-    let len = disk.lock().durable_len("matrix.pgdl");
+    let len = disk.lock().read("matrix.pgdl").unwrap().unwrap().len();
     disk.lock().corrupt("matrix.pgdl", len - 2);
 
     let mut s =
@@ -1272,7 +1275,7 @@ fn flipped_byte_in_snapshot_degrades_to_cold_build() {
         let _s = TuningSession::open_or_create_on(&designer, w.clone(), Box::new(disk.clone()))
             .expect("first open");
     }
-    let len = disk.lock().durable_len("matrix.pgds");
+    let len = disk.lock().read("matrix.pgds").unwrap().unwrap().len();
     disk.lock().corrupt("matrix.pgds", len / 2);
 
     let mut s = TuningSession::open_or_create_on(&designer, w.clone(), Box::new(disk.clone()))
