@@ -218,26 +218,18 @@ impl HorizontalPartitioning {
     /// Fraction of partitions that survive pruning for a range restriction
     /// `[lo, hi]` on the partitioning column (either side open).
     pub fn surviving_fraction(&self, lo: Option<f64>, hi: Option<f64>) -> f64 {
-        let n = self.partitions();
-        let mut alive = 0usize;
-        for p in 0..n {
-            let p_lo = if p == 0 {
-                f64::NEG_INFINITY
-            } else {
-                self.bounds[p - 1]
-            };
-            let p_hi = if p == n - 1 {
-                f64::INFINITY
-            } else {
-                self.bounds[p]
-            };
-            let ok_lo = lo.is_none_or(|v| v <= p_hi);
-            let ok_hi = hi.is_none_or(|v| v >= p_lo);
-            if ok_lo && ok_hi {
-                alive += 1;
-            }
-        }
-        alive as f64 / n as f64
+        // Partition `p` spans bounds `p - 1` to `p`, open at both ends.
+        let lows = std::iter::once(f64::NEG_INFINITY).chain(self.bounds.iter().copied());
+        let highs = self
+            .bounds
+            .iter()
+            .copied()
+            .chain(std::iter::once(f64::INFINITY));
+        let alive = lows
+            .zip(highs)
+            .filter(|&(p_lo, p_hi)| lo.is_none_or(|v| v <= p_hi) && hi.is_none_or(|v| v >= p_lo))
+            .count();
+        alive as f64 / self.partitions() as f64
     }
 }
 

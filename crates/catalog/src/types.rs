@@ -199,8 +199,8 @@ impl From<bool> for Value {
 /// eight bytes (PostgreSQL `convert_string_to_scalar` analogue).
 pub fn string_to_scalar(s: &str) -> f64 {
     let mut buf = [0u8; 8];
-    for (i, b) in s.as_bytes().iter().take(8).enumerate() {
-        buf[i] = *b;
+    for (slot, b) in buf.iter_mut().zip(s.as_bytes()) {
+        *slot = *b;
     }
     u64::from_be_bytes(buf) as f64
 }

@@ -15,6 +15,35 @@ use pgdesign_query::ast::Query;
 use pgdesign_query::Workload;
 use std::fmt;
 
+/// A join control no advisor can run under: it allows neither hash nor
+/// merge joins. INUM plans skeletons from those two alone — a nested
+/// loop's inner cost depends on the design, so it is not priced by the
+/// cache — and with neither there is no skeleton to plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UnsupportedJoinControl(pub JoinControl);
+
+impl fmt::Display for UnsupportedJoinControl {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "join control {:?} allows neither hash nor merge joins; INUM needs one of them \
+             until it prices nested loops",
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for UnsupportedJoinControl {}
+
+/// `Ok` when INUM can plan skeletons under `control`.
+fn supported(control: JoinControl) -> Result<(), UnsupportedJoinControl> {
+    if control.hash || control.merge {
+        Ok(())
+    } else {
+        Err(UnsupportedJoinControl(control))
+    }
+}
+
 /// The automated, interactive and portable DB designer.
 ///
 /// Owns the catalog (schema + statistics) and the what-if optimizer; all
@@ -38,13 +67,23 @@ impl Designer {
     }
 
     /// A designer with an explicit optimizer (cost params / join control).
-    pub fn with_optimizer(catalog: Catalog, optimizer: Optimizer) -> Self {
-        Designer { catalog, optimizer }
+    /// Refuses a join control that allows neither hash nor merge joins
+    /// (see [`UnsupportedJoinControl`]).
+    pub fn with_optimizer(
+        catalog: Catalog,
+        optimizer: Optimizer,
+    ) -> Result<Self, UnsupportedJoinControl> {
+        supported(optimizer.control)?;
+        Ok(Designer { catalog, optimizer })
     }
 
     /// Restrict or re-enable join methods (the what-if join component).
-    pub fn set_join_control(&mut self, control: JoinControl) {
+    /// Refuses, and keeps the current control, when `control` allows
+    /// neither hash nor merge joins (see [`UnsupportedJoinControl`]).
+    pub fn set_join_control(&mut self, control: JoinControl) -> Result<(), UnsupportedJoinControl> {
+        supported(control)?;
         self.optimizer.control = control;
+        Ok(())
     }
 
     /// Start a bare tuning session — the shared-matrix substrate every
@@ -241,7 +280,8 @@ mod tests {
             hash: false,
             merge: true,
             nestloop: false,
-        });
+        })
+        .expect("merge joins alone are supported");
         let q = parse_query(
             &d.catalog.schema,
             "SELECT p.ra FROM photoobj p, specobj s WHERE p.objid = s.bestobjid",
@@ -249,6 +289,37 @@ mod tests {
         .unwrap();
         let text = d.explain(&PhysicalDesign::empty(), &q);
         assert!(text.contains("Merge Join"), "{text}");
+    }
+
+    #[test]
+    fn a_join_control_without_hash_or_merge_joins_is_refused() {
+        let c = sdss_catalog(0.01);
+        let w = sdss_workload(&c, 40, 101);
+        let control = |hash, merge, nestloop| JoinControl {
+            hash,
+            merge,
+            nestloop,
+        };
+        for refused in [control(false, false, true), control(false, false, false)] {
+            let opt = Optimizer::new().with_control(refused);
+            let err = Designer::with_optimizer(c.clone(), opt).expect_err("no skeleton to plan");
+            assert!(err.to_string().contains("neither hash nor merge"), "{err}");
+            let mut d = designer();
+            assert_eq!(
+                d.set_join_control(refused),
+                Err(UnsupportedJoinControl(refused))
+            );
+            assert_eq!(d.optimizer.control, JoinControl::default(), "kept");
+        }
+        for accepted in [control(true, false, false), control(false, true, true)] {
+            let opt = Optimizer::new().with_control(accepted);
+            let d = Designer::with_optimizer(c.clone(), opt).expect("supported");
+            // Every query of the workload, joins included, gets skeletons.
+            let session = d.tuning_session(w.clone());
+            let m = session.matrix();
+            assert!((0..w.len()).all(|q| m.cost(q, &m.empty_config()).is_finite()));
+            assert!(designer().set_join_control(accepted).is_ok());
+        }
     }
 
     #[test]

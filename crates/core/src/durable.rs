@@ -278,6 +278,14 @@ pub(crate) fn try_restore<'a>(
             return Ok((None, recovery));
         }
     };
+    if !decoded.computed_under(inum.optimizer()) {
+        cold(
+            ColdStart::OptimizerChanged,
+            "cost parameters or join control differ from the snapshot's",
+            &mut recovery,
+        );
+        return Ok((None, recovery));
+    }
     let (mut matrix, report) = match restore_matrix(inum, decoded) {
         Ok(r) => r,
         // The only restore-time failure is a catalog whose table set no

@@ -88,7 +88,7 @@ pub mod online;
 pub mod report;
 pub mod session;
 
-pub use designer::{Designer, JointReport, OfflineReport};
+pub use designer::{Designer, JointReport, OfflineReport, UnsupportedJoinControl};
 pub use health::{DegradeReason, ServiceHealth};
 pub use interactive::{BenefitReport, InteractiveSession};
 pub use online::OnlineSession;

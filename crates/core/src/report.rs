@@ -64,6 +64,9 @@ pub enum ColdStart {
     VersionSkew,
     /// The catalog changed shape (table count) since the snapshot.
     CatalogChanged,
+    /// The snapshot's cells were computed under other optimizer cost
+    /// parameters or another join control.
+    OptimizerChanged,
 }
 
 impl fmt::Display for ColdStart {
@@ -73,6 +76,7 @@ impl fmt::Display for ColdStart {
             ColdStart::SnapshotCorrupt => "snapshot failed verification",
             ColdStart::VersionSkew => "snapshot format version mismatch",
             ColdStart::CatalogChanged => "catalog shape changed",
+            ColdStart::OptimizerChanged => "optimizer configuration changed",
         })
     }
 }

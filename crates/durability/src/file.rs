@@ -33,7 +33,7 @@ use std::io;
 
 /// Bumped whenever the record payload layout changes incompatibly.
 /// A reader that sees a different version falls back to a cold build.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 const SNAPSHOT_MAGIC: u32 = u32::from_le_bytes(*b"PGDS");
 const LOG_MAGIC: u32 = u32::from_le_bytes(*b"PGDL");

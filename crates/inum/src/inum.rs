@@ -200,6 +200,10 @@ struct Shared {
 
 impl<'a> Inum<'a> {
     /// New INUM instance with an empty cache and zeroed counters.
+    ///
+    /// `optimizer.control` must allow hash or merge joins: skeletons are
+    /// planned without nested loops, so a multi-table query has no
+    /// skeleton, and costing it panics, when neither is allowed.
     pub fn new(catalog: &'a Catalog, optimizer: &'a Optimizer) -> Self {
         Inum {
             catalog,

@@ -55,17 +55,11 @@ impl Hasher for Fnv1a {
     }
 }
 
-/// The cell-identity key of a query: a hash over its template *and*
-/// literals (selectivities feed the internal cost, so literals matter).
-/// Equal queries ⇒ equal keys; the converse is only likely, so the caches
-/// compare the query itself on a key match.
-pub fn query_cell_key(query: &Query) -> u64 {
-    query_key(query)
-}
-
-/// Hash key identifying a query (template *and* literals — selectivities
-/// feed the internal cost, so literals matter).
-pub(crate) fn query_key(query: &Query) -> u64 {
+/// The cell-identity key of a query (exported as `query_cell_key`): a
+/// hash over its template *and* literals (selectivities feed the internal
+/// cost, so literals matter). Equal queries ⇒ equal keys; the converse is
+/// only likely, so the caches compare the query itself on a key match.
+pub fn query_key(query: &Query) -> u64 {
     use pgdesign_catalog::types::Value;
     use pgdesign_query::ast::{Aggregate, PredOp};
 

@@ -110,7 +110,7 @@
 //! ([`CostMatrix::register_split`], a [`SplitBitset`]) carry precomputed
 //! per-(query, slot) surviving fractions, and every candidate index's
 //! access paths are kept in target-parameterized form
-//! ([`pgdesign_optimizer::access::IndexPathProfile`]). Costing a
+//! ([`pgdesign_optimizer::access::PathCost`]). Costing a
 //! [`JointConfig`] (indexes + fragments + splits) then needs only
 //! per-slot arithmetic — no path re-enumeration, no design construction —
 //! and [`JointToggle`]-based trial evaluation
@@ -150,7 +150,7 @@ mod wire;
 
 pub use budget::{Clock, Deadline, ManualClock, SystemClock, WorkBudget};
 pub use inum::{interesting_orders_per_slot, order_combinations, Inum, InumStats};
-pub use key::query_cell_key;
+pub use key::query_key as query_cell_key;
 pub use matrix::persist::{
     decode_edit, decode_snapshot, encode_edit, encode_published, restore_matrix, DecodedSnapshot,
     MatrixEdit, PersistError, RestoreReport,

@@ -26,6 +26,34 @@
 //! [`MatrixCore::cost_minus`] cost a configuration with one candidate
 //! toggled without materializing the toggled configuration.
 //!
+//! ## Cell layout
+//!
+//! A query's cells are its skeletons' internal costs, one order column
+//! per skeleton and slot (`reqs`, `[skeleton × slots + slot]`), and per
+//! slot three flat vectors of `Copy` values:
+//!
+//! ```text
+//! ids   = [c₀, c₁, …]                      candidates with a path on the slot
+//! costs = column 0 | column 1 | …          (1 + ids.len()) rows × width columns,
+//!         column = [scan, c₀, c₁, …]       stored column by column
+//!         column 0 = any order, column i + 1 = the slot's i-th order
+//! paths = [(cand, PathCost, order bits)…]  grouped by candidate, in ids order
+//! ```
+//!
+//! Columns are numbered as the skeleton cache's [`crate::SkeletonSet`]
+//! numbers orders, so a skeleton's order ids are copied in unchanged, and
+//! an index-only lookup scans one contiguous column beside `ids`: the
+//! scan's cell, then the cell of each selected candidate. (Stored row by
+//! row, the same scan would stride across the whole table.)
+//! A cell is the `f64::min` fold, in path order, of its row's paths that
+//! deliver its column (∞ where none does); every path has order bit 0, so
+//! column 0 folds them all. Only partitioned re-costing reads `paths`.
+//! The layout invariants, which [`persist`] checks on decode:
+//! `costs.len() == (1 + ids.len()) × width` with `width == 1 + orders ≤
+//! 1 + MAX_SLOT_ORDERS`, every order bit and every `reqs` entry below
+//! `width`, and `reqs.len() == skeletons × slots`. A query's weight lives
+//! only in the workload mirror.
+//!
 //! The matrix additionally serves **concurrent readers**: all cells and
 //! registries — and every read method — live in an owned [`MatrixCore`]
 //! payload with no borrow of the owning [`Inum`], so the writer-side
@@ -47,7 +75,7 @@ use pgdesign_catalog::design::{
 };
 use pgdesign_catalog::schema::TableId;
 use pgdesign_catalog::sizing;
-use pgdesign_optimizer::access::{self, AccessContext, FetchTarget, IndexPathProfile, SlotProfile};
+use pgdesign_optimizer::access::{self, AccessContext, FetchTarget, PathCost, SlotProfile};
 use pgdesign_optimizer::plan::order_satisfies;
 use pgdesign_optimizer::CostParams;
 use pgdesign_query::ast::{Query, QueryColumn};
@@ -263,28 +291,14 @@ id_bitset! {
     SplitBitset
 }
 
-/// Sentinel for "no order required" in the flattened skeleton requirements.
-const NO_ORDER: u32 = u32::MAX;
-
 /// Cap on distinct required orders per slot (asserted at build time; real
-/// queries have a handful — one per join/grouping/ordering column).
+/// queries have a handful — one per join/grouping/ordering column). A
+/// slot's cost table has one more column: order 0, any order.
 const MAX_SLOT_ORDERS: usize = 16;
 
 /// Stack capacity for per-slot partition state in a joint lookup (spills
 /// to a heap Vec for queries joining more tables).
 const MAX_STACK_SLOTS: usize = 8;
-
-/// Partition-adjusted per-slot access minima — one joint lookup's scratch.
-#[derive(Clone, Copy)]
-struct PartSlotMins {
-    /// Cheapest access ignoring order.
-    unordered: f64,
-    /// Cheapest access per required order.
-    ordered: [f64; MAX_SLOT_ORDERS],
-}
-
-/// `[None; N]` seed for the stack buffer.
-const NO_PART_STATE: Option<PartSlotMins> = None;
 
 /// Column-ordinal membership mask (tables are capped at 128 columns).
 fn column_mask(cols: &[u16]) -> u128 {
@@ -416,32 +430,19 @@ struct TableParts {
 /// One access path of a candidate index on a slot, kept in its
 /// target-parameterized form so partitioned configurations can re-cost it
 /// against any fetch target.
-#[derive(Clone)]
-struct CandPath {
-    /// The partition-independent path skeleton.
-    profile: IndexPathProfile,
-    /// Bit `o` set when the path's native order satisfies required order
-    /// `o` of the slot.
-    order_ok: u64,
+#[derive(Clone, Copy)]
+struct SlotPath {
+    /// The candidate the path belongs to.
+    cand: u32,
+    /// The partition-independent cost inputs.
+    cost: PathCost,
+    /// Bit `o` set when the path delivers order column `o` of the slot's
+    /// cost table: bit 0 (any order) always, bit `i + 1` when its native
+    /// order satisfies the slot's `i`-th order.
+    order_ok: u32,
 }
 
-/// Precomputed access costs of one candidate index on one slot.
-#[derive(Clone)]
-struct CandCosts {
-    /// Candidate id (position in the matrix's candidate list).
-    id: usize,
-    /// Cheapest path cost ignoring order (∞ when the index contributes no
-    /// path for this slot) — under the *unpartitioned* fetch target.
-    unordered: f64,
-    /// Cheapest path cost delivering each distinct required order
-    /// (∞ when no path of this candidate satisfies it) — under the
-    /// unpartitioned fetch target.
-    ordered: Vec<f64>,
-    /// The paths behind the minima above, for partitioned re-costing.
-    paths: Vec<CandPath>,
-}
-
-/// Per-slot cost row: the empty-design base plus per-candidate columns.
+/// One slot's cells, laid out as the module's *Cell layout* describes.
 #[derive(Clone)]
 struct SlotCosts {
     /// The slot's table.
@@ -454,26 +455,24 @@ struct SlotCosts {
     n_filters: usize,
     /// Fetch target of the unpartitioned table.
     base_target: FetchTarget,
-    /// Sequential-scan (base) cost, the only path under the empty design.
-    base_unordered: f64,
-    /// Base cost per required order (∞ unless the order is trivially
-    /// satisfied, i.e. every required column is equality-bound).
-    base_ordered: Vec<f64>,
-    /// The distinct required orders of this slot (column lists), in the
-    /// id order `base_ordered` / `CandCosts::ordered` use — kept so
-    /// candidates added later cost their order satisfaction against the
-    /// same ids.
-    slot_orders: Vec<Vec<u16>>,
-    /// Candidates on this slot's table that contribute at least one path.
-    cands: Vec<CandCosts>,
+    /// The slot's distinct orders, each its column count then its columns
+    /// — kept so candidates added later cost their order satisfaction
+    /// against the same columns.
+    orders: Vec<u16>,
+    /// The candidates on this slot's table that contribute a path (ids
+    /// travel as `u32` here: half the bytes the column scan reads).
+    ids: Vec<u32>,
+    /// The `(1 + ids.len()) × width` cost table, column by column.
+    costs: Vec<f64>,
+    /// Every path of every candidate in `ids`, grouped by candidate in
+    /// `ids` order — read only by partitioned re-costing.
+    paths: Vec<SlotPath>,
 }
 
 /// Everything needed to cost one query against any candidate subset.
 #[derive(Clone)]
 struct QueryMatrix {
-    /// Workload weight.
-    weight: f64,
-    /// Cell-identity key of the query ([`crate::key::query_cell_key`]) —
+    /// Cell-identity key of the query ([`crate::query_cell_key`]) —
     /// how [`CostMatrix::add_queries`] finds a resident candidate, which it
     /// then confirms by comparing the queries.
     key: u64,
@@ -482,10 +481,21 @@ struct QueryMatrix {
     active: bool,
     /// Internal (design-independent) cost per skeleton.
     internal: Vec<f64>,
-    /// Per skeleton, per slot: required-order id or [`NO_ORDER`].
-    reqs: Vec<Vec<u32>>,
-    /// Per-slot cost rows.
+    /// Order column per skeleton and slot, `[skeleton × slots + slot]`.
+    reqs: Vec<u16>,
+    /// Per-slot cells.
     slots: Vec<SlotCosts>,
+}
+
+impl QueryMatrix {
+    /// A retired (or not yet filled) slot: no cells, costs ∞.
+    const RETIRED: QueryMatrix = QueryMatrix {
+        key: 0,
+        active: false,
+        internal: Vec::new(),
+        reqs: Vec::new(),
+        slots: Vec::new(),
+    };
 }
 
 /// A registered vertical-fragment candidate.
@@ -538,7 +548,7 @@ pub(crate) struct LookupCounters {
 /// set with **stable ids** (existing [`CandidateBitset`]s stay valid), and
 /// [`Self::add_queries`] / [`Self::retire_query`] rotate queries, reusing
 /// resident cells when an equal query (found by its cell-identity key,
-/// [`crate::key::query_cell_key`]) is already in the matrix. Cold builds
+/// [`crate::query_cell_key`]) is already in the matrix. Cold builds
 /// and the bulk part of [`Self::add_queries`] run on one worker per ~1 ms
 /// of cell work, at most [`build_threads`](crate::build_threads); parallel
 /// results are bit-identical to serial ones because cells are computed
@@ -624,15 +634,14 @@ pub struct MatrixCore {
     pub(crate) counters: Arc<LookupCounters>,
 }
 
-/// Compute one query's full matrix row set (skeleton requirements, base
-/// cells, and one [`CandCosts`] per contributing candidate). Returns the
-/// matrix and the number of cells costed. Pure per-query work — the unit
-/// the parallel build distributes.
+/// Compute one query's cells: its skeletons' internal costs and order
+/// columns, and per slot the sequential scan and every contributing
+/// candidate. Returns the matrix and the number of cells costed. Pure
+/// per-query work — the unit the parallel build distributes.
 fn compute_query_matrix(
     inum: &Inum<'_>,
     key: u64,
     q: &Query,
-    weight: f64,
     indexes: &[Option<Index>],
 ) -> (QueryMatrix, u64) {
     let catalog = inum.catalog();
@@ -646,17 +655,12 @@ fn compute_query_matrix(
         params,
         query: q,
     };
-    let n_slots = q.slot_count() as usize;
 
-    // Distinct required orders per slot across the skeleton set, and each
-    // skeleton's order id per slot.
+    // The skeleton set numbers each slot's orders the way the cost table
+    // numbers its columns, so its order ids are copied as they are.
     let slot_orders = skeletons.orders();
-    let reqs: Vec<Vec<u32>> = (0..skeletons.len())
-        .map(|k| {
-            (0..n_slots)
-                .map(|s| skeletons.order_id(k, s).map_or(NO_ORDER, |id| id as u32))
-                .collect()
-        })
+    let reqs: Vec<u16> = (0..skeletons.len())
+        .flat_map(|k| skeletons.order_ids(k).iter().copied())
         .collect();
     let internal: Vec<f64> = (0..skeletons.len())
         .map(|k| skeletons.internal_cost(k))
@@ -666,9 +670,12 @@ fn compute_query_matrix(
         "skeleton internal costs must be finite"
     );
 
-    let mut slots = Vec::with_capacity(n_slots);
-    for slot in 0..q.slot_count() {
-        let s = slot as usize;
+    let mut slots = Vec::with_capacity(slot_orders.len());
+    for (slot, orders) in (0..q.slot_count()).zip(&slot_orders) {
+        assert!(
+            orders.len() <= MAX_SLOT_ORDERS,
+            "order-satisfaction masks support {MAX_SLOT_ORDERS} required orders per slot"
+        );
         let prof = SlotProfile::build(&ctx, slot, &[]);
         let base_target = access::fetch_target(&ctx, slot, &prof.needed_cols);
         let seq_cost = access::seq_scan_cost(
@@ -679,54 +686,43 @@ fn compute_query_matrix(
             prof.h_frac,
         );
         cells += 1;
-        let required: Vec<Vec<QueryColumn>> = slot_orders[s]
-            .iter()
-            .map(|o| o.iter().map(|&c| QueryColumn::new(slot, c)).collect())
-            .collect();
-        assert!(
-            required.len() <= MAX_SLOT_ORDERS,
-            "order-satisfaction masks support {MAX_SLOT_ORDERS} required orders per slot"
-        );
-        let base_ordered: Vec<f64> = required
-            .iter()
-            .map(|req| {
-                if order_satisfies(&[], req, &prof.eq_bound) {
-                    seq_cost
-                } else {
-                    f64::INFINITY
-                }
-            })
-            .collect();
-        let table = q.table_of(slot);
-        let needed_mask = column_mask(&prof.needed_cols);
-        let mut cands = Vec::new();
-        for (id, idx) in indexes.iter().enumerate() {
-            let Some(idx) = idx else { continue };
-            if idx.table != table {
-                continue;
-            }
-            if let Some(cc) =
-                cost_candidate_on_slot(params, &ctx, &prof, &required, base_target, id, idx)
-            {
-                cands.push(cc);
-            }
-            cells += 1;
-        }
-        slots.push(SlotCosts {
-            table,
-            needed_mask,
+        let mut slot_cells = SlotCosts {
+            table: q.table_of(slot),
+            needed_mask: column_mask(&prof.needed_cols),
             base_rows: prof.base_rows,
             n_filters: prof.n_filters,
             base_target,
-            base_unordered: seq_cost,
-            base_ordered,
-            slot_orders: slot_orders[s].iter().map(|o| o.to_vec()).collect(),
-            cands,
-        });
+            orders: orders
+                .iter()
+                .flat_map(|o| std::iter::once(o.len() as u16).chain(o.iter().copied()))
+                .collect(),
+            ids: Vec::new(),
+            costs: vec![seq_cost],
+            paths: Vec::new(),
+        };
+        let required = slot_cells.required_orders(slot);
+        // The scan delivers an order only when every column of it is
+        // equality-bound.
+        slot_cells.costs.extend(required.iter().map(|req| {
+            if order_satisfies(&[], req, &prof.eq_bound) {
+                seq_cost
+            } else {
+                f64::INFINITY
+            }
+        }));
+        for (id, idx) in indexes.iter().enumerate() {
+            let Some(idx) = idx else { continue };
+            if idx.table == slot_cells.table {
+                if let Some(new) = slot_cells.candidate_cells(&ctx, &prof, &required, id, idx) {
+                    slot_cells.push_candidate(new);
+                }
+                cells += 1;
+            }
+        }
+        slots.push(slot_cells);
     }
     (
         QueryMatrix {
-            weight,
             key,
             active: true,
             internal,
@@ -737,58 +733,129 @@ fn compute_query_matrix(
     )
 }
 
-/// Cost one candidate index on one slot: enumerate its path profiles under
-/// `base_target` (the slot's unpartitioned fetch target) and reduce them
-/// to the per-order minima. `None` when the index contributes no path on
-/// the slot. Shared verbatim by the cold build and
-/// [`CostMatrix::add_candidate`], so incremental cells are bit-identical
-/// to freshly built ones.
-fn cost_candidate_on_slot(
-    params: &pgdesign_optimizer::CostParams,
-    ctx: &AccessContext<'_>,
-    prof: &SlotProfile,
-    required: &[Vec<QueryColumn>],
-    base_target: FetchTarget,
-    id: usize,
-    idx: &Index,
-) -> Option<CandCosts> {
-    let profiles = access::index_path_profiles(ctx, prof, idx, false);
-    if profiles.is_empty() {
-        return None; // contributes nothing on this slot
+impl SlotCosts {
+    /// The slot's distinct orders, in column order (column `i + 1` is the
+    /// `i`-th). A truncated last entry ends the list.
+    fn order_lists(&self) -> impl Iterator<Item = &[u16]> {
+        let mut rest = self.orders.as_slice();
+        std::iter::from_fn(move || {
+            let (&n, tail) = rest.split_first()?;
+            let order = tail.get(..usize::from(n))?;
+            rest = tail.get(order.len()..)?;
+            Some(order)
+        })
     }
-    let paths: Vec<CandPath> = profiles
-        .into_iter()
-        .map(|profile| {
-            let mut order_ok = 0u64;
-            for (o, req) in required.iter().enumerate() {
-                if order_satisfies(&profile.order, req, &prof.eq_bound) {
-                    order_ok |= 1 << o;
+
+    /// The slot's orders as the query columns of slot `slot`.
+    fn required_orders(&self, slot: u16) -> Vec<Vec<QueryColumn>> {
+        self.order_lists()
+            .map(|o| o.iter().map(|&c| QueryColumn::new(slot, c)).collect())
+            .collect()
+    }
+
+    /// Cost candidate `id` (`idx`) on the slot: its row of the cost table
+    /// and its paths, `None` when the index contributes no path.
+    /// `required` is [`Self::required_orders`]. A cell folds `f64::min`
+    /// over the paths delivering its column, in path order, under the
+    /// slot's unpartitioned fetch target. Shared by the cold build and
+    /// [`CostMatrix::add_candidate`], so incremental cells are
+    /// bit-identical to freshly built ones.
+    fn candidate_cells(
+        &self,
+        ctx: &AccessContext<'_>,
+        prof: &SlotProfile,
+        required: &[Vec<QueryColumn>],
+        id: usize,
+        idx: &Index,
+    ) -> Option<CandidateCells> {
+        let profiles = access::index_path_profiles(ctx, prof, idx, false);
+        if profiles.is_empty() {
+            return None; // contributes nothing on this slot
+        }
+        let cand = u32::try_from(id).expect("candidate ids fit in 32 bits");
+        let mut row = [f64::INFINITY; MAX_SLOT_ORDERS + 1];
+        let paths = profiles
+            .iter()
+            .map(|profile| {
+                let mut order_ok = 1u32;
+                for (o, req) in required.iter().enumerate() {
+                    if order_satisfies(&profile.order, req, &prof.eq_bound) {
+                        order_ok |= 1 << (o + 1);
+                    }
                 }
-            }
-            CandPath { profile, order_ok }
-        })
-        .collect();
-    let costs: Vec<f64> = paths
-        .iter()
-        .map(|p| p.profile.cost(params, base_target))
-        .collect();
-    let unordered = costs.iter().copied().fold(f64::INFINITY, f64::min);
-    let ordered: Vec<f64> = (0..required.len())
-        .map(|o| {
-            paths
-                .iter()
-                .zip(&costs)
-                .filter(|(p, _)| p.order_ok & (1 << o) != 0)
-                .map(|(_, &c)| c)
-                .fold(f64::INFINITY, f64::min)
-        })
-        .collect();
-    Some(CandCosts {
-        id,
-        unordered,
-        ordered,
-        paths,
-    })
+                let c = profile.cost.cost(ctx.params, self.base_target);
+                for_each_bit(order_ok, |col| row[col] = row[col].min(c));
+                SlotPath {
+                    cand,
+                    cost: profile.cost,
+                    order_ok,
+                }
+            })
+            .collect();
+        Some((cand, row, paths))
+    }
+
+    /// Append a candidate's [`Self::candidate_cells`]: a cell at the end
+    /// of each column, its id and its paths.
+    fn push_candidate(&mut self, (cand, row, paths): CandidateCells) {
+        let rows = 1 + self.ids.len();
+        for (col, &c) in row[..self.width()].iter().enumerate().rev() {
+            self.costs.insert((col + 1) * rows, c);
+        }
+        self.ids.push(cand);
+        self.paths.extend(paths);
+    }
+
+    /// Drop candidate `id`'s row and paths (no-op when it has none).
+    fn remove_candidate(&mut self, id: usize) {
+        let Some(i) = self.ids.iter().position(|&c| c as usize == id) else {
+            return;
+        };
+        let rows = 1 + self.ids.len();
+        for col in (0..self.width()).rev() {
+            self.costs.remove(col * rows + 1 + i);
+        }
+        self.ids.remove(i);
+        self.paths.retain(|p| p.cand as usize != id);
+    }
+
+    /// Columns of the cost table: any order, then each of the slot's.
+    fn width(&self) -> usize {
+        self.costs.len() / (1 + self.ids.len())
+    }
+
+    /// Column `col` of the cost table: the scan's cell, then each
+    /// candidate's in `ids` order.
+    #[inline]
+    fn column(&self, col: usize) -> &[f64] {
+        let rows = 1 + self.ids.len();
+        &self.costs[col * rows..(col + 1) * rows]
+    }
+}
+
+/// One candidate's cells on one slot, on their way into its
+/// [`SlotCosts`]: its id, its row of the cost table and its paths.
+type CandidateCells = (u32, [f64; MAX_SLOT_ORDERS + 1], Vec<SlotPath>);
+
+/// Call `f` with each set bit of `bits`, lowest first.
+#[inline]
+fn for_each_bit(mut bits: u32, mut f: impl FnMut(usize)) {
+    while bits != 0 {
+        f(bits.trailing_zeros() as usize);
+        bits &= bits - 1;
+    }
+}
+
+/// The live id per index: the lowest live id, so the first registration
+/// of an index handed over twice wins (as `remove_candidate` keeps it).
+fn id_by_index(indexes: &[Option<Index>]) -> HashMap<Index, usize> {
+    let mut live = HashMap::with_capacity(indexes.len());
+    for (id, index) in indexes.iter().enumerate() {
+        if let Some(index) = index {
+            live.entry(index.clone()).or_insert(id);
+        }
+    }
+    live
 }
 
 /// Live entries per table, for sizing a region's work.
@@ -812,7 +879,7 @@ fn count_per_table(tables: impl Iterator<Item = TableId>) -> HashMap<TableId, us
 /// skeleton cache does not hold yet.
 fn compute_query_matrices(
     inum: &Inum<'_>,
-    entries: &[(u64, &Query, f64)],
+    entries: &[(u64, &Query)],
     indexes: &[Option<Index>],
     workers: Workers,
     budget: &WorkBudget,
@@ -821,22 +888,22 @@ fn compute_query_matrices(
         let on_table = count_per_table(indexes.iter().flatten().map(|i| i.table));
         let cells: usize = entries
             .iter()
-            .flat_map(|&(_, q, _)| (0..q.slot_count()).map(|s| q.table_of(s)))
+            .flat_map(|&(_, q)| (0..q.slot_count()).map(|s| q.table_of(s)))
             .map(|table| 1 + on_table.get(&table).copied().unwrap_or(0))
             .sum();
-        cells + inum.planning_work(entries.iter().map(|&(key, q, _)| (key, q)))
+        cells + inum.planning_work(entries.iter().copied())
     });
-    fan_out(entries, workers, |&(key, q, w)| {
+    fan_out(entries, workers, |&(key, q)| {
         budget
             .try_consume()
-            .then(|| compute_query_matrix(inum, key, q, w, indexes))
+            .then(|| compute_query_matrix(inum, key, q, indexes))
     })
 }
 
 /// Compute the new cells a candidate batch adds to each active query:
-/// per query, the `(slot index, CandCosts)` pairs to append (in batch
-/// order, so per-slot candidate order matches one-at-a-time registration)
-/// plus the number of cells costed. The per-query unit the bulk
+/// per query, the cells to append and their slot index (in batch order,
+/// so per-slot candidate order matches one-at-a-time registration) plus the
+/// number of cells costed. The per-query unit the bulk
 /// [`CostMatrix::add_candidates`] distributes over scoped workers — cells
 /// are bit-identical to the serial path because each depends on nothing
 /// but its own `(query, slot, candidate)` inputs. The work is one cell
@@ -847,7 +914,7 @@ fn compute_candidate_cells(
     active: &[usize],
     new: &[(usize, Index)],
     workers: Workers,
-) -> Vec<(Vec<(usize, CandCosts)>, u64)> {
+) -> Vec<(Vec<(usize, CandidateCells)>, u64)> {
     let workers = workers.count(|| {
         let new_on = count_per_table(new.iter().map(|(_, idx)| idx.table));
         active
@@ -859,13 +926,11 @@ fn compute_candidate_cells(
     fan_out(active, workers, |&qi| {
         let q = &core.workload.entries[qi].query;
         let qm = &core.queries[qi];
-        let catalog = inum.catalog();
-        let params = &inum.optimizer().params;
         let empty = PhysicalDesign::empty();
         let ctx = AccessContext {
-            catalog,
+            catalog: inum.catalog(),
             design: &empty,
-            params,
+            params: &inum.optimizer().params,
             query: q,
         };
         let mut out = Vec::new();
@@ -874,28 +939,13 @@ fn compute_candidate_cells(
             if !new.iter().any(|(_, idx)| idx.table == slot.table) {
                 continue;
             }
-            let slot_u16 = s as u16;
-            let prof = SlotProfile::build(&ctx, slot_u16, &[]);
-            let required: Vec<Vec<QueryColumn>> = slot
-                .slot_orders
-                .iter()
-                .map(|o| o.iter().map(|&c| QueryColumn::new(slot_u16, c)).collect())
-                .collect();
+            let prof = SlotProfile::build(&ctx, s as u16, &[]);
+            let required = slot.required_orders(s as u16);
             for (id, idx) in new {
-                if idx.table != slot.table {
-                    continue;
-                }
-                cells += 1;
-                if let Some(cc) = cost_candidate_on_slot(
-                    params,
-                    &ctx,
-                    &prof,
-                    &required,
-                    slot.base_target,
-                    *id,
-                    idx,
-                ) {
-                    out.push((s, cc));
+                if idx.table == slot.table {
+                    cells += 1;
+                    let new = slot.candidate_cells(&ctx, &prof, &required, *id, idx);
+                    out.extend(new.map(|new| (s, new)));
                 }
             }
         }
@@ -936,8 +986,7 @@ impl<'a> CostMatrix<'a> {
         // analyzer:allow(clock-purity): stats-counter timing; no decision reads it
         let t0 = Instant::now();
         let idx: Vec<Option<Index>> = indexes.iter().cloned().map(Some).collect();
-        let entries: Vec<(u64, &Query, f64)> =
-            workload.iter().map(|(q, w)| (query_key(q), q, w)).collect();
+        let entries: Vec<(u64, &Query)> = workload.iter().map(|(q, _)| (query_key(q), q)).collect();
         let computed =
             compute_query_matrices(inum, &entries, &idx, workers, &WorkBudget::unlimited());
         let mut cells = 0u64;
@@ -949,17 +998,11 @@ impl<'a> CostMatrix<'a> {
         }
         inum.note_matrix_build(cells, t0.elapsed().as_nanos() as u64);
         let n_tables = inum.catalog().schema.tables().count();
-        let mut id_by_index = HashMap::with_capacity(idx.len());
-        for (id, i) in idx.iter().enumerate() {
-            if let Some(i) = i {
-                id_by_index.entry(i.clone()).or_insert(id);
-            }
-        }
         let core = MatrixCore {
             params: inum.optimizer().params,
             workload: workload.clone(),
+            id_by_index: id_by_index(&idx),
             indexes: idx,
-            id_by_index,
             queries,
             free_candidates: Vec::new(),
             free_queries: Vec::new(),
@@ -1072,7 +1115,7 @@ impl<'a> CostMatrix<'a> {
     pub fn set_query_weight(&mut self, id: usize, weight: f64) {
         self.record(|| MatrixEdit::SetQueryWeight(id, weight));
         if self.core.query_active(id) {
-            self.store_query_weight(id, weight);
+            self.core.workload.entries[id].weight = weight;
         }
     }
 
@@ -1258,8 +1301,8 @@ impl<'a> CostMatrix<'a> {
                 continue;
             }
             let qm = Arc::make_mut(&mut self.core.queries[qi]);
-            for (s, cc) in additions {
-                qm.slots[s].cands.push(cc);
+            for (s, new) in additions {
+                qm.slots[s].push_candidate(new);
             }
         }
         cells
@@ -1302,13 +1345,10 @@ impl<'a> CostMatrix<'a> {
             if qm
                 .slots
                 .iter()
-                .any(|slot| slot.cands.iter().any(|c| c.id == id))
+                .any(|s| s.ids.iter().any(|&c| c as usize == id))
             {
-                let qm = Arc::make_mut(qm);
-                for slot in &mut qm.slots {
-                    if let Some(pos) = slot.cands.iter().position(|c| c.id == id) {
-                        slot.cands.remove(pos);
-                    }
+                for slot in &mut Arc::make_mut(qm).slots {
+                    slot.remove_candidate(id);
                 }
             }
         }
@@ -1432,7 +1472,7 @@ impl<'a> CostMatrix<'a> {
 
         // Compute the misses (the bulk) in parallel, under the budget;
         // `None` means deferred.
-        let refs: Vec<(u64, &Query, f64)> = pending.iter().map(|&i| keyed[i]).collect();
+        let refs: Vec<(u64, &Query)> = pending.iter().map(|&i| (keyed[i].0, keyed[i].1)).collect();
         let computed =
             compute_query_matrices(&self.inum, &refs, &self.core.indexes, workers, budget);
 
@@ -1470,7 +1510,7 @@ impl<'a> CostMatrix<'a> {
         for (&i, done) in pending.iter().zip(computed) {
             if let Some((qm, cells)) = done {
                 computed_cells += cells;
-                ids[i] = Some(self.install_query(entries[i].0.clone(), qm));
+                ids[i] = Some(self.install_query(entries[i].0.clone(), entries[i].1, qm));
             }
         }
         // Per-table live candidate counts, shared by the reuse accounting
@@ -1486,8 +1526,7 @@ impl<'a> CostMatrix<'a> {
             // Sharing a slot avoids the cells a fresh build would have
             // costed for this entry separately.
             if let Some(id) = shared {
-                let w = self.core.queries[id].weight + entries[i].1;
-                self.store_query_weight(id, w);
+                self.core.workload.entries[id].weight += entries[i].1;
                 reused += self.core.queries[id]
                     .slots
                     .iter()
@@ -1499,12 +1538,6 @@ impl<'a> CostMatrix<'a> {
         self.inum
             .note_matrix_incremental(computed_cells, reused, t0.elapsed().as_nanos() as u64);
         ids
-    }
-
-    /// Set a slot's weight in its cells and in the workload mirror.
-    fn store_query_weight(&mut self, id: usize, weight: f64) {
-        Arc::make_mut(&mut self.core.queries[id]).weight = weight;
-        self.core.workload.entries[id].weight = weight;
     }
 
     /// Retire a query: it stops contributing to workload costs, its cells
@@ -1519,13 +1552,7 @@ impl<'a> CostMatrix<'a> {
         }
         self.record(|| MatrixEdit::RetireQuery(id));
         self.core.generation += 1;
-        let qm = Arc::make_mut(&mut self.core.queries[id]);
-        qm.active = false;
-        qm.key = 0;
-        qm.weight = 0.0;
-        qm.internal = Vec::new();
-        qm.reqs = Vec::new();
-        qm.slots = Vec::new();
+        self.core.queries[id] = Arc::new(QueryMatrix::RETIRED);
         self.core.workload.entries[id].weight = 0.0;
         for sp in &mut self.core.splits {
             Arc::make_mut(sp).frac[id] = Vec::new();
@@ -1535,7 +1562,7 @@ impl<'a> CostMatrix<'a> {
 
     /// Place a computed query matrix in a slot (retired first), keeping
     /// the workload mirror and every split's fraction rows aligned.
-    fn install_query(&mut self, query: Query, qm: QueryMatrix) -> usize {
+    fn install_query(&mut self, query: Query, weight: f64, qm: QueryMatrix) -> usize {
         let core = &mut self.core;
         core.generation += 1;
         let id = match core.free_queries.pop() {
@@ -1544,14 +1571,7 @@ impl<'a> CostMatrix<'a> {
                 id
             }
             None => {
-                core.queries.push(Arc::new(QueryMatrix {
-                    weight: 0.0,
-                    key: 0,
-                    active: false,
-                    internal: Vec::new(),
-                    reqs: Vec::new(),
-                    slots: Vec::new(),
-                }));
+                core.queries.push(Arc::new(QueryMatrix::RETIRED));
                 core.workload.push(query, 0.0);
                 for sp in &mut core.splits {
                     Arc::make_mut(sp).frac.push(Vec::new());
@@ -1559,7 +1579,7 @@ impl<'a> CostMatrix<'a> {
                 core.queries.len() - 1
             }
         };
-        core.workload.entries[id].weight = qm.weight;
+        core.workload.entries[id].weight = weight;
         core.queries[id] = Arc::new(qm);
         // Extend every registered split with this query's surviving
         // fractions so joint lookups stay pure.
@@ -1618,21 +1638,37 @@ impl<'a> CostMatrix<'a> {
         if let Some(id) = self.core.splits.iter().position(|s| s.hp == hp) {
             return id;
         }
-        let mut frac = Vec::with_capacity(self.core.queries.len());
-        let mut cells = 0u64;
-        for (qi, entry) in self.core.workload.entries.iter().enumerate() {
-            if !self.core.queries[qi].active {
-                frac.push(Vec::new()); // retired slot: filled on reuse
-                continue;
-            }
-            let (per_slot, c) = split_fractions(&hp, &entry.query);
-            cells += c;
-            frac.push(per_slot);
-        }
+        let (split, cells) = Split::new(hp, &self.core.queries, &self.core.workload);
         let id = self.core.splits.len();
-        self.core.splits.push(Arc::new(Split { hp, frac }));
+        self.core.splits.push(Arc::new(split));
         self.inum.note_partition_cells(cells);
         id
+    }
+}
+
+impl Split {
+    /// `hp` with its surviving fractions over `queries` (aligned with
+    /// `workload`): an active slot's row is computed, a retired slot's is
+    /// empty until the slot is reused. Also returns the cells computed.
+    fn new(
+        hp: HorizontalPartitioning,
+        queries: &[Arc<QueryMatrix>],
+        workload: &Workload,
+    ) -> (Split, u64) {
+        let mut cells = 0u64;
+        let frac = queries
+            .iter()
+            .zip(&workload.entries)
+            .map(|(qm, entry)| {
+                if !qm.active {
+                    return Vec::new();
+                }
+                let (per_slot, c) = split_fractions(&hp, &entry.query);
+                cells += c;
+                per_slot
+            })
+            .collect();
+        (Split { hp, frac }, cells)
     }
 }
 
@@ -1640,9 +1676,10 @@ impl<'a> CostMatrix<'a> {
 /// off the split's table), plus the number of cells that took computing.
 fn split_fractions(hp: &HorizontalPartitioning, q: &Query) -> (Vec<f64>, u64) {
     let mut cells = 0u64;
-    let per_slot = (0..q.slot_count())
-        .map(|slot| {
-            if q.table_of(slot) == hp.table {
+    let per_slot = (0u16..)
+        .zip(&q.tables)
+        .map(|(slot, t)| {
+            if t.table == hp.table {
                 cells += 1;
                 let (lo, hi) = access::column_range_restriction(q, slot, hp.column);
                 hp.surviving_fraction(lo, hi)
@@ -1723,7 +1760,11 @@ impl MatrixCore {
 
     /// Workload weight of query slot `id` (0 for retired slots).
     pub fn query_weight(&self, id: usize) -> f64 {
-        self.queries.get(id).map_or(0.0, |qm| qm.weight)
+        if self.query_active(id) {
+            self.workload.entries[id].weight
+        } else {
+            0.0
+        }
     }
 
     /// Ids of the candidates that own at least one cell on query slot
@@ -1734,7 +1775,7 @@ impl MatrixCore {
         let mut ids: Vec<usize> = self.queries[query_id]
             .slots
             .iter()
-            .flat_map(|slot| slot.cands.iter().map(|c| c.id))
+            .flat_map(|slot| slot.ids.iter().map(|&id| id as usize))
             .collect();
         ids.sort_unstable();
         ids.dedup();
@@ -1801,14 +1842,14 @@ impl MatrixCore {
     /// only; retired slots contribute nothing).
     pub fn workload_cost(&self, config: &CandidateBitset) -> f64 {
         self.active_query_ids()
-            .map(|qi| self.queries[qi].weight * self.cost(qi, config))
+            .map(|qi| self.workload.entries[qi].weight * self.cost(qi, config))
             .sum()
     }
 
     /// Weighted workload cost under `config ∪ {extra}`.
     pub fn workload_cost_plus(&self, config: &CandidateBitset, extra: usize) -> f64 {
         self.active_query_ids()
-            .map(|qi| self.queries[qi].weight * self.cost_plus(qi, config, extra))
+            .map(|qi| self.workload.entries[qi].weight * self.cost_plus(qi, config, extra))
             .sum()
     }
 
@@ -1917,7 +1958,7 @@ impl MatrixCore {
     pub fn joint_workload_cost_with(&self, cfg: &JointConfig, toggle: &JointToggle) -> f64 {
         let resolved = self.resolve_joint(cfg, toggle);
         self.active_query_ids()
-            .map(|qi| self.queries[qi].weight * self.joint_cost_resolved(qi, &resolved))
+            .map(|qi| self.workload.entries[qi].weight * self.joint_cost_resolved(qi, &resolved))
             .sum()
     }
 
@@ -2050,14 +2091,25 @@ impl MatrixCore {
         if !resolved.partitioned {
             return min_over_skeletons(qm, |id| resolved.indexes.contains(id), |_| None);
         }
+        self.partitioned_cost(query_id, qm, resolved)
+    }
 
+    /// [`Self::joint_cost_resolved`] with some partition candidate in play.
+    #[inline(never)]
+    fn partitioned_cost(
+        &self,
+        query_id: usize,
+        qm: &QueryMatrix,
+        resolved: &ResolvedJoint<'_>,
+    ) -> f64 {
         // Per-slot partition-adjusted minima, derived once per query —
         // they do not vary across skeletons, so the skeleton loop stays as
         // cheap as the index-only fast path. Slot counts are tiny (one per
         // table in the query), so the state lives on the stack.
-        let mut state_buf = [NO_PART_STATE; MAX_STACK_SLOTS];
-        let state_spill: Vec<Option<PartSlotMins>>;
-        let slot_state: &[Option<PartSlotMins>] = if qm.slots.len() <= MAX_STACK_SLOTS {
+        let mut state_buf = [None; MAX_STACK_SLOTS];
+        let state_spill: Vec<Option<[f64; MAX_SLOT_ORDERS + 1]>>;
+        let slot_state: &[Option<[f64; MAX_SLOT_ORDERS + 1]>] = if qm.slots.len() <= MAX_STACK_SLOTS
+        {
             for (s, slot) in qm.slots.iter().enumerate() {
                 state_buf[s] = self.resolved_slot_mins(query_id, s, slot, resolved);
             }
@@ -2090,7 +2142,7 @@ impl MatrixCore {
         slot_idx: usize,
         slot: &SlotCosts,
         resolved: &ResolvedJoint<'_>,
-    ) -> Option<PartSlotMins> {
+    ) -> Option<[f64; MAX_SLOT_ORDERS + 1]> {
         let parts = resolved.tables.get(slot.table.0 as usize)?;
         let frags = &resolved.frags[parts.start..parts.end];
         let h_frac = match parts.split {
@@ -2119,43 +2171,35 @@ impl MatrixCore {
 
     /// Re-derive a slot's per-order access minima against a fetch target
     /// and a surviving fraction: the base scan first, then every cached
-    /// path of every selected candidate, each costed exactly once.
+    /// path of every selected candidate, each costed exactly once and
+    /// folded into its order columns lowest first, column 0 (any order)
+    /// included.
     fn partition_mins(
         &self,
         slot: &SlotCosts,
         indexes: &CandidateBitset,
         target: FetchTarget,
         h_frac: f64,
-    ) -> PartSlotMins {
+    ) -> [f64; MAX_SLOT_ORDERS + 1] {
         let params = &self.params;
         let base = access::seq_scan_cost(params, slot.base_rows, slot.n_filters, target, h_frac);
-        let mut mins = PartSlotMins {
-            unordered: base,
-            ordered: [f64::INFINITY; MAX_SLOT_ORDERS],
-        };
-        for (o, c) in slot.base_ordered.iter().enumerate() {
+        let mut mins = [f64::INFINITY; MAX_SLOT_ORDERS + 1];
+        let rows = 1 + slot.ids.len();
+        for (m, c) in mins.iter_mut().zip(slot.costs.iter().step_by(rows)) {
             if c.is_finite() {
-                mins.ordered[o] = base;
+                *m = base;
             }
         }
-        for cand in &slot.cands {
-            if !indexes.contains(cand.id) {
+        for path in &slot.paths {
+            if !indexes.contains(path.cand as usize) {
                 continue;
             }
-            for path in &cand.paths {
-                let c = path.profile.cost(params, target);
-                if c < mins.unordered {
-                    mins.unordered = c;
+            let c = path.cost.cost(params, target);
+            for_each_bit(path.order_ok, |col| {
+                if c < mins[col] {
+                    mins[col] = c;
                 }
-                let mut order_bits = path.order_ok;
-                while order_bits != 0 {
-                    let o = order_bits.trailing_zeros() as usize;
-                    order_bits &= order_bits - 1;
-                    if c < mins.ordered[o] {
-                        mins.ordered[o] = c;
-                    }
-                }
-            }
+            });
         }
         mins
     }
@@ -2194,146 +2238,6 @@ impl MatrixCore {
         }
     }
 
-    /// The per-lookup resolution [`Self::resolve_joint`] replaced, kept as
-    /// its oracle: every slot scans the configuration and the toggle, and
-    /// an overlapping table's fragments are collected and sorted per slot.
-    #[cfg(test)]
-    pub(crate) fn joint_cost_with_oracle(
-        &self,
-        query_id: usize,
-        cfg: &JointConfig,
-        toggle: &JointToggle,
-    ) -> f64 {
-        let partitions_active = !cfg.partitions_empty() || !toggle.is_noop();
-        let qm = &self.queries[query_id];
-        let slot_state: Vec<Option<PartSlotMins>> = qm
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(s, slot)| {
-                partitions_active
-                    .then(|| self.slot_partition_state(query_id, s, slot, cfg, toggle))
-                    .flatten()
-            })
-            .collect();
-        min_over_skeletons(
-            qm,
-            |id| cfg.indexes.contains(id),
-            |s| slot_state[s].as_ref(),
-        )
-    }
-
-    /// One slot's partition state resolved from the configuration and the
-    /// toggle directly (the oracle's per-slot step).
-    #[cfg(test)]
-    fn slot_partition_state(
-        &self,
-        query_id: usize,
-        slot_idx: usize,
-        slot: &SlotCosts,
-        cfg: &JointConfig,
-        toggle: &JointToggle,
-    ) -> Option<PartSlotMins> {
-        let mut h_frac = 1.0f64;
-        let mut has_split = false;
-        let split_on = |sid: usize| {
-            self.splits
-                .get(sid)
-                .is_some_and(|sp| sp.hp.table == slot.table)
-                && (toggle.add_split == Some(sid) || toggle.remove_split != Some(sid))
-        };
-        for sid in cfg.splits.ids().filter(|&sid| split_on(sid)).chain(
-            toggle
-                .add_split
-                .filter(|&sid| split_on(sid) && !cfg.splits.contains(sid)),
-        ) {
-            h_frac = self.splits[sid].frac[query_id][slot_idx];
-            has_split = true;
-        }
-
-        let frag_on = |fid: usize| {
-            self.fragments
-                .get(fid)
-                .is_some_and(|fr| fr.table == slot.table)
-                && (toggle.add_fragment == Some(fid)
-                    || (toggle.remove_fragments[0] != Some(fid)
-                        && toggle.remove_fragments[1] != Some(fid)))
-        };
-        let mut any = false;
-        let mut disjoint_pages = 0u64;
-        let mut touched = 0usize;
-        let mut union_mask = 0u128;
-        let mut popcount_sum = 0u32;
-        for fid in cfg.fragments.ids().filter(|&fid| frag_on(fid)).chain(
-            toggle
-                .add_fragment
-                .filter(|&fid| frag_on(fid) && !cfg.fragments.contains(fid)),
-        ) {
-            any = true;
-            let fr = &self.fragments[fid];
-            union_mask |= fr.mask;
-            popcount_sum += fr.mask.count_ones();
-            if fr.mask & slot.needed_mask != 0 {
-                disjoint_pages += fr.pages;
-                touched += 1;
-            }
-        }
-        if !any && !has_split {
-            return None;
-        }
-        let target = if !any {
-            slot.base_target
-        } else if popcount_sum == union_mask.count_ones() {
-            FetchTarget {
-                pages: disjoint_pages.max(1) as f64,
-                fragments: touched.max(1),
-            }
-        } else {
-            let selected = |fid: usize| {
-                toggle.add_fragment == Some(fid)
-                    || (cfg.fragments.contains(fid)
-                        && toggle.remove_fragments[0] != Some(fid)
-                        && toggle.remove_fragments[1] != Some(fid))
-            };
-            let mut groups: Vec<&Fragment> = self.frags_by_table[slot.table.0 as usize]
-                .iter()
-                .filter(|&&fid| selected(fid))
-                .map(|&fid| &*self.fragments[fid])
-                .collect();
-            groups.sort_by(|a, b| a.columns.cmp(&b.columns));
-            let mut remaining = slot.needed_mask;
-            let mut picked = vec![false; groups.len()];
-            let mut pages = 0u64;
-            let mut count = 0usize;
-            while remaining != 0 {
-                let mut best: Option<(usize, u32)> = None;
-                for (i, g) in groups.iter().enumerate() {
-                    if picked[i] {
-                        continue;
-                    }
-                    let cov = (g.mask & remaining).count_ones();
-                    if best.is_none_or(|(_, c)| cov >= c) {
-                        best = Some((i, cov));
-                    }
-                }
-                match best {
-                    Some((i, cov)) if cov > 0 => {
-                        remaining &= !groups[i].mask;
-                        picked[i] = true;
-                        pages += groups[i].pages;
-                        count += 1;
-                    }
-                    _ => break,
-                }
-            }
-            FetchTarget {
-                pages: pages.max(1) as f64,
-                fragments: count.max(1),
-            }
-        };
-        Some(self.partition_mins(slot, &cfg.indexes, target, h_frac))
-    }
-
     /// The shared hot path: cost with one candidate virtually added
     /// (`add`) and/or removed (`remove`); `usize::MAX` disables a toggle.
     /// Mirrors [`Inum::cost`]'s skeleton loop exactly so the two agree
@@ -2352,50 +2256,38 @@ impl MatrixCore {
 }
 
 /// The one skeleton loop behind every lookup: per skeleton, internal cost
-/// plus each slot's cheapest access, early-exiting once a partial sum
-/// reaches the best so far. Slot `s` takes the partition-adjusted minima
-/// `partitioned(s)` returns, or where it returns `None` (always, for
-/// index-only lookups) its precomputed minima over the candidates
-/// `selected` admits. Both are closures so each caller's instance compiles
-/// to its own loop. Mirrors [`Inum::cost`]'s loop, so the two agree
-/// bit-for-bit on configurations the matrix covers.
+/// plus each slot's cheapest access in the skeleton's order column,
+/// early-exiting once a partial sum reaches the best so far. Slot `s`
+/// takes the partition-adjusted minima `partitioned(s)` returns, or where
+/// it returns `None` (always, for index-only lookups) the minimum of its
+/// cost-table column over the scan and the candidates `selected` admits.
+/// Both are closures so each caller's instance compiles to its own loop.
+/// Mirrors [`Inum::cost`]'s loop, so the two agree bit-for-bit on
+/// configurations the matrix covers.
 #[inline]
 fn min_over_skeletons<'s>(
     qm: &QueryMatrix,
     selected: impl Fn(usize) -> bool,
-    partitioned: impl Fn(usize) -> Option<&'s PartSlotMins>,
+    partitioned: impl Fn(usize) -> Option<&'s [f64; MAX_SLOT_ORDERS + 1]>,
 ) -> f64 {
     let mut best = f64::INFINITY;
-    for (internal, reqs) in qm.internal.iter().zip(&qm.reqs) {
-        let mut total = *internal;
-        for (s, (slot, &req)) in qm.slots.iter().zip(reqs.iter()).enumerate() {
+    let n_slots = qm.slots.len();
+    for (k, &internal) in qm.internal.iter().enumerate() {
+        let mut total = internal;
+        let reqs = &qm.reqs[k * n_slots..(k + 1) * n_slots];
+        for (s, (slot, &col)) in qm.slots.iter().zip(reqs).enumerate() {
+            let col = col as usize;
             let m = match partitioned(s) {
                 // Partition-touched slot: the minima were re-derived
                 // against the configuration's fetch target.
-                Some(mins) => {
-                    if req == NO_ORDER {
-                        mins.unordered
-                    } else {
-                        mins.ordered[req as usize]
-                    }
-                }
-                // Unpartitioned slot: the precomputed fast path.
+                Some(mins) => mins[col],
+                // Unpartitioned slot: the precomputed column, the scan's
+                // cell first.
                 None => {
-                    let mut m = if req == NO_ORDER {
-                        slot.base_unordered
-                    } else {
-                        slot.base_ordered[req as usize]
-                    };
-                    for cand in &slot.cands {
-                        if !selected(cand.id) {
-                            continue;
-                        }
-                        let c = if req == NO_ORDER {
-                            cand.unordered
-                        } else {
-                            cand.ordered[req as usize]
-                        };
-                        if c < m {
+                    let column = slot.column(col);
+                    let mut m = column[0];
+                    for (&id, &c) in slot.ids.iter().zip(&column[1..]) {
+                        if selected(id as usize) && c < m {
                             m = c;
                         }
                     }
@@ -2428,6 +2320,144 @@ mod tests {
     use pgdesign_optimizer::candidates::{workload_candidates, CandidateConfig};
     use pgdesign_optimizer::Optimizer;
     use pgdesign_query::generators::sdss_workload;
+
+    /// The per-lookup resolution [`MatrixCore::resolve_joint`] replaced, kept as
+    /// its oracle: every slot scans the configuration and the toggle, and
+    /// an overlapping table's fragments are collected and sorted per slot.
+    fn joint_cost_with_oracle(
+        m: &MatrixCore,
+        query_id: usize,
+        cfg: &JointConfig,
+        toggle: &JointToggle,
+    ) -> f64 {
+        let partitions_active = !cfg.partitions_empty() || !toggle.is_noop();
+        let qm = &m.queries[query_id];
+        let slot_state: Vec<Option<[f64; MAX_SLOT_ORDERS + 1]>> = qm
+            .slots
+            .iter()
+            .enumerate()
+            .map(|(s, slot)| {
+                partitions_active
+                    .then(|| slot_partition_state(m, query_id, s, slot, cfg, toggle))
+                    .flatten()
+            })
+            .collect();
+        min_over_skeletons(
+            qm,
+            |id| cfg.indexes.contains(id),
+            |s| slot_state[s].as_ref(),
+        )
+    }
+
+    /// One slot's partition state resolved from the configuration and the
+    /// toggle directly (the oracle's per-slot step).
+    fn slot_partition_state(
+        m: &MatrixCore,
+        query_id: usize,
+        slot_idx: usize,
+        slot: &SlotCosts,
+        cfg: &JointConfig,
+        toggle: &JointToggle,
+    ) -> Option<[f64; MAX_SLOT_ORDERS + 1]> {
+        let mut h_frac = 1.0f64;
+        let mut has_split = false;
+        let split_on = |sid: usize| {
+            m.splits
+                .get(sid)
+                .is_some_and(|sp| sp.hp.table == slot.table)
+                && (toggle.add_split == Some(sid) || toggle.remove_split != Some(sid))
+        };
+        for sid in cfg.splits.ids().filter(|&sid| split_on(sid)).chain(
+            toggle
+                .add_split
+                .filter(|&sid| split_on(sid) && !cfg.splits.contains(sid)),
+        ) {
+            h_frac = m.splits[sid].frac[query_id][slot_idx];
+            has_split = true;
+        }
+
+        let frag_on = |fid: usize| {
+            m.fragments
+                .get(fid)
+                .is_some_and(|fr| fr.table == slot.table)
+                && (toggle.add_fragment == Some(fid)
+                    || (toggle.remove_fragments[0] != Some(fid)
+                        && toggle.remove_fragments[1] != Some(fid)))
+        };
+        let mut any = false;
+        let mut disjoint_pages = 0u64;
+        let mut touched = 0usize;
+        let mut union_mask = 0u128;
+        let mut popcount_sum = 0u32;
+        for fid in cfg.fragments.ids().filter(|&fid| frag_on(fid)).chain(
+            toggle
+                .add_fragment
+                .filter(|&fid| frag_on(fid) && !cfg.fragments.contains(fid)),
+        ) {
+            any = true;
+            let fr = &m.fragments[fid];
+            union_mask |= fr.mask;
+            popcount_sum += fr.mask.count_ones();
+            if fr.mask & slot.needed_mask != 0 {
+                disjoint_pages += fr.pages;
+                touched += 1;
+            }
+        }
+        if !any && !has_split {
+            return None;
+        }
+        let target = if !any {
+            slot.base_target
+        } else if popcount_sum == union_mask.count_ones() {
+            FetchTarget {
+                pages: disjoint_pages.max(1) as f64,
+                fragments: touched.max(1),
+            }
+        } else {
+            let selected = |fid: usize| {
+                toggle.add_fragment == Some(fid)
+                    || (cfg.fragments.contains(fid)
+                        && toggle.remove_fragments[0] != Some(fid)
+                        && toggle.remove_fragments[1] != Some(fid))
+            };
+            let mut groups: Vec<&Fragment> = m.frags_by_table[slot.table.0 as usize]
+                .iter()
+                .filter(|&&fid| selected(fid))
+                .map(|&fid| &*m.fragments[fid])
+                .collect();
+            groups.sort_by(|a, b| a.columns.cmp(&b.columns));
+            let mut remaining = slot.needed_mask;
+            let mut picked = vec![false; groups.len()];
+            let mut pages = 0u64;
+            let mut count = 0usize;
+            while remaining != 0 {
+                let mut best: Option<(usize, u32)> = None;
+                for (i, g) in groups.iter().enumerate() {
+                    if picked[i] {
+                        continue;
+                    }
+                    let cov = (g.mask & remaining).count_ones();
+                    if best.is_none_or(|(_, c)| cov >= c) {
+                        best = Some((i, cov));
+                    }
+                }
+                match best {
+                    Some((i, cov)) if cov > 0 => {
+                        remaining &= !groups[i].mask;
+                        picked[i] = true;
+                        pages += groups[i].pages;
+                        count += 1;
+                    }
+                    _ => break,
+                }
+            }
+            FetchTarget {
+                pages: pages.max(1) as f64,
+                fragments: count.max(1),
+            }
+        };
+        Some(m.partition_mins(slot, &cfg.indexes, target, h_frac))
+    }
 
     fn setup() -> (Catalog, Optimizer) {
         (sdss_catalog(0.01), Optimizer::new())
@@ -2730,7 +2760,7 @@ mod tests {
     }
 
     /// The resolved read path ([`MatrixCore::resolve_joint`] once per
-    /// costing) and the per-lookup oracle ([`MatrixCore::joint_cost_with_oracle`])
+    /// costing) and the per-lookup oracle ([`joint_cost_with_oracle`])
     /// agree bit for bit under random configurations: overlapping random
     /// column groups, splits, index subsets, and toggles that add and
     /// remove one id at once or name ids the matrix does not know.
@@ -2788,7 +2818,7 @@ mod tests {
                 let resolved = m.resolve_joint(&cfg, &toggle);
                 let mut oracle_total = 0.0;
                 for qi in m.active_query_ids() {
-                    let want = m.joint_cost_with_oracle(qi, &cfg, &toggle);
+                    let want = joint_cost_with_oracle(&m, qi, &cfg, &toggle);
                     oracle_total += m.query_weight(qi) * want;
                     for got in [
                         m.joint_cost_resolved(qi, &resolved),

@@ -7,26 +7,41 @@
 //! in `pgdesign-durability`; this module owns only the *meaning* of the
 //! bytes. Every layout is one [`Wire`](crate::wire::Wire) declaration
 //! (`wire_struct!`/`wire_enum!`, see [`crate::wire`]): the cell payload
-//! and the records here, the catalog/query/optimizer types there.
+//! and the records here, the catalog/query/optimizer types there. A
+//! query's cells are the one hand-written impl: they leave out the key.
 //!
-//! Layout invariants the decoder enforces rather than trusts:
+//! The snapshot (format version 2) stores only what decode cannot
+//! rebuild: per query slot its query, its weight and its cells (see the
+//! cell layout in [`super`]), the candidate registry with its free lists,
+//! the fragments and the splits' partitionings. Decode rebuilds the rest:
 //!
-//! - every active query slot's stored cell key must equal the recomputed
-//!   FNV-1a [`crate::key::query_cell_key`] of its query — cells are keyed
-//!   by that public key, and a mismatch means the payload is not the
-//!   matrix it claims to be;
-//! - every id a lookup indexes with — required-order ids, per-slot table
-//!   ids, order-satisfaction bits, split fraction rows — is in range
-//!   ([`QueryMatrix::validate`]), so a CRC-valid but impossible payload is
-//!   an error here, not a panic at the first cost call;
-//! - redundant state (`id_by_index`, `frags_by_table`, fragment column
-//!   masks and the fragment id per `(table, mask)`) is rebuilt from first
-//!   principles on decode, never stored;
-//! - a per-table statistics fingerprint of the catalog is stored in the
-//!   header; on restore, tables whose fingerprint changed have their
-//!   skeleton cache entries invalidated ([`Inum::invalidate_table`]) and
-//!   only *their* queries' cells recomputed — staleness degrades the warm
-//!   start, it never rejects the whole file and never serves a cost
+//! - each active slot's cell key, with [`crate::query_cell_key`];
+//! - each split's surviving fraction per `(query, slot)`, with the same
+//!   function registration uses — they depend only on the bounds and the
+//!   query, and are not counted as loaded cells;
+//! - `id_by_index`, `frags_by_table`, fragment column masks and the
+//!   fragment id per `(table, mask)`;
+//! - the cost parameters, which the restored core takes from the live
+//!   optimizer.
+//!
+//! Invariants the decoder enforces rather than trusts:
+//!
+//! - every table dimension a lookup indexes with — a slot's cost-table
+//!   shape and width, its order bits, the skeleton order columns — is in
+//!   range ([`QueryMatrix::validate`]), so a CRC-valid but impossible
+//!   payload is an error here, not a panic at the first cost call;
+//! - an active slot's cells have one slot per table of its query, and at
+//!   least one skeleton; a retired slot has no cells;
+//! - `free_candidates` lists each removed candidate id exactly once and
+//!   `free_queries` each retired slot exactly once — a live id on a free
+//!   list would be handed out again while still in use;
+//! - the header stores a per-table statistics fingerprint of the catalog
+//!   and a fingerprint of the optimizer's cost parameters and join
+//!   control. On restore, a changed optimizer refuses the snapshot (a
+//!   cold start), and tables whose statistics fingerprint changed have
+//!   their skeleton cache entries invalidated ([`Inum::invalidate_table`])
+//!   and only *their* queries' cells recomputed — staleness degrades the
+//!   warm start, it never rejects the whole file and never serves a cost
 //!   computed from outdated statistics.
 
 // Decode/replay paths run on untrusted bytes; panicking escape hatches
@@ -37,8 +52,10 @@ use super::*;
 use crate::key::Fnv1a;
 pub use crate::wire::PersistError;
 use crate::wire::{from_bytes, to_bytes};
-use crate::{wire_enum, wire_struct};
+use crate::{wire_enum, wire_struct, Wire};
 use pgdesign_catalog::{Catalog, ColumnStats};
+use pgdesign_durability::{ByteReader, ByteWriter};
+use pgdesign_optimizer::Optimizer;
 use std::hash::Hasher;
 
 /// One recorded mutation of a [`CostMatrix`] — the unit of the durable
@@ -138,46 +155,73 @@ fn catalog_fingerprints(catalog: &Catalog) -> Vec<u64> {
         .collect()
 }
 
+/// FNV-1a fingerprint of the optimizer configuration cells are computed
+/// under: the wire image of its cost parameters and of its join control,
+/// which shapes every skeleton (a layout lists every field, so a new one
+/// is covered as soon as it is declared).
+fn optimizer_fingerprint(optimizer: &Optimizer) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write(&to_bytes(&(optimizer.params, optimizer.control)));
+    h.finish()
+}
+
 // ---------------------------------------------------------------------------
 // Cell payload and record layouts
 // ---------------------------------------------------------------------------
 
-wire_struct!(CandPath: profile, order_ok);
-wire_struct!(CandCosts: id, unordered, ordered, paths);
+wire_struct!(SlotPath: cand, cost, order_ok);
 wire_struct!(
-    SlotCosts: table, needed_mask, base_rows, n_filters, base_target, base_unordered, base_ordered,
-    slot_orders, cands
+    SlotCosts: table, needed_mask, base_rows, n_filters, base_target, orders, ids, costs, paths
 );
-wire_struct!(QueryMatrix: weight, key, active, internal, reqs, slots);
-wire_struct!(Split: hp, frac);
 
-/// Record 0: the published generation and the catalog's per-table
-/// statistics fingerprints at write time.
+/// A query's cells as stored: everything but the cell key, which decode
+/// recomputes from the query.
+impl Wire for QueryMatrix {
+    fn put(&self, w: &mut ByteWriter) {
+        self.active.put(w);
+        self.internal.put(w);
+        self.reqs.put(w);
+        self.slots.put(w);
+    }
+    fn get(r: &mut ByteReader<'_>) -> Result<Self, PersistError> {
+        Ok(QueryMatrix {
+            key: 0,
+            active: Wire::get(r)?,
+            internal: Wire::get(r)?,
+            reqs: Wire::get(r)?,
+            slots: Wire::get(r)?,
+        })
+    }
+}
+
+/// Record 0: the published generation, the catalog's per-table
+/// statistics fingerprints and the optimizer's fingerprint at write time.
 struct Header {
     generation: u64,
     fingerprints: Vec<u64>,
+    optimizer: u64,
 }
-wire_struct!(Header: generation, fingerprints);
+wire_struct!(Header: generation, fingerprints, optimizer);
 
 /// Record 1: the candidate registry and the free lists. `n_queries` is
 /// the number of query records that follow.
 struct Registry {
-    params: CostParams,
     generation: u64,
     indexes: Vec<Option<Index>>,
     free_candidates: Vec<usize>,
     free_queries: Vec<usize>,
     n_queries: usize,
 }
-wire_struct!(Registry: params, generation, indexes, free_candidates, free_queries, n_queries);
+wire_struct!(Registry: generation, indexes, free_candidates, free_queries, n_queries);
 
 /// One record per query slot (so the per-record CRC localizes damage):
-/// the slot's query and its cells.
+/// the slot's query, its weight and its cells.
 struct QueryRecord {
     query: Query,
+    weight: f64,
     cells: Arc<QueryMatrix>,
 }
-wire_struct!(QueryRecord: query, cells);
+wire_struct!(QueryRecord: query, weight, cells);
 
 /// A [`Fragment`] as stored: its column mask is rebuilt on decode.
 struct FragmentRecord {
@@ -188,39 +232,53 @@ struct FragmentRecord {
 wire_struct!(FragmentRecord: table, columns, pages);
 
 impl QueryMatrix {
-    /// Check every id a lookup indexes this query's cells with. The
-    /// lookup paths trust these (they are invariants of
+    /// Check every table dimension a lookup indexes this query's cells
+    /// with. The lookup paths trust them (they are invariants of
     /// `compute_query_matrix`); a decoded payload has to earn that trust.
     fn validate(&self) -> Result<(), PersistError> {
-        if self.internal.len() != self.reqs.len() {
-            return Err(invalid("skeleton costs misaligned with requirements"));
+        if self.reqs.len() != self.internal.len() * self.slots.len() {
+            return Err(invalid(
+                "skeleton requirements misaligned with skeletons and slots",
+            ));
         }
         for slot in &self.slots {
-            let n_orders = slot.base_ordered.len();
-            if n_orders > MAX_SLOT_ORDERS || slot.slot_orders.len() != n_orders {
+            let width = 1 + slot.order_lists().count();
+            let listed: usize = slot.order_lists().map(|o| 1 + o.len()).sum();
+            if width > MAX_SLOT_ORDERS + 1 || listed != slot.orders.len() {
                 return Err(invalid("slot order table misaligned"));
             }
-            for cand in &slot.cands {
-                if cand.ordered.len() != n_orders {
-                    return Err(invalid("candidate order costs misaligned with slot orders"));
-                }
-                if cand.paths.iter().any(|p| p.order_ok >> n_orders != 0) {
-                    return Err(invalid("path order bit out of range"));
-                }
+            if slot.costs.len() != (1 + slot.ids.len()) * width {
+                return Err(invalid("slot cost table misaligned"));
+            }
+            if slot.paths.iter().any(|p| p.order_ok >> width != 0) {
+                return Err(invalid("path order bit out of range"));
             }
         }
-        for reqs in &self.reqs {
-            if reqs.len() != self.slots.len() {
-                return Err(invalid("skeleton requirements misaligned with slots"));
-            }
-            for (&req, slot) in reqs.iter().zip(&self.slots) {
-                if req != NO_ORDER && req as usize >= slot.base_ordered.len() {
-                    return Err(invalid("required order id out of range"));
-                }
+        let per_skeleton = self.reqs.chunks_exact(self.slots.len().max(1));
+        for reqs in per_skeleton {
+            if reqs
+                .iter()
+                .zip(&self.slots)
+                .any(|(&col, slot)| col as usize >= slot.width())
+            {
+                return Err(invalid("required order id out of range"));
             }
         }
         Ok(())
     }
+}
+
+/// Whether `free` names each position where `vacant` is true exactly once
+/// and no other.
+fn lists_each_once(free: &[usize], vacant: impl ExactSizeIterator<Item = bool>) -> bool {
+    let mut listed = vec![false; vacant.len()];
+    for &id in free {
+        match listed.get_mut(id) {
+            Some(seen @ false) => *seen = true,
+            _ => return false,
+        }
+    }
+    listed.into_iter().eq(vacant)
 }
 
 // ---------------------------------------------------------------------------
@@ -229,8 +287,9 @@ impl QueryMatrix {
 
 /// Encode the matrix's latest published generation as the record
 /// payloads of a `.pgds` file: record 0 is the header (published
-/// generation, catalog fingerprints), record 1 the candidate registry,
-/// then one record per query slot, then fragments, then splits.
+/// generation, catalog and optimizer fingerprints), record 1 the
+/// candidate registry, then one record per query slot, then fragments,
+/// then splits.
 pub fn encode_published(matrix: &CostMatrix<'_>) -> Vec<Vec<u8>> {
     let snap = matrix.slot.current();
     let core: &MatrixCore = &snap;
@@ -238,9 +297,9 @@ pub fn encode_published(matrix: &CostMatrix<'_>) -> Vec<Vec<u8>> {
     records.push(to_bytes(&Header {
         generation: snap.generation(),
         fingerprints: catalog_fingerprints(matrix.inum.catalog()),
+        optimizer: optimizer_fingerprint(matrix.inum.optimizer()),
     }));
     records.push(to_bytes(&Registry {
-        params: core.params,
         generation: core.generation,
         indexes: core.indexes.clone(),
         free_candidates: core.free_candidates.clone(),
@@ -250,6 +309,7 @@ pub fn encode_published(matrix: &CostMatrix<'_>) -> Vec<Vec<u8>> {
     for (cells, entry) in core.queries.iter().zip(&core.workload.entries) {
         records.push(to_bytes(&QueryRecord {
             query: entry.query.clone(),
+            weight: entry.weight,
             cells: Arc::clone(cells),
         }));
     }
@@ -263,12 +323,13 @@ pub fn encode_published(matrix: &CostMatrix<'_>) -> Vec<Vec<u8>> {
         })
         .collect();
     records.push(to_bytes(&fragments));
-    records.push(to_bytes(&core.splits));
+    let splits: Vec<HorizontalPartitioning> = core.splits.iter().map(|s| s.hp.clone()).collect();
+    records.push(to_bytes(&splits));
     records
 }
 
 /// A decoded snapshot payload, not yet bound to an [`Inum`]. Catalog
-/// staleness is resolved by [`restore_matrix`].
+/// staleness and the optimizer check are resolved by [`restore_matrix`].
 pub struct DecodedSnapshot {
     core: MatrixCore,
     /// Published generation recorded at write time.
@@ -277,11 +338,23 @@ pub struct DecodedSnapshot {
     /// queries) — the "snapshot cells loaded" recovery counter.
     pub cells: u64,
     stored_fingerprints: Vec<u64>,
+    optimizer: u64,
+}
+
+impl DecodedSnapshot {
+    /// Whether the snapshot's cells were computed under `optimizer`'s
+    /// configuration (cost parameters and join control). [`restore_matrix`]
+    /// refuses a snapshot for which this is false.
+    pub fn computed_under(&self, optimizer: &Optimizer) -> bool {
+        self.optimizer == optimizer_fingerprint(optimizer)
+    }
 }
 
 /// Decode the record payloads of a verified `.pgds` file. The framing
 /// layer has already checked every record's CRC; this validates the
-/// semantic invariants (tags, cross-record counts, id ranges, cell keys).
+/// semantic invariants (tags, cross-record counts, id ranges, free lists)
+/// and rebuilds what the file does not store: cell keys, split fractions,
+/// fragment masks and the dedupe maps.
 pub fn decode_snapshot(records: &[Vec<u8>]) -> Result<DecodedSnapshot, PersistError> {
     if records.len() < 4 {
         return Err(invalid("too few records"));
@@ -309,6 +382,14 @@ pub fn decode_snapshot(records: &[Vec<u8>]) -> Result<DecodedSnapshot, PersistEr
     if registry.free_queries.iter().any(|&id| id >= n_queries) {
         return Err(invalid("free query id out of range"));
     }
+    // A live id on the free list would be handed out again while its
+    // index still answers to it.
+    if !lists_each_once(
+        &registry.free_candidates,
+        registry.indexes.iter().map(Option::is_none),
+    ) {
+        return Err(invalid("free candidate list disagrees with the registry"));
+    }
     if n_queries.checked_add(4) != Some(records.len()) {
         return Err(invalid("record count does not match query count"));
     }
@@ -320,7 +401,11 @@ pub fn decode_snapshot(records: &[Vec<u8>]) -> Result<DecodedSnapshot, PersistEr
         .get(2..2 + n_queries)
         .ok_or_else(|| invalid("missing query records"))?;
     for payload in query_records {
-        let QueryRecord { query, cells: qm } = from_bytes(payload, "query record")?;
+        let QueryRecord {
+            query,
+            weight,
+            cells: mut qm,
+        } = from_bytes(payload, "query record")?;
         // Slot table ids index per-table state during restore
         // (staleness masks, fragment lists); an id past the stored
         // table count is structural corruption, caught here rather
@@ -330,20 +415,29 @@ pub fn decode_snapshot(records: &[Vec<u8>]) -> Result<DecodedSnapshot, PersistEr
         }
         qm.validate()?;
         if qm.active {
-            // Cells are keyed by the public FNV-1a cell key: a stored key
-            // that does not match its own query is not the matrix it
-            // claims to be.
-            if qm.key != query_key(&query) {
-                return Err(invalid("cell key does not match its query"));
+            // Split fractions are rebuilt per slot of the query, and a
+            // joint lookup reads them per slot of the cells.
+            let tables = query.tables.iter().map(|t| t.table);
+            if !tables.eq(qm.slots.iter().map(|slot| slot.table)) {
+                return Err(invalid("query cells misaligned with the query's tables"));
             }
-            cells += qm
-                .slots
-                .iter()
-                .map(|s| 1 + s.cands.len() as u64)
-                .sum::<u64>();
+            if qm.internal.is_empty() {
+                return Err(invalid("active query slot has no skeleton"));
+            }
+            Arc::make_mut(&mut qm).key = query_key(&query);
+            cells += qm.slots.iter().map(|s| 1 + s.ids.len() as u64).sum::<u64>();
+        } else if !qm.slots.is_empty() || !qm.internal.is_empty() {
+            // A retired slot's split rows are rebuilt empty.
+            return Err(invalid("retired query slot holds cells"));
         }
-        workload.push(query, qm.weight);
+        workload.push(query, weight);
         queries.push(qm);
+    }
+    if !lists_each_once(
+        &registry.free_queries,
+        queries.iter().map(|qm: &Arc<QueryMatrix>| !qm.active),
+    ) {
+        return Err(invalid("free query list disagrees with the retired slots"));
     }
 
     let stored: Vec<FragmentRecord> = from_bytes(rec(2 + n_queries)?, "fragment record")?;
@@ -373,39 +467,21 @@ pub fn decode_snapshot(records: &[Vec<u8>]) -> Result<DecodedSnapshot, PersistEr
         }));
     }
 
-    let splits: Vec<Arc<Split>> = from_bytes(rec(3 + n_queries)?, "split record")?;
-    for sp in &splits {
-        if sp.frac.len() != n_queries {
-            return Err(invalid("split fraction table misaligned with queries"));
-        }
-        // A joint lookup indexes `frac[query][slot]`; retired slots carry
-        // no cells and an empty row.
-        if sp
-            .frac
-            .iter()
-            .zip(&queries)
-            .any(|(row, qm)| row.len() != qm.slots.len())
-        {
-            return Err(invalid("split fraction row misaligned with query slots"));
-        }
-    }
-
-    // Redundant state is rebuilt, never trusted: the live id per index is
-    // the lowest live id (first registration wins, exactly as the builder
-    // and `remove_candidate` maintain it).
-    let mut id_by_index = HashMap::with_capacity(n_candidates);
-    for (id, idx) in registry.indexes.iter().enumerate() {
-        if let Some(i) = idx {
-            id_by_index.entry(i.clone()).or_insert(id);
-        }
-    }
+    // Surviving fractions depend only on the bounds and the query.
+    let stored: Vec<HorizontalPartitioning> = from_bytes(rec(3 + n_queries)?, "split record")?;
+    let splits: Vec<Arc<Split>> = stored
+        .into_iter()
+        .map(|hp| Arc::new(Split::new(hp, &queries, &workload).0))
+        .collect();
 
     Ok(DecodedSnapshot {
         core: MatrixCore {
-            params: registry.params,
+            // Placeholders: `restore_matrix` binds the core to its INUM's
+            // cost parameters and counter block.
+            params: CostParams::default(),
             workload,
+            id_by_index: id_by_index(&registry.indexes),
             indexes: registry.indexes,
-            id_by_index,
             queries,
             free_candidates: registry.free_candidates,
             free_queries: registry.free_queries,
@@ -414,13 +490,12 @@ pub fn decode_snapshot(records: &[Vec<u8>]) -> Result<DecodedSnapshot, PersistEr
             splits,
             frags_by_table,
             frag_ids,
-            // Placeholder: `restore_matrix` binds the core to its INUM's
-            // counter block.
             counters: Arc::default(),
         },
         generation: header.generation,
         cells,
         stored_fingerprints: header.fingerprints,
+        optimizer: header.optimizer,
     })
 }
 
@@ -453,6 +528,9 @@ pub fn restore_matrix<'a>(
 ) -> Result<(CostMatrix<'a>, RestoreReport), PersistError> {
     // analyzer:allow(clock-purity): stats-counter timing; no decision reads it
     let t0 = Instant::now();
+    if !decoded.computed_under(inum.optimizer()) {
+        return Err(invalid("optimizer configuration changed"));
+    }
     let catalog = inum.catalog();
     let now = catalog_fingerprints(catalog);
     if now.len() != decoded.stored_fingerprints.len() {
@@ -467,6 +545,7 @@ pub fn restore_matrix<'a>(
         .collect();
 
     let mut core = decoded.core;
+    core.params = inum.optimizer().params;
     core.counters = inum.lookup_counters();
     let mut invalidated = 0u64;
     if !stale_tables.is_empty() {
@@ -485,8 +564,7 @@ pub fn restore_matrix<'a>(
             if !slot.active || !slot.slots.iter().any(|s| is_stale(s.table)) {
                 continue;
             }
-            let (qm, cells) =
-                compute_query_matrix(inum, slot.key, &entry.query, slot.weight, indexes);
+            let (qm, cells) = compute_query_matrix(inum, slot.key, &entry.query, indexes);
             invalidated += cells;
             *slot = Arc::new(qm);
         }
@@ -815,13 +893,8 @@ mod tests {
     /// a slot carries at least one path).
     fn ordered_slot(qm: &mut QueryMatrix) -> &mut SlotCosts {
         let slot = &mut qm.slots[0];
-        assert!(!slot.base_ordered.is_empty() && !slot.cands.is_empty());
+        assert!(slot.width() > 1 && !slot.ids.is_empty());
         slot
-    }
-
-    #[test]
-    fn decode_rejects_mismatched_cell_key() {
-        assert_cells_rejected(|qm| qm.key ^= 1, "cell key does not match its query");
     }
 
     #[test]
@@ -844,6 +917,58 @@ mod tests {
     }
 
     #[test]
+    fn decode_rejects_a_live_id_on_the_free_candidate_list() {
+        // `add_candidate` would hand id 0 out again while the index that
+        // holds it still answers to it.
+        assert_tamper_rejected(
+            1,
+            |reg: &mut Registry| reg.free_candidates = vec![0],
+            "free candidate list disagrees with the registry",
+        );
+    }
+
+    #[test]
+    fn decode_rejects_an_active_slot_on_the_free_query_list() {
+        assert_tamper_rejected(
+            1,
+            |reg: &mut Registry| reg.free_queries = vec![0],
+            "free query list disagrees with the retired slots",
+        );
+    }
+
+    #[test]
+    fn decode_rejects_an_active_slot_without_skeletons() {
+        assert_cells_rejected(
+            |qm| {
+                qm.internal.clear();
+                qm.reqs.clear();
+            },
+            "active query slot has no skeleton",
+        );
+    }
+
+    #[test]
+    fn decode_rejects_a_retired_slot_with_cells() {
+        // A joint lookup on the slot would read split rows that decode
+        // rebuilt empty.
+        assert_cells_rejected(|qm| qm.active = false, "retired query slot holds cells");
+    }
+
+    #[test]
+    fn decode_rejects_cells_misaligned_with_the_querys_tables() {
+        // Split fractions are rebuilt per slot of the query.
+        assert_cells_rejected(
+            |qm| {
+                let slot = qm.slots[0].clone();
+                qm.slots.push(slot);
+                let reqs = qm.reqs.clone();
+                qm.reqs = reqs.iter().flat_map(|&r| [r, 0]).collect();
+            },
+            "query cells misaligned with the query's tables",
+        );
+    }
+
+    #[test]
     fn decode_rejects_out_of_range_free_query() {
         // Free query ids are validated against the stored query count; an
         // id at the count (one past the last slot) must already fail.
@@ -860,16 +985,16 @@ mod tests {
 
     #[test]
     fn decode_rejects_out_of_range_required_order() {
-        assert_cells_rejected(|qm| qm.reqs[0][0] = 1000, "required order id out of range");
+        assert_cells_rejected(|qm| qm.reqs[0] = 1000, "required order id out of range");
     }
 
     #[test]
     fn decode_rejects_requirements_misaligned_with_slots() {
         assert_cells_rejected(
             |qm| {
-                qm.reqs[0].pop();
+                qm.reqs.pop();
             },
-            "skeleton requirements misaligned with slots",
+            "skeleton requirements misaligned with skeletons and slots",
         );
     }
 
@@ -879,14 +1004,14 @@ mod tests {
             |qm| {
                 qm.internal.pop();
             },
-            "skeleton costs misaligned with requirements",
+            "skeleton requirements misaligned with skeletons and slots",
         );
     }
 
     #[test]
     fn decode_rejects_misaligned_slot_order_table() {
         assert_cells_rejected(
-            |qm| ordered_slot(qm).slot_orders.push(vec![0]),
+            |qm| ordered_slot(qm).orders.push(3),
             "slot order table misaligned",
         );
     }
@@ -898,10 +1023,10 @@ mod tests {
         assert_cells_rejected(
             |qm| {
                 let slot = ordered_slot(qm);
-                slot.base_ordered.resize(MAX_SLOT_ORDERS + 1, f64::INFINITY);
-                slot.slot_orders.resize(MAX_SLOT_ORDERS + 1, vec![0]);
-                for cand in &mut slot.cands {
-                    cand.ordered.resize(MAX_SLOT_ORDERS + 1, f64::INFINITY);
+                let rows = 1 + slot.ids.len();
+                while slot.width() < MAX_SLOT_ORDERS + 2 {
+                    slot.orders.extend([1, 0]);
+                    slot.costs.resize(slot.costs.len() + rows, f64::INFINITY);
                 }
             },
             "slot order table misaligned",
@@ -912,9 +1037,9 @@ mod tests {
     fn decode_rejects_candidate_order_costs_misaligned_with_slot_orders() {
         assert_cells_rejected(
             |qm| {
-                ordered_slot(qm).cands[0].ordered.pop();
+                ordered_slot(qm).costs.pop();
             },
-            "candidate order costs misaligned with slot orders",
+            "slot cost table misaligned",
         );
     }
 
@@ -923,8 +1048,7 @@ mod tests {
         assert_cells_rejected(
             |qm| {
                 let slot = ordered_slot(qm);
-                let first_unknown = slot.base_ordered.len();
-                slot.cands[0].paths[0].order_ok |= 1 << first_unknown;
+                slot.paths[0].order_ok |= 1 << slot.width();
             },
             "path order bit out of range",
         );
@@ -939,16 +1063,6 @@ mod tests {
             fragments,
             |frags: &mut Vec<FragmentRecord>| frags[0].columns.reverse(),
             "fragment columns not normalised",
-        );
-    }
-
-    #[test]
-    fn decode_rejects_split_fraction_row_misaligned_with_slots() {
-        let last = published_records().len() - 1;
-        assert_tamper_rejected(
-            last,
-            |splits: &mut Vec<Arc<Split>>| Arc::make_mut(&mut splits[0]).frac[1].clear(),
-            "split fraction row misaligned with query slots",
         );
     }
 
@@ -992,7 +1106,7 @@ mod tests {
         let fragments: Vec<FragmentRecord> = from_bytes(&records[n - 2], "fragments").unwrap();
         assert_eq!(fragments.len(), 1);
         assert_wire_contract(&fragments);
-        let splits: Vec<Arc<Split>> = from_bytes(&records[n - 1], "splits").unwrap();
+        let splits: Vec<HorizontalPartitioning> = from_bytes(&records[n - 1], "splits").unwrap();
         assert_eq!(splits.len(), 1);
         assert_wire_contract(&splits);
 
@@ -1007,6 +1121,174 @@ mod tests {
                     "record {i} cut to {len} bytes"
                 );
             }
+        }
+    }
+
+    /// Apply `n` seeded random edits to `m`: candidates added and removed,
+    /// queries from `pool` added (some equal to residents), retired and
+    /// re-weighted, fragments, splits and publishes.
+    fn random_edits(m: &mut CostMatrix<'_>, c: &Catalog, pool: &Workload, n: usize, seed: u64) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cands = workload_candidates(c, pool, &CandidateConfig::default()).indexes;
+        for _ in 0..n {
+            let live: Vec<usize> = m.candidates().map(|(id, _)| id).collect();
+            let active: Vec<usize> = m.active_query_ids().collect();
+            let pick = |rng: &mut StdRng, ids: &[usize]| ids[rng.random_range(0..ids.len())];
+            match rng.random_range(0..8u32) {
+                0 => {
+                    let k = rng.random_range(1..4usize);
+                    let batch: Vec<Index> = (0..k)
+                        .map(|_| cands[rng.random_range(0..cands.len())].clone())
+                        .collect();
+                    m.add_candidates(&batch);
+                }
+                1 if !live.is_empty() => m.remove_candidate(pick(&mut rng, &live)),
+                2 => {
+                    let k = rng.random_range(1..4usize);
+                    let batch: Vec<(Query, f64)> = (0..k)
+                        .map(|_| {
+                            let (q, _) = pool.iter().nth(rng.random_range(0..pool.len())).unwrap();
+                            (q.clone(), rng.random_range(1..5u32) as f64)
+                        })
+                        .collect();
+                    m.add_queries(batch.iter().map(|(q, w)| (q, *w)));
+                }
+                3 if active.len() > 1 => m.retire_query(pick(&mut rng, &active)),
+                4 if !active.is_empty() => m.set_query_weight(
+                    pick(&mut rng, &active),
+                    rng.random_range(1..9u32) as f64 / 2.0,
+                ),
+                5 => {
+                    let table = TableId(rng.random_range(0..c.schema.tables().count() as u32));
+                    let width = c.schema.table(table).width();
+                    let columns: Vec<u16> = (0..rng.random_range(1..4usize))
+                        .map(|_| rng.random_range(0..width))
+                        .collect();
+                    m.register_fragment(table, &columns);
+                }
+                6 => {
+                    let table = TableId(rng.random_range(0..c.schema.tables().count() as u32));
+                    let column = rng.random_range(0..c.schema.table(table).width());
+                    let lo = rng.random_range(0..100u32) as f64;
+                    m.register_split(HorizontalPartitioning {
+                        table,
+                        column,
+                        bounds: vec![lo, lo + rng.random_range(1..1000u32) as f64],
+                    });
+                }
+                _ => {
+                    m.publish();
+                }
+            }
+        }
+    }
+
+    /// Every lookup kind on `a` and `b` returns the same bits, over seeded
+    /// configurations that also name removed and unknown ids.
+    fn assert_same_lookups(a: &MatrixCore, b: &MatrixCore, seed: u64) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        assert_eq!(a.n_queries(), b.n_queries());
+        for _ in 0..8 {
+            let mut cfg = a.empty_joint();
+            for id in 0..a.n_candidates() + 2 {
+                if rng.random_range(0..3u32) == 0 {
+                    cfg.indexes.insert(id);
+                }
+            }
+            for f in 0..a.n_fragments() {
+                if rng.random_range(0..2u32) == 0 {
+                    cfg.fragments.insert(f);
+                }
+            }
+            for sp in 0..a.n_splits() {
+                if rng.random_range(0..2u32) == 0 {
+                    cfg.splits.insert(sp);
+                }
+            }
+            let toggle = JointToggle {
+                add_fragment: Some(rng.random_range(0..a.n_fragments() + 1)),
+                add_split: Some(rng.random_range(0..a.n_splits() + 1)),
+                ..JointToggle::default()
+            };
+            let id = rng.random_range(0..a.n_candidates() + 1);
+            for q in 0..a.n_queries() {
+                assert_eq!(a.query_active(q), b.query_active(q));
+                assert_eq!(a.query_weight(q).to_bits(), b.query_weight(q).to_bits());
+                let pairs = [
+                    (a.cost(q, &cfg.indexes), b.cost(q, &cfg.indexes)),
+                    (
+                        a.cost_plus(q, &cfg.indexes, id),
+                        b.cost_plus(q, &cfg.indexes, id),
+                    ),
+                    (
+                        a.cost_minus(q, &cfg.indexes, id),
+                        b.cost_minus(q, &cfg.indexes, id),
+                    ),
+                    (a.joint_cost(q, &cfg), b.joint_cost(q, &cfg)),
+                    (
+                        a.joint_cost_with(q, &cfg, &toggle),
+                        b.joint_cost_with(q, &cfg, &toggle),
+                    ),
+                ];
+                for (x, y) in pairs {
+                    assert_eq!(x.to_bits(), y.to_bits(), "Q{q} under {cfg:?}");
+                }
+            }
+            assert_eq!(
+                a.joint_workload_cost(&cfg).to_bits(),
+                b.joint_workload_cost(&cfg).to_bits()
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// Decode rebuilds what the file does not store — cell keys, split
+        /// fractions, fragment masks, id maps — and the rebuilt matrix
+        /// re-encodes to the same bytes and serves the same bits.
+        #[test]
+        fn snapshot_round_trip_is_canonical(seed in 0u64..1_000_000, edits in 0usize..24) {
+            static CATALOG: std::sync::OnceLock<Catalog> = std::sync::OnceLock::new();
+            let c = CATALOG.get_or_init(|| sdss_catalog(0.01));
+            let opt = Optimizer::new();
+            let inum = Inum::new(c, &opt);
+            let pool = sdss_workload(c, 8, seed);
+            let mut w = Workload::new();
+            for (q, weight) in pool.iter().take(4) {
+                w.push(q.clone(), weight);
+            }
+            let cands = workload_candidates(c, &w, &CandidateConfig::default()).indexes;
+            let mut live = CostMatrix::build(&inum, &w, &cands[..cands.len().min(6)]);
+            random_edits(&mut live, c, &pool, edits, seed);
+            live.publish();
+            let records = encode_published(&live);
+
+            let fresh = Inum::new(c, &opt);
+            let decoded = decode_snapshot(&records).expect("decode");
+            let (mut restored, report) = restore_matrix(&fresh, decoded).expect("restore");
+            assert_eq!(report.cells_invalidated, 0);
+            assert_eq!(encode_published(&restored), records, "re-encoding differs");
+            assert_same_lookups(&live, &restored, seed);
+            assert_eq!(live.workload().entries, restored.workload().entries);
+            for q in live.active_query_ids() {
+                assert_eq!(live.candidates_on(q), restored.candidates_on(q));
+            }
+            for f in 0..live.n_fragments() {
+                assert_eq!(live.fragment_mask(f), restored.fragment_mask(f));
+            }
+            // The rebuilt dedupe maps and the free lists steer later edits
+            // exactly as the originals do.
+            for m in [&mut live, &mut restored] {
+                random_edits(m, c, &pool, 8, seed ^ 0x5eed);
+                m.publish();
+            }
+            assert_eq!(encode_published(&restored), encode_published(&live));
+            assert_same_lookups(&live, &restored, seed ^ 0x5eed);
         }
     }
 

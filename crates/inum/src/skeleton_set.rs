@@ -117,7 +117,13 @@ impl SkeletonSet {
     /// The id, in [`Self::orders`], of the order skeleton `k` needs from
     /// `slot`; `None` when any order will do.
     pub fn order_id(&self, k: usize, slot: usize) -> Option<usize> {
-        (self.skeleton(k)[COST_WORDS + slot] as usize).checked_sub(1)
+        (self.order_ids(k)[slot] as usize).checked_sub(1)
+    }
+
+    /// Skeleton `k`'s order per slot as stored: 0 where any order will do,
+    /// `i + 1` for the slot's `i`-th order — a cost-matrix column.
+    pub fn order_ids(&self, k: usize) -> &[u16] {
+        &self.skeleton(k)[COST_WORDS..]
     }
 
     /// Each slot's distinct required orders, indexed by order id.

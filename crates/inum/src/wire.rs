@@ -21,8 +21,8 @@ use pgdesign_catalog::design::{HorizontalPartitioning, Index};
 use pgdesign_catalog::schema::TableId;
 use pgdesign_catalog::types::Value;
 use pgdesign_durability::{ByteReader, ByteWriter, CodecError};
-use pgdesign_optimizer::access::{FetchTarget, IndexPathProfile};
-use pgdesign_optimizer::CostParams;
+use pgdesign_optimizer::access::{FetchTarget, PathCost};
+use pgdesign_optimizer::{CostParams, JoinControl};
 use pgdesign_query::ast::{
     Aggregate, CmpOp, FilterPredicate, JoinPredicate, OrderItem, PredOp, Query, QueryColumn,
     QueryTable,
@@ -277,11 +277,9 @@ wire_struct!(
     CostParams: seq_page_cost, random_page_cost, cpu_tuple_cost, cpu_index_tuple_cost,
     cpu_operator_cost, effective_cache_pages, work_mem_bytes, index_only_heap_fetch_frac
 );
+wire_struct!(JoinControl: hash, merge, nestloop);
 wire_struct!(FetchTarget: pages, fragments);
-wire_struct!(
-    IndexPathProfile: bitmap, matched, index_only, parameterized, order, pre, post, heap_rows,
-    corr2, row_count
-);
+wire_struct!(PathCost: bitmap, pre, post, heap_rows, corr2, row_count);
 
 #[cfg(test)]
 pub(crate) mod tests {
@@ -397,9 +395,18 @@ pub(crate) mod tests {
         });
         assert_round_trips(every_kind_of_query());
         assert_round_trips(CostParams::default());
+        assert_round_trips(JoinControl::default());
         assert_round_trips(FetchTarget {
             pages: 12.0,
             fragments: 3,
+        });
+        assert_round_trips(PathCost {
+            bitmap: true,
+            pre: 1.5,
+            post: 0.25,
+            heap_rows: 40.0,
+            corr2: 0.81,
+            row_count: 1e5,
         });
     }
 

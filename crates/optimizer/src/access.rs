@@ -309,18 +309,11 @@ pub fn seq_scan_path(ctx: &AccessContext<'_>, prof: &SlotProfile) -> PlanExpr {
     }
 }
 
-/// Partition-independent skeleton of one index-based access path (plain,
-/// index-only, or bitmap). Everything that does not depend on the design's
-/// partitionings is folded into `pre`/`post`; [`IndexPathProfile::cost`]
-/// reproduces the full path formula — in the same floating-point order —
-/// for any [`FetchTarget`], so the cost matrix can re-cost candidate
-/// indexes under hypothetical partitionings without re-enumeration. All
-/// fields are public so the durable-snapshot codec in `pgdesign-inum` can
-/// declare the profile's layout like any other record.
+/// One index-based access path (plain, index-only, or bitmap) as the
+/// planner sees it: how it uses the index and what order it delivers,
+/// plus its [`PathCost`].
 #[derive(Debug, Clone)]
 pub struct IndexPathProfile {
-    /// Bitmap index + heap scan (vs plain/index-only B-tree scan).
-    pub bitmap: bool,
     /// Matched key-prefix columns.
     pub matched: usize,
     /// Covering (index-only) scan.
@@ -329,6 +322,22 @@ pub struct IndexPathProfile {
     pub parameterized: bool,
     /// Native output order delivered by the path (empty for bitmap).
     pub order: Vec<QueryColumn>,
+    /// The partition-independent cost inputs.
+    pub cost: PathCost,
+}
+
+/// The partition-independent cost of one index-based access path.
+/// Everything that does not depend on the design's partitionings is
+/// folded into `pre`/`post`; [`PathCost::cost`] reproduces the full path
+/// formula — in the same floating-point order — for any [`FetchTarget`],
+/// so the cost matrix can re-cost candidate indexes under hypothetical
+/// partitionings without re-enumeration. All fields are public so the
+/// durable-snapshot codec in `pgdesign-inum` can declare the layout like
+/// any other record.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PathCost {
+    /// Bitmap index + heap scan (vs plain/index-only B-tree scan).
+    pub bitmap: bool,
     /// Cost added before the heap-I/O term (descent + leaf I/O + index CPU).
     pub pre: f64,
     /// Cost added after the heap-I/O term (residual filter/tuple CPU).
@@ -342,7 +351,7 @@ pub struct IndexPathProfile {
     pub row_count: f64,
 }
 
-impl IndexPathProfile {
+impl PathCost {
     /// The path's full cost against a fetch target.
     pub fn cost(&self, p: &CostParams, target: FetchTarget) -> f64 {
         let fetched = pages_fetched(self.heap_rows * target.fragments as f64, target.pages);
@@ -411,7 +420,6 @@ fn index_scan_profile(
         + prof.rows_out * p.cpu_tuple_cost;
 
     IndexPathProfile {
-        bitmap: false,
         matched,
         index_only: covers,
         parameterized,
@@ -420,11 +428,14 @@ fn index_scan_profile(
             .iter()
             .map(|&c| QueryColumn::new(prof.slot, c))
             .collect(),
-        pre: descent + leaf_io + index_cpu,
-        post: filter_cpu,
-        heap_rows: heap_fetch_rows,
-        corr2: corr * corr,
-        row_count: tstats.row_count as f64,
+        cost: PathCost {
+            bitmap: false,
+            pre: descent + leaf_io + index_cpu,
+            post: filter_cpu,
+            heap_rows: heap_fetch_rows,
+            corr2: corr * corr,
+            row_count: tstats.row_count as f64,
+        },
     }
 }
 
@@ -454,16 +465,18 @@ fn bitmap_profile(
     let cpu = entries * (p.cpu_tuple_cost + remaining as f64 * p.cpu_operator_cost);
 
     IndexPathProfile {
-        bitmap: true,
         matched,
         index_only: false,
         parameterized: false,
         order: vec![],
-        pre: descent + leaf_io + index_cpu,
-        post: cpu,
-        heap_rows: entries,
-        corr2: 0.0,
-        row_count: tstats.row_count as f64,
+        cost: PathCost {
+            bitmap: true,
+            pre: descent + leaf_io + index_cpu,
+            post: cpu,
+            heap_rows: entries,
+            corr2: 0.0,
+            row_count: tstats.row_count as f64,
+        },
     }
 }
 
@@ -528,8 +541,8 @@ pub fn index_access_paths(
     index_path_profiles(ctx, prof, index, parameterized)
         .into_iter()
         .map(|pp| {
-            let cost = pp.cost(ctx.params, target);
-            let node = if pp.bitmap {
+            let cost = pp.cost.cost(ctx.params, target);
+            let node = if pp.cost.bitmap {
                 PlanNode::BitmapHeapScan {
                     slot: prof.slot,
                     index: index.clone(),

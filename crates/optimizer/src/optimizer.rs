@@ -12,6 +12,10 @@ use pgdesign_query::ast::{PredOp, Query, QueryColumn};
 /// The "what-if join component" (§3.1): enables or disables join methods
 /// in the produced execution plans so a DBA can explore how the design
 /// interacts with join strategy.
+///
+/// INUM (`pgdesign-inum`) plans its skeletons with hash and merge joins
+/// only, so a control it runs under must allow at least one of the two;
+/// `pgdesign::Designer` refuses one that allows neither.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JoinControl {
     /// Allow hash joins.

@@ -1313,3 +1313,62 @@ fn version_skewed_snapshot_degrades_to_cold_build() {
         Some(ColdStart::VersionSkew)
     );
 }
+
+/// State written under one optimizer configuration and reopened under
+/// another — other cost parameters, or another join control — cold-starts
+/// with the reason on record, and then costs exactly what a cold build
+/// under the reader's optimizer costs, never the writer's cells.
+#[test]
+fn changed_optimizer_configuration_degrades_to_cold_build() {
+    use pgdesign_optimizer::{CostParams, JoinControl};
+    let c = catalog();
+    let w = sdss_workload(c, 20, 101);
+    let cands = workload_candidates(c, &w, &CandidateConfig::default()).indexes;
+    let cheap_random = Optimizer {
+        params: CostParams {
+            random_page_cost: 1.1,
+            ..CostParams::default()
+        },
+        ..Optimizer::new()
+    };
+    let mut hash_only = Designer::new(c.clone());
+    hash_only
+        .set_join_control(JoinControl {
+            hash: true,
+            merge: false,
+            nestloop: true,
+        })
+        .expect("hash joins alone are supported");
+    let pairs = [
+        (
+            Designer::with_optimizer(c.clone(), cheap_random).expect("supported"),
+            Designer::new(c.clone()),
+        ),
+        (Designer::new(c.clone()), hash_only),
+    ];
+    for (writer, reader) in &pairs {
+        let disk = SharedMemStore::new();
+        {
+            let mut s = TuningSession::open_or_create_on(writer, w.clone(), Box::new(disk.clone()))
+                .expect("first open");
+            s.matrix_mut().add_candidates(&cands);
+            s.publish();
+        }
+        let mut reopened =
+            TuningSession::open_or_create_on(reader, w.clone(), Box::new(disk.clone()))
+                .expect("reopen never fails on a changed optimizer");
+        assert_eq!(
+            reopened.stats().recovery.and_then(|r| r.cold_start),
+            Some(ColdStart::OptimizerChanged)
+        );
+        reopened.matrix_mut().add_candidates(&cands);
+        let mut cold = reader.tuning_session(w.clone());
+        cold.matrix_mut().add_candidates(&cands);
+        let (m, f) = (reopened.matrix(), cold.matrix());
+        for cfg in [m.empty_config(), m.config_of(0..cands.len())] {
+            for q in 0..w.len() {
+                assert_eq!(m.cost(q, &cfg).to_bits(), f.cost(q, &cfg).to_bits(), "Q{q}");
+            }
+        }
+    }
+}
