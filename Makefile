@@ -114,9 +114,7 @@ SAME_BYTES_RUNS := \
   "evaluate --workload builtin:40 --index photoobj:objid --index photoobj:ra --index photoobj:type,r --index specobj:bestobjid" \
   "session --workload builtin:200 --index photoobj:objid --vertical photoobj:objid,ra,dec|type,r --horizontal photoobj:ra:8 --stats" \
   "recommend --workload builtin:40 --stats" \
-  "recommend --workload builtin:40 --joint --stats" \
   "recommend --catalog tpch --workload builtin:36 --stats" \
-  "recommend --catalog tpch --workload builtin:36 --joint --stats" \
   "online --scale 0.005 --queries 120 --epoch 10 --stats"
 same-bytes:
 	@test -n "$(PARENT)" || { echo "usage: make same-bytes PARENT=<other pgdesign binary>"; exit 2; }

@@ -624,9 +624,9 @@ impl<'a> AutoPartAdvisor<'a> {
 
     /// Run the full greedy search (vertical merge passes, then the
     /// horizontal pass) on an existing partition-aware matrix, editing
-    /// `cfg` in place. This is also the joint-mode entry: with candidate
-    /// indexes pre-selected in `cfg.indexes`, every trial sees the index
-    /// configuration it must coexist with. Returns the merge iterations
+    /// `cfg` in place. This is also the offline pipeline's entry: with
+    /// the chosen indexes pre-selected in `cfg.indexes`, every trial sees
+    /// the index configuration it must coexist with. Returns the merge iterations
     /// performed.
     pub fn search_on(&self, matrix: &mut CostMatrix<'_>, cfg: &mut JointConfig) -> usize {
         self.search_with(matrix, cfg, Self::partition_table_on)
@@ -915,8 +915,8 @@ mod tests {
     /// One search over a fresh matrix of `workload`: the incremental one
     /// or the oracle. Index-only mode is [`AutoPartAdvisor::recommend_on`];
     /// joint mode builds the matrix over `candidates`, selects `preselected`
-    /// and runs [`AutoPartAdvisor::search_on`]'s body, as
-    /// `recommend_joint_on` does after its index half.
+    /// and runs [`AutoPartAdvisor::search_on`]'s body, as the offline
+    /// pipeline does after CoPhy's index half.
     fn run_search(
         inum: &Inum<'_>,
         config: AutoPartConfig,

@@ -7,10 +7,10 @@
 //! prints the storage-budget violation and the benefit mis-estimate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pgdesign_autopart::AutoPartConfig;
+use pgdesign::Designer;
 use pgdesign_bench::{mib, setup};
 use pgdesign_catalog::design::PhysicalDesign;
-use pgdesign_cophy::{greedy_select, CophyAdvisor, CophyConfig};
+use pgdesign_cophy::greedy_select;
 use pgdesign_inum::{CostMatrix, Inum};
 use pgdesign_optimizer::candidates::{workload_candidates, CandidateConfig};
 
@@ -59,33 +59,28 @@ fn print_report() {
         mib(zero_bytes)
     );
 
-    // Joint index + partition advisor under the same budget: replicated
-    // fragment bytes are size-accounted exactly like index bytes (the
-    // partition half of the what-if size model), so the joint design
-    // stays buildable where the zero-size advisor's is not.
-    let joint = CophyAdvisor::new(
-        &inum,
-        CophyConfig {
-            storage_budget_bytes: budget,
-            ..Default::default()
-        },
-    )
-    .recommend_joint_on(
-        &mut CostMatrix::build(&inum, &bench.workload, &[]),
-        AutoPartConfig::default(),
-    );
-    let joint_bytes = joint.total_index_bytes + joint.replication_bytes;
+    // The offline pipeline (indexes, then partitions around them) under
+    // the same budget: replicated fragment bytes are size-accounted
+    // exactly like index bytes (the partition half of the what-if size
+    // model), so its design stays buildable where the zero-size advisor's
+    // is not.
+    let designer = Designer {
+        catalog: bench.catalog.clone(),
+        optimizer: bench.optimizer.clone(),
+    };
+    let joint = designer.recommend(&bench.workload, budget);
+    let joint_bytes = joint.indexes.total_index_bytes + joint.replication_bytes;
     println!(
         "{:<22} {:>10} {:>12.0} {:>14.1} {:>14.1}",
         "joint (idx+partitions)",
-        joint.indexes.len(),
-        joint.cost,
+        joint.indexes.indexes.len(),
+        joint.combined_cost,
         mib(joint_bytes),
         mib(joint_bytes)
     );
     assert!(
         joint_bytes <= budget,
-        "joint advisor must stay within the shared budget"
+        "the offline design must stay within the shared budget"
     );
     println!(
         "base workload cost: {base:.0}; storage budget: {:.1} MiB",

@@ -3,7 +3,6 @@
 use crate::atomic::enumerate_atomic_configs;
 use crate::formulation::{build_ilp, decode_solution, warm_start_assignment, IlpShape};
 use crate::greedy::greedy_select;
-use pgdesign_autopart::{AutoPartAdvisor, AutoPartConfig};
 use pgdesign_catalog::design::{Index, PhysicalDesign};
 use pgdesign_inum::{CostMatrix, Inum};
 use pgdesign_optimizer::candidates::{workload_candidates, CandidateConfig};
@@ -98,40 +97,6 @@ impl Recommendation {
             return 0.0;
         }
         ((self.base_cost - self.cost) / self.base_cost).max(0.0)
-    }
-}
-
-/// A finished joint index + partition recommendation: one partition-aware
-/// cost matrix served both searches under a single storage budget.
-#[derive(Debug, Clone)]
-pub struct JointRecommendation {
-    /// The suggested indexes.
-    pub indexes: Vec<Index>,
-    /// The suggested design (indexes + vertical/horizontal partitions).
-    pub design: PhysicalDesign,
-    /// Workload cost under the empty design.
-    pub base_cost: f64,
-    /// Workload cost under the indexes alone (before partitioning).
-    pub index_cost: f64,
-    /// Workload cost under the joint recommendation.
-    pub cost: f64,
-    /// Per-query `(base, joint)` costs, aligned with the workload.
-    pub per_query: Vec<(f64, f64)>,
-    /// Bytes of the suggested indexes.
-    pub total_index_bytes: u64,
-    /// Bytes of replicated storage the partitioning uses.
-    pub replication_bytes: u64,
-    /// Greedy merge iterations of the partition search.
-    pub partition_iterations: usize,
-}
-
-impl JointRecommendation {
-    /// Average workload benefit as a fraction of the base cost.
-    pub fn average_benefit(&self) -> f64 {
-        if self.base_cost <= 0.0 {
-            return 0.0;
-        }
-        (self.base_cost - self.cost) / self.base_cost
     }
 }
 
@@ -307,87 +272,6 @@ impl<'a> CophyAdvisor<'a> {
             total_index_bytes,
         }
     }
-
-    /// Joint index + partition mode against `matrix`: one
-    /// partition-aware [`CostMatrix`] serves the greedy index selection
-    /// *and* AutoPart's merge search, so both run on pure lookups, and the
-    /// two structures share a single storage budget — the partition search
-    /// may replicate columns only into the bytes the chosen indexes left
-    /// over. The partition trials run with the chosen indexes selected in
-    /// the configuration, so every merge decision sees the index accesses
-    /// it must coexist with. Candidates are registered incrementally
-    /// (resident ones reuse their cells) and stay resident; nothing is
-    /// published (see [`Self::recommend_on`]).
-    pub fn recommend_joint_on(
-        &self,
-        matrix: &mut CostMatrix<'_>,
-        partition_config: AutoPartConfig,
-    ) -> JointRecommendation {
-        let catalog = self.inum.catalog();
-        let candidates =
-            workload_candidates(catalog, &matrix.active_workload(), &self.config.candidates);
-        matrix.add_candidates(&candidates.indexes);
-        let budget = self.config.storage_budget_bytes;
-
-        // Index half: greedy benefit-per-byte on the shared matrix.
-        let greedy = greedy_select(matrix, budget);
-        let total_index_bytes: u64 = greedy
-            .chosen
-            .iter()
-            .map(|&id| {
-                let idx = matrix.candidate(id).expect("chosen ids are live");
-                idx.size_bytes(&catalog.schema, catalog.table_stats(idx.table))
-            })
-            .sum();
-        let index_cost = greedy.cost;
-
-        let mut cfg = matrix.empty_joint();
-        for &id in &greedy.chosen {
-            cfg.indexes.insert(id);
-        }
-
-        // Partition half on the same matrix and configuration, replication
-        // capped to the budget the indexes left unspent.
-        let autopart = AutoPartAdvisor::new(
-            self.inum,
-            AutoPartConfig {
-                replication_budget_bytes: partition_config
-                    .replication_budget_bytes
-                    .min(budget.saturating_sub(total_index_bytes)),
-            },
-        );
-        let partition_iterations = autopart.search_on(matrix, &mut cfg);
-
-        let empty = matrix.empty_joint();
-        let base_cost = matrix.joint_workload_cost(&empty);
-        let mut cost = matrix.joint_workload_cost(&cfg);
-        if cost > index_cost {
-            // The partition search accepts only improving steps, but never
-            // hand back a joint design worse than the indexes alone.
-            cfg.fragments.clear();
-            cfg.splits.clear();
-            cost = matrix.joint_workload_cost(&cfg);
-        }
-
-        let design = matrix.joint_design_of(&cfg);
-        let per_query = matrix.joint_cost_pairs(&empty, &cfg);
-        let replication_bytes = design.replication_bytes(&catalog.schema, &catalog.stats);
-        JointRecommendation {
-            indexes: greedy
-                .chosen
-                .iter()
-                .map(|&id| matrix.candidate(id).expect("chosen ids are live").clone())
-                .collect(),
-            design,
-            base_cost,
-            index_cost,
-            cost,
-            per_query,
-            total_index_bytes,
-            replication_bytes,
-            partition_iterations,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -506,95 +390,6 @@ mod tests {
             "write-heavy {wh_photo} vs read-only {ro_photo}"
         );
         assert!(wh_photo < ro_photo, "5M inserts should drop some index");
-    }
-
-    #[test]
-    fn joint_mode_shares_one_matrix_and_never_regresses() {
-        let c = sdss_catalog(0.01);
-        let opt = Optimizer::new();
-        let inum = Inum::new(&c, &opt);
-        let w = sdss_workload(&c, 9, 31);
-        let budget = c.data_bytes() / 2;
-        let advisor = CophyAdvisor::new(
-            &inum,
-            CophyConfig {
-                storage_budget_bytes: budget,
-                ..Default::default()
-            },
-        );
-        let builds_before = inum.matrix_stats().builds;
-        let cost_calls_before = inum.stats().cost_calls;
-        let rec = advisor.recommend_joint_on(
-            &mut matrix(&inum, &w),
-            pgdesign_autopart::AutoPartConfig {
-                replication_budget_bytes: budget / 10,
-            },
-        );
-        assert_eq!(
-            inum.matrix_stats().builds,
-            builds_before + 1,
-            "index and partition searches must share one matrix"
-        );
-        assert_eq!(
-            inum.stats().cost_calls,
-            cost_calls_before,
-            "the joint mode runs on matrix lookups only"
-        );
-        assert!(rec.cost <= rec.index_cost + 1e-6, "partitions may not hurt");
-        assert!(rec.cost <= rec.base_cost + 1e-6);
-        assert!(rec.total_index_bytes <= budget);
-        assert!(
-            rec.total_index_bytes + rec.replication_bytes <= budget,
-            "one budget covers indexes and replicated partition storage"
-        );
-        assert_eq!(rec.per_query.len(), 9);
-        // The matrix's joint estimate agrees with the slow-path oracle on
-        // the finished design.
-        let oracle = inum.workload_cost(&rec.design, &w);
-        assert!(
-            (rec.cost - oracle).abs() <= 1e-6 * oracle.abs().max(1.0),
-            "joint {} vs oracle {oracle}",
-            rec.cost
-        );
-    }
-
-    #[test]
-    fn joint_mode_partitions_narrow_workloads() {
-        let c = sdss_catalog(0.01);
-        let opt = Optimizer::new();
-        let inum = Inum::new(&c, &opt);
-        // Thin column slices: vertical partitioning should survive even
-        // with indexes present.
-        let sqls = [
-            "SELECT objid, ra, dec FROM photoobj WHERE ra BETWEEN 100 AND 140",
-            "SELECT objid, ra, dec FROM photoobj WHERE ra BETWEEN 10 AND 60",
-            "SELECT ra, dec FROM photoobj WHERE ra < 50",
-        ];
-        let w = Workload::from_queries(
-            sqls.iter()
-                .map(|s| pgdesign_query::parse_query(&c.schema, s).unwrap()),
-        );
-        let advisor = CophyAdvisor::new(
-            &inum,
-            CophyConfig {
-                // A tiny index budget forces the benefit to come from
-                // partitioning instead.
-                storage_budget_bytes: 1,
-                ..Default::default()
-            },
-        );
-        let rec = advisor.recommend_joint_on(
-            &mut matrix(&inum, &w),
-            pgdesign_autopart::AutoPartConfig::default(),
-        );
-        assert!(rec.indexes.is_empty());
-        let photo = c.schema.table_by_name("photoobj").unwrap().id;
-        assert!(
-            rec.design.vertical(photo).is_some(),
-            "partitioning must carry the benefit under a zero index budget"
-        );
-        assert!(rec.cost < rec.base_cost);
-        assert!(rec.average_benefit() > 0.3, "{}", rec.average_benefit());
     }
 
     #[test]

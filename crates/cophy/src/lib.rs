@@ -39,6 +39,6 @@ pub mod formulation;
 pub mod greedy;
 pub mod merging;
 
-pub use advisor::{CophyAdvisor, CophyConfig, JointRecommendation, Recommendation};
+pub use advisor::{CophyAdvisor, CophyConfig, Recommendation};
 pub use atomic::{AtomicConfig, QueryConfigs};
 pub use greedy::greedy_select;

@@ -40,7 +40,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  pgdesign recommend --catalog <sdss|tpch> [--scale S] --workload <FILE|builtin:N> [--budget-frac F] [--joint] [--stats]
+  pgdesign recommend --catalog <sdss|tpch> [--scale S] --workload <FILE|builtin:N> [--budget-frac F] [--stats]
   pgdesign evaluate  --catalog <sdss|tpch> [--scale S] --workload <FILE|builtin:N> [--index table:col1,col2]...
   pgdesign session   --catalog <sdss|tpch> [--scale S] --workload <FILE|builtin:N> [--index t:c1,c2]... [--vertical t:c1,c2|c3]... [--horizontal t:col:N]... [--state DIR] [--stats]
   pgdesign online    --catalog <sdss|tpch> [--scale S] [--queries N] [--epoch N] [--deadline-ms T] [--state DIR] [--kill-after N] [--expect-warm] [--stats]
@@ -55,8 +55,8 @@ Subcommands (one per usage scenario of the SIGMOD 2010 demo):
   session     Scenario 1, step by step: a TuningSession applying each
               what-if structure in turn — every re-evaluation after the
               one-off warm-up is pure cost-matrix lookups
-  recommend   Scenario 2 (offline): automatic index recommendation for a
-              workload under a storage budget
+  recommend   Scenario 2 (offline): automatic index and partition
+              recommendation for a workload under a storage budget
   online      Scenario 3 (online): continuous COLT-style tuning over a
               drifting query stream
   explain     Show the what-if optimizer's plan for one SQL statement
@@ -69,10 +69,9 @@ Common flags:
                           N-query built-in workload
 
 Per-subcommand flags:
-  recommend   --budget-frac F        Index budget as a fraction of data size
-              --joint                Joint index + partition mode: one
-                                     partition-aware cost matrix serves both
-                                     searches under the single budget
+  recommend   --budget-frac F        Storage budget as a fraction of data
+                                     size: one budget for the indexes and
+                                     the replicated partition fragments
               --stats                Print INUM/cost-matrix counters (matrix
                                      builds, lookups, optimizer calls avoided)
   evaluate    --index table:c1,c2    Hypothetical index (repeatable)
@@ -103,27 +102,85 @@ Per-subcommand flags:
                                      matrix (builds == 0, cells reused)
   explain     --sql QUERY            Statement to explain";
 
-/// Minimal flag parser: `--key value` pairs after the subcommand;
-/// repeatable keys collect into a list.
+/// The subcommands and the flags each one takes, without their `--`.
+const SUBCOMMANDS: [(&str, &str); 5] = [
+    ("recommend", "catalog scale workload budget-frac stats"),
+    ("evaluate", "catalog scale workload index"),
+    (
+        "session",
+        "catalog scale workload index vertical horizontal state stats",
+    ),
+    (
+        "online",
+        "catalog scale queries epoch deadline-ms state kill-after expect-warm stats",
+    ),
+    ("explain", "catalog scale sql"),
+];
+
+/// Whether subcommand `cmd` takes `--flag`.
+fn takes(cmd: &str, flag: &str) -> bool {
+    SUBCOMMANDS
+        .iter()
+        .any(|&(name, flags)| name == cmd && flags.split(' ').any(|f| f == flag))
+}
+
+/// The flags that take no value.
+const SWITCHES: &[&str] = &["stats", "expect-warm"];
+
+/// Why `cmd` refuses `--flag`: which subcommands take it, if any does.
+fn unsupported(flag: &str, cmd: &str) -> String {
+    let takers: Vec<String> = SUBCOMMANDS
+        .iter()
+        .filter(|&&(name, _)| takes(name, flag))
+        .map(|(name, _)| format!("`{name}`"))
+        .collect();
+    match takers.split_last() {
+        None => format!("unknown flag --{flag} for `{cmd}`"),
+        Some((last, [])) => format!("--{flag} is only supported by {last}, not `{cmd}`"),
+        Some((last, rest)) => format!(
+            "--{flag} is only supported by {} and {last}, not `{cmd}`",
+            rest.join(", ")
+        ),
+    }
+}
+
+/// Minimal flag parser: the flags after subcommand `cmd`, each one it
+/// takes (see [`SUBCOMMANDS`]); a switch has an empty value, every other
+/// flag the argument after it. Repeatable keys collect into a list.
 struct Flags {
     pairs: Vec<(String, String)>,
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
+    fn parse(cmd: &str, args: &[String]) -> Result<Flags, String> {
+        if !SUBCOMMANDS.iter().any(|&(name, _)| name == cmd) {
+            return Err(format!("unknown subcommand {cmd:?}"));
+        }
         let mut pairs = Vec::new();
         let mut i = 0;
         while i < args.len() {
             let key = args[i]
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected --flag, found {:?}", args[i]))?;
-            let value = args
-                .get(i + 1)
-                .ok_or_else(|| format!("flag --{key} needs a value"))?;
-            pairs.push((key.to_string(), value.clone()));
-            i += 2;
+            if !takes(cmd, key) {
+                return Err(unsupported(key, cmd));
+            }
+            let value = if SWITCHES.contains(&key) {
+                i += 1;
+                String::new()
+            } else {
+                i += 2;
+                args.get(i - 1)
+                    .ok_or_else(|| format!("flag --{key} needs a value"))?
+                    .clone()
+            };
+            pairs.push((key.to_string(), value));
         }
         Ok(Flags { pairs })
+    }
+
+    fn has(&self, key: &str) -> bool {
+        self.get(key).is_some()
     }
 
     fn get(&self, key: &str) -> Option<&str> {
@@ -193,7 +250,12 @@ fn load_workload(catalog: &Catalog, flags: &Flags) -> Result<Workload, String> {
         .get("workload")
         .ok_or_else(|| "missing --workload".to_string())?;
     if let Some(n) = spec.strip_prefix("builtin:") {
-        let n: usize = n.parse().map_err(|_| format!("bad builtin size {n:?}"))?;
+        // An empty workload is refused here as it is from a file.
+        let n: usize = n
+            .parse()
+            .ok()
+            .filter(|&n| n > 0)
+            .ok_or_else(|| format!("bad --workload {spec:?}"))?;
         let is_tpch = flags.get("catalog") == Some("tpch");
         return Ok(if is_tpch {
             tpch_workload(catalog, n, 42)
@@ -228,9 +290,11 @@ fn run(args: &[String]) -> Result<(), String> {
         while i < rest.len() {
             match rest[i].as_str() {
                 "--help" | "-h" => return true,
-                "--stats" | "--joint" | "--expect-warm" => i += 1, // the valueless flags
-                s if s.starts_with("--") => i += 2,                // skip the flag's value
-                _ => return false, // malformed; let Flags::parse report it
+                arg => match arg.strip_prefix("--") {
+                    Some(key) if SWITCHES.contains(&key) => i += 1,
+                    Some(_) => i += 2,    // skip the flag's value
+                    None => return false, // malformed; let Flags::parse report it
+                },
             }
         }
         false
@@ -241,52 +305,10 @@ fn run(args: &[String]) -> Result<(), String> {
         println!("{USAGE}");
         return Ok(());
     }
-    // Validate the subcommand before the (multi-second) catalog build so
-    // typos fail instantly.
-    if !matches!(
-        cmd.as_str(),
-        "recommend" | "evaluate" | "session" | "online" | "explain"
-    ) {
-        return Err(format!("unknown subcommand {cmd:?}"));
-    }
-    // `--stats`, `--joint`, and `--expect-warm` are the valueless flags;
-    // extract them before the `--key value` pair parser sees the argument
-    // list. Each is honoured by specific subcommands — elsewhere they
-    // would be silently ignored, so fail loudly.
-    let show_stats = rest.iter().any(|a| a == "--stats");
-    let joint = rest.iter().any(|a| a == "--joint");
-    let expect_warm = rest.iter().any(|a| a == "--expect-warm");
-    if show_stats && !matches!(cmd.as_str(), "recommend" | "session" | "online") {
-        return Err(format!(
-            "--stats is only supported by `recommend`, `session` and `online`, not `{cmd}`"
-        ));
-    }
-    if joint && cmd != "recommend" {
-        return Err(format!(
-            "--joint is only supported by `recommend`, not `{cmd}`"
-        ));
-    }
-    if expect_warm && cmd != "online" {
-        return Err(format!(
-            "--expect-warm is only supported by `online`, not `{cmd}`"
-        ));
-    }
-    let rest: Vec<String> = rest
-        .iter()
-        .filter(|a| *a != "--stats" && *a != "--joint" && *a != "--expect-warm")
-        .cloned()
-        .collect();
-    let flags = Flags::parse(&rest)?;
-    if flags.get("state").is_some() && !matches!(cmd.as_str(), "session" | "online") {
-        return Err(format!(
-            "--state is only supported by `session` and `online`, not `{cmd}`"
-        ));
-    }
-    if flags.get("kill-after").is_some() && cmd != "online" {
-        return Err(format!(
-            "--kill-after is only supported by `online`, not `{cmd}`"
-        ));
-    }
+    // Subcommand and flags are checked before the (multi-second) catalog
+    // build, so typos fail instantly.
+    let flags = Flags::parse(cmd, rest)?;
+    let show_stats = flags.has("stats");
     let catalog = load_catalog(&flags)?;
     let designer = Designer::new(catalog);
 
@@ -297,22 +319,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 .number("budget-frac", |f: &f64| f.is_finite() && *f >= 0.0)?
                 .unwrap_or(0.5);
             let budget = (designer.catalog.data_bytes() as f64 * frac) as u64;
-            if joint {
-                let report = designer.recommend_joint(&workload, budget);
-                println!("{report}");
-                println!("Index definitions:");
-                for idx in &report.joint.indexes {
-                    println!(
-                        "  CREATE INDEX ON {};",
-                        idx.display(&designer.catalog.schema)
-                    );
-                }
-                if show_stats {
-                    println!();
-                    print!("{}", report.stats);
-                }
-                return Ok(());
-            }
             let report = designer.recommend(&workload, budget);
             println!("{report}");
             println!("Index definitions:");
@@ -462,7 +468,8 @@ fn run(args: &[String]) -> Result<(), String> {
             let epoch: usize = flags.number("epoch", |&e| e > 0)?.unwrap_or(25);
             let kill_after: Option<usize> = flags.number("kill-after", |_| true)?;
             let deadline_ms: Option<u64> = flags.number("deadline-ms", |_| true)?;
-            if expect_warm && flags.get("state").is_none() {
+            let expect_warm = flags.has("expect-warm");
+            if expect_warm && !flags.has("state") {
                 return Err("--expect-warm requires --state".into());
             }
             let mut stream = DriftingStream::sdss_default(designer.catalog.clone(), queries / 6, 7);
@@ -538,22 +545,23 @@ mod tests {
 
     #[test]
     fn flags_parse_pairs_and_repeats() {
-        let args: Vec<String> = ["--a", "1", "--b", "2", "--a", "3"]
+        let args: Vec<String> = ["--index", "1", "--stats", "--state", "2", "--index", "3"]
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let f = Flags::parse(&args).unwrap();
-        assert_eq!(f.get("b"), Some("2"));
-        assert_eq!(f.get_all("a"), vec!["1", "3"]);
-        assert!(f.get("c").is_none());
+        let f = Flags::parse("session", &args).unwrap();
+        assert_eq!(f.get("state"), Some("2"));
+        assert_eq!(f.get_all("index"), vec!["1", "3"]);
+        assert!(f.has("stats"));
+        assert!(!f.has("vertical"));
     }
 
     #[test]
     fn flags_reject_danglers() {
-        let args: Vec<String> = ["--a"].iter().map(|s| s.to_string()).collect();
-        assert!(Flags::parse(&args).is_err());
+        let args: Vec<String> = ["--workload"].iter().map(|s| s.to_string()).collect();
+        assert!(Flags::parse("recommend", &args).is_err());
         let args: Vec<String> = ["b", "1"].iter().map(|s| s.to_string()).collect();
-        assert!(Flags::parse(&args).is_err());
+        assert!(Flags::parse("recommend", &args).is_err());
     }
 
     #[test]

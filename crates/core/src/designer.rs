@@ -3,12 +3,11 @@
 use crate::interactive::InteractiveSession;
 use crate::online::OnlineSession;
 use crate::report;
-use crate::session::{IndexAdvisor, JointAdvisor, OfflineAdvisor, TuningSession};
-use pgdesign_autopart::PartitionRecommendation;
+use crate::session::{IndexAdvisor, OfflineAdvisor, TuningSession};
 use pgdesign_catalog::design::PhysicalDesign;
 use pgdesign_catalog::Catalog;
 use pgdesign_colt::ColtConfig;
-use pgdesign_cophy::{CophyConfig, JointRecommendation, Recommendation};
+use pgdesign_cophy::{CophyConfig, Recommendation};
 use pgdesign_interaction::{InteractionAnalysis, InteractionGraph, Schedule};
 use pgdesign_optimizer::{JoinControl, Optimizer};
 use pgdesign_query::ast::Query;
@@ -124,24 +123,13 @@ impl Designer {
         self.optimizer.cost(&self.catalog, design, query)
     }
 
-    /// The joint index + partition mode: one partition-aware cost matrix
-    /// serves the greedy index selection and AutoPart's merge search under
-    /// a single storage budget (`pgdesign recommend --joint`). A one-shot
-    /// [`crate::session::JointAdvisor`] session.
-    pub fn recommend_joint(&self, workload: &Workload, storage_budget_bytes: u64) -> JointReport {
-        let mut session = self.tuning_session(workload.clone());
-        let mut report = session.advise(&mut JointAdvisor::new(storage_budget_bytes));
-        report.stats = session.stats();
-        report
-    }
-
-    /// The full offline pipeline (demo scenario 2): CoPhy indexes +
-    /// AutoPart partitions under a shared storage budget, the interaction
-    /// graph over the suggested indexes, and an interaction-aware
-    /// materialization schedule (with the naive order for comparison).
-    /// A one-shot [`crate::session::OfflineAdvisor`] session: every stage
-    /// — selection, combination, interactions, scheduling — costs through
-    /// the session's single matrix.
+    /// The offline pipeline (demo scenario 2): CoPhy's indexes, AutoPart's
+    /// partitions searched around them under the same storage budget, the
+    /// interaction graph over the suggested indexes, and an
+    /// interaction-aware materialization schedule (with the naive order
+    /// for comparison). A one-shot [`crate::session::OfflineAdvisor`]
+    /// session: every stage — selection, partitioning, interactions,
+    /// scheduling — costs through the session's single matrix.
     pub fn recommend(&self, workload: &Workload, storage_budget_bytes: u64) -> OfflineReport {
         let mut session = self.tuning_session(workload.clone());
         let mut report = session.advise(&mut OfflineAdvisor::new(storage_budget_bytes));
@@ -150,37 +138,17 @@ impl Designer {
     }
 }
 
-/// What the joint index + partition mode shows the user.
-#[derive(Debug, Clone)]
-pub struct JointReport {
-    /// The joint recommendation.
-    pub joint: JointRecommendation,
-    /// Human-readable names of the suggested indexes (schema-resolved).
-    pub index_display: Vec<String>,
-    /// Human-readable lines of the suggested partitions (schema-resolved).
-    pub partition_display: Vec<String>,
-    /// INUM / cost-matrix counters: as the advisor returned them, and
-    /// after the advice's publish when [`Designer::recommend_joint`] ran
-    /// it (what `pgdesign recommend --joint --stats` prints).
-    pub stats: crate::report::TuningStats,
-}
-
-impl fmt::Display for JointReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&report::render_joint(self))
-    }
-}
-
 /// Everything scenario 2 shows the user.
 #[derive(Debug, Clone)]
 pub struct OfflineReport {
-    /// The CoPhy index recommendation.
+    /// The CoPhy index recommendation; its `cost` is the workload cost
+    /// under the indexes alone.
     pub indexes: Recommendation,
-    /// The AutoPart partition recommendation.
-    pub partitions: PartitionRecommendation,
-    /// The adopted design (indexes ∪ partitions, or the better component
-    /// alone when combining erodes benefit).
+    /// The adopted design: the indexes plus the partitions searched around
+    /// them, or the indexes alone when partitions would cost more.
     pub design: PhysicalDesign,
+    /// Bytes of replicated storage the adopted design's fragments use.
+    pub replication_bytes: u64,
     /// Workload cost under the empty design.
     pub base_cost: f64,
     /// Workload cost under the adopted design.
@@ -197,7 +165,7 @@ pub struct OfflineReport {
     pub naive_schedule: Schedule,
     /// Human-readable names of the suggested indexes (schema-resolved).
     pub index_display: Vec<String>,
-    /// Human-readable lines of the suggested partitions (schema-resolved).
+    /// Human-readable lines of the adopted partitions (schema-resolved).
     pub partition_display: Vec<String>,
     /// INUM / cost-matrix counters: as the advisor returned them, and
     /// after the advice's publish when [`Designer::recommend`] ran it
@@ -244,7 +212,7 @@ mod tests {
         let r = d.recommend(&w, budget);
         assert!(r.combined_cost <= r.base_cost);
         assert!(r.combined_cost <= r.indexes.cost + 1e-6);
-        assert!(r.combined_cost <= r.partitions.cost + 1e-6);
+        assert!(r.indexes.total_index_bytes + r.replication_bytes <= budget);
         assert_eq!(r.per_query.len(), 9);
         assert_eq!(r.schedule.order.len(), r.indexes.indexes.len());
         assert!(r.schedule.area <= r.naive_schedule.area + 1e-6);

@@ -88,14 +88,14 @@ pub mod online;
 pub mod report;
 pub mod session;
 
-pub use designer::{Designer, JointReport, OfflineReport, UnsupportedJoinControl};
+pub use designer::{Designer, OfflineReport, UnsupportedJoinControl};
 pub use health::{DegradeReason, ServiceHealth};
 pub use interactive::{BenefitReport, InteractiveSession};
 pub use online::OnlineSession;
 pub use report::{ColdStart, RecoveryStats, TuningStats};
 pub use session::{
-    Advisor, IndexAdvisor, InteractionAdvisor, JointAdvisor, OfflineAdvisor, PartitionAdvisor,
-    SessionReader, TuningSession,
+    Advisor, IndexAdvisor, InteractionAdvisor, OfflineAdvisor, PartitionAdvisor, SessionReader,
+    TuningSession,
 };
 
 // Re-export the component crates under one roof.

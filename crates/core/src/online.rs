@@ -231,7 +231,7 @@ impl<'a> OnlineSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{IndexAdvisor, JointAdvisor};
+    use crate::session::{IndexAdvisor, OfflineAdvisor};
     use pgdesign_catalog::samples::sdss_catalog;
     use pgdesign_query::parse_query;
 
@@ -540,8 +540,8 @@ mod tests {
         )
         .unwrap();
         s.observe_all(std::iter::repeat_with(|| q.clone()).take(20));
-        let report = s.advise(&mut JointAdvisor::new(d.catalog.data_bytes() / 2));
-        assert!(report.joint.cost <= report.joint.base_cost + 1e-6);
+        let report = s.advise(&mut OfflineAdvisor::new(d.catalog.data_bytes() / 2));
+        assert!(report.combined_cost <= report.base_cost + 1e-6);
         assert_eq!(report.stats.matrix.builds, 1, "still one matrix");
     }
 }

@@ -4,13 +4,13 @@
 //!
 //! A report is built into one `String` pre-sized for its rows. The O(1)
 //! header lines go through `write!`; every per-query row goes through
-//! `push_query_row`, the one row format shared by the offline, joint and
+//! `push_query_row`, the one row format shared by the offline and
 //! interactive reports, whose numbers the crate's fixed-point writer
 //! (`fixed.rs`) writes with the exact rounding of `{:.1}` at a fraction of
 //! core::fmt's cost. On a 200-query interactive session the rows were
 //! most of a toggle step.
 
-use crate::designer::{JointReport, OfflineReport};
+use crate::designer::OfflineReport;
 use crate::fixed::{push_fixed, push_uint, Align};
 use crate::health::ServiceHealth;
 use pgdesign_catalog::design::PhysicalDesign;
@@ -209,23 +209,9 @@ pub(crate) fn push_query_row(
     out.push_str("%)\n");
 }
 
-/// The offline and joint reports' per-query rows: the benefit is clamped
-/// at zero and reads 0% on a non-positive base cost.
-fn push_recommendation_rows(out: &mut String, per_query: &[(f64, f64)]) {
-    out.push_str("-- Benefit per query --\n");
-    for (i, &(base, tuned)) in per_query.iter().enumerate() {
-        let pct = if base > 0.0 {
-            100.0 * (base - tuned).max(0.0) / base
-        } else {
-            0.0
-        };
-        push_query_row(out, "   ", i + 1, base, tuned, pct);
-    }
-}
-
 /// The suggested partitions of `design`, one line each, with table and
-/// column names resolved through `schema` — what the reports' partition
-/// sections print.
+/// column names resolved through `schema` — what the offline report's
+/// partition section prints.
 pub(crate) fn partition_lines(design: &PhysicalDesign, schema: &Schema) -> Vec<String> {
     let verticals = design.verticals().map(|vp| {
         format!(
@@ -246,58 +232,6 @@ pub(crate) fn partition_lines(design: &PhysicalDesign, schema: &Schema) -> Vec<S
     verticals.chain(horizontals).collect()
 }
 
-/// Append the partition lines of a report.
-fn push_partitions(out: &mut String, lines: &[String]) {
-    if lines.is_empty() {
-        out.push_str("   (none beneficial)\n");
-    }
-    for line in lines {
-        out.push_str("   ");
-        out.push_str(line);
-        out.push('\n');
-    }
-}
-
-/// Render the joint index + partition report (what `JointReport`'s
-/// `Display` writes).
-pub fn render_joint(r: &JointReport) -> String {
-    let j = &r.joint;
-    let mut out = report_buffer(j.per_query.len());
-    let _ = writeln!(
-        out,
-        "================ Joint index + partition recommendation ================"
-    );
-    let _ = writeln!(
-        out,
-        "Workload cost: {:.1} -> {:.1} (indexes alone {:.1})   Average workload benefit: {:.1}%",
-        j.base_cost,
-        j.cost,
-        j.index_cost,
-        100.0 * j.average_benefit()
-    );
-    out.push('\n');
-    let _ = writeln!(out, "-- Suggested indexes ({}) --", j.indexes.len());
-    let _ = writeln!(
-        out,
-        "   (storage: {:.1} MiB indexes + {:.1} MiB replicated fragments)",
-        j.total_index_bytes as f64 / (1024.0 * 1024.0),
-        j.replication_bytes as f64 / (1024.0 * 1024.0)
-    );
-    for (i, name) in r.index_display.iter().enumerate() {
-        let _ = writeln!(out, "   [{}] {}", i + 1, name);
-    }
-    out.push('\n');
-    let _ = writeln!(
-        out,
-        "-- Suggested partitions ({} merge iterations) --",
-        j.partition_iterations
-    );
-    push_partitions(&mut out, &r.partition_display);
-    out.push('\n');
-    push_recommendation_rows(&mut out, &j.per_query);
-    out
-}
-
 /// Render the scenario-2 report (what `OfflineReport`'s `Display`
 /// writes).
 pub fn render_offline(r: &OfflineReport) -> String {
@@ -308,9 +242,10 @@ pub fn render_offline(r: &OfflineReport) -> String {
     );
     let _ = writeln!(
         out,
-        "Workload cost: {:.1} -> {:.1}   Average workload benefit: {:.1}%",
+        "Workload cost: {:.1} -> {:.1} (indexes alone {:.1})   Average workload benefit: {:.1}%",
         r.base_cost,
         r.combined_cost,
+        r.indexes.cost,
         100.0 * r.average_benefit()
     );
     out.push('\n');
@@ -318,8 +253,10 @@ pub fn render_offline(r: &OfflineReport) -> String {
     let _ = writeln!(out, "-- Suggested indexes ({}) --", r.indexes.indexes.len());
     let _ = writeln!(
         out,
-        "   (storage: {:.1} MiB, solver gap: {:.2}%, status: {:?}, nodes: {}, pivots: {})",
+        "   (storage: {:.1} MiB indexes + {:.1} MiB replicated fragments, solver gap: {:.2}%, \
+         status: {:?}, nodes: {}, pivots: {})",
         r.indexes.total_index_bytes as f64 / (1024.0 * 1024.0),
+        r.replication_bytes as f64 / (1024.0 * 1024.0),
         100.0 * r.indexes.gap,
         r.indexes.status,
         r.indexes.nodes,
@@ -331,10 +268,25 @@ pub fn render_offline(r: &OfflineReport) -> String {
     out.push('\n');
 
     out.push_str("-- Suggested partitions --\n");
-    push_partitions(&mut out, &r.partition_display);
+    if r.partition_display.is_empty() {
+        out.push_str("   (none beneficial)\n");
+    }
+    for line in &r.partition_display {
+        out.push_str("   ");
+        out.push_str(line);
+        out.push('\n');
+    }
     out.push('\n');
 
-    push_recommendation_rows(&mut out, &r.per_query);
+    out.push_str("-- Benefit per query --\n");
+    for (i, &(base, tuned)) in r.per_query.iter().enumerate() {
+        let pct = if base > 0.0 {
+            100.0 * (base - tuned).max(0.0) / base
+        } else {
+            0.0
+        };
+        push_query_row(&mut out, "   ", i + 1, base, tuned, pct);
+    }
     out.push('\n');
 
     let _ = write!(

@@ -410,7 +410,7 @@ pub trait Advisor {
 
 // ---- The built-in advisors ----
 
-use crate::designer::{JointReport, OfflineReport};
+use crate::designer::OfflineReport;
 use crate::report;
 use pgdesign_autopart::{AutoPartAdvisor, AutoPartConfig, PartitionRecommendation};
 use pgdesign_catalog::design::Index;
@@ -469,64 +469,15 @@ impl Advisor for PartitionAdvisor {
     }
 }
 
-/// The joint index + partition mode as a session advisor: greedy index
-/// selection and AutoPart's merge search share the session matrix and a
-/// single storage budget.
-#[derive(Debug, Clone)]
-pub struct JointAdvisor {
-    /// One storage budget covering indexes and replicated fragments.
-    pub storage_budget_bytes: u64,
-}
-
-impl JointAdvisor {
-    /// A joint advisor under one storage budget.
-    pub fn new(storage_budget_bytes: u64) -> Self {
-        JointAdvisor {
-            storage_budget_bytes,
-        }
-    }
-}
-
-impl Advisor for JointAdvisor {
-    type Report = JointReport;
-
-    fn advise(&mut self, session: &mut TuningSession<'_>) -> JointReport {
-        // analyzer:allow(cost-purity): built-in advisor; joint enumeration
-        // reads and refills the session matrix, the sanctioned path.
-        let inum = session.inum().clone();
-        let advisor = CophyAdvisor::new(
-            &inum,
-            CophyConfig {
-                storage_budget_bytes: self.storage_budget_bytes,
-                ..Default::default()
-            },
-        );
-        let joint = advisor.recommend_joint_on(
-            session.matrix_mut(),
-            AutoPartConfig {
-                replication_budget_bytes: self.storage_budget_bytes / 10,
-            },
-        );
-        let schema = &session.designer().catalog.schema;
-        let index_display = joint.indexes.iter().map(|i| i.display(schema)).collect();
-        let partition_display = report::partition_lines(&joint.design, schema);
-        JointReport {
-            joint,
-            index_display,
-            partition_display,
-            stats: session.stats(),
-        }
-    }
-}
-
-/// The full offline pipeline (demo scenario 2) as a session advisor:
-/// CoPhy indexes + AutoPart partitions under a shared storage budget, the
-/// interaction graph over the suggested indexes, and the materialization
-/// schedules — all costed against the session's one matrix.
+/// The offline pipeline (demo scenario 2) as a session advisor: CoPhy's
+/// indexes, then AutoPart's partitions searched around them under the same
+/// storage budget, the interaction graph over the indexes, and the
+/// materialization schedules — all costed against the session's one
+/// matrix.
 #[derive(Debug, Clone)]
 pub struct OfflineAdvisor {
-    /// Storage budget for the index half; partitions replicate into a
-    /// tenth of it.
+    /// One storage budget covering the indexes and the replicated
+    /// fragments; replication may also take at most a tenth of it.
     pub storage_budget_bytes: u64,
 }
 
@@ -547,7 +498,6 @@ impl Advisor for OfflineAdvisor {
         // built from matrix cells this session owns, the sanctioned path.
         let inum = session.inum().clone();
         let budget = self.storage_budget_bytes;
-
         let cophy = CophyAdvisor::new(
             &inum,
             CophyConfig {
@@ -557,19 +507,9 @@ impl Advisor for OfflineAdvisor {
         );
         let indexes = cophy.recommend_on(session.matrix_mut());
 
-        let autopart = AutoPartAdvisor::new(
-            &inum,
-            AutoPartConfig {
-                replication_budget_bytes: budget / 10,
-            },
-        );
-        let partitions = autopart.recommend_on(session.matrix_mut());
-
-        // Combine on the same matrix: the chosen indexes plus the accepted
-        // fragments/splits form one joint configuration; keep the
-        // combination only if it beats each alone (partitioning can erode
-        // index benefit). Fragment/split registration below dedupes
-        // against the search's own registrations, so no new cells.
+        // Partitions around the chosen indexes, on the same matrix: every
+        // merge trial sees the index accesses it must coexist with, and
+        // replication may spend only what the indexes left of the budget.
         let matrix = session.matrix_mut();
         let chosen_ids: Vec<usize> = indexes
             .indexes
@@ -580,42 +520,32 @@ impl Advisor for OfflineAdvisor {
                     .expect("recommended indexes are registered on the session matrix")
             })
             .collect();
-        let mut combined = matrix.empty_joint();
+        let mut cfg = matrix.empty_joint();
         for &id in &chosen_ids {
-            combined.indexes.insert(id);
+            cfg.indexes.insert(id);
         }
-        for vp in partitions.design.verticals() {
-            for group in &vp.groups {
-                let fid = matrix.register_fragment(vp.table, group);
-                combined.fragments.insert(fid);
-            }
-        }
-        for hp in partitions.design.horizontals() {
-            let sid = matrix.register_split(hp.clone());
-            combined.splits.insert(sid);
-        }
+        let autopart = AutoPartAdvisor::new(
+            &inum,
+            AutoPartConfig {
+                replication_budget_bytes: (budget / 10)
+                    .min(budget.saturating_sub(indexes.total_index_bytes)),
+            },
+        );
+        autopart.search_on(matrix, &mut cfg);
+
         let matrix = session.matrix();
         let empty = matrix.empty_joint();
-        let combined_cost = matrix.joint_workload_cost(&combined);
         let base_cost = matrix.joint_workload_cost(&empty);
-
-        let mut index_only = matrix.empty_joint();
-        for &id in &chosen_ids {
-            index_only.indexes.insert(id);
+        let mut combined_cost = matrix.joint_workload_cost(&cfg);
+        if combined_cost > indexes.cost {
+            // The merge search accepts only improving steps, but never
+            // hand back a design worse than the indexes alone.
+            cfg.fragments.clear();
+            cfg.splits.clear();
+            combined_cost = indexes.cost;
         }
-        let mut partition_only = combined.clone();
-        partition_only.indexes.clear();
-
-        let options = [
-            (combined.clone(), combined_cost),
-            (index_only, indexes.cost),
-            (partition_only, partitions.cost),
-        ];
-        let (final_cfg, final_cost) = options
-            .into_iter()
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("three options");
-        let final_design = matrix.joint_design_of(&final_cfg);
+        let design = matrix.joint_design_of(&cfg);
+        let per_query = matrix.joint_cost_pairs(&empty, &cfg);
 
         // Interaction analysis + schedules over the chosen indexes, served
         // from the very same matrix cells the selection used.
@@ -623,24 +553,25 @@ impl Advisor for OfflineAdvisor {
         let graph = analysis.graph();
         let (schedule, naive) = schedule_pair_on(matrix, &chosen_ids);
 
-        let per_query = matrix.joint_cost_pairs(&empty, &final_cfg);
-
-        let schema = &session.designer().catalog.schema;
-        let index_display = indexes.indexes.iter().map(|i| i.display(schema)).collect();
-        let partition_display = report::partition_lines(&partitions.design, schema);
+        let catalog = &session.designer().catalog;
+        let index_display = indexes
+            .indexes
+            .iter()
+            .map(|i| i.display(&catalog.schema))
+            .collect();
         OfflineReport {
+            replication_bytes: design.replication_bytes(&catalog.schema, &catalog.stats),
+            partition_display: report::partition_lines(&design, &catalog.schema),
             indexes,
-            partitions,
-            design: final_design,
+            design,
             base_cost,
-            combined_cost: final_cost,
+            combined_cost,
             per_query,
             analysis,
             graph,
             schedule,
             naive_schedule: naive,
             index_display,
-            partition_display,
             stats: session.stats(),
         }
     }
@@ -748,6 +679,73 @@ mod tests {
     }
 
     #[test]
+    fn joint_mode_shares_one_matrix_and_never_regresses() {
+        let d = designer();
+        let w = sdss_workload(&d.catalog, 9, 31);
+        let budget = d.catalog.data_bytes() / 2;
+        let mut session = d.tuning_session(w.clone());
+        let cost_calls_before = session.stats().inum.cost_calls;
+        let rec = session.advise(&mut OfflineAdvisor::new(budget));
+        assert_eq!(
+            session.stats().matrix.builds,
+            1,
+            "index and partition searches must share one matrix"
+        );
+        assert_eq!(
+            session.stats().inum.cost_calls,
+            cost_calls_before,
+            "the offline pipeline runs on matrix lookups only"
+        );
+        assert!(
+            rec.combined_cost <= rec.indexes.cost + 1e-6,
+            "partitions may not hurt"
+        );
+        assert!(rec.combined_cost <= rec.base_cost + 1e-6);
+        assert!(rec.indexes.total_index_bytes <= budget);
+        assert!(
+            rec.indexes.total_index_bytes + rec.replication_bytes <= budget,
+            "one budget covers indexes and replicated partition storage"
+        );
+        assert_eq!(rec.per_query.len(), 9);
+        // The matrix's joint estimate agrees with the slow-path oracle on
+        // the finished design.
+        let oracle = session.inum().workload_cost(&rec.design, &w);
+        assert!(
+            (rec.combined_cost - oracle).abs() <= 1e-6 * oracle.abs().max(1.0),
+            "joint {} vs oracle {oracle}",
+            rec.combined_cost
+        );
+    }
+
+    #[test]
+    fn joint_mode_partitions_narrow_workloads() {
+        let d = designer();
+        let c = &d.catalog;
+        // Thin column slices: vertical partitioning should survive even
+        // with indexes present.
+        let sqls = [
+            "SELECT objid, ra, dec FROM photoobj WHERE ra BETWEEN 100 AND 140",
+            "SELECT objid, ra, dec FROM photoobj WHERE ra BETWEEN 10 AND 60",
+            "SELECT ra, dec FROM photoobj WHERE ra < 50",
+        ];
+        let w = Workload::from_queries(
+            sqls.iter()
+                .map(|s| pgdesign_query::parse_query(&c.schema, s).unwrap()),
+        );
+        // A tiny budget forces the benefit to come from partitioning
+        // instead.
+        let rec = d.tuning_session(w).advise(&mut OfflineAdvisor::new(1));
+        assert!(rec.indexes.indexes.is_empty());
+        let photo = c.schema.table_by_name("photoobj").unwrap().id;
+        assert!(
+            rec.design.vertical(photo).is_some(),
+            "partitioning must carry the benefit under a zero index budget"
+        );
+        assert!(rec.combined_cost < rec.base_cost);
+        assert!(rec.average_benefit() > 0.3, "{}", rec.average_benefit());
+    }
+
+    #[test]
     fn each_advise_publishes_once_and_journals_one_publish() {
         use crate::durable::{LOG_NAME, SNAPSHOT_NAME};
         use pgdesign_durability::{log_open, read_snapshot, LogState, SharedMemStore};
@@ -772,12 +770,7 @@ mod tests {
                 other => panic!("expected a replayable log, got {other:?}"),
             }
         };
-        for name in [
-            "IndexAdvisor",
-            "PartitionAdvisor",
-            "JointAdvisor",
-            "OfflineAdvisor",
-        ] {
+        for name in ["IndexAdvisor", "PartitionAdvisor", "OfflineAdvisor"] {
             let (generation, publishes) =
                 (session.matrix().published_generation(), logged_publishes());
             match name {
@@ -786,9 +779,6 @@ mod tests {
                 }
                 "PartitionAdvisor" => {
                     session.advise(&mut PartitionAdvisor::default());
-                }
-                "JointAdvisor" => {
-                    session.advise(&mut JointAdvisor::new(budget));
                 }
                 _ => {
                     session.advise(&mut OfflineAdvisor::new(budget));

@@ -86,6 +86,14 @@ fn recommend_stats_prints_inum_and_matrix_counters() {
         "the report itself must still print:\n{text}"
     );
     for needle in [
+        // One design of indexes and the partitions searched around them.
+        "(indexes alone ",
+        "MiB indexes + ",
+        " MiB replicated fragments",
+        "Suggested partitions",
+        "Benefit per query",
+        "partition-aware",
+        "partition cells",
         "INUM / cost-matrix statistics",
         "skeleton cache:",
         "cost matrices:",
@@ -107,45 +115,20 @@ fn recommend_stats_prints_inum_and_matrix_counters() {
 }
 
 #[test]
-fn recommend_joint_prints_the_joint_report() {
-    let out = pgdesign(&[
-        "recommend",
-        "--scale",
-        "0.003",
-        "--workload",
-        "builtin:5",
-        "--budget-frac",
-        "0.3",
-        "--joint",
-        "--stats",
-    ]);
-    assert!(out.status.success(), "recommend --joint should exit 0");
-    let text = String::from_utf8(out.stdout).unwrap();
-    for needle in [
-        "Joint index + partition recommendation",
-        "Suggested partitions",
-        "Benefit per query",
-        "partition-aware",
-        "partition cells",
-        // Captured after the advice's one publish.
-        "published snapshot: generation 1 (",
+fn flags_a_subcommand_does_not_take_are_rejected() {
+    for (flag, message) in [
+        ("--budget", "unknown flag --budget for `evaluate`"),
+        ("--joint", "unknown flag --joint for `evaluate`"),
+        (
+            "--vertical",
+            "--vertical is only supported by `session`, not `evaluate`",
+        ),
     ] {
-        assert!(
-            text.contains(needle),
-            "--joint must print {needle:?}:\n{text}"
-        );
+        let out = pgdesign(&["evaluate", "--workload", "builtin:2", flag, "x"]);
+        assert!(!out.status.success(), "evaluate must refuse {flag}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains(message), "{err}");
     }
-}
-
-#[test]
-fn joint_flag_is_rejected_outside_recommend() {
-    let out = pgdesign(&["explain", "--sql", "SELECT ra FROM photoobj", "--joint"]);
-    assert!(!out.status.success(), "--joint is recommend-only");
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(
-        err.contains("--joint is only supported by `recommend`"),
-        "{err}"
-    );
 }
 
 #[test]
@@ -582,6 +565,7 @@ fn out_of_range_numbers_are_rejected() {
         (&small_recommend[..], "--budget-frac", "nan"),
         (&small_recommend[..], "--budget-frac", "inf"),
         (&online[..], "--epoch", "0"),
+        (&["recommend"][..], "--workload", "builtin:0"),
     ] {
         let out = pgdesign(&[base, &[flag, value]].concat());
         assert!(!out.status.success(), "{flag} {value} must be rejected");

@@ -34,6 +34,16 @@ fn assert_pinned(what: &str, text: &str, pinned: u64) {
 /// where the old one replaced it by a design 1.5e-11 "cheaper" by
 /// rounding alone. Its workload cost and every per-query row are
 /// unchanged.
+///
+/// Re-pinned again when `recommend` became the one offline pipeline
+/// (AutoPart searches around CoPhy's indexes under one budget). Both
+/// reports now print `(indexes alone X)` in the header and the storage
+/// line as `X MiB indexes + Y MiB replicated fragments`, and their
+/// partition lines list the adopted design's partitions, where they used
+/// to list the partition-only search's. The SDSS design is cheaper
+/// (23845.5 → 23326.3), so its per-query rows moved too. The TPC-H
+/// workload cost and every per-query row are unchanged. The joint
+/// reports are gone with `recommend --joint`.
 #[test]
 fn offline_and_joint_reports_match_the_recorded_bytes() {
     let sdss = Designer::new(sdss_catalog(0.005));
@@ -42,12 +52,7 @@ fn offline_and_joint_reports_match_the_recorded_bytes() {
     assert_pinned(
         "SDSS offline report",
         &sdss.recommend(&w, budget).to_string(),
-        0x5528_50d1_d43e_7bf6,
-    );
-    assert_pinned(
-        "SDSS joint report",
-        &sdss.recommend_joint(&w, budget).to_string(),
-        0x7c8f_ee48_9470_26c0,
+        0xf713_442b_fcd1_afad,
     );
 
     let tpch = Designer::new(tpch_catalog(0.005));
@@ -56,12 +61,7 @@ fn offline_and_joint_reports_match_the_recorded_bytes() {
     assert_pinned(
         "TPC-H offline report",
         &tpch.recommend(&w, budget).to_string(),
-        0x024e_2c8b_1811_7857,
-    );
-    assert_pinned(
-        "TPC-H joint report",
-        &tpch.recommend_joint(&w, budget).to_string(),
-        0x37f1_95b3_0068_e3cb,
+        0x119f_caf0_6def_e9ac,
     );
 }
 

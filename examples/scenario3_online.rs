@@ -9,7 +9,7 @@
 //! cargo run --release --example scenario3_online
 //! ```
 
-use pgdesign::{Designer, JointAdvisor};
+use pgdesign::{Designer, OfflineAdvisor};
 use pgdesign_catalog::samples::sdss_catalog;
 use pgdesign_colt::ColtConfig;
 use pgdesign_query::generators::DriftingStream;
@@ -45,19 +45,20 @@ fn main() {
 
         if round == 5 {
             // The background-advisor handoff: mid-stream, ask the offline
-            // joint advisor for a full recommendation. It runs against the
+            // advisor for a full index + partition recommendation. It runs against the
             // *same* session matrix COLT keeps warm — the statistics below
             // show the reused cells.
             let reused_before = session.tuning_stats().matrix.cells_reused;
-            let report = session.advise(&mut JointAdvisor::new(designer.catalog.data_bytes() / 4));
+            let report =
+                session.advise(&mut OfflineAdvisor::new(designer.catalog.data_bytes() / 4));
             let reused = session.tuning_stats().matrix.cells_reused - reused_before;
             println!(
                 "
-== Mid-stream joint recommendation (warm matrix) =="
+== Mid-stream offline recommendation (warm matrix) =="
             );
             println!(
                 "   cost {:.0} -> {:.0}; {} matrix cells reused from the online run",
-                report.joint.base_cost, report.joint.cost, reused
+                report.base_cost, report.combined_cost, reused
             );
             for name in &report.index_display {
                 println!("   would CREATE INDEX ON {name};");

@@ -673,6 +673,62 @@ fn offline_recommendation_after_online_run_reuses_cells() {
     );
 }
 
+/// Scenario 2's one design fits its one storage budget, on a seeded grid
+/// of both catalogs, three workload sizes and four budgets: index bytes
+/// plus replicated fragment bytes stay within the budget; partitions never
+/// cost more than the indexes alone, nor the indexes more than no design;
+/// and the reported cost is what the per-design slow path says for the
+/// adopted design. SDSS `builtin:40` (seed 42) at half the data size is
+/// the CLI's README instance.
+#[test]
+fn offline_design_fits_its_budget() {
+    use pgdesign::Designer;
+    let mut violations = Vec::new();
+    for tpch in [false, true] {
+        let d = Designer::new(if tpch {
+            tpch_catalog(0.01)
+        } else {
+            catalog().clone()
+        });
+        let (schema, stats) = (&d.catalog.schema, &d.catalog.stats);
+        let inum = Inum::new(&d.catalog, &d.optimizer);
+        for (n, seed) in [12, 36, 40].into_iter().flat_map(|n| [(n, 5), (n, 42)]) {
+            let w = if tpch {
+                tpch_workload(&d.catalog, n, seed)
+            } else {
+                sdss_workload(&d.catalog, n, seed)
+            };
+            for frac in [0.5, 0.1, 0.02, 0.005] {
+                let budget = (d.catalog.data_bytes() as f64 * frac) as u64;
+                let name = if tpch { "TPC-H" } else { "SDSS" };
+                let at = format!("{name} builtin:{n}, seed {seed}, budget {frac}");
+                let r = d.recommend(&w, budget);
+                let bytes = r.design.index_bytes(schema, stats);
+                let replicated = r.design.replication_bytes(schema, stats);
+                if bytes + replicated > budget {
+                    violations.push(format!(
+                        "{at}: {bytes} index + {replicated} replicated bytes over {budget}"
+                    ));
+                }
+                if !(r.combined_cost <= r.indexes.cost && r.indexes.cost <= r.base_cost) {
+                    violations.push(format!(
+                        "{at}: adopted {} vs indexes alone {} vs base {}",
+                        r.combined_cost, r.indexes.cost, r.base_cost
+                    ));
+                }
+                let slow = inum.workload_cost(&r.design, &w);
+                if !tolerance::within(r.combined_cost, slow, tolerance::REORDERED_SUM) {
+                    violations.push(format!(
+                        "{at}: reported {} vs slow path {slow}",
+                        r.combined_cost
+                    ));
+                }
+            }
+        }
+    }
+    assert!(violations.is_empty(), "{}", violations.join("\n"));
+}
+
 /// Duplicate candidates handed to `build` stay findable through
 /// `candidate_id` even after the map-owning copy is removed (the O(1)
 /// dedupe map re-points to a surviving live duplicate).
