@@ -361,9 +361,7 @@ fn print_report() {
     let mstats = inum.matrix_stats();
     println!(
         "inum cache: {} skeletons for {} queries; {} cost calls served",
-        stats.skeletons_built,
-        inum.cached_queries(),
-        stats.cost_calls
+        stats.skeletons_built, stats.resident_entries, stats.cost_calls
     );
     println!(
         "cost matrices: {} built ({} cells); {} lookups; ~{} optimizer calls avoided",

@@ -411,9 +411,9 @@ impl<'a> ColtTuner<'a> {
     /// `matrix` is the caller-owned persistent cost matrix the epoch's
     /// profiling rotates work into.
     pub fn observe(&mut self, query: Query, matrix: &mut CostMatrix<'_>) -> Option<EpochReport> {
-        let empty = PhysicalDesign::empty();
-        self.epoch_untuned += matrix.inum().cost(&empty, &query);
-        self.epoch_tuned += matrix.inum().cost(&self.current, &query);
+        let (untuned, tuned) = matrix.inum().price(&query, self.current.indexes());
+        self.epoch_untuned += untuned;
+        self.epoch_tuned += tuned;
         self.epoch_queries.push(query);
         if self.epoch_queries.len() >= self.config.epoch_length {
             Some(self.end_epoch(matrix))
@@ -529,11 +529,21 @@ impl<'a> ColtTuner<'a> {
         self.close_epoch(EpochMode::Stale, (0.0, Vec::new()), (0, 0), deferred)
     }
 
+    /// Close the current epoch on whichever rung the deadline leaves
+    /// ([`Self::climb_ladder`]), then retract the skeleton-cache entries
+    /// of the statements that left the window: only the matrix's active
+    /// queries and the pending ones keep theirs.
+    fn end_epoch(&mut self, matrix: &mut CostMatrix<'_>) -> EpochReport {
+        let report = self.climb_ladder(matrix);
+        matrix.retain_window_skeletons(self.pending_queries.iter().map(|(q, _)| q));
+        report
+    }
+
     /// Close the current epoch: profile candidates, update EWMAs, re-pick
     /// the materialized set, emit events. Under an epoch deadline
     /// ([`ColtConfig::epoch_deadline`]) the work degrades along a ladder
     /// instead of overrunning — see [`EpochMode`].
-    fn end_epoch(&mut self, matrix: &mut CostMatrix<'_>) -> EpochReport {
+    fn climb_ladder(&mut self, matrix: &mut CostMatrix<'_>) -> EpochReport {
         let deadline = self
             .config
             .epoch_deadline
@@ -947,6 +957,44 @@ mod tests {
         // And tuned cost in the last epoch beats untuned.
         let last = reports.last().unwrap();
         assert!(last.tuned_cost < last.untuned_cost);
+    }
+
+    #[test]
+    fn a_statement_back_after_leaving_the_window_is_planned_again_to_the_same_bits() {
+        let c = sdss_catalog(0.01);
+        let opt = Optimizer::new();
+        let inum = Inum::new(&c, &opt);
+        let mut matrix = CostMatrix::build(&inum, &Workload::new(), &[]);
+        let mut colt = ColtTuner::new(
+            &c,
+            &opt,
+            ColtConfig {
+                epoch_length: 5,
+                ..Default::default()
+            },
+        );
+        let a = "SELECT ra FROM photoobj WHERE objid = 42";
+        let b = "SELECT objid FROM photoobj WHERE run = 2000 AND camcol = 3";
+        let first = colt.process_stream(repeat_query(&c, a, 5), &mut matrix);
+        let planned = inum.stats();
+        assert_eq!((planned.cache_misses, planned.resident_entries), (1, 1));
+        // An epoch of `b` alone rotates `a` out of the window, and its
+        // skeletons leave with it.
+        colt.process_stream(repeat_query(&c, b, 5), &mut matrix);
+        assert_eq!(inum.stats().resident_entries, 1);
+        colt.set_epoch_deadline(Some(Duration::ZERO));
+        let back = colt.process_stream(repeat_query(&c, a, 5), &mut matrix);
+        assert_eq!(back[0].mode, EpochMode::Stale);
+        assert_eq!(inum.stats().cache_misses, 3, "`a` is planned again");
+        assert_eq!(
+            inum.stats().resident_entries,
+            2,
+            "a pending statement keeps its entry, beside the active `b`"
+        );
+        assert_eq!(
+            back[0].untuned_cost.to_bits(),
+            first[0].untuned_cost.to_bits()
+        );
     }
 
     #[test]

@@ -122,15 +122,22 @@ impl fmt::Display for RecoveryStats {
 impl fmt::Display for TuningStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "-- INUM / cost-matrix statistics --")?;
-        writeln!(
+        write!(
             f,
             "   skeleton cache: {} cost calls ({} hits / {} misses, {} skeletons built \
-             = order combinations planned)",
+             = order combinations planned",
             self.inum.cost_calls,
             self.inum.cache_hits,
             self.inum.cache_misses,
             self.inum.skeletons_built
         )?;
+        // Until an entry leaves the cache (COLT's window sweep, or a
+        // statistics refresh), every miss is resident and the count says
+        // nothing new.
+        if self.inum.resident_entries != self.inum.cache_misses {
+            write!(f, "; {} resident", self.inum.resident_entries)?;
+        }
+        writeln!(f, ")")?;
         writeln!(
             f,
             "   cost matrices:  {} built ({} cells computed, {} cells reused, {} partition cells)",

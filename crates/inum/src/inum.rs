@@ -35,6 +35,11 @@ pub struct InumStats {
     /// Interesting-order combinations planned by the optimizer — one
     /// skeleton each, whether or not it is kept (see [`Inum::skeletons`]).
     pub skeletons_built: u64,
+    /// Skeleton-cache entries resident now, one per cached query. Equal
+    /// to `cache_misses` until an entry leaves the cache: a statistics
+    /// refresh ([`Inum::invalidate_table`]) or COLT's window sweep
+    /// ([`crate::CostMatrix::retain_window_skeletons`]).
+    pub resident_entries: u64,
 }
 
 /// One skeleton-cache entry: a query's undominated skeletons packed with
@@ -122,11 +127,11 @@ impl SkeletonCache {
         self.first.len() + self.collided.len()
     }
 
-    /// Keep only the entries whose table mask passes `keep`.
-    fn retain(&mut self, keep: impl Fn(u64) -> bool) {
-        self.first.retain(|_, e| keep(e.table_mask));
+    /// Keep only the entries whose key and table mask pass `keep`.
+    fn retain(&mut self, keep: impl Fn(u64, u64) -> bool) {
+        self.first.retain(|&key, e| keep(key, e.table_mask));
         for (key, e) in std::mem::take(&mut self.collided) {
-            if keep(e.table_mask) {
+            if keep(key, e.table_mask) {
                 self.place(key, e);
             }
         }
@@ -244,6 +249,7 @@ impl<'a> Inum<'a> {
             cache_hits: s.cache_hits.load(Ordering::Relaxed),
             cache_misses: s.cache_misses.load(Ordering::Relaxed),
             skeletons_built: s.skeletons_built.load(Ordering::Relaxed),
+            resident_entries: s.cache.read().len() as u64,
         }
     }
 
@@ -346,12 +352,15 @@ impl<'a> Inum<'a> {
         }
     }
 
-    /// INUM cost of `query` under `design` — the fast path.
+    /// INUM cost of `query` under `design` — the reference path the
+    /// agreement tests hold every level-2 read to, bit for bit.
     ///
     /// Access paths are enumerated *once per slot* and shared across all
     /// cached skeletons; each skeleton then reduces to a table lookup plus
     /// an addition, which is where the order-of-magnitude speedup over
-    /// re-optimization comes from.
+    /// re-optimization comes from. It serves any design, partitions
+    /// included; the production paths read level-2 cells instead
+    /// ([`crate::CostMatrix`], and [`Self::price`] for one statement).
     pub fn cost(&self, design: &PhysicalDesign, query: &Query) -> f64 {
         self.shared.cost_calls.fetch_add(1, Ordering::Relaxed);
         let skeletons = self.skeletons(query);
@@ -507,11 +516,6 @@ impl<'a> Inum<'a> {
         undominated(all)
     }
 
-    /// Number of cached queries.
-    pub fn cached_queries(&self) -> usize {
-        self.shared.cache.read().len()
-    }
-
     /// Drop only the cached skeletons of queries touching `table` — the
     /// common "one table's statistics changed" case. Queries over other
     /// tables keep their skeletons (their cardinalities are unaffected).
@@ -521,11 +525,20 @@ impl<'a> Inum<'a> {
         if table.0 >= 64 {
             // Outside the tracked id range: only the conservative entries
             // (ALL_TABLES) could involve it.
-            self.shared.cache.write().retain(|mask| mask != ALL_TABLES);
+            self.shared
+                .cache
+                .write()
+                .retain(|_, mask| mask != ALL_TABLES);
             return;
         }
         let bit = 1u64 << table.0;
-        self.shared.cache.write().retain(|mask| mask & bit == 0);
+        self.shared.cache.write().retain(|_, mask| mask & bit == 0);
+    }
+
+    /// Drop the cached skeletons of every query whose cache key `keep`
+    /// rejects. Entries under a kept key all stay, collisions included.
+    pub(crate) fn retain_skeletons(&self, keep: impl Fn(u64) -> bool) {
+        self.shared.cache.write().retain(|key, _| keep(key));
     }
 }
 
@@ -732,7 +745,7 @@ mod tests {
         let s2 = inum.stats();
         assert_eq!(s2.cache_misses, 1);
         assert_eq!(s2.cache_hits, 5);
-        assert_eq!(inum.cached_queries(), 1);
+        assert_eq!(inum.stats().resident_entries, 1);
     }
 
     #[test]
@@ -744,7 +757,7 @@ mod tests {
         let q2 = parse_query(&c.schema, "SELECT ra FROM photoobj WHERE ra < 300").unwrap();
         let _ = inum.cost(&d, &q1);
         let _ = inum.cost(&d, &q2);
-        assert_eq!(inum.cached_queries(), 2);
+        assert_eq!(inum.stats().resident_entries, 2);
     }
 
     #[test]
@@ -756,7 +769,7 @@ mod tests {
         for t in c.schema.tables() {
             inum.invalidate_table(t.id);
         }
-        assert_eq!(inum.cached_queries(), 0);
+        assert_eq!(inum.stats().resident_entries, 0);
     }
 
     #[test]
@@ -778,13 +791,13 @@ mod tests {
         for q in [&photo_q, &spec_q, &join_q] {
             let _ = inum.cost(&d, q);
         }
-        assert_eq!(inum.cached_queries(), 3);
+        assert_eq!(inum.stats().resident_entries, 3);
 
         // Photoobj's stats changed: the pure-specobj query survives, the
         // photoobj query and the join are evicted.
         let photo = c.schema.table_by_name("photoobj").unwrap().id;
         inum.invalidate_table(photo);
-        assert_eq!(inum.cached_queries(), 1);
+        assert_eq!(inum.stats().resident_entries, 1);
         let misses_before = inum.stats().cache_misses;
         let _ = inum.cost(&d, &spec_q);
         assert_eq!(
@@ -917,13 +930,13 @@ mod tests {
         );
         assert_eq!(inum.skeletons_keyed(KEY, &join), honest.skeletons(&join));
         assert_eq!(counts(&inum), (2, 2), "both stay cached under the one key");
-        assert_eq!(inum.cached_queries(), 2);
+        assert_eq!(inum.stats().resident_entries, 2);
 
         // Evicting the first entry under the key leaves the others served.
         let spec = parse(&c, "SELECT zredshift FROM specobj WHERE zredshift < 0.1");
         assert_eq!(inum.skeletons_keyed(KEY, &spec), honest.skeletons(&spec));
         inum.invalidate_table(c.schema.table_by_name("photoobj").unwrap().id);
-        assert_eq!(inum.cached_queries(), 1);
+        assert_eq!(inum.stats().resident_entries, 1);
         assert_eq!(inum.skeletons_keyed(KEY, &spec), honest.skeletons(&spec));
         assert_eq!(counts(&inum), (3, 3), "the surviving entry is a hit");
 
@@ -974,7 +987,10 @@ mod tests {
             let ran = 1 + (spawned_workers() - spawned) as usize;
             assert_eq!(ran, workers.count(|| work), "{workers:?}");
             assert_eq!(inum.stats(), expected, "{workers:?}");
-            assert_eq!(inum.cached_queries(), one_by_one.cached_queries());
+            assert_eq!(
+                inum.stats().resident_entries,
+                one_by_one.stats().resident_entries
+            );
             for (q, _) in w.iter() {
                 assert_eq!(inum.skeletons(q), one_by_one.skeletons(q));
             }

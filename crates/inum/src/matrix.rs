@@ -733,6 +733,25 @@ fn compute_query_matrix(
     )
 }
 
+impl Inum<'_> {
+    /// What `query` costs with no index and with every index of
+    /// `indexes`: COLT's per-statement accounting. One pass of the
+    /// level-2 cell kernel prices both — one skeleton lookup and one
+    /// [`SlotProfile`] per slot, then two reads of the skeleton loop, one
+    /// with nothing selected and one with everything selected. The pair
+    /// is, bit for bit, `(self.cost(&PhysicalDesign::empty(), query),
+    /// self.cost(&PhysicalDesign::with_indexes(indexes), query))`. Counts
+    /// a skeleton-cache hit or miss, and no cost call and no matrix cell.
+    pub fn price(&self, query: &Query, indexes: &[Index]) -> (f64, f64) {
+        let indexes: Vec<Option<Index>> = indexes.iter().cloned().map(Some).collect();
+        let (qm, _) = compute_query_matrix(self, query_key(query), query, &indexes);
+        (
+            min_over_skeletons(&qm, |_| false, |_| None),
+            min_over_skeletons(&qm, |_| true, |_| None),
+        )
+    }
+}
+
 impl SlotCosts {
     /// The slot's distinct orders, in column order (column `i + 1` is the
     /// `i`-th). A truncated last entry ends the list.
@@ -1538,6 +1557,25 @@ impl<'a> CostMatrix<'a> {
         self.inum
             .note_matrix_incremental(computed_cells, reused, t0.elapsed().as_nanos() as u64);
         ids
+    }
+
+    /// Retract the skeleton-cache entries of every query outside the live
+    /// window: the active slots' queries, found by their stored cell keys,
+    /// and `pending`, the queries a deadline deferred. COLT calls it at
+    /// every epoch close, so the cache holds what its window holds, not
+    /// every statement it has seen; a statement that comes back after it
+    /// left is planned again, to the same bits. Offline and interactive
+    /// sessions never call it.
+    pub fn retain_window_skeletons<'q>(&self, pending: impl IntoIterator<Item = &'q Query>) {
+        let mut window: HashSet<u64> = self
+            .core
+            .queries
+            .iter()
+            .filter(|qm| qm.active)
+            .map(|qm| qm.key)
+            .collect();
+        window.extend(pending.into_iter().map(query_key));
+        self.inum.retain_skeletons(|key| window.contains(&key));
     }
 
     /// Retire a query: it stops contributing to workload costs, its cells
@@ -2851,6 +2889,74 @@ mod tests {
             let c = pgdesign_catalog::samples::tpch_catalog(0.01);
             let w = pgdesign_query::generators::tpch_workload(&c, n, seed);
             assert_resolved_path_matches_oracle(&c, &w, seed ^ 0x7c4);
+        }
+    }
+
+    /// [`Inum::price`] against the reference path, bit for bit: `n`
+    /// statements of a drifting `stream`, each under its own random set
+    /// of 0–8 single-column indexes over every table of `catalog` — on
+    /// tables the statement does not touch too, and now and then with an
+    /// index listed twice.
+    fn assert_price_is_inum_cost(
+        catalog: &Catalog,
+        mut stream: pgdesign_query::generators::DriftingStream,
+        n: usize,
+        seed: u64,
+    ) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let opt = Optimizer::new();
+        let inum = Inum::new(catalog, &opt);
+        let tables: Vec<(TableId, u16)> =
+            catalog.schema.tables().map(|t| (t.id, t.width())).collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for q in stream.batch(n) {
+            let mut indexes: Vec<Index> = (0..rng.random_range(0..9usize))
+                .map(|_| {
+                    let (table, width) = tables[rng.random_range(0..tables.len())];
+                    Index::new(table, vec![rng.random_range(0..width)])
+                })
+                .collect();
+            if !indexes.is_empty() && rng.random_range(0..3usize) == 0 {
+                let twice = indexes[rng.random_range(0..indexes.len())].clone();
+                indexes.push(twice);
+            }
+            let (bare, designed) = inum.price(&q, &indexes);
+            let oracle_bare = inum.cost(&PhysicalDesign::empty(), &q);
+            let design = PhysicalDesign::with_indexes(indexes.iter().cloned());
+            let oracle_designed = inum.cost(&design, &q);
+            assert_eq!(bare.to_bits(), oracle_bare.to_bits(), "{q:?}");
+            assert_eq!(
+                designed.to_bits(),
+                oracle_designed.to_bits(),
+                "{q:?} under {indexes:?}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn price_is_inum_cost_on_an_sdss_drift(seed in 0u64..10_000, skip in 0usize..40) {
+            use std::sync::OnceLock;
+            static SDSS: OnceLock<Catalog> = OnceLock::new();
+            let c = SDSS.get_or_init(|| sdss_catalog(0.01));
+            let mut stream =
+                pgdesign_query::generators::DriftingStream::sdss_default(c.clone(), 5, seed);
+            stream.batch(skip);
+            assert_price_is_inum_cost(c, stream, 8, seed ^ 0x9f1c);
+        }
+
+        #[test]
+        fn price_is_inum_cost_on_a_tpch_drift(seed in 0u64..10_000, skip in 0usize..30) {
+            use std::sync::OnceLock;
+            static TPCH: OnceLock<Catalog> = OnceLock::new();
+            let c = TPCH.get_or_init(|| pgdesign_catalog::samples::tpch_catalog(0.01));
+            let mut stream =
+                pgdesign_query::generators::DriftingStream::tpch_default(c.clone(), 5, seed);
+            stream.batch(skip);
+            assert_price_is_inum_cost(c, stream, 8, seed ^ 0x51d3);
         }
     }
 

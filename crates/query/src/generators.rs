@@ -175,6 +175,8 @@ pub struct DriftingStream {
     pub phase_len: usize,
     /// Template subsets per phase (cycled).
     pub phases: Vec<Vec<usize>>,
+    /// Instantiates a template of the stream's catalog.
+    template: fn(&Catalog, usize, &mut StdRng) -> Query,
 }
 
 impl DriftingStream {
@@ -187,6 +189,19 @@ impl DriftingStream {
             emitted: 0,
             phase_len: phase_len.max(1),
             phases: vec![vec![0, 1], vec![2, 7], vec![3, 4, 5], vec![6, 8]],
+            template: sdss_template,
+        }
+    }
+
+    /// A 3-phase TPC-H drift over the six templates, two per phase.
+    pub fn tpch_default(catalog: Catalog, phase_len: usize, seed: u64) -> Self {
+        DriftingStream {
+            catalog,
+            rng: StdRng::seed_from_u64(seed),
+            emitted: 0,
+            phase_len: phase_len.max(1),
+            phases: vec![vec![0, 1], vec![2, 3], vec![4, 5]],
+            template: tpch_template,
         }
     }
 
@@ -200,7 +215,7 @@ impl DriftingStream {
         let phase = &self.phases[self.current_phase()];
         let template = phase[self.rng.random_range(0..phase.len())];
         self.emitted += 1;
-        sdss_template(&self.catalog, template, &mut self.rng)
+        (self.template)(&self.catalog, template, &mut self.rng)
     }
 
     /// Emit a batch of `n` queries.

@@ -1428,3 +1428,127 @@ fn changed_optimizer_configuration_degrades_to_cold_build() {
         }
     }
 }
+
+/// A clock that advances `step` nanoseconds on every read, so a deadline
+/// of `n` steps admits a fixed number of reads and the rung an epoch
+/// closes on depends on the schedule alone, never on the machine.
+struct SteppingClock {
+    nanos: std::sync::atomic::AtomicU64,
+    step: u64,
+}
+
+impl pgdesign::health::Clock for SteppingClock {
+    fn now_nanos(&self) -> u64 {
+        self.nanos
+            .fetch_add(self.step, std::sync::atomic::Ordering::SeqCst)
+    }
+}
+
+/// What one windowed stream left behind: the most skeleton-cache entries
+/// resident after any epoch close, the largest bound an epoch close
+/// allowed, the misses (each one an entry inserted), and the rung every
+/// epoch closed on.
+struct WindowRun {
+    peak_resident: u64,
+    peak_bound: u64,
+    misses: u64,
+    modes: Vec<pgdesign_colt::EpochMode>,
+}
+
+/// Statements of one drift cycle: four phases of two epochs each.
+const WINDOW_EPOCH: usize = 10;
+const WINDOW: usize = 4 * 2 * WINDOW_EPOCH;
+
+/// Stream `windows` drift cycles through an in-memory online session,
+/// closing epoch `e` under `deadlines[e % len]` (none when empty), and
+/// check after every close that the resident skeleton-cache entries stay
+/// within the active matrix slots, the pending queue and one epoch.
+fn stream_windows(windows: usize, deadlines: &[Option<std::time::Duration>]) -> WindowRun {
+    use pgdesign::Designer;
+    use pgdesign_colt::ColtConfig;
+    use pgdesign_query::generators::DriftingStream;
+    let designer = Designer::new(catalog().clone());
+    let mut session = designer.online_session(ColtConfig {
+        epoch_length: WINDOW_EPOCH,
+        ..Default::default()
+    });
+    session.set_clock(std::sync::Arc::new(SteppingClock {
+        nanos: 0.into(),
+        step: 1_000_000,
+    }));
+    let mut stream = DriftingStream::sdss_default(catalog().clone(), 2 * WINDOW_EPOCH, 17);
+    let mut run = WindowRun {
+        peak_resident: 0,
+        peak_bound: 0,
+        misses: 0,
+        modes: Vec::new(),
+    };
+    for (i, q) in stream.batch(windows * WINDOW).into_iter().enumerate() {
+        if i % WINDOW_EPOCH == 0 && !deadlines.is_empty() {
+            session.set_epoch_deadline(deadlines[i / WINDOW_EPOCH % deadlines.len()]);
+        }
+        let Some(report) = session.observe(q) else {
+            continue;
+        };
+        let (mode, pending) = (report.mode, report.deferred_queries as u64);
+        let active = session.session().matrix().active_query_ids().count() as u64;
+        let inum = session.tuning_stats().inum;
+        let bound = active + pending + WINDOW_EPOCH as u64;
+        assert!(
+            inum.resident_entries <= bound,
+            "after epoch {} ({mode:?}): {} resident, {active} active, {pending} pending",
+            run.modes.len(),
+            inum.resident_entries
+        );
+        run.peak_resident = run.peak_resident.max(inum.resident_entries);
+        run.peak_bound = run.peak_bound.max(bound);
+        run.misses = inum.cache_misses;
+        run.modes.push(mode);
+    }
+    run
+}
+
+/// COLT's skeleton cache is a materialisation of its live window: at
+/// every epoch close, on every rung of the degradation ladder, the
+/// resident entries are at most the active matrix slots, the pending
+/// queue and one epoch, whether the stream is one drift cycle long or
+/// ten. Without the retraction the cache keeps every distinct statement
+/// the stream brought, several times the bound at ten cycles.
+#[test]
+fn online_state_is_bounded_by_its_window() {
+    use pgdesign_colt::EpochMode;
+    use std::time::Duration;
+    // Full, Stale (out of time before any work), and a few clock reads:
+    // enough to start the rotation, not to register candidates.
+    let ladder = [
+        None,
+        Some(Duration::ZERO),
+        Some(Duration::from_millis(3)),
+        None,
+        Some(Duration::from_millis(4)),
+    ];
+    for deadlines in [&[][..], &ladder[..]] {
+        let one = stream_windows(1, deadlines);
+        let ten = stream_windows(10, deadlines);
+        assert_eq!(ten.peak_bound, one.peak_bound, "the bound does not grow");
+        assert!(ten.peak_resident <= one.peak_bound);
+        assert!(
+            ten.misses > 4 * ten.peak_bound,
+            "ten cycles must outgrow the bound without retraction: {} misses",
+            ten.misses
+        );
+        if !deadlines.is_empty() {
+            for mode in [
+                EpochMode::Full,
+                EpochMode::IncrementalOnly,
+                EpochMode::Stale,
+            ] {
+                assert!(
+                    ten.modes.contains(&mode),
+                    "no {mode:?} close: {:?}",
+                    ten.modes
+                );
+            }
+        }
+    }
+}
