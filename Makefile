@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify tier1 fmt lint lint-arch doc bench bench-json examples recovery-drill same-bytes clean-state
+.PHONY: verify tier1 fmt lint lint-arch doc examples recovery-drill same-bytes clean-state
 
 # Everything CI checks, in CI's order.
 verify: fmt lint lint-arch tier1 doc examples
@@ -22,8 +22,8 @@ lint:
 # The architectural lint pass (crates/analyzer): cost-purity,
 # panic-freedom, fp-determinism, lock-order (global lock order plus no
 # publish or optimizer call under a write guard), error-discipline, and
-# clock-purity (no `Instant`/`SystemTime` reads outside the `Clock` seam,
-# the CLI binaries and the benches) — per-file rules plus interprocedural
+# clock-purity (no `Instant`/`SystemTime` reads outside the `Clock` seam
+# and the CLI binaries) — per-file rules plus interprocedural
 # call-chain analysis over every covered source file. Non-zero exit on
 # any error-severity violation; waivers need
 # `// analyzer:allow(<rule>): <reason>` with a written reason. The stats
@@ -56,26 +56,6 @@ examples:
 	./target/release/pgdesign recommend --workload examples/wide_workload.sql \
 	  --budget-frac 10 >/dev/null
 	@echo "evaluate at 22 indexes and recommend at 28 ran"
-
-# The E1-E7 experiment benches (report + timing per experiment).
-bench:
-	$(CARGO) bench -p pgdesign-bench
-
-# Perf trajectories, recorded as JSON at the repo root.
-#
-# E4 (BENCH_e4.json): the matrix-vs-INUM-vs-reoptimization comparison
-# (calls/sec + speedup factors). Besides the per-join-count index rows,
-# the `partition` and `joint-index+part` rows record partitioned-design
-# costing through the partition-aware matrix level (gate: ≥5x vs
-# per-design Inum::cost, agreement within 1e-6).
-#
-# E-build (BENCH_build.json): matrix *construction* — incremental epoch
-# update vs fresh per-epoch build on the scenario-3 drift workload
-# (gate: ≥5x, agreement ≤1e-12) and serial vs 4-thread cold build
-# (gate: ≥2x on a ≥4-core machine; available_parallelism is recorded).
-bench-json:
-	BENCH_E4_JSON=$(CURDIR)/BENCH_e4.json $(CARGO) bench -p pgdesign-bench --bench e4_inum
-	BENCH_BUILD_JSON=$(CURDIR)/BENCH_build.json $(CARGO) bench -p pgdesign-bench --bench e_build
 
 # Crash-recovery drill over the real CLI and a real state directory.
 # Leg 1: run the scenario-3 stream with durable state, kill it hard

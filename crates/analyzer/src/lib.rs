@@ -26,7 +26,7 @@
 //! | fp-determinism   | everything                                   | test spans                       |
 //! | lock-order       | everything: the global lock order (test spans relaxed), and no `publish()` or optimizer call while a write guard is live | test spans (lock order only) |
 //! | error-discipline | durability/health paths                      | test spans                       |
-//! | clock-purity     | everything: no `Instant::now`/`SystemTime::now` | `inum/budget.rs` (`SystemClock`), `core/src/bin/`, `crates/bench/`, `crates/analyzer/src/`, test spans |
+//! | clock-purity     | everything: no `Instant::now`/`SystemTime::now` | `inum/budget.rs` (`SystemClock`), `core/src/bin/`, `crates/analyzer/src/`, test spans |
 //!
 //! The walk covers `crates/*/src/**.rs` plus the repo-root `src/`,
 //! `examples/`, and `tests/` trees; harness files (root `examples/` and

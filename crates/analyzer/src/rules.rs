@@ -105,8 +105,8 @@ pub struct Config {
     /// lock — while holding a later one is a `lock-order` violation.
     pub lock_order: Vec<Vec<String>>,
     /// Modules allowed to read the wall clock: the production
-    /// `SystemClock`, the CLI binaries, the benches, and the analyzer's
-    /// own timing line.
+    /// `SystemClock`, the CLI binaries, and the analyzer's own timing
+    /// line.
     pub clock_purity_allowed: Vec<String>,
 }
 
@@ -140,7 +140,6 @@ impl Config {
             clock_purity_allowed: paths(&[
                 "crates/inum/src/budget.rs",
                 "crates/core/src/bin/",
-                "crates/bench/",
                 "crates/analyzer/src/",
             ]),
         }
@@ -360,7 +359,7 @@ fn clock_sites(s: &Scan, out: &mut Vec<SiteFact>) {
             let msg = format!(
                 "{}::now() reads the wall clock; take time through the `Clock` trait \
                  so no decision depends on machine speed (allowed modules: SystemClock, \
-                 CLI binaries, benches)",
+                 CLI binaries)",
                 t.text
             );
             out.push(site(s, i, t.line, "clock-purity", msg));

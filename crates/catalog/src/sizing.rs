@@ -4,7 +4,8 @@
 //! what-if indexes as zero-size "severely affects the accuracy of the
 //! optimizer". This module is the corrective: a PostgreSQL-flavoured size
 //! model used uniformly for real and hypothetical structures, so what-if
-//! costing and storage-budget accounting see the same bytes. Experiment E7
+//! costing and storage-budget accounting see the same bytes.
+//! `tests/ablations.rs::zero_size_what_if_indexes_overshoot_the_budget`
 //! ablates exactly this choice.
 
 /// Bytes per heap/index page (PostgreSQL default block size).

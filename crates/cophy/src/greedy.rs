@@ -1,7 +1,7 @@
 //! Greedy index selection — the baseline the paper's introduction argues
 //! against ("greedy heuristics ... often suggest locally optimal solutions
 //! instead of the globally optimal one"), reproduced here both as the
-//! comparison point for experiments E2/E6 and as CoPhy's warm start.
+//! comparison point CoPhy is tested against and as CoPhy's warm start.
 //!
 //! Selection runs entirely on the precomputed [`CostMatrix`]: every trial
 //! index is evaluated against the current configuration by looking up the

@@ -27,7 +27,7 @@
 //!   on the machine ([`advisor`]).
 //!
 //! A classic greedy advisor ([`greedy`]) doubles as the comparison baseline
-//! (experiments E2/E6) and as the MILP warm start. [`merging`] augments
+//! and as the MILP warm start. [`merging`] augments
 //! the candidate pool with pairwise index merges, the classic trick for
 //! tight storage budgets.
 

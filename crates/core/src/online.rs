@@ -220,12 +220,6 @@ impl<'a> OnlineSession<'a> {
     pub fn set_clock(&mut self, clock: std::sync::Arc<dyn crate::health::Clock>) {
         self.tuner.set_clock(clock);
     }
-
-    /// How many consecutive epochs published nothing (readers are this
-    /// many generations behind; zero when fresh).
-    pub fn staleness_generations(&self) -> u64 {
-        self.tuner.staleness_generations()
-    }
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //! top of configuration `X`.
 //!
 //! The crate provides:
-//! * [`analyze`] / [`analyze_on`] — the doi matrix over a candidate set,
+//! * [`analyze_on`] — the doi matrix over live candidates of a matrix,
 //!   factorised per query: `doi` is a `max` over queries, and a query's
 //!   cost depends only on the `r_q` analysed candidates that own a cell on
 //!   it, so each query sweeps `2^r_q` configurations of its own instead of
@@ -31,11 +31,10 @@
 //! * [`InteractionGraph`] — Figure 2's weighted undirected graph, with
 //!   top-k edge filtering ("the user can dynamically change the number of
 //!   interactions displayed") and DOT export;
-//! * stable partitions — connected components of the thresholded graph:
-//!   index subsets that can be reasoned about independently;
 //! * [`schedule`] — interaction-aware materialization scheduling: order
 //!   the chosen indexes so the workload reaps benefits as early as
-//!   possible while builds are in flight (greedy and exact-DP variants).
+//!   possible while builds are in flight (a greedy order, held to an
+//!   exact subset DP by the tests).
 
 #![forbid(unsafe_code)]
 
@@ -45,12 +44,10 @@ mod oracle;
 pub mod schedule;
 
 pub use graph::InteractionGraph;
-pub use schedule::{exact_schedule, greedy_schedule, naive_schedule, schedule_pair_on, Schedule};
+pub use schedule::{schedule_pair_on, Schedule};
 
 use pgdesign_catalog::design::Index;
-use pgdesign_inum::{CostMatrix, Inum, MatrixCore};
-use pgdesign_query::Workload;
-use std::collections::HashMap;
+use pgdesign_inum::MatrixCore;
 
 /// Analysis knobs.
 #[derive(Debug, Clone, Copy)]
@@ -86,40 +83,6 @@ impl InteractionAnalysis {
     pub fn graph(&self) -> InteractionGraph {
         InteractionGraph::from_analysis(self)
     }
-
-    /// Stable partition of the candidate set: connected components of the
-    /// graph with edges of weight > `threshold`. Indexes in different
-    /// parts do not (measurably) interact and can be scheduled/reasoned
-    /// about independently.
-    pub fn stable_partition(&self, threshold: f64) -> Vec<Vec<usize>> {
-        let n = self.indexes.len();
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut Vec<usize>, x: usize) -> usize {
-            if parent[x] != x {
-                let root = find(parent, parent[x]);
-                parent[x] = root;
-            }
-            parent[x]
-        }
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if self.doi[i][j] > threshold {
-                    let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                    if ri != rj {
-                        parent[ri] = rj;
-                    }
-                }
-            }
-        }
-        let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
-        for i in 0..n {
-            let r = find(&mut parent, i);
-            groups.entry(r).or_default().push(i);
-        }
-        let mut out: Vec<Vec<usize>> = groups.into_values().collect();
-        out.sort();
-        out
-    }
 }
 
 /// Whether all `2^n_free` contexts of a pair fit under the cap.
@@ -144,25 +107,13 @@ fn subset_masks(n_free: usize, max_subsets: usize) -> Vec<u64> {
     masks
 }
 
-/// Compute the degree-of-interaction matrix for a candidate set (builds a
-/// private cost matrix; see [`analyze_on`] for the session-matrix entry).
-pub fn analyze(
-    inum: &Inum<'_>,
-    workload: &Workload,
-    indexes: &[Index],
-    config: &InteractionConfig,
-) -> InteractionAnalysis {
-    let matrix = CostMatrix::build(inum, workload, indexes);
-    let ids: Vec<usize> = (0..indexes.len()).collect();
-    analyze_on(&matrix, &ids, config)
-}
-
 /// Compute the degree-of-interaction matrix for live candidates of an
-/// *existing* matrix — the session-scoped entry: no matrix build, every
-/// configuration cost is a pure lookup against the resident cells. Pass
-/// the live [`CostMatrix`] or a published [`pgdesign_inum::MatrixSnapshot`]
-/// (concurrent readers analyze against a pinned generation while the
-/// writer keeps mutating); both deref-coerce to their [`MatrixCore`].
+/// *existing* matrix: no matrix build, every configuration cost is a pure
+/// lookup against the resident cells. Pass the live
+/// [`pgdesign_inum::CostMatrix`] or a published
+/// [`pgdesign_inum::MatrixSnapshot`] (concurrent readers analyze against a
+/// pinned generation while the writer keeps mutating); both deref-coerce
+/// to their [`MatrixCore`].
 /// `candidate_ids` must be live candidate ids of `matrix`; the returned
 /// analysis lists the indexes in the same order. A pure function of the
 /// matrix and the ids: nothing is cached between calls.
@@ -273,12 +224,62 @@ mod tests {
     use pgdesign_catalog::samples::{sdss_catalog, tpch_catalog};
     use pgdesign_catalog::schema::TableId;
     use pgdesign_catalog::Catalog;
+    use pgdesign_inum::{CostMatrix, Inum};
     use pgdesign_optimizer::candidates::{workload_candidates, CandidateConfig};
     use pgdesign_optimizer::Optimizer;
     use pgdesign_query::generators::{sdss_workload, tpch_workload};
-    use pgdesign_query::parse_query;
+    use pgdesign_query::{parse_query, Workload};
     use proptest::collection::vec;
     use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// [`analyze_on`] over a private cost matrix built for `indexes`.
+    fn analyze(
+        inum: &Inum<'_>,
+        workload: &Workload,
+        indexes: &[Index],
+        config: &InteractionConfig,
+    ) -> InteractionAnalysis {
+        let matrix = CostMatrix::build(inum, workload, indexes);
+        let ids: Vec<usize> = (0..indexes.len()).collect();
+        analyze_on(&matrix, &ids, config)
+    }
+
+    impl InteractionAnalysis {
+        /// Stable partition of the candidate set: connected components of the
+        /// graph with edges of weight > `threshold`. Indexes in different
+        /// parts do not (measurably) interact and can be scheduled/reasoned
+        /// about independently.
+        fn stable_partition(&self, threshold: f64) -> Vec<Vec<usize>> {
+            let n = self.indexes.len();
+            let mut parent: Vec<usize> = (0..n).collect();
+            fn find(parent: &mut Vec<usize>, x: usize) -> usize {
+                if parent[x] != x {
+                    let root = find(parent, parent[x]);
+                    parent[x] = root;
+                }
+                parent[x]
+            }
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    if self.doi[i][j] > threshold {
+                        let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
+                        if ri != rj {
+                            parent[ri] = rj;
+                        }
+                    }
+                }
+            }
+            let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
+            for i in 0..n {
+                let r = find(&mut parent, i);
+                groups.entry(r).or_default().push(i);
+            }
+            let mut out: Vec<Vec<usize>> = groups.into_values().collect();
+            out.sort();
+            out
+        }
+    }
 
     fn photo(c: &Catalog) -> TableId {
         c.schema.table_by_name("photoobj").unwrap().id

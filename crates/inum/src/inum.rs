@@ -443,8 +443,10 @@ impl<'a> Inum<'a> {
         best
     }
 
-    /// Full optimizer cost (no INUM reuse) for calibration/comparison.
-    pub fn exact_cost(&self, design: &PhysicalDesign, query: &Query) -> f64 {
+    /// Full optimizer cost (no INUM reuse): the reference the INUM
+    /// estimates are compared against.
+    #[cfg(test)]
+    pub(crate) fn exact_cost(&self, design: &PhysicalDesign, query: &Query) -> f64 {
         self.optimizer.cost(self.catalog, design, query)
     }
 

@@ -1,19 +1,33 @@
 //! Tier-1 chaos gate: a fixed range of seeded fault schedules against
-//! the full online daemon (see `pgdesign_bench::chaos` for the engine
-//! and the invariants). Fixed seeds keep this gating step reproducible;
-//! the larger randomized soak lives in the `chaos` bench
-//! (`cargo bench -p pgdesign-bench --bench chaos`). `CHAOS_SCHEDULES`
-//! overrides the schedule count without touching the seed base.
+//! the full online daemon (see `engine.rs` for the engine and the
+//! invariants). Fixed seeds keep this gating step reproducible.
+//! `CHAOS_SCHEDULES` overrides the schedule count and `CHAOS_SEED` the
+//! first seed, so the same test runs a wider randomized soak:
+//!
+//! ```text
+//! CHAOS_SEED=$((0x5EED0000 + $(date +%s) / 86400)) CHAOS_SCHEDULES=4000 \
+//!     cargo test -q --release --test chaos
+//! ```
+//!
+//! Any failure replays from the seed its panic message names.
 
-use pgdesign_bench::chaos;
+mod engine;
 
 const SEED_BASE: u64 = 0xC4A0_5000;
 
-fn schedule_count() -> usize {
-    std::env::var("CHAOS_SCHEDULES")
+fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
+    std::env::var(name)
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(1000)
+        .unwrap_or(default)
+}
+
+fn schedule_count() -> usize {
+    env_or("CHAOS_SCHEDULES", 1000)
+}
+
+fn first_seed() -> u64 {
+    env_or("CHAOS_SEED", SEED_BASE)
 }
 
 /// The headline gate: ≥1000 seeded schedules, zero panics, every served
@@ -23,9 +37,9 @@ fn schedule_count() -> usize {
 /// that the sweep actually exercised every fault class).
 #[test]
 fn chaos_schedules_hold_invariants_under_faults() {
-    let n = schedule_count();
-    let out = chaos::run_schedules(SEED_BASE, n);
-    println!("{out:#?}");
+    let (seed, n) = (first_seed(), schedule_count());
+    let out = engine::run_schedules(seed, n);
+    println!("{n} schedules from seed {seed:#x}: {out:#?}");
     assert_eq!(out.schedules as usize, n);
     assert!(
         out.max_rel_err <= 1e-12,
@@ -61,8 +75,8 @@ fn chaos_schedules_hold_invariants_under_faults() {
 #[test]
 fn chaos_schedules_are_deterministic() {
     for seed in [SEED_BASE, SEED_BASE + 7, SEED_BASE + 42] {
-        let a = chaos::run_schedule(seed);
-        let b = chaos::run_schedule(seed);
+        let a = engine::run_schedule(seed);
+        let b = engine::run_schedule(seed);
         assert_eq!(
             format!("{a:?}"),
             format!("{b:?}"),
