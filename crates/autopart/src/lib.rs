@@ -110,20 +110,6 @@ pub struct PartitionRecommendation {
     pub replication_bytes: u64,
 }
 
-impl PartitionRecommendation {
-    /// Average workload benefit as a *signed* fraction of base cost:
-    /// negative when the recommendation costs more than the unpartitioned
-    /// base. Clamping the value to zero here would silently mask a cost
-    /// regression from callers; a degenerate (non-positive) base cost
-    /// yields 0.0 since no meaningful fraction exists.
-    pub fn average_benefit(&self) -> f64 {
-        if self.base_cost <= 0.0 {
-            return 0.0;
-        }
-        (self.base_cost - self.cost) / self.base_cost
-    }
-}
-
 /// The AutoPart advisor.
 pub struct AutoPartAdvisor<'a> {
     inum: &'a Inum<'a>,
@@ -766,11 +752,8 @@ mod tests {
             "photoobj should split"
         );
         assert!(rec.cost < rec.base_cost);
-        assert!(
-            rec.average_benefit() > 0.3,
-            "thin slice of a wide table: {}",
-            rec.average_benefit()
-        );
+        let benefit = (rec.base_cost - rec.cost) / rec.base_cost;
+        assert!(benefit > 0.3, "thin slice of a wide table: {benefit}");
         let vp = rec.design.vertical(photo).unwrap();
         assert!(vp.is_complete(16));
     }
@@ -875,24 +858,6 @@ mod tests {
             inum.matrix_stats().partition_lookups > lookups_before,
             "trials must register as partition-aware matrix lookups"
         );
-    }
-
-    #[test]
-    fn average_benefit_is_signed_and_guards_degenerate_base() {
-        let rec = |base: f64, cost: f64| PartitionRecommendation {
-            design: PhysicalDesign::empty(),
-            base_cost: base,
-            cost,
-            per_query: vec![],
-            iterations: 0,
-            replication_bytes: 0,
-        };
-        assert!((rec(100.0, 80.0).average_benefit() - 0.2).abs() < 1e-12);
-        // A regression must show up negative, not be clamped to zero.
-        assert!((rec(100.0, 125.0).average_benefit() - (-0.25)).abs() < 1e-12);
-        // Non-positive base cost: no meaningful fraction; explicitly 0.
-        assert_eq!(rec(0.0, 10.0).average_benefit(), 0.0);
-        assert_eq!(rec(-5.0, 10.0).average_benefit(), 0.0);
     }
 
     /// A recommendation with every float as its bits.

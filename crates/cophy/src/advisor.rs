@@ -90,16 +90,6 @@ pub struct Recommendation {
     pub total_index_bytes: u64,
 }
 
-impl Recommendation {
-    /// Average workload benefit as a fraction of the base cost.
-    pub fn average_benefit(&self) -> f64 {
-        if self.base_cost <= 0.0 {
-            return 0.0;
-        }
-        ((self.base_cost - self.cost) / self.base_cost).max(0.0)
-    }
-}
-
 /// The CoPhy advisor bound to an INUM instance.
 pub struct CophyAdvisor<'a> {
     inum: &'a Inum<'a>,
@@ -318,7 +308,8 @@ mod tests {
         let (rec, _) = advise(1.0, 9, 21);
         assert!(!rec.indexes.is_empty());
         assert!(rec.cost < rec.base_cost);
-        assert!(rec.average_benefit() > 0.1, "{}", rec.average_benefit());
+        let benefit = (rec.base_cost - rec.cost) / rec.base_cost;
+        assert!(benefit > 0.1, "{benefit}");
         assert!(rec.total_index_bytes > 0);
     }
 

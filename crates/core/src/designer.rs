@@ -220,6 +220,28 @@ mod tests {
     }
 
     #[test]
+    fn average_benefit_is_signed_and_guards_degenerate_base() {
+        let d = designer();
+        let w = sdss_workload(&d.catalog, 3, 79);
+        let r = d.recommend(&w, d.catalog.data_bytes() / 2);
+        let with = |base_cost: f64, combined_cost: f64| OfflineReport {
+            base_cost,
+            combined_cost,
+            ..r.clone()
+        };
+        assert!((with(100.0, 80.0).average_benefit() - 0.2).abs() < 1e-12);
+        // A regression must show up negative, not be clamped to zero.
+        let worse = with(100.0, 125.0);
+        assert!((worse.average_benefit() - (-0.25)).abs() < 1e-12);
+        assert!(worse
+            .to_string()
+            .contains("Average workload benefit: -25.0%"));
+        // Non-positive base cost: no meaningful fraction; explicitly 0.
+        assert_eq!(with(0.0, 10.0).average_benefit(), 0.0);
+        assert_eq!(with(-5.0, 10.0).average_benefit(), 0.0);
+    }
+
+    #[test]
     fn report_renders_panels() {
         let d = designer();
         let w = sdss_workload(&d.catalog, 9, 78);

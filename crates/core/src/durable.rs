@@ -2,9 +2,9 @@
 //! snapshot + edit-log plumbing and the warm-restore policy.
 //!
 //! The layering: `pgdesign-durability` owns the storage mechanics (CRC'd
-//! record framing, atomic snapshot replacement, fsync-per-record log
-//! appends, torn-tail truncation); `pgdesign_inum::matrix::persist` owns
-//! the payload codec (what a cell or an edit means); this module owns
+//! record framing, atomic snapshot replacement, batched log appends with
+//! one fsync each, torn-tail truncation); `pgdesign_inum::matrix::persist`
+//! owns the payload codec (what a cell or an edit means); this module owns
 //! *policy* — when a restore is trusted, when it degrades to a cold
 //! build, when the log is checkpointed into a fresh snapshot.
 //!
@@ -17,6 +17,15 @@
 //! exact snapshot it was written for — edits are positional, so replaying
 //! them against any other base would be wrong, not just stale).
 //!
+//! ## The durable unit is a published generation
+//!
+//! Readers only ever see published generations, so only those are made
+//! durable: each sync appends the edits of the generations published
+//! since the last one — ending at a `Publish` record — as one write with
+//! one fsync. Edits made after the last publish are not durable; no
+//! reader ever saw them. Replay stops at the last `Publish` record, so a
+//! crash mid-append restores the previous published generation exactly.
+//!
 //! ## The recovery ladder
 //!
 //! Recovery degrades gracefully, never wrongly:
@@ -25,8 +34,10 @@
 //!    cells whose table statistics changed are recomputed (counted in
 //!    [`RecoveryStats::cells_invalidated_stale`]), everything else is
 //!    adopted without a build.
-//! 2. the log replays on top — a torn or corrupt tail is detected by the
-//!    per-record CRC and dropped at the last good record.
+//! 2. the log replays on top through its last `Publish` record — a torn
+//!    or corrupt tail is detected by the per-record CRC and dropped at the
+//!    last good record, and complete records after the last `Publish`
+//!    (a partly flushed append) are dropped with it.
 //! 3. anything structurally wrong with the snapshot (bad magic/CRC,
 //!    format-version skew, catalog shape change) → cold build, with the
 //!    reason recorded in [`RecoveryStats::cold_start`] and logged.
@@ -56,14 +67,10 @@ pub(crate) const LOG_NAME: &str = "matrix.pgdl";
 /// folds them into a fresh snapshot and truncates the log.
 const CHECKPOINT_EVERY_PUBLISHES: usize = 8;
 
-/// The durable half of a session: the store, the log-position bookkeeping,
+/// The durable half of a session: the store, the checkpoint bookkeeping,
 /// and the recovery counters from open time.
 pub(crate) struct DurableHandle {
     store: Box<dyn DurableStore>,
-    /// Edits appended to the log after its last `Publish` marker — exactly
-    /// the writer state a checkpoint's published snapshot does *not*
-    /// capture, so a checkpoint re-appends them to the fresh log.
-    pending: Vec<MatrixEdit>,
     publishes_since_checkpoint: usize,
     /// Set when a log append fails beyond the retry budget: further
     /// appends are suppressed (a log with a hole would replay to a
@@ -102,14 +109,9 @@ fn kill_at_checkpoint_hook() {
 }
 
 impl DurableHandle {
-    pub(crate) fn new(
-        store: Box<dyn DurableStore>,
-        pending: Vec<MatrixEdit>,
-        recovery: RecoveryStats,
-    ) -> Self {
+    pub(crate) fn new(store: Box<dyn DurableStore>, recovery: RecoveryStats) -> Self {
         DurableHandle {
             store,
-            pending,
             publishes_since_checkpoint: 0,
             degraded: false,
             io_retries: 0,
@@ -134,80 +136,53 @@ impl DurableHandle {
         )
     }
 
-    /// One retried append with the shared policy: up to [`IO_RETRY_MAX`]
-    /// retries of a failed fsync, deterministic backoff between attempts.
-    fn append_one(&mut self, edit: &MatrixEdit) -> io::Result<u32> {
-        log_append_retrying(
-            &mut *self.store,
-            LOG_NAME,
-            &encode_edit(edit),
-            IO_RETRY_MAX,
-            |attempt| std::thread::sleep(io_retry_backoff(attempt)),
-        )
-    }
-
-    /// Append drained journal edits to the log (fsync per record).
-    /// Transient failures are retried with deterministic backoff; only
-    /// when the retry budget is exhausted (or the append itself fails —
-    /// not retryable, a partial frame may be on disk) does the handle
-    /// suspend the log. Nothing further is appended while suspended, but
-    /// `pending` keeps tracking post-publish edits so the healing
-    /// checkpoint stays exact. Returns whether a checkpoint is due.
-    ///
-    /// Takes the drained journal by value: only the edits after the
-    /// batch's last `Publish` are kept in `pending`, moved, never cloned.
-    pub(crate) fn append_edits(&mut self, mut edits: Vec<MatrixEdit>) -> bool {
-        let mut last_publish = None;
-        for (i, edit) in edits.iter().enumerate() {
-            if !self.degraded {
-                match self.append_one(edit) {
-                    Ok(retries) => {
-                        self.io_retries += retries as u64;
-                        self.retries_since_checkpoint += retries as u64;
-                    }
-                    Err(e) => {
-                        eprintln!(
-                            "pgdesign: durable log append failed after retries ({e}); \
-                             suspending the log until the next checkpoint"
-                        );
-                        self.degraded = true;
-                        self.io_suspensions += 1;
-                    }
+    /// Append a drained journal batch — whole published generations, so
+    /// it ends in a `Publish` — to the log as one write with one fsync.
+    /// A failed fsync is retried up to [`IO_RETRY_MAX`] times with
+    /// deterministic backoff; only when the retry budget is exhausted (or
+    /// the append itself fails — not retryable, a partial batch may be on
+    /// disk) does the handle suspend the log. Nothing further is appended
+    /// while suspended; the next checkpoint, which snapshots the published
+    /// state, heals it. Returns whether a checkpoint is due.
+    pub(crate) fn append_edits(&mut self, edits: &[MatrixEdit]) -> bool {
+        if !self.degraded && !edits.is_empty() {
+            let records: Vec<Vec<u8>> = edits.iter().map(encode_edit).collect();
+            let appended =
+                log_append_retrying(&mut *self.store, LOG_NAME, &records, IO_RETRY_MAX, |a| {
+                    std::thread::sleep(io_retry_backoff(a))
+                });
+            match appended {
+                Ok(retries) => {
+                    self.io_retries += retries as u64;
+                    self.retries_since_checkpoint += retries as u64;
+                }
+                Err(e) => {
+                    eprintln!(
+                        "pgdesign: durable log append failed after retries ({e}); \
+                         suspending the log until the next checkpoint"
+                    );
+                    self.degraded = true;
+                    self.io_suspensions += 1;
                 }
             }
-            if matches!(edit, MatrixEdit::Publish) {
-                self.publishes_since_checkpoint += 1;
-                last_publish = Some(i);
-            }
         }
-        if let Some(i) = last_publish {
-            self.pending.clear();
-            edits.drain(..=i);
-        }
-        self.pending.append(&mut edits);
+        self.publishes_since_checkpoint += edits
+            .iter()
+            .filter(|e| matches!(e, MatrixEdit::Publish))
+            .count();
         self.degraded || self.publishes_since_checkpoint >= CHECKPOINT_EVERY_PUBLISHES
     }
 
-    /// Write `records` (the published matrix state) as a fresh snapshot,
-    /// truncate the log against it, and re-append the pending post-publish
-    /// edits. Atomic at every step: a crash mid-checkpoint leaves either
-    /// the old state or the new one, both self-consistent.
+    /// Write `records` (the published matrix state) as a fresh snapshot
+    /// and truncate the log against it. Atomic at every step: a crash
+    /// mid-checkpoint leaves either the old state or the new one, both
+    /// self-consistent.
     pub(crate) fn checkpoint(&mut self, records: &[Vec<u8>]) -> io::Result<()> {
         kill_at_checkpoint_hook();
         let crc = write_snapshot(&mut *self.store, SNAPSHOT_NAME, records)?;
         log_reset(&mut *self.store, LOG_NAME, crc)?;
         self.degraded = false;
         self.retries_since_checkpoint = 0;
-        let pending = std::mem::take(&mut self.pending);
-        for edit in &pending {
-            if let Err(e) = self.append_one(edit) {
-                self.degraded = true;
-                self.io_suspensions += 1;
-                self.pending = pending;
-                return Err(e);
-            }
-        }
-        self.pending = pending;
         self.publishes_since_checkpoint = 0;
         Ok(())
     }
@@ -229,19 +204,15 @@ impl DurableHandle {
     }
 }
 
-/// A warm restore: the matrix (log already replayed) plus the edits after
-/// the last publish marker, which the next checkpoint must re-append.
-pub(crate) type Restored<'a> = (CostMatrix<'a>, Vec<MatrixEdit>);
-
 /// Attempt a warm restore from `store` against `inum`'s catalog. Returns
-/// the restored matrix (log already replayed) plus the edits after the
-/// last publish marker, or `None` for any cold-start condition — with the
-/// reason in the returned [`RecoveryStats`] either way. Only a real I/O
-/// error (unreadable device, not corrupt bytes) aborts the open.
+/// the restored matrix (log replayed through its last published
+/// generation), or `None` for any cold-start condition — with the reason
+/// in the returned [`RecoveryStats`] either way. Only a real I/O error
+/// (unreadable device, not corrupt bytes) aborts the open.
 pub(crate) fn try_restore<'a>(
     inum: &Inum<'a>,
     store: &mut dyn DurableStore,
-) -> io::Result<(Option<Restored<'a>>, RecoveryStats)> {
+) -> io::Result<(Option<CostMatrix<'a>>, RecoveryStats)> {
     let mut recovery = RecoveryStats::default();
     let cold = |reason: ColdStart, detail: &str, recovery: &mut RecoveryStats| {
         if reason != ColdStart::NoState {
@@ -303,30 +274,27 @@ pub(crate) fn try_restore<'a>(
     recovery.snapshot_cells_loaded = report.cells_loaded;
     recovery.cells_invalidated_stale = report.cells_invalidated;
 
-    let mut pending = Vec::new();
     match log_open(store, LOG_NAME, file.body_crc)? {
         LogState::Replay(scan) => {
-            recovery.log_records_dropped += scan.dropped_records;
-            for (i, record) in scan.records.iter().enumerate() {
-                match decode_edit(record) {
-                    Ok(edit) => {
-                        matrix.apply_edit(&edit);
-                        recovery.log_records_replayed += 1;
-                        if matches!(edit, MatrixEdit::Publish) {
-                            pending.clear();
-                        } else {
-                            pending.push(edit);
-                        }
-                    }
-                    Err(_) => {
-                        // A CRC-valid but undecodable record: everything
-                        // from here is untrustworthy — treat it like a
-                        // torn tail.
-                        recovery.log_records_dropped += (scan.records.len() - i) as u64;
-                        break;
-                    }
-                }
+            // A CRC-valid but undecodable record makes everything from it
+            // untrustworthy, like a torn tail. Complete records after the
+            // last `Publish` are a partly flushed append: never published,
+            // so not applied either.
+            let edits: Vec<MatrixEdit> = scan
+                .records
+                .iter()
+                .map_while(|record| decode_edit(record).ok())
+                .collect();
+            let published = edits
+                .iter()
+                .rposition(|e| matches!(e, MatrixEdit::Publish))
+                .map_or(0, |last| last + 1);
+            for edit in &edits[..published] {
+                matrix.apply_edit(edit);
             }
+            recovery.log_records_replayed = published as u64;
+            recovery.log_records_dropped =
+                scan.dropped_records + (scan.records.len() - published) as u64;
         }
         // A log bound to a different snapshot (a crash between snapshot
         // replacement and log truncation): its edits do not apply to this
@@ -334,57 +302,67 @@ pub(crate) fn try_restore<'a>(
         LogState::Mismatch(_) | LogState::Missing => {}
     }
 
-    Ok((Some((matrix, pending)), recovery))
+    Ok((Some(matrix), recovery))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pgdesign_durability::MemStore;
-    use MatrixEdit::{Publish, RemoveCandidate, RetireQuery, SetQueryWeight};
+    use MatrixEdit::{Publish, RetireQuery, SetQueryWeight};
+
+    /// A store that counts appends and syncs on the way to a `MemStore`.
+    #[derive(Default)]
+    struct Counting {
+        inner: MemStore,
+        calls: std::rc::Rc<std::cell::Cell<(usize, usize)>>,
+    }
+
+    impl DurableStore for Counting {
+        fn read(&mut self, name: &str) -> io::Result<Option<Vec<u8>>> {
+            self.inner.read(name)
+        }
+        fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
+            self.inner.write_atomic(name, bytes)
+        }
+        fn append(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
+            let (a, s) = self.calls.get();
+            self.calls.set((a + 1, s));
+            self.inner.append(name, bytes)
+        }
+        fn sync(&mut self, name: &str) -> io::Result<()> {
+            let (a, s) = self.calls.get();
+            self.calls.set((a, s + 1));
+            self.inner.sync(name)
+        }
+        fn remove(&mut self, name: &str) -> io::Result<()> {
+            self.inner.remove(name)
+        }
+    }
 
     #[test]
-    fn pending_keeps_exactly_the_edits_after_the_last_publish() {
-        let mut h = DurableHandle::new(
-            Box::new(MemStore::new()),
-            Vec::new(),
-            RecoveryStats::default(),
-        );
+    fn each_batch_is_one_append_and_one_sync() {
+        let store = Counting::default();
+        let calls = std::rc::Rc::clone(&store.calls);
+        let mut h = DurableHandle::new(Box::new(store), RecoveryStats::default());
 
-        // A batch ending in a publish leaves nothing pending.
-        let due = h.append_edits(vec![RetireQuery(1), SetQueryWeight(0, 2.0), Publish]);
-        assert!(!due);
-        assert!(h.pending.is_empty());
-        assert_eq!(h.publishes_since_checkpoint, 1);
+        // Two published generations in one batch: one append, one sync,
+        // and both publishes count toward the checkpoint.
+        let batch = [RetireQuery(1), Publish, SetQueryWeight(0, 2.0), Publish];
+        assert!(!h.append_edits(&batch));
+        assert_eq!(calls.get(), (1, 1));
+        assert_eq!(h.publishes_since_checkpoint, 2);
 
-        // Batches with no publish accumulate behind what is pending.
-        h.append_edits(vec![RetireQuery(2)]);
-        h.append_edits(vec![RemoveCandidate(3), RetireQuery(4)]);
-        assert_eq!(
-            h.pending,
-            [RetireQuery(2), RemoveCandidate(3), RetireQuery(4)]
-        );
-        assert_eq!(h.publishes_since_checkpoint, 1);
-
-        // Publishes mid-batch: every one counts, and only the tail after
-        // the last one stays pending.
-        h.append_edits(vec![
-            RetireQuery(5),
-            Publish,
-            RetireQuery(6),
-            Publish,
-            RemoveCandidate(7),
-            RetireQuery(8),
-        ]);
-        assert_eq!(h.pending, [RemoveCandidate(7), RetireQuery(8)]);
-        assert_eq!(h.publishes_since_checkpoint, 3);
-        assert!(!h.is_suspended());
+        // Nothing published since the last sync: no disk traffic at all.
+        assert!(!h.append_edits(&[]));
+        assert_eq!(calls.get(), (1, 1));
 
         // The checkpoint falls due on the publish that reaches the
         // threshold.
-        let remaining = CHECKPOINT_EVERY_PUBLISHES - 3;
-        assert!(!h.append_edits(vec![Publish; remaining - 1]));
-        assert!(h.append_edits(vec![Publish]));
-        assert!(h.pending.is_empty());
+        let remaining = CHECKPOINT_EVERY_PUBLISHES - 2;
+        assert!(!h.append_edits(&vec![Publish; remaining - 1]));
+        assert!(h.append_edits(&[Publish]));
+        assert_eq!(calls.get(), (3, 3));
+        assert!(!h.is_suspended());
     }
 }

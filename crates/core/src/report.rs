@@ -89,7 +89,8 @@ pub struct RecoveryStats {
     pub snapshot_cells_loaded: u64,
     /// Edit-log records replayed on top of the snapshot.
     pub log_records_replayed: u64,
-    /// Log records dropped at a torn/corrupt tail (CRC or decode failure).
+    /// Log records dropped at a torn/corrupt tail (CRC or decode failure),
+    /// or after the last `Publish` record (a partly flushed append).
     pub log_records_dropped: u64,
     /// Cells recomputed because their table's catalog statistics changed
     /// since the snapshot was written.

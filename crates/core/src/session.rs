@@ -90,8 +90,8 @@ impl<'a> TuningSession<'a> {
     ) -> io::Result<Self> {
         let inum = Inum::new(&designer.catalog, &designer.optimizer);
         let (restored, recovery) = try_restore(&inum, &mut *store)?;
-        let (matrix, pending) = match restored {
-            Some((mut matrix, mut pending)) => {
+        let matrix = match restored {
+            Some(mut matrix) => {
                 if !workload.is_empty() {
                     // Reconcile the requested workload against the resident
                     // queries: recurring queries keep their cells (weights
@@ -116,13 +116,12 @@ impl<'a> TuningSession<'a> {
                         }
                     }
                     matrix.publish();
-                    pending.clear();
                 }
-                (matrix, pending)
+                matrix
             }
             None => {
                 inum.prepare_workload(&workload);
-                (CostMatrix::build(&inum, &workload, &[]), Vec::new())
+                CostMatrix::build(&inum, &workload, &[])
             }
         };
 
@@ -130,7 +129,7 @@ impl<'a> TuningSession<'a> {
             designer,
             inum,
             matrix,
-            durable: Some(DurableHandle::new(store, pending, recovery)),
+            durable: Some(DurableHandle::new(store, recovery)),
         };
         // Fold whatever this open did (restore + replay, reconciliation,
         // or a cold build) into a fresh snapshot, then start journaling.
@@ -144,22 +143,23 @@ impl<'a> TuningSession<'a> {
         self.durable.is_some()
     }
 
-    /// Drain the matrix's edit journal to the durable log (fsync per
-    /// record) and checkpoint if enough publishes accumulated. No-op for
+    /// Make every generation published since the last sync durable: their
+    /// journaled edits go to the edit log as one append with one fsync,
+    /// and a checkpoint follows if enough publishes accumulated. Edits
+    /// made after the last publish stay in memory until the next one, so
+    /// with nothing newly published this touches no disk. No-op for
     /// in-memory sessions. Called automatically by [`Self::advise`] and
-    /// [`Self::publish`]; call it manually after direct
-    /// [`Self::matrix_mut`] edits worth persisting early.
+    /// [`Self::publish`]; after a direct [`CostMatrix::publish`], call it
+    /// to make that generation durable.
     ///
     /// A failed append degrades to suspended logging (never a log with a
     /// hole) until a checkpoint heals it; a failed checkpoint leaves the
     /// previous on-disk state intact.
     pub fn sync_durable(&mut self) -> io::Result<()> {
-        if self.durable.is_none() {
+        let Some(handle) = self.durable.as_mut() else {
             return Ok(());
-        }
-        let edits = self.matrix.take_journal();
-        let handle = self.durable.as_mut().expect("checked above");
-        if handle.append_edits(edits) {
+        };
+        if handle.append_edits(&self.matrix.take_journal()) {
             self.checkpoint()?;
         }
         Ok(())
@@ -171,8 +171,11 @@ impl<'a> TuningSession<'a> {
         let Some(handle) = self.durable.as_mut() else {
             return Ok(());
         };
-        let records = encode_published(&self.matrix);
-        handle.checkpoint(&records)
+        handle.checkpoint(&encode_published(&self.matrix))?;
+        // The snapshot holds every published edit: appending the journal's
+        // published part to the fresh log would replay it twice.
+        self.matrix.take_journal();
+        Ok(())
     }
 
     /// [`Self::sync_durable`], with I/O failure reported to stderr instead

@@ -14,8 +14,9 @@
 //! [magic "PGDS"][format version: u32][body crc32: u32][records...]
 //! ```
 //!
-//! Edit log (appended to, fsync'd per record, so the tail may be torn by
-//! a crash between append and fsync):
+//! Edit log (appended to one batch of records at a time with one fsync
+//! per batch, so the tail may be torn by a crash between append and
+//! fsync):
 //!
 //! ```text
 //! [magic "PGDL"][format version: u32][snapshot crc32: u32][records...]
@@ -47,7 +48,7 @@ fn read_u32_at(buf: &[u8], pos: usize) -> Option<u32> {
 }
 
 /// Frame one record (length + CRC + payload) onto `out`.
-pub fn frame_record(out: &mut Vec<u8>, payload: &[u8]) {
+fn frame_record(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
@@ -68,7 +69,7 @@ pub struct RecordScan {
 /// Scan records until the end of input or the first frame whose length or
 /// CRC does not check out; everything from that point on is dropped. This
 /// is the WAL discipline: truncate at the last good record.
-pub fn scan_records(buf: &[u8]) -> RecordScan {
+fn scan_records(buf: &[u8]) -> RecordScan {
     let mut scan = RecordScan::default();
     let mut pos = 0;
     while pos < buf.len() {
@@ -96,7 +97,7 @@ pub fn scan_records(buf: &[u8]) -> RecordScan {
 
 /// Strict variant for the snapshot body, where a torn tail is impossible
 /// (atomic replace) and any bad frame means the file is corrupt.
-pub fn read_records_strict(buf: &[u8]) -> Result<Vec<Vec<u8>>, CodecError> {
+fn read_records_strict(buf: &[u8]) -> Result<Vec<Vec<u8>>, CodecError> {
     let scan = scan_records(buf);
     if scan.dropped_bytes > 0 {
         return Err(CodecError {
@@ -221,35 +222,28 @@ pub fn log_reset(store: &mut dyn DurableStore, name: &str, snapshot_crc: u32) ->
     store.write_atomic(name, &header)
 }
 
-/// Append one edit record and fsync it: when this returns `Ok`, the
-/// record survives any crash.
-pub fn log_append(store: &mut dyn DurableStore, name: &str, payload: &[u8]) -> io::Result<()> {
-    let mut framed = Vec::with_capacity(8 + payload.len());
-    frame_record(&mut framed, payload);
-    store.append(name, &framed)?;
-    store.sync(name)
-}
-
-/// [`log_append`] with bounded retry of *sync* failures: the record's
-/// bytes are appended once, then the fsync is attempted up to
+/// Append a batch of records as one write and make it durable with one
+/// fsync, retrying only the *sync*: it is attempted up to
 /// `1 + max_retries` times, calling `backoff(attempt)` before each retry
 /// (the caller supplies the delay policy — typically a deterministic
-/// sleep). Returns the number of retries that were needed.
+/// sleep). Returns the number of retries that were needed; when it
+/// returns `Ok`, every record of the batch survives any crash.
 ///
-/// Only the sync is retried. A failed *append* may leave a partial frame
-/// on disk; appending the record again would land it after the torn
-/// frame, where replay's truncate-at-first-bad-frame discipline drops
-/// it — so an append error returns immediately and the caller must treat
-/// the log as suspect.
+/// A failed *append* may leave a partial batch on disk; appending it
+/// again would land it after the torn frame, where replay's
+/// truncate-at-first-bad-frame discipline drops it — so an append error
+/// returns immediately and the caller must treat the log as suspect.
 pub fn log_append_retrying(
     store: &mut dyn DurableStore,
     name: &str,
-    payload: &[u8],
+    records: &[Vec<u8>],
     max_retries: u32,
     mut backoff: impl FnMut(u32),
 ) -> io::Result<u32> {
-    let mut framed = Vec::with_capacity(8 + payload.len());
-    frame_record(&mut framed, payload);
+    let mut framed = Vec::with_capacity(records.iter().map(|r| 8 + r.len()).sum());
+    for record in records {
+        frame_record(&mut framed, record);
+    }
     store.append(name, &framed)?;
     let mut attempt = 0u32;
     loop {
@@ -363,13 +357,15 @@ mod tests {
     #[test]
     fn log_replays_records_and_truncates_torn_tail() {
         let mut s = MemStore::new();
+        let batch = |a: &[u8], b: &[u8]| [a.to_vec(), b.to_vec()];
         log_reset(&mut s, "m.pgdl", 0xABCD).unwrap();
-        log_append(&mut s, "m.pgdl", b"edit-1").unwrap();
-        log_append(&mut s, "m.pgdl", b"edit-2").unwrap();
-        // A third record is appended but the crash happens before fsync;
+        log_append_retrying(&mut s, "m.pgdl", &batch(b"edit-1", b"edit-2"), 0, |_| {}).unwrap();
+        // A second batch is appended but the crash happens before fsync;
         // the power cut leaves 5 bytes of it on disk — a torn tail.
         s.arm(Failpoint::FsyncError);
-        assert!(log_append(&mut s, "m.pgdl", b"edit-3").is_err());
+        assert!(
+            log_append_retrying(&mut s, "m.pgdl", &batch(b"edit-3", b"edit-4"), 0, |_| {}).is_err()
+        );
         s.power_cut(5);
         match log_open(&mut s, "m.pgdl", 0xABCD).unwrap() {
             LogState::Replay(scan) => {
@@ -414,14 +410,15 @@ mod tests {
         log_reset(&mut s, "m.pgdl", 0xABCD).unwrap();
         s.arm(Failpoint::TransientFsync { times: 2 });
         let mut backoffs = Vec::new();
+        let batch = [b"edit-1".to_vec(), b"edit-2".to_vec()];
         let retries =
-            log_append_retrying(&mut s, "m.pgdl", b"edit-1", 3, |a| backoffs.push(a)).unwrap();
+            log_append_retrying(&mut s, "m.pgdl", &batch, 3, |a| backoffs.push(a)).unwrap();
         assert_eq!(retries, 2);
         assert_eq!(backoffs, vec![0, 1]);
-        // The record is durable: a power cut does not lose it.
+        // The batch is durable: a power cut does not lose it.
         s.power_cut(0);
         match log_open(&mut s, "m.pgdl", 0xABCD).unwrap() {
-            LogState::Replay(scan) => assert_eq!(scan.records, vec![b"edit-1".to_vec()]),
+            LogState::Replay(scan) => assert_eq!(scan.records, batch),
             other => panic!("expected replay, got {other:?}"),
         }
     }
@@ -432,7 +429,8 @@ mod tests {
         log_reset(&mut s, "m.pgdl", 0xABCD).unwrap();
         s.arm(Failpoint::FsyncError); // permanent, not transient
         let mut attempts = 0;
-        let err = log_append_retrying(&mut s, "m.pgdl", b"edit-1", 3, |_| attempts += 1)
+        let batch = [b"edit-1".to_vec()];
+        let err = log_append_retrying(&mut s, "m.pgdl", &batch, 3, |_| attempts += 1)
             .expect_err("permanent fsync failure must surface");
         assert_eq!(attempts, 3, "exactly the retry budget is spent");
         assert!(err.to_string().contains("fsync"));
@@ -442,7 +440,7 @@ mod tests {
     fn log_for_a_different_snapshot_is_rejected() {
         let mut s = MemStore::new();
         log_reset(&mut s, "m.pgdl", 0xABCD).unwrap();
-        log_append(&mut s, "m.pgdl", b"edit-1").unwrap();
+        log_append_retrying(&mut s, "m.pgdl", &[b"edit-1".to_vec()], 0, |_| {}).unwrap();
         assert!(matches!(
             log_open(&mut s, "m.pgdl", 0x1234).unwrap(),
             LogState::Mismatch(_)

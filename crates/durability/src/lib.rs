@@ -15,8 +15,8 @@
 //!   crash-after-N-bytes, and explicit power-cut/restart cycles.
 //! - [`mod@file`]: the snapshot (`.pgds`) and edit-log (`.pgdl`) framing —
 //!   magic headers, format version, per-record CRC, atomic
-//!   rename-into-place for snapshots and checkpoint truncation, fsync
-//!   per appended log record, and torn-tail truncation on replay.
+//!   rename-into-place for snapshots and checkpoint truncation, one
+//!   fsync per appended batch of log records, torn-tail truncation.
 //!
 //! The semantic payloads (what a matrix cell or an edit record *means*)
 //! live upstream in `pgdesign-inum`; recovery policy (when to fall back
@@ -36,8 +36,7 @@ pub mod store;
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use crc::crc32;
 pub use file::{
-    frame_record, log_append, log_append_retrying, log_open, log_reset, read_snapshot,
-    scan_records, write_snapshot, LogState, RecordScan, SnapshotFile, SnapshotFileError,
-    FORMAT_VERSION,
+    log_append_retrying, log_open, log_reset, read_snapshot, write_snapshot, LogState, RecordScan,
+    SnapshotFile, SnapshotFileError, FORMAT_VERSION,
 };
 pub use store::{DurableStore, Failpoint, FsStore, MemStore, SharedMemStore};

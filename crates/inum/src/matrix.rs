@@ -1061,11 +1061,17 @@ impl<'a> CostMatrix<'a> {
         }
     }
 
-    /// Drain the recorded edits (journaling stays enabled). Empty when
-    /// journaling is off.
+    /// Drain the recorded edits of whole published generations: every
+    /// edit through the last [`MatrixEdit::Publish`]. The unpublished tail
+    /// stays journaled until the next publish (journaling stays enabled).
+    /// Empty when journaling is off or nothing was published since the
+    /// last drain.
     pub fn take_journal(&mut self) -> Vec<MatrixEdit> {
-        match &mut self.journal {
-            Some(j) => std::mem::take(j),
+        let Some(j) = &mut self.journal else {
+            return Vec::new();
+        };
+        match j.iter().rposition(|e| matches!(e, MatrixEdit::Publish)) {
+            Some(last) => j.drain(..=last).collect(),
             None => Vec::new(),
         }
     }
@@ -3350,5 +3356,38 @@ mod tests {
             let b = replayed.cost(qi, &replayed.config_of(all.iter().copied()));
             assert_eq!(a, b, "replayed cost must be bit-identical (Q{qi})");
         }
+    }
+
+    #[test]
+    fn journal_drains_whole_published_generations() {
+        let (c, opt) = setup();
+        let inum = Inum::new(&c, &opt);
+        let w = sdss_workload(&c, 3, 204);
+        let mut live = CostMatrix::build(&inum, &w, &[]);
+        assert!(live.take_journal().is_empty(), "journaling is off");
+        live.enable_journal();
+
+        live.retire_query(1);
+        assert!(live.take_journal().is_empty(), "nothing published yet");
+        live.publish();
+        live.set_query_weight(0, 2.0);
+        live.publish();
+        live.retire_query(2);
+        assert_eq!(
+            live.take_journal(),
+            [
+                MatrixEdit::RetireQuery(1),
+                MatrixEdit::Publish,
+                MatrixEdit::SetQueryWeight(0, 2.0),
+                MatrixEdit::Publish,
+            ]
+        );
+        // The unpublished tail waits for the next publish.
+        assert!(live.take_journal().is_empty());
+        live.publish();
+        assert_eq!(
+            live.take_journal(),
+            [MatrixEdit::RetireQuery(2), MatrixEdit::Publish]
+        );
     }
 }

@@ -1009,8 +1009,8 @@ use pgdesign::{ColdStart, Designer, TuningSession};
 use pgdesign_catalog::design::HorizontalPartitioning;
 use pgdesign_catalog::TableId;
 use pgdesign_durability::{
-    log_append, log_open, log_reset, read_snapshot, write_snapshot, DurableStore, Failpoint,
-    LogState, MemStore, SharedMemStore,
+    log_append_retrying, log_open, log_reset, read_snapshot, write_snapshot, DurableStore,
+    Failpoint, LogState, MemStore, SharedMemStore,
 };
 use pgdesign_inum::{decode_edit, decode_snapshot, encode_edit, encode_published, restore_matrix};
 
@@ -1139,9 +1139,8 @@ fn assert_durable_roundtrip_matches_live(
         }
     }
     live.publish();
-    for edit in live.take_journal() {
-        log_append(&mut store, "m.pgdl", &encode_edit(&edit)).unwrap();
-    }
+    let records: Vec<Vec<u8>> = live.take_journal().iter().map(encode_edit).collect();
+    log_append_retrying(&mut store, "m.pgdl", &records, 0, |_| {}).unwrap();
 
     // Recover on a second INUM over the same catalog.
     let opt2 = optimizer();
@@ -1281,6 +1280,136 @@ fn crash_mid_append_never_yields_a_wrong_cost() {
         assert_eq!(recovery.cold_start, None, "snapshot survived the crash");
         assert_restored_is_consistent(&mut s, 0xC0FE ^ crash_after as u64);
     }
+}
+
+/// What a reader sees of a matrix, as bits: candidate ids, active query
+/// slots, the workload cost of every candidate prefix, and the joint cost
+/// with every fragment — weights, cells and registries all show.
+fn probe_bits(m: &pgdesign_inum::MatrixCore) -> Vec<u64> {
+    let ids: Vec<usize> = m.candidates().map(|(id, _)| id).collect();
+    let mut bits: Vec<u64> = ids.iter().map(|&id| id as u64).collect();
+    bits.extend(m.active_query_ids().map(|q| q as u64));
+    for n in 0..=ids.len() {
+        let cfg = m.config_of(ids[..n].iter().copied());
+        bits.push(m.workload_cost(&cfg).to_bits());
+    }
+    let mut joint = m.empty_joint();
+    for f in 0..m.n_fragments() {
+        joint.fragments.insert(f);
+    }
+    bits.push(m.joint_workload_cost(&joint).to_bits());
+    bits
+}
+
+/// The durable unit is a published generation. A crash inside the append
+/// of the last generation — at every frame boundary of its bytes and one
+/// byte either side, with up to two unsynced bytes surviving the power
+/// cut — reopens at exactly the previous published generation; once the
+/// whole generation is written, at exactly the last one. The generation
+/// number and the cost bits of the reader and of the writer must match.
+#[test]
+fn crash_mid_append_reopens_at_a_published_generation_exactly() {
+    let c = catalog();
+    let designer = Designer::new(c.clone());
+    let w = sdss_workload(c, 5, 4242);
+    let cands = workload_candidates(c, &w, &CandidateConfig::default());
+    let log_len = |disk: &SharedMemStore| disk.lock().read("matrix.pgdl").unwrap().unwrap().len();
+
+    // Two generations after the open: the first synced cleanly, the
+    // second appended under `crash`. Returns what each one published and
+    // the log length between them.
+    let run = |disk: &SharedMemStore, crash: Option<usize>| {
+        let mut s = TuningSession::open_or_create_on(&designer, w.clone(), Box::new(disk.clone()))
+            .expect("first open");
+        for idx in cands.indexes.iter().take(2) {
+            s.matrix_mut().add_candidate(idx);
+        }
+        s.publish();
+        let prev = (s.stats().published_generation, probe_bits(&s.reader()));
+        let start = log_len(disk);
+        if let Some(n) = crash {
+            disk.lock().arm(Failpoint::CrashAfterBytes { n });
+        }
+        let m = s.matrix_mut();
+        for idx in cands.indexes.iter().skip(2).take(3) {
+            m.add_candidate(idx);
+        }
+        m.register_fragment(TableId(0), &[0, 1]);
+        m.retire_query(1);
+        s.publish();
+        let last = (s.stats().published_generation, probe_bits(&s.reader()));
+        (prev, last, start)
+    };
+
+    // A clean run measures the last generation's frames.
+    let disk = SharedMemStore::new();
+    let (prev, last, start) = run(&disk, None);
+    assert_ne!(prev, last, "the last generation changes what readers see");
+    let log = disk.lock().read("matrix.pgdl").unwrap().unwrap();
+    let mut boundaries = vec![0];
+    let mut pos = start;
+    while pos < log.len() {
+        let len = u32::from_le_bytes(log[pos..pos + 4].try_into().unwrap()) as usize;
+        pos += 8 + len;
+        boundaries.push(pos - start);
+    }
+    let total = log.len() - start;
+    assert_eq!(pos, log.len());
+    assert!(
+        boundaries.len() > 3,
+        "the last generation spans several frames"
+    );
+
+    for &b in &boundaries {
+        for n in b.saturating_sub(1)..=b + 1 {
+            for keep in 0..=2 {
+                let disk = SharedMemStore::new();
+                drop(run(&disk, Some(n)));
+                disk.lock().power_cut(keep);
+                let s = TuningSession::open_or_create_on(
+                    &designer,
+                    Workload::new(),
+                    Box::new(disk.clone()),
+                )
+                .expect("reopen after crash");
+                let recovery = s.stats().recovery.expect("durable session");
+                assert_eq!(recovery.cold_start, None, "snapshot survived the crash");
+                let (generation, bits) = if n < total { &prev } else { &last };
+                let what = format!("crash after {n} of {total} bytes, {keep} unsynced kept");
+                assert_eq!(s.stats().published_generation, *generation, "{what}");
+                assert_eq!(probe_bits(&s.reader()), *bits, "reader: {what}");
+                assert_eq!(probe_bits(s.matrix()), *bits, "writer: {what}");
+            }
+        }
+    }
+}
+
+/// A checkpoint after a direct `CostMatrix::publish` folds that generation
+/// into the snapshot, so its edits must not also reach the fresh log: the
+/// next restart would replay them on a base that already holds them.
+#[test]
+fn checkpoint_after_a_direct_publish_replays_nothing_twice() {
+    let c = catalog();
+    let designer = Designer::new(c.clone());
+    let w = sdss_workload(c, 6, 4343);
+    let first = Workload::from_queries((0..4).map(|i| w.query(i).clone()));
+    let disk = SharedMemStore::new();
+    let before = {
+        let mut s = TuningSession::open_or_create_on(&designer, first, Box::new(disk.clone()))
+            .expect("first open");
+        s.matrix_mut()
+            .add_queries((4..6).map(|i| (w.query(i), w.entries[i].weight)));
+        s.matrix_mut().publish();
+        s.checkpoint().expect("checkpoint");
+        s.publish();
+        probe_bits(&s.reader())
+    }; // the kill
+    disk.lock().power_cut(0);
+    let s = TuningSession::open_or_create_on(&designer, Workload::new(), Box::new(disk.clone()))
+        .expect("reopen");
+    assert_eq!(s.stats().recovery.expect("durable").cold_start, None);
+    assert_eq!(probe_bits(&s.reader()), before);
+    assert_eq!(probe_bits(s.matrix()), before);
 }
 
 /// A flipped byte in the log's tail record: the per-record CRC catches it,
