@@ -41,7 +41,7 @@ EXAMPLES := quickstart scenario1_interactive scenario2_offline \
             scenario3_online portability_tpch write_aware
 # Then the CLI past 20 indexes (the interaction analysis and the schedules
 # have no bound on the index count): 22 what-if indexes through
-# `evaluate`, and a `recommend` that chooses 28.
+# `evaluate`, and a `recommend` that chooses 27.
 WIDE_INDEXES := objid ra dec type u g r i z run camcol field flags status \
                 rowc colc type,r r,type u,g g,r run,camcol ra,dec
 examples:
@@ -55,7 +55,7 @@ examples:
 	  $(foreach c,$(WIDE_INDEXES),--index photoobj:$(c)) >/dev/null
 	./target/release/pgdesign recommend --workload examples/wide_workload.sql \
 	  --budget-frac 10 >/dev/null
-	@echo "evaluate at 22 indexes and recommend at 28 ran"
+	@echo "evaluate at 22 indexes and recommend at 27 ran"
 
 # Crash-recovery drill over the real CLI and a real state directory.
 # Leg 1: run the scenario-3 stream with durable state, kill it hard

@@ -2,7 +2,7 @@
 
 use crate::atomic::enumerate_atomic_configs;
 use crate::formulation::{build_ilp, decode_solution, warm_start_assignment, IlpShape};
-use crate::greedy::greedy_select;
+use crate::greedy::{drop_worthless, greedy_select};
 use pgdesign_catalog::design::{Index, PhysicalDesign};
 use pgdesign_inum::{CostMatrix, Inum};
 use pgdesign_optimizer::candidates::{workload_candidates, CandidateConfig};
@@ -36,12 +36,13 @@ pub struct CophyConfig {
 }
 
 /// Default branch-and-bound node budget. Measured on SDSS at half the data
-/// size (PR 12): 20 / 40 / 80 / 160 / 320 queries are proven optimal in
-/// 173 / 278 / 343 / 533 / 442 nodes — the tree barely grows with the
-/// workload; it is the per-node LP that does — and the benchmark's
-/// 12-query instances in at most ≈300. Ten times the largest of those
-/// proves everything seen so far and still ends a pathological tree at a
-/// point that depends on the input alone.
+/// size (`pgdesign recommend --workload builtin:N`, depth-first search with
+/// reduced-cost fixing): 20 / 40 / 80 / 160 / 320 queries are proven
+/// optimal in 79 / 88 / 90 / 181 / 158 nodes — the tree barely grows with
+/// the workload; it is the per-node LP that does — and the benchmark's
+/// 12-query instances in at most ≈150. A budget far above the largest of
+/// these proves everything seen so far and still ends a pathological tree
+/// at a point that depends on the input alone.
 const NODE_LIMIT: usize = 5_000;
 
 impl Default for CophyConfig {
@@ -218,14 +219,19 @@ impl<'a> CophyAdvisor<'a> {
                 .map(|id| maintenance.get(id).copied().unwrap_or(0.0))
                 .sum()
         };
-        let ilp_cost =
-            matrix.workload_cost(&matrix.config_of(ilp_ids.iter().copied())) + maint_of(&ilp_ids);
-        let greedy_total = warm_greedy.cost + maint_of(&warm_greedy.chosen);
-        let chosen_ids = if ilp_cost <= greedy_total {
-            ilp_ids
-        } else {
-            warm_greedy.chosen.clone()
+        let total_of = |ids: &[usize]| -> f64 {
+            matrix.workload_cost(&matrix.config_of(ids.iter().copied())) + maint_of(ids)
         };
+        let ilp_cost = total_of(&ilp_ids);
+        let greedy_total = warm_greedy.cost + maint_of(&warm_greedy.chosen);
+        let (chosen_ids, total) = if ilp_cost <= greedy_total {
+            (ilp_ids, ilp_cost)
+        } else {
+            (warm_greedy.chosen.clone(), greedy_total)
+        };
+        // The warm start is already minimal, but the solver may return
+        // another member of an equal-cost tie: it must not grow the design.
+        let (chosen_ids, total) = drop_worthless(matrix, chosen_ids, total, total_of);
         let indexes: Vec<Index> = chosen_ids
             .iter()
             .map(|&id| matrix.candidate(id).expect("chosen ids are live").clone())
@@ -235,7 +241,6 @@ impl<'a> CophyAdvisor<'a> {
         let empty_config = matrix.empty_config();
         let chosen_config = matrix.config_of(chosen_ids.iter().copied());
         let base_cost = matrix.workload_cost(&empty_config);
-        let cost = matrix.workload_cost(&chosen_config) + maint_of(&chosen_ids);
         let per_query = qids
             .iter()
             .map(|&qi| {
@@ -251,7 +256,7 @@ impl<'a> CophyAdvisor<'a> {
             indexes,
             design,
             base_cost,
-            cost,
+            cost: total,
             gap: result.gap,
             status: result.status,
             nodes: result.nodes,
@@ -407,6 +412,56 @@ mod tests {
         let base = workload_candidates(&c, &w, &CandidateConfig::default());
         assert!(rec.candidates_considered > base.indexes.len());
         assert!(rec.cost <= rec.base_cost);
+    }
+
+    /// Every index CoPhy or its greedy warm start chooses earns its bytes:
+    /// the design without it costs more, on SDSS and TPC-H, at a loose and
+    /// a tight budget.
+    #[test]
+    fn no_design_keeps_an_index_of_zero_value() {
+        use pgdesign_catalog::samples::tpch_catalog;
+        use pgdesign_query::generators::tpch_workload;
+        let opt = Optimizer::new();
+        for (catalog, tpch) in [(sdss_catalog(0.005), false), (tpch_catalog(0.005), true)] {
+            let inum = Inum::new(&catalog, &opt);
+            for seed in [5, 11, 12] {
+                let w = if tpch {
+                    tpch_workload(&catalog, 36, seed)
+                } else {
+                    sdss_workload(&catalog, 40, seed)
+                };
+                for budget_frac in [0.5, 0.05] {
+                    let budget = (catalog.data_bytes() as f64 * budget_frac) as u64;
+                    let config = CophyConfig {
+                        storage_budget_bytes: budget,
+                        ..Default::default()
+                    };
+                    let mut m = matrix(&inum, &w);
+                    let rec = CophyAdvisor::new(&inum, config).recommend_on(&mut m);
+                    let greedy = greedy_select(&m, budget);
+                    let greedy: Vec<Index> = greedy
+                        .chosen
+                        .iter()
+                        .map(|&id| m.candidate(id).expect("chosen ids are live").clone())
+                        .collect();
+                    for (what, design) in [("CoPhy", &rec.indexes), ("greedy", &greedy)] {
+                        let chosen = CostMatrix::build(&inum, &w, design);
+                        let k = design.len();
+                        let all = chosen.workload_cost(&chosen.config_of(0..k));
+                        for (i, index) in design.iter().enumerate() {
+                            let without =
+                                chosen.workload_cost(&chosen.config_of((0..k).filter(|&j| j != i)));
+                            assert!(
+                                without > all,
+                                "{what}, tpch {tpch}, seed {seed}, budget {budget_frac}: \
+                                 {} is worth nothing",
+                                index.display(&catalog.schema)
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

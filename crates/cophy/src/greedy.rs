@@ -10,6 +10,7 @@
 //! access-path re-enumeration.
 
 use pgdesign_inum::CostMatrix;
+use std::cmp::Reverse;
 
 /// Result of the greedy search.
 #[derive(Debug, Clone)]
@@ -23,7 +24,8 @@ pub struct GreedyResult {
 }
 
 /// Classic greedy: repeatedly add the candidate with the best
-/// benefit-per-byte until the budget is exhausted or nothing improves.
+/// benefit-per-byte until the budget is exhausted or nothing improves,
+/// then drop, largest first, every pick a later one made worthless.
 ///
 /// Each active query's weighted cost under the current configuration is
 /// kept, so a trial of candidate `c` looks up only the queries `c` owns a
@@ -90,12 +92,46 @@ pub fn greedy_select(matrix: &CostMatrix<'_>, storage_budget_bytes: u64) -> Gree
             None => break,
         }
     }
+    // An early pick can be made worthless by a later, wider one.
+    let (mut chosen, cost) = drop_worthless(matrix, chosen, current, |ids| {
+        evaluations += 1;
+        matrix.workload_cost(&matrix.config_of(ids.iter().copied()))
+    });
     chosen.sort_unstable();
     GreedyResult {
         chosen,
-        cost: current,
+        cost,
         evaluations,
     }
+}
+
+/// Among designs of equal cost, the one with fewer bytes: drop from
+/// `chosen` (whose cost is `total`), largest first, every candidate whose
+/// removal does not raise `cost_of`. Returns what is left, in `chosen`'s
+/// order, and its cost. INUM costs never fall as indexes are added, so
+/// under a cost without upkeep only candidates worth nothing go.
+pub(crate) fn drop_worthless(
+    matrix: &CostMatrix<'_>,
+    mut chosen: Vec<usize>,
+    mut total: f64,
+    mut cost_of: impl FnMut(&[usize]) -> f64,
+) -> (Vec<usize>, f64) {
+    let catalog = matrix.catalog();
+    let mut largest_first = chosen.clone();
+    largest_first.sort_by_cached_key(|&id| {
+        let bytes = matrix.candidate(id).map_or(0, |i| {
+            i.size_bytes(&catalog.schema, catalog.table_stats(i.table))
+        });
+        (Reverse(bytes), id)
+    });
+    for id in largest_first {
+        let without: Vec<usize> = chosen.iter().copied().filter(|&c| c != id).collect();
+        let cost = cost_of(&without);
+        if cost <= total {
+            (chosen, total) = (without, cost);
+        }
+    }
+    (chosen, total)
 }
 
 /// Sizes per candidate id; removed ids get `u64::MAX` so the budget
@@ -160,10 +196,14 @@ mod tests {
                 None => break,
             }
         }
+        let (mut chosen, cost) = drop_worthless(matrix, chosen, current, |ids| {
+            evaluations += 1;
+            matrix.workload_cost(&matrix.config_of(ids.iter().copied()))
+        });
         chosen.sort_unstable();
         GreedyResult {
             chosen,
-            cost: current,
+            cost,
             evaluations,
         }
     }

@@ -11,10 +11,11 @@
 //!   variables in `[0, u]` with the bound carried by the column), solved
 //!   by a bounded-variable simplex engine: primal simplex for a cold
 //!   solve, dual simplex to re-solve in place after bound changes;
-//! * [`milp`] — best-first branch-and-bound over the LP relaxation with
-//!   binary variables and warm starts. The whole tree shares one live
-//!   tableau: a node is its fixings applied as bounds plus a dual-simplex
-//!   re-solve from the basis the previous node left. The one budget is a
+//! * [`milp`] — depth-first branch-and-bound over the LP relaxation with
+//!   binary variables, warm starts and reduced-cost fixing. The whole tree
+//!   shares one live tableau: a node is its fixings applied as bounds plus
+//!   a dual-simplex re-solve from the basis the previous node left — its
+//!   parent's, while the search dives. The one budget is a
 //!   node count — no clock is read, so the answer does not depend on the
 //!   machine — and, crucially for CoPhy's "quality guarantees", a
 //!   certified optimality *gap* between the incumbent and the best LP

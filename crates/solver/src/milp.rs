@@ -1,4 +1,4 @@
-//! Best-first branch-and-bound for mixed 0/1 integer programs.
+//! Depth-first branch-and-bound for mixed 0/1 integer programs.
 //!
 //! This is the "mature solver" interface CoPhy's formulation targets: an
 //! *anytime* solver that can be stopped at a node budget and still reports
@@ -8,12 +8,30 @@
 //!
 //! The whole tree shares **one** simplex engine (`simplex.rs`). The root
 //! relaxation is solved cold, once; every later node applies its fixings
-//! as column bounds (`lb = ub`) on that same live tableau and re-solves with the
-//! dual simplex from whatever basis the previous node — near or far in the
-//! tree — left behind, stopping as soon as the rising objective reaches
-//! the incumbent. A node therefore owns no tableau and no basis, only a
-//! link to its parent's fixings. The only budget is a node count, so a run
-//! is a pure function of the program and the options: no clock is read.
+//! as column bounds (`lb = ub`) on that same live tableau and re-solves with
+//! the dual simplex from whatever basis the previous node left behind,
+//! stopping as soon as the rising objective reaches the incumbent. The
+//! search *dives*: after branching on `x_v`, the down child (`x_v = 0`) is
+//! solved next, straight from the basis its parent just left, with one
+//! bound changed; the up child is queued. When a dive is pruned, proven
+//! infeasible or reaches an integral point, the search backtracks to the
+//! open node of least bound, and moving there changes only the bounds in
+//! which the two nodes' fixings differ.
+//!
+//! At every solved node with an incumbent, a free binary that is nonbasic
+//! with `|d_j|` above the gap `incumbent − z` (plus a rounding margin,
+//! `RC_MARGIN` relative to the incumbent) is fixed at its bound for the
+//! node's subtree: moving it off that bound would lift the LP bound past
+//! the incumbent. Such *reduced-cost fixings* ride on the node's chain
+//! of branching decisions like any branch, so a node owns no tableau and
+//! no basis, only a link to its last decision.
+//!
+//! The reported bound is the least bound of every node left open (the node
+//! being dived on included), of every node closed only within `GAP_TOL`
+//! of the incumbent, and of every node whose LP failed: only a proof —
+//! `Infeasible`, or an LP that reached the incumbent — closes a subtree.
+//! The only budget is a node count (one node is one LP), so a run is a
+//! pure function of the program and the options: no clock is read.
 
 use crate::lp::{LinearProgram, LpError};
 use crate::simplex::{Reoptimized, Simplex};
@@ -36,6 +54,11 @@ pub enum MilpStatus {
 const INT_TOL: f64 = 1e-6;
 /// Stop when the relative gap falls below this.
 const GAP_TOL: f64 = 1e-6;
+/// Reduced-cost fixing needs `|d_j|` to exceed the gap by this much,
+/// relative to the incumbent: a reduced cost read off a tableau updated in
+/// place carries rounding error, and a fixing must never cut off a point
+/// as good as the incumbent.
+const RC_MARGIN: f64 = 1e-9;
 
 /// The search budget.
 #[derive(Debug, Clone, Copy)]
@@ -80,8 +103,9 @@ pub struct Milp {
     is_binary: Vec<bool>,
 }
 
-/// One branching decision; a node's fixings are the chain of these up to
-/// the root, so an open node costs a heap entry and nothing else.
+/// One branching decision or reduced-cost fixing; a node's fixings are the
+/// chain of these up to the root, so an open node costs a heap entry and
+/// nothing else.
 #[derive(Clone, Copy)]
 struct Branch {
     parent: usize,
@@ -111,7 +135,7 @@ impl PartialOrd for Node {
 impl Ord for Node {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // BinaryHeap is a max-heap; we want the smallest bound first and,
-        // among equal bounds, the node created last (`ROOT` never ties).
+        // among equal bounds, the node created last.
         other
             .bound
             .total_cmp(&self.bound)
@@ -180,7 +204,6 @@ impl Milp {
 
     /// Solve with a warm-start incumbent (e.g. from a greedy heuristic).
     pub fn solve_with_warm_start(&self, opts: &MilpOptions, warm: Option<&[f64]>) -> MilpResult {
-        let mut nodes = 0usize;
         let mut incumbent: Option<(Vec<f64>, f64)> = None;
         if let Some(w) = warm {
             self.offer(w, &mut incumbent);
@@ -189,150 +212,306 @@ impl Milp {
         // Root relaxation: the one cold solve of the run.
         let mut engine = Simplex::new(&self.lp);
         if let Err(e) = engine.solve() {
-            let (status, bound, gap) = match e {
-                LpError::Infeasible => (MilpStatus::Infeasible, f64::INFINITY, 0.0),
-                _ => (MilpStatus::NoSolution, f64::NEG_INFINITY, f64::INFINITY),
+            // No root LP, no bound — but a warm start that passed the
+            // original rows is still a feasible answer.
+            let bound = match (&incumbent, e) {
+                (None, LpError::Infeasible) => f64::INFINITY,
+                _ => f64::NEG_INFINITY,
             };
-            return MilpResult {
-                status,
-                x: Vec::new(),
-                objective: f64::INFINITY,
-                bound,
-                gap,
-                nodes: 0,
-                pivots: engine.iterations(),
-            };
+            return finish(incumbent, bound, 0, engine.iterations());
         }
         let root_bound = engine.objective();
-
-        let mut branches: Vec<Branch> = Vec::new();
-        let mut heap: BinaryHeap<Node> = BinaryHeap::new();
-        heap.push(Node {
-            bound: root_bound,
-            branch: ROOT,
-        });
-        let mut best_bound = root_bound;
-        let mut exhausted = true;
-        let mut x: Vec<f64> = Vec::with_capacity(self.lp.num_vars());
-
-        while let Some(node) = heap.pop() {
-            best_bound = node.bound;
-            // Prune against incumbent.
-            if let Some((_, inc_obj)) = &incumbent {
-                let gap = relative_gap(*inc_obj, node.bound);
-                if node.bound >= *inc_obj - 1e-12 || gap <= GAP_TOL {
-                    // Everything remaining is worse; we're done.
-                    best_bound = node.bound.min(*inc_obj);
-                    break;
-                }
-            }
-            if nodes >= opts.node_limit {
-                exhausted = false;
-                break;
-            }
-            nodes += 1;
-
-            // The node's LP: its fixings as bounds on the live tableau.
-            for &v in &self.binaries {
-                engine.set_bounds(v, 0.0, 1.0);
-            }
-            let mut link = node.branch;
-            while link != ROOT {
-                let Branch { parent, var, value } = branches[link];
-                engine.set_bounds(var, value, value);
-                link = parent;
-            }
-            let cutoff = incumbent
-                .as_ref()
-                .map_or(f64::INFINITY, |(_, obj)| *obj - 1e-12);
-            match engine.reoptimize(cutoff) {
-                Ok(Reoptimized::Optimal) => {}
-                // Infeasible, no better than the incumbent, or numerically
-                // hopeless: nothing below this node is wanted.
-                Ok(Reoptimized::Cutoff) | Err(_) => continue,
-            }
-            let relaxed = engine.objective();
-            engine.write_solution(&mut x);
-            if self.offer(&x, &mut incumbent) {
-                continue;
-            }
-            // Branch on the most fractional binary the node leaves free.
-            let frac_var = self
-                .binaries
-                .iter()
-                .filter(|&&v| !engine.is_fixed(v))
-                .max_by(|&&a, &&b| {
-                    let fa = (x[a] - x[a].round()).abs();
-                    let fb = (x[b] - x[b].round()).abs();
-                    fa.total_cmp(&fb)
-                })
-                .copied();
-            // Rounding heuristic: try the nearest integer point for a quick
-            // incumbent (helps the anytime gap enormously).
-            if incumbent.is_none() {
-                for &v in &self.binaries {
-                    engine.set_bounds(v, x[v].round(), x[v].round());
-                }
-                if engine.reoptimize(f64::INFINITY).is_ok() {
-                    let mut rounded = Vec::new();
-                    engine.write_solution(&mut rounded);
-                    self.offer(&rounded, &mut incumbent);
-                }
-            }
-            let Some(v) = frac_var else { continue };
-            for value in [1.0 - x[v].round(), x[v].round()] {
-                branches.push(Branch {
-                    parent: node.branch,
-                    var: v,
-                    value: value.clamp(0.0, 1.0),
-                });
-                heap.push(Node {
-                    bound: relaxed,
-                    branch: branches.len() - 1,
-                });
-            }
-        }
-
-        if exhausted && heap.is_empty() {
-            // Search exhausted: the incumbent (if any) is optimal.
-            if let Some((_, obj)) = &incumbent {
-                best_bound = *obj;
-            }
-        }
-
-        let pivots = engine.iterations();
-        match incumbent {
-            Some((x, objective)) => {
-                let gap = relative_gap(objective, best_bound);
-                MilpResult {
-                    status: if gap <= GAP_TOL {
-                        MilpStatus::Optimal
-                    } else {
-                        MilpStatus::Feasible
-                    },
-                    x,
-                    objective,
-                    bound: best_bound.min(objective),
-                    gap,
-                    nodes,
-                    pivots,
-                }
-            }
-            None => MilpResult {
-                status: MilpStatus::NoSolution,
-                x: Vec::new(),
-                objective: f64::INFINITY,
-                bound: best_bound,
-                gap: f64::INFINITY,
-                nodes,
-                pivots,
-            },
-        }
+        let mut search = Search {
+            milp: self,
+            engine,
+            branches: Vec::new(),
+            heap: BinaryHeap::new(),
+            fixed: vec![None; self.lp.num_vars()],
+            target: vec![None; self.lp.num_vars()],
+            x: Vec::with_capacity(self.lp.num_vars()),
+            incumbent,
+            nodes: 0,
+        };
+        let bound = search.run(opts.node_limit, root_bound);
+        let (nodes, pivots) = (search.nodes, search.engine.iterations());
+        finish(search.incumbent, bound, nodes, pivots)
     }
 
     /// Solve without a warm start.
     pub fn solve(&self, opts: &MilpOptions) -> MilpResult {
         self.solve_with_warm_start(opts, None)
+    }
+}
+
+/// The state of one branch-and-bound run over the live tableau.
+struct Search<'m> {
+    milp: &'m Milp,
+    engine: Simplex,
+    /// Every branching decision and reduced-cost fixing made so far.
+    branches: Vec<Branch>,
+    /// Open nodes other than the one being dived on, least bound first.
+    heap: BinaryHeap<Node>,
+    /// The value each binary is fixed at on the tableau (`None`: free), so
+    /// that moving between nodes touches only the bounds that differ.
+    fixed: Vec<Option<f64>>,
+    /// Scratch: the fixings of the node being moved to.
+    target: Vec<Option<f64>>,
+    /// Scratch: the current LP point.
+    x: Vec<f64>,
+    incumbent: Option<(Vec<f64>, f64)>,
+    nodes: usize,
+}
+
+impl Search<'_> {
+    /// Search until the tree is closed or `node_limit` nodes are solved;
+    /// returns the least bound of every node not closed by a proof
+    /// (`f64::INFINITY` if there is none).
+    fn run(&mut self, node_limit: usize, root_bound: f64) -> f64 {
+        let mut bound = f64::INFINITY;
+        let mut dive = Some(Node {
+            bound: root_bound,
+            branch: ROOT,
+        });
+        loop {
+            let (node, diving) = match dive.take() {
+                Some(node) => (node, true),
+                None => match self.heap.pop() {
+                    Some(node) => (node, false),
+                    None => return bound,
+                },
+            };
+            if let Some(inc) = self.incumbent_objective() {
+                if node.bound >= inc - 1e-12 || relative_gap(inc, node.bound) <= GAP_TOL {
+                    bound = bound.min(node.bound);
+                    if diving {
+                        continue;
+                    }
+                    // The least open bound is no better, so none is.
+                    return bound;
+                }
+            }
+            if self.nodes >= node_limit {
+                let open = self.heap.peek().map_or(f64::INFINITY, |n| n.bound);
+                return bound.min(node.bound).min(open);
+            }
+            self.nodes += 1;
+            // A dive child's one new bound was applied when it was made.
+            if !diving {
+                self.move_to(node.branch);
+            }
+            let cutoff = self
+                .incumbent_objective()
+                .map_or(f64::INFINITY, |obj| obj - 1e-12);
+            let solved = self.engine.reoptimize(cutoff);
+            #[cfg(test)]
+            let solved = seam::failed_node_lp(self.nodes).map_or(solved, Err);
+            match solved {
+                Ok(Reoptimized::Optimal) => {}
+                // Proofs: nothing below this node beats the incumbent.
+                Ok(Reoptimized::Cutoff) | Err(LpError::Infeasible) => continue,
+                // Numerically hopeless is no proof: the node stays in the
+                // bound.
+                Err(_) => {
+                    bound = bound.min(node.bound);
+                    continue;
+                }
+            }
+            let relaxed = self.engine.objective();
+            self.engine.write_solution(&mut self.x);
+            if self.milp.offer(&self.x, &mut self.incumbent) {
+                continue;
+            }
+            let chain = match self.incumbent_objective() {
+                Some(inc) => self.fix_by_reduced_cost(node.branch, inc, relaxed),
+                None => {
+                    self.round();
+                    node.branch
+                }
+            };
+            let Some(v) = self.most_fractional() else {
+                // Every binary is fixed and the original rows reject the
+                // point: no proof either.
+                bound = bound.min(relaxed);
+                continue;
+            };
+            self.branches.push(Branch {
+                parent: chain,
+                var: v,
+                value: 1.0,
+            });
+            self.heap.push(Node {
+                bound: relaxed,
+                branch: self.branches.len() - 1,
+            });
+            self.branches.push(Branch {
+                parent: chain,
+                var: v,
+                value: 0.0,
+            });
+            self.fix(v, 0.0);
+            dive = Some(Node {
+                bound: relaxed,
+                branch: self.branches.len() - 1,
+            });
+        }
+    }
+
+    fn incumbent_objective(&self) -> Option<f64> {
+        self.incumbent.as_ref().map(|(_, obj)| *obj)
+    }
+
+    fn fix(&mut self, v: usize, value: f64) {
+        self.engine.set_bounds(v, value, value);
+        self.fixed[v] = Some(value);
+    }
+
+    /// Put the tableau's binaries at `branch`'s fixings, changing only the
+    /// bounds that differ from the ones in place.
+    fn move_to(&mut self, branch: usize) {
+        let binaries = &self.milp.binaries;
+        for &v in binaries {
+            self.target[v] = None;
+        }
+        let mut link = branch;
+        while link != ROOT {
+            let Branch { parent, var, value } = self.branches[link];
+            self.target[var] = Some(value);
+            link = parent;
+        }
+        for &v in binaries {
+            if self.target[v] != self.fixed[v] {
+                let (lb, ub) = self.target[v].map_or((0.0, 1.0), |value| (value, value));
+                self.engine.set_bounds(v, lb, ub);
+                self.fixed[v] = self.target[v];
+            }
+        }
+    }
+
+    /// Fix, below the node just solved (at `relaxed`), every free binary
+    /// whose move off its bound would cost more than `incumbent −
+    /// relaxed`; returns the node's chain extended by those fixings.
+    fn fix_by_reduced_cost(&mut self, mut chain: usize, incumbent: f64, relaxed: f64) -> usize {
+        let limit = incumbent - relaxed + RC_MARGIN * incumbent.abs().max(1.0);
+        let milp = self.milp;
+        for &v in &milp.binaries {
+            if self.fixed[v].is_some() {
+                continue;
+            }
+            let Some((d, at_upper)) = self.engine.nonbasic_reduced_cost(v) else {
+                continue;
+            };
+            if d.abs() > limit {
+                let value = if at_upper { 1.0 } else { 0.0 };
+                self.branches.push(Branch {
+                    parent: chain,
+                    var: v,
+                    value,
+                });
+                chain = self.branches.len() - 1;
+                self.fix(v, value);
+            }
+        }
+        chain
+    }
+
+    /// The free binary farthest from an integer at the current point.
+    fn most_fractional(&self) -> Option<usize> {
+        let x = &self.x;
+        self.milp
+            .binaries
+            .iter()
+            .filter(|&&v| self.fixed[v].is_none())
+            .max_by(|&&a, &&b| {
+                let fa = (x[a] - x[a].round()).abs();
+                let fb = (x[b] - x[b].round()).abs();
+                fa.total_cmp(&fb)
+            })
+            .copied()
+    }
+
+    /// Rounding heuristic, while there is no incumbent: try the nearest
+    /// integer point (helps the anytime gap enormously), then put the
+    /// node's own bounds back.
+    fn round(&mut self) {
+        let binaries = &self.milp.binaries;
+        for &v in binaries {
+            let r = self.x[v].round();
+            self.engine.set_bounds(v, r, r);
+        }
+        if self.engine.reoptimize(f64::INFINITY).is_ok() {
+            let mut rounded = Vec::new();
+            self.engine.write_solution(&mut rounded);
+            self.milp.offer(&rounded, &mut self.incumbent);
+        }
+        for &v in binaries {
+            let (lb, ub) = self.fixed[v].map_or((0.0, 1.0), |value| (value, value));
+            self.engine.set_bounds(v, lb, ub);
+        }
+    }
+}
+
+/// The result of a run that ends with `incumbent` and the least bound of
+/// everything not closed by a proof (`f64::INFINITY`: nothing is left).
+fn finish(
+    incumbent: Option<(Vec<f64>, f64)>,
+    bound: f64,
+    nodes: usize,
+    pivots: usize,
+) -> MilpResult {
+    match incumbent {
+        Some((x, objective)) => {
+            let bound = bound.min(objective);
+            let gap = relative_gap(objective, bound);
+            MilpResult {
+                status: if gap <= GAP_TOL {
+                    MilpStatus::Optimal
+                } else {
+                    MilpStatus::Feasible
+                },
+                x,
+                objective,
+                bound,
+                gap,
+                nodes,
+                pivots,
+            }
+        }
+        None => {
+            let proven = bound == f64::INFINITY;
+            MilpResult {
+                status: if proven {
+                    MilpStatus::Infeasible
+                } else {
+                    MilpStatus::NoSolution
+                },
+                x: Vec::new(),
+                objective: f64::INFINITY,
+                bound,
+                gap: if proven { 0.0 } else { f64::INFINITY },
+                nodes,
+                pivots,
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod seam {
+    use crate::lp::LpError;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// The node (counted from 1) whose LP reports a numerical failure.
+        static FAIL_NODE: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Make node `node`'s LP fail on this thread's next runs (0: none).
+    pub(super) fn fail_node_lp(node: usize) {
+        FAIL_NODE.with(|f| f.set(node));
+    }
+
+    pub(super) fn failed_node_lp(node: usize) -> Option<LpError> {
+        (FAIL_NODE.with(Cell::get) == node).then_some(LpError::IterationLimit)
     }
 }
 
@@ -510,45 +689,185 @@ mod tests {
         assert!((r.x[y] - 7.0).abs() < 1e-6);
     }
 
+    #[test]
+    fn integer_infeasible_program_is_proven_infeasible() {
+        // 2x = 1 has the LP point x = ½ and no integer one.
+        let mut m = Milp::new();
+        let x = m.add_binary(1.0);
+        m.lp.add_constraint(vec![(x, 2.0)], Relation::Eq, 1.0);
+        let r = m.solve(&MilpOptions::default());
+        assert_eq!(r.status, MilpStatus::Infeasible);
+        assert!(r.x.is_empty() && r.bound == f64::INFINITY);
+    }
+
+    #[test]
+    fn a_failed_root_lp_keeps_a_validated_warm_start() {
+        // min x − y with y ≥ x and y unbounded above: the root LP is
+        // unbounded, yet (1, 2) is a feasible point of the program.
+        let mut m = Milp::new();
+        let x = m.add_binary(1.0);
+        let y = m.add_continuous(-1.0);
+        m.lp.add_constraint(vec![(y, 1.0), (x, -1.0)], Relation::Ge, 0.0);
+        let warm = [1.0, 2.0];
+        let r = m.solve_with_warm_start(&MilpOptions::default(), Some(&warm));
+        assert_eq!(r.status, MilpStatus::Feasible);
+        assert_eq!((r.x.as_slice(), r.objective), (&warm[..], -1.0));
+        assert_eq!(r.bound, f64::NEG_INFINITY);
+        assert_eq!(r.gap, f64::INFINITY);
+        let cold = m.solve(&MilpOptions::default());
+        assert_eq!(cold.status, MilpStatus::NoSolution);
+        assert!(cold.x.is_empty());
+    }
+
+    #[test]
+    fn a_failed_node_lp_is_not_a_proof() {
+        let values: Vec<f64> = (1..=12).map(|i| (i * 7 % 13) as f64 + 1.0).collect();
+        let weights: Vec<f64> = (1..=12).map(|i| (i * 5 % 11) as f64 + 1.0).collect();
+        let m = knapsack_milp(&values, &weights, 20.0);
+        let (opts, warm) = (MilpOptions::default(), [0.0; 12]);
+        let full = m.solve_with_warm_start(&opts, Some(&warm));
+        assert_eq!(full.status, MilpStatus::Optimal);
+        let solve_failing = |node: usize| {
+            seam::fail_node_lp(node);
+            let r = m.solve_with_warm_start(&opts, Some(&warm));
+            seam::fail_node_lp(0);
+            r
+        };
+        // The root's own LP failing leaves the warm start and the root
+        // bound, and proves nothing.
+        let r = solve_failing(1);
+        assert_eq!(r.status, MilpStatus::Feasible);
+        assert_eq!((r.objective, r.nodes), (0.0, 1));
+        assert!(r.bound < full.objective && r.gap > GAP_TOL);
+        // Wherever the failure falls, the bound still holds and `Optimal`
+        // is only ever claimed for the optimum.
+        for node in 1..=full.nodes {
+            let r = solve_failing(node);
+            assert!(r.bound <= full.objective + 1e-9, "node {node}: {r:?}");
+            assert!(r.objective >= full.objective - 1e-9, "node {node}: {r:?}");
+            if r.status == MilpStatus::Optimal {
+                assert!(
+                    (r.objective - full.objective).abs() < 1e-9,
+                    "node {node}: {r:?}"
+                );
+            }
+        }
+    }
+
     mod prop {
         use super::*;
+        use crate::simplex::tests::Rng;
         use proptest::prelude::*;
 
-        /// Brute-force 0/1 knapsack optimum.
-        fn brute(values: &[f64], weights: &[f64], cap: f64) -> f64 {
-            let n = values.len();
-            let mut best = 0.0f64;
-            for mask in 0u32..(1 << n) {
-                let (mut v, mut w) = (0.0, 0.0);
-                for i in 0..n {
-                    if mask & (1 << i) != 0 {
-                        v += values[i];
-                        w += weights[i];
+        /// A program of CoPhy's shape drawn from `seed`, with its
+        /// all-empty warm start and its optimum found by enumerating `x`.
+        /// Binaries `x_i` (a size each and, in half the programs, an
+        /// upkeep cost); query blocks of continuous `y` with `Σ_k y_{b,k}
+        /// = 1`, configuration 0 empty; one `Σ_{k∋i} y_{b,k} ≤ x_i` row per
+        /// (block, index); a storage row. Some costs are whole numbers, so
+        /// ties occur.
+        fn cophy_shaped(seed: u64) -> (Milp, Vec<f64>, f64) {
+            let mut rng = Rng(seed);
+            let n = 1 + rng.below(12);
+            let sizes: Vec<f64> = (0..n).map(|_| rng.real(1.0, 10.0)).collect();
+            let with_upkeep = rng.below(2) == 0;
+            let upkeep: Vec<f64> = (0..n)
+                .map(|_| {
+                    if with_upkeep {
+                        rng.real(0.0, 20.0)
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            let budget = rng.real(0.1, 0.9) * sizes.iter().sum::<f64>();
+            let mut m = Milp::new();
+            let x: Vec<usize> = upkeep.iter().map(|&u| m.add_binary(u)).collect();
+            let storage = x.iter().zip(&sizes).map(|(&v, &s)| (v, s)).collect();
+            m.lp.add_constraint(storage, Relation::Le, budget);
+            let mut blocks: Vec<(f64, Vec<(u32, f64)>)> = Vec::new();
+            let mut warm = vec![0.0; n];
+            for _ in 0..1 + rng.below(8) {
+                let weight = rng.real(1.0, 5.0);
+                let empty = rng.real(50.0, 100.0);
+                let mut configs = vec![(0u32, empty)];
+                for _ in 0..1 + rng.below(5) {
+                    let mut uses = 0u32;
+                    for _ in 0..1 + rng.below(3) {
+                        uses |= 1 << rng.below(n);
+                    }
+                    let cost = rng.real(5.0, empty);
+                    let cost = if rng.below(3) == 0 {
+                        cost.round()
+                    } else {
+                        cost
+                    };
+                    configs.push((uses, cost));
+                }
+                let ys: Vec<usize> = configs
+                    .iter()
+                    .map(|&(_, cost)| m.add_continuous(weight * cost))
+                    .collect();
+                warm.extend(ys.iter().map(|&y| if y == ys[0] { 1.0 } else { 0.0 }));
+                m.lp.add_constraint(ys.iter().map(|&y| (y, 1.0)).collect(), Relation::Eq, 1.0);
+                for (i, &xi) in x.iter().enumerate() {
+                    let mut row: Vec<(usize, f64)> = configs
+                        .iter()
+                        .zip(&ys)
+                        .filter(|((uses, _), _)| uses & (1 << i) != 0)
+                        .map(|(_, &y)| (y, 1.0))
+                        .collect();
+                    if !row.is_empty() {
+                        row.push((xi, -1.0));
+                        m.lp.add_constraint(row, Relation::Le, 0.0);
                     }
                 }
-                if w <= cap && v > best {
-                    best = v;
-                }
+                blocks.push((weight, configs));
             }
-            best
+            let mut best = f64::INFINITY;
+            for built in 0u32..(1 << n) {
+                let on = |i: &usize| built & (1 << i) != 0;
+                if (0..n).filter(on).map(|i| sizes[i]).sum::<f64>() > budget {
+                    continue;
+                }
+                let mut total: f64 = (0..n).filter(on).map(|i| upkeep[i]).sum();
+                for (weight, configs) in &blocks {
+                    total += configs
+                        .iter()
+                        .filter(|&&(uses, _)| uses & !built == 0)
+                        .map(|&(_, cost)| weight * cost)
+                        .fold(f64::INFINITY, f64::min);
+                }
+                best = best.min(total);
+            }
+            (m, warm, best)
         }
 
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(24))]
+            #![proptest_config(ProptestConfig::with_cases(64))]
             #[test]
-            fn milp_matches_brute_force(
-                values in proptest::collection::vec(1.0f64..20.0, 2..8),
-                weights in proptest::collection::vec(1.0f64..10.0, 2..8),
-                cap in 5.0f64..25.0,
-            ) {
-                let n = values.len().min(weights.len());
-                let (values, weights) = (&values[..n], &weights[..n]);
-                let m = knapsack_milp(values, weights, cap);
-                let r = m.solve(&MilpOptions::default());
-                prop_assert_eq!(r.status, MilpStatus::Optimal);
-                let exact = brute(values, weights, cap);
-                prop_assert!((r.objective + exact).abs() < 1e-5,
-                    "milp {} vs brute {}", -r.objective, exact);
+            fn milp_matches_brute_force(seed in 0u64..u64::MAX) {
+                let (m, warm, exact) = cophy_shaped(seed);
+                let tol = 1e-6 * exact.abs().max(1.0);
+                let full = m.solve(&MilpOptions::default());
+                prop_assert_eq!(full.status, MilpStatus::Optimal);
+                prop_assert!((full.objective - exact).abs() <= tol,
+                    "milp {} vs brute {}", full.objective, exact);
+                for node_limit in [0, 1, 5] {
+                    for warm in [None, Some(&warm[..])] {
+                        let r = m.solve_with_warm_start(&MilpOptions { node_limit }, warm);
+                        prop_assert!(r.bound <= exact + tol && exact <= r.objective + tol,
+                            "{node_limit} nodes: bound {} ≤ {exact} ≤ {}", r.bound, r.objective);
+                        if !r.x.is_empty() {
+                            let at = m.lp.objective_if_feasible(&r.x);
+                            prop_assert!(at.is_some_and(|obj| (obj - r.objective).abs() <= tol),
+                                "{node_limit} nodes: x breaks a row or misstates its objective");
+                        }
+                        if r.status == MilpStatus::Optimal {
+                            prop_assert!((r.objective - exact).abs() <= tol);
+                        }
+                    }
+                }
             }
         }
     }

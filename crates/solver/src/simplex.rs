@@ -161,9 +161,12 @@ impl Simplex {
         self.iterations
     }
 
-    /// Whether structural column `j` is fixed (`lb = ub`).
-    pub(crate) fn is_fixed(&self, j: usize) -> bool {
-        self.lb[j] == self.ub[j]
+    /// The reduced cost of structural column `j` and whether it sits on
+    /// its upper bound, or `None` while `j` is basic. After an optimal
+    /// solve, moving a nonbasic `j` off its bound by `t` raises the
+    /// objective by at least `|d_j|·t`.
+    pub(crate) fn nonbasic_reduced_cost(&self, j: usize) -> Option<(f64, bool)> {
+        (self.row_of[j] == NONBASIC).then(|| (self.d[j], self.at_upper[j]))
     }
 
     /// Change the bounds of structural column `j`. Takes effect at the
@@ -621,13 +624,13 @@ impl Simplex {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
     /// SplitMix64: the whole random program comes from one drawn seed.
-    struct Rng(u64);
+    pub(crate) struct Rng(pub(crate) u64);
 
     impl Rng {
         fn next(&mut self) -> u64 {
@@ -637,10 +640,10 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         }
-        fn below(&mut self, n: usize) -> usize {
+        pub(crate) fn below(&mut self, n: usize) -> usize {
             (self.next() % n as u64) as usize
         }
-        fn real(&mut self, lo: f64, hi: f64) -> f64 {
+        pub(crate) fn real(&mut self, lo: f64, hi: f64) -> f64 {
             lo + (hi - lo) * (self.next() >> 11) as f64 / (1u64 << 53) as f64
         }
     }
