@@ -464,6 +464,122 @@ mod tests {
         }
     }
 
+    /// The ILP of `recommend_on` over `w` under `budget`, built by the same
+    /// public calls `bench-trace`'s staged replica makes: the session
+    /// matrix with the candidate pool, the program, and its greedy warm
+    /// start.
+    fn staged_ilp<'a>(
+        inum: &Inum<'a>,
+        w: &Workload,
+        budget: u64,
+    ) -> (CostMatrix<'a>, crate::formulation::IlpModel, Vec<f64>) {
+        let catalog = inum.catalog();
+        let config = CophyConfig {
+            storage_budget_bytes: budget,
+            ..Default::default()
+        };
+        let mut m = matrix(inum, w);
+        let base = workload_candidates(catalog, &m.active_workload(), &config.candidates);
+        let pool = crate::merging::augment_with_merges(
+            catalog,
+            &base,
+            config.merge_max_width,
+            config.merged_candidates,
+        );
+        m.add_candidates(&pool.indexes);
+        let sizes: BTreeMap<usize, f64> = m
+            .candidates()
+            .map(|(id, idx)| {
+                (
+                    id,
+                    idx.size_bytes(&catalog.schema, catalog.table_stats(idx.table)),
+                )
+            })
+            .filter(|&(_, bytes)| bytes <= budget)
+            .map(|(id, bytes)| (id, bytes as f64))
+            .collect();
+        let mut configs = enumerate_atomic_configs(&m, config.max_configs_per_query);
+        for qc in &mut configs {
+            qc.configs
+                .retain(|c| c.candidate_ids.iter().all(|id| sizes.contains_key(id)));
+        }
+        let weights: Vec<f64> = configs
+            .iter()
+            .map(|qc| m.query_weight(qc.query_id))
+            .collect();
+        let model = build_ilp(&weights, &configs, &sizes, &BTreeMap::new(), budget as f64);
+        let greedy = greedy_select(&m, budget);
+        let warm = warm_start_assignment(&model, &configs, &greedy.chosen);
+        (m, model, warm)
+    }
+
+    /// The ILP's own pick, decoded before `drop_worthless` runs, holds no
+    /// index of zero value on SDSS and TPC-H at three seeds and a loose
+    /// and a tight budget. `bench-trace`'s replica of `recommend_on` takes
+    /// that pick as it is, so a solver vertex that sets a worthless
+    /// `x_i = 1` would fail every traced offline op.
+    #[test]
+    fn the_ilp_pick_holds_no_index_of_zero_value() {
+        use pgdesign_catalog::samples::tpch_catalog;
+        use pgdesign_query::generators::tpch_workload;
+        let opt = Optimizer::new();
+        for (catalog, tpch) in [(sdss_catalog(0.005), false), (tpch_catalog(0.005), true)] {
+            let inum = Inum::new(&catalog, &opt);
+            for seed in [5, 11, 12] {
+                let w = if tpch {
+                    tpch_workload(&catalog, 36, seed)
+                } else {
+                    sdss_workload(&catalog, 40, seed)
+                };
+                for budget_frac in [0.5, 0.05] {
+                    let budget = (catalog.data_bytes() as f64 * budget_frac) as u64;
+                    let (m, model, warm) = staged_ilp(&inum, &w, budget);
+                    let solved = model
+                        .milp
+                        .solve_with_warm_start(&CophyConfig::default().solver, Some(&warm));
+                    let pick = decode_solution(&model, &solved.x);
+                    let cost = |ids: &[usize]| m.workload_cost(&m.config_of(ids.iter().copied()));
+                    let all = cost(&pick);
+                    for &id in &pick {
+                        let without: Vec<usize> =
+                            pick.iter().copied().filter(|&j| j != id).collect();
+                        assert!(
+                            cost(&without) > all,
+                            "tpch {tpch}, seed {seed}, budget {budget_frac}: the ILP picks {} \
+                             and it is worth nothing",
+                            m.candidate(id)
+                                .expect("picked ids are live")
+                                .display(&catalog.schema)
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The simplex engine's storage on CoPhy's program for `pgdesign
+    /// recommend --workload builtin:320` (SDSS at scale 0.01, seed 42,
+    /// half the data size as budget) stays linear in the program.
+    #[test]
+    fn solver_storage_is_linear_in_the_builtin_320_program() {
+        let catalog = sdss_catalog(0.01);
+        let opt = Optimizer::new();
+        let inum = Inum::new(&catalog, &opt);
+        let w = sdss_workload(&catalog, 320, 42);
+        let budget = catalog.data_bytes() / 2;
+        let (_, model, warm) = staged_ilp(&inum, &w, budget);
+        assert!(model.milp.lp.num_constraints() > 900);
+        let (solved, held, size) = model
+            .milp
+            .solve_measuring_storage(&CophyConfig::default().solver, Some(&warm));
+        assert_eq!(solved.status, MilpStatus::Optimal);
+        // The bound the solver crate states for its engine.
+        assert!(
+            held <= 32 * size,
+            "{held} numbers kept for nnz + m + n = {size}"
+        );
+    }
+
     #[test]
     fn gap_is_certified() {
         let (rec, _) = advise(0.5, 9, 25);
