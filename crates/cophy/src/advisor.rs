@@ -1,8 +1,8 @@
 //! The CoPhy advisor: candidates → atomic configurations → ILP → solution.
 
 use crate::atomic::enumerate_atomic_configs;
-use crate::formulation::{build_ilp, decode_solution, warm_start_assignment, IlpShape};
-use crate::greedy::{drop_worthless, greedy_select};
+use crate::formulation::{build_ilp, decode_solution, warm_start_assignment, IlpModel, IlpShape};
+use crate::greedy::{drop_worthless, greedy_select, GreedyResult};
 use pgdesign_catalog::design::{Index, PhysicalDesign};
 use pgdesign_inum::{CostMatrix, Inum};
 use pgdesign_optimizer::candidates::{workload_candidates, CandidateConfig};
@@ -91,6 +91,16 @@ pub struct Recommendation {
     pub total_index_bytes: u64,
 }
 
+/// What [`CophyAdvisor::formulate`] hands the solve: the ILP, each sized
+/// candidate's maintenance cost, the greedy pick and its assignment as the
+/// ILP's warm start.
+struct Formulated {
+    model: IlpModel,
+    maintenance: BTreeMap<usize, f64>,
+    warm_greedy: GreedyResult,
+    warm: Vec<f64>,
+}
+
 /// The CoPhy advisor bound to an INUM instance.
 pub struct CophyAdvisor<'a> {
     inum: &'a Inum<'a>,
@@ -108,24 +118,13 @@ impl<'a> CophyAdvisor<'a> {
         &self.config
     }
 
-    /// Produce an index recommendation against `matrix`. The advisor
-    /// enumerates candidates from the matrix's active queries and
-    /// registers them with [`CostMatrix::add_candidates`]: candidates
-    /// already resident (e.g. registered by an on-line tuner sharing the
-    /// same session matrix) reuse their cells instead of recomputing them,
-    /// and candidates the matrix holds beyond this enumeration compete on
-    /// equal footing. The matrix is extended, never rebuilt, and
-    /// registered candidates stay resident for later advisors on the same
-    /// matrix. A caller without a matrix builds one with
-    /// `CostMatrix::build(&inum, &workload, &[])`.
-    ///
-    /// Nothing is published: snapshot readers see the registered
-    /// candidates once the matrix owner calls [`CostMatrix::publish`] (a
-    /// session's `advise` does, once per advice).
-    pub fn recommend_on(&self, matrix: &mut CostMatrix<'_>) -> Recommendation {
+    /// The ILP `recommend_on` solves over `matrix`, with its greedy warm
+    /// start: the candidate pool (merges included) is registered, sized
+    /// against the budget, and turned into atomic configurations, weights
+    /// and per-index maintenance.
+    fn formulate(&self, matrix: &mut CostMatrix<'_>) -> Formulated {
         let catalog = self.inum.catalog();
         let base = workload_candidates(catalog, &matrix.active_workload(), &self.config.candidates);
-        let qids: Vec<usize> = matrix.active_query_ids().collect();
 
         // Register the candidate pool. Merged candidates ride on the same
         // matrix: each is registered incrementally (only its own cells are
@@ -200,6 +199,39 @@ impl<'a> CophyAdvisor<'a> {
         // Greedy warm start (delta evaluation on the shared matrix).
         let warm_greedy = greedy_select(matrix, self.config.storage_budget_bytes);
         let warm = warm_start_assignment(&model, &configs, &warm_greedy.chosen);
+
+        Formulated {
+            model,
+            maintenance,
+            warm_greedy,
+            warm,
+        }
+    }
+
+    /// Produce an index recommendation against `matrix`. The advisor
+    /// enumerates candidates from the matrix's active queries and
+    /// registers them with [`CostMatrix::add_candidates`]: candidates
+    /// already resident (e.g. registered by an on-line tuner sharing the
+    /// same session matrix) reuse their cells instead of recomputing them,
+    /// and candidates the matrix holds beyond this enumeration compete on
+    /// equal footing. The matrix is extended, never rebuilt, and
+    /// registered candidates stay resident for later advisors on the same
+    /// matrix. A caller without a matrix builds one with
+    /// `CostMatrix::build(&inum, &workload, &[])`.
+    ///
+    /// Nothing is published: snapshot readers see the registered
+    /// candidates once the matrix owner calls [`CostMatrix::publish`] (a
+    /// session's `advise` does, once per advice).
+    pub fn recommend_on(&self, matrix: &mut CostMatrix<'_>) -> Recommendation {
+        let catalog = self.inum.catalog();
+        let Formulated {
+            model,
+            maintenance,
+            warm_greedy,
+            warm,
+        } = self.formulate(matrix);
+        let matrix: &CostMatrix<'_> = matrix;
+        let qids: Vec<usize> = matrix.active_query_ids().collect();
 
         let result = model
             .milp
@@ -464,55 +496,6 @@ mod tests {
         }
     }
 
-    /// The ILP of `recommend_on` over `w` under `budget`, built by the same
-    /// public calls `bench-trace`'s staged replica makes: the session
-    /// matrix with the candidate pool, the program, and its greedy warm
-    /// start.
-    fn staged_ilp<'a>(
-        inum: &Inum<'a>,
-        w: &Workload,
-        budget: u64,
-    ) -> (CostMatrix<'a>, crate::formulation::IlpModel, Vec<f64>) {
-        let catalog = inum.catalog();
-        let config = CophyConfig {
-            storage_budget_bytes: budget,
-            ..Default::default()
-        };
-        let mut m = matrix(inum, w);
-        let base = workload_candidates(catalog, &m.active_workload(), &config.candidates);
-        let pool = crate::merging::augment_with_merges(
-            catalog,
-            &base,
-            config.merge_max_width,
-            config.merged_candidates,
-        );
-        m.add_candidates(&pool.indexes);
-        let sizes: BTreeMap<usize, f64> = m
-            .candidates()
-            .map(|(id, idx)| {
-                (
-                    id,
-                    idx.size_bytes(&catalog.schema, catalog.table_stats(idx.table)),
-                )
-            })
-            .filter(|&(_, bytes)| bytes <= budget)
-            .map(|(id, bytes)| (id, bytes as f64))
-            .collect();
-        let mut configs = enumerate_atomic_configs(&m, config.max_configs_per_query);
-        for qc in &mut configs {
-            qc.configs
-                .retain(|c| c.candidate_ids.iter().all(|id| sizes.contains_key(id)));
-        }
-        let weights: Vec<f64> = configs
-            .iter()
-            .map(|qc| m.query_weight(qc.query_id))
-            .collect();
-        let model = build_ilp(&weights, &configs, &sizes, &BTreeMap::new(), budget as f64);
-        let greedy = greedy_select(&m, budget);
-        let warm = warm_start_assignment(&model, &configs, &greedy.chosen);
-        (m, model, warm)
-    }
-
     /// The ILP's own pick, decoded before `drop_worthless` runs, holds no
     /// index of zero value on SDSS and TPC-H at three seeds and a loose
     /// and a tight budget. `bench-trace`'s replica of `recommend_on` takes
@@ -532,11 +515,16 @@ mod tests {
                     sdss_workload(&catalog, 40, seed)
                 };
                 for budget_frac in [0.5, 0.05] {
-                    let budget = (catalog.data_bytes() as f64 * budget_frac) as u64;
-                    let (m, model, warm) = staged_ilp(&inum, &w, budget);
+                    let config = CophyConfig {
+                        storage_budget_bytes: (catalog.data_bytes() as f64 * budget_frac) as u64,
+                        ..Default::default()
+                    };
+                    let advisor = CophyAdvisor::new(&inum, config);
+                    let mut m = matrix(&inum, &w);
+                    let Formulated { model, warm, .. } = advisor.formulate(&mut m);
                     let solved = model
                         .milp
-                        .solve_with_warm_start(&CophyConfig::default().solver, Some(&warm));
+                        .solve_with_warm_start(&advisor.config().solver, Some(&warm));
                     let pick = decode_solution(&model, &solved.x);
                     let cost = |ids: &[usize]| m.workload_cost(&m.config_of(ids.iter().copied()));
                     let all = cost(&pick);
@@ -555,29 +543,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The simplex engine's storage on CoPhy's program for `pgdesign
-    /// recommend --workload builtin:320` (SDSS at scale 0.01, seed 42,
-    /// half the data size as budget) stays linear in the program.
-    #[test]
-    fn solver_storage_is_linear_in_the_builtin_320_program() {
-        let catalog = sdss_catalog(0.01);
-        let opt = Optimizer::new();
-        let inum = Inum::new(&catalog, &opt);
-        let w = sdss_workload(&catalog, 320, 42);
-        let budget = catalog.data_bytes() / 2;
-        let (_, model, warm) = staged_ilp(&inum, &w, budget);
-        assert!(model.milp.lp.num_constraints() > 900);
-        let (solved, held, size) = model
-            .milp
-            .solve_measuring_storage(&CophyConfig::default().solver, Some(&warm));
-        assert_eq!(solved.status, MilpStatus::Optimal);
-        // The bound the solver crate states for its engine.
-        assert!(
-            held <= 32 * size,
-            "{held} numbers kept for nnz + m + n = {size}"
-        );
     }
 
     #[test]

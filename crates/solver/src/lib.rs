@@ -13,7 +13,7 @@
 //!   solve, dual simplex to re-solve in place after bound changes;
 //! * [`milp`] — depth-first branch-and-bound over the LP relaxation with
 //!   binary variables, warm starts and reduced-cost fixing. The whole tree
-//!   shares one live basis: a node is its fixings applied as bounds plus
+//!   shares one live tableau: a node is its fixings applied as bounds plus
 //!   a dual-simplex re-solve from the basis the previous node left — its
 //!   parent's, while the search dives. The one budget is a
 //!   node count — no clock is read, so the answer does not depend on the
@@ -23,18 +23,14 @@
 //! * [`knapsack`] — greedy and exact 0/1 knapsack used by COLT's storage-
 //!   budgeted index retention and as a warm-start heuristic.
 //!
-//! The engine is a revised simplex over the program's sparse rows and
-//! columns: the basis is kept as sparse LU factors plus one eta column per
-//! pivot, refactored periodically, and no rows × columns array exists, so
-//! storage stays linear in the program's nonzeros, rows and columns;
-//! tests hold it to a stated multiple of them on CoPhy's program for
-//! `recommend --workload builtin:320` and on a synthetic CoPhy-shaped
-//! program of over 3,000 rows.
+//! Storage is one dense tableau, updated with work proportional to the
+//! nonzeros a pivot touches. That suits the benchmark's programs (tens of
+//! rows). A revised simplex over sparse columns was measured slower there,
+//! and faster on `recommend --workload builtin:320` and `builtin:1280`; it
+//! waits for a benchmark workload of that size (ROADMAP item 4(b)).
 
 #![forbid(unsafe_code)]
 
-#[cfg(test)]
-mod dense;
 pub mod knapsack;
 pub mod lp;
 pub mod milp;

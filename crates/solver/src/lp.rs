@@ -131,7 +131,7 @@ impl LinearProgram {
 
     /// `c₀ + cᵀx` if `x` satisfies every bound and every row of the program as
     /// written (within [`CHECK_TOL`]) — the check an incumbent must pass
-    /// whatever a long-lived engine believes about it.
+    /// whatever a long-lived tableau believes about it.
     pub(crate) fn objective_if_feasible(&self, x: &[f64]) -> Option<f64> {
         if x.len() != self.num_vars() {
             return None;

@@ -8,7 +8,7 @@
 //!
 //! The whole tree shares **one** simplex engine (`simplex.rs`). The root
 //! relaxation is solved cold, once; every later node applies its fixings
-//! as column bounds (`lb = ub`) on that same live basis and re-solves with
+//! as column bounds (`lb = ub`) on that same live tableau and re-solves with
 //! the dual simplex from whatever basis the previous node left behind,
 //! stopping as soon as the rising objective reaches the incumbent. The
 //! search *dives*: after branching on `x_v`, the down child (`x_v = 0`) is
@@ -23,8 +23,8 @@
 //! `RC_MARGIN` relative to the incumbent) is fixed at its bound for the
 //! node's subtree: moving it off that bound would lift the LP bound past
 //! the incumbent. Such *reduced-cost fixings* ride on the node's chain
-//! of branching decisions like any branch, so a node owns no basis and no
-//! factorization, only a link to its last decision.
+//! of branching decisions like any branch, so a node owns no tableau and
+//! no basis, only a link to its last decision.
 //!
 //! The reported bound is the least bound of every node left open (the node
 //! being dived on included), of every node closed only within `GAP_TOL`
@@ -55,7 +55,7 @@ const INT_TOL: f64 = 1e-6;
 /// Stop when the relative gap falls below this.
 const GAP_TOL: f64 = 1e-6;
 /// Reduced-cost fixing needs `|d_j|` to exceed the gap by this much,
-/// relative to the incumbent: a reduced cost the engine updated in
+/// relative to the incumbent: a reduced cost read off a tableau updated in
 /// place carries rounding error, and a fixing must never cut off a point
 /// as good as the incumbent.
 const RC_MARGIN: f64 = 1e-9;
@@ -204,26 +204,6 @@ impl Milp {
 
     /// Solve with a warm-start incumbent (e.g. from a greedy heuristic).
     pub fn solve_with_warm_start(&self, opts: &MilpOptions, warm: Option<&[f64]>) -> MilpResult {
-        self.run(opts, warm).0
-    }
-
-    /// [`Milp::solve_with_warm_start`], plus how many numbers the simplex
-    /// engine held at the end of the run — every vector at its capacity,
-    /// so its peak — and `nnz(A) + m + n` of the program, which that
-    /// storage must stay linear in. A test seam: no caller in the pipeline
-    /// reads it.
-    #[doc(hidden)]
-    pub fn solve_measuring_storage(
-        &self,
-        opts: &MilpOptions,
-        warm: Option<&[f64]>,
-    ) -> (MilpResult, usize, usize) {
-        let (result, (held, size)) = self.run(opts, warm);
-        (result, held, size)
-    }
-
-    /// The run, and the engine's [`Simplex::storage`] at its end.
-    fn run(&self, opts: &MilpOptions, warm: Option<&[f64]>) -> (MilpResult, (usize, usize)) {
         let mut incumbent: Option<(Vec<f64>, f64)> = None;
         if let Some(w) = warm {
             self.offer(w, &mut incumbent);
@@ -238,8 +218,7 @@ impl Milp {
                 (None, LpError::Infeasible) => f64::INFINITY,
                 _ => f64::NEG_INFINITY,
             };
-            let storage = engine.storage();
-            return (finish(incumbent, bound, 0, engine.iterations()), storage);
+            return finish(incumbent, bound, 0, engine.iterations());
         }
         let root_bound = engine.objective();
         let mut search = Search {
@@ -255,8 +234,7 @@ impl Milp {
         };
         let bound = search.run(opts.node_limit, root_bound);
         let (nodes, pivots) = (search.nodes, search.engine.iterations());
-        let storage = search.engine.storage();
-        (finish(search.incumbent, bound, nodes, pivots), storage)
+        finish(search.incumbent, bound, nodes, pivots)
     }
 
     /// Solve without a warm start.
@@ -265,7 +243,7 @@ impl Milp {
     }
 }
 
-/// The state of one branch-and-bound run over the live basis.
+/// The state of one branch-and-bound run over the live tableau.
 struct Search<'m> {
     milp: &'m Milp,
     engine: Simplex,
@@ -273,7 +251,7 @@ struct Search<'m> {
     branches: Vec<Branch>,
     /// Open nodes other than the one being dived on, least bound first.
     heap: BinaryHeap<Node>,
-    /// The value each binary is fixed at in the engine (`None`: free), so
+    /// The value each binary is fixed at on the tableau (`None`: free), so
     /// that moving between nodes touches only the bounds that differ.
     fixed: Vec<Option<f64>>,
     /// Scratch: the fixings of the node being moved to.
@@ -387,7 +365,7 @@ impl Search<'_> {
         self.fixed[v] = Some(value);
     }
 
-    /// Put the engine's binaries at `branch`'s fixings, changing only the
+    /// Put the tableau's binaries at `branch`'s fixings, changing only the
     /// bounds that differ from the ones in place.
     fn move_to(&mut self, branch: usize) {
         let binaries = &self.milp.binaries;
@@ -863,57 +841,6 @@ pub(crate) mod tests {
                 best = best.min(total);
             }
             (m, warm, best)
-        }
-
-        /// A program of CoPhy's shape at any size, with its all-empty warm
-        /// start: `indexes` binaries with sizes, `blocks` query blocks of
-        /// two to six configurations over up to three indexes each, one
-        /// coupling row per (block, index) and a storage row. As queries
-        /// on the same tables share candidates, block `b` draws its
-        /// indexes from a window of 16 that slides with `b`.
-        pub(crate) fn cophy_program(
-            rng: &mut Rng,
-            indexes: usize,
-            blocks: usize,
-        ) -> (Milp, Vec<f64>) {
-            let mut m = Milp::new();
-            let sizes: Vec<f64> = (0..indexes).map(|_| rng.real(1.0, 10.0)).collect();
-            let x: Vec<usize> = (0..indexes).map(|_| m.add_binary(0.0)).collect();
-            let storage = x.iter().zip(&sizes).map(|(&v, &s)| (v, s)).collect();
-            m.lp.add_constraint(storage, Relation::Le, 0.3 * sizes.iter().sum::<f64>());
-            let mut warm = vec![0.0; indexes];
-            for b in 0..blocks {
-                let empty = rng.real(50.0, 100.0);
-                let mut configs: Vec<(Vec<usize>, f64)> = vec![(Vec::new(), empty)];
-                for _ in 0..1 + rng.below(5) {
-                    let mut uses: Vec<usize> = (0..1 + rng.below(3))
-                        .map(|_| (b * indexes / blocks + rng.below(16)) % indexes)
-                        .collect();
-                    uses.sort_unstable();
-                    uses.dedup();
-                    configs.push((uses, rng.real(5.0, empty)));
-                }
-                let ys: Vec<usize> = configs.iter().map(|&(_, c)| m.add_continuous(c)).collect();
-                warm.extend((0..ys.len()).map(|k| if k == 0 { 1.0 } else { 0.0 }));
-                m.lp.add_constraint(ys.iter().map(|&y| (y, 1.0)).collect(), Relation::Eq, 1.0);
-                let mut touched: Vec<usize> = configs
-                    .iter()
-                    .flat_map(|(uses, _)| uses.iter().copied())
-                    .collect();
-                touched.sort_unstable();
-                touched.dedup();
-                for i in touched {
-                    let mut row: Vec<(usize, f64)> = configs
-                        .iter()
-                        .zip(&ys)
-                        .filter(|((uses, _), _)| uses.contains(&i))
-                        .map(|(_, &y)| (y, 1.0))
-                        .collect();
-                    row.push((x[i], -1.0));
-                    m.lp.add_constraint(row, Relation::Le, 0.0);
-                }
-            }
-            (m, warm)
         }
 
         proptest! {
