@@ -60,11 +60,13 @@ examples:
 # Crash-recovery drill over the real CLI and a real state directory.
 # Leg 1: run the scenario-3 stream with durable state, kill it hard
 # (exit 137) mid-epoch, then restart and require a warm matrix — zero
-# builds, restored cells reused from the first epoch.
+# builds, restored cells reused from the first epoch — and a warm tuner
+# (`--expect-warm` checks both).
 # Leg 2: kill *during a checkpoint* (PGDESIGN_KILL_AT_CHECKPOINT dies
 # before the snapshot replace) — recovery must land on the prior
-# snapshot with every published edit replayed from the intact log and
-# nothing dropped at a torn tail. CI runs this after tier-1.
+# snapshot with every published edit, and the tuner record riding with
+# it, replayed from the intact log and nothing dropped at a torn tail.
+# CI runs this after tier-1.
 recovery-drill:
 	$(CARGO) build --release
 	rm -rf target/recovery-drill
@@ -108,7 +110,7 @@ same-bytes:
 	  else echo "DIFFERS: pgdesign $$run ($$out.parent vs $$out.this)"; differ=1; fi; \
 	done; exit $$differ
 
-# Remove durable session state: the snapshot, sidecar and edit-log files
+# Remove durable session state: the snapshot and edit-log files
 # (*.pgds, *.pgdl) that `--state DIR`, or a session opened with
 # `open_or_create_on` over an `FsStore`, writes into its directory, and the
 # recovery drill's directory.

@@ -170,8 +170,8 @@ pub struct TunerCandidate {
 }
 
 /// The tuner's exportable adaptive state (EWMAs, materialized set, epoch
-/// counter) — what a durable session persists alongside the matrix
-/// snapshot so a restarted daemon resumes with design continuity.
+/// counter) — what a durable session persists with each matrix
+/// generation so a restarted daemon resumes with design continuity.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TunerState {
     /// Epoch counter at export time.

@@ -95,11 +95,13 @@ Per-subcommand flags:
                                      --stats reports health and staleness
               --state DIR            Durable state directory; a restarted
                                      stream resumes on the persisted matrix
+                                     and tuner
               --kill-after N         Exit hard (code 137, no shutdown path)
                                      after observing N queries — the crash
                                      half of a recovery drill
               --expect-warm          Fail unless this run warm-restored the
-                                     matrix (builds == 0, cells reused)
+                                     matrix (builds == 0, cells reused) and
+                                     the tuner
   explain     --sql QUERY            Statement to explain";
 
 /// The subcommands and the flags each one takes, without their `--`.
@@ -489,9 +491,12 @@ fn run(args: &[String]) -> Result<(), String> {
             // the same query mix: its first epoch dedupes against the
             // restored residents — that is the warm-restart contract
             // `--expect-warm` checks.
+            print!("{}", OnlineSession::TRAJECTORY_HEADER);
             let mut fed = 0usize;
             for q in stream.batch(queries) {
-                let _ = session.observe(q);
+                if let Some(report) = session.observe(q) {
+                    print!("{}", OnlineSession::trajectory_row(report));
+                }
                 fed += 1;
                 if kill_after == Some(fed) {
                     // A real hard kill: no destructors, no final sync —
@@ -503,12 +508,16 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             if expect_warm {
                 let stats = session.tuning_stats();
-                let warm = stats.matrix.builds == 0 && stats.matrix.cells_reused > 0;
+                let warm = stats.matrix.builds == 0
+                    && stats.matrix.cells_reused > 0
+                    && session.tuner_restored();
                 if !warm {
                     return Err(format!(
-                        "--expect-warm: run was not warm (builds {}, cells_reused {}, recovery: {})",
+                        "--expect-warm: run was not warm (builds {}, cells_reused {}, \
+                         tuner restored {}, recovery: {})",
                         stats.matrix.builds,
                         stats.matrix.cells_reused,
+                        session.tuner_restored(),
                         stats
                             .recovery
                             .and_then(|r| r.cold_start)
@@ -516,7 +525,6 @@ fn run(args: &[String]) -> Result<(), String> {
                     ));
                 }
             }
-            print!("{}", session.trajectory());
             let (untuned, tuned) = session.cumulative_costs();
             println!(
                 "cumulative: untuned {untuned:.0}, tuned {tuned:.0} ({:.1}% saved)",

@@ -17,6 +17,12 @@
 //! exact snapshot it was written for — edits are positional, so replaying
 //! them against any other base would be wrong, not just stale).
 //!
+//! The session's owner may ride an opaque payload (the online tuner's
+//! state) with a generation: a [`MatrixEdit::Payload`] record just before
+//! that generation's `Publish` in the log, and the latest payload as the
+//! snapshot's last record at every checkpoint. Replay restores the matrix
+//! and the payload at the same generation.
+//!
 //! ## The durable unit is a published generation
 //!
 //! Readers only ever see published generations, so only those are made
@@ -84,6 +90,10 @@ pub(crate) struct DurableHandle {
     retries_since_checkpoint: u64,
     /// Times the log suspended (retry budget exhausted or append error).
     io_suspensions: u64,
+    /// The owner's payload as of the latest published generation: what
+    /// the open restored, then the latest one a published batch carried.
+    /// Every checkpoint re-writes it.
+    pub(crate) payload: Option<Vec<u8>>,
     pub(crate) recovery: RecoveryStats,
 }
 
@@ -109,7 +119,11 @@ fn kill_at_checkpoint_hook() {
 }
 
 impl DurableHandle {
-    pub(crate) fn new(store: Box<dyn DurableStore>, recovery: RecoveryStats) -> Self {
+    pub(crate) fn new(
+        store: Box<dyn DurableStore>,
+        recovery: RecoveryStats,
+        payload: Option<Vec<u8>>,
+    ) -> Self {
         DurableHandle {
             store,
             publishes_since_checkpoint: 0,
@@ -117,6 +131,7 @@ impl DurableHandle {
             io_retries: 0,
             retries_since_checkpoint: 0,
             io_suspensions: 0,
+            payload,
             recovery,
         }
     }
@@ -138,15 +153,21 @@ impl DurableHandle {
 
     /// Append a drained journal batch — whole published generations, so
     /// it ends in a `Publish` — to the log as one write with one fsync.
-    /// A failed fsync is retried up to [`IO_RETRY_MAX`] times with
+    /// `payload` rides in the batch's last generation, just before its
+    /// `Publish`; with nothing published it belongs to no generation and
+    /// is dropped. A failed fsync is retried up to [`IO_RETRY_MAX`] times with
     /// deterministic backoff; only when the retry budget is exhausted (or
     /// the append itself fails — not retryable, a partial batch may be on
     /// disk) does the handle suspend the log. Nothing further is appended
     /// while suspended; the next checkpoint, which snapshots the published
     /// state, heals it. Returns whether a checkpoint is due.
-    pub(crate) fn append_edits(&mut self, edits: &[MatrixEdit]) -> bool {
-        if !self.degraded && !edits.is_empty() {
-            let records: Vec<Vec<u8>> = edits.iter().map(encode_edit).collect();
+    pub(crate) fn append_edits(&mut self, edits: &[MatrixEdit], payload: Option<Vec<u8>>) -> bool {
+        let mut records: Vec<Vec<u8>> = edits.iter().map(encode_edit).collect();
+        if let (Some(payload), Some(publish)) = (payload, records.len().checked_sub(1)) {
+            records.insert(publish, encode_edit(&MatrixEdit::Payload(payload.clone())));
+            self.payload = Some(payload);
+        }
+        if !self.degraded && !records.is_empty() {
             let appended =
                 log_append_retrying(&mut *self.store, LOG_NAME, &records, IO_RETRY_MAX, |a| {
                     std::thread::sleep(io_retry_backoff(a))
@@ -173,46 +194,37 @@ impl DurableHandle {
         self.degraded || self.publishes_since_checkpoint >= CHECKPOINT_EVERY_PUBLISHES
     }
 
-    /// Write `records` (the published matrix state) as a fresh snapshot
-    /// and truncate the log against it. Atomic at every step: a crash
-    /// mid-checkpoint leaves either the old state or the new one, both
-    /// self-consistent.
-    pub(crate) fn checkpoint(&mut self, records: &[Vec<u8>]) -> io::Result<()> {
+    /// Write `records` (the published matrix state), then the latest
+    /// payload, as a fresh snapshot and truncate the log against it.
+    /// Atomic at every step: a crash mid-checkpoint leaves either the old
+    /// state or the new one, both self-consistent.
+    pub(crate) fn checkpoint(&mut self, mut records: Vec<Vec<u8>>) -> io::Result<()> {
         kill_at_checkpoint_hook();
-        let crc = write_snapshot(&mut *self.store, SNAPSHOT_NAME, records)?;
+        if let Some(payload) = &self.payload {
+            records.push(encode_edit(&MatrixEdit::Payload(payload.clone())));
+        }
+        let crc = write_snapshot(&mut *self.store, SNAPSHOT_NAME, &records)?;
         log_reset(&mut *self.store, LOG_NAME, crc)?;
         self.degraded = false;
         self.retries_since_checkpoint = 0;
         self.publishes_since_checkpoint = 0;
         Ok(())
     }
-
-    /// Read a named auxiliary snapshot ("sidecar") from the same store —
-    /// a single-record checksummed file beside the matrix state. `None`
-    /// for anything unusable (missing, corrupt, version-skewed): sidecars
-    /// are best-effort warm-start accelerators, never load-bearing.
-    pub(crate) fn read_sidecar(&mut self, name: &str) -> Option<Vec<u8>> {
-        match read_snapshot(&mut *self.store, name) {
-            Ok(file) => file.records.into_iter().next(),
-            Err(_) => None,
-        }
-    }
-
-    /// Write a named auxiliary snapshot (atomic replace, CRC-framed).
-    pub(crate) fn write_sidecar(&mut self, name: &str, payload: &[u8]) -> io::Result<()> {
-        write_snapshot(&mut *self.store, name, &[payload.to_vec()]).map(|_| ())
-    }
 }
 
+/// A warm restore: the matrix and the owner's payload, both at the last
+/// published generation on disk.
+type Restored<'a> = (CostMatrix<'a>, Option<Vec<u8>>);
+
 /// Attempt a warm restore from `store` against `inum`'s catalog. Returns
-/// the restored matrix (log replayed through its last published
-/// generation), or `None` for any cold-start condition — with the reason
-/// in the returned [`RecoveryStats`] either way. Only a real I/O error
-/// (unreadable device, not corrupt bytes) aborts the open.
+/// the restored matrix and payload (log replayed through its last
+/// published generation), or `None` for any cold-start condition — with
+/// the reason in the returned [`RecoveryStats`] either way. Only a real
+/// I/O error (unreadable device, not corrupt bytes) aborts the open.
 pub(crate) fn try_restore<'a>(
     inum: &Inum<'a>,
     store: &mut dyn DurableStore,
-) -> io::Result<(Option<CostMatrix<'a>>, RecoveryStats)> {
+) -> io::Result<(Option<Restored<'a>>, RecoveryStats)> {
     let mut recovery = RecoveryStats::default();
     let cold = |reason: ColdStart, detail: &str, recovery: &mut RecoveryStats| {
         if reason != ColdStart::NoState {
@@ -242,7 +254,7 @@ pub(crate) fn try_restore<'a>(
         Err(SnapshotFileError::Io(e)) => return Err(e),
     };
 
-    let decoded = match decode_snapshot(&file.records) {
+    let mut decoded = match decode_snapshot(&file.records) {
         Ok(d) => d,
         Err(e) => {
             cold(ColdStart::SnapshotCorrupt, &e.to_string(), &mut recovery);
@@ -257,6 +269,7 @@ pub(crate) fn try_restore<'a>(
         );
         return Ok((None, recovery));
     }
+    let mut payload = decoded.payload.take();
     let (mut matrix, report) = match restore_matrix(inum, decoded) {
         Ok(r) => r,
         // The only restore-time failure is a catalog whose table set no
@@ -279,8 +292,8 @@ pub(crate) fn try_restore<'a>(
             // A CRC-valid but undecodable record makes everything from it
             // untrustworthy, like a torn tail. Complete records after the
             // last `Publish` are a partly flushed append: never published,
-            // so not applied either.
-            let edits: Vec<MatrixEdit> = scan
+            // so not applied either — a payload among them included.
+            let mut edits: Vec<MatrixEdit> = scan
                 .records
                 .iter()
                 .map_while(|record| decode_edit(record).ok())
@@ -289,8 +302,12 @@ pub(crate) fn try_restore<'a>(
                 .iter()
                 .rposition(|e| matches!(e, MatrixEdit::Publish))
                 .map_or(0, |last| last + 1);
-            for edit in &edits[..published] {
-                matrix.apply_edit(edit);
+            edits.truncate(published);
+            for edit in edits {
+                match edit {
+                    MatrixEdit::Payload(bytes) => payload = Some(bytes),
+                    edit => matrix.apply_edit(&edit),
+                }
             }
             recovery.log_records_replayed = published as u64;
             recovery.log_records_dropped =
@@ -302,7 +319,7 @@ pub(crate) fn try_restore<'a>(
         LogState::Mismatch(_) | LogState::Missing => {}
     }
 
-    Ok((Some(matrix), recovery))
+    Ok((Some((matrix, payload)), recovery))
 }
 
 #[cfg(test)]
@@ -311,11 +328,12 @@ mod tests {
     use pgdesign_durability::MemStore;
     use MatrixEdit::{Publish, RetireQuery, SetQueryWeight};
 
-    /// A store that counts appends and syncs on the way to a `MemStore`.
+    /// A store that counts `(appends, syncs, atomic writes)` on the way to
+    /// a `MemStore`.
     #[derive(Default)]
     struct Counting {
         inner: MemStore,
-        calls: std::rc::Rc<std::cell::Cell<(usize, usize)>>,
+        calls: std::rc::Rc<std::cell::Cell<(usize, usize, usize)>>,
     }
 
     impl DurableStore for Counting {
@@ -323,16 +341,18 @@ mod tests {
             self.inner.read(name)
         }
         fn write_atomic(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
+            let (a, s, w) = self.calls.get();
+            self.calls.set((a, s, w + 1));
             self.inner.write_atomic(name, bytes)
         }
         fn append(&mut self, name: &str, bytes: &[u8]) -> io::Result<()> {
-            let (a, s) = self.calls.get();
-            self.calls.set((a + 1, s));
+            let (a, s, w) = self.calls.get();
+            self.calls.set((a + 1, s, w));
             self.inner.append(name, bytes)
         }
         fn sync(&mut self, name: &str) -> io::Result<()> {
-            let (a, s) = self.calls.get();
-            self.calls.set((a, s + 1));
+            let (a, s, w) = self.calls.get();
+            self.calls.set((a, s + 1, w));
             self.inner.sync(name)
         }
         fn remove(&mut self, name: &str) -> io::Result<()> {
@@ -344,25 +364,72 @@ mod tests {
     fn each_batch_is_one_append_and_one_sync() {
         let store = Counting::default();
         let calls = std::rc::Rc::clone(&store.calls);
-        let mut h = DurableHandle::new(Box::new(store), RecoveryStats::default());
+        let mut h = DurableHandle::new(Box::new(store), RecoveryStats::default(), None);
 
         // Two published generations in one batch: one append, one sync,
         // and both publishes count toward the checkpoint.
         let batch = [RetireQuery(1), Publish, SetQueryWeight(0, 2.0), Publish];
-        assert!(!h.append_edits(&batch));
-        assert_eq!(calls.get(), (1, 1));
+        assert!(!h.append_edits(&batch, None));
+        assert_eq!(calls.get(), (1, 1, 0));
         assert_eq!(h.publishes_since_checkpoint, 2);
 
-        // Nothing published since the last sync: no disk traffic at all.
-        assert!(!h.append_edits(&[]));
-        assert_eq!(calls.get(), (1, 1));
+        // Nothing published since the last sync: no disk traffic at all,
+        // and a payload offered then belongs to no generation.
+        assert!(!h.append_edits(&[], Some(vec![7])));
+        assert_eq!(calls.get(), (1, 1, 0));
+        assert_eq!(h.payload, None);
+
+        // A payload rides in the same append as its generation.
+        assert!(!h.append_edits(&[Publish], Some(vec![8])));
+        assert_eq!(calls.get(), (2, 2, 0));
+        assert_eq!(h.payload, Some(vec![8]));
 
         // The checkpoint falls due on the publish that reaches the
         // threshold.
-        let remaining = CHECKPOINT_EVERY_PUBLISHES - 2;
-        assert!(!h.append_edits(&vec![Publish; remaining - 1]));
-        assert!(h.append_edits(&[Publish]));
-        assert_eq!(calls.get(), (3, 3));
+        let remaining = CHECKPOINT_EVERY_PUBLISHES - 3;
+        assert!(!h.append_edits(&vec![Publish; remaining - 1], None));
+        assert!(h.append_edits(&[Publish], None));
+        assert_eq!(calls.get(), (4, 4, 0));
         assert!(!h.is_suspended());
+    }
+
+    /// The online daemon's store traffic: every epoch is one append and
+    /// one sync — the tuner's state rides in that append — and only a
+    /// checkpoint writes files whole (the snapshot and the fresh log).
+    #[test]
+    fn a_durable_epoch_is_one_append_and_one_sync() {
+        use crate::{Designer, OnlineSession};
+        use pgdesign_catalog::samples::sdss_catalog;
+        use pgdesign_colt::ColtConfig;
+
+        let d = Designer::new(sdss_catalog(0.01));
+        let q = pgdesign_query::parse_query(
+            &d.catalog.schema,
+            "SELECT ra FROM photoobj WHERE objid = 7",
+        )
+        .unwrap();
+        let store = Counting::default();
+        let calls = std::rc::Rc::clone(&store.calls);
+        let config = ColtConfig {
+            epoch_length: 5,
+            ..Default::default()
+        };
+        let mut s = OnlineSession::open_or_create_on(&d, config, Box::new(store)).unwrap();
+        assert_eq!(calls.get(), (0, 0, 2), "the open's checkpoint");
+        for epoch in 1..=2 * CHECKPOINT_EVERY_PUBLISHES {
+            let (a, s0, w) = calls.get();
+            let closed = s.observe_all(std::iter::repeat_with(|| q.clone()).take(5));
+            assert_eq!(closed, 1);
+            let checkpoint = if epoch % CHECKPOINT_EVERY_PUBLISHES == 0 {
+                2
+            } else {
+                0
+            };
+            assert_eq!(
+                calls.get(),
+                (a + 1, s0 + 1, w + checkpoint),
+                "epoch {epoch}"
+            );
+        }
     }
 }

@@ -9,9 +9,13 @@
 //! and get an offline/joint recommendation computed against the warm
 //! matrix (cells are *reused*, not rebuilt — watch
 //! [`OnlineSession::tuning_stats`]'s `cells_reused`). The session also
-//! accumulates the cost series the demo plots ("our tool presents the
+//! keeps the running cost totals the demo plots ("our tool presents the
 //! change in system's performance accruing from adopting the new
 //! suggested indexes").
+//!
+//! On a durable session the tuner's state (benefit EWMAs, current design)
+//! rides in the generation its epoch published, so a restart restores the
+//! matrix and the tuner at the same generation.
 
 use crate::designer::Designer;
 use crate::fixed::{push_fixed, push_uint, Align};
@@ -21,40 +25,50 @@ use pgdesign_colt::{ColtConfig, ColtTuner, EpochMode, EpochReport, TunerState};
 use pgdesign_query::ast::Query;
 use pgdesign_query::Workload;
 
-/// Sidecar file (beside `matrix.pgds`) holding the COLT tuner's EWMA
-/// profiling state and current design. Optional and version-gated: a
-/// missing, corrupt, or version-skewed sidecar restores a cold tuner
-/// (EWMAs re-warm within an epoch or two) — never an error.
-const TUNER_SIDECAR: &str = "tuner.pgds";
-
 /// A continuous-tuning session over a shared [`TuningSession`] matrix.
 pub struct OnlineSession<'a> {
     tuner: ColtTuner<'a>,
-    reports: Vec<EpochReport>,
+    /// The latest epoch's report, the one [`Self::observe`] hands out.
+    last: Option<EpochReport>,
+    /// Running `(untuned, tuned)` cost totals over every epoch.
+    totals: (f64, f64),
+    /// Whether the open restored the tuner's state with the matrix.
+    tuner_restored: bool,
     session: TuningSession<'a>,
 }
 
 impl<'a> OnlineSession<'a> {
+    /// The header line of the per-epoch trajectory table; each closed
+    /// epoch adds [`Self::trajectory_row`]. The `dropped` column counts
+    /// candidates the what-if budget truncated out of the epoch's probe
+    /// plan (no benefit evidence gathered).
+    pub const TRAJECTORY_HEADER: &'static str =
+        "epoch  untuned      tuned        builds  indexes  dropped\n";
+
     /// Start the tuner over `session` (in memory from
     /// [`Designer::online_session`], durable from
-    /// [`Self::open_or_create_on`]), then try the tuner sidecar's warm
-    /// start. An in-memory session has no sidecar; decode failures of any
-    /// kind mean a cold tuner.
-    pub(crate) fn new(mut session: TuningSession<'a>, config: ColtConfig) -> Self {
+    /// [`Self::open_or_create_on`]), warm from the tuner state the
+    /// session restored with its matrix. No state, or state that does not
+    /// decode (written by another tuner codec version), means a cold
+    /// tuner over the matrix as restored.
+    pub(crate) fn new(session: TuningSession<'a>, config: ColtConfig) -> Self {
         // The tuner borrows only the designer's catalog/optimizer (true
         // `'a` data) — its cost calls go through the session matrix it is
         // handed per call, so it holds no reference into the session.
         let designer = session.designer();
         let mut tuner = ColtTuner::new(&designer.catalog, &designer.optimizer, config);
-        if let Some(bytes) = session.read_sidecar(TUNER_SIDECAR) {
-            match TunerState::decode(&bytes) {
-                Ok(state) => tuner.restore_state(state),
-                Err(e) => eprintln!("pgdesign: tuner sidecar unusable ({e}); starting cold"),
-            }
+        let restored = session
+            .durable_payload()
+            .and_then(|bytes| TunerState::decode(bytes).ok());
+        let tuner_restored = restored.is_some();
+        if let Some(state) = restored {
+            tuner.restore_state(state);
         }
         OnlineSession {
             tuner,
-            reports: Vec::new(),
+            last: None,
+            totals: (0.0, 0.0),
+            tuner_restored,
             session,
         }
     }
@@ -65,11 +79,12 @@ impl<'a> OnlineSession<'a> {
     /// recurring queries reuse their cells from the first epoch on
     /// (`tuning_stats().matrix` shows `builds == 0` and
     /// `cells_reused > 0`). The COLT tuner's profiling state (benefit
-    /// EWMA, current design) rides along as an optional, version-gated
-    /// sidecar snapshot: a restart restores design continuity when the
-    /// sidecar is present and decodes, and falls back to a cold tuner
-    /// (EWMAs re-warm within an epoch or two) when it is missing, corrupt,
-    /// or written by an older version. See
+    /// EWMA, current design) is restored at the same generation as the
+    /// matrix, so the restart keeps design continuity
+    /// ([`Self::tuner_restored`]). A matrix that starts cold starts the
+    /// tuner cold too; state written before the tuner's state rode with
+    /// the matrix, or by another tuner codec version, restores the matrix
+    /// warm and the tuner cold (EWMAs re-warm within an epoch or two). See
     /// [`TuningSession::open_or_create_on`] for the matrix recovery
     /// contract.
     pub fn open_or_create_on(
@@ -81,35 +96,30 @@ impl<'a> OnlineSession<'a> {
         Ok(Self::new(session, config))
     }
 
-    /// Feed one query; epoch reports accumulate internally. On a durable
-    /// session, each epoch boundary (the only point the matrix mutates)
-    /// syncs the journaled edits to the edit log before the report is
-    /// returned — a crash between epochs replays to exactly the published
-    /// epoch state.
+    /// Feed one query; returns the epoch's report when it closes an
+    /// epoch (kept until the next one). On a durable session, each epoch
+    /// boundary (the only point the matrix mutates) syncs the journaled
+    /// edits to the edit log before the report is returned, with the
+    /// tuner's state in the same append — a crash between epochs replays
+    /// the matrix and the tuner to exactly the published epoch state.
     pub fn observe(&mut self, query: Query) -> Option<&EpochReport> {
-        if let Some(r) = self.tuner.observe(query, self.session.matrix_mut()) {
-            if self.session.is_durable() {
-                self.session.sync_durable_logged();
-                // Persist the tuner's profiling state beside the matrix.
-                // Best-effort: a failed sidecar write only costs the next
-                // restart a cold EWMA, never correctness.
-                let state = self.tuner.export_state().encode();
-                if let Err(e) = self.session.write_sidecar(TUNER_SIDECAR, &state) {
-                    eprintln!("pgdesign: tuner sidecar write failed ({e}); continuing");
-                }
-            }
-            self.reports.push(r);
-            self.reports.last()
-        } else {
-            None
+        let report = self.tuner.observe(query, self.session.matrix_mut())?;
+        if self.session.is_durable() {
+            let state = self.tuner.export_state().encode();
+            self.session.sync_durable_logged(Some(state));
         }
+        self.totals.0 += report.untuned_cost;
+        self.totals.1 += report.tuned_cost;
+        Some(self.last.insert(report))
     }
 
-    /// Feed a batch of queries.
-    pub fn observe_all<I: IntoIterator<Item = Query>>(&mut self, queries: I) {
+    /// Feed a batch of queries; returns how many epochs they closed.
+    pub fn observe_all<I: IntoIterator<Item = Query>>(&mut self, queries: I) -> usize {
+        let mut closed = 0;
         for q in queries {
-            let _ = self.observe(q);
+            closed += usize::from(self.observe(q).is_some());
         }
+        closed
     }
 
     /// The underlying tuning session (shared-matrix access).
@@ -141,9 +151,16 @@ impl<'a> OnlineSession<'a> {
         self.session.advise(advisor)
     }
 
-    /// Epoch reports so far.
-    pub fn reports(&self) -> &[EpochReport] {
-        &self.reports
+    /// Whether the open restored the tuner's state with the matrix; false
+    /// for in-memory sessions and whenever the tuner started cold.
+    pub fn tuner_restored(&self) -> bool {
+        self.tuner_restored
+    }
+
+    /// The tuner's adaptive state (EWMAs, design, epoch counter) — what a
+    /// durable session makes durable with each published generation.
+    pub fn tuner_state(&self) -> TunerState {
+        self.tuner.export_state()
     }
 
     /// The tuner's current on-line design.
@@ -153,33 +170,26 @@ impl<'a> OnlineSession<'a> {
 
     /// Cumulative `(untuned, tuned)` workload cost across all epochs.
     pub fn cumulative_costs(&self) -> (f64, f64) {
-        self.reports.iter().fold((0.0, 0.0), |(u, t), r| {
-            (u + r.untuned_cost, t + r.tuned_cost)
-        })
+        self.totals
     }
 
-    /// A per-epoch text table of the tuning trajectory. The `dropped`
-    /// column counts candidates the what-if budget truncated out of the
-    /// epoch's probe plan (no benefit evidence gathered).
-    pub fn trajectory(&self) -> String {
-        // Each row is the bytes of
-        // "{:>5}  {:>11.1}  {:>11.1}  {:>6.1}  {:>7}  {:>7}".
-        let mut s = crate::report::report_buffer(self.reports.len());
-        s.push_str("epoch  untuned      tuned        builds  indexes  dropped\n");
-        for r in &self.reports {
-            push_uint(&mut s, r.epoch as u64, 5, Align::Right);
-            s.push_str("  ");
-            push_fixed(&mut s, r.untuned_cost, 1, 11);
-            s.push_str("  ");
-            push_fixed(&mut s, r.tuned_cost, 1, 11);
-            s.push_str("  ");
-            push_fixed(&mut s, r.build_cost, 1, 6);
-            s.push_str("  ");
-            push_uint(&mut s, r.materialized.len() as u64, 7, Align::Right);
-            s.push_str("  ");
-            push_uint(&mut s, r.candidates_dropped as u64, 7, Align::Right);
-            s.push('\n');
-        }
+    /// One line of the trajectory table (under
+    /// [`Self::TRAJECTORY_HEADER`]) for a closed epoch's report.
+    pub fn trajectory_row(r: &EpochReport) -> String {
+        // The bytes of "{:>5}  {:>11.1}  {:>11.1}  {:>6.1}  {:>7}  {:>7}".
+        let mut s = String::with_capacity(Self::TRAJECTORY_HEADER.len());
+        push_uint(&mut s, r.epoch as u64, 5, Align::Right);
+        s.push_str("  ");
+        push_fixed(&mut s, r.untuned_cost, 1, 11);
+        s.push_str("  ");
+        push_fixed(&mut s, r.tuned_cost, 1, 11);
+        s.push_str("  ");
+        push_fixed(&mut s, r.build_cost, 1, 6);
+        s.push_str("  ");
+        push_uint(&mut s, r.materialized.len() as u64, 7, Align::Right);
+        s.push_str("  ");
+        push_uint(&mut s, r.candidates_dropped as u64, 7, Align::Right);
+        s.push('\n');
         s
     }
 
@@ -241,12 +251,22 @@ mod tests {
             "SELECT ra FROM photoobj WHERE objid = 42",
         )
         .unwrap();
-        s.observe_all(std::iter::repeat_with(|| q.clone()).take(15));
-        assert_eq!(s.reports().len(), 3);
+        let mut text = OnlineSession::TRAJECTORY_HEADER.to_string();
+        let mut sums = (0.0, 0.0);
+        for q in std::iter::repeat_with(|| q.clone()).take(15) {
+            if let Some(r) = s.observe(q) {
+                text += &OnlineSession::trajectory_row(r);
+                sums = (sums.0 + r.untuned_cost, sums.1 + r.tuned_cost);
+            }
+        }
+        assert_eq!(text.lines().count(), 4, "a header and three epochs");
         let (untuned, tuned) = s.cumulative_costs();
         assert!(untuned > 0.0 && tuned > 0.0);
-        let text = s.trajectory();
-        assert!(text.lines().count() >= 4);
+        assert_eq!(
+            (untuned.to_bits(), tuned.to_bits()),
+            (sums.0.to_bits(), sums.1.to_bits())
+        );
+        assert!(!s.tuner_restored(), "an in-memory session starts cold");
     }
 
     #[test]
@@ -258,8 +278,13 @@ mod tests {
             ..Default::default()
         });
         let q = parse_query(&d.catalog.schema, "SELECT ra FROM photoobj WHERE objid = 7").unwrap();
-        s.observe_all(std::iter::repeat_with(|| q.clone()).take(40));
-        let last = s.reports().last().unwrap();
+        let mut last = None;
+        for q in std::iter::repeat_with(|| q.clone()).take(40) {
+            if let Some(r) = s.observe(q) {
+                last = Some(r.clone());
+            }
+        }
+        let last = last.unwrap();
         assert!(
             last.tuned_cost < last.untuned_cost / 10.0,
             "steady state should be indexed: {} vs {}",
@@ -305,8 +330,10 @@ mod tests {
         );
 
         // The stream continues unharmed after the handoff.
-        s.observe_all(std::iter::repeat_with(|| q.clone()).take(10));
-        assert_eq!(s.reports().len(), 4);
+        assert_eq!(
+            s.observe_all(std::iter::repeat_with(|| q.clone()).take(10)),
+            1
+        );
     }
 
     #[test]
@@ -339,12 +366,15 @@ mod tests {
             // threshold, so the reopened state spans a snapshot *and* a
             // log tail; two queries are left mid-epoch (never published,
             // correctly absent after the "kill").
-            s.observe_all(std::iter::repeat_with(|| q.clone()).take(47));
-            assert_eq!(s.reports().len(), 9);
+            assert_eq!(
+                s.observe_all(std::iter::repeat_with(|| q.clone()).take(47)),
+                9
+            );
         } // kill -9: the session is dropped without any shutdown path
 
         let mut s = OnlineSession::open_or_create_on(&d, config(), Box::new(disk))
             .expect("reopen after kill");
+        assert!(s.tuner_restored(), "the tuner restarts with the matrix");
         s.observe_all(std::iter::repeat_with(|| q.clone()).take(5));
         let stats = s.tuning_stats();
         let recovery = stats.recovery.expect("durable session reports recovery");
@@ -381,7 +411,10 @@ mod tests {
         // Two consecutive fsync failures on the next epoch-boundary sync:
         // within the retry budget, so the log must ride it out.
         disk.lock().arm(Failpoint::TransientFsync { times: 2 });
-        s.observe_all(std::iter::repeat_with(|| q.clone()).take(5));
+        assert_eq!(
+            s.observe_all(std::iter::repeat_with(|| q.clone()).take(5)),
+            1
+        );
         let stats = s.tuning_stats();
         assert_eq!(
             stats.io_suspensions, 0,
@@ -395,8 +428,10 @@ mod tests {
         // A later epoch syncs cleanly; by then a checkpoint has cleared the
         // recent-retries signal or the health shows the strain — either
         // way the daemon keeps publishing.
-        s.observe_all(std::iter::repeat_with(|| q.clone()).take(5));
-        assert_eq!(s.reports().len(), 2);
+        assert_eq!(
+            s.observe_all(std::iter::repeat_with(|| q.clone()).take(5)),
+            1
+        );
         assert_ne!(s.health(), ServiceHealth::Suspended);
     }
 
@@ -424,17 +459,44 @@ mod tests {
         // retryable (a partial frame may be on disk) and the healing
         // checkpoint cannot complete either — the log stays suspended.
         disk.lock().arm(Failpoint::ShortWrite { keep: 0 });
-        s.observe_all(std::iter::repeat_with(|| q.clone()).take(5));
+        assert_eq!(
+            s.observe_all(std::iter::repeat_with(|| q.clone()).take(5)),
+            1
+        );
         let stats = s.tuning_stats();
         assert_eq!(stats.health, ServiceHealth::Suspended);
         assert!(stats.io_suspensions >= 1);
         // Tuning itself continues in memory — no panic, reports flow.
-        s.observe_all(std::iter::repeat_with(|| q.clone()).take(5));
-        assert_eq!(s.reports().len(), 2);
+        assert_eq!(
+            s.observe_all(std::iter::repeat_with(|| q.clone()).take(5)),
+            1
+        );
+    }
+
+    /// Replace the tuner record that ends the snapshot with `f` of its
+    /// bytes. The record stays CRC-valid, so its bytes reach
+    /// `TunerState::decode`.
+    fn rewrite_tuner_record(
+        disk: &pgdesign_durability::SharedMemStore,
+        f: impl FnOnce(Vec<u8>) -> Vec<u8>,
+    ) {
+        use crate::durable::{LOG_NAME, SNAPSHOT_NAME};
+        use pgdesign_durability::{log_reset, read_snapshot, write_snapshot};
+        use pgdesign_inum::{decode_edit, encode_edit, MatrixEdit};
+
+        let mut store = disk.lock();
+        let mut records = read_snapshot(&mut *store, SNAPSHOT_NAME).unwrap().records;
+        let last = records.last_mut().unwrap();
+        let Ok(MatrixEdit::Payload(bytes)) = decode_edit(last) else {
+            panic!("the snapshot ends in the tuner record");
+        };
+        *last = encode_edit(&MatrixEdit::Payload(f(bytes)));
+        let crc = write_snapshot(&mut *store, SNAPSHOT_NAME, &records).unwrap();
+        log_reset(&mut *store, LOG_NAME, crc).unwrap();
     }
 
     #[test]
-    fn tuner_sidecar_restores_design_continuity_across_restart() {
+    fn tuner_record_restores_design_continuity_across_restart() {
         use pgdesign_durability::SharedMemStore;
 
         let d = Designer::new(sdss_catalog(0.01));
@@ -446,42 +508,54 @@ mod tests {
         };
 
         let disk = SharedMemStore::new();
-        {
-            let mut s = OnlineSession::open_or_create_on(&d, config(), Box::new(disk.clone()))
-                .expect("first open");
+        let open = || {
+            OnlineSession::open_or_create_on(&d, config(), Box::new(disk.clone())).expect("open")
+        };
+        let exported = {
+            let mut s = open();
             s.observe_all(std::iter::repeat_with(|| q.clone()).take(40));
             assert!(
                 !s.current_design().indexes().is_empty(),
                 "steady state materializes the objid index"
             );
-        } // hard kill
+            s.tuner_state()
+        }; // hard kill
 
-        let s =
-            OnlineSession::open_or_create_on(&d, config(), Box::new(disk.clone())).expect("reopen");
-        assert!(
-            !s.current_design().indexes().is_empty(),
-            "the sidecar must restore the materialized design before any epoch runs"
+        let s = open();
+        assert!(s.tuner_restored());
+        assert_eq!(
+            s.tuner_state(),
+            exported,
+            "the log's tuner record restores the design and EWMAs before any epoch runs"
         );
+        drop(s);
+        // That open's checkpoint re-wrote the record into the snapshot.
+        assert_eq!(open().tuner_state(), exported);
 
-        // A corrupt sidecar degrades to a cold tuner, never an error.
-        {
-            use pgdesign_durability::DurableStore as _;
-            let mut store = disk.lock();
-            let len = store.read("tuner.pgds").unwrap().unwrap().len();
-            store.corrupt("tuner.pgds", len / 2);
-        }
-        let cold = OnlineSession::open_or_create_on(&d, config(), Box::new(disk))
-            .expect("open over corrupt sidecar");
+        // A corrupt tuner record (CRC-valid, its bytes cut short) restores
+        // a cold tuner over the warm matrix, never an error, and tuning
+        // continues.
+        rewrite_tuner_record(&disk, |bytes| bytes[..bytes.len() / 2].to_vec());
+        let mut cold = open();
+        let recovery = cold.tuning_stats().recovery.unwrap();
+        assert_eq!(recovery.cold_start, None, "the matrix is warm");
+        assert!(recovery.snapshot_cells_loaded > 0);
+        assert!(!cold.tuner_restored());
         assert!(
             cold.current_design().indexes().is_empty(),
-            "corrupt sidecar restores a cold tuner"
+            "corrupt tuner record restores a cold tuner"
         );
+        assert_eq!(
+            cold.observe_all(std::iter::repeat_with(|| q.clone()).take(40)),
+            8
+        );
+        assert!(!cold.current_design().indexes().is_empty(), "and re-warms");
     }
 
     #[test]
-    fn version_1_tuner_sidecar_starts_cold_and_keeps_tuning() {
+    fn version_1_tuner_record_starts_cold_and_keeps_tuning() {
         use pgdesign_colt::TunerStateError;
-        use pgdesign_durability::{write_snapshot, SharedMemStore};
+        use pgdesign_durability::SharedMemStore;
 
         let d = Designer::new(sdss_catalog(0.01));
         let q = parse_query(&d.catalog.schema, "SELECT ra FROM photoobj WHERE objid = 7").unwrap();
@@ -495,10 +569,11 @@ mod tests {
             OnlineSession::open_or_create_on(&d, config(), Box::new(disk.clone())).expect("open")
         };
         open().observe_all(std::iter::repeat_with(|| q.clone()).take(40));
+        // The reopen folds the log into the snapshot, tuner record last.
+        drop(open());
 
-        // Swap in a sidecar written by the last build that spoke tuner
-        // codec version 1 (it names a materialized index on table 0):
-        // CRC-valid, so it reaches `TunerState::decode`.
+        // Swap in tuner bytes written by the last build that spoke tuner
+        // codec version 1 (they name a materialized index on table 0).
         let v1_hex = "0100000007000000000000000100000000000000000100000000000100000000000000\
                       00010000000900000000000000294003000000000000000600000000000000";
         let v1: Vec<u8> = (0..v1_hex.len())
@@ -506,19 +581,82 @@ mod tests {
             .map(|i| u8::from_str_radix(&v1_hex[i..i + 2], 16).unwrap())
             .collect();
         assert_eq!(TunerState::decode(&v1), Err(TunerStateError::Version(1)));
-        write_snapshot(&mut *disk.lock(), TUNER_SIDECAR, &[v1]).unwrap();
+        rewrite_tuner_record(&disk, |_| v1);
 
         let mut s = open();
+        assert_eq!(s.tuning_stats().recovery.unwrap().cold_start, None);
+        assert!(!s.tuner_restored());
         assert!(
             s.current_design().indexes().is_empty(),
-            "a version-1 sidecar restores a cold tuner"
+            "a version-1 tuner record restores a cold tuner"
         );
-        s.observe_all(std::iter::repeat_with(|| q.clone()).take(40));
-        assert_eq!(s.reports().len(), 8);
+        assert_eq!(
+            s.observe_all(std::iter::repeat_with(|| q.clone()).take(40)),
+            8
+        );
         assert!(!s.current_design().indexes().is_empty(), "and re-warms");
         drop(s);
-        // The sidecar written since is the current version: warm again.
-        assert!(!open().current_design().indexes().is_empty());
+        // The records written since are the current version: warm again.
+        let s = open();
+        assert!(s.tuner_restored());
+        assert!(!s.current_design().indexes().is_empty());
+    }
+
+    /// State written before the tuner's state rode with the matrix (format
+    /// version 2: a snapshot, a log and a separate tuner file), by that
+    /// version's `OnlineSession` over `sdss_catalog(0.01)`, 45 queries of
+    /// `objid = 7` in epochs of 5: it reopens with the matrix warm and the
+    /// tuner cold, and the next checkpoint writes the current version.
+    #[test]
+    fn version_2_state_reopens_with_the_matrix_warm_and_the_tuner_cold() {
+        use pgdesign_durability::{DurableStore as _, SharedMemStore};
+
+        let dir = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/v2-online-state"
+        );
+        let disk = SharedMemStore::new();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            // `<file>.bin` holds the bytes of state file `<file>`.
+            let path = entry.unwrap().path();
+            let name = path.file_stem().unwrap().to_str().unwrap().to_string();
+            let bytes = std::fs::read(&path).unwrap();
+            assert_eq!(&bytes[4..8], &2u32.to_le_bytes(), "{name}");
+            disk.lock().write_atomic(&name, &bytes).unwrap();
+        }
+
+        let d = Designer::new(sdss_catalog(0.01));
+        let q = parse_query(&d.catalog.schema, "SELECT ra FROM photoobj WHERE objid = 7").unwrap();
+        let config = || ColtConfig {
+            epoch_length: 5,
+            payback_horizon_epochs: 10.0,
+            ..Default::default()
+        };
+        let open = || {
+            OnlineSession::open_or_create_on(&d, config(), Box::new(disk.clone())).expect("open")
+        };
+        let mut s = open();
+        let recovery = s.tuning_stats().recovery.unwrap();
+        assert_eq!(recovery.cold_start, None, "the matrix is warm");
+        assert!(recovery.snapshot_cells_loaded > 0);
+        assert!(recovery.log_records_replayed > 0);
+        assert_eq!(recovery.log_records_dropped, 0);
+        assert!(!s.tuner_restored(), "version 2 carries no tuner record");
+        assert!(s.current_design().indexes().is_empty());
+        s.observe_all(std::iter::repeat_with(|| q.clone()).take(5));
+        let stats = s.tuning_stats();
+        assert_eq!(stats.matrix.builds, 0, "restored matrix, no build");
+        assert!(stats.matrix.cells_reused > 0);
+        drop(s);
+
+        let s = open();
+        assert!(s.tuner_restored(), "written back at the current version");
+        let mut store = disk.lock();
+        let snapshot = store.read(crate::durable::SNAPSHOT_NAME).unwrap().unwrap();
+        assert_eq!(
+            &snapshot[4..8],
+            &pgdesign_durability::FORMAT_VERSION.to_le_bytes()
+        );
     }
 
     #[test]

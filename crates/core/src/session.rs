@@ -90,8 +90,8 @@ impl<'a> TuningSession<'a> {
     ) -> io::Result<Self> {
         let inum = Inum::new(&designer.catalog, &designer.optimizer);
         let (restored, recovery) = try_restore(&inum, &mut *store)?;
-        let matrix = match restored {
-            Some(mut matrix) => {
+        let (matrix, payload) = match restored {
+            Some((mut matrix, payload)) => {
                 if !workload.is_empty() {
                     // Reconcile the requested workload against the resident
                     // queries: recurring queries keep their cells (weights
@@ -117,11 +117,11 @@ impl<'a> TuningSession<'a> {
                     }
                     matrix.publish();
                 }
-                matrix
+                (matrix, payload)
             }
             None => {
                 inum.prepare_workload(&workload);
-                CostMatrix::build(&inum, &workload, &[])
+                (CostMatrix::build(&inum, &workload, &[]), None)
             }
         };
 
@@ -129,10 +129,11 @@ impl<'a> TuningSession<'a> {
             designer,
             inum,
             matrix,
-            durable: Some(DurableHandle::new(store, recovery)),
+            durable: Some(DurableHandle::new(store, recovery, payload)),
         };
         // Fold whatever this open did (restore + replay, reconciliation,
-        // or a cold build) into a fresh snapshot, then start journaling.
+        // or a cold build) into a fresh snapshot, the restored payload
+        // with it, then start journaling.
         session.checkpoint()?;
         session.matrix.enable_journal();
         Ok(session)
@@ -156,33 +157,44 @@ impl<'a> TuningSession<'a> {
     /// hole) until a checkpoint heals it; a failed checkpoint leaves the
     /// previous on-disk state intact.
     pub fn sync_durable(&mut self) -> io::Result<()> {
+        self.sync_durable_with(None)
+    }
+
+    /// [`Self::sync_durable`], with `payload` — opaque state of the
+    /// session's owner, e.g. the online tuner's — riding in the latest
+    /// generation synced: in the same append, just before its `Publish`.
+    /// A restart restores the payload of the generation it restores
+    /// ([`Self::durable_payload`]).
+    fn sync_durable_with(&mut self, payload: Option<Vec<u8>>) -> io::Result<()> {
         let Some(handle) = self.durable.as_mut() else {
             return Ok(());
         };
-        if handle.append_edits(&self.matrix.take_journal()) {
+        if handle.append_edits(&self.matrix.take_journal(), payload) {
             self.checkpoint()?;
         }
         Ok(())
     }
 
-    /// Write the latest *published* matrix generation as a fresh snapshot
-    /// and truncate the edit log against it. No-op for in-memory sessions.
+    /// Write the latest *published* matrix generation, and the payload
+    /// that rode with it, as a fresh snapshot and truncate the edit log
+    /// against it. No-op for in-memory sessions.
     pub fn checkpoint(&mut self) -> io::Result<()> {
         let Some(handle) = self.durable.as_mut() else {
             return Ok(());
         };
-        handle.checkpoint(&encode_published(&self.matrix))?;
+        handle.checkpoint(encode_published(&self.matrix))?;
         // The snapshot holds every published edit: appending the journal's
         // published part to the fresh log would replay it twice.
         self.matrix.take_journal();
         Ok(())
     }
 
-    /// [`Self::sync_durable`], with I/O failure reported to stderr instead
-    /// of returned — the shape internal callers want: durability already
-    /// degrades gracefully, so a sync failure must not abort tuning.
-    pub(crate) fn sync_durable_logged(&mut self) {
-        if let Err(e) = self.sync_durable() {
+    /// [`Self::sync_durable_with`], with I/O failure reported to stderr
+    /// instead of returned — the shape internal callers want: durability
+    /// already degrades gracefully, so a sync failure must not abort
+    /// tuning.
+    pub(crate) fn sync_durable_logged(&mut self, payload: Option<Vec<u8>>) {
+        if let Err(e) = self.sync_durable_with(payload) {
             eprintln!("pgdesign: durable sync failed ({e}); continuing in memory");
         }
     }
@@ -252,18 +264,11 @@ impl<'a> TuningSession<'a> {
         self.stats().health
     }
 
-    /// Read an auxiliary ("sidecar") snapshot beside the matrix state —
-    /// `None` on in-memory sessions and for missing/corrupt/skewed files.
-    pub(crate) fn read_sidecar(&mut self, name: &str) -> Option<Vec<u8>> {
-        self.durable.as_mut()?.read_sidecar(name)
-    }
-
-    /// Write an auxiliary sidecar snapshot (no-op on in-memory sessions).
-    pub(crate) fn write_sidecar(&mut self, name: &str, payload: &[u8]) -> io::Result<()> {
-        match self.durable.as_mut() {
-            Some(d) => d.write_sidecar(name, payload),
-            None => Ok(()),
-        }
+    /// The owner's payload as of the latest durable generation: after an
+    /// open, the one restored with the matrix. `None` on in-memory
+    /// sessions, cold starts and state that never carried one.
+    pub(crate) fn durable_payload(&self) -> Option<&[u8]> {
+        self.durable.as_ref()?.payload.as_deref()
     }
 
     /// A concurrent reader over the latest *published* snapshot of the
@@ -284,7 +289,7 @@ impl<'a> TuningSession<'a> {
     /// that readers should observe. Returns the new generation.
     pub fn publish(&mut self) -> u64 {
         let generation = self.matrix.publish();
-        self.sync_durable_logged();
+        self.sync_durable_logged(None);
         generation
     }
 
@@ -297,7 +302,7 @@ impl<'a> TuningSession<'a> {
     pub fn advise<A: Advisor + ?Sized>(&mut self, advisor: &mut A) -> A::Report {
         let report = advisor.advise(self);
         self.matrix.publish();
-        self.sync_durable_logged();
+        self.sync_durable_logged(None);
         report
     }
 }

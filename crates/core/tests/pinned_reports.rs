@@ -130,8 +130,11 @@ fn online_trajectory_matches_the_recorded_bytes() {
         ..Default::default()
     };
     let mut s: OnlineSession<'_> = d.online_session(config);
+    let mut text = OnlineSession::TRAJECTORY_HEADER.to_string();
     for q in stream.batch(120) {
-        let _ = s.observe(q);
+        if let Some(report) = s.observe(q) {
+            text += &OnlineSession::trajectory_row(report);
+        }
     }
-    assert_pinned("online trajectory", &s.trajectory(), 0xf311_d342_2727_74b5);
+    assert_pinned("online trajectory", &text, 0xf311_d342_2727_74b5);
 }

@@ -32,9 +32,15 @@ use crate::crc::crc32;
 use crate::store::DurableStore;
 use std::io;
 
-/// Bumped whenever the record payload layout changes incompatibly.
-/// A reader that sees a different version falls back to a cold build.
-pub const FORMAT_VERSION: u32 = 2;
+/// The version every file is written at, bumped whenever the record
+/// payload layout changes. A reader that sees a version outside
+/// `READABLE_VERSIONS` falls back to a cold build; an older reader
+/// refuses this one.
+pub const FORMAT_VERSION: u32 = 3;
+
+/// The versions a reader accepts. Version 3 only added a record kind, so
+/// a version-2 file reads as a version-3 file that never uses it.
+const READABLE_VERSIONS: std::ops::RangeInclusive<u32> = 2..=FORMAT_VERSION;
 
 const SNAPSHOT_MAGIC: u32 = u32::from_le_bytes(*b"PGDS");
 const LOG_MAGIC: u32 = u32::from_le_bytes(*b"PGDL");
@@ -192,7 +198,7 @@ pub fn read_snapshot(
         return Err(SnapshotFileError::BadMagic);
     }
     let version = r.get_u32().map_err(short)?;
-    if version != FORMAT_VERSION {
+    if !READABLE_VERSIONS.contains(&version) {
         return Err(SnapshotFileError::VersionSkew { found: version });
     }
     let body_crc = r.get_u32().map_err(short)?;
@@ -295,7 +301,7 @@ pub fn log_open(
     if magic != LOG_MAGIC {
         return Ok(LogState::Mismatch("bad log magic"));
     }
-    if version != FORMAT_VERSION {
+    if !READABLE_VERSIONS.contains(&version) {
         return Ok(LogState::Mismatch("log format version skew"));
     }
     if snapshot_crc != expect_snapshot_crc {
@@ -345,12 +351,33 @@ mod tests {
     fn version_skew_is_detected() {
         let mut s = MemStore::new();
         write_snapshot(&mut s, "m.pgds", &[b"payload".to_vec()]).unwrap();
-        let mut bytes = s.read("m.pgds").unwrap().unwrap();
-        bytes[4..8].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        s.write_atomic("m.pgds", &bytes).unwrap();
+        let crc = read_snapshot(&mut s, "m.pgds").unwrap().body_crc;
+        log_reset(&mut s, "m.pgdl", crc).unwrap();
+        let with_version = |s: &mut MemStore, name: &str, version: u32| {
+            let mut bytes = s.read(name).unwrap().unwrap();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            s.write_atomic(name, &bytes).unwrap();
+        };
+        for version in [1, FORMAT_VERSION + 1] {
+            with_version(&mut s, "m.pgds", version);
+            assert!(matches!(
+                read_snapshot(&mut s, "m.pgds"),
+                Err(SnapshotFileError::VersionSkew { found }) if found == version
+            ));
+            with_version(&mut s, "m.pgdl", version);
+            assert!(matches!(
+                log_open(&mut s, "m.pgdl", crc).unwrap(),
+                LogState::Mismatch("log format version skew")
+            ));
+        }
+        // Version 2 files read as they are: version 3 only added a record
+        // kind.
+        with_version(&mut s, "m.pgds", 2);
+        assert_eq!(read_snapshot(&mut s, "m.pgds").unwrap().body_crc, crc);
+        with_version(&mut s, "m.pgdl", 2);
         assert!(matches!(
-            read_snapshot(&mut s, "m.pgds"),
-            Err(SnapshotFileError::VersionSkew { .. })
+            log_open(&mut s, "m.pgdl", crc).unwrap(),
+            LogState::Replay(_)
         ));
     }
 

@@ -1109,6 +1109,7 @@ impl<'a> CostMatrix<'a> {
             MatrixEdit::Publish => {
                 self.publish();
             }
+            MatrixEdit::Payload(_) => {}
         }
     }
 

@@ -10,10 +10,13 @@
 //! and the records here, the catalog/query/optimizer types there. A
 //! query's cells are the one hand-written impl: they leave out the key.
 //!
-//! The snapshot (format version 2) stores only what decode cannot
+//! The snapshot (format version 3) stores only what decode cannot
 //! rebuild: per query slot its query, its weight and its cells (see the
 //! cell layout in [`super`]), the candidate registry with its free lists,
-//! the fragments and the splits' partitionings. Decode rebuilds the rest:
+//! the fragments and the splits' partitionings, and last, if the owner
+//! has one, its opaque [`MatrixEdit::Payload`] (the online tuner's
+//! state). Version 2 is version 3 without the payload record, so it
+//! decodes as it is. Decode rebuilds the rest:
 //!
 //! - each active slot's cell key, with [`crate::query_cell_key`];
 //! - each split's surviving fraction per `(query, slot)`, with the same
@@ -81,6 +84,12 @@ pub enum MatrixEdit {
     RegisterSplit(HorizontalPartitioning),
     /// [`CostMatrix::publish`] — the epoch boundary marker.
     Publish,
+    /// An opaque payload of the matrix's owner (the online tuner's
+    /// state), made durable with the generation whose `Publish` follows
+    /// it in the log, or as the last record of a snapshot. Replay keeps
+    /// the latest one; the matrix never records it and
+    /// [`CostMatrix::apply_edit`] ignores it.
+    Payload(Vec<u8>),
 }
 
 wire_enum!(MatrixEdit, "edit tag" {
@@ -92,6 +101,7 @@ wire_enum!(MatrixEdit, "edit tag" {
     5 => RegisterFragment(table, columns),
     6 => RegisterSplit(hp),
     7 => Publish,
+    8 => Payload(bytes),
 });
 
 /// Encode one edit as a log-record payload.
@@ -289,7 +299,8 @@ fn lists_each_once(free: &[usize], vacant: impl ExactSizeIterator<Item = bool>) 
 /// payloads of a `.pgds` file: record 0 is the header (published
 /// generation, catalog and optimizer fingerprints), record 1 the
 /// candidate registry, then one record per query slot, then fragments,
-/// then splits.
+/// then splits. A durable owner may append its latest
+/// [`MatrixEdit::Payload`] record; [`decode_snapshot`] returns it.
 pub fn encode_published(matrix: &CostMatrix<'_>) -> Vec<Vec<u8>> {
     let snap = matrix.slot.current();
     let core: &MatrixCore = &snap;
@@ -337,6 +348,9 @@ pub struct DecodedSnapshot {
     /// Cells carried by the payload (base + candidate cells of active
     /// queries) — the "snapshot cells loaded" recovery counter.
     pub cells: u64,
+    /// The owner's [`MatrixEdit::Payload`] stored as the last record, if
+    /// any.
+    pub payload: Option<Vec<u8>>,
     stored_fingerprints: Vec<u64>,
     optimizer: u64,
 }
@@ -390,9 +404,15 @@ pub fn decode_snapshot(records: &[Vec<u8>]) -> Result<DecodedSnapshot, PersistEr
     ) {
         return Err(invalid("free candidate list disagrees with the registry"));
     }
-    if n_queries.checked_add(4) != Some(records.len()) {
-        return Err(invalid("record count does not match query count"));
-    }
+    // Format version 3 may end in the owner's payload record.
+    let payload = match records.len().checked_sub(n_queries) {
+        Some(4) => None,
+        Some(5) => match decode_edit(rec(4 + n_queries)?)? {
+            MatrixEdit::Payload(bytes) => Some(bytes),
+            _ => return Err(invalid("last snapshot record is not a payload")),
+        },
+        _ => return Err(invalid("record count does not match query count")),
+    };
 
     let mut workload = Workload::new();
     let mut queries = Vec::with_capacity(n_queries);
@@ -494,6 +514,7 @@ pub fn decode_snapshot(records: &[Vec<u8>]) -> Result<DecodedSnapshot, PersistEr
         },
         generation: header.generation,
         cells,
+        payload,
         stored_fingerprints: header.fingerprints,
         optimizer: header.optimizer,
     })

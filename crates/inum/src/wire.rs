@@ -1,12 +1,13 @@
 //! The workspace's one wire codec.
 //!
 //! Every durable artifact — snapshot records, edit-log records, the
-//! tuner sidecar — is an explicit little-endian layout over
-//! `pgdesign-durability`'s [`ByteWriter`]/[`ByteReader`]. A type's layout
-//! is its [`Wire`] impl, and a record's field list is written exactly
-//! once: [`wire_struct!`](crate::wire_struct) declares a record (fields in
-//! wire order), [`wire_enum!`](crate::wire_enum) a `u8`-tagged enum, and
-//! both expand to the `put` *and* the `get`, so the two cannot drift.
+//! online tuner's state they carry — is an explicit little-endian layout
+//! over `pgdesign-durability`'s [`ByteWriter`]/[`ByteReader`]. A type's
+//! layout is its [`Wire`] impl, and a record's field list is written
+//! exactly once: [`wire_struct!`](crate::wire_struct) declares a record
+//! (fields in wire order), [`wire_enum!`](crate::wire_enum) a `u8`-tagged
+//! enum, and both expand to the `put` *and* the `get`, so the two cannot
+//! drift.
 //!
 //! The trait lives here rather than in `pgdesign-durability` so the
 //! catalog, query and optimizer types below can implement it (orphan

@@ -2,10 +2,11 @@
 //! `encode_edit` produce for a fixed fixture hash to recorded constants.
 //! The edit-record constants date from before the layouts moved onto
 //! `Wire` declarations; the snapshot constant is format version 2's,
-//! whose records store each fact once. A changed constant is a changed
-//! on-disk format — bump `pgdesign_durability::FORMAT_VERSION` and
-//! re-take it on purpose, or fix the layout. Public API only, so the same
-//! file runs at any commit.
+//! whose records store each fact once. Format version 3 added one record
+//! kind, the owner's payload (the online tuner's state), and changed none
+//! of the others, so every version-2 constant stands. A changed constant
+//! is a changed on-disk format — bump `pgdesign_durability::FORMAT_VERSION`
+//! and re-take it on purpose, or fix the layout. Public API only.
 
 use pgdesign_catalog::design::{HorizontalPartitioning, Index};
 use pgdesign_catalog::samples::sdss_catalog;
@@ -23,7 +24,7 @@ fn fnv64(bytes: &[u8]) -> u64 {
 
 #[test]
 fn snapshot_and_edit_bytes_match_the_recorded_format() {
-    assert_eq!(pgdesign_durability::FORMAT_VERSION, 2);
+    assert_eq!(pgdesign_durability::FORMAT_VERSION, 3);
 
     // 3 queries over enumerated candidates, one fragment, one split, one
     // retired slot.
@@ -85,6 +86,11 @@ fn snapshot_and_edit_bytes_match_the_recorded_format() {
         ),
         (MatrixEdit::RegisterSplit(hp), 0x7726_54ba_5241_4dc3),
         (MatrixEdit::Publish, 0xaf63_ba4c_8601_b2c6),
+        // Format version 3.
+        (
+            MatrixEdit::Payload(vec![3, 0, 0, 0, 0xfe]),
+            0xbd1a_2fc5_c408_398d,
+        ),
     ];
     for (edit, pinned) in &edits {
         assert_eq!(fnv64(&encode_edit(edit)), *pinned, "{edit:?}");

@@ -9,7 +9,7 @@
 //! cargo run --release --example scenario3_online
 //! ```
 
-use pgdesign::{Designer, OfflineAdvisor};
+use pgdesign::{Designer, OfflineAdvisor, OnlineSession};
 use pgdesign_catalog::samples::sdss_catalog;
 use pgdesign_colt::ColtConfig;
 use pgdesign_query::generators::DriftingStream;
@@ -31,10 +31,19 @@ fn main() {
         epoch_deadline: None,
     });
 
+    // Each epoch's report is handed out as the epoch closes; keep its
+    // trajectory row and its alerts.
+    let mut trajectory = OnlineSession::TRAJECTORY_HEADER.to_string();
+    let mut alerts = Vec::new();
     for round in 0..12 {
         // 12 phases' worth of batches.
         let phase = stream.current_phase();
-        session.observe_all(stream.batch(100));
+        for q in stream.batch(100) {
+            if let Some(report) = session.observe(q) {
+                trajectory += &OnlineSession::trajectory_row(report);
+                alerts.extend(report.events.iter().cloned());
+            }
+        }
         println!(
             "after phase {phase}: {} on-line index(es)",
             session.current_design().index_count()
@@ -68,7 +77,7 @@ fn main() {
     }
 
     println!("\n== Tuning trajectory ==");
-    print!("{}", session.trajectory());
+    print!("{trajectory}");
 
     let (untuned, tuned) = session.cumulative_costs();
     println!(
@@ -80,25 +89,23 @@ fn main() {
     print!("{}", session.tuning_stats());
 
     println!("\n== Alerts raised ==");
-    for r in session.reports() {
-        for e in &r.events {
-            match e {
-                pgdesign_colt::ColtEvent::Materialize {
-                    epoch,
-                    index,
-                    build_cost,
-                } => {
-                    println!(
-                        "epoch {epoch}: MATERIALIZE {} (build cost {build_cost:.0})",
-                        index.display(&designer.catalog.schema)
-                    );
-                }
-                pgdesign_colt::ColtEvent::Drop { epoch, index } => {
-                    println!(
-                        "epoch {epoch}: DROP {}",
-                        index.display(&designer.catalog.schema)
-                    );
-                }
+    for e in &alerts {
+        match e {
+            pgdesign_colt::ColtEvent::Materialize {
+                epoch,
+                index,
+                build_cost,
+            } => {
+                println!(
+                    "epoch {epoch}: MATERIALIZE {} (build cost {build_cost:.0})",
+                    index.display(&designer.catalog.schema)
+                );
+            }
+            pgdesign_colt::ColtEvent::Drop { epoch, index } => {
+                println!(
+                    "epoch {epoch}: DROP {}",
+                    index.display(&designer.catalog.schema)
+                );
             }
         }
     }

@@ -441,8 +441,7 @@ pub fn run_schedule(seed: u64) -> ChaosOutcome {
                 store.lock().power_cut(rng.random_range(0..32usize));
             }
             if rng.random_range(0..4u32) == 0 {
-                let name =
-                    ["matrix.pgds", "matrix.pgdl", "tuner.pgds"][rng.random_range(0..3usize)];
+                let name = ["matrix.pgds", "matrix.pgdl"][rng.random_range(0..2usize)];
                 store.lock().corrupt(name, rng.random_range(0..512usize));
                 out.corruptions += 1;
             }

@@ -73,8 +73,11 @@ fn scenario3_online_tuning_tracks_drift() {
         ..Default::default()
     });
     // Two full cycles through 4 phases.
-    session.observe_all(stream.batch(400));
-    let reports = session.reports();
+    let reports: Vec<_> = stream
+        .batch(400)
+        .into_iter()
+        .filter_map(|q| session.observe(q).cloned())
+        .collect();
     assert!(reports.len() >= 8);
     // The tuner materialized something and raised events.
     assert!(reports.iter().any(|r| !r.events.is_empty()));

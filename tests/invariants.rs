@@ -1346,15 +1346,8 @@ fn crash_mid_append_reopens_at_a_published_generation_exactly() {
     let (prev, last, start) = run(&disk, None);
     assert_ne!(prev, last, "the last generation changes what readers see");
     let log = disk.lock().read("matrix.pgdl").unwrap().unwrap();
-    let mut boundaries = vec![0];
-    let mut pos = start;
-    while pos < log.len() {
-        let len = u32::from_le_bytes(log[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 8 + len;
-        boundaries.push(pos - start);
-    }
+    let boundaries = frame_boundaries(&log, start);
     let total = log.len() - start;
-    assert_eq!(pos, log.len());
     assert!(
         boundaries.len() > 3,
         "the last generation spans several frames"
@@ -1382,6 +1375,133 @@ fn crash_mid_append_reopens_at_a_published_generation_exactly() {
             }
         }
     }
+}
+
+/// The frame boundaries of `log` from byte `start` on, as offsets from
+/// `start`: 0, then the end of each record frame.
+fn frame_boundaries(log: &[u8], start: usize) -> Vec<usize> {
+    let mut boundaries = vec![0];
+    let mut pos = start;
+    while pos < log.len() {
+        let len = u32::from_le_bytes(log[pos..pos + 4].try_into().unwrap()) as usize;
+        pos += 8 + len;
+        boundaries.push(pos - start);
+    }
+    assert_eq!(pos, log.len());
+    boundaries
+}
+
+/// What one closed epoch of an online session left published: the
+/// generation, its probe bits and the tuner's state.
+type EpochState = (u64, Vec<u64>, pgdesign_colt::TunerState);
+
+/// Feed `queries` until an epoch closes; what that epoch published.
+fn close_epoch(
+    s: &mut pgdesign::OnlineSession<'_>,
+    queries: &mut impl Iterator<Item = pgdesign_query::ast::Query>,
+) -> EpochState {
+    while s.observe(queries.next().unwrap()).is_none() {}
+    (
+        s.tuning_stats().published_generation,
+        probe_bits(&s.reader()),
+        s.tuner_state(),
+    )
+}
+
+/// The online twin of the pin above. The tuner's state rides in the same
+/// append as the generation its epoch published, just before that
+/// generation's `Publish`. A crash at every frame boundary of an epoch's
+/// batch, ±1 byte, with up to two unsynced bytes surviving the power cut,
+/// reopens the matrix *and* the tuner at the same published generation:
+/// the restored tuner state is the one exported when that generation was
+/// published. A reopen that crashes before its first epoch keeps the
+/// tuner too: the open's checkpoint re-writes the tuner record.
+#[test]
+fn crash_mid_epoch_append_reopens_the_tuner_at_its_generation() {
+    use pgdesign::OnlineSession;
+    use pgdesign_colt::ColtConfig;
+    use pgdesign_inum::MatrixEdit;
+
+    let c = catalog();
+    let designer = Designer::new(c.clone());
+    let w = sdss_workload(c, 15, 4242);
+    let config = || ColtConfig {
+        epoch_length: 5,
+        payback_horizon_epochs: 10.0,
+        ..Default::default()
+    };
+    let open = |disk: &SharedMemStore| {
+        OnlineSession::open_or_create_on(&designer, config(), Box::new(disk.clone()))
+    };
+    let log_len = |disk: &SharedMemStore| disk.lock().read("matrix.pgdl").unwrap().unwrap().len();
+
+    // Three epochs after the open: two synced cleanly, the third appended
+    // under `crash`. Returns what the second and third published and the
+    // log length between them.
+    let run = |disk: &SharedMemStore, crash: Option<usize>| {
+        let mut s = open(disk).expect("first open");
+        let queries: Vec<_> = w.entries.iter().map(|e| e.query.clone()).collect();
+        let mut queries = queries.into_iter().cycle();
+        close_epoch(&mut s, &mut queries);
+        let prev = close_epoch(&mut s, &mut queries);
+        let start = log_len(disk);
+        if let Some(n) = crash {
+            disk.lock().arm(Failpoint::CrashAfterBytes { n });
+        }
+        let last = close_epoch(&mut s, &mut queries);
+        (prev, last, start)
+    };
+
+    let disk = SharedMemStore::new();
+    let (prev, last, start) = run(&disk, None);
+    assert_ne!(prev.0, last.0);
+    assert_ne!(prev.2, last.2, "the last epoch changes the tuner's state");
+    let log = disk.lock().read("matrix.pgdl").unwrap().unwrap();
+    let boundaries = frame_boundaries(&log, start);
+    let total = log.len() - start;
+    assert!(boundaries.len() > 3, "the epoch spans several frames");
+
+    // The tuner record is the frame just before the `Publish`.
+    let frame = |i: usize| &log[start + boundaries[i] + 8..start + boundaries[i + 1]];
+    let n_frames = boundaries.len() - 1;
+    assert!(matches!(
+        decode_edit(frame(n_frames - 1)).unwrap(),
+        MatrixEdit::Publish
+    ));
+    assert!(matches!(
+        decode_edit(frame(n_frames - 2)).unwrap(),
+        MatrixEdit::Payload(_)
+    ));
+
+    for &b in &boundaries {
+        for n in b.saturating_sub(1)..=b + 1 {
+            for keep in 0..=2 {
+                let disk = SharedMemStore::new();
+                drop(run(&disk, Some(n)));
+                disk.lock().power_cut(keep);
+                let mut s = open(&disk).expect("reopen after crash");
+                let recovery = s.tuning_stats().recovery.expect("durable session");
+                assert_eq!(recovery.cold_start, None, "snapshot survived the crash");
+                let (generation, bits, tuner) = if n < total { &prev } else { &last };
+                let what = format!("crash after {n} of {total} bytes, {keep} unsynced kept");
+                assert_eq!(s.tuning_stats().published_generation, *generation, "{what}");
+                assert_eq!(probe_bits(&s.reader()), *bits, "reader: {what}");
+                assert_eq!(probe_bits(s.session().matrix()), *bits, "writer: {what}");
+                assert!(s.tuner_restored(), "{what}");
+                assert_eq!(s.tuner_state(), *tuner, "tuner: {what}");
+            }
+        }
+    }
+
+    // Reopen, and crash before any epoch: the open's checkpoint folded
+    // the log into a snapshot that ends in the tuner record.
+    drop(open(&disk).expect("reopen"));
+    disk.lock().power_cut(0);
+    let s = open(&disk).expect("reopen after a crash before any epoch");
+    assert_eq!(s.tuning_stats().recovery.unwrap().log_records_replayed, 0);
+    assert!(s.tuner_restored());
+    assert_eq!(s.tuner_state(), last.2);
+    assert_eq!(probe_bits(&s.reader()), last.1);
 }
 
 /// A checkpoint after a direct `CostMatrix::publish` folds that generation
