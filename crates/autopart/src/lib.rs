@@ -21,46 +21,77 @@
 //!
 //! Costing goes through INUM (the paper: "we have also extended the INUM
 //! cost model to include partitions") — specifically through the
-//! *partition-aware cost matrix* ([`CostMatrix`]): atomic fragments are
-//! registered as fragment candidates once, every merge/replication trial
-//! of the greedy loop is a [`JointToggle`] evaluation against a
-//! configuration resolved once for it
-//! ([`pgdesign_inum::MatrixCore::resolve_joint`]), and the horizontal pass
-//! is a [`pgdesign_inum::MatrixCore::delta_split`]. The search therefore
-//! issues **zero** per-trial [`Inum::cost`] calls and never constructs a
-//! `PhysicalDesign` inside the loop (the suite asserts both).
+//! *partition-aware cost matrix* ([`CostMatrix`]). Each table's merge
+//! search costs its trials on a per-table kernel
+//! ([`pgdesign_inum::MatrixCore::table_kernel`]): a view of the queries
+//! with a slot on the table, under the configuration the search edits,
+//! that re-derives only those slots for a trial's fragment list
+//! ([`pgdesign_inum::MatrixCore::table_kernel_cost`], the bits
+//! [`pgdesign_inum::MatrixCore::joint_cost_resolved`] gives). A trial's
+//! fragment is registered only when a step adopts it, and only the
+//! table's final fragments are selected. The horizontal pass costs each
+//! proposed split on the queries with a slot on its table. The search
+//! therefore issues **zero** per-trial [`Inum::cost`] calls and never
+//! constructs a `PhysicalDesign` inside the loop (the suite asserts both).
 //!
 //! ## What a trial costs
 //!
 //! A trial toggles two fragments of one table, and a query's cost depends
 //! on a table's fragmentation only through the selected fragments that
 //! meet the columns its slots read there
-//! ([`pgdesign_inum::MatrixCore::columns_read`]). So the search keeps each
-//! active query's weighted cost under the current configuration, and a
-//! trial re-costs only the queries with a slot on the table that reads a
-//! column of a toggled fragment or reads no column at all. A trial keeps
-//! those values across iterations: after an accepted step, a surviving
-//! trial re-costs only the queries that step touched, when it is next
-//! read. Each configuration a trial costs is resolved once for all its
-//! queries. Every trial total is still the sum over all active queries in
-//! id order, so each total — and each decision — is the float the full
-//! re-costing gives. A table's trial state is dropped when its search
-//! ends.
+//! ([`pgdesign_inum::MatrixCore::columns_read`]). So the search keeps
+//! every active query's weighted cost under the current configuration,
+//! from table to table, and a trial can change only the queries that
+//! read a column of one of its fragments. A slot that reads no column
+//! fetches one page of one fragment from any non-empty fragmentation, so
+//! no trial changes it; the switch from the unpartitioned table to the
+//! atomic fragments does, and it is costed once when a table's search
+//! starts. A trial keeps the values it costed across iterations: after an
+//! accepted step it re-costs only the queries that step changed. Every
+//! total is still the sum over all active queries in id order, so each
+//! total — and each decision — is the float re-costing everything gives.
 //!
-//! The original AutoPart only considers pairs of fragments some query
-//! accesses together. Here that filter is exact, not a heuristic: while a
-//! table's selected fragments are disjoint (and no query weight is
-//! negative), a merge or replication of two fragments no active query
-//! reads together only grows the fragment each affected slot fetches.
-//! Every access cost is non-decreasing in the fetch target's pages at a
-//! fixed fragment count, so such a trial costs, query by query, at least
-//! the current design and can never pass the improvement test — the
-//! search skips it without registering or costing it. Once a replication
-//! has made fragments overlap, the greedy set cover can pick differently
-//! and every pair is tried again. The replication budget is checked in
-//! integers on the fragments' column masks: the current replicated row
-//! width plus the width of the columns the copy adds, times the row
-//! count.
+//! Most trials cannot be the step taken, and the search proves it without
+//! costing them in full. While no query weight is negative:
+//!
+//! - A query that reads only one of a trial's two fragments, and no column
+//!   either of them shares with another selected fragment, cannot get
+//!   cheaper. Every access cost is non-decreasing in the fetch target's
+//!   pages at a fixed fragment count. Under a merge the fragment it
+//!   fetches gains pages at the same count. Under a copy of `i` into `j`
+//!   the greedy set cover picks `i` or the widened `j`, never fewer
+//!   fragments. Other overlaps do not move: the cover's choice among the
+//!   fragments sharing a column depends only on those fragments.
+//! - So a trial's **bound** is the current workload cost raised by the
+//!   trial's value less the current cost of each query that reads both
+//!   its fragments or a column one of them shares, and of each other query
+//!   it holds a fresh value for. Beyond rounding it never exceeds the
+//!   trial's total, which is summed afresh in id order.
+//! - Trials are visited in (bound, loop order), and a trial is costed in
+//!   full only while its bound is within the best total so far (plus a
+//!   billionth of the current cost, which only absorbs rounding). The
+//!   pick is by (total, merge before replication, loop order), the rule
+//!   of the original search, so the step taken is the same.
+//! - A trial with no query to cost for its bound is never listed. While a
+//!   table's fragments are disjoint these are the pairs no query reads
+//!   together, which the original AutoPart also skips; here the skip is
+//!   exact, not a heuristic.
+//! - A copy of `i` into a `j` whose columns all follow `i`'s, while no
+//!   query reads a column `i` or `j` shares, costs exactly what their
+//!   merge costs: a slot reading `i` alone ties `i` with the widened `j`
+//!   and takes the later in column order, the widened `j`. The merge wins
+//!   that tie, so the copy is not listed.
+//! - For a query with one slot on the table that reads both fragments
+//!   and no column either shares, a copy in either direction costs what
+//!   the merge costs: the widened fragment covers all the slot reads of
+//!   the two, so the cover never takes the copied one, and the fetch
+//!   target is the merge's. A copy takes that value from the merge trial,
+//!   which each iteration costs first.
+//!
+//! With a negative weight every trial is costed in full. The replication
+//! budget is checked in integers on the fragments' column masks: the
+//! current replicated row width plus the width of the columns the copy
+//! adds, times the row count.
 //!
 //! The suite keeps the search as it was before these cuts (`oracle.rs`,
 //! test-only) and checks the two recommend the same bits across
@@ -71,8 +102,10 @@
 
 use pgdesign_catalog::design::{HorizontalPartitioning, PhysicalDesign, VerticalPartitioning};
 use pgdesign_catalog::schema::{TableDef, TableId};
-use pgdesign_inum::{CostMatrix, Inum, JointConfig, JointToggle, MatrixCore};
-use pgdesign_query::ast::PredOp;
+use pgdesign_inum::{
+    CostMatrix, FragmentList, Inum, JointConfig, JointToggle, MatrixCore, TableKernel,
+};
+use pgdesign_query::ast::{PredOp, Query};
 use pgdesign_query::Workload;
 use std::collections::BTreeMap;
 
@@ -116,233 +149,490 @@ pub struct AutoPartAdvisor<'a> {
     config: AutoPartConfig,
 }
 
-/// A trial of the merge search, named by the selected fragments it edits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum TrialKey {
-    /// Replace fragments `.0` and `.1` by their union.
-    Merge(usize, usize),
-    /// Copy fragment `from`'s columns into fragment `into`.
-    Replicate { from: usize, into: usize },
-}
-
-impl TrialKey {
-    /// The two fragments the trial is made of; it is stale once either is
-    /// no longer selected.
-    fn fragments(self) -> [usize; 2] {
-        match self {
-            TrialKey::Merge(a, b) => [a, b],
-            TrialKey::Replicate { from, into } => [from, into],
-        }
-    }
-}
-
-/// One costed trial.
-struct Trial {
-    /// The edit, as the matrix costs it.
-    toggle: JointToggle,
-    /// The columns of the fragments the edit is made of: it can change
-    /// the cost of the queries [`QueryCosts::touches`] names for it.
-    mask: u128,
-    /// Per query (position in [`QueryCosts::qids`]) the edit can change:
-    /// its weighted cost under the edit. Unused at the other positions.
-    values: Vec<f64>,
-    /// The step [`Self::values`] are exact at ([`TableSearch::step`]).
-    step: u32,
-}
-
-/// One table's merge-search state: each active query's weighted cost
-/// under the current configuration, and the trials costed so far with the
-/// weighted costs of the queries each can change. Lives as long as the
-/// table's search.
-struct TableSearch {
-    queries: QueryCosts,
-    /// No weight is negative — half of the skip rule's exactness
-    /// condition (see the crate doc).
-    nonneg_weights: bool,
-    /// Steps accepted so far.
-    step: u32,
-    /// The trials costed so far.
-    trials: BTreeMap<TrialKey, Trial>,
-}
-
-/// The active queries of one table's search, in id order — the order
-/// every total is summed in.
-struct QueryCosts {
+/// Every active query's weighted cost under the search's current
+/// configuration, in id order. A total is summed in that order, so it is
+/// the float re-costing the whole workload gives. A table's search starts
+/// from these costs and hands them on, to the next table and to the
+/// horizontal pass.
+struct WorkloadCosts {
     qids: Vec<usize>,
-    weights: Vec<f64>,
-    /// The columns the query's slots on the table read, as one mask.
-    reads: Vec<u128>,
-    /// A slot of the query on the table reads no column, so any
-    /// fragmentation edit can change its cost.
-    blind: Vec<bool>,
-    /// Its weighted cost under the current configuration.
-    base: Vec<f64>,
-    /// The last step that changed its cost (0: none yet).
-    changed_at: Vec<u32>,
+    costs: Vec<f64>,
 }
 
-impl QueryCosts {
-    /// Whether an edit of fragments whose columns are `mask` can change
-    /// the cost of the query at position `p`.
-    fn touches(&self, p: usize, mask: u128) -> bool {
-        self.reads[p] & mask != 0 || self.blind[p]
+impl WorkloadCosts {
+    /// Cost every active query once under `cfg`.
+    fn new(core: &MatrixCore, cfg: &JointConfig) -> Self {
+        let resolved = core.resolve_joint(cfg, &JointToggle::default());
+        let qids: Vec<usize> = core.active_query_ids().collect();
+        let costs = qids
+            .iter()
+            .map(|&qi| core.query_weight(qi) * core.joint_cost_resolved(qi, &resolved))
+            .collect();
+        WorkloadCosts { qids, costs }
     }
 
-    /// The workload cost of a trial whose values are current.
-    fn total(&self, trial: &Trial) -> f64 {
-        (0..self.qids.len())
-            .map(|p| {
-                if self.touches(p, trial.mask) {
-                    trial.values[p]
-                } else {
-                    self.base[p]
+    /// The workload cost.
+    fn total(&self) -> f64 {
+        self.costs.iter().sum()
+    }
+
+    /// The workload cost with the cost at position `at[p]` replaced by
+    /// `value(p)` wherever that is `Some` (`at` ascending).
+    fn total_with(&self, at: &[usize], value: impl Fn(usize) -> Option<f64>) -> f64 {
+        let mut p = 0;
+        (self.costs.iter().enumerate())
+            .map(|(k, &cost)| {
+                if at.get(p) != Some(&k) {
+                    return cost;
                 }
+                p += 1;
+                value(p - 1).unwrap_or(cost)
             })
             .sum()
     }
 }
 
+/// One trial of a table's merge search: merge fragments `a` and `b`, or
+/// copy `a`'s columns into `b`. Either way the trial's fragment holds the
+/// columns `a | b`, and it is registered only if a step adopts it.
+#[derive(Clone, Copy)]
+struct Trial {
+    replicate: bool,
+    a: u128,
+    b: u128,
+    /// Heap pages of the trial's fragment.
+    pages: u64,
+    /// The sum, over the queries it can change with a fresh value, of
+    /// each one's rise over its current cost — exact while none of them
+    /// changed after step `delta_at`.
+    delta: f64,
+    delta_at: u32,
+}
+
+/// A trial listed in one iteration: its slot, the group positions of its
+/// two fragments, its rank in the loop order (merges first) and its lower
+/// bound.
+#[derive(Clone, Copy)]
+struct Listed {
+    slot: usize,
+    i: usize,
+    j: usize,
+    rank: usize,
+    bound: f64,
+}
+
+/// Marks a position of [`TableSearch::slot_of`] no trial holds.
+const NO_TRIAL: usize = usize::MAX;
+
+/// One table's merge-search state. Lives as long as the table's search.
+struct TableSearch {
+    /// The costing view of the queries with a slot on the table.
+    kernel: TableKernel,
+    /// Per kernel query (position `p`): its position in the
+    /// [`WorkloadCosts`], weight, the columns its slots on the table read,
+    /// its cost before the search and the last step that changed its
+    /// cost (0: none yet).
+    at: Vec<usize>,
+    weights: Vec<f64>,
+    reads: Vec<u128>,
+    unpartitioned: Vec<f64>,
+    changed_at: Vec<u32>,
+    /// Steps accepted so far.
+    step: u32,
+    /// The selected fragments in search order, as `(mask, pages)`.
+    group: Vec<(u128, u64)>,
+    /// Per group position, the kernel queries reading the fragment, as
+    /// `words` words of bits, and the last step that changed one of them.
+    readers: Vec<u64>,
+    words: usize,
+    changed: Vec<u32>,
+    /// Per group position, the kernel queries reading a column the
+    /// fragment shares with another selected fragment, laid out as
+    /// [`Self::readers`].
+    overlapped: Vec<u64>,
+    /// The trial slot of `(replicate, i, j)` over group positions, at
+    /// `(replicate · n + i) · n + j`.
+    slot_of: Vec<usize>,
+    trials: Vec<Trial>,
+    free: Vec<usize>,
+    /// Per trial slot and kernel query: its weighted cost under the trial,
+    /// and one more than the step it was costed at (0: never). A value is
+    /// fresh while no later step changed the query.
+    values: Vec<f64>,
+    stamps: Vec<u32>,
+    /// The fragment list a trial is costed on, reused.
+    list: FragmentList,
+    /// One iteration's trials, reused.
+    listed: Vec<Listed>,
+}
+
 impl TableSearch {
-    /// Cost every active query once under `cfg`, the configuration with
-    /// `table`'s atomic fragments selected.
-    fn new(core: &MatrixCore, cfg: &JointConfig, table: TableId) -> Self {
-        let resolved = core.resolve_joint(cfg, &JointToggle::default());
-        let qids: Vec<usize> = core.active_query_ids().collect();
-        let (mut weights, mut reads, mut blind, mut base) = (vec![], vec![], vec![], vec![]);
-        for &qi in &qids {
-            let (mut read, mut reads_nothing) = (0u128, false);
-            for (t, mask) in core.columns_read(qi) {
-                if t == table {
-                    read |= mask;
-                    reads_nothing |= mask == 0;
-                }
-            }
-            let w = core.query_weight(qi);
-            weights.push(w);
-            reads.push(read);
-            blind.push(reads_nothing);
-            base.push(w * core.joint_cost_resolved(qi, &resolved));
-        }
-        TableSearch {
-            nonneg_weights: weights.iter().all(|&w| w >= 0.0),
-            queries: QueryCosts {
-                changed_at: vec![0; qids.len()],
-                qids,
-                weights,
-                reads,
-                blind,
-                base,
-            },
+    /// Select `atomic` as the table's fragments: cost every query with a
+    /// slot on the table once under them, in `costs`.
+    fn new(
+        matrix: &CostMatrix<'_>,
+        cfg: &JointConfig,
+        table: TableId,
+        atomic: &[u128],
+        costs: &mut WorkloadCosts,
+    ) -> Self {
+        let kernel = matrix.table_kernel(cfg, table);
+        let qids: Vec<usize> = kernel.query_ids().collect();
+        let group: Vec<(u128, u64)> = (atomic.iter())
+            .map(|&mask| (mask, matrix.fragment_pages(table, mask)))
+            .collect();
+        let mut search = TableSearch {
+            kernel,
+            at: Vec::with_capacity(qids.len()),
+            weights: Vec::with_capacity(qids.len()),
+            reads: Vec::with_capacity(qids.len()),
+            unpartitioned: Vec::with_capacity(qids.len()),
+            changed_at: vec![0; qids.len()],
             step: 0,
-            trials: BTreeMap::new(),
+            slot_of: vec![NO_TRIAL; 2 * group.len() * group.len()],
+            group,
+            readers: Vec::new(),
+            words: qids.len().div_ceil(64),
+            changed: Vec::new(),
+            overlapped: Vec::new(),
+            trials: Vec::new(),
+            free: Vec::new(),
+            values: Vec::new(),
+            stamps: Vec::new(),
+            list: FragmentList::default(),
+            listed: Vec::new(),
+        };
+        search.list.set(search.group.iter().copied());
+        let mut k = 0;
+        for (p, &qi) in qids.iter().enumerate() {
+            while costs.qids[k] != qi {
+                k += 1;
+            }
+            let read = (matrix.columns_read(qi))
+                .filter(|&(t, _)| t == table)
+                .fold(0u128, |r, (_, mask)| r | mask);
+            let w = matrix.query_weight(qi);
+            search.at.push(k);
+            search.weights.push(w);
+            search.reads.push(read);
+            search.unpartitioned.push(costs.costs[k]);
+            costs.costs[k] = w * matrix.table_kernel_cost(&mut search.kernel, p, &search.list);
         }
+        search
     }
 
-    /// The workload cost of the current configuration.
-    fn current(&self) -> f64 {
-        self.queries.base.iter().sum()
-    }
-
-    /// Whether some active query reads columns of both masks.
-    fn read_together(&self, a: u128, b: u128) -> bool {
-        self.queries.reads.iter().any(|&r| r & a != 0 && r & b != 0)
-    }
-
-    /// The workload cost of trial `key` under `cfg`, the current
-    /// configuration, or `None` if it was not costed yet. The queries a
-    /// step accepted since the trial was last costed are re-costed first.
-    fn total(&mut self, core: &MatrixCore, cfg: &JointConfig, key: TrialKey) -> Option<f64> {
-        let trial = self.trials.get_mut(&key)?;
-        let q = &self.queries;
-        if trial.step < self.step {
-            let mut resolved = None;
-            for p in 0..q.qids.len() {
-                if q.touches(p, trial.mask) && q.changed_at[p] > trial.step {
-                    let resolved =
-                        resolved.get_or_insert_with(|| core.resolve_joint(cfg, &trial.toggle));
-                    trial.values[p] = q.weights[p] * core.joint_cost_resolved(q.qids[p], resolved);
+    /// Index the readers of each selected fragment, and its readers of a
+    /// column it shares with another selected fragment.
+    fn index_readers(&mut self) {
+        let words = self.words;
+        let (mut held, mut twice) = (0u128, 0u128);
+        for &(mask, _) in &self.group {
+            (twice, held) = (twice | (held & mask), held | mask);
+        }
+        for v in [&mut self.readers, &mut self.overlapped] {
+            v.clear();
+            v.resize(self.group.len() * words, 0);
+        }
+        self.changed.clear();
+        self.changed.resize(self.group.len(), 0);
+        for (i, &(mask, _)) in self.group.iter().enumerate() {
+            for (p, &read) in self.reads.iter().enumerate() {
+                let bit = 1 << (p % 64);
+                if read & mask != 0 {
+                    self.readers[i * words + p / 64] |= bit;
+                    self.changed[i] = self.changed[i].max(self.changed_at[p]);
+                }
+                if read & mask & twice != 0 {
+                    self.overlapped[i * words + p / 64] |= bit;
                 }
             }
-            trial.step = self.step;
         }
-        Some(q.total(trial))
     }
 
-    /// Cost a new trial — `toggle` on top of `cfg`, editing fragments whose
-    /// columns are `mask` — on the queries it can change; returns its
-    /// workload cost.
-    fn add(
+    /// Word `k` of the queries trial `(i, j)` must be costed on for its
+    /// bound: those reading both its fragments, and those reading a column
+    /// fragment `i` or `j` shares with another selected fragment.
+    fn exact_word(&self, i: usize, j: usize, k: usize) -> u64 {
+        let w = self.words;
+        let (a, b) = (self.readers[i * w + k], self.readers[j * w + k]);
+        a & b | self.overlapped[i * w + k] | self.overlapped[j * w + k]
+    }
+
+    /// Whether some query reads a column fragment `i` or `j` shares with
+    /// another selected fragment.
+    fn shares_read(&self, i: usize, j: usize) -> bool {
+        let w = self.words;
+        (0..w).any(|k| self.overlapped[i * w + k] | self.overlapped[j * w + k] != 0)
+    }
+
+    /// Whether trial `(i, j)` has a query to cost for its bound; if not,
+    /// it cannot lower the workload cost (crate doc).
+    fn can_improve(&self, i: usize, j: usize) -> bool {
+        (0..self.words).any(|k| self.exact_word(i, j, k) != 0)
+    }
+
+    /// The slot of trial `(replicate, i, j)`, listed now if it is new.
+    fn slot(
+        &mut self,
+        matrix: &CostMatrix<'_>,
+        table: TableId,
+        replicate: bool,
+        i: usize,
+        j: usize,
+    ) -> usize {
+        let n = self.group.len();
+        let at = (usize::from(replicate) * n + i) * n + j;
+        if self.slot_of[at] != NO_TRIAL {
+            return self.slot_of[at];
+        }
+        let (a, b) = (self.group[i].0, self.group[j].0);
+        let trial = Trial {
+            replicate,
+            a,
+            b,
+            pages: matrix.fragment_pages(table, a | b),
+            delta: 0.0,
+            delta_at: self.step,
+        };
+        let queries = self.at.len();
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.trials[slot] = trial;
+                self.stamps[slot * queries..(slot + 1) * queries].fill(0);
+                slot
+            }
+            None => {
+                self.trials.push(trial);
+                self.values.resize(self.trials.len() * queries, f64::NAN);
+                self.stamps.resize(self.trials.len() * queries, 0);
+                self.trials.len() - 1
+            }
+        };
+        self.slot_of[at] = slot;
+        slot
+    }
+
+    /// Whether trial `slot`'s value for kernel query `p` is exact now.
+    fn fresh(&self, slot: usize, p: usize) -> bool {
+        self.stamps[slot * self.at.len() + p] > self.changed_at[p]
+    }
+
+    /// Cost trial `slot`, made of group positions `i` and `j`, exactly for
+    /// kernel query `p`. `listed` says whether [`Self::list`] holds the
+    /// trial's fragments yet.
+    fn cost(
         &mut self,
         core: &MatrixCore,
-        cfg: &JointConfig,
-        key: TrialKey,
-        toggle: JointToggle,
-        mask: u128,
+        costs: &[f64],
+        slot: usize,
+        (i, j): (usize, usize),
+        p: usize,
+        listed: &mut bool,
     ) -> f64 {
-        let q = &self.queries;
-        let resolved = core.resolve_joint(cfg, &toggle);
-        let values = (0..q.qids.len())
-            .map(|p| {
-                if q.touches(p, mask) {
-                    q.weights[p] * core.joint_cost_resolved(q.qids[p], &resolved)
-                } else {
-                    f64::NAN
+        let t = self.trials[slot];
+        if !*listed {
+            // The group with the trial applied: `j` is replaced, and a
+            // merge also drops `i`. Its fragment joins unless a kept one
+            // holds the same columns.
+            let kept = (self.group.iter().enumerate())
+                .filter(|&(k, _)| k != j && (t.replicate || k != i))
+                .map(|(_, &f)| f);
+            let fragment = (t.a | t.b, t.pages);
+            let duplicate = kept.clone().any(|f| f.0 == fragment.0);
+            self.list.set(kept.chain((!duplicate).then_some(fragment)));
+            *listed = true;
+        }
+        let v = slot * self.at.len() + p;
+        self.values[v] = self.weights[p] * core.table_kernel_cost(&mut self.kernel, p, &self.list);
+        self.stamps[v] = self.step + 1;
+        self.trials[slot].delta += self.values[v] - costs[self.at[p]];
+        self.values[v]
+    }
+
+    /// A lower bound on trial `slot`'s workload cost under the exact-bound
+    /// condition (crate doc): `current` raised by the rise of each query
+    /// it can change with a fresh value, after costing the queries
+    /// [`Self::exact_word`] names. Every other query it can change costs
+    /// at least its current cost. While none of its queries changed, the
+    /// trial's sum of rises stands.
+    fn bound(
+        &mut self,
+        core: &MatrixCore,
+        costs: &WorkloadCosts,
+        current: f64,
+        slot: usize,
+        (i, j): (usize, usize),
+    ) -> f64 {
+        let t = self.trials[slot];
+        if self.changed[i].max(self.changed[j]) > t.delta_at {
+            let queries = self.at.len();
+            let mut delta = 0.0;
+            for k in 0..self.words {
+                let mut word = self.readers[i * self.words + k] | self.readers[j * self.words + k];
+                while word != 0 {
+                    let p = k * 64 + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    if self.fresh(slot, p) {
+                        delta += self.values[slot * queries + p] - costs.costs[self.at[p]];
+                    }
                 }
-            })
-            .collect();
-        let trial = Trial {
-            toggle,
-            mask,
-            values,
-            step: self.step,
-        };
-        let total = q.total(&trial);
-        self.trials.insert(key, trial);
-        total
-    }
-
-    /// The edit of a costed trial.
-    fn toggle(&self, key: TrialKey) -> JointToggle {
-        self.trials[&key].toggle
-    }
-
-    /// Adopt trial `key`, costed at the current step, as the current
-    /// configuration, and drop the trials made of a fragment `selected`
-    /// (the table's fragments after the step) no longer lists. A kept
-    /// trial stays exact on every query the step did not change — the
-    /// step's fragments meet none of their columns — and re-costs the
-    /// others when it is next read ([`Self::total`]).
-    fn accept(&mut self, key: TrialKey, selected: &[usize]) {
-        let step = self
-            .trials
-            .remove(&key)
-            .expect("an accepted trial was costed");
-        debug_assert_eq!(step.step, self.step, "accepted on stale values");
-        self.step += 1;
-        let q = &mut self.queries;
-        for p in 0..q.qids.len() {
-            if q.touches(p, step.mask) {
-                q.base[p] = step.values[p];
-                q.changed_at[p] = self.step;
+            }
+            self.trials[slot].delta = delta;
+            self.trials[slot].delta_at = self.step;
+        }
+        // A copy's value for a query reading both fragments, one slot on
+        // the table and no column either fragment shares is its merge's
+        // (crate doc); the merge was costed first.
+        let n = self.group.len();
+        let merge = self.slot_of[(i.min(j)) * n + i.max(j)];
+        let queries = self.at.len();
+        let mut listed = false;
+        for k in 0..self.words {
+            let w = self.words;
+            let shared_by_merge = self.readers[i * w + k]
+                & self.readers[j * w + k]
+                & !(self.overlapped[i * w + k] | self.overlapped[j * w + k]);
+            let mut word = self.exact_word(i, j, k);
+            while word != 0 {
+                let p = k * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                if self.fresh(slot, p) {
+                    continue;
+                }
+                if t.replicate
+                    && shared_by_merge >> (p % 64) & 1 == 1
+                    && merge != NO_TRIAL
+                    && self.fresh(merge, p)
+                    && self.kernel.one_slot(p)
+                {
+                    let v = slot * queries + p;
+                    self.values[v] = self.values[merge * queries + p];
+                    self.stamps[v] = self.step + 1;
+                    self.trials[slot].delta += self.values[v] - costs.costs[self.at[p]];
+                } else {
+                    self.cost(core, &costs.costs, slot, (i, j), p, &mut listed);
+                }
             }
         }
-        self.trials
-            .retain(|k, _| k.fragments().iter().all(|f| selected.contains(f)));
+        current + self.trials[slot].delta
+    }
+
+    /// Cost trial `slot` exactly on each query it can change whose value
+    /// is not fresh, raising `bound` by each one's rise over its current
+    /// cost, while `bound` stays within `limit`. Returns whether it did.
+    fn refine(
+        &mut self,
+        core: &MatrixCore,
+        costs: &WorkloadCosts,
+        trial: Listed,
+        limit: f64,
+    ) -> bool {
+        let (slot, i, j) = (trial.slot, trial.i, trial.j);
+        let (mut bound, mut listed) = (trial.bound, false);
+        for k in 0..self.words {
+            let mut word = self.readers[i * self.words + k] | self.readers[j * self.words + k];
+            while word != 0 {
+                let p = k * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                if self.fresh(slot, p) {
+                    continue;
+                }
+                bound += self.cost(core, &costs.costs, slot, (i, j), p, &mut listed)
+                    - costs.costs[self.at[p]];
+                if bound > limit {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// The workload cost of trial `slot` once every query it can change is
+    /// fresh: its values, and the current cost of every other query.
+    fn total(&self, costs: &WorkloadCosts, slot: usize) -> f64 {
+        let queries = self.at.len();
+        costs.total_with(&self.at, |p| {
+            self.fresh(slot, p)
+                .then_some(self.values[slot * queries + p])
+        })
+    }
+
+    /// Adopt trial `listed` as the current configuration: its values
+    /// become the current costs of the queries it changes, and the trials
+    /// made of a fragment it removes are dropped. A kept trial stays exact
+    /// on every query the step did not change and re-costs the others when
+    /// it is next read.
+    fn accept(&mut self, listed: Listed, costs: &mut WorkloadCosts) {
+        let Listed { slot, i, j, .. } = listed;
+        let t = self.trials[slot];
+        let queries = self.at.len();
+        self.step += 1;
+        for p in 0..queries {
+            if self.reads[p] & (t.a | t.b) != 0 {
+                costs.costs[self.at[p]] = self.values[slot * queries + p];
+                self.changed_at[p] = self.step;
+            }
+        }
+        let n = self.group.len();
+        let removed = |k: usize| k == j || (!t.replicate && k == i);
+        let moved: Vec<Option<usize>> = (0..n)
+            .scan(0, |kept, k| {
+                Some((!removed(k)).then(|| {
+                    *kept += 1;
+                    *kept - 1
+                }))
+            })
+            .collect();
+        let mut k = 0;
+        self.group.retain(|_| {
+            k += 1;
+            !removed(k - 1)
+        });
+        let added = (t.a | t.b, t.pages);
+        if !self.group.iter().any(|f| f.0 == added.0) {
+            self.group.push(added);
+        }
+        let m = self.group.len();
+        let mut slot_of = vec![NO_TRIAL; 2 * m * m];
+        for (at, &slot) in self.slot_of.iter().enumerate() {
+            if slot == NO_TRIAL {
+                continue;
+            }
+            let (kind, i, j) = (at / (n * n), at / n % n, at % n);
+            match (moved[i], moved[j]) {
+                (Some(i), Some(j)) => slot_of[(kind * m + i) * m + j] = slot,
+                _ => self.free.push(slot),
+            }
+        }
+        self.slot_of = slot_of;
     }
 }
 
-/// One table's vertical merge search: [`AutoPartAdvisor::partition_table_on`],
-/// or in the suite the earlier search it is checked against. Takes the
-/// matrix, the configuration to edit, the table, the active workload and
-/// the shared replication pool; returns the merge steps taken.
-type VerticalSearch<'a> = fn(
-    &AutoPartAdvisor<'a>,
-    &mut CostMatrix<'_>,
-    &mut JointConfig,
-    TableId,
-    &Workload,
-    &mut u64,
-) -> usize;
+/// [`AutoPartAdvisor::atomic_fragments`] of a table of `width` columns as
+/// column masks, from the columns each (query, slot) on the table reads,
+/// in workload order. A column's access signature lists, per (query,
+/// slot), whether it reads the column; the groups are ordered by
+/// signature, "not read" first. Each slot refines the groups so far into
+/// the columns it does not read, then those it reads, which keeps them in
+/// that order.
+fn atomic_masks(width: u16, used: impl IntoIterator<Item = u128>) -> Vec<u128> {
+    let all = u128::MAX >> (128 - u32::from(width).clamp(1, 128));
+    let mut groups: Vec<u128> = if width == 0 { vec![] } else { vec![all] };
+    let mut refined = Vec::new();
+    for used in used {
+        refined.clear();
+        for &g in &groups {
+            refined.extend([g & !used, g & used].into_iter().filter(|&h| h != 0));
+        }
+        std::mem::swap(&mut groups, &mut refined);
+    }
+    groups
+}
+
+/// The columns of `mask`, ascending.
+fn columns_of(mask: u128) -> Vec<u16> {
+    (0..128u16).filter(|&c| mask >> c & 1 == 1).collect()
+}
 
 /// Bytes per row of the columns in `mask`.
 fn row_width(tdef: &TableDef, mut mask: u128) -> u64 {
@@ -364,37 +654,30 @@ impl<'a> AutoPartAdvisor<'a> {
     /// Compute atomic fragments for a table: columns grouped by identical
     /// accessing-query sets. Unaccessed columns form one residual group.
     pub fn atomic_fragments(&self, workload: &Workload, table: TableId) -> Vec<Vec<u16>> {
-        let catalog = self.inum.catalog();
-        let width = catalog.schema.table(table).width();
-        // Per-column access signature over (query, slot) pairs.
-        let mut signatures: Vec<Vec<bool>> = vec![Vec::new(); width as usize];
-        for (q, _) in workload.iter() {
-            for slot in 0..q.slot_count() {
-                if q.table_of(slot) != table {
-                    continue;
-                }
-                let used = if q.select_star {
-                    (0..width).collect()
-                } else {
-                    q.columns_used(slot)
-                };
-                for c in 0..width {
-                    signatures[c as usize].push(used.contains(&c));
-                }
-            }
-        }
-        let mut groups: BTreeMap<Vec<bool>, Vec<u16>> = BTreeMap::new();
-        for (c, sig) in signatures.into_iter().enumerate() {
-            groups.entry(sig).or_default().push(c as u16);
-        }
-        groups.into_values().collect()
+        let width = self.inum.catalog().schema.table(table).width();
+        let used = workload.iter().flat_map(|(q, _)| {
+            (0..q.slot_count())
+                .filter(move |&slot| q.table_of(slot) == table)
+                .map(move |slot| {
+                    let columns = if q.select_star {
+                        (0..width).collect()
+                    } else {
+                        q.columns_used(slot)
+                    };
+                    columns.iter().fold(0u128, |m, &c| m | 1 << c)
+                })
+        });
+        (atomic_masks(width, used).into_iter())
+            .map(columns_of)
+            .collect()
     }
 
     /// Run the greedy composite-fragment search for one table, entirely on
-    /// matrix lookups: every merge/replication trial is a [`JointToggle`]
-    /// evaluated on the queries it can change (see the crate doc). `cfg`
-    /// is edited in place (the table's fragments stay selected only if the
-    /// final partitioning beats leaving the table whole).
+    /// matrix lookups: each step costs exactly only the trials that can
+    /// still be the best step (see the crate doc). `cfg` is edited in
+    /// place: the table's final fragments are registered and selected only
+    /// if the final partitioning beats leaving the table whole. `costs`
+    /// holds every query's cost under `cfg` and is kept so.
     /// `replication_left` is the *shared* replication budget: trials are
     /// checked against it and an accepted partitioning's replicated bytes
     /// are deducted, so the tables of one search draw from a single pool
@@ -404,145 +687,38 @@ impl<'a> AutoPartAdvisor<'a> {
         &self,
         matrix: &mut CostMatrix<'_>,
         cfg: &mut JointConfig,
-        table: TableId,
-        workload: &Workload,
+        (table, atomic): (TableId, &[u128]),
         replication_left: &mut u64,
+        costs: &mut WorkloadCosts,
     ) -> usize {
         let catalog = self.inum.catalog();
         let tdef = catalog.schema.table(table);
-        let rows = catalog.table_stats(table).row_count;
-        let atomic = self.atomic_fragments(workload, table);
         if atomic.len() <= 1 {
             return 0;
         }
 
-        let unpartitioned = matrix.joint_workload_cost(cfg);
-
-        // Select the atomic fragmentation. `group_ids` lists the table's
-        // selected fragments in search order (kept duplicate-free; a
-        // duplicate group never changes the cost model's answer).
-        let mut group_ids: Vec<usize> = atomic
-            .iter()
-            .map(|g| matrix.register_fragment(table, g))
-            .collect();
-        for &id in &group_ids {
-            cfg.fragments.insert(id);
-        }
-        let mut search = TableSearch::new(matrix, cfg, table);
-        let mut current = search.current();
+        let unpartitioned = costs.total();
+        let mut search = TableSearch::new(matrix, cfg, table, atomic, costs);
+        let mut current = costs.total();
         let mut iterations = 0usize;
-
-        while iterations < MAX_ITERATIONS && group_ids.len() > 1 {
-            let n = group_ids.len();
-            let masks: Vec<u128> = group_ids
-                .iter()
-                .map(|&id| matrix.fragment_mask(id))
-                .collect();
-            let union = masks.iter().fold(0u128, |u, &m| u | m);
-            let columns: u32 = masks.iter().map(|m| m.count_ones()).sum();
-            // The exact skip rule of the crate doc: a pair no query reads
-            // together cannot improve a disjoint fragmentation.
-            let skip_unread = search.nonneg_weights && union.count_ones() == columns;
-
-            // Candidate merges: all fragment pairs some query reads
-            // together.
-            let mut best: Option<(TrialKey, f64)> = None;
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    if skip_unread && !search.read_together(masks[i], masks[j]) {
-                        continue;
-                    }
-                    let (a, b) = (group_ids[i], group_ids[j]);
-                    let key = TrialKey::Merge(a, b);
-                    let c = match search.total(matrix, cfg, key) {
-                        Some(c) => c,
-                        None => {
-                            let merged =
-                                [matrix.fragment_columns(a), matrix.fragment_columns(b)].concat();
-                            let mid = matrix.register_fragment(table, &merged);
-                            let toggle = JointToggle::merge(a, b, mid);
-                            search.add(matrix, cfg, key, toggle, masks[i] | masks[j])
-                        }
-                    };
-                    if c < current - 1e-9 && best.is_none_or(|(_, bc)| c < bc) {
-                        best = Some((key, c));
-                    }
-                }
-            }
-            // Replication candidates: copy fragment i's columns into
-            // fragment j, if the budget allows. Replicated bytes are
-            // `rows × Σ (copies − 1) × width` over the columns; the copy
-            // adds one of each column of i that j lacks.
-            let mut best_repl: Option<(TrialKey, f64)> = None;
-            if *replication_left > 0 {
-                let extra =
-                    masks.iter().map(|&m| row_width(tdef, m)).sum::<u64>() - row_width(tdef, union);
-                for i in 0..n {
-                    for j in 0..n {
-                        let added = masks[i] & !masks[j];
-                        // `added == 0` (i inside j) edits nothing.
-                        if i == j
-                            || added == 0
-                            || (extra + row_width(tdef, added)) * rows > *replication_left
-                        {
-                            continue;
-                        }
-                        if skip_unread && !search.read_together(masks[i], masks[j]) {
-                            continue;
-                        }
-                        let (from, into) = (group_ids[i], group_ids[j]);
-                        let key = TrialKey::Replicate { from, into };
-                        let c = match search.total(matrix, cfg, key) {
-                            Some(c) => c,
-                            None => {
-                                let extended =
-                                    [matrix.fragment_columns(into), matrix.fragment_columns(from)]
-                                        .concat();
-                                let eid = matrix.register_fragment(table, &extended);
-                                let toggle = JointToggle::replace(into, eid);
-                                search.add(matrix, cfg, key, toggle, masks[i] | masks[j])
-                            }
-                        };
-                        if c < current - 1e-9 && best_repl.is_none_or(|(_, bc)| c < bc) {
-                            best_repl = Some((key, c));
-                        }
-                    }
-                }
-            }
-
-            let (key, c) = match (best, best_repl) {
-                (Some(m), Some(r)) => {
-                    if m.1 <= r.1 {
-                        m
-                    } else {
-                        r
-                    }
-                }
-                (Some(step), None) | (None, Some(step)) => step,
-                (None, None) => break,
+        while iterations < MAX_ITERATIONS && search.group.len() > 1 {
+            let budget = *replication_left;
+            let Some((step, c)) =
+                self.best_step(matrix, table, &mut search, costs, current, budget)
+            else {
+                break;
             };
-            let toggle = search.toggle(key);
-            for removed in toggle.remove_fragments.into_iter().flatten() {
-                cfg.fragments.remove(removed);
-                group_ids.retain(|&id| id != removed);
-            }
-            let added = toggle
-                .add_fragment
-                .expect("merge and replication add a fragment");
-            if !group_ids.contains(&added) {
-                cfg.fragments.insert(added);
-                group_ids.push(added);
-            }
+            search.accept(step, costs);
             current = c;
-            search.accept(key, &group_ids);
             iterations += 1;
         }
 
         if current < unpartitioned - 1e-9 {
-            let groups = group_ids
-                .iter()
-                .map(|&id| matrix.fragment_columns(id).to_vec())
-                .collect();
+            let groups: Vec<Vec<u16>> = search.group.iter().map(|&(m, _)| columns_of(m)).collect();
+            for g in &groups {
+                let id = matrix.register_fragment(table, g);
+                cfg.fragments.insert(id);
+            }
             let vp = VerticalPartitioning::new(table, groups);
             debug_assert!(vp.is_complete(tdef.width()));
             // Deduct the accepted partitioning's replicated bytes from the
@@ -551,28 +727,136 @@ impl<'a> AutoPartAdvisor<'a> {
                 .saturating_sub(vp.replication_bytes(&catalog.schema, catalog.table_stats(table)));
         } else {
             // Not worth it: leave the table whole.
-            for &id in &group_ids {
-                cfg.fragments.remove(id);
+            for (&k, &cost) in search.at.iter().zip(&search.unpartitioned) {
+                costs.costs[k] = cost;
             }
         }
         iterations
     }
 
-    /// Propose a horizontal range partitioning for a table; returns the
-    /// registered split-candidate id if it pays under the current
-    /// configuration.
-    fn horizontal_for_table_on(
+    /// One iteration of the merge search: the step that lowers the
+    /// workload cost below `current` most — by (total, merge before
+    /// replication, loop order) — with its total, or `None`.
+    fn best_step(
         &self,
-        matrix: &mut CostMatrix<'_>,
-        cfg: &JointConfig,
+        matrix: &CostMatrix<'_>,
         table: TableId,
-        workload: &Workload,
-    ) -> Option<usize> {
+        search: &mut TableSearch,
+        costs: &WorkloadCosts,
+        current: f64,
+        replication_left: u64,
+    ) -> Option<(Listed, f64)> {
+        let catalog = self.inum.catalog();
+        let tdef = catalog.schema.table(table);
+        let rows = catalog.table_stats(table).row_count;
+        let n = search.group.len();
+        let masks: Vec<u128> = search.group.iter().map(|&(m, _)| m).collect();
+        let widths: Vec<u64> = masks.iter().map(|&m| row_width(tdef, m)).collect();
+        let union = masks.iter().fold(0u128, |u, &m| u | m);
+        let disjoint = union.count_ones() == masks.iter().map(|m| m.count_ones()).sum::<u32>();
+        // The exact-bound condition of the crate doc. Under it a trial
+        // with no query to cost for its bound cannot improve, and is not
+        // listed.
+        let bounded = search.weights.iter().all(|&w| w >= 0.0);
+        search.index_readers();
+
+        // Merges: all fragment pairs. Then replications: copy fragment
+        // i's columns into fragment j, if the budget allows. Replicated
+        // bytes are `rows × Σ (copies − 1) × width` over the columns; the
+        // copy adds one of each column of i that j lacks.
+        let mut listed = std::mem::take(&mut search.listed);
+        listed.clear();
+        let mut rank = 0;
+        let mut list = |search: &mut TableSearch, replicate: bool, i: usize, j: usize| {
+            rank += 1;
+            if bounded && !search.can_improve(i, j) {
+                return;
+            }
+            let slot = search.slot(matrix, table, replicate, i, j);
+            let bound = if bounded {
+                search.bound(matrix, costs, current, slot, (i, j))
+            } else {
+                f64::NEG_INFINITY
+            };
+            listed.push(Listed {
+                slot,
+                i,
+                j,
+                rank,
+                bound,
+            });
+        };
+        for i in 0..n {
+            for j in (i + 1)..n {
+                list(search, false, i, j);
+            }
+        }
+        if replication_left > 0 {
+            let extra = widths.iter().sum::<u64>() - row_width(tdef, union);
+            for i in 0..n {
+                for j in 0..n {
+                    let added = masks[i] & !masks[j];
+                    let added_width = if disjoint {
+                        widths[i]
+                    } else {
+                        row_width(tdef, added)
+                    };
+                    // `added == 0` (i inside j) edits nothing. A copy of
+                    // i into a j whose columns all follow i's costs what
+                    // their merge costs while no query reads a column i or
+                    // j shares (crate doc).
+                    let as_merge =
+                        masks[i] >> masks[j].trailing_zeros() == 0 && !search.shares_read(i, j);
+                    if i != j
+                        && added != 0
+                        && !as_merge
+                        && (extra + added_width) * rows <= replication_left
+                    {
+                        list(search, true, i, j);
+                    }
+                }
+            }
+        }
+
+        // Best first: a trial is costed exactly only while its bound can
+        // still reach the best total so far. The margin, a billionth of
+        // the current cost, only absorbs rounding.
+        let margin = current.abs() * 1e-9;
+        listed.retain(|t| t.bound <= current - 1e-9 + margin);
+        listed.sort_unstable_by(|x, y| x.bound.total_cmp(&y.bound).then(x.rank.cmp(&y.rank)));
+        let mut best: Option<(Listed, f64)> = None;
+        for &trial in &listed {
+            let limit = best.map_or(current - 1e-9, |(_, c)| c) + margin;
+            if trial.bound > limit {
+                break;
+            }
+            if !search.refine(matrix, costs, trial, limit) {
+                continue;
+            }
+            let c = search.total(costs, trial.slot);
+            if c < current - 1e-9
+                && best.is_none_or(|(b, bc)| c < bc || (c == bc && trial.rank < b.rank))
+            {
+                best = Some((trial, c));
+            }
+        }
+        search.listed = listed;
+        best
+    }
+
+    /// The horizontal range partitioning proposed for a table: on the
+    /// column with the most sargable restrictions, if some column has at
+    /// least two.
+    fn propose_split<'q>(
+        &self,
+        table: TableId,
+        queries: impl Iterator<Item = &'q Query>,
+    ) -> Option<HorizontalPartitioning> {
         let n = HORIZONTAL_PARTITIONS;
         let catalog = self.inum.catalog();
         // Most-restricted sargable column.
         let mut restriction_count: BTreeMap<u16, usize> = BTreeMap::new();
-        for (q, _) in workload.iter() {
+        for q in queries {
             for slot in 0..q.slot_count() {
                 if q.table_of(slot) != table {
                     continue;
@@ -601,47 +885,93 @@ impl<'a> AutoPartAdvisor<'a> {
                 .collect(),
         };
         let hp = HorizontalPartitioning::new(table, col, bounds);
-        if hp.partitions() < 2 {
+        (hp.partitions() >= 2).then_some(hp)
+    }
+
+    /// Register the horizontal range partitioning proposed for a table;
+    /// returns its split-candidate id if it pays under the current
+    /// configuration. Only the queries with a slot on the table are
+    /// costed under the split; `costs` takes their new costs if it pays.
+    fn horizontal_for_table_on(
+        &self,
+        matrix: &mut CostMatrix<'_>,
+        cfg: &JointConfig,
+        (table, hp): (TableId, HorizontalPartitioning),
+        costs: &mut WorkloadCosts,
+    ) -> Option<usize> {
+        let sid = matrix.register_split(hp);
+        let resolved = matrix.resolve_joint(cfg, &JointToggle::split(sid));
+        let (at, split): (Vec<usize>, Vec<f64>) = (costs.qids.iter().enumerate())
+            .filter(|&(_, &qi)| matrix.columns_read(qi).any(|(t, _)| t == table))
+            .map(|(k, &qi)| {
+                (
+                    k,
+                    matrix.query_weight(qi) * matrix.joint_cost_resolved(qi, &resolved),
+                )
+            })
+            .unzip();
+        if costs.total_with(&at, |p| Some(split[p])) - costs.total() >= -1e-9 {
             return None;
         }
-        let sid = matrix.register_split(hp);
-        (matrix.delta_split(cfg, sid) < -1e-9).then_some(sid)
+        for (k, cost) in at.into_iter().zip(split) {
+            costs.costs[k] = cost;
+        }
+        Some(sid)
     }
 
     /// Run the full greedy search (vertical merge passes, then the
     /// horizontal pass) on an existing partition-aware matrix, editing
     /// `cfg` in place. This is also the offline pipeline's entry: with
     /// the chosen indexes pre-selected in `cfg.indexes`, every trial sees
-    /// the index configuration it must coexist with. Returns the merge iterations
+    /// the index configuration it must coexist with. `cfg` selects no
+    /// vertical fragment of its own. Returns the merge iterations
     /// performed.
     pub fn search_on(&self, matrix: &mut CostMatrix<'_>, cfg: &mut JointConfig) -> usize {
-        self.search_with(matrix, cfg, Self::partition_table_on)
+        let mut costs = WorkloadCosts::new(matrix, cfg);
+        self.search_costed(matrix, cfg, &mut costs)
     }
 
-    /// [`Self::search_on`] with `vertical` as the per-table merge search
-    /// (the suite passes the earlier search, its oracle).
-    fn search_with(
+    /// [`Self::search_on`] from `costs`, every active query's cost under
+    /// `cfg`, which it keeps so.
+    fn search_costed(
         &self,
         matrix: &mut CostMatrix<'_>,
         cfg: &mut JointConfig,
-        vertical: VerticalSearch<'a>,
+        costs: &mut WorkloadCosts,
     ) -> usize {
-        // The matrix owns its queries, so snapshot the *active* ones for
-        // the candidate analyses below while the search mutates the matrix
-        // (a long-lived session matrix may hold retired slots whose stale
-        // queries must not steer the fragmentation).
-        let workload = matrix.active_workload();
-        let workload = &workload;
-        let tables: Vec<TableId> = self.inum.catalog().schema.tables().map(|t| t.id).collect();
+        // What the active queries (not a long-lived session matrix's
+        // retired slots, whose stale queries must not steer the
+        // fragmentation) ask of each table, read before the search edits
+        // the matrix: its atomic fragments and its proposed split.
+        let plans: Vec<(TableId, Vec<u128>, Option<HorizontalPartitioning>)> = {
+            let core: &MatrixCore = matrix;
+            let active = || core.active_query_ids();
+            (self.inum.catalog().schema.tables())
+                .map(|t| {
+                    // A slot reads exactly the columns its atomic
+                    // fragments are grouped by (`MatrixCore::columns_read`).
+                    let used = active().flat_map(|qi| {
+                        (core.columns_read(qi))
+                            .filter(|&(on, _)| on == t.id)
+                            .map(|(_, mask)| mask)
+                    });
+                    let queries = active().map(|qi| core.workload().query(qi));
+                    let split = self.propose_split(t.id, queries);
+                    (t.id, atomic_masks(t.width(), used), split)
+                })
+                .collect()
+        };
         let mut iterations = 0usize;
         // One replication pool for the whole search: every table's accepted
         // replication draws it down.
         let mut replication_left = self.config.replication_budget_bytes;
-        for &t in &tables {
-            iterations += vertical(self, matrix, cfg, t, workload, &mut replication_left);
+        for (t, atomic, _) in &plans {
+            iterations +=
+                self.partition_table_on(matrix, cfg, (*t, atomic), &mut replication_left, costs);
         }
-        for &t in &tables {
-            if let Some(sid) = self.horizontal_for_table_on(matrix, cfg, t, workload) {
+        for (t, _, split) in plans {
+            let Some(hp) = split else { continue };
+            if let Some(sid) = self.horizontal_for_table_on(matrix, cfg, (t, hp), costs) {
                 cfg.splits.insert(sid);
             }
         }
@@ -657,24 +987,24 @@ impl<'a> AutoPartAdvisor<'a> {
     /// published: the matrix owner publishes (a session's `advise` does,
     /// once per advice).
     pub fn recommend_on(&self, matrix: &mut CostMatrix<'_>) -> PartitionRecommendation {
-        self.recommend_with(matrix, Self::partition_table_on)
+        let mut cfg = matrix.empty_joint();
+        let mut costs = WorkloadCosts::new(matrix, &cfg);
+        let base_cost = costs.total();
+        let iterations = self.search_costed(matrix, &mut cfg, &mut costs);
+        self.recommendation(matrix, cfg, base_cost, costs.total(), iterations)
     }
 
-    /// [`Self::recommend_on`] with `vertical` as the per-table merge
-    /// search (see [`Self::search_with`]).
-    fn recommend_with(
+    /// The recommendation of a finished search: `cfg` at workload cost
+    /// `cost`, against `base_cost` unpartitioned.
+    fn recommendation(
         &self,
-        matrix: &mut CostMatrix<'_>,
-        vertical: VerticalSearch<'a>,
+        matrix: &MatrixCore,
+        mut cfg: JointConfig,
+        base_cost: f64,
+        mut cost: f64,
+        iterations: usize,
     ) -> PartitionRecommendation {
         let catalog = self.inum.catalog();
-        let empty = matrix.empty_joint();
-        let base_cost = matrix.joint_workload_cost(&empty);
-
-        let mut cfg = matrix.empty_joint();
-        let iterations = self.search_with(matrix, &mut cfg, vertical);
-
-        let mut cost = matrix.joint_workload_cost(&cfg);
         if cost > base_cost {
             // Guard: the greedy accepts only improving steps per table, but
             // never hand back a design costlier than the unpartitioned base.
@@ -682,7 +1012,7 @@ impl<'a> AutoPartAdvisor<'a> {
             cost = base_cost;
         }
         let design = matrix.joint_design_of(&cfg);
-        let per_query = matrix.joint_cost_pairs(&empty, &cfg);
+        let per_query = matrix.joint_cost_pairs(&matrix.empty_joint(), &cfg);
         let replication_bytes = design.replication_bytes(&catalog.schema, &catalog.stats);
         PartitionRecommendation {
             design,
@@ -890,16 +1220,15 @@ mod tests {
         incremental: bool,
     ) -> (Bits, MatrixStats) {
         let advisor = AutoPartAdvisor::new(inum, config);
-        let vertical: VerticalSearch<'_> = if incremental {
-            AutoPartAdvisor::partition_table_on
-        } else {
-            oracle::partition_table_on
-        };
         let before = inum.matrix_stats();
         let rec = match joint {
             None => {
                 let mut matrix = CostMatrix::build(inum, workload, &[]);
-                advisor.recommend_with(&mut matrix, vertical)
+                if incremental {
+                    advisor.recommend_on(&mut matrix)
+                } else {
+                    oracle::recommend(&advisor, &mut matrix)
+                }
             }
             Some((candidates, preselected)) => {
                 let mut matrix = CostMatrix::build(inum, workload, candidates);
@@ -907,7 +1236,11 @@ mod tests {
                 for &id in preselected {
                     cfg.indexes.insert(id);
                 }
-                let iterations = advisor.search_with(&mut matrix, &mut cfg, vertical);
+                let iterations = if incremental {
+                    advisor.search_on(&mut matrix, &mut cfg)
+                } else {
+                    oracle::search(&advisor, &mut matrix, &mut cfg)
+                };
                 let empty = matrix.empty_joint();
                 let design = matrix.joint_design_of(&cfg);
                 let catalog = inum.catalog();
@@ -988,15 +1321,18 @@ mod tests {
     fn incremental_search_costs_a_fraction_of_the_oracles_lookups() {
         let c = sdss_catalog(0.01);
         let (new, old) = assert_search_matches_oracle(&c, &sdss_workload(&c, 12, 7), 7);
+        // On this grid the oracle makes 28,584 partition lookups, the
+        // search that re-costed every trial on the queries it touches
+        // 16,439, and the bounded search 9,152.
         assert!(
-            4 * new.partition_lookups < 3 * old.partition_lookups,
-            "re-costing only touched queries: {} vs {} partition lookups",
+            2 * new.partition_lookups < old.partition_lookups,
+            "costing only the trials that can win: {} vs {} partition lookups",
             new.partition_lookups,
             old.partition_lookups
         );
         assert!(
             new.partition_cells < old.partition_cells,
-            "skipped pairs register no fragment: {} vs {} partition cells",
+            "only the adopted fragments are registered: {} vs {} partition cells",
             new.partition_cells,
             old.partition_cells
         );

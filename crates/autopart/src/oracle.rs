@@ -1,19 +1,58 @@
-//! The greedy merge search as it was before per-query trial costing: every
+//! The greedy search as it was before per-query trial costing: every
 //! trial registers its merged fragment and re-costs the whole workload
 //! through [`pgdesign_inum::MatrixCore::joint_workload_cost_with`], every
-//! fragment pair is tried, and the replication budget is checked on a
-//! materialised [`VerticalPartitioning`]. Test-only — the oracle the
-//! incremental search is checked against bit for bit.
+//! fragment pair is tried, the replication budget is checked on a
+//! materialised [`VerticalPartitioning`], and the horizontal pass and the
+//! reported costs re-cost the whole workload too. Test-only — the oracle
+//! the search is checked against bit for bit.
 
-use crate::AutoPartAdvisor;
+use crate::{AutoPartAdvisor, PartitionRecommendation};
 use pgdesign_catalog::design::VerticalPartitioning;
 use pgdesign_catalog::schema::TableId;
 use pgdesign_inum::{CostMatrix, JointConfig, JointToggle};
 use pgdesign_query::Workload;
 
-/// The earlier per-table search; same contract as
-/// `AutoPartAdvisor::partition_table_on`.
-pub(crate) fn partition_table_on(
+/// The earlier `AutoPartAdvisor::recommend_on`.
+pub(crate) fn recommend(
+    advisor: &AutoPartAdvisor<'_>,
+    matrix: &mut CostMatrix<'_>,
+) -> PartitionRecommendation {
+    let base_cost = matrix.joint_workload_cost(&matrix.empty_joint());
+    let mut cfg = matrix.empty_joint();
+    let iterations = search(advisor, matrix, &mut cfg);
+    let cost = matrix.joint_workload_cost(&cfg);
+    advisor.recommendation(matrix, cfg, base_cost, cost, iterations)
+}
+
+/// The earlier `AutoPartAdvisor::search_on`.
+pub(crate) fn search(
+    advisor: &AutoPartAdvisor<'_>,
+    matrix: &mut CostMatrix<'_>,
+    cfg: &mut JointConfig,
+) -> usize {
+    let workload = matrix.active_workload();
+    let tables: Vec<TableId> = (advisor.inum.catalog().schema.tables())
+        .map(|t| t.id)
+        .collect();
+    let mut iterations = 0usize;
+    let mut replication_left = advisor.config.replication_budget_bytes;
+    for &t in &tables {
+        iterations += partition_table_on(advisor, matrix, cfg, t, &workload, &mut replication_left);
+    }
+    for &t in &tables {
+        let Some(hp) = advisor.propose_split(t, workload.iter().map(|(q, _)| q)) else {
+            continue;
+        };
+        let sid = matrix.register_split(hp);
+        if matrix.delta_split(cfg, sid) < -1e-9 {
+            cfg.splits.insert(sid);
+        }
+    }
+    iterations
+}
+
+/// The earlier per-table search.
+fn partition_table_on(
     advisor: &AutoPartAdvisor<'_>,
     matrix: &mut CostMatrix<'_>,
     cfg: &mut JointConfig,

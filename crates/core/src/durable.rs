@@ -69,6 +69,11 @@ pub(crate) const SNAPSHOT_NAME: &str = "matrix.pgds";
 /// Edit-log file name within a state directory.
 pub(crate) const LOG_NAME: &str = "matrix.pgdl";
 
+/// The online tuner's own file under format version 2. Version 3 carries
+/// the tuner's state in the snapshot and the log, so an open removes the
+/// file once its checkpoint has written version 3.
+const V2_TUNER_NAME: &str = "tuner.pgds";
+
 /// How many publishes may accumulate in the edit log before the session
 /// folds them into a fresh snapshot and truncates the log.
 const CHECKPOINT_EVERY_PUBLISHES: usize = 8;
@@ -209,6 +214,15 @@ impl DurableHandle {
         self.retries_since_checkpoint = 0;
         self.publishes_since_checkpoint = 0;
         Ok(())
+    }
+}
+
+impl DurableHandle {
+    /// Remove the file version 2 kept beside the snapshot and the log; a
+    /// missing file is no error. Called after a checkpoint has written the
+    /// current version, which carries what the file held.
+    pub(crate) fn remove_v2_files(&mut self) -> io::Result<()> {
+        self.store.remove(V2_TUNER_NAME)
     }
 }
 

@@ -606,7 +606,8 @@ mod tests {
     /// version 2: a snapshot, a log and a separate tuner file), by that
     /// version's `OnlineSession` over `sdss_catalog(0.01)`, 45 queries of
     /// `objid = 7` in epochs of 5: it reopens with the matrix warm and the
-    /// tuner cold, and the next checkpoint writes the current version.
+    /// tuner cold, the open's checkpoint writes the current version and
+    /// the tuner file goes, and the next open is warm.
     #[test]
     fn version_2_state_reopens_with_the_matrix_warm_and_the_tuner_cold() {
         use pgdesign_durability::{DurableStore as _, SharedMemStore};
@@ -649,13 +650,24 @@ mod tests {
         assert!(stats.matrix.cells_reused > 0);
         drop(s);
 
+        // The open wrote the current version and removed the tuner file.
+        assert_eq!(
+            disk.lock().file_names(),
+            [crate::durable::LOG_NAME, crate::durable::SNAPSHOT_NAME]
+        );
+
         let s = open();
         assert!(s.tuner_restored(), "written back at the current version");
+        assert_eq!(s.tuning_stats().recovery.unwrap().cold_start, None);
         let mut store = disk.lock();
         let snapshot = store.read(crate::durable::SNAPSHOT_NAME).unwrap().unwrap();
         assert_eq!(
             &snapshot[4..8],
             &pgdesign_durability::FORMAT_VERSION.to_le_bytes()
+        );
+        assert_eq!(
+            store.file_names(),
+            [crate::durable::LOG_NAME, crate::durable::SNAPSHOT_NAME]
         );
     }
 

@@ -135,6 +135,9 @@ impl<'a> TuningSession<'a> {
         // or a cold build) into a fresh snapshot, the restored payload
         // with it, then start journaling.
         session.checkpoint()?;
+        if let Some(handle) = session.durable.as_mut() {
+            handle.remove_v2_files()?;
+        }
         session.matrix.enable_journal();
         Ok(session)
     }

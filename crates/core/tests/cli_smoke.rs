@@ -114,6 +114,31 @@ fn recommend_stats_prints_inum_and_matrix_counters() {
     }
 }
 
+/// AutoPart's merge search costs only the trials that can still be the
+/// step it takes. On `builtin:40` the search that costed every trial on
+/// the queries it touches made 5,127 partition-aware lookups; the bounded
+/// search makes under half of that for the same report.
+#[test]
+fn recommend_makes_under_half_the_partition_lookups_of_costing_every_trial() {
+    let out = pgdesign(&["recommend", "--workload", "builtin:40", "--stats"]);
+    assert!(out.status.success(), "recommend --stats should exit 0");
+    let text = String::from_utf8(out.stdout).unwrap();
+    let line = (text.lines())
+        .find(|l| l.trim_start().starts_with("matrix lookups:"))
+        .expect("--stats prints the lookup line");
+    // "matrix lookups: N (M partition-aware)"
+    let partition: u64 = line
+        .split('(')
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("unparsed lookup line: {line}"));
+    assert!(
+        2 * partition <= 5127,
+        "{partition} partition-aware lookups: {line}"
+    );
+}
+
 #[test]
 fn flags_a_subcommand_does_not_take_are_rejected() {
     for (flag, message) in [

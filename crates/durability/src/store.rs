@@ -195,6 +195,11 @@ impl MemStore {
         self.appended_since_arm = 0;
     }
 
+    /// The names of the files the store holds, in order.
+    pub fn file_names(&self) -> Vec<&str> {
+        self.files.keys().map(String::as_str).collect()
+    }
+
     /// Flip every bit of one byte of `name`'s durable contents — the
     /// flipped-byte corruption the per-record CRC must catch.
     pub fn corrupt(&mut self, name: &str, offset: usize) {

@@ -114,10 +114,12 @@
 //! ([`pgdesign_optimizer::access::PathCost`]). Costing a
 //! [`JointConfig`] (indexes + fragments + splits) then needs only
 //! per-slot arithmetic — no path re-enumeration, no design construction —
-//! and [`JointToggle`]-based trial evaluation
-//! ([`MatrixCore::joint_workload_cost_with`] /
-//! [`MatrixCore::delta_split`]) is what AutoPart's greedy merge search
-//! runs on.
+//! and a [`JointToggle`] costs a configuration with a fragment or split
+//! edited without building it ([`MatrixCore::joint_workload_cost_with`] /
+//! [`MatrixCore::delta_split`]). AutoPart's merge search, which edits one
+//! table's fragments at a time, runs on a per-table view of the same
+//! read path ([`TableKernel`]): each trial re-derives only the slots on
+//! that table.
 //!
 //! Every partition-aware lookup reads one path. A configuration plus a
 //! toggle is resolved once per costing ([`MatrixCore::resolve_joint`])
@@ -156,8 +158,8 @@ pub use matrix::persist::{
     MatrixEdit, PersistError, RestoreReport,
 };
 pub use matrix::{
-    CandidateBitset, CostMatrix, FragmentBitset, JointConfig, JointToggle, MatrixCore, MatrixStats,
-    ResolvedJoint, SplitBitset,
+    CandidateBitset, CostMatrix, FragmentBitset, FragmentList, JointConfig, JointToggle,
+    MatrixCore, MatrixStats, ResolvedJoint, SplitBitset, TableKernel,
 };
 pub use parallel::build_threads;
 #[doc(hidden)]

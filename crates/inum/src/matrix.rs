@@ -81,6 +81,7 @@ use pgdesign_optimizer::CostParams;
 use pgdesign_query::ast::{Query, QueryColumn};
 use pgdesign_query::Workload;
 use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasherDefault;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -331,7 +332,7 @@ impl JointConfig {
 
 /// Virtual edits applied on top of a [`JointConfig`] for one costing — the
 /// joint analogue of [`MatrixCore::cost_plus`]/[`MatrixCore::cost_minus`].
-/// AutoPart's merge and split trials cost out through these without ever
+/// Merge, replacement and split trials cost out through these without
 /// materializing the edited configuration (or any `PhysicalDesign`). The
 /// trial set is `(cfg ∖ removes) ∪ adds`: adding an id wins over removing
 /// the same id, so a merge whose result equals one of its inputs (possible
@@ -405,13 +406,205 @@ pub struct ResolvedJoint<'c> {
     tables: Vec<TableParts>,
 }
 
-/// One selected fragment of a [`ResolvedJoint`]: what a slot's fetch
-/// target reads of it, copied out of the registry.
+/// One selected fragment of a [`ResolvedJoint`] or a [`FragmentList`]:
+/// what a slot's fetch target reads of it.
 #[derive(Debug, Clone, Copy, Default)]
 struct PartFrag {
     mask: u128,
     pages: u64,
+}
+
+/// Whether one table's selected fragments are pairwise disjoint; if they
+/// are not, put them in column order — the order `VerticalPartitioning::new`
+/// sorts groups in, which the greedy cover's tie-breaking follows.
+fn order_group(group: &mut [PartFrag]) -> bool {
+    let (union, columns) = group.iter().fold((0u128, 0u32), |(union, n), f| {
+        (union | f.mask, n + f.mask.count_ones())
+    });
+    let disjoint = union.count_ones() == columns;
+    if !disjoint {
+        group.sort_unstable_by(|a, b| column_list_cmp(a.mask, b.mask));
+    }
+    disjoint
+}
+
+/// The order of two column masks' sorted column lists, compared as
+/// `Vec<u16>`s are. Below their lowest differing column the lists agree;
+/// the list holding that column comes first unless the other list ends
+/// there (is a prefix of it).
+fn column_list_cmp(a: u128, b: u128) -> std::cmp::Ordering {
+    use std::cmp::Ordering;
+    let differ = a ^ b;
+    if differ == 0 {
+        return Ordering::Equal;
+    }
+    let c = differ.trailing_zeros();
+    let (holder, other) = if a >> c & 1 == 1 {
+        (Ordering::Less, b)
+    } else {
+        (Ordering::Greater, a)
+    };
+    if other >> c != 0 {
+        holder
+    } else {
+        holder.reverse()
+    }
+}
+
+/// One table's fragments for a [`MatrixCore::table_kernel_cost`]: a set of
+/// `(column mask, heap pages)` pairs held in a buffer the caller reuses,
+/// in the order [`MatrixCore::resolve_joint`] would give the same
+/// selection. A fragment need not be registered.
+#[derive(Debug, Clone, Default)]
+pub struct FragmentList {
+    frags: Vec<PartFrag>,
+    disjoint: bool,
+}
+
+impl FragmentList {
+    /// Replace the list by `frags`, whose masks are distinct, as a
+    /// configuration's selected fragments are; overlapping fragments are
+    /// put in column order.
+    pub fn set(&mut self, frags: impl IntoIterator<Item = (u128, u64)>) {
+        self.frags.clear();
+        self.frags.extend(
+            frags
+                .into_iter()
+                .map(|(mask, pages)| PartFrag { mask, pages }),
+        );
+        debug_assert!(
+            (1..self.frags.len())
+                .all(|k| self.frags[..k].iter().all(|f| f.mask != self.frags[k].mask)),
+            "a fragment list is a set"
+        );
+        self.disjoint = order_group(&mut self.frags);
+    }
+}
+
+/// One table's costing view over a fixed configuration, for a search that
+/// edits only that table's vertical fragments (AutoPart's merge search).
+/// [`MatrixCore::table_kernel`] builds it once; then each
+/// [`MatrixCore::table_kernel_cost`] prices one query under the
+/// configuration with the table's fragments replaced by a
+/// [`FragmentList`], and returns the bits [`MatrixCore::joint_cost_resolved`]
+/// returns for that configuration.
+///
+/// - Only the query's slots on the table are re-derived. The minima of its
+///   other slots are fixed while the index set and the other tables'
+///   partitions are, so they are computed here once (for an unpartitioned
+///   table, the minima the skeleton loop would take of its cost table).
+/// - Each slot on the table keeps its split fraction and the cached paths
+///   of the selected indexes, in path order.
+/// - A query with one slot on the table costs what that slot's fetch
+///   target makes it cost, so the kernel keeps its cost per target: many
+///   trials give a query the same target.
+/// - Lookups are counted as [`MatrixCore::joint_cost_resolved`] counts
+///   them, on the matrix's counters, when the kernel is dropped.
+///
+/// A kernel belongs to the core that built it and to its query binding
+/// (the rotation generation); the index set and the other tables' state
+/// it was built under must not change while it is used.
+#[derive(Debug)]
+pub struct TableKernel {
+    /// The configuration's index set.
+    indexes: CandidateBitset,
+    /// Where the kernel's lookups are counted, and the lookups and
+    /// partition lookups not counted there yet: they are added when the
+    /// kernel is dropped.
+    counters: Arc<LookupCounters>,
+    lookups: u64,
+    partition_lookups: u64,
+    /// Some partition candidate besides the table's fragments is selected,
+    /// so every lookup is partition-aware even under an empty list.
+    partitioned: bool,
+    /// The rotation generation the view was built at.
+    generation: u64,
+    /// The active queries with a slot on the table, in id order.
+    queries: Vec<KernelQuery>,
+    /// Per query, one entry per slot, from [`KernelQuery::slots`] on.
+    slots: Vec<KernelSlot>,
+    /// The selected indexes' paths of every slot on the table.
+    paths: Vec<SlotPath>,
+    /// Per query with one slot on the table, its cost per fetch target of
+    /// that slot, as `(position, pages bits, fragments + 1)`; `(position,
+    /// 0, 0)` stands for no target and `(position, 0, 1)` for the
+    /// unpartitioned table's.
+    memo: HashMap<(usize, u64, usize), f64, BuildHasherDefault<WordHasher>>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct KernelQuery {
     id: usize,
+    /// Where its entries start in [`TableKernel::slots`].
+    slots: usize,
+    /// Its slot on the table, when it has exactly one: the slot, the
+    /// columns it reads, and whether its table has a split.
+    single: Option<(usize, u128, bool)>,
+}
+
+impl Drop for TableKernel {
+    fn drop(&mut self) {
+        let c = &self.counters;
+        c.lookups.fetch_add(self.lookups, Ordering::Relaxed);
+        c.partition_lookups
+            .fetch_add(self.partition_lookups, Ordering::Relaxed);
+    }
+}
+
+/// The hasher of [`TableKernel`]'s memo, whose keys are a few words: one
+/// multiply per word, then a final mix so the low bits the table indexes
+/// by depend on every bit (a page count's float has zero low bits).
+#[derive(Debug, Default)]
+struct WordHasher(u64);
+
+impl std::hash::Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        let h = (self.0 ^ (self.0 >> 31)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^ (h >> 29)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum KernelSlot {
+    /// A slot on another table: its minima under the configuration — the
+    /// partition-adjusted ones, or where its table carries no partition
+    /// candidate its cost-table columns' minima over the scan and the
+    /// selected indexes, which the skeleton loop would take.
+    Fixed([f64; MAX_SLOT_ORDERS + 1]),
+    /// A slot on the table: its split fraction (`None`: no split) and its
+    /// range of [`TableKernel::paths`].
+    Table {
+        h_frac: Option<f64>,
+        paths: (u32, u32),
+    },
+}
+
+impl TableKernel {
+    /// The ids of the queries the kernel prices, in id order; position
+    /// `at` of [`MatrixCore::table_kernel_cost`] indexes this list.
+    pub fn query_ids(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.queries.iter().map(|q| q.id)
+    }
+
+    /// Whether the query at position `at` has one slot on the table: its
+    /// cost is then a function of that slot's fetch target alone.
+    pub fn one_slot(&self, at: usize) -> bool {
+        self.queries[at].single.is_some()
+    }
 }
 
 /// One table's entry of a [`ResolvedJoint`].
@@ -430,7 +623,7 @@ struct TableParts {
 /// One access path of a candidate index on a slot, kept in its
 /// target-parameterized form so partitioned configurations can re-cost it
 /// against any fetch target.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 struct SlotPath {
     /// The candidate the path belongs to.
     cand: u32,
@@ -849,6 +1042,24 @@ impl SlotCosts {
     fn column(&self, col: usize) -> &[f64] {
         let rows = 1 + self.ids.len();
         &self.costs[col * rows..(col + 1) * rows]
+    }
+
+    /// Per order column, the minimum the skeleton loop takes of it with
+    /// the candidates `indexes` selects: the scan's cell, then each
+    /// selected candidate's cell that is lower, in `ids` order (∞ past the
+    /// slot's columns).
+    fn index_mins(&self, indexes: &CandidateBitset) -> [f64; MAX_SLOT_ORDERS + 1] {
+        let mut mins = [f64::INFINITY; MAX_SLOT_ORDERS + 1];
+        for (col, m) in mins.iter_mut().enumerate().take(self.width()) {
+            let column = self.column(col);
+            *m = column[0];
+            for (&id, &c) in self.ids.iter().zip(&column[1..]) {
+                if indexes.contains(id as usize) && c < *m {
+                    *m = c;
+                }
+            }
+        }
+        mins
     }
 }
 
@@ -1650,9 +1861,8 @@ impl<'a> CostMatrix<'a> {
     /// precomputed here — the one-off cell work of this cache level.
     pub fn register_fragment(&mut self, table: TableId, columns: &[u16]) -> usize {
         self.record(|| MatrixEdit::RegisterFragment(table, columns.to_vec()));
-        let catalog = self.inum.catalog();
-        let tdef = catalog.schema.table(table);
-        assert!(tdef.width() <= 128, "fragment masks support 128 columns");
+        let width = self.inum.catalog().schema.table(table).width();
+        assert!(width <= 128, "fragment masks support 128 columns");
         let mask = column_mask(columns);
         if let Some(&id) = self.core.frag_ids.get(&(table, mask)) {
             return id;
@@ -1660,7 +1870,7 @@ impl<'a> CostMatrix<'a> {
         let mut cols: Vec<u16> = columns.to_vec();
         cols.sort_unstable();
         cols.dedup();
-        let pages = sizing::heap_pages(catalog.row_count(table), tdef.byte_width_of(&cols) + 8);
+        let pages = self.fragment_pages(table, mask);
         let id = self.core.fragments.len();
         self.core.frag_ids.insert((table, mask), id);
         self.core.fragments.push(Arc::new(Fragment {
@@ -1672,6 +1882,21 @@ impl<'a> CostMatrix<'a> {
         self.core.frags_by_table[table.0 as usize].push(id);
         self.inum.note_partition_cells(1);
         id
+    }
+
+    /// Heap pages of a fragment of `table` holding the columns of `mask`
+    /// (8-byte stored row id included), exactly as
+    /// [`Self::register_fragment`] records them; the fragment need not be
+    /// registered.
+    pub fn fragment_pages(&self, table: TableId, mask: u128) -> u64 {
+        let catalog = self.inum.catalog();
+        let tdef = catalog.schema.table(table);
+        let (mut width, mut rest) = (0u32, mask);
+        while rest != 0 {
+            width += tdef.column(rest.trailing_zeros() as u16).dtype.byte_width();
+            rest &= rest - 1;
+        }
+        sizing::heap_pages(catalog.row_count(table), width + 8)
     }
 
     /// Register (or find) a horizontal-split candidate. The per-(query,
@@ -2076,12 +2301,12 @@ impl MatrixCore {
                 .ids()
                 .filter(|&fid| frag_on(fid))
                 .chain(added)
-                .map(|fid| (fid, &*self.fragments[fid]))
+                .map(|fid| &*self.fragments[fid])
         };
         // Group by table in two passes (count, then place), no sort: each
         // table's `end` first counts its fragments, then serves as the
         // cursor its fragments are placed at.
-        for (_, f) in selected() {
+        for f in selected() {
             tables[f.table.0 as usize].end += 1;
         }
         let mut at = 0;
@@ -2092,30 +2317,16 @@ impl MatrixCore {
         }
         let frags = &mut resolved.frags;
         frags.resize(at, PartFrag::default());
-        for (fid, f) in selected() {
+        for f in selected() {
             let parts = &mut tables[f.table.0 as usize];
             frags[parts.end] = PartFrag {
                 mask: f.mask,
                 pages: f.pages,
-                id: fid,
             };
             parts.end += 1;
         }
         for parts in tables.iter_mut() {
-            let group = &mut frags[parts.start..parts.end];
-            let (union, columns) = group.iter().fold((0u128, 0u32), |(union, n), f| {
-                (union | f.mask, n + f.mask.count_ones())
-            });
-            parts.disjoint = union.count_ones() == columns;
-            if !parts.disjoint {
-                // `VerticalPartitioning::new` sorts groups by column list;
-                // the greedy cover's tie-breaking depends on that order.
-                group.sort_unstable_by(|a, b| {
-                    self.fragments[a.id]
-                        .columns
-                        .cmp(&self.fragments[b.id].columns)
-                });
-            }
+            parts.disjoint = order_group(&mut frags[parts.start..parts.end]);
         }
         resolved
     }
@@ -2176,11 +2387,9 @@ impl MatrixCore {
     }
 
     /// One slot's partition-adjusted access minima under a resolved
-    /// configuration: the fetch target from its table's selected
-    /// fragments, the surviving fraction from its table's split, then one
-    /// arithmetic re-costing per cached path. `None` = the slot's table
-    /// carries no partition candidate, use the precomputed unpartitioned
-    /// numbers.
+    /// configuration ([`Self::table_slot_mins`] on its table's entry).
+    /// `None` = the slot's table carries no partition candidate, use the
+    /// precomputed unpartitioned numbers.
     fn resolved_slot_mins(
         &self,
         query_id: usize,
@@ -2189,40 +2398,82 @@ impl MatrixCore {
         resolved: &ResolvedJoint<'_>,
     ) -> Option<[f64; MAX_SLOT_ORDERS + 1]> {
         let parts = resolved.tables.get(slot.table.0 as usize)?;
-        let frags = &resolved.frags[parts.start..parts.end];
-        let h_frac = match parts.split {
-            Some(sid) => self.splits[sid].frac[query_id][slot_idx],
-            None if frags.is_empty() => return None,
-            None => 1.0,
-        };
-        let target = if frags.is_empty() {
-            slot.base_target
-        } else if parts.disjoint {
-            // Disjoint fragments: the greedy set cover reduces to "every
-            // fragment intersecting the needed columns".
-            let (pages, touched) = frags
-                .iter()
-                .filter(|fr| fr.mask & slot.needed_mask != 0)
-                .fold((0u64, 0usize), |(pages, n), fr| (pages + fr.pages, n + 1));
-            FetchTarget {
-                pages: pages.max(1) as f64,
-                fragments: touched.max(1),
-            }
-        } else {
-            Self::overlapping_target(frags, slot.needed_mask)
-        };
-        Some(self.partition_mins(slot, resolved.indexes, target, h_frac))
+        let h_frac = parts
+            .split
+            .map(|sid| self.splits[sid].frac[query_id][slot_idx]);
+        let paths = slot
+            .paths
+            .iter()
+            .filter(|path| resolved.indexes.contains(path.cand as usize));
+        self.table_slot_mins(
+            slot,
+            &resolved.frags[parts.start..parts.end],
+            parts.disjoint,
+            h_frac,
+            paths,
+        )
+    }
+
+    /// One slot's access minima under its table's selected fragments
+    /// (`disjoint` as [`order_group`] found them) and split fraction
+    /// (`None`: no split): one arithmetic re-costing per path of `paths`,
+    /// the selected indexes' cached paths in path order, against
+    /// [`Self::slot_target`]. `None` when the table carries no partition
+    /// candidate.
+    fn table_slot_mins<'p>(
+        &self,
+        slot: &SlotCosts,
+        frags: &[PartFrag],
+        disjoint: bool,
+        h_frac: Option<f64>,
+        paths: impl Iterator<Item = &'p SlotPath>,
+    ) -> Option<[f64; MAX_SLOT_ORDERS + 1]> {
+        let target = Self::slot_target(slot, frags, disjoint, h_frac.is_some())?;
+        Some(self.partition_mins(slot, paths, target, h_frac.unwrap_or(1.0)))
+    }
+
+    /// A slot's fetch target from its table's selected fragments, or the
+    /// unpartitioned table's under a split alone; `None` when the table
+    /// carries neither.
+    fn slot_target(
+        slot: &SlotCosts,
+        frags: &[PartFrag],
+        disjoint: bool,
+        split: bool,
+    ) -> Option<FetchTarget> {
+        if frags.is_empty() {
+            return split.then_some(slot.base_target);
+        }
+        Some(Self::fragment_target(frags, disjoint, slot.needed_mask))
+    }
+
+    /// The fetch target of a slot reading the columns `needed` from a
+    /// table's selected fragments (`frags` not empty).
+    fn fragment_target(frags: &[PartFrag], disjoint: bool, needed: u128) -> FetchTarget {
+        if !disjoint {
+            return Self::overlapping_target(frags, needed);
+        }
+        // Disjoint fragments: the greedy set cover reduces to "every
+        // fragment intersecting the needed columns". A slot reading no
+        // column fetches one page of one fragment.
+        let (pages, touched) = frags
+            .iter()
+            .filter(|fr| fr.mask & needed != 0)
+            .fold((0u64, 0usize), |(pages, n), fr| (pages + fr.pages, n + 1));
+        FetchTarget {
+            pages: pages.max(1) as f64,
+            fragments: touched.max(1),
+        }
     }
 
     /// Re-derive a slot's per-order access minima against a fetch target
-    /// and a surviving fraction: the base scan first, then every cached
-    /// path of every selected candidate, each costed exactly once and
-    /// folded into its order columns lowest first, column 0 (any order)
-    /// included.
-    fn partition_mins(
+    /// and a surviving fraction: the base scan first, then every path of
+    /// `paths`, each costed exactly once and folded into its order columns
+    /// lowest first, column 0 (any order) included.
+    fn partition_mins<'p>(
         &self,
         slot: &SlotCosts,
-        indexes: &CandidateBitset,
+        paths: impl Iterator<Item = &'p SlotPath>,
         target: FetchTarget,
         h_frac: f64,
     ) -> [f64; MAX_SLOT_ORDERS + 1] {
@@ -2235,10 +2486,7 @@ impl MatrixCore {
                 *m = base;
             }
         }
-        for path in &slot.paths {
-            if !indexes.contains(path.cand as usize) {
-                continue;
-            }
+        for path in paths {
             let c = path.cost.cost(params, target);
             for_each_bit(path.order_ok, |col| {
                 if c < mins[col] {
@@ -2281,6 +2529,151 @@ impl MatrixCore {
             pages: pages.max(1) as f64,
             fragments: count.max(1),
         }
+    }
+
+    /// The [`TableKernel`] of `table` under `cfg`: the active queries with
+    /// a slot on the table, the fixed minima of their other slots, and
+    /// for each slot on the table its split fraction and the selected
+    /// indexes' cached paths. `cfg`'s own fragments on the table play no
+    /// part; each costing names the table's fragments. Resolves `cfg`
+    /// once and counts no lookup.
+    pub fn table_kernel(&self, cfg: &JointConfig, table: TableId) -> TableKernel {
+        let resolved = self.resolve_joint(cfg, &JointToggle::default());
+        let split = resolved
+            .tables
+            .get(table.0 as usize)
+            .and_then(|parts| parts.split);
+        let mut kernel = TableKernel {
+            indexes: cfg.indexes.clone(),
+            counters: Arc::clone(&self.counters),
+            lookups: 0,
+            partition_lookups: 0,
+            partitioned: !cfg.splits.is_empty()
+                || cfg
+                    .fragments
+                    .ids()
+                    .any(|fid| self.fragments.get(fid).is_none_or(|f| f.table != table)),
+            generation: self.generation,
+            queries: Vec::new(),
+            slots: Vec::new(),
+            paths: Vec::new(),
+            memo: HashMap::with_capacity_and_hasher(64, Default::default()),
+        };
+        for qi in self.active_query_ids() {
+            let qm = &self.queries[qi];
+            if qm.slots.iter().all(|slot| slot.table != table) {
+                continue;
+            }
+            let mut on_table = qm
+                .slots
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.table == table);
+            let single = match (on_table.next(), on_table.next()) {
+                (Some((s, slot)), None) => Some((s, slot.needed_mask, split.is_some())),
+                _ => None,
+            };
+            kernel.queries.push(KernelQuery {
+                id: qi,
+                slots: kernel.slots.len(),
+                single,
+            });
+            for (s, slot) in qm.slots.iter().enumerate() {
+                let entry = if slot.table == table {
+                    let start = kernel.paths.len() as u32;
+                    kernel.paths.extend(
+                        slot.paths
+                            .iter()
+                            .filter(|path| cfg.indexes.contains(path.cand as usize)),
+                    );
+                    KernelSlot::Table {
+                        h_frac: split.map(|sid| self.splits[sid].frac[qi][s]),
+                        paths: (start, kernel.paths.len() as u32),
+                    }
+                } else {
+                    let mins = self.resolved_slot_mins(qi, s, slot, &resolved);
+                    KernelSlot::Fixed(mins.unwrap_or_else(|| slot.index_mins(&cfg.indexes)))
+                };
+                kernel.slots.push(entry);
+            }
+        }
+        kernel
+    }
+
+    /// Cost of the query at position `at` of `kernel`
+    /// ([`TableKernel::query_ids`]) under the kernel's configuration with
+    /// its table's fragments replaced by `frags`: the bits
+    /// [`Self::joint_cost_resolved`] returns for that configuration. Only
+    /// the query's slots on the table are re-derived; then the one
+    /// skeleton loop runs. A query with one slot on the table costs what
+    /// that slot's fetch target makes it cost, so its cost is kept per
+    /// target and a repeated target is not re-derived. Allocates nothing
+    /// but the memo's entry (up to a query of `MAX_STACK_SLOTS` slots).
+    /// Counts one lookup, and one partition lookup when any partition
+    /// candidate is in play, when the kernel is dropped.
+    pub fn table_kernel_cost(
+        &self,
+        kernel: &mut TableKernel,
+        at: usize,
+        frags: &FragmentList,
+    ) -> f64 {
+        debug_assert_eq!(
+            kernel.generation, self.generation,
+            "a table kernel outlived its query binding"
+        );
+        kernel.lookups += 1;
+        kernel.partition_lookups += u64::from(kernel.partitioned || !frags.frags.is_empty());
+        let query = kernel.queries[at];
+        let memo_key = query.single.map(|(_, needed, split)| {
+            if frags.frags.is_empty() {
+                // The unpartitioned table's target, or none.
+                (at, 0, usize::from(split))
+            } else {
+                let t = Self::fragment_target(&frags.frags, frags.disjoint, needed);
+                (at, t.pages.to_bits(), t.fragments + 1)
+            }
+        });
+        if let Some(&cost) = memo_key.and_then(|key| kernel.memo.get(&key)) {
+            return cost;
+        }
+        let qm = &self.queries[query.id];
+        let entries = &kernel.slots[query.slots..query.slots + qm.slots.len()];
+        let table_mins = |(entry, slot): (&KernelSlot, &SlotCosts)| match *entry {
+            KernelSlot::Table { h_frac, paths } => {
+                let paths = &kernel.paths[paths.0 as usize..paths.1 as usize];
+                self.table_slot_mins(slot, &frags.frags, frags.disjoint, h_frac, paths.iter())
+            }
+            KernelSlot::Fixed(_) => None,
+        };
+        let selected = |id| kernel.indexes.contains(id);
+        let cost = if let Some((s, ..)) = query.single {
+            let mins = table_mins((&entries[s], &qm.slots[s]));
+            min_over_skeletons(qm, selected, |t| match &entries[t] {
+                KernelSlot::Fixed(fixed) => Some(fixed),
+                KernelSlot::Table { .. } => mins.as_ref(),
+            })
+        } else {
+            let mut state_buf = [None; MAX_STACK_SLOTS];
+            let state_spill: Vec<Option<[f64; MAX_SLOT_ORDERS + 1]>>;
+            let on_table: &[Option<[f64; MAX_SLOT_ORDERS + 1]>] =
+                if entries.len() <= MAX_STACK_SLOTS {
+                    for (s, pair) in entries.iter().zip(&qm.slots).enumerate() {
+                        state_buf[s] = table_mins(pair);
+                    }
+                    &state_buf[..entries.len()]
+                } else {
+                    state_spill = entries.iter().zip(&qm.slots).map(table_mins).collect();
+                    &state_spill
+                };
+            min_over_skeletons(qm, selected, |t| match &entries[t] {
+                KernelSlot::Fixed(fixed) => Some(fixed),
+                KernelSlot::Table { .. } => on_table[t].as_ref(),
+            })
+        };
+        if let Some(key) = memo_key {
+            kernel.memo.insert(key, cost);
+        }
+        cost
     }
 
     /// The shared hot path: cost with one candidate virtually added
@@ -2501,7 +2894,11 @@ mod tests {
                 fragments: count.max(1),
             }
         };
-        Some(m.partition_mins(slot, &cfg.indexes, target, h_frac))
+        let paths = slot
+            .paths
+            .iter()
+            .filter(|path| cfg.indexes.contains(path.cand as usize));
+        Some(m.partition_mins(slot, paths, target, h_frac))
     }
 
     fn setup() -> (Catalog, Optimizer) {
@@ -2896,6 +3293,247 @@ mod tests {
             let c = pgdesign_catalog::samples::tpch_catalog(0.01);
             let w = pgdesign_query::generators::tpch_workload(&c, n, seed);
             assert_resolved_path_matches_oracle(&c, &w, seed ^ 0x7c4);
+        }
+    }
+
+    /// The per-table kernel ([`MatrixCore::table_kernel_cost`]) against
+    /// the resolved read path and the per-lookup oracle, bit for bit, and
+    /// against their lookup counts. `extra` joins the workload: a
+    /// self-join with three slots on one table and queries with a slot
+    /// that reads no column. Each configuration draws a random index
+    /// subset, fragments and splits on every table; the kernel's table then
+    /// takes fragment lists drawn from a disjoint partition of its columns
+    /// and from random overlapping groups, each costed twice (the second
+    /// time from the kernel's memo).
+    fn assert_table_kernel_matches_the_resolved_path(
+        catalog: &Catalog,
+        mut workload: Workload,
+        extra: &[&str],
+        seed: u64,
+    ) {
+        use pgdesign_catalog::design::HorizontalPartitioning;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for sql in extra {
+            let q = pgdesign_query::parse_query(&catalog.schema, sql).expect("test SQL parses");
+            workload.push(q, 1.5);
+        }
+        let opt = Optimizer::new();
+        let inum = Inum::new(catalog, &opt);
+        let cands = workload_candidates(catalog, &workload, &CandidateConfig::default()).indexes;
+        let mut m = CostMatrix::build(&inum, &workload, &cands);
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Per table: a disjoint partition of its columns, and random
+        // overlapping groups, all registered.
+        let mut disjoint: Vec<Vec<usize>> = Vec::new();
+        let mut overlapping: Vec<Vec<usize>> = Vec::new();
+        for t in catalog.schema.tables() {
+            let parts = rng.random_range(1..5u16);
+            let mut groups = vec![Vec::new(); parts as usize];
+            for c in 0..t.width() {
+                groups[rng.random_range(0..parts) as usize].push(c);
+            }
+            let ids = groups.iter().filter(|g| !g.is_empty());
+            disjoint.push(ids.map(|g| m.register_fragment(t.id, g)).collect());
+            let mut ids = Vec::new();
+            for _ in 0..rng.random_range(1..5usize) {
+                let group: Vec<u16> = (0..t.width())
+                    .filter(|_| rng.random_range(0..3) == 0)
+                    .collect();
+                if !group.is_empty() {
+                    ids.push(m.register_fragment(t.id, &group));
+                }
+            }
+            overlapping.push(ids);
+            if rng.random_range(0..2usize) == 0 {
+                let col = rng.random_range(0..t.width());
+                let stats = catalog.table_stats(t.id).column(col);
+                let bounds = (1..rng.random_range(2..9usize))
+                    .map(|i| stats.min + (stats.max - stats.min) * i as f64 / 8.0)
+                    .collect();
+                m.register_split(HorizontalPartitioning::new(t.id, col, bounds));
+            }
+        }
+        let tables: Vec<TableId> = catalog.schema.tables().map(|t| t.id).collect();
+        for _ in 0..8 {
+            let mut cfg = m.empty_joint();
+            for id in 0..cands.len() {
+                if rng.random_range(0..3usize) == 0 {
+                    cfg.indexes.insert(id);
+                }
+            }
+            for t in &tables {
+                let pool = [&disjoint, &overlapping][rng.random_range(0..2usize)];
+                if rng.random_range(0..2usize) == 0 {
+                    pool[t.0 as usize]
+                        .iter()
+                        .for_each(|&f| cfg.fragments.insert(f));
+                }
+            }
+            for sid in 0..m.n_splits() {
+                if rng.random_range(0..3usize) == 0 {
+                    cfg.splits.insert(sid);
+                }
+            }
+            let table = tables[rng.random_range(0..tables.len())];
+            let mut kernel = m.table_kernel(&cfg, table);
+            let ids: Vec<usize> = kernel.query_ids().collect();
+            let before = m.counters.partition_lookups.load(Ordering::Relaxed);
+            let (mut lookups, mut partition_lookups) = (0, 0);
+            for round in 0..4 {
+                let own = match round {
+                    0 => disjoint[table.0 as usize].clone(),
+                    1 => overlapping[table.0 as usize].clone(),
+                    2 => Vec::new(),
+                    _ => (disjoint[table.0 as usize].iter())
+                        .chain(&overlapping[table.0 as usize])
+                        .copied()
+                        .filter(|_| rng.random_range(0..2usize) == 0)
+                        .collect(),
+                };
+                let mut edited = cfg.clone();
+                for &f in &m.frags_by_table[table.0 as usize] {
+                    edited.fragments.remove(f);
+                }
+                own.iter().for_each(|&f| edited.fragments.insert(f));
+                let mut list = FragmentList::default();
+                let mut selected: Vec<usize> = edited
+                    .fragments
+                    .ids()
+                    .filter(|&f| m.fragments[f].table == table)
+                    .collect();
+                selected.dedup();
+                list.set(
+                    selected
+                        .iter()
+                        .map(|&f| (m.fragments[f].mask, m.fragments[f].pages)),
+                );
+                let none = JointToggle::default();
+                let resolved = m.resolve_joint(&edited, &none);
+                for (at, &qi) in ids.iter().enumerate() {
+                    let want = joint_cost_with_oracle(&m, qi, &edited, &none);
+                    let resolved_cost = m.joint_cost_resolved(qi, &resolved);
+                    for _ in 0..2 {
+                        let got = m.table_kernel_cost(&mut kernel, at, &list);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "Q{qi} round {round}: {got} vs {want}"
+                        );
+                        lookups += 1;
+                        partition_lookups += u64::from(!edited.partitions_empty());
+                    }
+                    assert_eq!(
+                        resolved_cost.to_bits(),
+                        want.to_bits(),
+                        "Q{qi} round {round}"
+                    );
+                }
+            }
+            let resolved_partition_lookups =
+                m.counters.partition_lookups.load(Ordering::Relaxed) - before;
+            let lookups_before = m.counters.lookups.load(Ordering::Relaxed);
+            let partitions_before = m.counters.partition_lookups.load(Ordering::Relaxed);
+            drop(kernel);
+            assert_eq!(
+                m.counters.lookups.load(Ordering::Relaxed) - lookups_before,
+                lookups
+            );
+            assert_eq!(
+                m.counters.partition_lookups.load(Ordering::Relaxed) - partitions_before,
+                partition_lookups,
+                "the kernel counts as the resolved path does"
+            );
+            assert_eq!(2 * resolved_partition_lookups, partition_lookups);
+        }
+    }
+
+    /// Statements the kernel property adds: a self-join with three slots
+    /// on one table, and slots that read no column.
+    const KERNEL_EXTRA_SDSS: [&str; 3] = [
+        "SELECT a.ra FROM photoobj a, photoobj b, photoobj c WHERE a.objid = b.objid AND b.objid = c.objid AND c.r < 18",
+        "SELECT p.ra FROM photoobj p, specobj s WHERE p.ra < 10",
+        "SELECT COUNT(*) FROM photoobj",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn table_kernel_matches_the_resolved_path_and_the_oracle_on_sdss(seed in 0u64..10_000, n in 3usize..12) {
+            let c = sdss_catalog(0.01);
+            assert_table_kernel_matches_the_resolved_path(&c, sdss_workload(&c, n, seed), &KERNEL_EXTRA_SDSS, seed ^ 0x6b1);
+        }
+
+        #[test]
+        fn table_kernel_matches_the_resolved_path_and_the_oracle_on_tpch(seed in 0u64..10_000, n in 3usize..10) {
+            let c = pgdesign_catalog::samples::tpch_catalog(0.01);
+            let w = pgdesign_query::generators::tpch_workload(&c, n, seed);
+            let extra = [
+                "SELECT a.l_quantity FROM lineitem a, lineitem b, lineitem c WHERE a.l_orderkey = b.l_orderkey AND b.l_orderkey = c.l_orderkey",
+                "SELECT o.o_totalprice FROM orders o, customer c WHERE o.o_totalprice > 1000",
+                "SELECT COUNT(*) FROM lineitem",
+            ];
+            assert_table_kernel_matches_the_resolved_path(&c, w, &extra, seed ^ 0x3d9);
+        }
+    }
+
+    /// A slot that reads no column fetches one page of one fragment from
+    /// any non-empty fragmentation of its table, so its query costs the
+    /// same under every one: AutoPart's bound leaves such queries out of
+    /// every trial.
+    #[test]
+    fn a_blind_slot_costs_the_same_under_every_nonempty_fragmentation() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let (c, opt) = setup();
+        let inum = Inum::new(&c, &opt);
+        let w = Workload::from_queries(
+            KERNEL_EXTRA_SDSS[1..]
+                .iter()
+                .map(|sql| pgdesign_query::parse_query(&c.schema, sql).expect("test SQL parses")),
+        );
+        let cands = workload_candidates(&c, &w, &CandidateConfig::default()).indexes;
+        let mut m = CostMatrix::build(&inum, &w, &cands);
+        let spec = c.schema.table_by_name("specobj").unwrap();
+        let photo = c.schema.table_by_name("photoobj").unwrap().id;
+        // Query 0 reads no column of specobj, query 1 none of photoobj.
+        for (qi, table) in [(0, spec.id), (1, photo)] {
+            assert!(m.columns_read(qi).any(|(t, mask)| t == table && mask == 0));
+        }
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut costs: Vec<Vec<u64>> = vec![Vec::new(); 2];
+        for _ in 0..24 {
+            let mut cfg = m.empty_joint();
+            cfg.indexes.insert(rng.random_range(0..cands.len()));
+            for table in [spec.id, photo] {
+                let width = c.schema.table(table).width();
+                let mut group: Vec<u16> =
+                    (0..width).filter(|_| rng.random_range(0..2) == 0).collect();
+                if group.is_empty() {
+                    group.push(0);
+                }
+                let rest: Vec<u16> = (0..width).filter(|col| !group.contains(col)).collect();
+                cfg.fragments.insert(m.register_fragment(table, &group));
+                if !rest.is_empty() && rng.random_range(0..2) == 0 {
+                    cfg.fragments.insert(m.register_fragment(table, &rest));
+                }
+            }
+            let indexes = cfg.indexes.clone();
+            for (qi, cost) in costs.iter_mut().enumerate() {
+                // The query's other table stays whole: only the blind slot's
+                // table is fragmented.
+                let mut only = cfg.clone();
+                let other = if qi == 0 { photo } else { spec.id };
+                for &f in &m.frags_by_table[other.0 as usize] {
+                    only.fragments.remove(f);
+                }
+                only.indexes = indexes.clone();
+                cost.push(m.joint_cost(qi, &only).to_bits());
+            }
+        }
+        for cost in &costs {
+            assert!(cost.windows(2).all(|w| w[0] == w[1]), "{cost:?}");
         }
     }
 
