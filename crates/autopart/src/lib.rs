@@ -102,9 +102,7 @@
 
 use pgdesign_catalog::design::{HorizontalPartitioning, PhysicalDesign, VerticalPartitioning};
 use pgdesign_catalog::schema::{TableDef, TableId};
-use pgdesign_inum::{
-    CostMatrix, FragmentList, Inum, JointConfig, JointToggle, MatrixCore, TableKernel,
-};
+use pgdesign_inum::{CostMatrix, FragmentList, Inum, JointConfig, MatrixCore, TableKernel};
 use pgdesign_query::ast::{PredOp, Query};
 use pgdesign_query::Workload;
 use std::collections::BTreeMap;
@@ -162,7 +160,7 @@ struct WorkloadCosts {
 impl WorkloadCosts {
     /// Cost every active query once under `cfg`.
     fn new(core: &MatrixCore, cfg: &JointConfig) -> Self {
-        let resolved = core.resolve_joint(cfg, &JointToggle::default());
+        let resolved = core.resolve_joint(cfg);
         let qids: Vec<usize> = core.active_query_ids().collect();
         let costs = qids
             .iter()
@@ -891,7 +889,9 @@ impl<'a> AutoPartAdvisor<'a> {
     /// Register the horizontal range partitioning proposed for a table;
     /// returns its split-candidate id if it pays under the current
     /// configuration. Only the queries with a slot on the table are
-    /// costed under the split; `costs` takes their new costs if it pays.
+    /// costed under the split (a copy of `cfg` with it inserted; `cfg`
+    /// holds no split on the table yet); `costs` takes their new costs if
+    /// it pays.
     fn horizontal_for_table_on(
         &self,
         matrix: &mut CostMatrix<'_>,
@@ -900,7 +900,9 @@ impl<'a> AutoPartAdvisor<'a> {
         costs: &mut WorkloadCosts,
     ) -> Option<usize> {
         let sid = matrix.register_split(hp);
-        let resolved = matrix.resolve_joint(cfg, &JointToggle::split(sid));
+        let mut trial = cfg.clone();
+        trial.splits.insert(sid);
+        let resolved = matrix.resolve_joint(&trial);
         let (at, split): (Vec<usize>, Vec<f64>) = (costs.qids.iter().enumerate())
             .filter(|&(_, &qi)| matrix.columns_read(qi).any(|(t, _)| t == table))
             .map(|(k, &qi)| {
@@ -1012,7 +1014,7 @@ impl<'a> AutoPartAdvisor<'a> {
             cost = base_cost;
         }
         let design = matrix.joint_design_of(&cfg);
-        let per_query = matrix.joint_cost_pairs(&matrix.empty_joint(), &cfg);
+        let per_query = matrix.joint_cost_pairs(&cfg);
         let replication_bytes = design.replication_bytes(&catalog.schema, &catalog.stats);
         PartitionRecommendation {
             design,
@@ -1247,7 +1249,7 @@ mod tests {
                 PartitionRecommendation {
                     base_cost: matrix.joint_workload_cost(&empty),
                     cost: matrix.joint_workload_cost(&cfg),
-                    per_query: matrix.joint_cost_pairs(&empty, &cfg),
+                    per_query: matrix.joint_cost_pairs(&cfg),
                     iterations,
                     replication_bytes: design.replication_bytes(&catalog.schema, &catalog.stats),
                     design,

@@ -1,15 +1,16 @@
 //! The greedy search as it was before per-query trial costing: every
 //! trial registers its merged fragment and re-costs the whole workload
-//! through [`pgdesign_inum::MatrixCore::joint_workload_cost_with`], every
-//! fragment pair is tried, the replication budget is checked on a
-//! materialised [`VerticalPartitioning`], and the horizontal pass and the
-//! reported costs re-cost the whole workload too. Test-only — the oracle
-//! the search is checked against bit for bit.
+//! on the configuration it would produce
+//! ([`pgdesign_inum::MatrixCore::joint_workload_cost`]), every fragment
+//! pair is tried, the replication budget is checked on a materialised
+//! [`VerticalPartitioning`], and the horizontal pass and the reported
+//! costs re-cost the whole workload too. Test-only — the oracle the
+//! search is checked against bit for bit.
 
 use crate::{AutoPartAdvisor, PartitionRecommendation};
 use pgdesign_catalog::design::VerticalPartitioning;
 use pgdesign_catalog::schema::TableId;
-use pgdesign_inum::{CostMatrix, JointConfig, JointToggle};
+use pgdesign_inum::{CostMatrix, JointConfig};
 use pgdesign_query::Workload;
 
 /// The earlier `AutoPartAdvisor::recommend_on`.
@@ -44,8 +45,10 @@ pub(crate) fn search(
             continue;
         };
         let sid = matrix.register_split(hp);
-        if matrix.delta_split(cfg, sid) < -1e-9 {
-            cfg.splits.insert(sid);
+        let mut trial = cfg.clone();
+        trial.splits.insert(sid);
+        if matrix.joint_workload_cost(&trial) - matrix.joint_workload_cost(cfg) < -1e-9 {
+            *cfg = trial;
         }
     }
     iterations
@@ -86,10 +89,11 @@ fn partition_table_on(
                 let mut merged = groups[i].clone();
                 merged.extend(groups[j].iter().copied());
                 let mid = matrix.register_fragment(table, &merged);
-                let c = matrix.joint_workload_cost_with(
-                    cfg,
-                    &JointToggle::merge(group_ids[i], group_ids[j], mid),
-                );
+                let mut trial = cfg.clone();
+                trial.fragments.remove(group_ids[i]);
+                trial.fragments.remove(group_ids[j]);
+                trial.fragments.insert(mid);
+                let c = matrix.joint_workload_cost(&trial);
                 if c < current - 1e-9 && best.is_none_or(|(_, _, _, bc)| c < bc) {
                     best = Some((i, j, mid, c));
                 }
@@ -113,8 +117,10 @@ fn partition_table_on(
                         continue;
                     }
                     let eid = matrix.register_fragment(table, &extended);
-                    let c = matrix
-                        .joint_workload_cost_with(cfg, &JointToggle::replace(group_ids[j], eid));
+                    let mut trial = cfg.clone();
+                    trial.fragments.remove(group_ids[j]);
+                    trial.fragments.insert(eid);
+                    let c = matrix.joint_workload_cost(&trial);
                     if c < current - 1e-9 && best_repl.is_none_or(|(_, _, _, bc)| c < bc) {
                         best_repl = Some((i, j, eid, c));
                     }

@@ -25,7 +25,7 @@ use pgdesign_catalog::design::{
 use pgdesign_catalog::schema::TableId;
 use pgdesign_durability::DurableStore;
 use pgdesign_interaction::{analyze_on, InteractionConfig, InteractionGraph};
-use pgdesign_inum::{ByteWriter, JointConfig, JointToggle, Wire};
+use pgdesign_inum::{ByteWriter, JointConfig, Wire};
 use pgdesign_query::ast::Query;
 use pgdesign_query::Workload;
 use std::collections::HashMap;
@@ -368,7 +368,7 @@ impl<'a> InteractiveSession<'a> {
     pub fn evaluate(&self) -> BenefitReport {
         let matrix = self.session.matrix();
         let empty = matrix.empty_joint();
-        let whatif = matrix.resolve_joint(&self.cfg, &JointToggle::default());
+        let whatif = matrix.resolve_joint(&self.cfg);
         // Unchanged generation ⇒ every slot id still denotes the query it
         // was cached for, so the hot path is a plain map hit. After a
         // rotation through the session escape hatch, cached entries are

@@ -556,7 +556,7 @@ impl Advisor for OfflineAdvisor {
             combined_cost = indexes.cost;
         }
         let design = matrix.joint_design_of(&cfg);
-        let per_query = matrix.joint_cost_pairs(&empty, &cfg);
+        let per_query = matrix.joint_cost_pairs(&cfg);
 
         // Interaction analysis + schedules over the chosen indexes, served
         // from the very same matrix cells the selection used.
@@ -626,7 +626,8 @@ mod tests {
     use super::*;
     use pgdesign_catalog::design::HorizontalPartitioning;
     use pgdesign_catalog::samples::sdss_catalog;
-    use pgdesign_inum::{CandidateBitset, JointConfig, JointToggle, MatrixCore};
+    use pgdesign_catalog::schema::TableId;
+    use pgdesign_inum::{CandidateBitset, FragmentList, JointConfig, MatrixCore};
     use pgdesign_optimizer::candidates::{workload_candidates, CandidateConfig};
     use pgdesign_query::generators::sdss_workload;
 
@@ -829,16 +830,21 @@ mod tests {
         joint: JointConfig,
         frags: [usize; 2],
         split: usize,
+        /// The table `joint`'s fragments are on, and those fragments as a
+        /// kernel's list.
+        table: TableId,
+        list: FragmentList,
     }
 
     /// One row of the read-API table: a read reduced to its `Debug`
     /// rendering (bit-faithful for `f64`), and the lookups / partition
-    /// lookups one call must count, as multiples of `(1, active queries)`.
+    /// lookups one call must count, as multiples of `(1, active queries,
+    /// queries reading the fixture's table)`.
     type ReadRow = (
         &'static str,
         fn(&MatrixCore, &ReadFixture) -> String,
-        (u64, u64),
-        (u64, u64),
+        (u64, u64, u64),
+        (u64, u64, u64),
     );
 
     #[test]
@@ -846,10 +852,11 @@ mod tests {
         fn show<T: std::fmt::Debug>(value: T) -> String {
             format!("{value:?}")
         }
-        const NONE: (u64, u64) = (0, 0);
-        const ONE: (u64, u64) = (1, 0);
-        const PER_QUERY: (u64, u64) = (0, 1);
-        const TWICE_PER_QUERY: (u64, u64) = (0, 2);
+        const NONE: (u64, u64, u64) = (0, 0, 0);
+        const ONE: (u64, u64, u64) = (1, 0, 0);
+        const PER_QUERY: (u64, u64, u64) = (0, 1, 0);
+        const TWICE_PER_QUERY: (u64, u64, u64) = (0, 2, 0);
+        const PER_TABLE_QUERY: (u64, u64, u64) = (0, 0, 1);
         let table: Vec<ReadRow> = vec![
             ("workload", |m, _f| show(m.workload()), NONE, NONE),
             ("n_queries", |m, _f| show(m.n_queries()), NONE, NONE),
@@ -949,10 +956,22 @@ mod tests {
                 ONE,
             ),
             (
-                "joint_cost_with",
-                |m, f| show(m.joint_cost_with(f.q, &f.joint, &JointToggle::split(f.split))),
-                ONE,
-                ONE,
+                "joint_cost_pairs",
+                |m, f| show(m.joint_cost_pairs(&f.joint)),
+                TWICE_PER_QUERY,
+                PER_QUERY,
+            ),
+            (
+                "resolve_joint + joint_cost_resolved",
+                |m, f| {
+                    let resolved = m.resolve_joint(&f.joint);
+                    let costs = m
+                        .active_query_ids()
+                        .map(|qi| m.joint_cost_resolved(qi, &resolved));
+                    show(costs.sum::<f64>())
+                },
+                PER_QUERY,
+                PER_QUERY,
             ),
             (
                 "joint_workload_cost",
@@ -961,16 +980,19 @@ mod tests {
                 PER_QUERY,
             ),
             (
-                "joint_workload_cost_with",
-                |m, f| show(m.joint_workload_cost_with(&f.joint, &JointToggle::split(f.split))),
-                PER_QUERY,
-                PER_QUERY,
-            ),
-            (
-                "delta_split",
-                |m, f| show(m.delta_split(&f.joint, f.split)),
-                TWICE_PER_QUERY,
-                TWICE_PER_QUERY,
+                // The kernel counts its lookups when it drops.
+                "table_kernel + table_kernel_cost",
+                |m, f| {
+                    let mut kernel = m.table_kernel(&f.joint, f.table);
+                    let queries = kernel.query_ids().len();
+                    let costs: Vec<f64> = (0..queries)
+                        .map(|at| m.table_kernel_cost(&mut kernel, at, &f.list))
+                        .collect();
+                    drop(kernel);
+                    show(costs)
+                },
+                PER_TABLE_QUERY,
+                PER_TABLE_QUERY,
             ),
         ];
 
@@ -990,6 +1012,14 @@ mod tests {
             1,
             vec![90.0, 180.0, 270.0],
         ));
+        let mut list = FragmentList::default();
+        list.set([frags[0], frags[1], rest].map(|f| {
+            let mask = m
+                .fragment_columns(f)
+                .iter()
+                .fold(0u128, |mask, &c| mask | 1 << c);
+            (mask, m.fragment_pages(photo, mask))
+        }));
         session.publish();
         let matrix = session.matrix();
         let live: Vec<usize> = matrix.candidates().map(|(id, _)| id).collect();
@@ -1006,8 +1036,12 @@ mod tests {
             joint,
             frags,
             split,
+            table: photo,
+            list,
         };
         let n = matrix.active_query_ids().count() as u64;
+        let on_table = matrix.table_kernel(&fx.joint, photo).query_ids().len() as u64;
+        assert!(on_table > 0, "some fixture query reads photoobj");
 
         let matrix_reader = matrix.reader();
         let session_reader = session.reader();
@@ -1024,8 +1058,8 @@ mod tests {
             (s.lookups, s.partition_lookups, matrix.reader_lookups())
         };
         for &(name, read, lookups, partition) in &table {
-            let lookups = lookups.0 + lookups.1 * n;
-            let partition = partition.0 + partition.1 * n;
+            let lookups = lookups.0 + lookups.1 * n + lookups.2 * on_table;
+            let partition = partition.0 + partition.1 * n + partition.2 * on_table;
             let expected = read(matrix, &fx);
             for (handle, core, reader_side) in handles {
                 let before = counters();
@@ -1105,16 +1139,6 @@ mod tests {
                     core.joint_cost(qi, &cfg),
                     core.joint_cost(qi, &known_joint),
                     "{name} Q{qi}: unknown fragment and split ids are unselected"
-                );
-                let toggle = JointToggle {
-                    add_fragment: Some(frag),
-                    add_split: Some(split),
-                    ..Default::default()
-                };
-                assert_eq!(
-                    core.joint_cost_with(qi, &known_joint, &toggle),
-                    core.joint_cost(qi, &known_joint),
-                    "{name} Q{qi}: unknown toggle ids are unselected"
                 );
             }
         }

@@ -113,24 +113,22 @@
 //! access paths are kept in target-parameterized form
 //! ([`pgdesign_optimizer::access::PathCost`]). Costing a
 //! [`JointConfig`] (indexes + fragments + splits) then needs only
-//! per-slot arithmetic — no path re-enumeration, no design construction —
-//! and a [`JointToggle`] costs a configuration with a fragment or split
-//! edited without building it ([`MatrixCore::joint_workload_cost_with`] /
-//! [`MatrixCore::delta_split`]). AutoPart's merge search, which edits one
-//! table's fragments at a time, runs on a per-table view of the same
-//! read path ([`TableKernel`]): each trial re-derives only the slots on
-//! that table.
+//! per-slot arithmetic — no path re-enumeration, no design construction.
+//! A trial is the configuration it would produce: AutoPart's horizontal
+//! pass costs a copy of its configuration with the split inserted.
+//! AutoPart's merge search, which edits one table's fragments at a time,
+//! runs on a per-table view of the same read path ([`TableKernel`]): each
+//! trial re-derives only the slots on that table.
 //!
-//! Every partition-aware lookup reads one path. A configuration plus a
-//! toggle is resolved once per costing ([`MatrixCore::resolve_joint`])
-//! into a [`ResolvedJoint`]: per table, the selected fragments (in column
-//! order when they overlap, the order the replication-aware set cover
-//! breaks ties in), whether they are disjoint, and the selected split.
-//! Each slot then reads its table's entry without scanning the
-//! configuration or allocating ([`MatrixCore::joint_cost_resolved`]).
-//! `joint_cost{,_with}`, `joint_workload_cost{,_with}` and the `delta_*`
-//! family resolve once per call; callers costing many queries against one
-//! configuration resolve it themselves (or use
+//! Every partition-aware lookup reads one path. A configuration is
+//! resolved once per costing ([`MatrixCore::resolve_joint`]) into a
+//! [`ResolvedJoint`]: per table, the selected fragments (in column order
+//! when they overlap, the order the replication-aware set cover breaks
+//! ties in), whether they are disjoint, and the selected split. Each slot
+//! then reads its table's entry without scanning the configuration or
+//! allocating ([`MatrixCore::joint_cost_resolved`]). `joint_cost` and
+//! `joint_workload_cost` resolve once per call; callers costing many
+//! queries against one configuration resolve it themselves (or use
 //! [`MatrixCore::joint_cost_pairs`]). Fragment registration is deduped by
 //! `(table, column mask)` in O(1).
 //!
@@ -158,8 +156,8 @@ pub use matrix::persist::{
     MatrixEdit, PersistError, RestoreReport,
 };
 pub use matrix::{
-    CandidateBitset, CostMatrix, FragmentBitset, FragmentList, JointConfig, JointToggle,
-    MatrixCore, MatrixStats, ResolvedJoint, SplitBitset, TableKernel,
+    CandidateBitset, CostMatrix, FragmentBitset, FragmentList, JointConfig, MatrixCore,
+    MatrixStats, ResolvedJoint, SplitBitset, TableKernel,
 };
 pub use parallel::build_threads;
 #[doc(hidden)]

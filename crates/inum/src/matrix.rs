@@ -330,61 +330,8 @@ impl JointConfig {
     }
 }
 
-/// Virtual edits applied on top of a [`JointConfig`] for one costing — the
-/// joint analogue of [`MatrixCore::cost_plus`]/[`MatrixCore::cost_minus`].
-/// Merge, replacement and split trials cost out through these without
-/// materializing the edited configuration (or any `PhysicalDesign`). The
-/// trial set is `(cfg ∖ removes) ∪ adds`: adding an id wins over removing
-/// the same id, so a merge whose result equals one of its inputs (possible
-/// once replication has made one group a subset of another) keeps that
-/// fragment selected.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct JointToggle {
-    /// Fragment to treat as selected.
-    pub add_fragment: Option<usize>,
-    /// Up to two fragments to treat as deselected (a merge removes two).
-    pub remove_fragments: [Option<usize>; 2],
-    /// Split to treat as selected.
-    pub add_split: Option<usize>,
-    /// Split to treat as deselected.
-    pub remove_split: Option<usize>,
-}
-
-impl JointToggle {
-    /// The merge trial: fragments `a` and `b` replaced by `merged`.
-    pub fn merge(a: usize, b: usize, merged: usize) -> Self {
-        JointToggle {
-            add_fragment: Some(merged),
-            remove_fragments: [Some(a), Some(b)],
-            ..Default::default()
-        }
-    }
-
-    /// The replacement trial: fragment `old` swapped for `new` (AutoPart's
-    /// replication step extends one fragment in place).
-    pub fn replace(old: usize, new: usize) -> Self {
-        JointToggle {
-            add_fragment: Some(new),
-            remove_fragments: [Some(old), None],
-            ..Default::default()
-        }
-    }
-
-    /// The split trial: horizontal split `id` applied.
-    pub fn split(id: usize) -> Self {
-        JointToggle {
-            add_split: Some(id),
-            ..Default::default()
-        }
-    }
-
-    pub(crate) fn is_noop(&self) -> bool {
-        *self == JointToggle::default()
-    }
-}
-
-/// A [`JointConfig`] with a [`JointToggle`] applied, resolved once for one
-/// costing by [`MatrixCore::resolve_joint`]: per table, the selected
+/// A [`JointConfig`] resolved once for one costing by
+/// [`MatrixCore::resolve_joint`]: per table, the selected
 /// fragments, whether they are pairwise disjoint, and the selected split.
 /// Every slot of every query costed against it
 /// ([`MatrixCore::joint_cost_resolved`]) then reads its table's entry —
@@ -395,8 +342,8 @@ impl JointToggle {
 pub struct ResolvedJoint<'c> {
     /// The selected candidate indexes.
     indexes: &'c CandidateBitset,
-    /// Some partition candidate is in play — the configuration selects one
-    /// or the toggle edits one — so each lookup counts as partition-aware.
+    /// The configuration selects some partition candidate, so each lookup
+    /// counts as partition-aware.
     partitioned: bool,
     /// The selected fragments, grouped by table. A table's group is in
     /// column order when its fragments overlap — the order the greedy
@@ -2138,11 +2085,6 @@ impl MatrixCore {
         &self.fragments[id].columns
     }
 
-    /// A registered fragment's columns as a mask (bit `c` = ordinal `c`).
-    pub fn fragment_mask(&self, id: usize) -> u128 {
-        self.fragments[id].mask
-    }
-
     /// Per slot of query `query_id`, its table and the mask of the columns
     /// its costing reads (bit `c` = ordinal `c`). A vertical fragment can
     /// change the slot's joint cost only if it meets that mask, or the
@@ -2193,20 +2135,19 @@ impl MatrixCore {
     }
 
     /// Cost of `query_id` under a joint configuration — pure lookups plus
-    /// per-slot arithmetic re-costing for partition-touched tables.
+    /// per-slot arithmetic re-costing for partition-touched tables. Resolves
+    /// the configuration for this one lookup, so callers costing many
+    /// queries resolve once themselves ([`Self::resolve_joint`]).
     pub fn joint_cost(&self, query_id: usize, cfg: &JointConfig) -> f64 {
-        self.joint_cost_with(query_id, cfg, &JointToggle::default())
+        self.joint_cost_resolved(query_id, &self.resolve_joint(cfg))
     }
 
-    /// Per active query, in id order, its cost under `before` and under
-    /// `after` — a recommendation's per-query report, each configuration
-    /// resolved once.
-    pub fn joint_cost_pairs(&self, before: &JointConfig, after: &JointConfig) -> Vec<(f64, f64)> {
-        let none = JointToggle::default();
-        let (before, after) = (
-            self.resolve_joint(before, &none),
-            self.resolve_joint(after, &none),
-        );
+    /// Per active query, in id order, its cost under no design and its
+    /// cost under `cfg` — a recommendation's per-query report, each
+    /// configuration resolved once.
+    pub fn joint_cost_pairs(&self, cfg: &JointConfig) -> Vec<(f64, f64)> {
+        let empty = self.empty_joint();
+        let (before, after) = (self.resolve_joint(&empty), self.resolve_joint(cfg));
         self.active_query_ids()
             .map(|qi| {
                 (
@@ -2218,49 +2159,23 @@ impl MatrixCore {
     }
 
     /// Weighted workload cost under a joint configuration (active queries
-    /// only).
+    /// only), resolved once for the whole workload.
     pub fn joint_workload_cost(&self, cfg: &JointConfig) -> f64 {
-        self.joint_workload_cost_with(cfg, &JointToggle::default())
-    }
-
-    /// Weighted workload cost under `cfg` with `toggle`'s virtual edits
-    /// applied, resolved once for the whole workload.
-    pub fn joint_workload_cost_with(&self, cfg: &JointConfig, toggle: &JointToggle) -> f64 {
-        let resolved = self.resolve_joint(cfg, toggle);
+        let resolved = self.resolve_joint(cfg);
         self.active_query_ids()
             .map(|qi| self.workload.entries[qi].weight * self.joint_cost_resolved(qi, &resolved))
             .sum()
     }
 
-    /// Workload-cost change from applying horizontal split `split` —
-    /// the horizontal-pass trial entry point (negative = improvement).
-    pub fn delta_split(&self, cfg: &JointConfig, split: usize) -> f64 {
-        self.joint_workload_cost_with(cfg, &JointToggle::split(split))
-            - self.joint_workload_cost(cfg)
-    }
-
-    /// Cost of `query_id` under `cfg` with `toggle` applied (see
-    /// [`Self::joint_cost_resolved`]); resolves the configuration for this
-    /// one lookup, so callers costing many queries resolve once themselves.
-    pub fn joint_cost_with(&self, query_id: usize, cfg: &JointConfig, toggle: &JointToggle) -> f64 {
-        self.joint_cost_resolved(query_id, &self.resolve_joint(cfg, toggle))
-    }
-
-    /// Resolve `cfg` with `toggle` applied into its per-table partition
-    /// state — the one partition-aware read path's setup, paid once per
-    /// costing instead of once per slot. The toggled set is
-    /// `(cfg ∖ removes) ∪ adds` (an add wins over a remove of the same id),
-    /// and fragment and split ids this core does not know are unselected.
-    /// Of several splits selected on one table the last one (by id, then
-    /// the toggle's add) applies.
-    pub fn resolve_joint<'c>(
-        &self,
-        cfg: &'c JointConfig,
-        toggle: &JointToggle,
-    ) -> ResolvedJoint<'c> {
+    /// Resolve `cfg` into its per-table partition state — the one
+    /// partition-aware read path's setup, paid once per costing instead of
+    /// once per slot. Fragment and split ids this core does not know are
+    /// unselected. Of several splits selected on one table the last one
+    /// (by id) applies.
+    pub fn resolve_joint<'c>(&self, cfg: &'c JointConfig) -> ResolvedJoint<'c> {
         let mut resolved = ResolvedJoint {
             indexes: &cfg.indexes,
-            partitioned: !cfg.partitions_empty() || !toggle.is_noop(),
+            partitioned: !cfg.partitions_empty(),
             frags: Vec::new(),
             tables: Vec::new(),
         };
@@ -2270,37 +2185,16 @@ impl MatrixCore {
         let tables = &mut resolved.tables;
         tables.resize(self.frags_by_table.len(), TableParts::default());
 
-        let split_on = |sid: usize| {
-            sid < self.splits.len()
-                && (toggle.add_split == Some(sid) || toggle.remove_split != Some(sid))
-        };
-        let added_split = toggle
-            .add_split
-            .filter(|&sid| split_on(sid) && !cfg.splits.contains(sid));
-        for sid in cfg
-            .splits
-            .ids()
-            .filter(|&sid| split_on(sid))
-            .chain(added_split)
-        {
+        for sid in cfg.splits.ids().filter(|&sid| sid < self.splits.len()) {
             if let Some(parts) = tables.get_mut(self.splits[sid].hp.table.0 as usize) {
                 parts.split = Some(sid);
             }
         }
 
-        let frag_on = |fid: usize| {
-            fid < self.fragments.len()
-                && (toggle.add_fragment == Some(fid)
-                    || !toggle.remove_fragments.contains(&Some(fid)))
-        };
         let selected = || {
-            let added = toggle
-                .add_fragment
-                .filter(|&fid| frag_on(fid) && !cfg.fragments.contains(fid));
             cfg.fragments
                 .ids()
-                .filter(|&fid| frag_on(fid))
-                .chain(added)
+                .filter(|&fid| fid < self.fragments.len())
                 .map(|fid| &*self.fragments[fid])
         };
         // Group by table in two passes (count, then place), no sort: each
@@ -2538,7 +2432,7 @@ impl MatrixCore {
     /// part; each costing names the table's fragments. Resolves `cfg`
     /// once and counts no lookup.
     pub fn table_kernel(&self, cfg: &JointConfig, table: TableId) -> TableKernel {
-        let resolved = self.resolve_joint(cfg, &JointToggle::default());
+        let resolved = self.resolve_joint(cfg);
         let split = resolved
             .tables
             .get(table.0 as usize)
@@ -2760,15 +2654,10 @@ mod tests {
     use pgdesign_query::generators::sdss_workload;
 
     /// The per-lookup resolution [`MatrixCore::resolve_joint`] replaced, kept as
-    /// its oracle: every slot scans the configuration and the toggle, and
-    /// an overlapping table's fragments are collected and sorted per slot.
-    fn joint_cost_with_oracle(
-        m: &MatrixCore,
-        query_id: usize,
-        cfg: &JointConfig,
-        toggle: &JointToggle,
-    ) -> f64 {
-        let partitions_active = !cfg.partitions_empty() || !toggle.is_noop();
+    /// its oracle: every slot scans the configuration, and an overlapping
+    /// table's fragments are collected and sorted per slot.
+    fn joint_cost_oracle(m: &MatrixCore, query_id: usize, cfg: &JointConfig) -> f64 {
+        let partitions_active = !cfg.partitions_empty();
         let qm = &m.queries[query_id];
         let slot_state: Vec<Option<[f64; MAX_SLOT_ORDERS + 1]>> = qm
             .slots
@@ -2776,7 +2665,7 @@ mod tests {
             .enumerate()
             .map(|(s, slot)| {
                 partitions_active
-                    .then(|| slot_partition_state(m, query_id, s, slot, cfg, toggle))
+                    .then(|| slot_partition_state(m, query_id, s, slot, cfg))
                     .flatten()
             })
             .collect();
@@ -2787,29 +2676,23 @@ mod tests {
         )
     }
 
-    /// One slot's partition state resolved from the configuration and the
-    /// toggle directly (the oracle's per-slot step).
+    /// One slot's partition state resolved from the configuration directly
+    /// (the oracle's per-slot step).
     fn slot_partition_state(
         m: &MatrixCore,
         query_id: usize,
         slot_idx: usize,
         slot: &SlotCosts,
         cfg: &JointConfig,
-        toggle: &JointToggle,
     ) -> Option<[f64; MAX_SLOT_ORDERS + 1]> {
         let mut h_frac = 1.0f64;
         let mut has_split = false;
-        let split_on = |sid: usize| {
+        let on_table = |sid: usize| {
             m.splits
                 .get(sid)
                 .is_some_and(|sp| sp.hp.table == slot.table)
-                && (toggle.add_split == Some(sid) || toggle.remove_split != Some(sid))
         };
-        for sid in cfg.splits.ids().filter(|&sid| split_on(sid)).chain(
-            toggle
-                .add_split
-                .filter(|&sid| split_on(sid) && !cfg.splits.contains(sid)),
-        ) {
+        for sid in cfg.splits.ids().filter(|&sid| on_table(sid)) {
             h_frac = m.splits[sid].frac[query_id][slot_idx];
             has_split = true;
         }
@@ -2818,20 +2701,13 @@ mod tests {
             m.fragments
                 .get(fid)
                 .is_some_and(|fr| fr.table == slot.table)
-                && (toggle.add_fragment == Some(fid)
-                    || (toggle.remove_fragments[0] != Some(fid)
-                        && toggle.remove_fragments[1] != Some(fid)))
         };
         let mut any = false;
         let mut disjoint_pages = 0u64;
         let mut touched = 0usize;
         let mut union_mask = 0u128;
         let mut popcount_sum = 0u32;
-        for fid in cfg.fragments.ids().filter(|&fid| frag_on(fid)).chain(
-            toggle
-                .add_fragment
-                .filter(|&fid| frag_on(fid) && !cfg.fragments.contains(fid)),
-        ) {
+        for fid in cfg.fragments.ids().filter(|&fid| frag_on(fid)) {
             any = true;
             let fr = &m.fragments[fid];
             union_mask |= fr.mask;
@@ -2852,15 +2728,9 @@ mod tests {
                 fragments: touched.max(1),
             }
         } else {
-            let selected = |fid: usize| {
-                toggle.add_fragment == Some(fid)
-                    || (cfg.fragments.contains(fid)
-                        && toggle.remove_fragments[0] != Some(fid)
-                        && toggle.remove_fragments[1] != Some(fid))
-            };
             let mut groups: Vec<&Fragment> = m.frags_by_table[slot.table.0 as usize]
                 .iter()
-                .filter(|&&fid| selected(fid))
+                .filter(|&&fid| cfg.fragments.contains(fid))
                 .map(|&fid| &*m.fragments[fid])
                 .collect();
             groups.sort_by(|a, b| a.columns.cmp(&b.columns));
@@ -3127,85 +2997,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn toggled_joint_costs_match_materialized_configs() {
-        let (c, opt) = setup();
-        let inum = Inum::new(&c, &opt);
-        let w = sdss_workload(&c, 9, 107);
-        let mut matrix = CostMatrix::build(&inum, &w, &[]);
-        let photo = c.schema.table_by_name("photoobj").unwrap().id;
-        let a = matrix.register_fragment(photo, &[0, 1, 2]);
-        let b = matrix.register_fragment(photo, &[3, 4, 5]);
-        let rest = matrix.register_fragment(photo, &(6..16).collect::<Vec<u16>>());
-        let merged = matrix.register_fragment(photo, &[0, 1, 2, 3, 4, 5]);
-        let split = matrix.register_split(pgdesign_catalog::design::HorizontalPartitioning::new(
-            photo,
-            1,
-            vec![90.0, 180.0, 270.0],
-        ));
-
-        let mut cfg = matrix.empty_joint();
-        for f in [a, b, rest] {
-            cfg.fragments.insert(f);
-        }
-
-        // A merge toggle against materialized re-evaluation.
-        let mut merged_cfg = matrix.empty_joint();
-        merged_cfg.fragments.insert(rest);
-        merged_cfg.fragments.insert(merged);
-        let full = matrix.joint_workload_cost(&merged_cfg) - matrix.joint_workload_cost(&cfg);
-        let delta = matrix.joint_workload_cost_with(&cfg, &JointToggle::merge(a, b, merged))
-            - matrix.joint_workload_cost(&cfg);
-        assert!(
-            (delta - full).abs() < 1e-9,
-            "merge delta {delta} vs full {full}"
-        );
-
-        // delta_split against materialized re-evaluation.
-        let mut split_cfg = cfg.clone();
-        split_cfg.splits.insert(split);
-        let full = matrix.joint_workload_cost(&split_cfg) - matrix.joint_workload_cost(&cfg);
-        let delta = matrix.delta_split(&cfg, split);
-        assert!(
-            (delta - full).abs() < 1e-9,
-            "delta_split {delta} vs full {full}"
-        );
-    }
-
-    #[test]
-    fn merge_toggle_whose_result_equals_an_input_keeps_it_selected() {
-        // After replication, one group can be a subset of another; a merge
-        // of (subset, superset) registers to the superset's own id. The
-        // trial must then cost `cfg ∖ {subset}` — the add wins over the
-        // remove of the same id — not a configuration missing both.
-        let (c, opt) = setup();
-        let inum = Inum::new(&c, &opt);
-        let w = sdss_workload(&c, 9, 110);
-        let mut matrix = CostMatrix::build(&inum, &w, &[]);
-        let photo = c.schema.table_by_name("photoobj").unwrap().id;
-        let a = matrix.register_fragment(photo, &[0, 1, 2]);
-        let b = matrix.register_fragment(photo, &[0, 1, 2, 3, 4, 5]);
-        let rest = matrix.register_fragment(photo, &(6..16).collect::<Vec<u16>>());
-        let mut cfg = matrix.empty_joint();
-        for f in [a, b, rest] {
-            cfg.fragments.insert(f);
-        }
-        let trial = matrix.joint_workload_cost_with(&cfg, &JointToggle::merge(a, b, b));
-        let mut expect_cfg = matrix.empty_joint();
-        expect_cfg.fragments.insert(b);
-        expect_cfg.fragments.insert(rest);
-        let expect = matrix.joint_workload_cost(&expect_cfg);
-        assert!(
-            (trial - expect).abs() < 1e-9,
-            "merge(a, b, b) must cost cfg ∖ {{a}}: {trial} vs {expect}"
-        );
-    }
-
     /// The resolved read path ([`MatrixCore::resolve_joint`] once per
-    /// costing) and the per-lookup oracle ([`joint_cost_with_oracle`])
-    /// agree bit for bit under random configurations: overlapping random
-    /// column groups, splits, index subsets, and toggles that add and
-    /// remove one id at once or name ids the matrix does not know.
+    /// costing) and the per-lookup oracle ([`joint_cost_oracle`]) agree bit
+    /// for bit under random configurations: overlapping random column
+    /// groups, splits, index subsets, and ids the matrix does not know.
     fn assert_resolved_path_matches_oracle(catalog: &Catalog, workload: &Workload, seed: u64) {
         use pgdesign_catalog::design::HorizontalPartitioning;
         use rand::rngs::StdRng;
@@ -3246,36 +3041,17 @@ mod tests {
             for _ in 0..id(n_splits) % 3 {
                 cfg.splits.insert(id(n_splits));
             }
-            let add = id(n_frags);
-            let toggle = JointToggle {
-                add_fragment: (id(3) > 0).then_some(add),
-                remove_fragments: [
-                    Some(if id(2) == 0 { add } else { id(n_frags) }),
-                    (id(2) > 0).then(|| id(n_frags)),
-                ],
-                add_split: (id(2) == 0).then(|| id(n_splits)),
-                remove_split: (id(2) == 0).then(|| id(n_splits)),
-            };
-            for toggle in [JointToggle::default(), toggle] {
-                let resolved = m.resolve_joint(&cfg, &toggle);
-                let mut oracle_total = 0.0;
-                for qi in m.active_query_ids() {
-                    let want = joint_cost_with_oracle(&m, qi, &cfg, &toggle);
-                    oracle_total += m.query_weight(qi) * want;
-                    for got in [
-                        m.joint_cost_resolved(qi, &resolved),
-                        m.joint_cost_with(qi, &cfg, &toggle),
-                    ] {
-                        assert_eq!(
-                            got.to_bits(),
-                            want.to_bits(),
-                            "Q{qi} {toggle:?}: {got} vs {want}"
-                        );
-                    }
+            let resolved = m.resolve_joint(&cfg);
+            let mut oracle_total = 0.0;
+            for qi in m.active_query_ids() {
+                let want = joint_cost_oracle(&m, qi, &cfg);
+                oracle_total += m.query_weight(qi) * want;
+                for got in [m.joint_cost_resolved(qi, &resolved), m.joint_cost(qi, &cfg)] {
+                    assert_eq!(got.to_bits(), want.to_bits(), "Q{qi}: {got} vs {want}");
                 }
-                let total = m.joint_workload_cost_with(&cfg, &toggle);
-                assert_eq!(total.to_bits(), oracle_total.to_bits(), "{toggle:?}");
             }
+            let total = m.joint_workload_cost(&cfg);
+            assert_eq!(total.to_bits(), oracle_total.to_bits());
         }
     }
 
@@ -3408,10 +3184,9 @@ mod tests {
                         .iter()
                         .map(|&f| (m.fragments[f].mask, m.fragments[f].pages)),
                 );
-                let none = JointToggle::default();
-                let resolved = m.resolve_joint(&edited, &none);
+                let resolved = m.resolve_joint(&edited);
                 for (at, &qi) in ids.iter().enumerate() {
-                    let want = joint_cost_with_oracle(&m, qi, &edited, &none);
+                    let want = joint_cost_oracle(&m, qi, &edited);
                     let resolved_cost = m.joint_cost_resolved(qi, &resolved);
                     for _ in 0..2 {
                         let got = m.table_kernel_cost(&mut kernel, at, &list);

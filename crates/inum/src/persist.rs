@@ -1220,21 +1220,16 @@ mod tests {
                     cfg.indexes.insert(id);
                 }
             }
-            for f in 0..a.n_fragments() {
+            for f in 0..a.n_fragments() + 1 {
                 if rng.random_range(0..2u32) == 0 {
                     cfg.fragments.insert(f);
                 }
             }
-            for sp in 0..a.n_splits() {
+            for sp in 0..a.n_splits() + 1 {
                 if rng.random_range(0..2u32) == 0 {
                     cfg.splits.insert(sp);
                 }
             }
-            let toggle = JointToggle {
-                add_fragment: Some(rng.random_range(0..a.n_fragments() + 1)),
-                add_split: Some(rng.random_range(0..a.n_splits() + 1)),
-                ..JointToggle::default()
-            };
             let id = rng.random_range(0..a.n_candidates() + 1);
             for q in 0..a.n_queries() {
                 assert_eq!(a.query_active(q), b.query_active(q));
@@ -1250,10 +1245,6 @@ mod tests {
                         b.cost_minus(q, &cfg.indexes, id),
                     ),
                     (a.joint_cost(q, &cfg), b.joint_cost(q, &cfg)),
-                    (
-                        a.joint_cost_with(q, &cfg, &toggle),
-                        b.joint_cost_with(q, &cfg, &toggle),
-                    ),
                 ];
                 for (x, y) in pairs {
                     assert_eq!(x.to_bits(), y.to_bits(), "Q{q} under {cfg:?}");
@@ -1300,7 +1291,7 @@ mod tests {
                 assert_eq!(live.candidates_on(q), restored.candidates_on(q));
             }
             for f in 0..live.n_fragments() {
-                assert_eq!(live.fragment_mask(f), restored.fragment_mask(f));
+                assert_eq!(live.fragment_columns(f), restored.fragment_columns(f));
             }
             // The rebuilt dedupe maps and the free lists steer later edits
             // exactly as the originals do.

@@ -110,7 +110,7 @@ impl PublishSlot {
 /// An immutable, published generation of the cost matrix.
 ///
 /// Dereferences to its [`MatrixCore`], so every *read* method — `cost`,
-/// `joint_cost`, deltas, registries — is served from owned cells with no
+/// `cost_plus`, `joint_cost`, registries — is served from owned cells with no
 /// lock and no [`crate::Inum`] borrow, and the snapshot is freely
 /// `Send + Sync` across threads. Obtained via [`crate::CostMatrix::reader`]
 /// (or a `TuningSession`'s reader) and normally accessed through the

@@ -3,7 +3,7 @@
 use pgdesign_catalog::design::{Index, PhysicalDesign};
 use pgdesign_catalog::samples::{sdss_catalog, tpch_catalog};
 use pgdesign_catalog::Catalog;
-use pgdesign_inum::{CostMatrix, Inum, JointToggle};
+use pgdesign_inum::{CostMatrix, Inum};
 use pgdesign_optimizer::candidates::{workload_candidates, CandidateConfig};
 use pgdesign_optimizer::Optimizer;
 use pgdesign_query::generators::{
@@ -302,65 +302,6 @@ proptest! {
         let w = tpch_workload(c, n_queries, seed);
         assert_joint_matrix_matches_inum(c, &w, seed ^ 0x5B117);
     }
-}
-
-/// Delta evaluation equals full re-evaluation on the partition level:
-/// a merge toggle ([`pgdesign_inum::MatrixCore::joint_workload_cost_with`])
-/// and [`pgdesign_inum::MatrixCore::delta_split`] match the
-/// workload-cost difference of the materialized edited configurations.
-#[test]
-fn joint_delta_matches_full_reevaluation() {
-    let c = catalog();
-    let opt = optimizer();
-    let inum = Inum::new(c, &opt);
-    let w = sdss_workload(c, 9, 505);
-    let mut matrix = CostMatrix::build(&inum, &w, &[]);
-    let photo = c.schema.table_by_name("photoobj").unwrap().id;
-    let frag_ids: Vec<usize> = [
-        vec![0u16, 1, 2],
-        vec![3, 4, 5, 6],
-        (7..16).collect::<Vec<u16>>(),
-    ]
-    .iter()
-    .map(|g| matrix.register_fragment(photo, g))
-    .collect();
-    let merged = matrix.register_fragment(photo, &[0, 1, 2, 3, 4, 5, 6]);
-    let split = matrix.register_split(pgdesign_catalog::design::HorizontalPartitioning::new(
-        photo,
-        1,
-        (1..12).map(|i| i as f64 * 30.0).collect(),
-    ));
-
-    let mut cfg = matrix.empty_joint();
-    for &f in &frag_ids {
-        cfg.fragments.insert(f);
-    }
-
-    let mut merged_cfg = matrix.empty_joint();
-    merged_cfg.fragments.insert(frag_ids[2]);
-    merged_cfg.fragments.insert(merged);
-    let full = matrix.joint_workload_cost(&merged_cfg) - matrix.joint_workload_cost(&cfg);
-    let delta = matrix
-        .joint_workload_cost_with(&cfg, &JointToggle::merge(frag_ids[0], frag_ids[1], merged))
-        - matrix.joint_workload_cost(&cfg);
-    assert!(
-        tolerance::within(delta, full, tolerance::REORDERED_SUM),
-        "merge delta {delta} vs full {full}"
-    );
-    // The merged configuration still agrees with the slow-path oracle.
-    let design = matrix.joint_design_of(&merged_cfg);
-    let oracle = inum.workload_cost(&design, &w);
-    let direct = matrix.joint_workload_cost(&merged_cfg);
-    assert!(tolerance::within(direct, oracle, tolerance::REORDERED_SUM));
-
-    let mut split_cfg = cfg.clone();
-    split_cfg.splits.insert(split);
-    let full = matrix.joint_workload_cost(&split_cfg) - matrix.joint_workload_cost(&cfg);
-    let delta = matrix.delta_split(&cfg, split);
-    assert!(
-        tolerance::within(delta, full, tolerance::REORDERED_SUM),
-        "delta_split {delta} vs full {full}"
-    );
 }
 
 /// Incremental maintenance equals a fresh build: starting from a random
